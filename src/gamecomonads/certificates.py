@@ -6,16 +6,21 @@ audits); no decision procedure is re-run.  Files are line-oriented with a
 small header:
 
     certificate <kind>
-    game <ef|pebble|modal>      (when applicable)
+    game <ef|pebble|modal>      (every kind but hom-witness)
     k <K>
     claim <true|false>          (or: kappa <n>)
+
+`KINDS` says, per kind, how its body is written from a solver result and how
+it is audited.  A kind belongs to the games whose `Game` record lists it, and
+`verify_certificate` rejects a `game` header that does not own the kind.  The
+five Spoiler-tree kinds share one node-tree codec.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from . import ef as ef_mod
 from . import equivalence as eq_mod
@@ -68,6 +73,13 @@ def parse_triples(tok: str) -> frozenset:
     return frozenset((int(i), x, y) for i, x, y in found)
 
 
+def _int(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise CertificateError(f"expected an integer, got {tok!r}") from None
+
+
 @dataclass
 class Certificate:
     kind: str
@@ -93,213 +105,47 @@ def format_certificate(cert: Certificate) -> str:
     return "\n".join(lines) + "\n"
 
 
+_HEADERS = ("certificate", "game", "k", "claim", "kappa")
+
+
 def parse_certificate(text: str) -> Certificate:
     rows = []
-    kind = game = claim = None
-    k = kappa = None
+    head: dict[str, str] = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         toks = line.split()
-        head = toks[0]
-        if head == "certificate":
-            kind = toks[1]
-        elif head == "game":
-            game = toks[1]
-        elif head == "k":
-            k = int(toks[1])
-        elif head == "claim":
-            claim = toks[1]
-        elif head == "kappa":
-            kappa = int(toks[1])
-        else:
+        if toks[0] not in _HEADERS:
             rows.append(toks)
-    if kind is None:
+        elif len(toks) != 2:
+            raise CertificateError(f"header line {line!r} needs exactly one value")
+        else:
+            head[toks[0]] = toks[1]
+    if "certificate" not in head:
         raise CertificateError("missing `certificate <kind>` header")
-    return Certificate(kind, game, k, claim, kappa, rows)
-
-
-# ---------------------------------------------------------------------------
-# Emitters: in-memory results -> Certificate
-
-
-def cert_table(kind: str, game: str, k: int, table: dict) -> Certificate:
-    rows = [["map", fmt_play(s), "->", str(table[s])] for s in sorted(table, key=_play_key)]
-    return Certificate(kind, game, k, "true", body=rows)
+    k = _int(head["k"]) if "k" in head else None
+    kappa = _int(head["kappa"]) if "kappa" in head else None
+    return Certificate(head["certificate"], head.get("game"), k, head.get("claim"), kappa,
+                       rows)
 
 
 def _play_key(s: tuple):
     return (len(s), tuple(str(x) for x in s))
 
 
-def cert_ef_spoiler(node: ef_mod.SpoilerNode, k: int) -> Certificate:
-    rows: list[list[str]] = []
-    counter = [0]
-
-    def emit(nd: ef_mod.SpoilerNode) -> int:
-        my = counter[0]
-        counter[0] += 1
-        rows.append(["node", str(my), "move", str(nd.move)])
-        for reply, child in nd.branches:
-            cid = "lose" if child is None else str(emit(child))
-            rows.append(["branch", str(my), str(reply), cid])
-        return my
-
-    emit(node)
-    rows.sort(key=lambda r: (int(r[1]), r[0] == "branch"))
-    return Certificate("ef-spoiler", "ef", k, "false", body=rows)
+# ---------------------------------------------------------------------------
+# Emitters: in-memory results -> Certificate
 
 
-def cert_modal_spoiler(node: modal_mod.ModalSpoilerNode, k: int) -> Certificate:
-    rows: list[list[str]] = []
-    counter = [0]
-
-    def emit(nd: modal_mod.ModalSpoilerNode) -> int:
-        my = counter[0]
-        counter[0] += 1
-        if nd.fail is not None:
-            rows.append(["node", str(my), "fail", nd.fail])
-            return my
-        rows.append(["node", str(my), "move", nd.label, str(nd.move)])
-        for reply, child in nd.branches:
-            rows.append(["branch", str(my), str(reply), str(emit(child))])
-        return my
-
-    emit(node)
-    rows.sort(key=lambda r: (int(r[1]), r[0] == "branch"))
-    return Certificate("modal-spoiler", "modal", k, "false", body=rows)
-
-
-def cert_pebble_family(fam: pebble_mod.StrategyFamily, a: Structure, b: Structure) -> Certificate:
-    parts = sorted(fam.parts, key=lambda p: (len(p), fmt_pairs(p, a, b)))
-    rows = []
-    for p in parts:
-        items = sorted(p, key=lambda xy: (a.index[xy[0]], b.index[xy[1]]))
-        rows.append(["part"] + [f"({x}↦{y})" for x, y in items])
-    return Certificate("pebble-family", "pebble", fam.k, "true", body=rows)
-
-
-def cert_pebble_refutation(node: pebble_mod.SpoilerPosition, k: int,
-                           a: Structure, b: Structure) -> Certificate:
-    rows: list[list[str]] = []
-    counter = [0]
-
-    def emit(nd: pebble_mod.SpoilerPosition) -> int:
-        my = counter[0]
-        counter[0] += 1
-        pos = fmt_pairs(nd.pos, a, b)
-        if nd.drop is not None:
-            rows.append(["node", str(my), pos, "drop", str(nd.drop[0])])
-            rows.append(["child", str(my), str(emit(nd.child))])
-        else:
-            rows.append(["node", str(my), pos, "place", str(nd.place)])
-            for reply, child in nd.branches:
-                cid = "lose" if child is None else str(emit(child))
-                rows.append(["branch", str(my), str(reply), cid])
-        return my
-
-    emit(node)
-    rows.sort(key=lambda r: (int(r[1]), r[0] != "node"))
-    return Certificate("pebble-refutation", "pebble", k, "false", body=rows)
-
-
-def cert_bf_duplicator(entries: dict, k: int, game: str) -> Certificate:
-    rows = []
-    for (s, t) in sorted(entries, key=lambda st: (_play_key(st[0]), _play_key(st[1]))):
-        here = entries[(s, t)]
-        for (side, mover) in sorted(here, key=lambda sm: (sm[0], _play_key(sm[1]))):
-            rows.append(["respond", fmt_play(s), fmt_play(t), side,
-                         fmt_play(mover), "->", fmt_play(here[(side, mover)])])
-    return Certificate("bf-duplicator", game, k, "true", body=rows)
-
-
-def cert_bf_spoiler(node: eq_mod.SpoilerBFNode, k: int, game: str) -> Certificate:
-    rows: list[list[str]] = []
-    counter = [0]
-
-    def emit(nd: eq_mod.SpoilerBFNode) -> int:
-        my = counter[0]
-        counter[0] += 1
-        if nd.side is None:
-            rows.append(["node", str(my), "stall"])
-            return my
-        rows.append(["node", str(my), "side", nd.side, "move", fmt_play(nd.move)])
-        for reply, child in nd.branches:
-            cid = "fail" if child is None else str(emit(child))
-            rows.append(["branch", str(my), fmt_play(reply), cid])
-        return my
-
-    emit(node)
-    rows.sort(key=lambda r: (int(r[1]), r[0] == "branch"))
-    return Certificate("bf-spoiler", game, k, "false", body=rows)
-
-
-def cert_pebble_safe(safe: frozenset, k: int, a: Structure, b: Structure) -> Certificate:
-    rows = [["pos", fmt_triples(pos, a, b)]
-            for pos in sorted(safe, key=lambda p: (len(p), fmt_triples(p, a, b)))]
-    return Certificate("pebble-safe", "pebble", k, "true", body=rows)
-
-
-def cert_pebble_bf_spoiler(node: eq_mod.PebbleBFNode, k: int,
-                           a: Structure, b: Structure) -> Certificate:
-    rows: list[list[str]] = []
-    counter = [0]
-
-    def emit(nd: eq_mod.PebbleBFNode) -> int:
-        my = counter[0]
-        counter[0] += 1
-        rows.append(["node", str(my), fmt_triples(nd.pos, a, b), "pebble", str(nd.index),
-                     "side", nd.side, "elem", str(nd.elem)])
-        for reply, child in nd.branches:
-            cid = "lose" if child is None else str(emit(child))
-            rows.append(["branch", str(my), str(reply), cid])
-        return my
-
-    emit(node)
-    rows.sort(key=lambda r: (int(r[1]), r[0] == "branch"))
-    return Certificate("pebble-bf-spoiler", "pebble", k, "false", body=rows)
-
-
-def cert_iso(forward: dict, backward: dict, k: int, game: str) -> Certificate:
-    rows = [["fwd", fmt_play(s), "->", str(forward[s])]
-            for s in sorted(forward, key=_play_key)]
-    rows += [["bwd", fmt_play(t), "->", str(backward[t])]
-             for t in sorted(backward, key=_play_key)]
-    return Certificate("kleisli-iso", game, k, "true", body=rows)
-
-
-def cert_forest_cover(res: par_mod.KappaResult) -> Certificate:
-    cover = res.cover
-    rows = [["parent", str(v), str(cover.parent[v])]
-            for v in cover.vertices if cover.parent[v] is not None]
-    return Certificate("forest-cover", "ef", res.kappa, kappa=res.kappa, body=rows)
-
-
-def cert_pebble_forest_cover(res: par_mod.KappaResult) -> Certificate:
-    pfc = res.pfc
-    rows = [["parent", str(v), str(pfc.cover.parent[v])]
-            for v in pfc.cover.vertices if pfc.cover.parent[v] is not None]
-    rows += [["pebble", str(v), str(pfc.pebbles[v])] for v in pfc.cover.vertices]
-    if pfc.cover.vertices:
-        td = par_mod.pfc_to_tree_decomposition(pfc)
-        for x in td.nodes:
-            rows.append(["bag", str(x)] + [str(v) for v in sorted(td.bags[x], key=str)])
-        for x in td.nodes:
-            if td.parent[x] is not None:
-                rows.append(["edge", str(td.parent[x]), str(x)])
-    return Certificate("pebble-forest-cover", "pebble", res.kappa, kappa=res.kappa, body=rows)
-
-
-def cert_modal_coalgebra(res: par_mod.KappaResult) -> Certificate:
-    rows = [["map", str(v), "->", fmt_play(res.coalgebra.alpha[v])]
-            for v in res.coalgebra.host.universe]
-    return Certificate("modal-coalgebra", "modal", res.kappa, kappa=res.kappa, body=rows)
-
-
-def cert_hom(mapping: dict, a: Structure) -> Certificate:
-    rows = [["map", str(e), "->", str(mapping[e])] for e in a.universe]
-    return Certificate("hom-witness", claim="true", body=rows)
+def cert_result(kind: str, game: Optional[str], k: Optional[int], res,
+                a: Structure, b: Optional[Structure]) -> Certificate:
+    """The certificate of `kind` for a solver result: a decision with its
+    witness, a coalgebra number (whose `k` is the claimed kappa), or a
+    homomorphism."""
+    spec = KINDS[kind]
+    kappa = k if spec.claim is None else None
+    return Certificate(kind, game, k, spec.claim, kappa, spec.emit(res, a, b))
 
 
 def cert_both(game: str, k: int, fwd: Optional[Certificate], bwd: Optional[Certificate],
@@ -312,133 +158,197 @@ def cert_both(game: str, k: int, fwd: Optional[Certificate], bwd: Optional[Certi
     return Certificate("both-pair", game, k, "false", body=rows)
 
 
+def _table_rows(table, head: str) -> list[list[str]]:
+    return [[head, fmt_play(s), "->", str(table[s])] for s in sorted(table, key=_play_key)]
+
+
+def _family_rows(fam: pebble_mod.StrategyFamily, a: Structure, b: Structure) -> list:
+    rows = []
+    for p in sorted(fam.parts, key=lambda p: (len(p), fmt_pairs(p, a, b))):
+        items = sorted(p, key=lambda xy: (a.index[xy[0]], b.index[xy[1]]))
+        rows.append(["part"] + [f"({x}↦{y})" for x, y in items])
+    return rows
+
+
+def _duplicator_rows(entries: dict) -> list:
+    rows = []
+    for (s, t) in sorted(entries, key=lambda st: (_play_key(st[0]), _play_key(st[1]))):
+        here = entries[(s, t)]
+        for (side, mover) in sorted(here, key=lambda sm: (sm[0], _play_key(sm[1]))):
+            rows.append(["respond", fmt_play(s), fmt_play(t), side,
+                         fmt_play(mover), "->", fmt_play(here[(side, mover)])])
+    return rows
+
+
+def _safe_rows(safe: frozenset, a: Structure, b: Structure) -> list:
+    return [["pos", fmt_triples(pos, a, b)]
+            for pos in sorted(safe, key=lambda p: (len(p), fmt_triples(p, a, b)))]
+
+
+def _cover_rows(cover: par_mod.ForestCover) -> list:
+    return [["parent", str(v), str(cover.parent[v])]
+            for v in cover.vertices if cover.parent[v] is not None]
+
+
+def _pebble_cover_rows(pfc: par_mod.PebbleForestCover) -> list:
+    rows = _cover_rows(pfc.cover)
+    rows += [["pebble", str(v), str(pfc.pebbles[v])] for v in pfc.cover.vertices]
+    if pfc.cover.vertices:
+        td = par_mod.pfc_to_tree_decomposition(pfc)
+        for x in td.nodes:
+            rows.append(["bag", str(x)] + [str(v) for v in sorted(td.bags[x], key=str)])
+        for x in td.nodes:
+            if td.parent[x] is not None:
+                rows.append(["edge", str(td.parent[x]), str(x)])
+    return rows
+
+
 # ---------------------------------------------------------------------------
-# Parsing bodies back into auditable objects
+# The node-tree codec shared by the Spoiler-tree kinds
 
 
-def _rows_by_node(rows):
-    nodes: dict[int, list[str]] = {}
-    branches: dict[int, list[list[str]]] = {}
-    children: dict[int, int] = {}
+@dataclass(frozen=True)
+class _Tree:
+    """How one Spoiler-tree kind writes and reads a node.
+
+    `head` gives the tokens after `node <id>`; `edges` the node's
+    (reply token, child) pairs, with reply None for the single `child` row
+    of a node that needs no reply; `build` makes the node back from its head
+    tokens, its branches and its `child` row (None for a malformed head);
+    `leaf` is the token of a reply that loses at once (None if no reply
+    does).
+    """
+
+    head: Callable
+    edges: Callable
+    build: Callable
+    leaf: Optional[str]
+
+
+def cert_tree_rows(tree: _Tree, root, a: Structure, b: Structure) -> list[list[str]]:
+    """Rows of a Spoiler tree: nodes numbered in preorder, each `node <id> ...`
+    row followed by its `branch <id> <reply> <child>` or `child <id> <child>`
+    rows."""
+    rows: list[list[str]] = []
+    count = 0
+
+    def emit(nd) -> str:
+        nonlocal count
+        my = str(count)
+        count += 1
+        rows.append(["node", my] + tree.head(nd, a, b))
+        for reply, child in tree.edges(nd):
+            cid = tree.leaf if child is None else emit(child)
+            rows.append(["child", my, cid] if reply is None else ["branch", my, reply, cid])
+        return my
+
+    emit(root)
+    rows.sort(key=lambda r: (int(r[1]), r[0] != "node"))
+    return rows
+
+
+def _parse_tree(tree: _Tree, rows):
+    heads: dict[int, list[str]] = {}
+    branches: dict[int, list[tuple[str, str]]] = {}
+    children: dict[int, str] = {}
     for row in rows:
-        if row[0] == "node":
-            nodes[int(row[1])] = row[2:]
-        elif row[0] == "branch":
-            branches.setdefault(int(row[1]), []).append(row[2:])
-        elif row[0] == "child":
-            children[int(row[1])] = int(row[2])
+        if row[0] == "node" and len(row) >= 2:
+            heads[_int(row[1])] = row[2:]
+        elif row[0] == "branch" and len(row) == 4:
+            branches.setdefault(_int(row[1]), []).append((row[2], row[3]))
+        elif row[0] == "child" and len(row) == 3:
+            children[_int(row[1])] = row[2]
         else:
             raise CertificateError(f"unexpected row {row!r}")
-    return nodes, branches, children
 
-
-def _build_ef_spoiler(rows) -> ef_mod.SpoilerNode:
-    nodes, branches, _ = _rows_by_node(rows)
-
-    def build(i: int, seen: frozenset) -> ef_mod.SpoilerNode:
+    def build(tok: str, seen: frozenset):
+        if tok == tree.leaf:
+            return None
+        i = _int(tok)
         if i in seen:
             raise CertificateError("cycle in spoiler tree")
-        spec = nodes.get(i)
-        if spec is None or spec[0] != "move":
+        node = None
+        if i in heads:
+            brs = tuple((reply, build(cid, seen | {i})) for reply, cid in branches.get(i, []))
+            child = build(children[i], seen | {i}) if i in children else None
+            node = tree.build(heads[i], brs, child)
+        if node is None:
             raise CertificateError(f"bad node {i}")
-        brs = []
-        for row in branches.get(i, []):
-            reply, cid = row[0], row[1]
-            child = None if cid == "lose" else build(int(cid), seen | {i})
-            brs.append((reply, child))
-        return ef_mod.SpoilerNode(spec[1], tuple(brs))
+        return node
 
-    return build(0, frozenset())
+    return build("0", frozenset())
 
 
-def _build_modal_spoiler(rows) -> modal_mod.ModalSpoilerNode:
-    nodes, branches, _ = _rows_by_node(rows)
-
-    def build(i: int, seen: frozenset) -> modal_mod.ModalSpoilerNode:
-        if i in seen:
-            raise CertificateError("cycle in spoiler tree")
-        spec = nodes.get(i)
-        if spec is None:
-            raise CertificateError(f"bad node {i}")
-        if spec[0] == "fail":
-            return modal_mod.ModalSpoilerNode(fail=spec[1])
-        brs = tuple((row[0], build(int(row[1]), seen | {i}))
-                    for row in branches.get(i, []))
-        return modal_mod.ModalSpoilerNode(label=spec[1], move=spec[2], branches=brs)
-
-    return build(0, frozenset())
+def _ef_node(head, branches, child):
+    match head:
+        case ["move", x]:
+            return ef_mod.SpoilerNode(x, branches)
 
 
-def _build_pebble_refutation(rows) -> pebble_mod.SpoilerPosition:
-    nodes, branches, children = _rows_by_node(rows)
+def _modal_head(nd, a, b):
+    return ["fail", nd.fail] if nd.fail is not None else ["move", nd.label, str(nd.move)]
 
-    def build(i: int, seen: frozenset) -> pebble_mod.SpoilerPosition:
-        if i in seen:
-            raise CertificateError("cycle in refutation")
-        spec = nodes.get(i)
-        if spec is None:
-            raise CertificateError(f"bad node {i}")
-        pos = parse_pairs(spec[0])
-        if spec[1] == "drop":
-            src = spec[2]
+
+def _modal_node(head, branches, child):
+    match head:
+        case ["fail", symbol]:
+            return modal_mod.ModalSpoilerNode(fail=symbol)
+        case ["move", label, x]:
+            return modal_mod.ModalSpoilerNode(label=label, move=x, branches=branches)
+
+
+def _refutation_head(nd, a, b):
+    move = ["drop", str(nd.drop[0])] if nd.drop is not None else ["place", str(nd.place)]
+    return [fmt_pairs(nd.pos, a, b)] + move
+
+
+def _refutation_edges(nd):
+    if nd.drop is not None:
+        return [(None, nd.child)]
+    return [(str(reply), child) for reply, child in nd.branches]
+
+
+def _refutation_node(head, branches, child):
+    match head:
+        case [pos, "drop", src] if child is not None:
+            pos = parse_pairs(pos)
             pair = next((p for p in pos if p[0] == src), None)
-            if pair is None or i not in children:
-                raise CertificateError(f"bad drop node {i}")
-            return pebble_mod.SpoilerPosition(pos, drop=pair,
-                                              child=build(children[i], seen | {i}))
-        if spec[1] != "place":
-            raise CertificateError(f"bad node {i}")
-        brs = []
-        for row in branches.get(i, []):
-            reply, cid = row[0], row[1]
-            child = None if cid == "lose" else build(int(cid), seen | {i})
-            brs.append((reply, child))
-        return pebble_mod.SpoilerPosition(pos, place=spec[2], branches=tuple(brs))
-
-    return build(0, frozenset())
+            if pair is not None:
+                return pebble_mod.SpoilerPosition(pos, drop=pair, child=child)
+        case [pos, "place", x]:
+            return pebble_mod.SpoilerPosition(parse_pairs(pos), place=x, branches=branches)
 
 
-def _build_bf_spoiler(rows) -> eq_mod.SpoilerBFNode:
-    nodes, branches, _ = _rows_by_node(rows)
+def _bf_head(nd, a, b):
+    return ["stall"] if nd.side is None else ["side", nd.side, "move", fmt_play(nd.move)]
 
-    def build(i: int, seen: frozenset) -> eq_mod.SpoilerBFNode:
-        if i in seen:
-            raise CertificateError("cycle in spoiler tree")
-        spec = nodes.get(i)
-        if spec is None:
-            raise CertificateError(f"bad node {i}")
-        if spec[0] == "stall":
+
+def _bf_node(head, branches, child):
+    match head:
+        case ["stall"]:
             return eq_mod.SpoilerBFNode(None, None)
-        if spec[0] != "side" or spec[2] != "move":
-            raise CertificateError(f"bad node {i}")
-        brs = []
-        for row in branches.get(i, []):
-            reply, cid = parse_play(row[0]), row[1]
-            child = None if cid == "fail" else build(int(cid), seen | {i})
-            brs.append((reply, child))
-        return eq_mod.SpoilerBFNode(spec[1], parse_play(spec[3]), tuple(brs))
-
-    return build(0, frozenset())
+        case ["side", side, "move", move]:
+            return eq_mod.SpoilerBFNode(side, parse_play(move),
+                                        tuple((parse_play(r), c) for r, c in branches))
 
 
-def _build_pebble_bf_spoiler(rows) -> eq_mod.PebbleBFNode:
-    nodes, branches, _ = _rows_by_node(rows)
+def _pebble_bf_head(nd, a, b):
+    return [fmt_triples(nd.pos, a, b), "pebble", str(nd.index), "side", nd.side,
+            "elem", str(nd.elem)]
 
-    def build(i: int, seen: frozenset) -> eq_mod.PebbleBFNode:
-        if i in seen:
-            raise CertificateError("cycle in refutation")
-        spec = nodes.get(i)
-        if spec is None or spec[1] != "pebble" or spec[3] != "side" or spec[5] != "elem":
-            raise CertificateError(f"bad node {i}")
-        brs = []
-        for row in branches.get(i, []):
-            reply, cid = row[0], row[1]
-            child = None if cid == "lose" else build(int(cid), seen | {i})
-            brs.append((reply, child))
-        return eq_mod.PebbleBFNode(parse_triples(spec[0]), int(spec[2]), spec[4],
-                                   spec[6], tuple(brs))
 
-    return build(0, frozenset())
+def _pebble_bf_node(head, branches, child):
+    match head:
+        case [pos, "pebble", i, "side", side, "elem", e]:
+            return eq_mod.PebbleBFNode(parse_triples(pos), _int(i), side, e, branches)
+
+
+def _replies(nd):
+    return [(str(reply), child) for reply, child in nd.branches]
+
+
+# ---------------------------------------------------------------------------
+# Parsing bodies back into auditable objects
 
 
 def _parse_map_rows(rows, head: str, play_key: bool) -> dict:
@@ -451,107 +361,74 @@ def _parse_map_rows(rows, head: str, play_key: bool) -> dict:
     return table
 
 
-# ---------------------------------------------------------------------------
-# Verification dispatch
+def _verify_hom(cert: Certificate, a: Structure, b: Structure) -> tuple[bool, str]:
+    table = _parse_map_rows(cert.body, "map", play_key=False)
+    try:
+        return (check_hom(table, a, b), "homomorphism check")
+    except ToolkitError as exc:
+        return False, str(exc)
 
 
-def verify_certificate(cert: Certificate, a: Structure,
-                       b: Optional[Structure] = None) -> tuple[bool, str]:
-    """Audit the certificate against the given structures.
+def _verify_table(cokleisli, cert: Certificate, a: Structure, b: Structure) -> tuple[bool, str]:
+    table = _parse_map_rows(cert.body, "map", play_key=True)
+    try:
+        f = cokleisli(cert.k, a, b, table)
+    except ToolkitError as exc:
+        return False, str(exc)
+    return (f.is_homomorphism(), "coKleisli homomorphism check")
 
-    Returns (ok, reason).  Raises CertificateError on malformed input and
-    ToolkitError when a required second structure is missing.
-    """
-    kind = cert.kind
-    needs_b = kind in ("ef-table", "modal-table", "ef-spoiler", "modal-spoiler",
-                       "pebble-family", "pebble-refutation", "bf-duplicator",
-                       "bf-spoiler", "pebble-safe", "pebble-bf-spoiler",
-                       "kleisli-iso", "hom-witness", "both-pair")
-    if needs_b and b is None:
-        raise ToolkitError(f"certificate kind {kind!r} needs two structures")
 
-    if kind == "hom-witness":
-        table = _parse_map_rows(cert.body, "map", play_key=False)
-        try:
-            return (check_hom(table, a, b), "homomorphism check")
-        except ToolkitError as exc:
-            return False, str(exc)
-    if kind == "ef-table":
-        table = _parse_map_rows(cert.body, "map", play_key=True)
-        try:
-            f = ef_mod.EfCoKleisli(cert.k, a, b, table)
-        except ToolkitError as exc:
-            return False, str(exc)
-        return (f.is_homomorphism(), "coKleisli homomorphism check")
-    if kind == "modal-table":
-        table = _parse_map_rows(cert.body, "map", play_key=True)
-        try:
-            f = modal_mod.ModalCoKleisli(cert.k, a, b, table)
-        except ToolkitError as exc:
-            return False, str(exc)
-        return (f.is_homomorphism(), "coKleisli homomorphism check")
-    if kind == "ef-spoiler":
-        return ef_mod.audit_spoiler_tree(_build_ef_spoiler(cert.body), a, b, cert.k)
-    if kind == "modal-spoiler":
-        return modal_mod.audit_modal_spoiler(_build_modal_spoiler(cert.body), a, b, cert.k)
-    if kind == "pebble-family":
-        parts = set()
-        for row in cert.body:
-            if row[0] != "part":
-                raise CertificateError(f"expected part rows, got {row!r}")
-            pairs = frozenset()
-            for tok in row[1:]:
-                pairs |= parse_pairs(tok)
-            parts.add(pairs)
-        fam = pebble_mod.StrategyFamily(cert.k, frozenset(parts))
-        return pebble_mod.audit_strategy_family(fam, a, b)
-    if kind == "pebble-refutation":
-        return pebble_mod.audit_spoiler_positions(
-            _build_pebble_refutation(cert.body), a, b, cert.k)
-    if kind == "bf-duplicator":
-        entries: dict = {}
-        for row in cert.body:
-            if row[0] != "respond" or len(row) != 7 or row[5] != "->":
-                raise CertificateError(f"bad respond row {row!r}")
-            pos = (parse_play(row[1]), parse_play(row[2]))
-            entries.setdefault(pos, {})[(row[3], parse_play(row[4]))] = parse_play(row[6])
-        return eq_mod.audit_bf_duplicator(entries, a, b, cert.k, cert.game)
-    if kind == "bf-spoiler":
-        return eq_mod.audit_bf_spoiler(_build_bf_spoiler(cert.body), a, b, cert.k, cert.game)
-    if kind == "pebble-safe":
-        safe = frozenset(parse_triples(row[1]) for row in cert.body)
-        return eq_mod.audit_pebble_safe(safe, a, b, cert.k)
-    if kind == "pebble-bf-spoiler":
-        return eq_mod.audit_pebble_spoiler(_build_pebble_bf_spoiler(cert.body), a, b, cert.k)
-    if kind == "kleisli-iso":
-        fwd = _parse_map_rows([r for r in cert.body if r[0] == "fwd"], "fwd", True)
-        bwd = _parse_map_rows([r for r in cert.body if r[0] == "bwd"], "bwd", True)
-        return eq_mod.audit_iso_pair(fwd, bwd, a, b, cert.k, cert.game)
-    if kind == "both-pair":
-        return _verify_both(cert, a, b)
-    if kind == "forest-cover":
-        return _verify_forest_cover(cert, a)
-    if kind == "pebble-forest-cover":
-        return _verify_pfc(cert, a)
-    if kind == "modal-coalgebra":
-        alpha = {}
-        for row in cert.body:
-            if row[0] != "map" or len(row) != 4 or row[2] != "->":
-                raise CertificateError(f"bad map row {row!r}")
-            alpha[row[1]] = parse_play(row[3])
-        c = par_mod.CoalgebraMap("modal", cert.kappa, a, alpha)
-        ok, why = par_mod.check_coalgebra(c)
-        return ok, (why or "coalgebra laws hold")
-    raise CertificateError(f"unknown certificate kind {kind!r}")
+def _verify_family(cert: Certificate, a: Structure, b: Structure) -> tuple[bool, str]:
+    parts = set()
+    for row in cert.body:
+        if row[0] != "part":
+            raise CertificateError(f"expected part rows, got {row!r}")
+        pairs = frozenset()
+        for tok in row[1:]:
+            pairs |= parse_pairs(tok)
+        parts.add(pairs)
+    fam = pebble_mod.StrategyFamily(cert.k, frozenset(parts))
+    return pebble_mod.audit_strategy_family(fam, a, b)
+
+
+def _verify_duplicator(cert: Certificate, a: Structure, b: Structure) -> tuple[bool, str]:
+    entries: dict = {}
+    for row in cert.body:
+        if row[0] != "respond" or len(row) != 7 or row[5] != "->":
+            raise CertificateError(f"bad respond row {row!r}")
+        pos = (parse_play(row[1]), parse_play(row[2]))
+        entries.setdefault(pos, {})[(row[3], parse_play(row[4]))] = parse_play(row[6])
+    return eq_mod.audit_bf_duplicator(entries, a, b, cert.k, cert.game)
+
+
+def _verify_safe(cert: Certificate, a: Structure, b: Structure) -> tuple[bool, str]:
+    for row in cert.body:
+        if row[0] != "pos" or len(row) != 2:
+            raise CertificateError(f"bad pos row {row!r}")
+    safe = frozenset(parse_triples(row[1]) for row in cert.body)
+    return eq_mod.audit_pebble_safe(safe, a, b, cert.k)
+
+
+def _verify_iso(cert: Certificate, a: Structure, b: Structure) -> tuple[bool, str]:
+    fwd = _parse_map_rows([r for r in cert.body if r[0] == "fwd"], "fwd", True)
+    bwd = _parse_map_rows([r for r in cert.body if r[0] == "bwd"], "bwd", True)
+    return eq_mod.audit_iso_pair(fwd, bwd, a, b, cert.k, cert.game)
+
+
+def _inner_rows(cert: Certificate, direction: str) -> list[list[str]]:
+    """The rows of the one-way certificate a both-pair carries for `direction`."""
+    rows = [row[1:] for row in cert.body if row[0] == direction]
+    if [] in rows:
+        raise CertificateError(f"empty `{direction}` row")
+    return rows
 
 
 def _verify_both(cert: Certificate, a: Structure, b: Structure) -> tuple[bool, str]:
     game, k = cert.game, cert.k
+    true_kind, false_kind = eq_mod.GAMES[game].exists_kinds
     if cert.claim == "true":
-        fwd_rows = [row[1:] for row in cert.body if row[0] == "fwd"]
-        bwd_rows = [row[1:] for row in cert.body if row[0] == "bwd"]
-        true_kind = {"ef": "ef-table", "modal": "modal-table",
-                     "pebble": "pebble-family"}[game]
+        fwd_rows = _inner_rows(cert, "fwd")
+        bwd_rows = _inner_rows(cert, "bwd")
         ok1, why1 = verify_certificate(
             Certificate(true_kind, game, k, "true", body=fwd_rows), a, b)
         if not ok1:
@@ -559,17 +436,17 @@ def _verify_both(cert: Certificate, a: Structure, b: Structure) -> tuple[bool, s
         ok2, why2 = verify_certificate(
             Certificate(true_kind, game, k, "true", body=bwd_rows), b, a)
         return ok2, ("ok" if ok2 else f"backward: {why2}")
-    direction = next((row[1] for row in cert.body if row[0] == "direction"), None)
+    direction = next((row[1] for row in cert.body
+                      if row[0] == "direction" and len(row) == 2), None)
     if direction not in ("fwd", "bwd"):
         raise CertificateError("both-pair false certificate needs a direction row")
-    rows = [row[1:] for row in cert.body if row[0] == direction]
-    false_kind = {"ef": "ef-spoiler", "modal": "modal-spoiler",
-                  "pebble": "pebble-refutation"}[game]
+    rows = _inner_rows(cert, direction)
     src, dst = (a, b) if direction == "fwd" else (b, a)
     return verify_certificate(Certificate(false_kind, game, k, "false", body=rows), src, dst)
 
 
-def _verify_forest_cover(cert: Certificate, a: Structure) -> tuple[bool, str]:
+def _verify_forest_cover(cert: Certificate, a: Structure,
+                         b: Optional[Structure]) -> tuple[bool, str]:
     parent = {v: None for v in a.universe}
     for row in cert.body:
         if row[0] != "parent" or len(row) != 3:
@@ -586,24 +463,26 @@ def _verify_forest_cover(cert: Certificate, a: Structure) -> tuple[bool, str]:
     return ok, (why or "coalgebra laws hold")
 
 
-def _verify_pfc(cert: Certificate, a: Structure) -> tuple[bool, str]:
+def _verify_pfc(cert: Certificate, a: Structure, b: Optional[Structure]) -> tuple[bool, str]:
     parent = {v: None for v in a.universe}
     pebbles: dict = {}
     bags: dict = {}
     td_parent: dict = {}
     for row in cert.body:
-        if row[0] == "parent":
+        if row[0] == "parent" and len(row) == 3:
             parent[row[1]] = row[2]
-        elif row[0] == "pebble":
-            pebbles[row[1]] = int(row[2])
-        elif row[0] == "bag":
+        elif row[0] == "pebble" and len(row) == 3:
+            pebbles[row[1]] = _int(row[2])
+        elif row[0] == "bag" and len(row) >= 2:
             bags[row[1]] = frozenset(row[2:])
             td_parent.setdefault(row[1], None)
-        elif row[0] == "edge":
+        elif row[0] == "edge" and len(row) == 3:
             td_parent[row[2]] = row[1]
             td_parent.setdefault(row[1], None)
         else:
             raise CertificateError(f"bad cover row {row!r}")
+    if not set(td_parent) <= set(bags):
+        raise CertificateError("an `edge` row names a node without a `bag` row")
     g = gaifman(a)
     try:
         cover = par_mod.ForestCover(tuple(a.universe), parent)
@@ -629,3 +508,120 @@ def _verify_pfc(cert: Certificate, a: Structure) -> tuple[bool, str]:
         if td.width() > cert.kappa - 1:
             return False, f"decomposition width {td.width()} exceeds {cert.kappa - 1}"
     return True, "ok"
+
+
+def _verify_modal_coalgebra(cert: Certificate, a: Structure,
+                            b: Optional[Structure]) -> tuple[bool, str]:
+    alpha = {v: parse_play(p) for v, p in _parse_map_rows(cert.body, "map", False).items()}
+    c = par_mod.CoalgebraMap("modal", cert.kappa, a, alpha)
+    ok, why = par_mod.check_coalgebra(c)
+    return ok, (why or "coalgebra laws hold")
+
+
+# ---------------------------------------------------------------------------
+# The kinds
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One certificate kind: its claim ("true", "false", or None for a
+    coalgebra witness, which claims a kappa instead and is audited against
+    one structure, not two), how its body is written from a solver result,
+    and how it is audited."""
+
+    claim: Optional[str]
+    emit: Callable  # (result, a, b) -> body rows
+    verify: Callable  # (certificate, a, b) -> (ok, reason)
+
+
+def _tree_kind(witness: str, tree: _Tree, audit: Callable) -> _Kind:
+    """A Spoiler-tree kind: written from `res.<witness>` by the codec."""
+    return _Kind("false",
+                 lambda res, a, b: cert_tree_rows(tree, getattr(res, witness), a, b),
+                 lambda cert, a, b: audit(_parse_tree(tree, cert.body), cert, a, b))
+
+
+KINDS: dict[str, _Kind] = {
+    "hom-witness": _Kind(
+        "true", lambda res, a, b: [["map", str(e), "->", str(res.mapping[e])]
+                                   for e in a.universe], _verify_hom),
+    "ef-table": _Kind(
+        "true", lambda res, a, b: _table_rows(res.strategy.table, "map"),
+        lambda cert, a, b: _verify_table(ef_mod.EfCoKleisli, cert, a, b)),
+    "modal-table": _Kind(
+        "true", lambda res, a, b: _table_rows(res.strategy.table, "map"),
+        lambda cert, a, b: _verify_table(modal_mod.ModalCoKleisli, cert, a, b)),
+    "pebble-family": _Kind(
+        "true", lambda res, a, b: _family_rows(res.family, a, b), _verify_family),
+    "bf-duplicator": _Kind(
+        "true", lambda res, a, b: _duplicator_rows(res.duplicator), _verify_duplicator),
+    "pebble-safe": _Kind(
+        "true", lambda res, a, b: _safe_rows(res.safe_positions, a, b), _verify_safe),
+    "kleisli-iso": _Kind(
+        "true", lambda res, a, b: (_table_rows(res.forward, "fwd")
+                                   + _table_rows(res.backward, "bwd")), _verify_iso),
+    "both-pair": _Kind("true", None, _verify_both),  # written by cert_both, either claim
+    "forest-cover": _Kind(
+        None, lambda res, a, b: _cover_rows(res.cover), _verify_forest_cover),
+    "pebble-forest-cover": _Kind(
+        None, lambda res, a, b: _pebble_cover_rows(res.pfc), _verify_pfc),
+    "modal-coalgebra": _Kind(
+        None, lambda res, a, b: [["map", str(v), "->", fmt_play(res.coalgebra.alpha[v])]
+                                 for v in res.coalgebra.host.universe],
+        _verify_modal_coalgebra),
+    "ef-spoiler": _tree_kind(
+        "refutation",
+        _Tree(lambda nd, a, b: ["move", str(nd.move)], _replies, _ef_node, "lose"),
+        lambda nd, cert, a, b: ef_mod.audit_spoiler_tree(nd, a, b, cert.k)),
+    "modal-spoiler": _tree_kind(
+        "refutation", _Tree(_modal_head, _replies, _modal_node, None),
+        lambda nd, cert, a, b: modal_mod.audit_modal_spoiler(nd, a, b, cert.k)),
+    "pebble-refutation": _tree_kind(
+        "refutation",
+        _Tree(_refutation_head, _refutation_edges, _refutation_node, "lose"),
+        lambda nd, cert, a, b: pebble_mod.audit_spoiler_positions(nd, a, b, cert.k)),
+    "bf-spoiler": _tree_kind(
+        "spoiler",
+        _Tree(_bf_head, lambda nd: [(fmt_play(r), c) for r, c in nd.branches], _bf_node,
+              "fail"),
+        lambda nd, cert, a, b: eq_mod.audit_bf_spoiler(nd, a, b, cert.k, cert.game)),
+    "pebble-bf-spoiler": _tree_kind(
+        "pebble_spoiler",
+        _Tree(_pebble_bf_head, _replies, _pebble_bf_node, "lose"),
+        lambda nd, cert, a, b: eq_mod.audit_pebble_spoiler(nd, a, b, cert.k)),
+}
+
+
+# ---------------------------------------------------------------------------
+# Verification dispatch
+
+
+def _check_header(cert: Certificate) -> None:
+    """Every kind but hom-witness names a game that owns it, and a round or
+    pebble count; coalgebra witnesses also claim their kappa."""
+    if cert.kind == "hom-witness":
+        return
+    game = eq_mod.GAMES.get(cert.game)
+    if game is None or cert.kind not in game.kinds:
+        raise CertificateError(
+            f"certificate kind {cert.kind!r} does not belong to game {cert.game!r}")
+    if cert.k is None:
+        raise CertificateError("missing `k <K>` header")
+    if KINDS[cert.kind].claim is None and cert.kappa is None:
+        raise CertificateError("missing `kappa <n>` header")
+
+
+def verify_certificate(cert: Certificate, a: Structure,
+                       b: Optional[Structure] = None) -> tuple[bool, str]:
+    """Audit the certificate against the given structures.
+
+    Returns (ok, reason).  Raises CertificateError on malformed input and
+    ToolkitError when a required second structure is missing.
+    """
+    spec = KINDS.get(cert.kind)
+    if spec is None:
+        raise CertificateError(f"unknown certificate kind {cert.kind!r}")
+    _check_header(cert)
+    if spec.claim is not None and b is None:
+        raise ToolkitError(f"certificate kind {cert.kind!r} needs two structures")
+    return spec.verify(cert, a, b)

@@ -12,13 +12,11 @@ import sys
 from pathlib import Path
 
 from . import certificates as cert_mod
-from . import ef as ef_mod
 from . import equivalence as eq_mod
 from . import logic as logic_mod
-from . import modal as modal_mod
 from . import parameters as par_mod
-from . import pebbling as pebble_mod
 from .errors import CapExceededError, ToolkitError
+from .game import DEFAULT_PLAY_CAP
 from .structures import Structure, find_hom, gaifman, parse_structure
 
 DEFAULT_SEED = 1729
@@ -65,30 +63,14 @@ def _cmd_hom(args) -> tuple[int, list[str]]:
     if witness is not None:
         for e in a.universe:
             out.append(f"map {e} -> {witness.mapping[e]}")
-        _write_certificate(args, cert_mod.cert_hom(dict(witness.mapping), a), out)
+        _write_certificate(args, cert_mod.cert_result("hom-witness", None, None, witness, a, b),
+                           out)
     return (EXIT_TRUE if witness else EXIT_FALSE), out
 
 
-def _exists_certificate(game: str, a, b, k, res):
-    if game == "ef":
-        if res.wins:
-            return cert_mod.cert_table("ef-table", "ef", k, dict(res.strategy.table))
-        return cert_mod.cert_ef_spoiler(res.refutation, k)
-    if game == "pebble":
-        if res.wins:
-            return cert_mod.cert_pebble_family(res.family, a, b)
-        return cert_mod.cert_pebble_refutation(res.refutation, k, a, b)
-    if res.wins:
-        return cert_mod.cert_table("modal-table", "modal", k, dict(res.strategy.table))
-    return cert_mod.cert_modal_spoiler(res.refutation, k)
-
-
-def _decide_exists(game: str, a, b, k):
-    if game == "ef":
-        return ef_mod.decide_exist_ef(a, b, k)
-    if game == "pebble":
-        return pebble_mod.decide_exist_pebble(a, b, k)
-    return modal_mod.decide_sim_k(a, b, k)
+def _verdict_certificate(kinds: tuple[str, str], game: str, k: int, res, a, b):
+    """The certificate of the first kind for a win, of the second for a loss."""
+    return cert_mod.cert_result(kinds[0] if res.wins else kinds[1], game, k, res, a, b)
 
 
 def _cmd_equiv(args) -> tuple[int, list[str]]:
@@ -96,48 +78,40 @@ def _cmd_equiv(args) -> tuple[int, list[str]]:
     k = args.pebbles if args.pebbles is not None else args.k
     if k is None:
         raise ToolkitError("equiv requires -k (or --pebbles for the pebble game)")
+    g = eq_mod.game(args.game)
     out: list[str] = []
     _report_head(out, args, game=args.game, mode=args.mode, k=k,
                  input_a=args.a, input_b=args.b)
     cert = None
     if args.mode == "exists":
-        res = _decide_exists(args.game, a, b, k)
+        res = g.decide(a, b, k)
         verdict = res.wins
-        cert = _exists_certificate(args.game, a, b, k, res)
+        cert = _verdict_certificate(g.exists_kinds, g.name, k, res, a, b)
     elif args.mode == "both":
-        fwd = _decide_exists(args.game, a, b, k)
+        fwd = g.decide(a, b, k)
         if not fwd.wins:
             verdict = False
-            cert = cert_mod.cert_both(args.game, k,
-                                      _exists_certificate(args.game, a, b, k, fwd),
-                                      None, failing="fwd")
+            cert = cert_mod.cert_both(
+                g.name, k, _verdict_certificate(g.exists_kinds, g.name, k, fwd, a, b), None,
+                failing="fwd")
         else:
-            bwd = _decide_exists(args.game, b, a, k)
+            bwd = g.decide(b, a, k)
             verdict = bwd.wins
+            bwd_cert = _verdict_certificate(g.exists_kinds, g.name, k, bwd, b, a)
             if verdict:
-                cert = cert_mod.cert_both(args.game, k,
-                                          _exists_certificate(args.game, a, b, k, fwd),
-                                          _exists_certificate(args.game, b, a, k, bwd))
+                cert = cert_mod.cert_both(
+                    g.name, k, _verdict_certificate(g.exists_kinds, g.name, k, fwd, a, b),
+                    bwd_cert)
             else:
-                cert = cert_mod.cert_both(args.game, k, None,
-                                          _exists_certificate(args.game, b, a, k, bwd),
-                                          failing="bwd")
+                cert = cert_mod.cert_both(g.name, k, None, bwd_cert, failing="bwd")
     elif args.mode == "backforth":
-        res = eq_mod.solve_back_forth(a, b, k, args.game)
+        res = eq_mod.solve_back_forth(a, b, k, g.name)
         verdict = res.wins
-        if args.game == "pebble":
-            cert = (cert_mod.cert_pebble_safe(res.safe_positions, k, a, b) if verdict
-                    else cert_mod.cert_pebble_bf_spoiler(res.pebble_spoiler, k, a, b))
-        else:
-            cert = (cert_mod.cert_bf_duplicator(res.duplicator, k, args.game) if verdict
-                    else cert_mod.cert_bf_spoiler(res.spoiler, k, args.game))
+        cert = _verdict_certificate(g.backforth_kinds, g.name, k, res, a, b)
     elif args.mode == "iso":
-        if args.game == "pebble":
-            raise ToolkitError("--mode iso supports the ef and modal games only")
-        res = eq_mod.decide_cokleisli_iso(a, b, k, args.game, cap=args.cap_tables)
+        res = eq_mod.decide_cokleisli_iso(a, b, k, g.name, cap=args.cap_tables)
         verdict = res.wins
-        cert = (cert_mod.cert_iso(dict(res.forward), dict(res.backward), k, args.game)
-                if verdict else None)
+        cert = cert_mod.cert_result(g.iso_kind, g.name, k, res, a, b) if verdict else None
     else:
         raise ToolkitError(f"unknown mode {args.mode!r}")
     out.append(f"result: {'true' if verdict else 'false'}")
@@ -154,12 +128,8 @@ def _cmd_param(args) -> tuple[int, list[str]]:
     _report_head(out, args, comonad=args.comonad, input_a=args.a)
     res = par_mod.coalgebra_number(a, args.comonad, cap=args.cap_vertices)
     out.append(f"kappa: {res.kappa}")
-    if args.comonad == "ef":
-        cert = cert_mod.cert_forest_cover(res)
-    elif args.comonad == "pebble":
-        cert = cert_mod.cert_pebble_forest_cover(res)
-    else:
-        cert = cert_mod.cert_modal_coalgebra(res)
+    g = eq_mod.game(args.comonad)
+    cert = cert_mod.cert_result(g.cover_kind, g.name, res.kappa, res, a, None)
     out.extend(" ".join(map(str, row)) for row in cert.body)
     _write_certificate(args, cert, out)
     return EXIT_TRUE, out
@@ -182,12 +152,7 @@ def _cmd_laws(args) -> tuple[int, list[str]]:
     out: list[str] = []
     _report_head(out, args, comonad=args.comonad, k=args.k, trunc=args.trunc,
                  input_a=args.a)
-    if args.comonad == "ef":
-        rep = ef_mod.check_ef_laws(a, args.k, cap=args.cap_plays)
-    elif args.comonad == "pebble":
-        rep = pebble_mod.check_pebble_laws(a, args.k, args.trunc, cap=args.cap_plays)
-    else:
-        rep = modal_mod.check_modal_laws(a, args.k, cap=args.cap_plays)
+    rep = eq_mod.game(args.comonad).laws(a, args.k, args.trunc, args.cap_plays)
     out.append(f"result: {'true' if rep.ok else 'false'}")
     for failure in rep.failures:
         out.append(f"counterexample: {failure}")
@@ -246,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="seed for all sampling (default %(default)s)")
-    common.add_argument("--cap-plays", type=int, default=ef_mod.DEFAULT_PLAY_CAP,
+    common.add_argument("--cap-plays", type=int, default=DEFAULT_PLAY_CAP,
                         help="largest materialized play universe")
     common.add_argument("--cap-tables", type=int, default=eq_mod.DEFAULT_TABLE_CAP,
                         help="largest strategy-table set / search budget")

@@ -13,11 +13,11 @@ from itertools import product
 from typing import Callable, Mapping, Optional
 
 from .errors import CapExceededError, ToolkitError, VocabularyMismatchError
-from .structures import Elem, Structure, check_hom, is_partial_hom
+from .game import (DEFAULT_PLAY_CAP, Game, LawReport, WinningSet, lift_along_prefixes,
+                   pointwise_law_failure, prefix_hom_error, prefixes)
+from .structures import Elem, Structure, check_hom, is_partial_hom, is_partial_iso
 
 Play = tuple  # nonempty tuple of elements
-
-DEFAULT_PLAY_CAP = 10 ** 6
 
 
 def _play_count(size: int, k: int) -> int:
@@ -35,11 +35,6 @@ def ef_universe(a: Structure, k: int, cap: int = DEFAULT_PLAY_CAP) -> list[Play]
     for length in range(1, k + 1):
         plays.extend(product(a.universe, repeat=length))
     return plays
-
-
-def prefixes(s: Play) -> list[Play]:
-    """Nonempty prefixes in increasing length, ending with s itself."""
-    return [s[:i] for i in range(1, len(s) + 1)]
 
 
 def counit(s: Play) -> Elem:
@@ -60,18 +55,7 @@ def coextend(f: Mapping[Play, Elem] | Callable[[Play], Elem], s: Play) -> Play:
 def ef_structure(a: Structure, k: int, cap: int = DEFAULT_PLAY_CAP) -> Structure:
     """Lift `a` to its play universe: a tuple of plays is related iff the plays
     are pairwise prefix-comparable and their last elements form a tuple of `a`."""
-    plays = ef_universe(a, k, cap)
-    interp: dict[str, frozenset] = {}
-    for name, arity in a.vocab.symbols:
-        base = a.tuples(name)
-        lifted = set()
-        for top in plays:
-            pref = prefixes(top)
-            for combo in product(pref, repeat=arity):
-                if top in combo and tuple(c[-1] for c in combo) in base:
-                    lifted.add(combo)
-        interp[name] = frozenset(lifted)
-    return Structure(a.vocab, tuple(plays), interp, None)
+    return lift_along_prefixes(a, ef_universe(a, k, cap), counit, None)
 
 
 @dataclass(frozen=True)
@@ -217,35 +201,15 @@ def audit_spoiler_tree(node: SpoilerNode, a: Structure, b: Structure, k: int) ->
     return walk(node, [], 1)
 
 
-@dataclass(frozen=True)
-class LawReport:
-    ok: bool
-    failures: tuple[str, ...] = ()
-
-
 def check_ef_laws(a: Structure, k: int, cap: int = DEFAULT_PLAY_CAP) -> LawReport:
     """Pointwise comonad-law check over the full play universe.
 
     Verifies both counit identities, coassociativity, identity coextension of
     the counit, and the homomorphism property of counit and comultiplication.
     """
-    plays = ef_universe(a, k, cap)
-    failures = []
-    counit_table = {s: s[-1] for s in plays}
-    for s in plays:
-        d = comult(s)
-        if d[-1] != s:
-            failures.append(f"counit(comult({s!r})) != {s!r}")
-            break
-        if tuple(p[-1] for p in d) != s:
-            failures.append(f"mapped-counit of comult({s!r}) != {s!r}")
-            break
-        if tuple(d[:i] for i in range(1, len(d) + 1)) != tuple(comult(p) for p in d):
-            failures.append(f"coassociativity fails at {s!r}")
-            break
-        if coextend(counit_table, s) != s:
-            failures.append(f"coextension of counit not identity at {s!r}")
-            break
+    failure = pointwise_law_failure(ef_universe(a, k, cap), counit, comult,
+                                    lambda f, d: tuple(map(f, d)), coextend)
+    failures = [failure] if failure else []
     lifted = ef_structure(a, k, cap)
     for name, _ in a.vocab.symbols:
         base = a.tuples(name)
@@ -262,3 +226,36 @@ def check_ef_laws(a: Structure, k: int, cap: int = DEFAULT_PLAY_CAP) -> LawRepor
         if failures:
             break
     return LawReport(not failures, tuple(failures))
+
+
+def _play_error(play: Play, k: int, host: Structure) -> Optional[str]:
+    return f"longer than k={k}" if len(play) > k else None
+
+
+def _extend(fstar: Mapping, s: Play, y: Elem) -> Play:
+    return fstar[s[:-1]] + (y,) if len(s) > 1 else (y,)
+
+
+GAME = Game(
+    name="ef",
+    root=lambda x: (),
+    children=lambda x, node: [node + (e,) for e in x.universe],
+    depth=len,
+    universe=ef_universe,
+    lifted=ef_structure,
+    extend=_extend,
+    winning=WinningSet("ef-partial-iso",
+                       lambda s, t, a, b: is_partial_iso(list(zip(s, t)), a, b),
+                       absorbing=True),
+    coextend=coextend,
+    last=counit,
+    prefixes=prefixes,
+    play_error=_play_error,
+    hom_error=lambda alpha, a: prefix_hom_error(alpha, a, None),
+    decide=lambda a, b, k: decide_exist_ef(a, b, k),
+    laws=lambda a, k, trunc, cap: check_ef_laws(a, k, cap=cap),
+    exists_kinds=("ef-table", "ef-spoiler"),
+    backforth_kinds=("bf-duplicator", "bf-spoiler"),
+    iso_kind="kleisli-iso",
+    cover_kind="forest-cover",
+)

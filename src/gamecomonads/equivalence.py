@@ -1,101 +1,62 @@
-"""The three comonadic equivalences per game: morphisms both ways, the
-winning-set-parameterized back-and-forth game, and coKleisli isomorphism.
+"""The registry of the three games, and the equivalences each game induces:
+morphisms both ways, the winning-set-parameterized back-and-forth game, the
+strategy-set fixpoint, and coKleisli isomorphism.
+
+`GAMES` maps each game's name to the `Game` record its module builds; every
+decider here looks the game up once and reads the play tree, lifting and
+built-in winning set from that record.
 
 Positions of the back-and-forth game are equal-depth pairs of play-tree nodes;
-the initial position pairs the (possibly virtual) roots: the empty play for
-the sequence game, the genuine one-element paths for the modal game, and the
-empty pebble placement for the positional pebble game.  The winning set is
-data, so other instantiations can be plugged in; the built-in instances are
-partial isomorphism of the play-pair history (sequence game), label-matched
-histories with pointwise unary agreement (modal), and partial isomorphism of
-the current placements (pebbling).
+the initial position pairs the roots: the empty play for the sequence game and
+the one-element paths at the distinguished elements for the modal game.  The
+winning set is data, so other instantiations can be plugged in; the built-in
+instances are partial isomorphism of the play-pair history (sequence game) and
+label-matched histories with pointwise unary agreement (modal).
 
-The pebble game universe is infinite, so its back-and-forth decision runs on
-positional states with unbounded rounds (a safety greatest fixpoint); the
-fixpoint-of-strategy-sets path is available for the sequence and modal games
-only.
+The pebble game has no play tree (its universe is infinite), so its
+back-and-forth decision runs on positional states, pebble placements starting
+from the empty one, with unbounded rounds: a safety greatest fixpoint whose
+winning condition is partial isomorphism of the current placements.  The
+strategy-set fixpoint and coKleisli isomorphism are decided for the sequence
+and modal games only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 from . import ef as ef_mod
 from . import modal as modal_mod
 from . import pebbling as pebble_mod
 from .errors import CapExceededError, ToolkitError, VocabularyMismatchError
+from .game import Game, WinningSet
 from .structures import Elem, Structure, check_hom, is_partial_iso
 
-COMONADS = ("ef", "pebble", "modal")
+GAMES: dict[str, Game] = {g.name: g for g in (ef_mod.GAME, pebble_mod.GAME, modal_mod.GAME)}
+COMONADS = tuple(GAMES)
 
 DEFAULT_TABLE_CAP = 200_000
 
 
-def _require_comonad(comonad: str) -> None:
-    if comonad not in COMONADS:
-        raise ToolkitError(f"unknown comonad {comonad!r}; choose from {COMONADS}")
+def game(name: str) -> Game:
+    try:
+        return GAMES[name]
+    except KeyError:
+        raise ToolkitError(f"unknown comonad {name!r}; choose from {COMONADS}") from None
+
+
+def _tree_game(name: str, what: str) -> Game:
+    """The game `name`, which must have a play tree for `what`."""
+    g = game(name)
+    if g.children is None:
+        raise ToolkitError(f"{what} is not decided for the {name} game")
+    return g
 
 
 # ---------------------------------------------------------------------------
-# Play trees and winning sets
-
-
-def _children(comonad: str, x: Structure, node: tuple) -> list[tuple]:
-    if comonad == "ef":
-        return [node + (e,) for e in x.universe]
-    if comonad == "modal":
-        return [node + (label, e2) for label, e2 in modal_mod.successors(x, node[-1])]
-    raise ToolkitError(f"no play tree for comonad {comonad!r}")
-
-
-def _roots(comonad: str, a: Structure, b: Structure) -> tuple[tuple, tuple]:
-    if comonad == "ef":
-        return (), ()
-    if comonad == "modal":
-        modal_mod.require_modal(a)
-        modal_mod.require_modal(b)
-        return (a.point,), (b.point,)
-    raise ToolkitError(f"no play tree for comonad {comonad!r}")
-
-
-def _depth(comonad: str, node: tuple) -> int:
-    if comonad == "ef":
-        return len(node)
-    return modal_mod.path_steps(node)
-
-
-@dataclass(frozen=True)
-class WinningSet:
-    """A decidable predicate over equal-depth position pairs.
-
-    `absorbing` promises that once the predicate fails it fails on every
-    extension, which licenses early pruning; the built-ins all have it.
-    """
-
-    name: str
-    holds: Callable[[tuple, tuple, Structure, Structure], bool]
-    absorbing: bool = False
-
-
-def ef_partial_iso_w() -> WinningSet:
-    def holds(s, t, a, b):
-        return is_partial_iso(list(zip(s, t)), a, b)
-    return WinningSet("ef-partial-iso", holds, absorbing=True)
-
-
-def modal_match_w() -> WinningSet:
-    def holds(s, t, a, b):
-        if s[1::2] != t[1::2]:
-            return False
-        unaries = modal_mod.unary_symbols(a)
-        for x, y in zip(s[0::2], t[0::2]):
-            for name in unaries:
-                if ((x,) in a.tuples(name)) != ((y,) in b.tuples(name)):
-                    return False
-        return True
-    return WinningSet("modal-match", holds, absorbing=True)
+# Winning sets
 
 
 def table_w(positions: frozenset, name: str = "user-table") -> WinningSet:
@@ -105,29 +66,14 @@ def table_w(positions: frozenset, name: str = "user-table") -> WinningSet:
     return WinningSet(name, holds, absorbing=False)
 
 
-def builtin_w(comonad: str) -> WinningSet:
-    if comonad == "ef":
-        return ef_partial_iso_w()
-    if comonad == "modal":
-        return modal_match_w()
-    return WinningSet("pebble-partial-iso", lambda s, t, a, b: True, absorbing=True)
-
-
 # ---------------------------------------------------------------------------
 # Morphisms both ways
 
 
 def decide_both_ways(a: Structure, b: Structure, k: int, comonad: str) -> bool:
     """Conjunction of the two existential decisions."""
-    _require_comonad(comonad)
-    if comonad == "ef":
-        return (ef_mod.decide_exist_ef(a, b, k).wins
-                and ef_mod.decide_exist_ef(b, a, k).wins)
-    if comonad == "pebble":
-        return (pebble_mod.decide_exist_pebble(a, b, k).wins
-                and pebble_mod.decide_exist_pebble(b, a, k).wins)
-    return (modal_mod.decide_sim_k(a, b, k).wins
-            and modal_mod.decide_sim_k(b, a, k).wins)
+    g = game(comonad)
+    return g.decide(a, b, k).wins and g.decide(b, a, k).wins
 
 
 # ---------------------------------------------------------------------------
@@ -178,27 +124,28 @@ def solve_back_forth(a: Structure, b: Structure, k: int, comonad: str,
     Sequence and modal games run k rounds by backward induction on play pairs;
     the pebble game runs as an unbounded positional safety game.
     """
-    _require_comonad(comonad)
+    g = game(comonad)
     if a.vocab != b.vocab:
         raise VocabularyMismatchError("solve_back_forth requires a shared vocabulary")
     if k < 1:
         raise ToolkitError("k must be >= 1")
-    if comonad == "pebble":
-        if w is not None and w.name != "pebble-partial-iso":
+    if g.children is None:
+        if w is not None and w.name != g.winning.name:
             raise ToolkitError("the positional pebble game fixes its winning set")
         return _solve_pebble_backforth(a, b, k)
-    w = w or builtin_w(comonad)
+    w = w or g.winning
+    children, depth = g.children, g.depth
 
     memo: dict[tuple, bool] = {}
-    root_s, root_t = _roots(comonad, a, b)
+    root_s, root_t = g.root(a), g.root(b)
 
     def win(s: tuple, t: tuple) -> bool:
         key = (s, t)
         if key in memo:
             return memo[key]
-        d = _depth(comonad, s)
-        cs = _children(comonad, a, s) if d < k else []
-        ct = _children(comonad, b, t) if d < k else []
+        d = depth(s)
+        cs = children(a, s) if d < k else []
+        ct = children(b, t) if d < k else []
         if d == k or (not cs and not ct):
             res = w.holds(s, t, a, b)
         elif w.absorbing and not w.holds(s, t, a, b):
@@ -219,10 +166,10 @@ def solve_back_forth(a: Structure, b: Structure, k: int, comonad: str,
         seen = {(root_s, root_t)}
         while queue:
             s, t = queue.pop(0)
-            d = _depth(comonad, s)
+            d = depth(s)
             if d == k:
                 continue
-            cs, ct = _children(comonad, a, s), _children(comonad, b, t)
+            cs, ct = children(a, s), children(b, t)
             if not cs and not ct:
                 continue
             here: dict = {}
@@ -242,8 +189,7 @@ def solve_back_forth(a: Structure, b: Structure, k: int, comonad: str,
         return BackForthResult(True, comonad, duplicator=entries)
 
     def spoiler(s: tuple, t: tuple) -> SpoilerBFNode:
-        d = _depth(comonad, s)
-        cs, ct = _children(comonad, a, s), _children(comonad, b, t)
+        cs, ct = children(a, s), children(b, t)
         if not cs and not ct:
             return SpoilerBFNode(None, None)
         for side, mine, theirs in (("A", cs, ct), ("B", ct, cs)):
@@ -255,7 +201,7 @@ def solve_back_forth(a: Structure, b: Structure, k: int, comonad: str,
                     if win(s2, t2):
                         okmove = False
                         break
-                    child = None if _depth(comonad, s2) == k else spoiler(s2, t2)
+                    child = None if depth(s2) == k else spoiler(s2, t2)
                     replies.append((r, child))
                 if okmove:
                     return SpoilerBFNode(side, m, tuple(replies))
@@ -268,14 +214,15 @@ def audit_bf_duplicator(entries: Mapping, a: Structure, b: Structure, k: int,
                         comonad: str, w: Optional[WinningSet] = None) -> tuple[bool, str]:
     """Walk the strategy from the root; every Spoiler option must have a reply
     and every final or stalled position must lie in the winning set."""
-    w = w or builtin_w(comonad)
-    root = _roots(comonad, a, b)
+    g = _tree_game(comonad, "a back-and-forth strategy table")
+    w = w or g.winning
+    root = g.root(a), g.root(b)
     queue, seen = [root], {root}
     while queue:
         s, t = queue.pop(0)
-        d = _depth(comonad, s)
-        cs = _children(comonad, a, s) if d < k else []
-        ct = _children(comonad, b, t) if d < k else []
+        d = g.depth(s)
+        cs = g.children(a, s) if d < k else []
+        ct = g.children(b, t) if d < k else []
         if d == k or (not cs and not ct):
             if not w.holds(s, t, a, b):
                 return False, f"final position {s!r}/{t!r} outside the winning set"
@@ -299,13 +246,14 @@ def audit_bf_duplicator(entries: Mapping, a: Structure, b: Structure, k: int,
 
 def audit_bf_spoiler(node: SpoilerBFNode, a: Structure, b: Structure, k: int,
                      comonad: str, w: Optional[WinningSet] = None) -> tuple[bool, str]:
-    w = w or builtin_w(comonad)
-    root = _roots(comonad, a, b)
+    g = _tree_game(comonad, "a back-and-forth Spoiler tree")
+    w = w or g.winning
+    root = g.root(a), g.root(b)
 
     def walk(nd: SpoilerBFNode, s: tuple, t: tuple) -> tuple[bool, str]:
-        d = _depth(comonad, s)
-        cs = _children(comonad, a, s) if d < k else []
-        ct = _children(comonad, b, t) if d < k else []
+        d = g.depth(s)
+        cs = g.children(a, s) if d < k else []
+        ct = g.children(b, t) if d < k else []
         if nd.side is None:
             if cs or ct:
                 return False, "stall claimed at a position with moves"
@@ -322,7 +270,7 @@ def audit_bf_spoiler(node: SpoilerBFNode, a: Structure, b: Structure, k: int,
         for r, child in nd.branches:
             s2, t2 = (nd.move, r) if nd.side == "A" else (r, nd.move)
             if child is None:
-                if _depth(comonad, s2) != k:
+                if g.depth(s2) != k:
                     return False, "terminal claim before the final round"
                 if w.holds(s2, t2, a, b):
                     return False, f"final position {s2!r}/{t2!r} lies in the winning set"
@@ -480,36 +428,20 @@ class ThetaResult:
     iterations: int
 
 
-def _enumerate_tables(a: Structure, b: Structure, k: int, comonad: str,
+def _enumerate_tables(a: Structure, b: Structure, k: int, g: Game,
                       w: WinningSet, cap: int) -> tuple[list, list, list]:
     """All tables f with (s, f*(s)) in W for every play s, found by DFS along
     the play forest in declaration order.  Pruning mid-branch relies on W
     being absorbing; otherwise tables are enumerated in full and filtered.
-    Modal tables must additionally keep every coextension a valid path."""
-    if comonad == "ef":
-        plays = ef_mod.ef_universe(a, k)
-    else:
-        plays = modal_mod.modal_universe(a, k)
+    Every coextension must also be a play of `b` (a valid path, for modal
+    tables)."""
+    plays = g.universe(a, k)
+    plays_b = set(g.universe(b, k))
 
     tables: list[dict] = []
     stars: list[dict] = []
     f: dict = {}
     fstar: dict = {}
-
-    def candidates(s):
-        if comonad == "ef":
-            return b.universe
-        if modal_mod.path_steps(s) == 0:
-            return (b.point,)
-        prev_end = fstar[s[:-2]][-1]
-        return [y for y in b.universe if (prev_end, y) in b.tuples(s[-2])]
-
-    def fstar_of(s, y):
-        if comonad == "ef":
-            return (fstar[s[:-1]] + (y,)) if len(s) > 1 else (y,)
-        if modal_mod.path_steps(s) == 0:
-            return (y,)
-        return fstar[s[:-2]] + (s[-2], y)
 
     def dfs(i: int):
         if i == len(plays):
@@ -520,8 +452,10 @@ def _enumerate_tables(a: Structure, b: Structure, k: int, comonad: str,
                                        "fall back to the game solver")
             return
         s = plays[i]
-        for y in candidates(s):
-            st = fstar_of(s, y)
+        for y in b.universe:
+            st = g.extend(fstar, s, y)
+            if st not in plays_b:
+                continue
             if w.absorbing and not w.holds(s, st, a, b):
                 continue
             f[s] = y
@@ -544,20 +478,14 @@ def theta_fixpoint(a: Structure, b: Structure, k: int, comonad: str = "ef",
     """Literal descending iteration to the greatest fixpoint of the composite
     inversion operator on strategy-table sets; nonempty iff the back-and-forth
     equivalence holds.  Sequence and modal games only."""
-    _require_comonad(comonad)
-    if comonad == "pebble":
-        raise ToolkitError("the pebble game universe is infinite; "
-                           "use solve_back_forth instead")
+    g = _tree_game(comonad, "the strategy-set fixpoint")
     if a.vocab != b.vocab:
         raise VocabularyMismatchError("theta_fixpoint requires a shared vocabulary")
-    if comonad == "modal":
-        modal_mod.require_modal(a)
-        modal_mod.require_modal(b)
-    w = w or builtin_w(comonad)
+    w = w or g.winning
     w_flip = WinningSet(w.name, lambda t, s, bb, aa: w.holds(s, t, aa, bb), w.absorbing)
 
-    plays_a, tabs_s, stars_s = _enumerate_tables(a, b, k, comonad, w, cap)
-    plays_b, tabs_t, stars_t = _enumerate_tables(b, a, k, comonad, w_flip, cap)
+    plays_a, tabs_s, stars_s = _enumerate_tables(a, b, k, g, w, cap)
+    plays_b, tabs_t, stars_t = _enumerate_tables(b, a, k, g, w_flip, cap)
     idx_a = {s: i for i, s in enumerate(plays_a)}
     idx_b = {t: i for i, t in enumerate(plays_b)}
     fstars = [tuple(idx_b[st[s]] for s in plays_a) for st in stars_s]
@@ -619,10 +547,6 @@ class IsoResult:
     backward: Optional[Mapping] = None
 
 
-def _lifted(a: Structure, k: int, comonad: str) -> Structure:
-    return ef_mod.ef_structure(a, k) if comonad == "ef" else modal_mod.unravel(a, k)
-
-
 def decide_cokleisli_iso(a: Structure, b: Structure, k: int, comonad: str = "ef",
                          cap: int = DEFAULT_TABLE_CAP) -> IsoResult:
     """Search for mutually inverse coKleisli morphisms.
@@ -632,13 +556,11 @@ def decide_cokleisli_iso(a: Structure, b: Structure, k: int, comonad: str = "ef"
     search enumerates homomorphism tables in play order with injectivity and
     relation pruning, then checks the induced backward table.  Sequence and
     modal games only."""
-    _require_comonad(comonad)
-    if comonad == "pebble":
-        raise ToolkitError("coKleisli isomorphism is not decided for the pebble game")
+    g = _tree_game(comonad, "coKleisli isomorphism")
     if a.vocab != b.vocab:
         raise VocabularyMismatchError("decide_cokleisli_iso requires a shared vocabulary")
-    lifted_a = _lifted(a, k, comonad)
-    lifted_b = _lifted(b, k, comonad)
+    lifted_a = g.lifted(a, k)
+    lifted_b = g.lifted(b, k)
     plays_a = list(lifted_a.universe)
     plays_b = list(lifted_b.universe)
     if len(plays_a) != len(plays_b):
@@ -653,13 +575,6 @@ def decide_cokleisli_iso(a: Structure, b: Structure, k: int, comonad: str = "ef"
             top = max(combo, key=lambda c: order_index[c])
             constraints[top].append((name, combo))
 
-    def fstar_of(fstar: dict, s: tuple, y: Elem):
-        if comonad == "ef":
-            return (fstar[s[:-1]] + (y,)) if len(s) > 1 else (y,)
-        if modal_mod.path_steps(s) == 0:
-            return (y,)
-        return fstar[s[:-2]] + (s[-2], y)
-
     nodes_budget = cap
     f: dict = {}
     fstar: dict = {}
@@ -669,16 +584,16 @@ def decide_cokleisli_iso(a: Structure, b: Structure, k: int, comonad: str = "ef"
         nonlocal nodes_budget
         if i == len(plays_a):
             inv = {fstar[s]: s for s in plays_a}
-            g = {t: inv[t][-1] for t in plays_b}
-            if check_hom(g, lifted_b, a):
-                return IsoResult(True, forward=dict(f), backward=g)
+            back = {t: inv[t][-1] for t in plays_b}
+            if check_hom(back, lifted_b, a):
+                return IsoResult(True, forward=dict(f), backward=back)
             return None
         s = plays_a[i]
         for y in b.universe:
             nodes_budget -= 1
             if nodes_budget < 0:
                 raise CapExceededError("coKleisli isomorphism search budget exceeded")
-            st = fstar_of(fstar, s, y)
+            st = g.extend(fstar, s, y)
             if st in used or st not in playset_b:
                 continue
             f[s] = y
@@ -703,9 +618,10 @@ def audit_iso_pair(forward: Mapping, backward: Mapping, a: Structure, b: Structu
                    k: int, comonad: str) -> tuple[bool, str]:
     """Check both tables are homomorphisms and mutually inverse under
     coextension; pure table work, no search."""
-    lifted_a = _lifted(a, k, comonad)
-    lifted_b = _lifted(b, k, comonad)
-    star = ef_mod.coextend if comonad == "ef" else modal_mod.modal_coextend
+    g = _tree_game(comonad, "coKleisli isomorphism")
+    lifted_a = g.lifted(a, k)
+    lifted_b = g.lifted(b, k)
+    star = g.coextend
     try:
         if not check_hom(forward, lifted_a, b):
             return False, "forward table is not a homomorphism"

@@ -11,11 +11,10 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .errors import ArityError, CapExceededError, PointError, ToolkitError, VocabularyMismatchError
+from .game import DEFAULT_PLAY_CAP, Game, LawReport, WinningSet, pointwise_law_failure
 from .structures import Elem, Structure, check_hom
 
 Path = tuple
-
-DEFAULT_PATH_CAP = 10 ** 6
 
 
 def binary_symbols(a: Structure) -> list[str]:
@@ -82,7 +81,7 @@ def modal_map(f, s: Path) -> Path:
     return tuple(out)
 
 
-def modal_universe(a: Structure, k: int, cap: int = DEFAULT_PATH_CAP) -> list[Path]:
+def modal_universe(a: Structure, k: int, cap: int = DEFAULT_PLAY_CAP) -> list[Path]:
     """All transition paths of 0..k steps from the point, breadth-first."""
     require_modal(a)
     if k < 1:
@@ -101,7 +100,7 @@ def modal_universe(a: Structure, k: int, cap: int = DEFAULT_PATH_CAP) -> list[Pa
     return paths
 
 
-def unravel(a: Structure, k: int, cap: int = DEFAULT_PATH_CAP) -> Structure:
+def unravel(a: Structure, k: int, cap: int = DEFAULT_PLAY_CAP) -> Structure:
     """The depth-k tree: binary symbols relate a path to its one-step
     extensions; unary symbols hold at a path iff they hold at its endpoint."""
     paths = modal_universe(a, k, cap)
@@ -139,7 +138,7 @@ class ModalCoKleisli:
     def star(self, s: Path) -> Path:
         return modal_coextend(self.table, s)
 
-    def is_homomorphism(self, cap: int = DEFAULT_PATH_CAP) -> bool:
+    def is_homomorphism(self, cap: int = DEFAULT_PLAY_CAP) -> bool:
         return check_hom(dict(self.table), unravel(self.source, self.k, cap), self.target)
 
 
@@ -309,31 +308,11 @@ def bisim_oracle(a: Structure, b: Structure, k: int) -> bool:
     return color[("A", a.point)] == color[("B", b.point)]
 
 
-@dataclass(frozen=True)
-class LawReport:
-    ok: bool
-    failures: tuple[str, ...] = ()
-
-
-def check_modal_laws(a: Structure, k: int, cap: int = DEFAULT_PATH_CAP) -> LawReport:
+def check_modal_laws(a: Structure, k: int, cap: int = DEFAULT_PLAY_CAP) -> LawReport:
     """Comonad laws over the full depth-k unravelling."""
-    paths = modal_universe(a, k, cap)
-    failures = []
-    counit_table = {s: s[-1] for s in paths}
-    for s in paths:
-        d = modal_comult(s)
-        if d[-1] != s:
-            failures.append(f"counit(comult({s!r})) != {s!r}")
-            break
-        if modal_map(modal_counit, d) != s:
-            failures.append(f"mapped-counit of comult({s!r}) != {s!r}")
-            break
-        if modal_comult(d) != modal_map(modal_comult, d):
-            failures.append(f"coassociativity fails at {s!r}")
-            break
-        if modal_coextend(counit_table, s) != s:
-            failures.append(f"coextension of counit not identity at {s!r}")
-            break
+    failure = pointwise_law_failure(modal_universe(a, k, cap), modal_counit, modal_comult,
+                                    modal_map, modal_coextend)
+    failures = [failure] if failure else []
     tree = unravel(a, k, cap)
     for name in unary_symbols(a):
         for (s,) in tree.tuples(name):
@@ -353,3 +332,72 @@ def check_modal_laws(a: Structure, k: int, cap: int = DEFAULT_PATH_CAP) -> LawRe
     if tree.point != (a.point,):
         failures.append("unravelling point is not the one-step path at the start element")
     return LawReport(not failures, tuple(failures))
+
+
+def _root(x: Structure) -> Path:
+    require_modal(x)
+    return (x.point,)
+
+
+def _extend(fstar: Mapping, s: Path, y: Elem) -> Path:
+    return fstar[s[:-2]] + (s[-2], y) if len(s) > 1 else (y,)
+
+
+def _matches(s: Path, t: Path, a: Structure, b: Structure) -> bool:
+    """Same labels along both paths and the same unary symbols at each step."""
+    if s[1::2] != t[1::2]:
+        return False
+    unaries = unary_symbols(a)
+    for x, y in zip(s[0::2], t[0::2]):
+        for name in unaries:
+            if ((x,) in a.tuples(name)) != ((y,) in b.tuples(name)):
+                return False
+    return True
+
+
+def _play_error(play: Path, k: int, host: Structure) -> Optional[str]:
+    if len(play) % 2 == 0:
+        return "modal path must alternate elements and labels"
+    if path_steps(play) > k:
+        return f"more than k={k} steps"
+    if play[0] != host.point:
+        return "modal path does not start at the distinguished element"
+    for i in range(1, path_steps(play) + 1):
+        label, tgt = play[2 * i - 1], play[2 * i]
+        if (play[2 * i - 2], tgt) not in host.tuples(label):
+            return f"step {label}:{tgt!r} is not a transition"
+    return None
+
+
+def _hom_error(alpha: Mapping[Elem, Path], a: Structure) -> Optional[str]:
+    """Each transition must extend the source's path by one step with its label."""
+    for name in binary_symbols(a):
+        for u, v in a.tuples(name):
+            su, sv = alpha[u], alpha[v]
+            if sv[:-2] != su or sv[-2] != name:
+                return (f"homomorphism fails on {name}({u!r},{v!r}): "
+                        f"{sv!r} does not extend {su!r} by one {name} step")
+    return None
+
+
+GAME = Game(
+    name="modal",
+    root=_root,
+    children=lambda x, node: [node + (label, e2) for label, e2 in successors(x, node[-1])],
+    depth=path_steps,
+    universe=modal_universe,
+    lifted=unravel,
+    extend=_extend,
+    winning=WinningSet("modal-match", _matches, absorbing=True),
+    coextend=modal_coextend,
+    last=modal_counit,
+    prefixes=path_prefixes,
+    play_error=_play_error,
+    hom_error=_hom_error,
+    decide=lambda a, b, k: decide_sim_k(a, b, k),
+    laws=lambda a, k, trunc, cap: check_modal_laws(a, k, cap=cap),
+    exists_kinds=("modal-table", "modal-spoiler"),
+    backforth_kinds=("bf-duplicator", "bf-spoiler"),
+    iso_kind="kleisli-iso",
+    cover_kind="modal-coalgebra",
+)

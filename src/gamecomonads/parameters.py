@@ -20,6 +20,8 @@ from typing import Iterator, Mapping, Optional
 import numpy as np
 
 from . import modal as modal_mod
+from .equivalence import GAMES, game
+from .pebbling import active_last
 from .errors import CapExceededError, CycleError, ToolkitError
 from .structures import Elem, Graph, Structure, gaifman
 
@@ -99,14 +101,7 @@ def is_pebble_forest_cover(pfc: PebbleForestCover, g: Graph, k: int) -> bool:
         p = pfc.pebbles.get(v)
         if p is None or not (1 <= p <= k):
             return False
-    for u, v in g.edges:
-        for lo, hi in ((u, v), (v, u)):
-            if pfc.cover.leq(lo, hi):
-                chain = pfc.cover.chain(hi)
-                for w in chain[chain.index(lo) + 1:]:
-                    if pfc.pebbles[w] == pfc.pebbles[lo]:
-                        return False
-    return True
+    return all(pfc.pebbles[x] != pfc.pebbles[y] for x, y in _cover_conflicts(pfc.cover, g))
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,17 +186,12 @@ class CoalgebraMap:
                 and self.host == other.host and dict(self.alpha) == dict(other.alpha))
 
 
-def _prefix_comparable(s: tuple, t: tuple) -> bool:
-    if len(s) > len(t):
-        s, t = t, s
-    return t[: len(s)] == s
-
-
 def check_coalgebra(c: CoalgebraMap) -> tuple[bool, Optional[str]]:
     """Both coalgebra laws plus the homomorphism condition, pointwise, with a
     first-failure report."""
     a = c.host
-    if c.comonad not in ("ef", "pebble", "modal"):
+    g = GAMES.get(c.comonad)
+    if g is None:
         return False, f"unknown comonad tag {c.comonad!r}"
     elems = set(a.universe)
     for v in a.universe:
@@ -209,90 +199,21 @@ def check_coalgebra(c: CoalgebraMap) -> tuple[bool, Optional[str]]:
             return False, f"alpha not total: {v!r} unassigned"
     for v in a.universe:
         play = c.alpha[v]
-        ok, why = _valid_play(c, play)
-        if not ok:
+        why = (g.play_error(play, c.k, a) if isinstance(play, tuple) and play
+               else "not a nonempty tuple")
+        if why is not None:
             return False, f"alpha({v!r}) = {play!r} invalid: {why}"
-        if _play_last(c.comonad, play) != v:
-            return False, f"counit law fails: alpha({v!r}) ends at {_play_last(c.comonad, play)!r}"
-        for i, (elem, pref) in enumerate(_play_entries(c.comonad, play)):
+        if g.last(play) != v:
+            return False, f"counit law fails: alpha({v!r}) ends at {g.last(play)!r}"
+        for pref in g.prefixes(play):
+            elem = g.last(pref)
             if elem not in elems:
                 return False, f"alpha({v!r}) mentions {elem!r} outside the universe"
             if c.alpha.get(elem) != pref:
                 return False, (f"comultiplication law fails: alpha({elem!r}) != "
                                f"prefix {pref!r} of alpha({v!r})")
-    # homomorphism condition, by the lifted-relation definitions
-    if c.comonad == "modal":
-        if c.alpha.get(a.point) != (a.point,):
-            return False, "alpha does not preserve the distinguished element"
-        for name in modal_mod.binary_symbols(a):
-            for u, v in a.tuples(name):
-                su, sv = c.alpha[u], c.alpha[v]
-                if sv[:-2] != su or sv[-2] != name:
-                    return False, (f"homomorphism fails on {name}({u!r},{v!r}): "
-                                   f"{sv!r} does not extend {su!r} by one {name} step")
-        return True, None
-    for name, _ in a.vocab.symbols:
-        for tup in a.tuples(name):
-            plays = [c.alpha[e] for e in tup]
-            for i in range(len(plays)):
-                for j in range(i + 1, len(plays)):
-                    if not _prefix_comparable(plays[i], plays[j]):
-                        return False, (f"homomorphism fails on {name}{tup!r}: "
-                                       "images not prefix-comparable")
-                    if c.comonad == "pebble":
-                        s, t = plays[i], plays[j]
-                        if len(s) > len(t):
-                            s, t = t, s
-                        if len(s) < len(t) and not _pebble_active(s, t):
-                            return False, (f"homomorphism fails on {name}{tup!r}: "
-                                           "active-pebble condition violated")
-    return True, None
-
-
-def _play_last(comonad: str, play: tuple) -> Elem:
-    if comonad == "pebble":
-        return play[-1][1]
-    return play[-1]
-
-
-def _play_entries(comonad: str, play: tuple):
-    """Pairs (element at position i, prefix play up to i)."""
-    if comonad == "ef":
-        return [(play[i], play[: i + 1]) for i in range(len(play))]
-    if comonad == "pebble":
-        return [(play[i][1], play[: i + 1]) for i in range(len(play))]
-    return [(play[2 * i], play[: 2 * i + 1]) for i in range(modal_mod.path_steps(play) + 1)]
-
-
-def _valid_play(c: CoalgebraMap, play: tuple) -> tuple[bool, str]:
-    if not isinstance(play, tuple) or len(play) == 0:
-        return False, "not a nonempty tuple"
-    if c.comonad == "ef":
-        if len(play) > c.k:
-            return False, f"longer than k={c.k}"
-    elif c.comonad == "pebble":
-        for move in play:
-            if not (isinstance(move, tuple) and len(move) == 2):
-                return False, "move is not a (pebble, element) pair"
-            if not (1 <= move[0] <= c.k):
-                return False, f"pebble index {move[0]!r} outside 1..{c.k}"
-    else:
-        if len(play) % 2 == 0:
-            return False, "modal path must alternate elements and labels"
-        if modal_mod.path_steps(play) > c.k:
-            return False, f"more than k={c.k} steps"
-        if play[0] != c.host.point:
-            return False, "modal path does not start at the distinguished element"
-        for i in range(1, modal_mod.path_steps(play) + 1):
-            label, tgt = play[2 * i - 1], play[2 * i]
-            if (play[2 * i - 2], tgt) not in c.host.tuples(label):
-                return False, f"step {label}:{tgt!r} is not a transition"
-    return True, "ok"
-
-
-def _pebble_active(s: tuple, t: tuple) -> bool:
-    p = s[-1][0]
-    return all(move[0] != p for move in t[len(s):])
+    why = g.hom_error(c.alpha, a)
+    return why is None, why
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +282,7 @@ def _tree_paths(host: Structure) -> tuple[int, dict]:
     """Root paths of a synchronization tree; raises CycleError on reachable
     cycles and ToolkitError when the reachable part is not a spanning tree."""
     point = host.point
-    _assert_acyclic_reachable(host)
+    _reachable_postorder(host)  # raises CycleError on a reachable cycle
     paths = {point: (point,)}
     queue = [point]
     depth = 0
@@ -385,35 +306,38 @@ def _tree_paths(host: Structure) -> tuple[int, dict]:
     return depth, paths
 
 
-def _assert_acyclic_reachable(host: Structure) -> None:
-    color: dict[Elem, int] = {}
-
-    def dfs(u: Elem) -> None:
-        color[u] = 1
-        for _, v in modal_mod.successors(host, u):
-            if color.get(v) == 1:
+def _reachable_postorder(host: Structure) -> list[Elem]:
+    """Elements reachable from the point, each after all its successors, by an
+    explicit-stack depth-first search; raises CycleError on a reachable cycle."""
+    order: list[Elem] = []
+    on_path = {host.point}
+    done: set = set()
+    stack = [(host.point, iter(modal_mod.successors(host, host.point)))]
+    while stack:
+        u, succ = stack[-1]
+        for _, v in succ:
+            if v in on_path:
                 raise CycleError("a cycle is reachable from the distinguished element")
-            if v not in color:
-                dfs(v)
-        color[u] = 2
-
-    dfs(host.point)
+            if v not in done:
+                on_path.add(v)
+                stack.append((v, iter(modal_mod.successors(host, v))))
+                break
+        else:
+            stack.pop()
+            on_path.discard(u)
+            done.add(u)
+            order.append(u)
+    return order
 
 
 def modal_depth(a: Structure) -> int:
     """Synchronization tree depth: the longest transition path from the point
     over the (required acyclic) reachable part."""
     modal_mod.require_modal(a)
-    _assert_acyclic_reachable(a)
-    memo: dict[Elem, int] = {}
-
-    def longest(u: Elem) -> int:
-        if u not in memo:
-            memo[u] = max((1 + longest(v) for _, v in modal_mod.successors(a, u)),
-                          default=0)
-        return memo[u]
-
-    return longest(a.point)
+    longest: dict[Elem, int] = {}
+    for u in _reachable_postorder(a):
+        longest[u] = max((1 + longest[v] for _, v in modal_mod.successors(a, u)), default=0)
+    return longest[a.point]
 
 
 # ---------------------------------------------------------------------------
@@ -422,12 +346,8 @@ def modal_depth(a: Structure) -> int:
 
 def active_ancestors(pfc: PebbleForestCover, v: Elem) -> list[Elem]:
     """Ancestors u <= v (inclusive) whose pebble is untouched on (u, v]."""
-    chain = pfc.cover.chain(v)
-    out = []
-    for i, u in enumerate(chain):
-        if all(pfc.pebbles[w] != pfc.pebbles[u] for w in chain[i + 1:]):
-            out.append(u)
-    return out
+    play = tuple((pfc.pebbles[u], u) for u in pfc.cover.chain(v))
+    return [u for i, (_, u) in enumerate(play) if active_last(play[: i + 1], play)]
 
 
 def pfc_to_tree_decomposition(pfc: PebbleForestCover) -> TreeDecomposition:
@@ -672,26 +592,23 @@ def all_forest_covers(g: Graph) -> Iterator[ForestCover]:
     yield from rec(0, {})
 
 
-def _cover_conflicts(cover: ForestCover, g: Graph) -> set[frozenset]:
+def _cover_conflicts(cover: ForestCover, g: Graph) -> Iterator[tuple[Elem, Elem]]:
     """Pairs that must carry distinct pebbles: an edge's lower endpoint
     against every vertex on the half-open chain up to the upper endpoint."""
-    conflicts = set()
     for u, v in g.edges:
         for lo, hi in ((u, v), (v, u)):
             if cover.leq(lo, hi):
                 chain = cover.chain(hi)
                 for w in chain[chain.index(lo) + 1:]:
-                    conflicts.add(frozenset((lo, w)))
-    return conflicts
+                    yield lo, w
 
 
-def _min_coloring(vertices, conflicts: set[frozenset], limit: int) -> Optional[dict]:
+def _min_coloring(vertices, conflicts: set[tuple], limit: int) -> Optional[dict]:
     """Smallest proper coloring of the conflict pairs with at most `limit`
     colors, by backtracking in vertex order; None if impossible."""
     vs = list(vertices)
     neighbors = {v: set() for v in vs}
-    for pair in conflicts:
-        x, y = tuple(pair)
+    for x, y in conflicts:
         neighbors[x].add(y)
         neighbors[y].add(x)
 
@@ -783,7 +700,7 @@ def min_pebble_forest_cover(g: Graph, cap: int = DEFAULT_VERTEX_CAP) -> PebbleFo
     best: Optional[PebbleForestCover] = None
     best_k = n + 1
     for cover in all_forest_covers(g):
-        conflicts = _cover_conflicts(cover, g)
+        conflicts = set(_cover_conflicts(cover, g))
         coloring = _min_coloring(g.vertices, conflicts, best_k - 1)
         if coloring is not None:
             used = max(coloring.values(), default=0)
@@ -812,23 +729,31 @@ def coalgebra_number(a: Structure, comonad: str, cap: int = DEFAULT_VERTEX_CAP) 
     the unique candidate tree shape (errors on cycles and non-tree shapes).
     k is at least 1 by construction, so an empty or edgeless structure gets 1.
     """
-    if comonad == "ef":
-        g = gaifman(a)
-        if len(g.vertices) > cap:
-            raise CapExceededError(f"{len(g.vertices)} vertices exceeds the search cap {cap}")
-        cover = min_height_forest_cover(g)
-        kappa = max(1, cover.height())
-        return KappaResult("ef", kappa, forest_cover_to_coalgebra(cover, kappa, a),
-                           cover=cover)
-    if comonad == "pebble":
-        g = gaifman(a)
-        if len(g.vertices) == 0:
-            empty = PebbleForestCover(ForestCover((), {}), {})
-            return KappaResult("pebble", 1, CoalgebraMap("pebble", 1, a, {}), pfc=empty)
-        pfc = min_pebble_forest_cover(g, cap)
-        kappa = max(1, max(pfc.pebbles.values(), default=0))
-        return KappaResult("pebble", kappa, pfc_to_pebble_coalgebra(pfc, kappa, a), pfc=pfc)
-    if comonad == "modal":
-        c = modal_coalgebra(a)
-        return KappaResult("modal", c.k, c)
-    raise ToolkitError(f"unknown comonad {comonad!r}")
+    return _KAPPA_SEARCHES[game(comonad).name](a, cap)
+
+
+def _kappa_ef(a: Structure, cap: int) -> KappaResult:
+    g = gaifman(a)
+    if len(g.vertices) > cap:
+        raise CapExceededError(f"{len(g.vertices)} vertices exceeds the search cap {cap}")
+    cover = min_height_forest_cover(g)
+    kappa = max(1, cover.height())
+    return KappaResult("ef", kappa, forest_cover_to_coalgebra(cover, kappa, a), cover=cover)
+
+
+def _kappa_pebble(a: Structure, cap: int) -> KappaResult:
+    g = gaifman(a)
+    if len(g.vertices) == 0:
+        empty = PebbleForestCover(ForestCover((), {}), {})
+        return KappaResult("pebble", 1, CoalgebraMap("pebble", 1, a, {}), pfc=empty)
+    pfc = min_pebble_forest_cover(g, cap)
+    kappa = max(1, max(pfc.pebbles.values(), default=0))
+    return KappaResult("pebble", kappa, pfc_to_pebble_coalgebra(pfc, kappa, a), pfc=pfc)
+
+
+def _kappa_modal(a: Structure, cap: int) -> KappaResult:
+    c = modal_coalgebra(a)
+    return KappaResult("modal", c.k, c)
+
+
+_KAPPA_SEARCHES = {"ef": _kappa_ef, "pebble": _kappa_pebble, "modal": _kappa_modal}

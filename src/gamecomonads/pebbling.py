@@ -15,12 +15,12 @@ from itertools import combinations, product
 from typing import Mapping, Optional
 
 from .errors import CapExceededError, ToolkitError, VocabularyMismatchError
+from .game import (DEFAULT_PLAY_CAP, Game, LawReport, WinningSet, lift_along_prefixes,
+                   pointwise_law_failure, prefix_hom_error, prefixes)
 from .structures import Elem, Structure, check_hom, is_partial_hom
 
 Move = tuple  # (pebble index, element)
 PebblePlay = tuple  # nonempty tuple of moves
-
-DEFAULT_PLAY_CAP = 10 ** 6
 
 
 def _pplay_count(size: int, k: int, n: int) -> int:
@@ -76,18 +76,7 @@ def _lifted_ok(combo: tuple[PebblePlay, ...]) -> bool:
 
 def pebble_structure(a: Structure, k: int, n: int, cap: int = DEFAULT_PLAY_CAP) -> Structure:
     """Lift `a` to the truncated play universe with the active-pebble condition."""
-    plays = pebble_universe(a, k, n, cap)
-    interp: dict[str, frozenset] = {}
-    for name, arity in a.vocab.symbols:
-        base = a.tuples(name)
-        lifted = set()
-        for top in plays:
-            pref = [top[:i] for i in range(1, len(top) + 1)]
-            for combo in product(pref, repeat=arity):
-                if top in combo and tuple(c[-1][1] for c in combo) in base and _lifted_ok(combo):
-                    lifted.add(combo)
-        interp[name] = frozenset(lifted)
-    return Structure(a.vocab, tuple(plays), interp, None)
+    return lift_along_prefixes(a, pebble_universe(a, k, n, cap), pebble_counit, _lifted_ok)
 
 
 @dataclass(frozen=True)
@@ -306,32 +295,14 @@ def audit_spoiler_positions(node: SpoilerPosition, a: Structure, b: Structure,
     return walk(node, frozenset())
 
 
-@dataclass(frozen=True)
-class LawReport:
-    ok: bool
-    failures: tuple[str, ...] = ()
-
-
 def check_pebble_laws(a: Structure, k: int, n: int, cap: int = DEFAULT_PLAY_CAP) -> LawReport:
     """Comonad laws on the n-truncation, pointwise; truncation keeps every play
     involved inside the cap (comultiplication preserves length)."""
-    plays = pebble_universe(a, k, n, cap)
-    failures = []
-    counit_table = {s: s[-1][1] for s in plays}
-    for s in plays:
-        d = pebble_comult(s)
-        if d[-1][1] != s:
-            failures.append(f"counit(comult({s!r})) != {s!r}")
-            break
-        if tuple((m[0], m[1][-1][1]) for m in d) != s:
-            failures.append(f"mapped-counit of comult({s!r}) != {s!r}")
-            break
-        if pebble_comult(d) != tuple((d[i][0], pebble_comult(d[i][1])) for i in range(len(d))):
-            failures.append(f"coassociativity fails at {s!r}")
-            break
-        if pebble_coextend(counit_table, s) != s:
-            failures.append(f"coextension of counit not identity at {s!r}")
-            break
+    failure = pointwise_law_failure(pebble_universe(a, k, n, cap), pebble_counit,
+                                    pebble_comult,
+                                    lambda f, d: tuple((p, f(s)) for p, s in d),
+                                    pebble_coextend)
+    failures = [failure] if failure else []
     lifted = pebble_structure(a, k, n, cap)
     for name, _ in a.vocab.symbols:
         base = a.tuples(name)
@@ -345,3 +316,36 @@ def check_pebble_laws(a: Structure, k: int, n: int, cap: int = DEFAULT_PLAY_CAP)
         if failures:
             break
     return LawReport(not failures, tuple(failures))
+
+
+def _play_error(play: PebblePlay, k: int, host: Structure) -> Optional[str]:
+    for move in play:
+        if not (isinstance(move, tuple) and len(move) == 2):
+            return "move is not a (pebble, element) pair"
+        if not (1 <= move[0] <= k):
+            return f"pebble index {move[0]!r} outside 1..{k}"
+    return None
+
+
+GAME = Game(
+    name="pebble",
+    root=None,
+    children=None,
+    depth=None,
+    universe=None,
+    lifted=None,
+    extend=None,
+    # the positional game checks partial isomorphism of the placements itself
+    winning=WinningSet("pebble-partial-iso", lambda s, t, a, b: True, absorbing=True),
+    coextend=pebble_coextend,
+    last=pebble_counit,
+    prefixes=prefixes,
+    play_error=_play_error,
+    hom_error=lambda alpha, a: prefix_hom_error(alpha, a, active_last),
+    decide=lambda a, b, k: decide_exist_pebble(a, b, k),
+    laws=lambda a, k, trunc, cap: check_pebble_laws(a, k, trunc, cap=cap),
+    exists_kinds=("pebble-family", "pebble-refutation"),
+    backforth_kinds=("pebble-safe", "pebble-bf-spoiler"),
+    iso_kind=None,
+    cover_kind="pebble-forest-cover",
+)

@@ -4,6 +4,9 @@ from contextlib import redirect_stdout
 import pytest
 
 from gamecomonads import cli
+from gamecomonads.certificates import parse_certificate, verify_certificate
+from gamecomonads.errors import CertificateError
+from gamecomonads.structures import parse_structure
 
 EDGE = "vocab R 2\nelem a\nelem b\nrel R a b\nrel R b a\n"
 TWOPTS = "vocab R 2\nelem x\nelem y\n"
@@ -11,6 +14,7 @@ K3 = ("vocab R 2\nelem u\nelem v\nelem w\n"
       "rel R u v\nrel R v u\nrel R v w\nrel R w v\nrel R u w\nrel R w u\n")
 CHAIN_PTD = "vocab R 2\nelem a\nelem b\nelem c\nrel R a b\nrel R b c\nstart a\n"
 CYCLE_PTD = "vocab R 2\nelem x\nelem y\nrel R x y\nrel R y x\nstart x\n"
+EDGE_S = parse_structure(EDGE)
 
 
 @pytest.fixture
@@ -167,3 +171,71 @@ def test_parse_error_is_usage_error(tmp_path):
     bad.write_text("vocab R 2\nrel R a a\n")
     code, _ = run(["oracle", "treedepth", str(bad)])
     assert code == 2
+
+
+@pytest.mark.parametrize("text", [
+    "certificate\n",
+    "certificate ef-table\ngame ef\nk two\nclaim true\n",
+    "certificate pebble-safe\ngame pebble\nk 2\nclaim true\npos\n",
+    "certificate ef-spoiler\ngame ef\nk 2\nclaim false\nnode 0\n",
+    "certificate both-pair\ngame pebble\nk 2\nclaim true\nfwd\n",
+    ("certificate pebble-forest-cover\ngame pebble\nk 2\nkappa 2\nparent b a\npebble a 1\n"
+     "pebble b 2\nbag b0 a\nbag b1 a b\nedge b0 zz\nedge zz b1\n"),
+], ids=["bare-header", "k-not-integer", "pos-without-token", "node-without-move",
+        "empty-inner-row", "edge-to-bagless-node"])
+def test_malformed_certificate_is_usage_error(files, capsys, text):
+    cert = files["dir"] / "bad.cert"
+    cert.write_text(text)
+    code, _ = run(["verify", "--certificate", str(cert), files["edge"], files["edge"]])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def emitted(files, argv):
+    """The certificate text `equiv ... edge edge` writes."""
+    cert = files["dir"] / "emitted.cert"
+    code, _ = run(["equiv"] + argv + ["-k", "2", "--certificate", str(cert),
+                                     files["edge"], files["edge"]])
+    assert code == 0
+    return cert.read_text()
+
+
+def assert_rejected(files, capsys, text):
+    cert = files["dir"] / "edited.cert"
+    cert.write_text(text)
+    with pytest.raises(CertificateError):
+        verify_certificate(parse_certificate(text), EDGE_S, EDGE_S)
+    code, out = run(["verify", "--certificate", str(cert), files["edge"], files["edge"]])
+    assert code == 2 and "result:" not in out
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_verify_rejects_table_relabelled_to_pebble(files, capsys):
+    text = emitted(files, ["--game", "ef", "--mode", "exists"])
+    assert_rejected(files, capsys, text.replace("game ef\n", "game pebble\n"))
+
+
+def test_verify_rejects_iso_pair_relabelled_to_pebble(files, capsys):
+    text = emitted(files, ["--game", "ef", "--mode", "iso"])
+    assert_rejected(files, capsys, text.replace("game ef\n", "game pebble\n"))
+
+
+def test_verify_rejects_unknown_game(files, capsys):
+    text = emitted(files, ["--game", "ef", "--mode", "both"])
+    assert_rejected(files, capsys, text.replace("game ef\n", "game xyz\n"))
+
+
+def test_verify_rejects_iso_pair_without_k(files, capsys):
+    text = emitted(files, ["--game", "ef", "--mode", "iso"])
+    assert_rejected(files, capsys, text.replace("k 2\n", ""))
+
+
+def test_param_modal_on_a_deep_path(tmp_path):
+    n = 1100
+    lines = ["vocab R 2"] + [f"elem v{i}" for i in range(n)]
+    lines += [f"rel R v{i} v{i + 1}" for i in range(n - 1)] + ["start v0"]
+    path = tmp_path / "path.str"
+    path.write_text("\n".join(lines) + "\n")
+    code, out = run(["param", "--comonad", "modal", str(path)])
+    assert code == 0
+    assert "kappa: 1099" in out
