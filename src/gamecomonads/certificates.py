@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import ef as ef_mod
 from . import equivalence as eq_mod
@@ -207,8 +207,7 @@ def _pebble_cover_rows(pfc: par_mod.PebbleForestCover) -> list:
 # The node-tree codec shared by the Spoiler-tree kinds
 
 
-@dataclass(frozen=True)
-class _Tree:
+class _Tree(NamedTuple):
     """How one Spoiler-tree kind writes and reads a node.
 
     `head` gives the tokens after `node <id>`; `edges` the node's
@@ -522,8 +521,7 @@ def _verify_modal_coalgebra(cert: Certificate, a: Structure,
 # The kinds
 
 
-@dataclass(frozen=True)
-class _Kind:
+class _Kind(NamedTuple):
     """One certificate kind: its claim ("true", "false", or None for a
     coalgebra witness, which claims a kappa instead and is audited against
     one structure, not two), how its body is written from a solver result,
