@@ -28,6 +28,7 @@ from . import modal as modal_mod
 from . import parameters as par_mod
 from . import pebbling as pebble_mod
 from .errors import CertificateError, ToolkitError
+from .game import CoKleisli
 from .structures import Structure, check_hom, gaifman
 
 _PAIR_RE = re.compile(r"\(([^()↦:]+)↦([^()↦:]+)\)")
@@ -368,10 +369,10 @@ def _verify_hom(cert: Certificate, a: Structure, b: Structure) -> tuple[bool, st
         return False, str(exc)
 
 
-def _verify_table(cokleisli, cert: Certificate, a: Structure, b: Structure) -> tuple[bool, str]:
+def _verify_table(cert: Certificate, a: Structure, b: Structure) -> tuple[bool, str]:
     table = _parse_map_rows(cert.body, "map", play_key=True)
     try:
-        f = cokleisli(cert.k, a, b, table)
+        f = CoKleisli(eq_mod.GAMES[cert.game], cert.k, a, b, table)
     except ToolkitError as exc:
         return False, str(exc)
     return (f.is_homomorphism(), "coKleisli homomorphism check")
@@ -544,11 +545,9 @@ KINDS: dict[str, _Kind] = {
         "true", lambda res, a, b: [["map", str(e), "->", str(res.mapping[e])]
                                    for e in a.universe], _verify_hom),
     "ef-table": _Kind(
-        "true", lambda res, a, b: _table_rows(res.strategy.table, "map"),
-        lambda cert, a, b: _verify_table(ef_mod.EfCoKleisli, cert, a, b)),
+        "true", lambda res, a, b: _table_rows(res.strategy.table, "map"), _verify_table),
     "modal-table": _Kind(
-        "true", lambda res, a, b: _table_rows(res.strategy.table, "map"),
-        lambda cert, a, b: _verify_table(modal_mod.ModalCoKleisli, cert, a, b)),
+        "true", lambda res, a, b: _table_rows(res.strategy.table, "map"), _verify_table),
     "pebble-family": _Kind(
         "true", lambda res, a, b: _family_rows(res.family, a, b), _verify_family),
     "bf-duplicator": _Kind(

@@ -13,9 +13,9 @@ from itertools import product
 from typing import Callable, Mapping, Optional
 
 from .errors import CapExceededError, ToolkitError, VocabularyMismatchError
-from .game import (DEFAULT_PLAY_CAP, Game, LawReport, WinningSet, lift_along_prefixes,
-                   pointwise_law_failure, prefix_hom_error, prefixes)
-from .structures import Elem, Structure, check_hom, is_partial_hom, is_partial_iso
+from .game import (DEFAULT_PLAY_CAP, CoKleisli, Game, LawReport, WinningSet, chain_error,
+                   law_report, lift_along_prefixes, prefix_hom_error, prefixes)
+from .structures import Elem, Structure, is_partial_hom, is_partial_iso
 
 Play = tuple  # nonempty tuple of elements
 
@@ -59,46 +59,6 @@ def ef_structure(a: Structure, k: int, cap: int = DEFAULT_PLAY_CAP) -> Structure
 
 
 @dataclass(frozen=True)
-class EfCoKleisli:
-    """A total table from plays of the source to elements of the target.
-
-    Encodes a Duplicator strategy for the existential game; it is a morphism
-    when `is_homomorphism` holds (checked against the lifted structure).
-    """
-
-    k: int
-    source: Structure
-    target: Structure
-    table: Mapping[Play, Elem]
-
-    def __post_init__(self):
-        for s in ef_universe(self.source, self.k):
-            if s not in self.table:
-                raise ToolkitError(f"coKleisli table not total: play {s!r} unassigned")
-
-    def __call__(self, s: Play) -> Elem:
-        return self.table[s]
-
-    def star(self, s: Play) -> Play:
-        return coextend(self.table, s)
-
-    def is_homomorphism(self, cap: int = DEFAULT_PLAY_CAP) -> bool:
-        return check_hom(dict(self.table), ef_structure(self.source, self.k, cap), self.target)
-
-
-def counit_cokleisli(a: Structure, k: int) -> EfCoKleisli:
-    return EfCoKleisli(k, a, a, {s: s[-1] for s in ef_universe(a, k)})
-
-
-def cokleisli_compose(g: EfCoKleisli, f: EfCoKleisli) -> EfCoKleisli:
-    """(g after f)(s) = g(f*(s))."""
-    if f.target.universe != g.source.universe or f.k != g.k:
-        raise ToolkitError("coKleisli composition shape mismatch")
-    table = {s: g.table[f.star(s)] for s in ef_universe(f.source, f.k)}
-    return EfCoKleisli(f.k, f.source, g.target, table)
-
-
-@dataclass(frozen=True)
 class SpoilerNode:
     """One node of a Spoiler winning tree for the existential game.
 
@@ -119,7 +79,7 @@ class SpoilerNode:
 @dataclass(frozen=True)
 class ExistResult:
     wins: bool
-    strategy: Optional[EfCoKleisli] = None
+    strategy: Optional[CoKleisli] = None
     refutation: Optional[SpoilerNode] = None
 
 
@@ -161,7 +121,7 @@ def decide_exist_ef(a: Structure, b: Structure, k: int) -> ExistResult:
             y = next(y for y in b.universe if win(s, t + (y,)))
             response[s] = t + (y,)
             table[s] = y
-        return ExistResult(True, strategy=EfCoKleisli(k, a, b, table))
+        return ExistResult(True, strategy=CoKleisli(GAME, k, a, b, table))
 
     def spoiler(s: Play, t: Play) -> SpoilerNode:
         # win(s, t) is False and the current pairs still form a partial hom.
@@ -202,30 +162,10 @@ def audit_spoiler_tree(node: SpoilerNode, a: Structure, b: Structure, k: int) ->
 
 
 def check_ef_laws(a: Structure, k: int, cap: int = DEFAULT_PLAY_CAP) -> LawReport:
-    """Pointwise comonad-law check over the full play universe.
-
-    Verifies both counit identities, coassociativity, identity coextension of
-    the counit, and the homomorphism property of counit and comultiplication.
-    """
-    failure = pointwise_law_failure(ef_universe(a, k, cap), counit, comult,
-                                    lambda f, d: tuple(map(f, d)), coextend)
-    failures = [failure] if failure else []
-    lifted = ef_structure(a, k, cap)
-    for name, _ in a.vocab.symbols:
-        base = a.tuples(name)
-        for combo in lifted.tuples(name):
-            if tuple(c[-1] for c in combo) not in base:
-                failures.append(f"counit not a homomorphism on {name} at {combo!r}")
-                break
-            images = [comult(c) for c in combo]
-            for i, u in enumerate(images):
-                for v in images[i + 1:]:
-                    if u[:len(v)] != v and v[:len(u)] != u:
-                        failures.append(f"comult images not prefix-comparable on {combo!r}")
-                        break
-        if failures:
-            break
-    return LawReport(not failures, tuple(failures))
+    """Comonad laws over the full play universe: the comultiplication images
+    of a lifted tuple must be pairwise prefix-comparable."""
+    return law_report(GAME, a, ef_structure(a, k, cap), comult, lambda f, d: tuple(map(f, d)),
+                      lambda name, images: chain_error(images, None) is None)
 
 
 def _play_error(play: Play, k: int, host: Structure) -> Optional[str]:

@@ -16,9 +16,11 @@ label-matched histories with pointwise unary agreement (modal).
 The pebble game has no play tree (its universe is infinite), so its
 back-and-forth decision runs on positional states, pebble placements starting
 from the empty one, with unbounded rounds: a safety greatest fixpoint whose
-winning condition is partial isomorphism of the current placements.  The
-strategy-set fixpoint and coKleisli isomorphism are decided for the sequence
-and modal games only.
+winning condition is partial isomorphism of the current placements.  It is
+computed by the deletion engine of the existential pebble game
+(`pebbling.delete_to_fixpoint`), fed with this game's placements and Spoiler
+moves.  The strategy-set fixpoint and coKleisli isomorphism are decided for
+the sequence and modal games only.
 """
 
 from __future__ import annotations
@@ -302,58 +304,25 @@ def _all_pebble_positions(a: Structure, b: Structure, k: int) -> list[frozenset]
 
 
 def _solve_pebble_backforth(a: Structure, b: Structure, k: int) -> BackForthResult:
-    def iso(pos: frozenset) -> bool:
-        return is_partial_iso(_pebble_position_pairs(pos), a, b)
+    """The greatest safe set of partial-isomorphism placements, by the
+    deletion engine of `pebbling`; Spoiler's moves at a placement are, by
+    pebble, placing it on an element of A, then on one of B."""
+    def obligations(pos: frozenset):
+        for i in range(1, k + 1):
+            rest = frozenset(tr for tr in pos if tr[0] != i)
+            for e in a.universe:
+                yield (i, "A", e), ((y, rest | {(i, e, y)}) for y in b.universe)
+            for e in b.universe:
+                yield (i, "B", e), ((x, rest | {(i, x, e)}) for x in a.universe)
 
-    def canon(pos: frozenset):
-        return sorted((i, a.index[x], b.index[y]) for i, x, y in pos)
-
-    positions = _all_pebble_positions(a, b, k)
-    good = {pos for pos in positions if iso(pos)}
-    trace: dict[frozenset, tuple[int, tuple]] = {}
-    rnd = 0
-    while True:
-        rnd += 1
-        removed = {}
-        for pos in sorted(good, key=canon):
-            reason = None
-            for i in range(1, k + 1):
-                rest = frozenset(tr for tr in pos if tr[0] != i)
-                for side, elems, others in (("A", a.universe, b.universe),
-                                             ("B", b.universe, a.universe)):
-                    for e in elems:
-                        replies = (rest | {(i, e, y)} for y in others) if side == "A" \
-                            else (rest | {(i, x, e)} for x in others)
-                        if not any(np in good for np in replies):
-                            reason = (i, side, e)
-                            break
-                    if reason:
-                        break
-                if reason:
-                    break
-            if reason:
-                removed[pos] = (rnd, reason)
-        if not removed:
-            break
-        for pos, why in removed.items():
-            good.discard(pos)
-            trace[pos] = why
-
-    start = frozenset()
-    if start in good:
-        return BackForthResult(True, "pebble", safe_positions=frozenset(good))
-
-    def refute(pos: frozenset) -> PebbleBFNode:
-        _, (i, side, e) = trace[pos]
-        rest = frozenset(tr for tr in pos if tr[0] != i)
-        branches = []
-        others = b.universe if side == "A" else a.universe
-        for r in others:
-            np = rest | ({(i, e, r)} if side == "A" else {(i, r, e)})
-            branches.append((r, refute(np) if np in trace else None))
-        return PebbleBFNode(pos, i, side, e, tuple(branches))
-
-    return BackForthResult(False, "pebble", pebble_spoiler=refute(start))
+    good = {pos for pos in _all_pebble_positions(a, b, k)
+            if is_partial_iso(_pebble_position_pairs(pos), a, b)}
+    safe, trace = pebble_mod.delete_to_fixpoint(good, obligations)
+    if frozenset() in safe:
+        return BackForthResult(True, "pebble", safe_positions=frozenset(safe))
+    spoiler = pebble_mod.refutation(trace, frozenset(), obligations,
+                                    lambda pos, move, branches: PebbleBFNode(pos, *move, branches))
+    return BackForthResult(False, "pebble", pebble_spoiler=spoiler)
 
 
 def audit_pebble_safe(safe: frozenset, a: Structure, b: Structure, k: int) -> tuple[bool, str]:

@@ -8,9 +8,10 @@ that the benchmark tracer rebinds (the deciders) are wrapped so that they look
 the module attribute up at call time.
 
 This module also holds the pieces the constructions would otherwise repeat:
-the play cap, the comonad-law report and pointwise law loop, the winning-set
-type, and the lifting of a structure along play prefixes with its
-homomorphism check.
+the play cap, the winning-set type, the lifting of a structure along play
+prefixes with its homomorphism check, the one comonad-law report, and the one
+coKleisli morphism record (a total table on the plays of a round-bounded
+game) with its counit and composition.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Callable, Mapping, Optional
 
-from .structures import Elem, Structure
+from .errors import ToolkitError
+from .structures import Elem, Structure, check_hom
 
 DEFAULT_PLAY_CAP = 10 ** 6
 
@@ -85,21 +87,29 @@ def lift_along_prefixes(a: Structure, plays: list, last: Callable[[tuple], Elem]
                      None)
 
 
+def chain_error(plays, active: Optional[Callable[[tuple, tuple], bool]]) -> Optional[str]:
+    """Why `plays` do not lie on one branch of the play tree: they must be
+    pairwise prefix-comparable and, unless `active` is None, each shorter one
+    must stay active along each longer one."""
+    for s, t in combinations(plays, 2):
+        if len(s) > len(t):
+            s, t = t, s
+        if t[: len(s)] != s:
+            return "images not prefix-comparable"
+        if active is not None and len(s) < len(t) and not active(s, t):
+            return "active-pebble condition violated"
+    return None
+
+
 def prefix_hom_error(alpha: Mapping[Elem, tuple], a: Structure,
                      active: Optional[Callable[[tuple, tuple], bool]]) -> Optional[str]:
     """Why `alpha` is not a homomorphism into a prefix-lifted structure: the
-    images of each tuple must be pairwise prefix-comparable and, unless
-    `active` is None, the shorter one must stay active along the longer."""
+    images of each tuple must pass `chain_error`."""
     for name, _ in a.vocab.symbols:
         for tup in a.tuples(name):
-            for s, t in combinations([alpha[e] for e in tup], 2):
-                if len(s) > len(t):
-                    s, t = t, s
-                if t[: len(s)] != s:
-                    return f"homomorphism fails on {name}{tup!r}: images not prefix-comparable"
-                if active is not None and len(s) < len(t) and not active(s, t):
-                    return (f"homomorphism fails on {name}{tup!r}: "
-                            "active-pebble condition violated")
+            why = chain_error([alpha[e] for e in tup], active)
+            if why is not None:
+                return f"homomorphism fails on {name}{tup!r}: {why}"
     return None
 
 
@@ -114,7 +124,7 @@ class Game:
     children: Optional[Callable[[Structure, tuple], list]]
     depth: Optional[Callable[[tuple], int]]
     universe: Optional[Callable[[Structure, int], list]]  # plays of depth <= k
-    lifted: Optional[Callable[[Structure, int], Structure]]
+    lifted: Optional[Callable[[Structure, int, int], Structure]]  # (a, k, cap)
     extend: Optional[Callable[[Mapping, tuple, Elem], tuple]]  # f*(s) from f* below s
     winning: WinningSet  # the built-in winning set of the back-and-forth game
     coextend: Callable
@@ -136,3 +146,70 @@ class Game:
         """Every certificate kind that may name this game."""
         return frozenset((*self.exists_kinds, *self.backforth_kinds, self.iso_kind,
                           self.cover_kind, "both-pair")) - {None}
+
+
+@dataclass(frozen=True)
+class CoKleisli:
+    """A coKleisli morphism of a round-bounded game: a total table from the
+    plays of depth <= k of `source` to elements of `target`.
+
+    It encodes a Duplicator strategy for the existential game and is a
+    morphism when `is_homomorphism` holds (checked against the lifted source).
+    """
+
+    game: Game
+    k: int
+    source: Structure
+    target: Structure
+    table: Mapping[tuple, Elem]
+
+    def __post_init__(self):
+        for s in self.game.universe(self.source, self.k):
+            if s not in self.table:
+                raise ToolkitError(f"coKleisli table not total: play {s!r} unassigned")
+
+    def star(self, s: tuple) -> tuple:
+        return self.game.coextend(self.table, s)
+
+    def is_homomorphism(self, cap: int = DEFAULT_PLAY_CAP) -> bool:
+        return check_hom(dict(self.table), self.game.lifted(self.source, self.k, cap),
+                         self.target)
+
+
+def counit_cokleisli(game: Game, a: Structure, k: int) -> CoKleisli:
+    return CoKleisli(game, k, a, a, {s: game.last(s) for s in game.universe(a, k)})
+
+
+def cokleisli_compose(g: CoKleisli, f: CoKleisli) -> CoKleisli:
+    """(g after f)(s) = g(f*(s))."""
+    if g.game is not f.game or f.target.universe != g.source.universe or f.k != g.k:
+        raise ToolkitError("coKleisli composition shape mismatch")
+    table = {s: g.table[f.star(s)] for s in f.game.universe(f.source, f.k)}
+    return CoKleisli(f.game, f.k, f.source, g.target, table)
+
+
+def law_report(game: Game, a: Structure, lifted: Structure, comult: Callable, fmap: Callable,
+               comult_ok: Callable[[str, tuple], bool]) -> LawReport:
+    """The comonad laws of `game` over the plays of `lifted`, its lifting of
+    `a`: the pointwise laws; the counit and the comultiplication as
+    homomorphisms, the latter holding when `comult_ok(name, images)` accepts
+    the comultiplication images of every lifted `name` tuple; and, for a
+    pointed lifting, the root play as its point."""
+    failures = [pointwise_law_failure(lifted.universe, game.last, comult, fmap, game.coextend),
+                _lifted_hom_failure(game, a, lifted, comult, comult_ok)]
+    if lifted.is_pointed and lifted.point != game.root(a):
+        failures.append(f"lifted point {lifted.point!r} is not the root play")
+    failures = tuple(f for f in failures if f is not None)
+    return LawReport(not failures, failures)
+
+
+def _lifted_hom_failure(game: Game, a: Structure, lifted: Structure, comult: Callable,
+                        comult_ok: Callable[[str, tuple], bool]) -> Optional[str]:
+    for name, _ in a.vocab.symbols:
+        base = a.tuples(name)
+        for combo in lifted.tuples(name):
+            if tuple(map(game.last, combo)) not in base:
+                return f"counit not a homomorphism on {name} at {combo!r}"
+            if not comult_ok(name, tuple(map(comult, combo))):
+                return f"comult not a homomorphism on {name} at {combo!r}"
+    return None

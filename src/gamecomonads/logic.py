@@ -354,7 +354,10 @@ def sample_formulas(vocab: Vocabulary, k: int, fragment: str, count: int,
     out = []
     for _ in range(count):
         if fragment == "modal":
-            out.append(_gen_modal(vocab, k, MODAL_FREE_VAR, rng))
+            # Deeper than the and/or/not nesting of any formula drawn over a
+            # vocabulary with a unary symbol (at most 21 for seeds 0-199,
+            # k <= 3, 40 formulas each), so such samples do not change.
+            out.append(_gen_modal(vocab, k, MODAL_FREE_VAR, rng, budget=24))
         else:
             out.append(_gen(vocab, k, (), fragment, rng, budget=6))
     return out
@@ -408,7 +411,11 @@ def _gen(vocab: Vocabulary, rank: int, scope: tuple[str, ...], fragment: str,
     return (CountAtLeast if pick == "atleast" else CountAtMost)(bound, var, body)
 
 
-def _gen_modal(vocab: Vocabulary, depth: int, var: str, rng: random.Random) -> Formula:
+def _gen_modal(vocab: Vocabulary, depth: int, var: str, rng: random.Random,
+               budget: int) -> Formula:
+    """A guarded formula of modal depth <= `depth` whose and/or/not nesting is
+    at most `budget`; without a unary symbol the connectives alone would
+    branch more than once per node on average and need not terminate."""
     unaries = [n for n, ar in vocab.symbols if ar == 1]
     binaries = [n for n, ar in vocab.symbols if ar == 2]
     choices = ["top"]
@@ -416,7 +423,8 @@ def _gen_modal(vocab: Vocabulary, depth: int, var: str, rng: random.Random) -> F
         choices += ["atom"] * 3
     if binaries and depth > 0:
         choices += ["diamond"] * 3 + ["box"] * 2
-    choices += ["and", "or", "not"]
+    if budget > 0:
+        choices += ["and", "or", "not"]
     pick = rng.choice(choices)
     if pick == "top":
         return Top() if rng.random() < 0.7 else Bottom()
@@ -424,12 +432,13 @@ def _gen_modal(vocab: Vocabulary, depth: int, var: str, rng: random.Random) -> F
         return Rel(rng.choice(unaries), (var,))
     if pick in ("and", "or"):
         cls = And if pick == "and" else Or
-        return cls(_gen_modal(vocab, depth, var, rng), _gen_modal(vocab, depth, var, rng))
+        return cls(_gen_modal(vocab, depth, var, rng, budget - 1),
+                   _gen_modal(vocab, depth, var, rng, budget - 1))
     if pick == "not":
-        return Not(_gen_modal(vocab, depth, var, rng))
+        return Not(_gen_modal(vocab, depth, var, rng, budget - 1))
     nxt = "w1" if var == "w0" else "w0"
     label = rng.choice(binaries)
-    body = _gen_modal(vocab, depth - 1, nxt, rng)
+    body = _gen_modal(vocab, depth - 1, nxt, rng, budget)
     if pick == "diamond":
         return Exists(nxt, And(Rel(label, (var, nxt)), body))
     return Forall(nxt, Implies(Rel(label, (var, nxt)), body))

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .errors import ArityError, CapExceededError, PointError, ToolkitError, VocabularyMismatchError
-from .game import DEFAULT_PLAY_CAP, Game, LawReport, WinningSet, pointwise_law_failure
-from .structures import Elem, Structure, check_hom
+from .game import DEFAULT_PLAY_CAP, CoKleisli, Game, LawReport, WinningSet, law_report
+from .structures import Elem, Structure
 
 Path = tuple
 
@@ -119,30 +119,6 @@ def unravel(a: Structure, k: int, cap: int = DEFAULT_PLAY_CAP) -> Structure:
 
 
 @dataclass(frozen=True)
-class ModalCoKleisli:
-    """Total table from paths of the source unravelling to target elements."""
-
-    k: int
-    source: Structure
-    target: Structure
-    table: Mapping[Path, Elem]
-
-    def __post_init__(self):
-        for s in modal_universe(self.source, self.k):
-            if s not in self.table:
-                raise ToolkitError(f"table not total: path {s!r} unassigned")
-
-    def __call__(self, s: Path) -> Elem:
-        return self.table[s]
-
-    def star(self, s: Path) -> Path:
-        return modal_coextend(self.table, s)
-
-    def is_homomorphism(self, cap: int = DEFAULT_PLAY_CAP) -> bool:
-        return check_hom(dict(self.table), unravel(self.source, self.k, cap), self.target)
-
-
-@dataclass(frozen=True)
 class ModalSpoilerNode:
     """Spoiler tree for the existential simulation game.
 
@@ -160,7 +136,7 @@ class ModalSpoilerNode:
 @dataclass(frozen=True)
 class SimResult:
     wins: bool
-    strategy: Optional[ModalCoKleisli] = None
+    strategy: Optional[CoKleisli] = None
     refutation: Optional[ModalSpoilerNode] = None
 
 
@@ -207,7 +183,7 @@ def decide_sim_k(a: Structure, b: Structure, k: int) -> SimResult:
                 fill(s + (label, x2), y2, d - 1)
 
         fill((a.point,), b.point, k)
-        return SimResult(True, strategy=ModalCoKleisli(k, a, b, table))
+        return SimResult(True, strategy=CoKleisli(GAME, k, a, b, table))
 
     def spoiler(x: Elem, y: Elem, d: int) -> ModalSpoilerNode:
         for s in unaries:
@@ -309,29 +285,10 @@ def bisim_oracle(a: Structure, b: Structure, k: int) -> bool:
 
 
 def check_modal_laws(a: Structure, k: int, cap: int = DEFAULT_PLAY_CAP) -> LawReport:
-    """Comonad laws over the full depth-k unravelling."""
-    failure = pointwise_law_failure(modal_universe(a, k, cap), modal_counit, modal_comult,
-                                    modal_map, modal_coextend)
-    failures = [failure] if failure else []
-    tree = unravel(a, k, cap)
-    for name in unary_symbols(a):
-        for (s,) in tree.tuples(name):
-            if (s[-1],) not in a.tuples(name):
-                failures.append(f"counit not a homomorphism on {name} at {s!r}")
-                break
-    for name in binary_symbols(a):
-        for s, t in tree.tuples(name):
-            if (s[-1], t[-1]) not in a.tuples(name):
-                failures.append(f"counit not a homomorphism on {name} at ({s!r}, {t!r})")
-                break
-            if modal_comult(t) != modal_comult(s) + (name, t):
-                failures.append(f"comult not a homomorphism on {name} at ({s!r}, {t!r})")
-                break
-        if failures:
-            break
-    if tree.point != (a.point,):
-        failures.append("unravelling point is not the one-step path at the start element")
-    return LawReport(not failures, tuple(failures))
+    """Comonad laws over the full depth-k unravelling: the comultiplication
+    images of a lifted transition must be one step apart with its label."""
+    return law_report(GAME, a, unravel(a, k, cap), modal_comult, modal_map,
+                      lambda name, images: len(images) == 1 or _one_step(name, *images))
 
 
 def _root(x: Structure) -> Path:
@@ -369,12 +326,17 @@ def _play_error(play: Path, k: int, host: Structure) -> Optional[str]:
     return None
 
 
+def _one_step(name: str, s: Path, t: Path) -> bool:
+    """`t` extends `s` by one `name` step."""
+    return t[:-2] == s and t[-2] == name
+
+
 def _hom_error(alpha: Mapping[Elem, Path], a: Structure) -> Optional[str]:
     """Each transition must extend the source's path by one step with its label."""
     for name in binary_symbols(a):
         for u, v in a.tuples(name):
             su, sv = alpha[u], alpha[v]
-            if sv[:-2] != su or sv[-2] != name:
+            if not _one_step(name, su, sv):
                 return (f"homomorphism fails on {name}({u!r},{v!r}): "
                         f"{sv!r} does not extend {su!r} by one {name} step")
     return None

@@ -245,21 +245,6 @@ def forest_cover_to_coalgebra(cover: ForestCover, k: int, host: Structure) -> Co
     return CoalgebraMap("ef", k, host, alpha)
 
 
-def pebble_coalgebra_to_pfc(c: CoalgebraMap) -> PebbleForestCover:
-    if c.comonad != "pebble":
-        raise ToolkitError("expected a pebble-game coalgebra")
-    ok, why = check_coalgebra(c)
-    if not ok:
-        raise ToolkitError(f"not a coalgebra: {why}")
-    parent = {}
-    pebbles = {}
-    for v in c.host.universe:
-        play = c.alpha[v]
-        parent[v] = play[-2][1] if len(play) >= 2 else None
-        pebbles[v] = play[-1][0]
-    return PebbleForestCover(ForestCover(tuple(c.host.universe), parent), pebbles)
-
-
 def pfc_to_pebble_coalgebra(pfc: PebbleForestCover, k: int, host: Structure) -> CoalgebraMap:
     if not is_pebble_forest_cover(pfc, gaifman(host), k):
         raise ToolkitError("not a k-pebble forest cover of the host's Gaifman graph")

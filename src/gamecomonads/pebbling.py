@@ -6,18 +6,26 @@ The untruncated play universe is infinite even over a finite structure, so it
 is never materialized: laws are checked on an explicit truncation, and the
 decision procedure works on positional strategies (families of partial
 homomorphisms with domains of size <= k).
+
+Both pebble games are decided by one deletion engine: `delete_to_fixpoint`
+takes an initial family of positions and the Spoiler moves each position
+must answer (`obligations`), deletes positions with an unanswerable move until
+none is left, and `refutation` reads Spoiler's strategy off the deletions.
+The existential game here and the back-and-forth game in `equivalence` each
+supply their own family, moves and node type.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Mapping, Optional
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import CapExceededError, ToolkitError, VocabularyMismatchError
-from .game import (DEFAULT_PLAY_CAP, Game, LawReport, WinningSet, lift_along_prefixes,
-                   pointwise_law_failure, prefix_hom_error, prefixes)
-from .structures import Elem, Structure, check_hom, is_partial_hom
+from .game import (DEFAULT_PLAY_CAP, Game, LawReport, WinningSet, chain_error, law_report,
+                   lift_along_prefixes, prefix_hom_error, prefixes)
+from .structures import Elem, Structure, is_partial_hom
 
 Move = tuple  # (pebble index, element)
 PebblePlay = tuple  # nonempty tuple of moves
@@ -63,46 +71,13 @@ def active_last(s: PebblePlay, t: PebblePlay) -> bool:
     return all(move[0] != p for move in t[len(s):])
 
 
-def _lifted_ok(combo: tuple[PebblePlay, ...]) -> bool:
-    for u, v in combinations(combo, 2):
-        if len(u) > len(v):
-            u, v = v, u
-        if v[: len(u)] != u:
-            return False
-        if len(u) < len(v) and not active_last(u, v):
-            return False
-    return True
+def _on_one_branch(plays: tuple) -> bool:
+    return chain_error(plays, active_last) is None
 
 
 def pebble_structure(a: Structure, k: int, n: int, cap: int = DEFAULT_PLAY_CAP) -> Structure:
     """Lift `a` to the truncated play universe with the active-pebble condition."""
-    return lift_along_prefixes(a, pebble_universe(a, k, n, cap), pebble_counit, _lifted_ok)
-
-
-@dataclass(frozen=True)
-class PebbleCoKleisli:
-    """Total table on the n-truncated play universe."""
-
-    k: int
-    n: int
-    source: Structure
-    target: Structure
-    table: Mapping[PebblePlay, Elem]
-
-    def __post_init__(self):
-        for s in pebble_universe(self.source, self.k, self.n):
-            if s not in self.table:
-                raise ToolkitError(f"table not total: play {s!r} unassigned")
-
-    def __call__(self, s: PebblePlay) -> Elem:
-        return self.table[s]
-
-    def star(self, s: PebblePlay) -> PebblePlay:
-        return pebble_coextend(self.table, s)
-
-    def is_homomorphism(self, cap: int = DEFAULT_PLAY_CAP) -> bool:
-        return check_hom(dict(self.table),
-                         pebble_structure(self.source, self.k, self.n, cap), self.target)
+    return lift_along_prefixes(a, pebble_universe(a, k, n, cap), pebble_counit, _on_one_branch)
 
 
 PartialMapSet = frozenset  # frozenset of (source elem, target elem) pairs
@@ -142,17 +117,55 @@ class PebbleResult:
     refutation: Optional[SpoilerPosition] = None
 
 
-def _sorted_parts(parts, a: Structure, b: Structure):
-    ai, bi = a.index, b.index
-    return sorted(parts, key=lambda p: (len(p), sorted((ai[x], bi[y]) for x, y in p)))
+def delete_to_fixpoint(positions: Iterable, obligations: Callable) -> tuple[set, dict]:
+    """The greatest subfamily of `positions` in which every Spoiler move has a
+    reply leading back into the subfamily.
+
+    `obligations(pos)` yields each Spoiler move at `pos` with an iterable of
+    its (reply, next position) pairs, read before the next move is drawn, so
+    it may be a generator over the loop variables of `obligations`.  Deletion
+    runs in simultaneous passes: a position's failing move is judged against
+    the family at the start of the pass, so every next position it names was
+    deleted in an earlier pass or never was in the family, which keeps
+    `refutation` well-founded.  Returns the survivors and, per deleted
+    position, its first move without a surviving reply.
+    """
+    alive = set(positions)
+    trace: dict = {}
+    while True:
+        removed = {}
+        for pos in alive:
+            for move, replies in obligations(pos):
+                if alive.isdisjoint(map(itemgetter(1), replies)):
+                    removed[pos] = move
+                    break
+        if not removed:
+            return alive, trace
+        alive.difference_update(removed)
+        trace.update(removed)
+
+
+def refutation(trace: Mapping, root, obligations: Callable, node: Callable):
+    """Spoiler's strategy from the deleted position `root`, read off the trace
+    of `delete_to_fixpoint`: at each position, the recorded move with every
+    reply paired with the strategy at its next position, or with None when
+    that position never was in the family.  `node(pos, move, branches)`
+    builds one node."""
+    def refute(pos):
+        move = trace[pos]
+        replies = next(pairs for m, pairs in obligations(pos) if m == move)
+        return node(pos, move, tuple((reply, refute(nxt) if nxt in trace else None)
+                                     for reply, nxt in replies))
+
+    return refute(root)
 
 
 def decide_exist_pebble(a: Structure, b: Structure, k: int) -> PebbleResult:
     """Greatest family of partial homomorphisms with |dom| <= k closed under
     restriction and forth; Duplicator wins iff it is nonempty.
 
-    Deletion runs in simultaneous passes, so the refutation DAG extracted from
-    the deletion trace is well-founded by pass number.
+    Spoiler's moves at a part are dropping one of its pairs (in index order),
+    then, below k pairs, placing a pebble on an element outside its domain.
     """
     if a.vocab != b.vocab:
         raise VocabularyMismatchError("decide_exist_pebble requires a shared vocabulary")
@@ -168,50 +181,24 @@ def decide_exist_pebble(a: Structure, b: Structure, k: int) -> PebbleResult:
                 if is_partial_hom(part, a, b):
                     family.add(part)
 
-    # part -> (pass number, ('forth', elem) | ('restriction', pair))
-    trace: dict[PartialMapSet, tuple[int, tuple]] = {}
-    rnd = 0
-    while True:
-        rnd += 1
-        removed = {}
-        for part in _sorted_parts(family, a, b):
-            reason = None
-            for pair in sorted(part, key=lambda xy: (a.index[xy[0]], b.index[xy[1]])):
-                if part - {pair} not in family:
-                    reason = ("restriction", pair)
-                    break
-            if reason is None and len(part) < k:
-                dom = {x for x, _ in part}
-                for x in a.universe:
-                    if x in dom:
-                        continue
-                    if not any(part | {(x, y)} in family for y in b.universe):
-                        reason = ("forth", x)
-                        break
-            if reason is not None:
-                removed[part] = (rnd, reason)
-        if not removed:
-            break
-        for part, why in removed.items():
-            family.discard(part)
-            trace[part] = why
+    def obligations(part: PartialMapSet):
+        for pair in sorted(part, key=lambda xy: (a.index[xy[0]], b.index[xy[1]])):
+            yield ("drop", pair), ((None, part - {pair}),)
+        if len(part) < k:
+            dom = {x for x, _ in part}
+            for x in a.universe:
+                if x not in dom:
+                    yield ("place", x), ((y, part | {(x, y)}) for y in b.universe)
 
+    def node(part: PartialMapSet, move: tuple, branches: tuple) -> SpoilerPosition:
+        if move[0] == "drop":
+            return SpoilerPosition(part, drop=move[1], child=branches[0][1])
+        return SpoilerPosition(part, place=move[1], branches=branches)
+
+    family, trace = delete_to_fixpoint(family, obligations)
     if family:
         return PebbleResult(True, family=StrategyFamily(k, frozenset(family)))
-
-    def refute(part: PartialMapSet) -> SpoilerPosition:
-        _, reason = trace[part]
-        if reason[0] == "restriction":
-            pair = reason[1]
-            return SpoilerPosition(part, drop=pair, child=refute(part - {pair}))
-        x = reason[1]
-        branches = []
-        for y in b.universe:
-            ext = part | {(x, y)}
-            branches.append((y, refute(ext) if ext in trace else None))
-        return SpoilerPosition(part, place=x, branches=tuple(branches))
-
-    return PebbleResult(False, refutation=refute(frozenset()))
+    return PebbleResult(False, refutation=refutation(trace, frozenset(), obligations, node))
 
 
 def audit_strategy_family(fam: StrategyFamily, a: Structure, b: Structure) -> tuple[bool, str]:
@@ -297,25 +284,12 @@ def audit_spoiler_positions(node: SpoilerPosition, a: Structure, b: Structure,
 
 def check_pebble_laws(a: Structure, k: int, n: int, cap: int = DEFAULT_PLAY_CAP) -> LawReport:
     """Comonad laws on the n-truncation, pointwise; truncation keeps every play
-    involved inside the cap (comultiplication preserves length)."""
-    failure = pointwise_law_failure(pebble_universe(a, k, n, cap), pebble_counit,
-                                    pebble_comult,
-                                    lambda f, d: tuple((p, f(s)) for p, s in d),
-                                    pebble_coextend)
-    failures = [failure] if failure else []
-    lifted = pebble_structure(a, k, n, cap)
-    for name, _ in a.vocab.symbols:
-        base = a.tuples(name)
-        for combo in lifted.tuples(name):
-            if tuple(c[-1][1] for c in combo) not in base:
-                failures.append(f"counit not a homomorphism on {name} at {combo!r}")
-                break
-            if not _lifted_ok(tuple(pebble_comult(c) for c in combo)):
-                failures.append(f"comult images violate the lifting on {combo!r}")
-                break
-        if failures:
-            break
-    return LawReport(not failures, tuple(failures))
+    involved inside the cap (comultiplication preserves length).  The
+    comultiplication images of a lifted tuple must lie on one branch with
+    their pebbles active."""
+    return law_report(GAME, a, pebble_structure(a, k, n, cap), pebble_comult,
+                      lambda f, d: tuple((p, f(s)) for p, s in d),
+                      lambda name, images: _on_one_branch(images))
 
 
 def _play_error(play: PebblePlay, k: int, host: Structure) -> Optional[str]:

@@ -332,20 +332,26 @@ def find_hom(a: Structure, b: Structure) -> Optional[Hom]:
 
     pointed = a.is_pointed and b.is_pointed
 
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        e = a.universe[i]
-        candidates = (b.point,) if (pointed and e == a.point) else b.universe
-        for c in candidates:
-            assignment[e] = c
-            if consistent(e) and extend(i + 1):
-                return True
-            del assignment[e]
-        return False
+    def candidates(e: Elem):
+        return iter((b.point,) if (pointed and e == a.point) else b.universe)
 
-    if extend(0):
-        return Hom(a, b, dict(assignment))
+    # Depth-first over the universe with an explicit stack holding, per
+    # assigned element, the candidates not yet tried, so a long universe does
+    # not exhaust the interpreter's recursion limit.
+    stack = [candidates(a.universe[0])]
+    while stack:
+        e = a.universe[len(stack) - 1]
+        for c in stack[-1]:
+            assignment[e] = c
+            if consistent(e):
+                break
+        else:
+            assignment.pop(e, None)
+            stack.pop()
+            continue
+        if len(stack) == n:
+            return Hom(a, b, dict(assignment))
+        stack.append(candidates(a.universe[len(stack)]))
     return None
 
 

@@ -230,12 +230,33 @@ def test_verify_rejects_iso_pair_without_k(files, capsys):
     assert_rejected(files, capsys, text.replace("k 2\n", ""))
 
 
-def test_param_modal_on_a_deep_path(tmp_path):
-    n = 1100
+def write_path(tmp_path, n, extra):
+    """A directed path v0 -> ... -> v(n-1) written to a structure file."""
     lines = ["vocab R 2"] + [f"elem v{i}" for i in range(n)]
-    lines += [f"rel R v{i} v{i + 1}" for i in range(n - 1)] + ["start v0"]
+    lines += [f"rel R v{i} v{i + 1}" for i in range(n - 1)] + extra
     path = tmp_path / "path.str"
     path.write_text("\n".join(lines) + "\n")
-    code, out = run(["param", "--comonad", "modal", str(path)])
+    return str(path)
+
+
+def test_param_modal_on_a_deep_path(tmp_path):
+    code, out = run(["param", "--comonad", "modal", write_path(tmp_path, 1100, ["start v0"])])
     assert code == 0
     assert "kappa: 1099" in out
+
+
+def test_hom_on_a_long_path(tmp_path):
+    loop = tmp_path / "loop.str"
+    loop.write_text("vocab R 2\nelem a\nrel R a a\n")
+    code, out = run(["hom", write_path(tmp_path, 1500, []), str(loop)])
+    assert code == 0
+    assert "result: true" in out
+
+
+def test_sample_modal_on_the_default_vocabulary():
+    for seed in range(10):
+        for k in (1, 2, 3):
+            code, out = run(["sample", "--fragment", "modal", "-k", str(k), "--count", "3",
+                             "--seed", str(seed)])
+            assert code == 0, (seed, k)
+            assert len(out.split("# sampler:")[1].splitlines()) == 1 + 3

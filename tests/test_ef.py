@@ -3,6 +3,7 @@ import random
 import pytest
 
 from gamecomonads import ef, logic
+from gamecomonads.game import CoKleisli, cokleisli_compose, counit_cokleisli
 from gamecomonads.errors import CapExceededError, ToolkitError, VocabularyMismatchError
 from gamecomonads.structures import Structure, check_hom, find_hom
 
@@ -68,7 +69,7 @@ def test_coextension():
 
 def test_coextension_of_counit_is_identity():
     a = S(VOCAB_R, ["a", "b"], {"R": [("a", "b")]})
-    f = ef.counit_cokleisli(a, 2)
+    f = counit_cokleisli(ef.GAME, a, 2)
     for s in ef.ef_universe(a, 2):
         assert f.star(s) == s
 
@@ -81,18 +82,18 @@ def test_cokleisli_identity_laws_and_associativity():
     k = 2
 
     def random_table(src, dst):
-        return ef.EfCoKleisli(k, src, dst,
-                              {s: rng.choice(dst.universe) for s in ef.ef_universe(src, k)})
+        return CoKleisli(ef.GAME, k, src, dst,
+                         {s: rng.choice(dst.universe) for s in ef.ef_universe(src, k)})
 
     for _ in range(10):
         f = random_table(a, b)
         g = random_table(b, c)
         h = random_table(c, a)
-        left = ef.cokleisli_compose(h, ef.cokleisli_compose(g, f))
-        right = ef.cokleisli_compose(ef.cokleisli_compose(h, g), f)
+        left = cokleisli_compose(h, cokleisli_compose(g, f))
+        right = cokleisli_compose(cokleisli_compose(h, g), f)
         assert left.table == right.table
-        assert ef.cokleisli_compose(ef.counit_cokleisli(b, k), f).table == f.table
-        assert ef.cokleisli_compose(f, ef.counit_cokleisli(a, k)).table == f.table
+        assert cokleisli_compose(counit_cokleisli(ef.GAME, b, k), f).table == f.table
+        assert cokleisli_compose(f, counit_cokleisli(ef.GAME, a, k)).table == f.table
 
 
 def test_decide_identity_strategy():

@@ -12,14 +12,18 @@ After an intended change of output, rewrite the corpus with
 
 import io
 import os
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import pytest
+
 from gamecomonads import cli
 
 GOLDEN = Path(__file__).with_name("golden")
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 INPUTS = {
     "edge": "vocab R 2\nelem a\nelem b\nrel R a b\nrel R b a\n",
@@ -78,7 +82,7 @@ def jobs():
     for fragment in ("ep", "full", "counting"):
         out.append((f"sample-{fragment}", ["sample", "--fragment", fragment, "-k", "2",
                                            "--count", "6", "--seed", "33"], None, []))
-    # the modal sampler needs a unary symbol to terminate, hence the vocabulary file
+    # with a vocabulary file that has a unary symbol, so atoms appear in the samples
     out.append(("sample-modal", ["sample", "--fragment", "modal", "-k", "2", "--count", "6",
                                  "--seed", "33", "labelled.str"], None, []))
     return out
@@ -118,6 +122,19 @@ def test_golden_corpus(tmp_path, monkeypatch):
     assert sorted(got) == sorted(want)
     for name in sorted(want):
         assert got[name].encode("utf-8") == want[name], name
+
+
+@pytest.mark.parametrize("hashseed", ["0", "1"])
+def test_golden_corpus_under_fixed_hash_seeds(hashseed, tmp_path):
+    """Set iteration order varies with the hash seed; the reports must not.
+    Each seed needs its own process, hence the child pytest run."""
+    env = dict(os.environ, PYTHONHASHSEED=hashseed,
+               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{Path(__file__).resolve()}::test_golden_corpus"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-3000:]
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@ import pytest
 
 from gamecomonads import pebbling as pb
 from gamecomonads.errors import CapExceededError, ToolkitError, VocabularyMismatchError
+from gamecomonads.structures import check_hom
 
 from helpers import S, VOCAB_R, VOCAB_RS, all_structures_upto, clique_structure
 
@@ -139,8 +140,7 @@ def test_family_replays_to_truncated_cokleisli_hom():
         y = next(y for y in b.universe if base | {(x, y)} in parts)  # forth
         part_for[s] = base | {(x, y)}
         table[s] = y
-    f = pb.PebbleCoKleisli(k, n, a, b, table)
-    assert f.is_homomorphism()
+    assert check_hom(table, pb.pebble_structure(a, k, n), b)
 
 
 def test_refutation_is_wellfounded_and_rooted():
