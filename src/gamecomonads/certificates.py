@@ -261,22 +261,28 @@ def _parse_tree(tree: _Tree, rows):
         else:
             raise CertificateError(f"unexpected row {row!r}")
 
-    def build(tok: str, seen: frozenset):
+    # nodes are numbered in preorder, so every child's id is larger than its
+    # parent's: building in decreasing id order finds each child built, and a
+    # child not built yet is not a later node
+    nodes: dict[int, object] = {}
+
+    def built(parent: int, tok: str):
         if tok == tree.leaf:
             return None
-        i = _int(tok)
-        if i in seen:
-            raise CertificateError("cycle in spoiler tree")
-        node = None
-        if i in heads:
-            brs = tuple((reply, build(cid, seen | {i})) for reply, cid in branches.get(i, []))
-            child = build(children[i], seen | {i}) if i in children else None
-            node = tree.build(heads[i], brs, child)
+        node = nodes.get(_int(tok))
         if node is None:
-            raise CertificateError(f"bad node {i}")
+            raise CertificateError(f"child {tok!r} of node {parent} is no node after it")
         return node
 
-    return build("0", frozenset())
+    for i in sorted(heads, reverse=True):
+        brs = tuple((reply, built(i, cid)) for reply, cid in branches.get(i, []))
+        child = built(i, children[i]) if i in children else None
+        nodes[i] = tree.build(heads[i], brs, child)
+        if nodes[i] is None:
+            raise CertificateError(f"bad node {i}")
+    if 0 not in nodes:
+        raise CertificateError("no root node 0")
+    return nodes[0]
 
 
 def _ef_node(head, branches, child):
@@ -594,8 +600,13 @@ KINDS: dict[str, _Kind] = {
 
 
 def _check_header(cert: Certificate) -> None:
-    """Every kind but hom-witness names a game that owns it, and a round or
-    pebble count; coalgebra witnesses also claim their kappa."""
+    """The claim is the kind's (a both-pair claims either way, a coalgebra
+    witness nothing); every kind but hom-witness names a game that owns it,
+    and a round or pebble count; coalgebra witnesses also claim their kappa."""
+    claim = KINDS[cert.kind].claim
+    if cert.claim not in (("true", "false") if cert.kind == "both-pair" else (claim,)):
+        raise CertificateError(
+            f"certificate kind {cert.kind!r} cannot claim {cert.claim or 'nothing'}")
     if cert.kind == "hom-witness":
         return
     game = eq_mod.GAMES.get(cert.game)

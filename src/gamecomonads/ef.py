@@ -71,10 +71,6 @@ class SpoilerNode:
     move: Elem
     branches: tuple[tuple[Elem, Optional["SpoilerNode"]], ...]
 
-    def depth(self) -> int:
-        subs = [n.depth() for _, n in self.branches if n is not None]
-        return 1 + max(subs, default=0)
-
 
 @dataclass(frozen=True)
 class ExistResult:

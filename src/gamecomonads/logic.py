@@ -414,22 +414,21 @@ def _gen(vocab: Vocabulary, rank: int, scope: tuple[str, ...], fragment: str,
 def _gen_modal(vocab: Vocabulary, depth: int, var: str, rng: random.Random,
                budget: int) -> Formula:
     """A guarded formula of modal depth <= `depth` whose and/or/not nesting is
-    at most `budget`; without a unary symbol the connectives alone would
-    branch more than once per node on average and need not terminate."""
+    at most `budget`.  `atom` is offered even without a unary symbol, and then
+    draws a constant as `top` does, so leaves are as likely on every
+    vocabulary."""
     unaries = [n for n, ar in vocab.symbols if ar == 1]
     binaries = [n for n, ar in vocab.symbols if ar == 2]
-    choices = ["top"]
-    if unaries:
-        choices += ["atom"] * 3
+    choices = ["top"] + ["atom"] * 3
     if binaries and depth > 0:
         choices += ["diamond"] * 3 + ["box"] * 2
     if budget > 0:
         choices += ["and", "or", "not"]
     pick = rng.choice(choices)
-    if pick == "top":
-        return Top() if rng.random() < 0.7 else Bottom()
-    if pick == "atom":
+    if pick == "atom" and unaries:
         return Rel(rng.choice(unaries), (var,))
+    if pick in ("top", "atom"):
+        return Top() if rng.random() < 0.7 else Bottom()
     if pick in ("and", "or"):
         cls = And if pick == "and" else Or
         return cls(_gen_modal(vocab, depth, var, rng, budget - 1),

@@ -3,12 +3,13 @@ forest covers / pebbled forest covers / tree decompositions, coalgebra numbers
 (tree-depth, tree-width + 1, synchronization tree depth), and brute-force
 oracles that are independent of all of that machinery.
 
-The tree-depth oracle enumerates forest covers outright (as acyclic parent
-maps, vectorized); the tree-width oracle runs the exact elimination-ordering
-dynamic program over vertex subsets.  Coalgebra-number searches go through the
-structural characterizations instead: recursive minimum-height covers for the
-sequence game, exhaustive cover-plus-pebbling search for the pebble game, and
-the unique candidate tree shape for the modal game.
+The tree-depth oracle scans every forest order outright (one cached table
+of acyclic parent maps, which also serves the pebble cover search); the
+tree-width oracle runs the exact elimination-ordering dynamic program over
+vertex subsets.  Coalgebra-number searches go through the structural
+characterizations instead: recursive minimum-height covers for the sequence
+game, exhaustive cover-plus-pebbling search for the pebble game, and the
+unique candidate tree shape for the modal game.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping, Optional
-
-import numpy as np
 
 from . import modal as modal_mod
 from .equivalence import GAMES, game
@@ -429,46 +428,49 @@ def tree_decomposition_to_pfc(td: TreeDecomposition, k: int, g: Graph) -> Pebble
 
 
 @lru_cache(maxsize=None)
-def _forest_table(n: int):
-    """Every forest order on n labelled vertices, as parent codes (code n =
-    root), with per-row height and a comparability bitmask per vertex pair."""
-    total = (n + 1) ** n
-    rows = np.arange(total, dtype=np.int64)
-    parent = np.empty((total, n), dtype=np.int8)
-    for v in range(n):
-        parent[:, v] = (rows // (n + 1) ** v) % (n + 1)
-    valid = np.ones(total, dtype=bool)
-    for v in range(n):
-        valid &= parent[:, v] != v
+def _forest_table(n: int) -> tuple:
+    """Every forest order on vertices 0..n-1 as rows (parent codes, height,
+    comparable-pair mask): parent codes are vertex indices or None for a root,
+    and bit i*n+j (i < j) of the mask is set when i and j are comparable.
 
-    cur = parent.astype(np.int8).copy()
-    depth = np.zeros((total, n), dtype=np.int8)
-    for _ in range(n):
-        active = cur != n
-        depth += active
-        idx = np.minimum(cur, n - 1).astype(np.int64)
-        nxt = np.take_along_axis(parent, idx, axis=1)
-        cur = np.where(active, nxt, np.int8(n))
-    valid &= (cur == n).all(axis=1)
+    Parents are chosen depth-first with vertex 0 outermost, None first and
+    then the other vertices in index order; a choice that closes a cycle is
+    cut at once, so there are (n+1)^(n-1) rows."""
+    rows = []
+    par: list = [None] * n
 
-    anc = np.zeros((total, n), dtype=np.uint8 if n <= 8 else np.uint32)
-    for v in range(n):
-        anc[:, v] = 1 << v
-    pidx = np.minimum(parent, n - 1).astype(np.int64)
-    rootmask = parent == n
-    for _ in range(n):
-        gathered = np.take_along_axis(anc, pidx, axis=1)
-        gathered[rootmask] = 0
-        anc |= gathered
+    def leaf():
+        height = mask = 0
+        for v in range(n):
+            depth, u = 1, par[v]
+            while u is not None:
+                depth += 1
+                mask |= 1 << (u * n + v if u < v else v * n + u)
+                u = par[u]
+            height = max(height, depth)
+        rows.append((tuple(par), height, mask))
 
-    pairmask = np.zeros(total, dtype=np.uint64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            comp = (((anc[:, j] >> i) | (anc[:, i] >> j)) & 1).astype(np.uint64)
-            pairmask |= comp << np.uint64(i * n + j)
+    def choose(i: int):
+        if i == n:
+            leaf()
+            return
+        for p in (None, *range(n)):
+            if p == i:
+                continue
+            u = p
+            while u is not None and u < i:
+                u = par[u]
+            if u != i:  # following p's assigned ancestors did not return to i
+                par[i] = p
+                choose(i + 1)
 
-    heights = (depth.max(axis=1).astype(np.int32) + 1)
-    return parent[valid], heights[valid], pairmask[valid]
+    choose(0)
+    return tuple(rows)
+
+
+def _edge_mask(g: Graph) -> int:
+    n, idx = len(g.vertices), g.index
+    return sum(1 << (idx[u] * n + idx[v]) for u, v in g.edges)
 
 
 def oracle_treedepth(g: Graph, cap: int = DEFAULT_VERTEX_CAP) -> int:
@@ -478,14 +480,8 @@ def oracle_treedepth(g: Graph, cap: int = DEFAULT_VERTEX_CAP) -> int:
         return 0
     if n > cap:
         raise CapExceededError(f"{n} vertices exceeds the oracle cap {cap}")
-    _, heights, pairmask = _forest_table(n)
-    need = np.uint64(0)
-    idx = g.index
-    for u, v in g.edges:
-        i, j = sorted((idx[u], idx[v]))
-        need |= np.uint64(1 << (i * n + j))
-    sel = (pairmask & need) == need
-    return int(heights[sel].min())
+    need = _edge_mask(g)
+    return min(h for _, h, mask in _forest_table(n) if mask & need == need)
 
 
 def oracle_treewidth(g: Graph, cap: int = DEFAULT_VERTEX_CAP) -> int:
@@ -547,34 +543,13 @@ def oracle_treewidth(g: Graph, cap: int = DEFAULT_VERTEX_CAP) -> int:
 
 
 def all_forest_covers(g: Graph) -> Iterator[ForestCover]:
-    """Deterministic enumeration of every forest cover of g (pure Python)."""
-    vs = list(g.vertices)
-    n = len(vs)
-    options = [[None] + [u for u in vs if u != v] for v in vs]
-
-    def acyclic(par: dict) -> bool:
-        for v in vs:
-            seen = set()
-            cur = v
-            while cur is not None:
-                if cur in seen:
-                    return False
-                seen.add(cur)
-                cur = par[cur]
-        return True
-
-    def rec(i: int, par: dict):
-        if i == n:
-            if acyclic(par):
-                cover = ForestCover(tuple(vs), dict(par))
-                if is_forest_cover(cover, g):
-                    yield cover
-            return
-        for p in options[i]:
-            par[vs[i]] = p
-            yield from rec(i + 1, par)
-
-    yield from rec(0, {})
+    """Every forest cover of g, in the order of `_forest_table`."""
+    vs = g.vertices
+    need = _edge_mask(g)
+    for codes, _, mask in _forest_table(len(vs)):
+        if mask & need == need:
+            yield ForestCover(vs, {v: None if p is None else vs[p]
+                                   for v, p in zip(vs, codes)})
 
 
 def _cover_conflicts(cover: ForestCover, g: Graph) -> Iterator[tuple[Elem, Elem]]:

@@ -1,5 +1,9 @@
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -178,10 +182,12 @@ def test_parse_error_is_usage_error(tmp_path):
     "certificate ef-table\ngame ef\nk two\nclaim true\n",
     "certificate pebble-safe\ngame pebble\nk 2\nclaim true\npos\n",
     "certificate ef-spoiler\ngame ef\nk 2\nclaim false\nnode 0\n",
+    "certificate ef-spoiler\ngame ef\nk 2\nclaim false\nnode 0 move a\nbranch 0 x 0\n",
     "certificate both-pair\ngame pebble\nk 2\nclaim true\nfwd\n",
     ("certificate pebble-forest-cover\ngame pebble\nk 2\nkappa 2\nparent b a\npebble a 1\n"
      "pebble b 2\nbag b0 a\nbag b1 a b\nedge b0 zz\nedge zz b1\n"),
 ], ids=["bare-header", "k-not-integer", "pos-without-token", "node-without-move",
+         "child-not-a-later-node",
         "empty-inner-row", "edge-to-bagless-node"])
 def test_malformed_certificate_is_usage_error(files, capsys, text):
     cert = files["dir"] / "bad.cert"
@@ -230,6 +236,64 @@ def test_verify_rejects_iso_pair_without_k(files, capsys):
     assert_rejected(files, capsys, text.replace("k 2\n", ""))
 
 
+@pytest.mark.parametrize("mode,claim", [("exists", "claim false\n"), ("exists", ""),
+                                        ("both", "claim maybe\n")],
+                         ids=["table-claiming-false", "table-without-claim",
+                              "both-pair-claiming-neither"])
+def test_verify_rejects_a_claim_the_kind_does_not_make(files, capsys, mode, claim):
+    text = emitted(files, ["--game", "ef", "--mode", mode])
+    assert_rejected(files, capsys, text.replace("claim true\n", claim))
+
+
+def test_verify_rejects_spoiler_tree_claiming_true(files, capsys):
+    cert = files["dir"] / "spoiler.cert"
+    code, _ = run(["equiv", "--game", "ef", "--mode", "exists", "-k", "2", "--certificate",
+                   str(cert), files["edge"], files["twopts"]])
+    assert code == 1
+    assert_rejected(files, capsys, cert.read_text().replace("claim false\n", "claim true\n"))
+
+
+def test_verify_rejects_forest_cover_with_a_claim(files, capsys):
+    cert = files["dir"] / "cover.cert"
+    code, _ = run(["param", "--comonad", "ef", "--certificate", str(cert), files["edge"]])
+    assert code == 0
+    assert_rejected(files, capsys, cert.read_text() + "claim true\n")
+
+
+@pytest.mark.parametrize("kind,game,head", [("ef-spoiler", "ef", "move a"),
+                                            ("pebble-refutation", "pebble", "- place a")],
+                         ids=["ef-spoiler", "pebble-refutation"])
+def test_verify_a_deep_spoiler_tree(files, kind, game, head):
+    """A 3,000-node chain of Spoiler moves is read without recursion."""
+    n = 3000
+    lines = [f"certificate {kind}", f"game {game}", "k 2", "claim false"]
+    for i in range(n):
+        lines += [f"node {i} {head}", f"branch {i} x {i + 1 if i + 1 < n else 'lose'}",
+                  f"branch {i} y lose"]
+    cert = files["dir"] / "deep.cert"
+    cert.write_text("\n".join(lines) + "\n")
+    code, out = run(["verify", "--certificate", str(cert), files["edge"], files["twopts"]])
+    assert code == 1
+    assert "result: false" in out
+
+
+def test_runs_without_numpy(files):
+    """The package needs nothing outside the standard library."""
+    argvs = [["oracle", "treedepth", files["k3"]],
+             ["param", "--comonad", "ef", files["k3"]],
+             ["param", "--comonad", "pebble", files["k3"]]]
+    script = ("import sys\n"
+              "sys.modules['numpy'] = None\n"
+              "from gamecomonads.cli import main\n"
+              f"sys.exit(max(main(argv) for argv in {argvs!r}))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+
+
 def write_path(tmp_path, n, extra):
     """A directed path v0 -> ... -> v(n-1) written to a structure file."""
     lines = ["vocab R 2"] + [f"elem v{i}" for i in range(n)]
@@ -259,4 +323,6 @@ def test_sample_modal_on_the_default_vocabulary():
             code, out = run(["sample", "--fragment", "modal", "-k", str(k), "--count", "3",
                              "--seed", str(seed)])
             assert code == 0, (seed, k)
-            assert len(out.split("# sampler:")[1].splitlines()) == 1 + 3
+            formulas = out.split("# sampler:")[1].splitlines()[1:]
+            assert len(formulas) == 3
+            assert all(len(line) < 1000 for line in formulas), (seed, k)

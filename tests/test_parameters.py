@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -76,6 +77,28 @@ def test_cover_roundtrip_all_covers_of_small_graphs():
                 ok, why = par.check_coalgebra(c)
                 assert ok, why
                 assert par.coalgebra_to_forest_cover(c) == cover
+
+
+def test_forest_table_has_one_row_per_rooted_forest():
+    for n in range(1, 7):
+        assert len(par._forest_table(n)) == (n + 1) ** (n - 1)  # Cayley
+
+
+def test_all_forest_covers_matches_brute_force():
+    """The reference tries every parent map, vertex 0's choice outermost and
+    None first, and keeps the acyclic maps that cover the graph."""
+    for n in range(5):
+        for g in all_graphs(n):
+            vs = g.vertices
+            want = []
+            for parents in product(*[[None] + [u for u in vs if u != v] for v in vs]):
+                try:
+                    cover = par.ForestCover(vs, dict(zip(vs, parents)))
+                except ToolkitError:
+                    continue
+                if par.is_forest_cover(cover, g):
+                    want.append(cover)
+            assert list(par.all_forest_covers(g)) == want
 
 
 def test_pebble_cover_roundtrip_single_edge():
