@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Callable, NamedTuple, Optional
 
 from . import ef as ef_mod
@@ -28,7 +29,7 @@ from . import modal as modal_mod
 from . import parameters as par_mod
 from . import pebbling as pebble_mod
 from .errors import CertificateError, ToolkitError
-from .game import CoKleisli
+from .game import CoKleisli, walk_tree
 from .structures import Structure, check_hom, gaifman
 
 _PAIR_RE = re.compile(r"\(([^()↦:]+)↦([^()↦:]+)\)")
@@ -230,19 +231,19 @@ def cert_tree_rows(tree: _Tree, root, a: Structure, b: Structure) -> list[list[s
     row followed by its `branch <id> <reply> <child>` or `child <id> <child>`
     rows."""
     rows: list[list[str]] = []
-    count = 0
+    ids = count()
 
-    def emit(nd) -> str:
-        nonlocal count
-        my = str(count)
-        count += 1
+    def step(nd, edge: Optional[tuple]):
+        my = tree.leaf if nd is None else str(next(ids))
+        if edge is not None:
+            parent, reply = edge
+            rows.append(["child", parent, my] if reply is None else ["branch", parent, reply, my])
+        if nd is None:
+            return ()
         rows.append(["node", my] + tree.head(nd, a, b))
-        for reply, child in tree.edges(nd):
-            cid = tree.leaf if child is None else emit(child)
-            rows.append(["child", my, cid] if reply is None else ["branch", my, reply, cid])
-        return my
+        return [(child, (my, reply)) for reply, child in tree.edges(nd)]
 
-    emit(root)
+    walk_tree(root, None, step)
     rows.sort(key=lambda r: (int(r[1]), r[0] != "node"))
     return rows
 

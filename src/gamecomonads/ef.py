@@ -14,7 +14,7 @@ from typing import Callable, Mapping, Optional
 
 from .errors import CapExceededError, ToolkitError, VocabularyMismatchError
 from .game import (DEFAULT_PLAY_CAP, CoKleisli, Game, LawReport, WinningSet, chain_error,
-                   law_report, lift_along_prefixes, prefix_hom_error, prefixes)
+                   law_report, lift_along_prefixes, prefix_hom_error, prefixes, walk_tree)
 from .structures import Elem, Structure, is_partial_hom, is_partial_iso
 
 Play = tuple  # nonempty tuple of elements
@@ -134,27 +134,20 @@ def decide_exist_ef(a: Structure, b: Structure, k: int) -> ExistResult:
 
 def audit_spoiler_tree(node: SpoilerNode, a: Structure, b: Structure, k: int) -> tuple[bool, str]:
     """Re-check a Spoiler tree using only partial-map audits (no game solving)."""
-    def walk(nd: SpoilerNode, pairs: list, depth: int) -> tuple[bool, str]:
-        if depth > k:
-            return False, f"tree deeper than {k} rounds"
+    def step(nd: Optional[SpoilerNode], pairs: tuple):
+        if nd is None:
+            if is_partial_hom(pairs, a, b):
+                return f"leaf after reply {pairs[-1][1]!r} is still a partial homomorphism"
+            return ()
+        if len(pairs) >= k:
+            return f"tree deeper than {k} rounds"
         if nd.move not in a.index:
-            return False, f"move {nd.move!r} outside source universe"
-        seen = {y for y, _ in nd.branches}
-        if seen != set(b.universe):
-            if b.universe:
-                return False, f"replies not exhaustive at move {nd.move!r}"
-        for y, child in nd.branches:
-            here = pairs + [(nd.move, y)]
-            if child is None:
-                if is_partial_hom(here, a, b):
-                    return False, f"leaf after reply {y!r} is still a partial homomorphism"
-            else:
-                ok, why = walk(child, here, depth + 1)
-                if not ok:
-                    return ok, why
-        return True, "ok"
+            return f"move {nd.move!r} outside source universe"
+        if b.universe and {y for y, _ in nd.branches} != set(b.universe):
+            return f"replies not exhaustive at move {nd.move!r}"
+        return [(child, pairs + ((nd.move, y),)) for y, child in nd.branches]
 
-    return walk(node, [], 1)
+    return walk_tree(node, (), step)
 
 
 def check_ef_laws(a: Structure, k: int, cap: int = DEFAULT_PLAY_CAP) -> LawReport:

@@ -33,7 +33,7 @@ from . import ef as ef_mod
 from . import modal as modal_mod
 from . import pebbling as pebble_mod
 from .errors import CapExceededError, ToolkitError, VocabularyMismatchError
-from .game import Game, WinningSet
+from .game import Game, WinningSet, walk_tree
 from .structures import Elem, Structure, check_hom, is_partial_iso
 
 GAMES: dict[str, Game] = {g.name: g for g in (ef_mod.GAME, pebble_mod.GAME, modal_mod.GAME)}
@@ -112,7 +112,6 @@ class PebbleBFNode:
 @dataclass(frozen=True)
 class BackForthResult:
     wins: bool
-    comonad: str
     duplicator: Optional[Mapping] = None  # (s, t) -> {(side, moved-node): reply-node}
     spoiler: Optional[SpoilerBFNode] = None
     safe_positions: Optional[frozenset] = None
@@ -188,7 +187,7 @@ def solve_back_forth(a: Structure, b: Structure, k: int, comonad: str,
                     seen.add((s2, t2))
                     queue.append((s2, t2))
             entries[(s, t)] = here
-        return BackForthResult(True, comonad, duplicator=entries)
+        return BackForthResult(True, duplicator=entries)
 
     def spoiler(s: tuple, t: tuple) -> SpoilerBFNode:
         cs, ct = children(a, s), children(b, t)
@@ -209,7 +208,7 @@ def solve_back_forth(a: Structure, b: Structure, k: int, comonad: str,
                     return SpoilerBFNode(side, m, tuple(replies))
         raise ToolkitError("internal: losing position without a winning Spoiler move")
 
-    return BackForthResult(False, comonad, spoiler=spoiler(root_s, root_t))
+    return BackForthResult(False, spoiler=spoiler(root_s, root_t))
 
 
 def audit_bf_duplicator(entries: Mapping, a: Structure, b: Structure, k: int,
@@ -252,37 +251,34 @@ def audit_bf_spoiler(node: SpoilerBFNode, a: Structure, b: Structure, k: int,
     w = w or g.winning
     root = g.root(a), g.root(b)
 
-    def walk(nd: SpoilerBFNode, s: tuple, t: tuple) -> tuple[bool, str]:
+    def step(nd: Optional[SpoilerBFNode], st: tuple):
+        s, t = st
         d = g.depth(s)
+        if nd is None:
+            if d != k:
+                return "terminal claim before the final round"
+            if w.holds(s, t, a, b):
+                return f"final position {s!r}/{t!r} lies in the winning set"
+            return ()
         cs = g.children(a, s) if d < k else []
         ct = g.children(b, t) if d < k else []
         if nd.side is None:
             if cs or ct:
-                return False, "stall claimed at a position with moves"
+                return "stall claimed at a position with moves"
             if w.holds(s, t, a, b):
-                return False, "stalled position lies in the winning set"
-            return True, "ok"
+                return "stalled position lies in the winning set"
+            return ()
         if d >= k:
-            return False, "Spoiler move after the final round"
+            return "Spoiler move after the final round"
         mine, theirs = (cs, ct) if nd.side == "A" else (ct, cs)
         if nd.move not in mine:
-            return False, f"move {nd.move!r} is not an immediate successor"
+            return f"move {nd.move!r} is not an immediate successor"
         if [r for r, _ in nd.branches] != theirs:
-            return False, "replies not exhaustive"
-        for r, child in nd.branches:
-            s2, t2 = (nd.move, r) if nd.side == "A" else (r, nd.move)
-            if child is None:
-                if g.depth(s2) != k:
-                    return False, "terminal claim before the final round"
-                if w.holds(s2, t2, a, b):
-                    return False, f"final position {s2!r}/{t2!r} lies in the winning set"
-            else:
-                ok, why = walk(child, s2, t2)
-                if not ok:
-                    return ok, why
-        return True, "ok"
+            return "replies not exhaustive"
+        return [(child, (nd.move, r) if nd.side == "A" else (r, nd.move))
+                for r, child in nd.branches]
 
-    return walk(node, *root)
+    return walk_tree(node, root, step)
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +315,10 @@ def _solve_pebble_backforth(a: Structure, b: Structure, k: int) -> BackForthResu
             if is_partial_iso(_pebble_position_pairs(pos), a, b)}
     safe, trace = pebble_mod.delete_to_fixpoint(good, obligations)
     if frozenset() in safe:
-        return BackForthResult(True, "pebble", safe_positions=frozenset(safe))
+        return BackForthResult(True, safe_positions=frozenset(safe))
     spoiler = pebble_mod.refutation(trace, frozenset(), obligations,
                                     lambda pos, move, branches: PebbleBFNode(pos, *move, branches))
-    return BackForthResult(False, "pebble", pebble_spoiler=spoiler)
+    return BackForthResult(False, pebble_spoiler=spoiler)
 
 
 def audit_pebble_safe(safe: frozenset, a: Structure, b: Structure, k: int) -> tuple[bool, str]:
@@ -330,7 +326,7 @@ def audit_pebble_safe(safe: frozenset, a: Structure, b: Structure, k: int) -> tu
     isomorphisms, and be closed under every Spoiler move."""
     if frozenset() not in safe:
         return False, "empty placement missing from the safe set"
-    for pos in safe:
+    for pos in pebble_mod.in_declaration_order(safe, pebble_mod.declaration_rank(a, b)):
         if not is_partial_iso(_pebble_position_pairs(pos), a, b):
             return False, "safe position is not a partial isomorphism"
         if any(i < 1 or i > k for i, _, _ in pos):
@@ -348,40 +344,28 @@ def audit_pebble_safe(safe: frozenset, a: Structure, b: Structure, k: int) -> tu
 
 def audit_pebble_spoiler(node: PebbleBFNode, a: Structure, b: Structure,
                          k: int) -> tuple[bool, str]:
-    seen: set[int] = set()
-
-    def walk(nd: PebbleBFNode, expected: frozenset) -> tuple[bool, str]:
-        if id(nd) in seen:
-            return False, "refutation revisits a node along a path"
-        seen.add(id(nd))
-        try:
-            if nd.pos != expected:
-                return False, "position does not match the play so far"
-            if not is_partial_iso(_pebble_position_pairs(nd.pos), a, b):
-                return False, "interior position is not a partial isomorphism"
-            if not (1 <= nd.index <= k):
-                return False, "pebble index out of range"
-            rest = frozenset(tr for tr in nd.pos if tr[0] != nd.index)
-            others = b.universe if nd.side == "A" else a.universe
-            if [r for r, _ in nd.branches] != list(others):
-                return False, "replies not exhaustive"
-            for r, child in nd.branches:
-                np = rest | ({(nd.index, nd.elem, r)} if nd.side == "A"
-                             else {(nd.index, r, nd.elem)})
-                if child is None:
-                    if is_partial_iso(_pebble_position_pairs(np), a, b):
-                        return False, "reply claimed losing but placements form a partial iso"
-                else:
-                    ok, why = walk(child, np)
-                    if not ok:
-                        return ok, why
-            return True, "ok"
-        finally:
-            seen.discard(id(nd))
+    def step(nd: Optional[PebbleBFNode], expected: frozenset):
+        if nd is None:
+            if is_partial_iso(_pebble_position_pairs(expected), a, b):
+                return "reply claimed losing but placements form a partial iso"
+            return ()
+        if nd.pos != expected:
+            return "position does not match the play so far"
+        if not is_partial_iso(_pebble_position_pairs(nd.pos), a, b):
+            return "interior position is not a partial isomorphism"
+        if not (1 <= nd.index <= k):
+            return "pebble index out of range"
+        rest = frozenset(tr for tr in nd.pos if tr[0] != nd.index)
+        others = b.universe if nd.side == "A" else a.universe
+        if [r for r, _ in nd.branches] != list(others):
+            return "replies not exhaustive"
+        return [(child, rest | ({(nd.index, nd.elem, r)} if nd.side == "A"
+                                else {(nd.index, r, nd.elem)}))
+                for r, child in nd.branches]
 
     if node.pos != frozenset():
         return False, "root is not the empty placement"
-    return walk(node, frozenset())
+    return walk_tree(node, frozenset(), step)
 
 
 # ---------------------------------------------------------------------------
@@ -548,17 +532,23 @@ def decide_cokleisli_iso(a: Structure, b: Structure, k: int, comonad: str = "ef"
     f: dict = {}
     fstar: dict = {}
     used: set = set()
-
-    def dfs(i: int) -> Optional[IsoResult]:
-        nonlocal nodes_budget
+    # Depth-first along plays_a with an explicit stack holding, per play, the
+    # replies not yet tried; a last level past the final play marks a full table.
+    stack = [iter(b.universe)]
+    while stack:
+        i = len(stack) - 1
         if i == len(plays_a):
             inv = {fstar[s]: s for s in plays_a}
             back = {t: inv[t][-1] for t in plays_b}
             if check_hom(back, lifted_b, a):
                 return IsoResult(True, forward=dict(f), backward=back)
-            return None
+            stack.pop()
+            continue
         s = plays_a[i]
-        for y in b.universe:
+        if s in f:  # the reply tried last led to no witness
+            used.discard(fstar.pop(s))
+            del f[s]
+        for y in stack[-1]:
             nodes_budget -= 1
             if nodes_budget < 0:
                 raise CapExceededError("coKleisli isomorphism search budget exceeded")
@@ -566,21 +556,17 @@ def decide_cokleisli_iso(a: Structure, b: Structure, k: int, comonad: str = "ef"
             if st in used or st not in playset_b:
                 continue
             f[s] = y
-            ok = all(tuple(f[c] for c in combo) in b.tuples(name)
-                     for name, combo in constraints[s])
-            if ok:
+            if all(tuple(f[c] for c in combo) in b.tuples(name)
+                   for name, combo in constraints[s]):
                 fstar[s] = st
                 used.add(st)
-                res = dfs(i + 1)
-                if res is not None:
-                    return res
-                used.discard(st)
-                del fstar[s]
+                break
             del f[s]
-        return None
-
-    res = dfs(0)
-    return res if res is not None else IsoResult(False)
+        else:
+            stack.pop()
+            continue
+        stack.append(iter(b.universe))
+    return IsoResult(False)
 
 
 def audit_iso_pair(forward: Mapping, backward: Mapping, a: Structure, b: Structure,

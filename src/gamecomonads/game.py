@@ -9,9 +9,10 @@ the module attribute up at call time.
 
 This module also holds the pieces the constructions would otherwise repeat:
 the play cap, the winning-set type, the lifting of a structure along play
-prefixes with its homomorphism check, the one comonad-law report, and the one
+prefixes with its homomorphism check, the one comonad-law report, the one
 coKleisli morphism record (a total table on the plays of a round-bounded
-game) with its counit and composition.
+game) with its counit and composition, and the one Spoiler-tree walk that the
+refutation audits and the certificate writer run on.
 """
 
 from __future__ import annotations
@@ -111,6 +112,23 @@ def prefix_hom_error(alpha: Mapping[Elem, tuple], a: Structure,
             if why is not None:
                 return f"homomorphism fails on {name}{tup!r}: {why}"
     return None
+
+
+def walk_tree(root, state, step: Callable) -> tuple[bool, str]:
+    """Visit a Spoiler tree in preorder with an explicit stack, so a deep tree
+    does not exhaust the interpreter's recursion limit.
+
+    `step(node, state)` is called on each node, and on None for a reply
+    claimed to lose at once.  It returns the reason the node fails, or the
+    node's (child, state) pairs in branch order.  The walk stops at the first
+    failure."""
+    todo = [(root, state)]
+    while todo:
+        got = step(*todo.pop())
+        if isinstance(got, str):
+            return False, got
+        todo.extend(reversed(got))
+    return True, "ok"
 
 
 @dataclass(frozen=True)

@@ -141,10 +141,6 @@ def is_existential_positive(phi: Formula) -> bool:
     return False
 
 
-def is_sentence(phi: Formula) -> bool:
-    return not free_vars(phi)
-
-
 def evaluate(a: Structure, phi: Formula, env: Optional[Mapping[str, object]] = None) -> bool:
     """Standard satisfaction; counting quantifiers count distinct witnesses."""
     env = dict(env) if env else {}

@@ -1,5 +1,6 @@
 """Depth-bounded unravelling of pointed structures over vocabularies of arity
-<= 2, plus decisions of depth-k simulation and bisimulation.
+<= 2, the decision of depth-k simulation, and a partition-refinement check of
+depth-k bisimilarity.
 
 A path is stored flat: (a0, label1, a1, label2, a2, ...), always of odd length,
 starting at the distinguished element and following transitions.
@@ -11,7 +12,8 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .errors import ArityError, CapExceededError, PointError, ToolkitError, VocabularyMismatchError
-from .game import DEFAULT_PLAY_CAP, CoKleisli, Game, LawReport, WinningSet, law_report
+from .game import (DEFAULT_PLAY_CAP, CoKleisli, Game, LawReport, WinningSet, law_report,
+                   walk_tree)
 from .structures import Elem, Structure
 
 Path = tuple
@@ -202,58 +204,22 @@ def decide_sim_k(a: Structure, b: Structure, k: int) -> SimResult:
 def audit_modal_spoiler(node: ModalSpoilerNode, a: Structure, b: Structure,
                         k: int) -> tuple[bool, str]:
     """Audit a simulation refutation without re-solving."""
-    def walk(nd: ModalSpoilerNode, x: Elem, y: Elem, d: int) -> tuple[bool, str]:
+    def step(nd: ModalSpoilerNode, at: tuple):
+        x, y, d = at
         if nd.fail is not None:
             if (x,) in a.tuples(nd.fail) and (y,) not in b.tuples(nd.fail):
-                return True, "ok"
-            return False, f"claimed unary failure {nd.fail!r} does not hold at ({x!r}, {y!r})"
+                return ()
+            return f"claimed unary failure {nd.fail!r} does not hold at ({x!r}, {y!r})"
         if d <= 0:
-            return False, "move played after the round budget"
+            return "move played after the round budget"
         if (x, nd.move) not in a.tuples(nd.label):
-            return False, f"move {nd.label}:{nd.move!r} is not a transition of the source"
+            return f"move {nd.label}:{nd.move!r} is not a transition of the source"
         replies = [y2 for lab, y2 in successors(b, y) if lab == nd.label]
         if sorted(map(repr, (y2 for y2, _ in nd.branches))) != sorted(map(repr, replies)):
-            return False, "replies not exhaustive"
-        for y2, child in nd.branches:
-            ok, why = walk(child, nd.move, y2, d - 1)
-            if not ok:
-                return ok, why
-        return True, "ok"
+            return "replies not exhaustive"
+        return [(child, (nd.move, y2, d - 1)) for y2, child in nd.branches]
 
-    return walk(node, a.point, b.point, k)
-
-
-def decide_bisim_k(a: Structure, b: Structure, k: int) -> bool:
-    """Depth-k bisimilarity of the points: unary agreement plus matched
-    forth/back transition steps, by memoized recursion."""
-    require_modal(a)
-    require_modal(b)
-    if a.vocab != b.vocab:
-        raise VocabularyMismatchError("decide_bisim_k requires a shared vocabulary")
-    unaries = unary_symbols(a)
-    memo: dict[tuple[Elem, Elem, int], bool] = {}
-
-    def bisim(x: Elem, y: Elem, d: int) -> bool:
-        key = (x, y, d)
-        if key in memo:
-            return memo[key]
-        res = all(((x,) in a.tuples(s)) == ((y,) in b.tuples(s)) for s in unaries)
-        if res and d > 0:
-            for label, x2 in successors(a, x):
-                if not any(lab == label and bisim(x2, y2, d - 1)
-                           for lab, y2 in successors(b, y)):
-                    res = False
-                    break
-            if res:
-                for label, y2 in successors(b, y):
-                    if not any(lab == label and bisim(x2, y2, d - 1)
-                               for lab, x2 in successors(a, x)):
-                        res = False
-                        break
-        memo[key] = res
-        return res
-
-    return bisim(a.point, b.point, k)
+    return walk_tree(node, (a.point, b.point, k), step)
 
 
 def bisim_oracle(a: Structure, b: Structure, k: int) -> bool:

@@ -590,7 +590,7 @@ def _min_coloring(vertices, conflicts: set[tuple], limit: int) -> Optional[dict]
 
         return dict(colors) if rec(0) else None
 
-    for bound in range(1, limit + 1):
+    for bound in range(limit + 1):
         got = attempt(bound)
         if got is not None:
             return got
@@ -674,7 +674,6 @@ def min_pebble_forest_cover(g: Graph, cap: int = DEFAULT_VERTEX_CAP) -> PebbleFo
 
 @dataclass(frozen=True)
 class KappaResult:
-    comonad: str
     kappa: int
     coalgebra: CoalgebraMap
     cover: Optional[ForestCover] = None
@@ -698,22 +697,18 @@ def _kappa_ef(a: Structure, cap: int) -> KappaResult:
         raise CapExceededError(f"{len(g.vertices)} vertices exceeds the search cap {cap}")
     cover = min_height_forest_cover(g)
     kappa = max(1, cover.height())
-    return KappaResult("ef", kappa, forest_cover_to_coalgebra(cover, kappa, a), cover=cover)
+    return KappaResult(kappa, forest_cover_to_coalgebra(cover, kappa, a), cover=cover)
 
 
 def _kappa_pebble(a: Structure, cap: int) -> KappaResult:
-    g = gaifman(a)
-    if len(g.vertices) == 0:
-        empty = PebbleForestCover(ForestCover((), {}), {})
-        return KappaResult("pebble", 1, CoalgebraMap("pebble", 1, a, {}), pfc=empty)
-    pfc = min_pebble_forest_cover(g, cap)
+    pfc = min_pebble_forest_cover(gaifman(a), cap)
     kappa = max(1, max(pfc.pebbles.values(), default=0))
-    return KappaResult("pebble", kappa, pfc_to_pebble_coalgebra(pfc, kappa, a), pfc=pfc)
+    return KappaResult(kappa, pfc_to_pebble_coalgebra(pfc, kappa, a), pfc=pfc)
 
 
 def _kappa_modal(a: Structure, cap: int) -> KappaResult:
     c = modal_coalgebra(a)
-    return KappaResult("modal", c.k, c)
+    return KappaResult(c.k, c)
 
 
 _KAPPA_SEARCHES = {"ef": _kappa_ef, "pebble": _kappa_pebble, "modal": _kappa_modal}

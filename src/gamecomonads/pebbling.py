@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import CapExceededError, ToolkitError, VocabularyMismatchError
 from .game import (DEFAULT_PLAY_CAP, Game, LawReport, WinningSet, chain_error, law_report,
-                   lift_along_prefixes, prefix_hom_error, prefixes)
+                   lift_along_prefixes, prefix_hom_error, prefixes, walk_tree)
 from .structures import Elem, Structure, is_partial_hom
 
 Move = tuple  # (pebble index, element)
@@ -201,6 +201,21 @@ def decide_exist_pebble(a: Structure, b: Structure, k: int) -> PebbleResult:
     return PebbleResult(False, refutation=refutation(trace, frozenset(), obligations, node))
 
 
+def declaration_rank(a: Structure, b: Structure) -> Callable[[tuple], tuple]:
+    """Rank a pair (x, y), or a placement (i, x, y), by pebble index and then
+    by the declaration indices of x in `a` and y in `b`; an element outside
+    its universe ranks last."""
+    ia, ib, na, nb = a.index, b.index, len(a.universe), len(b.universe)
+    return lambda m: (*m[:-2], ia.get(m[-2], na), ib.get(m[-1], nb))
+
+
+def in_declaration_order(sets: Iterable, rank: Callable[[tuple], tuple]) -> list:
+    """`sets` (partial maps or placements) sorted by size, then by the sorted
+    ranks of their members, so that an audit meets them, and names its first
+    fault, in the same order whatever the hash seed."""
+    return sorted(sets, key=lambda p: (len(p), sorted(map(rank, p))))
+
+
 def audit_strategy_family(fam: StrategyFamily, a: Structure, b: Structure) -> tuple[bool, str]:
     """Independent audit: partial homs, restriction closure, forth, and the
     pebble-reuse (drop one pair, then extend) property at full domains."""
@@ -210,7 +225,9 @@ def audit_strategy_family(fam: StrategyFamily, a: Structure, b: Structure) -> tu
         return False, "family is empty"
     if frozenset() not in parts:
         return False, "family does not contain the empty map"
-    for part in parts:
+    rank = declaration_rank(a, b)
+    ordered = in_declaration_order(parts, rank)
+    for part in ordered:
         if len(part) > k:
             return False, f"part {sorted(part)!r} exceeds {k} pairs"
         if not is_partial_hom(part, a, b):
@@ -224,13 +241,13 @@ def audit_strategy_family(fam: StrategyFamily, a: Structure, b: Structure) -> tu
             return True
         return any(base | {(x, y)} in parts for y in b.universe)
 
-    for part in parts:
+    for part in ordered:
         if len(part) < k:
             for x in a.universe:
                 if not extends(part, x):
                     return False, f"forth fails at {sorted(part)!r} on {x!r}"
         else:
-            for pair in part:
+            for pair in sorted(part, key=rank):
                 rest = part - {pair}
                 for x in a.universe:
                     if not extends(rest, x):
@@ -241,45 +258,32 @@ def audit_strategy_family(fam: StrategyFamily, a: Structure, b: Structure) -> tu
 def audit_spoiler_positions(node: SpoilerPosition, a: Structure, b: Structure,
                             k: int) -> tuple[bool, str]:
     """Audit a positional refutation: root empty, moves legal, replies
-    exhaustive, terminal maps broken, and strictly decreasing node depth."""
-    seen: set[int] = set()
-
-    def walk(nd: SpoilerPosition, expected: PartialMapSet) -> tuple[bool, str]:
-        if id(nd) in seen:
-            return False, "refutation DAG revisits a node along a path"
-        seen.add(id(nd))
-        try:
-            if nd.pos != expected:
-                return False, "position does not match the play so far"
-            if not is_partial_hom(nd.pos, a, b):
-                return False, "interior position is not a partial homomorphism"
-            if nd.drop is not None:
-                if nd.drop not in nd.pos or nd.child is None:
-                    return False, "drop move malformed"
-                return walk(nd.child, nd.pos - {nd.drop})
-            if nd.place is None or nd.place not in a.index:
-                return False, "placement move malformed"
-            if len(nd.pos) >= k and nd.place not in {x for x, _ in nd.pos}:
-                return False, "placement exceeds the pebble budget"
-            replies = {y for y, _ in nd.branches}
-            if replies != set(b.universe):
-                return False, "replies not exhaustive"
-            for y, child in nd.branches:
-                ext = nd.pos | {(nd.place, y)}
-                if child is None:
-                    if is_partial_hom(ext, a, b):
-                        return False, f"reply {y!r} claimed losing but map is a partial hom"
-                else:
-                    ok, why = walk(child, ext)
-                    if not ok:
-                        return ok, why
-            return True, "ok"
-        finally:
-            seen.discard(id(nd))
+    exhaustive, terminal maps broken, and each position the play so far."""
+    def step(nd: Optional[SpoilerPosition], at: tuple):
+        expected, reply = at
+        if nd is None:
+            if is_partial_hom(expected, a, b):
+                return f"reply {reply!r} claimed losing but map is a partial hom"
+            return ()
+        if nd.pos != expected:
+            return "position does not match the play so far"
+        if not is_partial_hom(nd.pos, a, b):
+            return "interior position is not a partial homomorphism"
+        if nd.drop is not None:
+            if nd.drop not in nd.pos or nd.child is None:
+                return "drop move malformed"
+            return [(nd.child, (nd.pos - {nd.drop}, None))]
+        if nd.place is None or nd.place not in a.index:
+            return "placement move malformed"
+        if len(nd.pos) >= k and nd.place not in {x for x, _ in nd.pos}:
+            return "placement exceeds the pebble budget"
+        if {y for y, _ in nd.branches} != set(b.universe):
+            return "replies not exhaustive"
+        return [(child, (nd.pos | {(nd.place, y)}, y)) for y, child in nd.branches]
 
     if node.pos != frozenset():
         return False, "root position is not the empty map"
-    return walk(node, frozenset())
+    return walk_tree(node, (frozenset(), None), step)
 
 
 def check_pebble_laws(a: Structure, k: int, n: int, cap: int = DEFAULT_PLAY_CAP) -> LawReport:

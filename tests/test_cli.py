@@ -260,21 +260,59 @@ def test_verify_rejects_forest_cover_with_a_claim(files, capsys):
     assert_rejected(files, capsys, cert.read_text() + "claim true\n")
 
 
-@pytest.mark.parametrize("kind,game,head", [("ef-spoiler", "ef", "move a"),
-                                            ("pebble-refutation", "pebble", "- place a")],
-                         ids=["ef-spoiler", "pebble-refutation"])
-def test_verify_a_deep_spoiler_tree(files, kind, game, head):
-    """A 3,000-node chain of Spoiler moves is read without recursion."""
-    n = 3000
-    lines = [f"certificate {kind}", f"game {game}", "k 2", "claim false"]
+LOOP = "vocab R 2\nelem a\nrel R a a\n"
+POINT = "vocab R 2\nelem x\n"
+LOOP_P = "vocab R 2\nvocab P 1\nelem a\nrel R a a\nrel P a\nstart a\n"
+LOOP_NOT_P = "vocab R 2\nvocab P 1\nelem x\nrel R x x\nstart x\n"
+
+
+def _plays(e, n):
+    return "[" + ",".join(e * n) + "]"
+
+
+# kind, game, k, nodes, source, target, rows of node i (nxt: the next node or None), report
+DEEP_CHAINS = [
+    ("ef-spoiler", "ef", 5000, 3000, EDGE, TWOPTS,
+     lambda i, nxt: [f"node {i} move a", f"branch {i} x {nxt or 'lose'}",
+                     f"branch {i} y lose"],
+     "result: false\ndetail: leaf after reply 'x' is still a partial homomorphism"),
+    ("modal-spoiler", "modal", 5000, 3000, LOOP_P, LOOP_NOT_P,
+     lambda i, nxt: ([f"node {i} move R a", f"branch {i} x {nxt}"] if nxt
+                     else [f"node {i} fail P"]),
+     "result: true\ndetail: ok"),
+    ("bf-spoiler", "ef", 1200, 1201, LOOP, POINT,
+     lambda i, nxt: ([f"node {i} side A move {_plays('a', i + 1)}",
+                      f"branch {i} {_plays('x', i + 1)} {nxt}"] if nxt
+                     else [f"node {i} stall"]),
+     "result: true\ndetail: ok"),
+    ("pebble-refutation", "pebble", 1, 3001, EDGE, TWOPTS,
+     lambda i, nxt: ([f"node {i} - place a", f"branch {i} x {nxt or 'lose'}",
+                      f"branch {i} y lose"] if i % 2 == 0
+                     else [f"node {i} (a↦x) drop a", f"child {i} {nxt}"]),
+     "result: false\ndetail: reply 'x' claimed losing but map is a partial hom"),
+    ("pebble-bf-spoiler", "pebble", 1, 3000, EDGE, TWOPTS,
+     lambda i, nxt: [f"node {i} {'(1:a↦x)' if i else '-'} pebble 1 side A elem a",
+                     f"branch {i} x {nxt or 'lose'}", f"branch {i} y lose"],
+     "result: false\ndetail: reply claimed losing but placements form a partial iso"),
+]
+
+
+@pytest.mark.parametrize("kind,game,k,n,source,target,rows,report", DEEP_CHAINS,
+                         ids=[chain[0] for chain in DEEP_CHAINS])
+def test_verify_a_deep_spoiler_tree(tmp_path, kind, game, k, n, source, target, rows, report):
+    """A chain of thousands of Spoiler moves is read and audited down to its
+    last node without recursion."""
+    lines = [f"certificate {kind}", f"game {game}", f"k {k}", "claim false"]
     for i in range(n):
-        lines += [f"node {i} {head}", f"branch {i} x {i + 1 if i + 1 < n else 'lose'}",
-                  f"branch {i} y lose"]
-    cert = files["dir"] / "deep.cert"
+        lines += rows(i, i + 1 if i + 1 < n else None)
+    cert = tmp_path / "deep.cert"
     cert.write_text("\n".join(lines) + "\n")
-    code, out = run(["verify", "--certificate", str(cert), files["edge"], files["twopts"]])
-    assert code == 1
-    assert "result: false" in out
+    (tmp_path / "a.str").write_text(source)
+    (tmp_path / "b.str").write_text(target)
+    code, out = run(["verify", "--certificate", str(cert), str(tmp_path / "a.str"),
+                     str(tmp_path / "b.str")])
+    assert out.endswith(report + "\n")
+    assert code == (0 if "result: true" in report else 1)
 
 
 def test_runs_without_numpy(files):
@@ -286,12 +324,34 @@ def test_runs_without_numpy(files):
               "sys.modules['numpy'] = None\n"
               "from gamecomonads.cli import main\n"
               f"sys.exit(max(main(argv) for argv in {argvs!r}))\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-3000:]
+
+
+def child_env(**extra):
+    """The environment of a child process that imports this checkout's package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, **extra,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_verify_names_the_same_fault_under_every_hash_seed(files):
+    """A pebble family is audited in a fixed order, not in set order, so the
+    first fault `verify` names does not depend on the hash seed."""
+    golden = Path(__file__).with_name("golden") / "equiv-pebble-both-k2-k3-edge.cert"
+    cert = files["dir"] / "family.cert"
+    cert.write_text(golden.read_text().replace("bwd part (b↦v)\n", "bwd part (b↦u)\n"))
+    outs = []
+    for seed in ("0", "1"):
+        proc = subprocess.run([sys.executable, "-m", "gamecomonads.cli", "verify",
+                               "--certificate", str(cert), files["k3"], files["edge"]],
+                              env=child_env(PYTHONHASHSEED=seed), capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 1, proc.stderr[-3000:]
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert "detail: backward: family not closed under restriction" in outs[0]
 
 
 def write_path(tmp_path, n, extra):
@@ -313,6 +373,16 @@ def test_hom_on_a_long_path(tmp_path):
     loop = tmp_path / "loop.str"
     loop.write_text("vocab R 2\nelem a\nrel R a a\n")
     code, out = run(["hom", write_path(tmp_path, 1500, []), str(loop)])
+    assert code == 0
+    assert "result: true" in out
+
+
+def test_equiv_iso_on_large_edgeless_structures(tmp_path):
+    """The coKleisli isomorphism search runs without recursion over 1,640 plays."""
+    edgeless = tmp_path / "edgeless.str"
+    edgeless.write_text("vocab R 2\n" + "".join(f"elem v{i}\n" for i in range(40)))
+    code, out = run(["equiv", "--game", "ef", "--mode", "iso", "-k", "2", str(edgeless),
+                     str(edgeless)])
     assert code == 0
     assert "result: true" in out
 

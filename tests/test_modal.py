@@ -1,5 +1,6 @@
 import pytest
 
+from gamecomonads import equivalence as eq
 from gamecomonads import modal
 from gamecomonads.errors import ArityError, PointError
 from gamecomonads.structures import check_hom, find_hom
@@ -94,21 +95,18 @@ def test_sim_agrees_with_unravel_hom_search():
 def test_bisim_stuck_duplicator():
     one = S(VOCAB_R, ["s", "t"], {"R": [("s", "t")]}, point="s")
     none = S(VOCAB_R, ["u"], {}, point="u")
-    assert not modal.decide_bisim_k(one, none, 1)
+    assert not eq.solve_back_forth(one, none, 1, "modal").wins
     assert not modal.bisim_oracle(one, none, 1)
 
 
 def test_bisim_three_routes_agree():
-    """Direct recursion, the generic game on unravellings, and partition
+    """The generic back-and-forth game on unravellings and partition
     refinement give the same verdict across the pointed pool."""
-    from gamecomonads import equivalence as eq
     pool = pointed_pool(2)
     for a in pool:
         for b in pool:
             for k in (1, 2):
-                direct = modal.decide_bisim_k(a, b, k)
-                assert direct == modal.bisim_oracle(a, b, k)
-                assert direct == eq.solve_back_forth(a, b, k, "modal").wins
+                assert eq.solve_back_forth(a, b, k, "modal").wins == modal.bisim_oracle(a, b, k)
 
 
 def test_bisim_oracle_reflexive_and_unary_sensitive():
@@ -126,7 +124,7 @@ def test_bisim_implies_modal_formula_agreement():
     pool = all_pointed(all_structures_upto((("R", 2), ("S", 1)), 2))[:40]
     for a in pool:
         for b in pool:
-            if modal.decide_bisim_k(a, b, 2):
+            if eq.solve_back_forth(a, b, 2, "modal").wins:
                 for phi in formulas:
                     va = logic.evaluate(a, phi, {logic.MODAL_FREE_VAR: a.point})
                     vb = logic.evaluate(b, phi, {logic.MODAL_FREE_VAR: b.point})

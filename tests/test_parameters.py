@@ -169,6 +169,9 @@ def test_kappa_pebble_examples():
     ok, why = par.check_coalgebra(res.coalgebra)
     assert ok, why
     assert par.oracle_treewidth(gaifman(k3)) == 2
+    empty = par.min_pebble_forest_cover(Graph.build([], []))
+    assert empty.cover.vertices == () and empty.pebbles == {}
+    assert par.coalgebra_number(S(VOCAB_R, [], {}), "pebble").kappa == 1
 
 
 def test_oracle_treedepth_cliques_and_singleton():
