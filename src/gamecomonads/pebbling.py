@@ -258,7 +258,7 @@ def audit_strategy_family(fam: StrategyFamily, a: Structure, b: Structure) -> tu
 def audit_spoiler_positions(node: SpoilerPosition, a: Structure, b: Structure,
                             k: int) -> tuple[bool, str]:
     """Audit a positional refutation: root empty, moves legal, replies
-    exhaustive, terminal maps broken, and each position the play so far."""
+    exhaustive, terminal maps broken, and each position matching the play so far."""
     def step(nd: Optional[SpoilerPosition], at: tuple):
         expected, reply = at
         if nd is None:
