@@ -40,6 +40,12 @@ INPUTS = {
     "c5": ("vocab R 2\nelem v0\nelem v1\nelem v2\nelem v3\nelem v4\n"
            + "".join(f"rel R v{i} v{(i + 1) % 5}\nrel R v{(i + 1) % 5} v{i}\n"
                      for i in range(5))),
+    # two labels: each step of `tcycle` has a same-element reply in `rtcycle` under
+    # the other label first, so a modal position is its last label and element
+    "tcycle": ("vocab R 2\nvocab T 2\nvocab P 1\nelem a\nelem b\nelem c\n"
+               "rel T a b\nrel T b c\nrel T c a\nrel P c\nstart a\n"),
+    "rtcycle": ("vocab R 2\nvocab T 2\nvocab P 1\nelem p\nelem q\nelem r\n"
+                "rel R p q\nrel T p q\nrel R q r\nrel T q r\nrel T r p\nrel P r\nstart p\n"),
 }
 
 
@@ -59,12 +65,7 @@ def jobs():
               ("pebble", "both", 3, "edge", "k3"),  # both-pair failing backward
               ("modal", "both", 3, "chain", "cycle"),
               ("pebble", "backforth", 2, "k3", "twopts")]
-    out = []
-    for game, mode, k, a, b in equiv:
-        name = f"equiv-{game}-{mode}-k{k}-{a}-{b}"
-        out.append((name, ["equiv", "--game", game, "--mode", mode, "-k", str(k),
-                           "--certificate", f"{name}.cert", f"{a}.str", f"{b}.str"],
-                    f"{name}.cert", [a, b]))
+    out = [_equiv_job(*job) for job in equiv]
     for comonad, a in [("ef", "p4"), ("ef", "k3"), ("pebble", "k3"), ("pebble", "p4"),
                        ("modal", "chain")]:
         name = f"param-{comonad}-{a}"
@@ -85,7 +86,18 @@ def jobs():
     # with a vocabulary file that has a unary symbol, so atoms appear in the samples
     out.append(("sample-modal", ["sample", "--fragment", "modal", "-k", "2", "--count", "6",
                                  "--seed", "33", "labelled.str"], None, []))
-    return out
+    # three rounds: a Spoiler tree that repeats a move, a Duplicator table over
+    # repeated moves, and modal games where the last label decides a position
+    later = [("ef", "exists", 3, "edge", "twopts"), ("ef", "backforth", 3, "edge", "edge")]
+    later += [("modal", mode, 3, "tcycle", "rtcycle") for mode in ("exists", "both", "backforth")]
+    return out + [_equiv_job(*job) for job in later]
+
+
+def _equiv_job(game, mode, k, a, b):
+    name = f"equiv-{game}-{mode}-k{k}-{a}-{b}"
+    return (name, ["equiv", "--game", game, "--mode", mode, "-k", str(k),
+                   "--certificate", f"{name}.cert", f"{a}.str", f"{b}.str"],
+            f"{name}.cert", [a, b])
 
 
 def _run(argv) -> tuple[int, str]:
