@@ -13,8 +13,9 @@ from itertools import product
 from typing import Callable, Mapping, Optional
 
 from .errors import CapExceededError, ToolkitError, VocabularyMismatchError
-from .game import (DEFAULT_PLAY_CAP, CoKleisli, Game, LawReport, WinningSet, chain_error,
-                   law_report, lift_along_prefixes, prefix_hom_error, prefixes, walk_tree)
+from .game import (DEFAULT_PLAY_CAP, CoKleisli, Game, LawReport, chain_error, first_replies,
+                   law_report, lift_along_prefixes, prefix_hom_error, prefixes, round_values,
+                   run, spoiler_moves, walk_tree)
 from .structures import Elem, Structure, is_partial_hom, is_partial_iso
 
 Play = tuple  # nonempty tuple of elements
@@ -91,45 +92,20 @@ def decide_exist_ef(a: Structure, b: Structure, k: int) -> ExistResult:
     if k < 1:
         raise ToolkitError("k must be >= 1")
 
-    memo: dict[tuple[Play, Play], bool] = {}
+    value = round_values(GAME, a, b, k, GAME.forth, "A")
+    if value((), ()):
+        return ExistResult(True, strategy=first_replies(GAME, a, b, k, value))
 
-    def ok(s: Play, t: Play) -> bool:
-        return is_partial_hom(list(zip(s, t)), a, b)
-
-    def win(s: Play, t: Play) -> bool:
-        key = (s, t)
-        if key in memo:
-            return memo[key]
-        if not ok(s, t):
-            res = False
-        elif len(s) == k:
-            res = True
-        else:
-            res = all(any(win(s + (x,), t + (y,)) for y in b.universe) for x in a.universe)
-        memo[key] = res
-        return res
-
-    if win((), ()):
-        table: dict[Play, Elem] = {}
-        response: dict[Play, Play] = {(): ()}
-        for s in ef_universe(a, k):
-            t = response[s[:-1]]
-            y = next(y for y in b.universe if win(s, t + (y,)))
-            response[s] = t + (y,)
-            table[s] = y
-        return ExistResult(True, strategy=CoKleisli(GAME, k, a, b, table))
-
-    def spoiler(s: Play, t: Play) -> SpoilerNode:
-        # win(s, t) is False and the current pairs still form a partial hom.
-        x = next(x for x in a.universe
-                 if not any(win(s + (x,), t + (y,)) for y in b.universe))
+    def spoiler(s: Play, t: Play):
+        # value(s, t) is False: Spoiler has a move that every reply loses.
+        _, s2, replies = next(move for move in spoiler_moves(GAME, a, b, s, t, "A")
+                              if not any(value(*pair) for _, pair in move[2]))
         branches = []
-        for y in b.universe:
-            s2, t2 = s + (x,), t + (y,)
-            branches.append((y, None if not ok(s2, t2) else spoiler(s2, t2)))
-        return SpoilerNode(x, tuple(branches))
+        for t2, pair in replies:
+            branches.append((t2[-1], None if value(*pair) is None else (yield spoiler(*pair))))
+        return SpoilerNode(s2[-1], tuple(branches))
 
-    return ExistResult(False, refutation=spoiler((), ()))
+    return ExistResult(False, refutation=run(spoiler((), ())))
 
 
 def audit_spoiler_tree(node: SpoilerNode, a: Structure, b: Structure, k: int) -> tuple[bool, str]:
@@ -173,9 +149,9 @@ GAME = Game(
     universe=ef_universe,
     lifted=ef_structure,
     extend=_extend,
-    winning=WinningSet("ef-partial-iso",
-                       lambda s, t, a, b: is_partial_iso(list(zip(s, t)), a, b),
-                       absorbing=True),
+    winning=lambda s, t, a, b: is_partial_iso(list(zip(s, t)), a, b),
+    forth=lambda s, t, a, b: is_partial_hom(list(zip(s, t)), a, b),
+    position=lambda s, t: frozenset(zip(s, t)),
     coextend=coextend,
     last=counit,
     prefixes=prefixes,

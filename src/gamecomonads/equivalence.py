@@ -1,17 +1,17 @@
 """The registry of the three games, and the equivalences each game induces:
-morphisms both ways, the winning-set-parameterized back-and-forth game, the
-strategy-set fixpoint, and coKleisli isomorphism.
+morphisms both ways, the back-and-forth game, the strategy-set fixpoint, and
+coKleisli isomorphism.
 
 `GAMES` maps each game's name to the `Game` record its module builds; every
 decider here looks the game up once and reads the play tree, lifting and
-built-in winning set from that record.
+winning condition from that record.
 
 Positions of the back-and-forth game are equal-depth pairs of play-tree nodes;
 the initial position pairs the roots: the empty play for the sequence game and
 the one-element paths at the distinguished elements for the modal game.  The
-winning set is data, so other instantiations can be plugged in; the built-in
-instances are partial isomorphism of the play-pair history (sequence game) and
-label-matched histories with pointwise unary agreement (modal).
+winning conditions are partial isomorphism of the play-pair history (sequence
+game) and label-matched histories with pointwise unary agreement (modal); the
+game is solved by `game.round_values` with Spoiler moving on both sides.
 
 The pebble game has no play tree (its universe is infinite), so its
 back-and-forth decision runs on positional states, pebble placements starting
@@ -33,7 +33,7 @@ from . import ef as ef_mod
 from . import modal as modal_mod
 from . import pebbling as pebble_mod
 from .errors import CapExceededError, ToolkitError, VocabularyMismatchError
-from .game import Game, WinningSet, walk_tree
+from .game import Game, round_values, run, spoiler_moves, walk_tree
 from .structures import Elem, Structure, check_hom, is_partial_iso
 
 GAMES: dict[str, Game] = {g.name: g for g in (ef_mod.GAME, pebble_mod.GAME, modal_mod.GAME)}
@@ -55,17 +55,6 @@ def _tree_game(name: str, what: str) -> Game:
     if g.children is None:
         raise ToolkitError(f"{what} is not decided for the {name} game")
     return g
-
-
-# ---------------------------------------------------------------------------
-# Winning sets
-
-
-def table_w(positions: frozenset, name: str = "user-table") -> WinningSet:
-    """A user-supplied winning set given extensionally as position pairs."""
-    def holds(s, t, a, b):
-        return (s, t) in positions
-    return WinningSet(name, holds, absorbing=False)
 
 
 # ---------------------------------------------------------------------------
@@ -118,11 +107,10 @@ class BackForthResult:
     pebble_spoiler: Optional[PebbleBFNode] = None
 
 
-def solve_back_forth(a: Structure, b: Structure, k: int, comonad: str,
-                     w: Optional[WinningSet] = None) -> BackForthResult:
-    """Decide the k-resource back-and-forth game with winning set `w`.
+def solve_back_forth(a: Structure, b: Structure, k: int, comonad: str) -> BackForthResult:
+    """Decide the k-resource back-and-forth game.
 
-    Sequence and modal games run k rounds by backward induction on play pairs;
+    Sequence and modal games run k rounds by backward induction on positions;
     the pebble game runs as an unbounded positional safety game.
     """
     g = game(comonad)
@@ -131,92 +119,54 @@ def solve_back_forth(a: Structure, b: Structure, k: int, comonad: str,
     if k < 1:
         raise ToolkitError("k must be >= 1")
     if g.children is None:
-        if w is not None and w.name != g.winning.name:
-            raise ToolkitError("the positional pebble game fixes its winning set")
         return _solve_pebble_backforth(a, b, k)
-    w = w or g.winning
-    children, depth = g.children, g.depth
-
-    memo: dict[tuple, bool] = {}
+    depth = g.depth
+    value = round_values(g, a, b, k, g.winning, "AB")
     root_s, root_t = g.root(a), g.root(b)
 
-    def win(s: tuple, t: tuple) -> bool:
-        key = (s, t)
-        if key in memo:
-            return memo[key]
-        d = depth(s)
-        cs = children(a, s) if d < k else []
-        ct = children(b, t) if d < k else []
-        if d == k or (not cs and not ct):
-            res = w.holds(s, t, a, b)
-        elif w.absorbing and not w.holds(s, t, a, b):
-            res = False
-        elif cs and not ct:
-            res = False
-        elif ct and not cs:
-            res = False
-        else:
-            res = (all(any(win(s2, t2) for t2 in ct) for s2 in cs)
-                   and all(any(win(s2, t2) for s2 in cs) for t2 in ct))
-        memo[key] = res
-        return res
-
-    if win(root_s, root_t):
+    if value(root_s, root_t):
         entries: dict[tuple, dict] = {}
         queue = [(root_s, root_t)]
         seen = {(root_s, root_t)}
         while queue:
             s, t = queue.pop(0)
-            d = depth(s)
-            if d == k:
-                continue
-            cs, ct = children(a, s), children(b, t)
-            if not cs and not ct:
+            if depth(s) == k:
                 continue
             here: dict = {}
-            for s2 in cs:
-                t2 = next(t2 for t2 in ct if win(s2, t2))
-                here[("A", s2)] = t2
-                if (s2, t2) not in seen:
-                    seen.add((s2, t2))
-                    queue.append((s2, t2))
-            for t2 in ct:
-                s2 = next(s2 for s2 in cs if win(s2, t2))
-                here[("B", t2)] = s2
-                if (s2, t2) not in seen:
-                    seen.add((s2, t2))
-                    queue.append((s2, t2))
-            entries[(s, t)] = here
+            for side, m, replies in spoiler_moves(g, a, b, s, t, "AB"):
+                reply, pair = next((r, pair) for r, pair in replies if value(*pair))
+                here[(side, m)] = reply
+                if pair not in seen:
+                    seen.add(pair)
+                    queue.append(pair)
+            if here:
+                entries[(s, t)] = here
         return BackForthResult(True, duplicator=entries)
 
-    def spoiler(s: tuple, t: tuple) -> SpoilerBFNode:
-        cs, ct = children(a, s), children(b, t)
-        if not cs and not ct:
+    def spoiler(s: tuple, t: tuple, lost: bool):
+        # Spoiler wins from (s, t).  Once a position is lost (outside the
+        # winning set), the values below it are not consulted: any move wins,
+        # and Spoiler takes the first.
+        moves = list(spoiler_moves(g, a, b, s, t, "AB"))
+        if not moves:
             return SpoilerBFNode(None, None)
-        for side, mine, theirs in (("A", cs, ct), ("B", ct, cs)):
-            for m in mine:
-                replies = []
-                okmove = True
-                for r in theirs:
-                    s2, t2 = (m, r) if side == "A" else (r, m)
-                    if win(s2, t2):
-                        okmove = False
-                        break
-                    child = None if depth(s2) == k else spoiler(s2, t2)
-                    replies.append((r, child))
-                if okmove:
-                    return SpoilerBFNode(side, m, tuple(replies))
-        raise ToolkitError("internal: losing position without a winning Spoiler move")
+        side, m, replies = next(move for move in moves
+                                if lost or not any(value(*pair) for _, pair in move[2]))
+        branches = []
+        for r, (s2, t2) in replies:
+            branches.append((r, None if depth(s2) == k
+                             else (yield spoiler(s2, t2, lost or value(s2, t2) is None))))
+        return SpoilerBFNode(side, m, tuple(branches))
 
-    return BackForthResult(False, spoiler=spoiler(root_s, root_t))
+    return BackForthResult(False, spoiler=run(spoiler(root_s, root_t,
+                                                      value(root_s, root_t) is None)))
 
 
 def audit_bf_duplicator(entries: Mapping, a: Structure, b: Structure, k: int,
-                        comonad: str, w: Optional[WinningSet] = None) -> tuple[bool, str]:
+                        comonad: str) -> tuple[bool, str]:
     """Walk the strategy from the root; every Spoiler option must have a reply
     and every final or stalled position must lie in the winning set."""
     g = _tree_game(comonad, "a back-and-forth strategy table")
-    w = w or g.winning
     root = g.root(a), g.root(b)
     queue, seen = [root], {root}
     while queue:
@@ -225,7 +175,7 @@ def audit_bf_duplicator(entries: Mapping, a: Structure, b: Structure, k: int,
         cs = g.children(a, s) if d < k else []
         ct = g.children(b, t) if d < k else []
         if d == k or (not cs and not ct):
-            if not w.holds(s, t, a, b):
+            if not g.winning(s, t, a, b):
                 return False, f"final position {s!r}/{t!r} outside the winning set"
             continue
         here = entries.get((s, t))
@@ -246,9 +196,8 @@ def audit_bf_duplicator(entries: Mapping, a: Structure, b: Structure, k: int,
 
 
 def audit_bf_spoiler(node: SpoilerBFNode, a: Structure, b: Structure, k: int,
-                     comonad: str, w: Optional[WinningSet] = None) -> tuple[bool, str]:
+                     comonad: str) -> tuple[bool, str]:
     g = _tree_game(comonad, "a back-and-forth Spoiler tree")
-    w = w or g.winning
     root = g.root(a), g.root(b)
 
     def step(nd: Optional[SpoilerBFNode], st: tuple):
@@ -257,7 +206,7 @@ def audit_bf_spoiler(node: SpoilerBFNode, a: Structure, b: Structure, k: int,
         if nd is None:
             if d != k:
                 return "terminal claim before the final round"
-            if w.holds(s, t, a, b):
+            if g.winning(s, t, a, b):
                 return f"final position {s!r}/{t!r} lies in the winning set"
             return ()
         cs = g.children(a, s) if d < k else []
@@ -265,7 +214,7 @@ def audit_bf_spoiler(node: SpoilerBFNode, a: Structure, b: Structure, k: int,
         if nd.side is None:
             if cs or ct:
                 return "stall claimed at a position with moves"
-            if w.holds(s, t, a, b):
+            if g.winning(s, t, a, b):
                 return "stalled position lies in the winning set"
             return ()
         if d >= k:
@@ -382,12 +331,11 @@ class ThetaResult:
 
 
 def _enumerate_tables(a: Structure, b: Structure, k: int, g: Game,
-                      w: WinningSet, cap: int) -> tuple[list, list, list]:
-    """All tables f with (s, f*(s)) in W for every play s, found by DFS along
-    the play forest in declaration order.  Pruning mid-branch relies on W
-    being absorbing; otherwise tables are enumerated in full and filtered.
-    Every coextension must also be a play of `b` (a valid path, for modal
-    tables)."""
+                      cap: int) -> tuple[list, list, list]:
+    """All tables f with (s, f*(s)) winning for every play s, found by DFS
+    along the play forest in declaration order, pruning mid-branch since the
+    winning condition is absorbing.  Every coextension must also be a play of
+    `b` (a valid path, for modal tables)."""
     plays = g.universe(a, k)
     plays_b = set(g.universe(b, k))
 
@@ -409,7 +357,7 @@ def _enumerate_tables(a: Structure, b: Structure, k: int, g: Game,
             st = g.extend(fstar, s, y)
             if st not in plays_b:
                 continue
-            if w.absorbing and not w.holds(s, st, a, b):
+            if not g.winning(s, st, a, b):
                 continue
             f[s] = y
             fstar[s] = st
@@ -417,16 +365,10 @@ def _enumerate_tables(a: Structure, b: Structure, k: int, g: Game,
             del f[s], fstar[s]
 
     dfs(0)
-    if not w.absorbing:
-        keep = [i for i, st in enumerate(stars)
-                if all(w.holds(s, st[s], a, b) for s in plays)]
-        tables = [tables[i] for i in keep]
-        stars = [stars[i] for i in keep]
     return plays, tables, stars
 
 
 def theta_fixpoint(a: Structure, b: Structure, k: int, comonad: str = "ef",
-                   w: Optional[WinningSet] = None,
                    cap: int = DEFAULT_TABLE_CAP) -> ThetaResult:
     """Literal descending iteration to the greatest fixpoint of the composite
     inversion operator on strategy-table sets; nonempty iff the back-and-forth
@@ -434,11 +376,9 @@ def theta_fixpoint(a: Structure, b: Structure, k: int, comonad: str = "ef",
     g = _tree_game(comonad, "the strategy-set fixpoint")
     if a.vocab != b.vocab:
         raise VocabularyMismatchError("theta_fixpoint requires a shared vocabulary")
-    w = w or g.winning
-    w_flip = WinningSet(w.name, lambda t, s, bb, aa: w.holds(s, t, aa, bb), w.absorbing)
-
-    plays_a, tabs_s, stars_s = _enumerate_tables(a, b, k, g, w, cap)
-    plays_b, tabs_t, stars_t = _enumerate_tables(b, a, k, g, w_flip, cap)
+    # the winning conditions are symmetric, so tables back from b are judged alike
+    plays_a, tabs_s, stars_s = _enumerate_tables(a, b, k, g, cap)
+    plays_b, tabs_t, stars_t = _enumerate_tables(b, a, k, g, cap)
     idx_a = {s: i for i, s in enumerate(plays_a)}
     idx_b = {t: i for i, t in enumerate(plays_b)}
     fstars = [tuple(idx_b[st[s]] for s in plays_a) for st in stars_s]

@@ -8,18 +8,21 @@ that the benchmark tracer rebinds (the deciders) are wrapped so that they look
 the module attribute up at call time.
 
 This module also holds the pieces the constructions would otherwise repeat:
-the play cap, the winning-set type, the lifting of a structure along play
-prefixes with its homomorphism check, the one comonad-law report, the one
-coKleisli morphism record (a total table on the plays of a round-bounded
-game) with its counit and composition, and the one Spoiler-tree walk that the
-refutation audits and the certificate writer run on.
+the play cap, the lifting of a structure along play prefixes with its
+homomorphism check, the one comonad-law report, the one coKleisli morphism
+record (a total table on the plays of a round-bounded game) with its counit
+and composition, the one Spoiler-tree walk that the refutation audits and the
+certificate writer run on, the one solver of the round-bounded games
+(`round_values`) with the table read off its values (`first_replies`), and
+the driver (`run`) that runs recursion written as generators on an explicit
+stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Callable, Mapping, Optional
+from typing import Callable, Generator, Mapping, Optional
 
 from .errors import ToolkitError
 from .structures import Elem, Structure, check_hom
@@ -31,19 +34,6 @@ DEFAULT_PLAY_CAP = 10 ** 6
 class LawReport:
     ok: bool
     failures: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class WinningSet:
-    """A decidable predicate over equal-depth position pairs.
-
-    `absorbing` promises that once the predicate fails it fails on every
-    extension, which licenses early pruning; the built-ins all have it.
-    """
-
-    name: str
-    holds: Callable[[tuple, tuple, Structure, Structure], bool]
-    absorbing: bool = False
 
 
 def pointwise_law_failure(plays: list, counit: Callable, comult: Callable, fmap: Callable,
@@ -131,6 +121,24 @@ def walk_tree(root, state, step: Callable) -> tuple[bool, str]:
     return True, "ok"
 
 
+def run(gen: Generator):
+    """Run a recursion written as generators on an explicit stack, so its
+    depth is not bounded by the interpreter's recursion limit: a generator
+    makes each recursive call as `(yield f(...))`, where `f(...)` is again
+    such a generator, and receives the value it returns."""
+    stack, result = [gen], None
+    while stack:
+        try:
+            call = stack[-1].send(result)
+        except StopIteration as done:
+            stack.pop()
+            result = done.value
+        else:
+            stack.append(call)
+            result = None
+    return result
+
+
 @dataclass(frozen=True)
 class Game:
     """One game construction, as the deciders, coalgebra checks, certificates
@@ -144,7 +152,13 @@ class Game:
     universe: Optional[Callable[[Structure, int], list]]  # plays of depth <= k
     lifted: Optional[Callable[[Structure, int, int], Structure]]  # (a, k, cap)
     extend: Optional[Callable[[Mapping, tuple, Elem], tuple]]  # f*(s) from f* below s
-    winning: WinningSet  # the built-in winning set of the back-and-forth game
+    # Winning conditions (s, t, a, b) -> bool on equal-depth plays, both
+    # absorbing: of the back-and-forth game, and of the existential game.
+    winning: Optional[Callable[[tuple, tuple, Structure, Structure], bool]]
+    forth: Optional[Callable[[tuple, tuple, Structure, Structure], bool]]
+    # What the value of (s, t) depends on besides its depth, once every
+    # proper prefix of (s, t) meets the winning condition.
+    position: Optional[Callable[[tuple, tuple], object]]
     coextend: Callable
     # Reading a coalgebra play.
     last: Callable[[tuple], Elem]
@@ -192,6 +206,67 @@ class CoKleisli:
     def is_homomorphism(self, cap: int = DEFAULT_PLAY_CAP) -> bool:
         return check_hom(dict(self.table), self.game.lifted(self.source, self.k, cap),
                          self.target)
+
+
+def spoiler_moves(game: Game, a: Structure, b: Structure, s: tuple, t: tuple, sides: str):
+    """Spoiler's moves at (s, t) on each side in `sides` ("A": children of s,
+    "B": children of t), each as (side, move, replies), where a reply is
+    (Duplicator's child, the pair of plays it leads to); all in declaration
+    order."""
+    cs, ct = game.children(a, s), game.children(b, t)
+    for side in sides:
+        mine, theirs = (cs, ct) if side == "A" else (ct, cs)
+        for m in mine:
+            yield side, m, [(r, (m, r) if side == "A" else (r, m)) for r in theirs]
+
+
+def round_values(game: Game, a: Structure, b: Structure, k: int, holds: Callable,
+                 sides: str) -> Callable[[tuple, tuple], Optional[bool]]:
+    """Solve the k-round game from `a` to `b` in which Spoiler moves on the
+    sides in `sides` and Duplicator must keep `holds` (`game.forth` or
+    `game.winning`) true, by backward induction run under `run`.
+
+    The returned `value(s, t)`, for equal-depth plays whose proper prefixes
+    all hold, is True when Duplicator wins from (s, t), False when Spoiler
+    does, and None when (s, t) itself fails `holds`.  The winning conditions
+    are absorbing, so that value is fixed by `game.position(s, t)` and the
+    depth, which is the memo key."""
+    memo: dict = {}
+
+    def solve(s: tuple, t: tuple):
+        key = game.position(s, t), game.depth(s)
+        if key not in memo:
+            won = True if holds(s, t, a, b) else None
+            if won and key[1] < k:
+                for _, _, replies in spoiler_moves(game, a, b, s, t, sides):
+                    for _, pair in replies:
+                        if (yield solve(*pair)):
+                            break
+                    else:
+                        won = False
+                        break
+            memo[key] = won
+        return memo[key]
+
+    return lambda s, t: run(solve(s, t))
+
+
+def first_replies(game: Game, a: Structure, b: Structure, k: int,
+                  value: Callable) -> CoKleisli:
+    """Duplicator's table read off the values of a won existential game: each
+    play of `a` is answered by the first child, in declaration order, of its
+    parent's answer from which Duplicator still wins.  The play universe is
+    listed first, so a table over the play cap is refused before any is built."""
+    plays = game.universe(a, k)
+    reply = {game.root(a): game.root(b)}
+    todo = [game.root(a)]
+    while todo:
+        s = todo.pop()
+        if game.depth(s) < k:
+            for s2 in game.children(a, s):
+                reply[s2] = next(t2 for t2 in game.children(b, reply[s]) if value(s2, t2))
+                todo.append(s2)
+    return CoKleisli(game, k, a, b, {s: game.last(reply[s]) for s in plays})
 
 
 def counit_cokleisli(game: Game, a: Structure, k: int) -> CoKleisli:

@@ -8,12 +8,13 @@ starting at the distinguished element and following transitions.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .errors import ArityError, CapExceededError, PointError, ToolkitError, VocabularyMismatchError
-from .game import (DEFAULT_PLAY_CAP, CoKleisli, Game, LawReport, WinningSet, law_report,
-                   walk_tree)
+from .game import (DEFAULT_PLAY_CAP, CoKleisli, Game, LawReport, first_replies, law_report,
+                   round_values, run, spoiler_moves, walk_tree)
 from .structures import Elem, Structure
 
 Path = tuple
@@ -151,54 +152,26 @@ def decide_sim_k(a: Structure, b: Structure, k: int) -> SimResult:
         raise VocabularyMismatchError("decide_sim_k requires a shared vocabulary")
     if k < 1:
         raise ToolkitError("k must be >= 1")
+    value = round_values(GAME, a, b, k, GAME.forth, "A")
+    if value((a.point,), (b.point,)):
+        return SimResult(True, strategy=first_replies(GAME, a, b, k, value))
     unaries = unary_symbols(a)
 
-    memo: dict[tuple[Elem, Elem, int], bool] = {}
+    def spoiler(s: Path, t: Path):
+        # value(s, t) is falsy and the labels of s and t agree.
+        x, y = s[-1], t[-1]
+        for name in unaries:
+            if (x,) in a.tuples(name) and (y,) not in b.tuples(name):
+                return ModalSpoilerNode(fail=name)
+        _, s2, replies = next(move for move in spoiler_moves(GAME, a, b, s, t, "A")
+                              if not any(value(*pair) for _, pair in move[2]))
+        branches = []
+        for t2, pair in replies:
+            if t2[-2] == s2[-2]:
+                branches.append((t2[-1], (yield spoiler(*pair))))
+        return ModalSpoilerNode(label=s2[-2], move=s2[-1], branches=tuple(branches))
 
-    def atoms_ok(x: Elem, y: Elem) -> bool:
-        return all((y,) in b.tuples(s) for s in unaries if (x,) in a.tuples(s))
-
-    def sim(x: Elem, y: Elem, d: int) -> bool:
-        key = (x, y, d)
-        if key in memo:
-            return memo[key]
-        res = atoms_ok(x, y)
-        if res and d > 0:
-            for label, x2 in successors(a, x):
-                if not any(lab == label and sim(x2, y2, d - 1)
-                           for lab, y2 in successors(b, y)):
-                    res = False
-                    break
-        memo[key] = res
-        return res
-
-    if sim(a.point, b.point, k):
-        table: dict[Path, Elem] = {}
-
-        def fill(s: Path, y: Elem, d: int) -> None:
-            table[s] = y
-            if d == 0:
-                return
-            for label, x2 in successors(a, s[-1]):
-                y2 = next(y2 for lab, y2 in successors(b, y)
-                          if lab == label and sim(x2, y2, d - 1))
-                fill(s + (label, x2), y2, d - 1)
-
-        fill((a.point,), b.point, k)
-        return SimResult(True, strategy=CoKleisli(GAME, k, a, b, table))
-
-    def spoiler(x: Elem, y: Elem, d: int) -> ModalSpoilerNode:
-        for s in unaries:
-            if (x,) in a.tuples(s) and (y,) not in b.tuples(s):
-                return ModalSpoilerNode(fail=s)
-        label, x2 = next((lab, x2) for lab, x2 in successors(a, x)
-                         if not any(l2 == lab and sim(x2, y2, d - 1)
-                                    for l2, y2 in successors(b, y)))
-        branches = tuple((y2, spoiler(x2, y2, d - 1))
-                         for lab, y2 in successors(b, y) if lab == label)
-        return ModalSpoilerNode(label=label, move=x2, branches=branches)
-
-    return SimResult(False, refutation=spoiler(a.point, b.point, k))
+    return SimResult(False, refutation=run(spoiler((a.point,), (b.point,))))
 
 
 def audit_modal_spoiler(node: ModalSpoilerNode, a: Structure, b: Structure,
@@ -266,14 +239,16 @@ def _extend(fstar: Mapping, s: Path, y: Elem) -> Path:
     return fstar[s[:-2]] + (s[-2], y) if len(s) > 1 else (y,)
 
 
-def _matches(s: Path, t: Path, a: Structure, b: Structure) -> bool:
-    """Same labels along both paths and the same unary symbols at each step."""
+def _matches(s: Path, t: Path, a: Structure, b: Structure, agree=operator.eq) -> bool:
+    """Same labels along both paths and, at each step, unary symbols that
+    `agree`: the same ones at both ends (`eq`), or those of the source element
+    at the target too (`le`)."""
     if s[1::2] != t[1::2]:
         return False
     unaries = unary_symbols(a)
     for x, y in zip(s[0::2], t[0::2]):
         for name in unaries:
-            if ((x,) in a.tuples(name)) != ((y,) in b.tuples(name)):
+            if not agree((x,) in a.tuples(name), (y,) in b.tuples(name)):
                 return False
     return True
 
@@ -316,7 +291,9 @@ GAME = Game(
     universe=modal_universe,
     lifted=unravel,
     extend=_extend,
-    winning=WinningSet("modal-match", _matches, absorbing=True),
+    winning=_matches,
+    forth=lambda s, t, a, b: _matches(s, t, a, b, operator.le),
+    position=lambda s, t: (s[-2:], t[-2:]),
     coextend=modal_coextend,
     last=modal_counit,
     prefixes=path_prefixes,

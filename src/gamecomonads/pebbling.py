@@ -23,7 +23,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import CapExceededError, ToolkitError, VocabularyMismatchError
-from .game import (DEFAULT_PLAY_CAP, Game, LawReport, WinningSet, chain_error, law_report,
+from .game import (DEFAULT_PLAY_CAP, Game, LawReport, chain_error, law_report,
                    lift_along_prefixes, prefix_hom_error, prefixes, walk_tree)
 from .structures import Elem, Structure, is_partial_hom
 
@@ -314,7 +314,9 @@ GAME = Game(
     lifted=None,
     extend=None,
     # the positional game checks partial isomorphism of the placements itself
-    winning=WinningSet("pebble-partial-iso", lambda s, t, a, b: True, absorbing=True),
+    winning=None,
+    forth=None,
+    position=None,
     coextend=pebble_coextend,
     last=pebble_counit,
     prefixes=prefixes,

@@ -396,3 +396,44 @@ def test_sample_modal_on_the_default_vocabulary():
             formulas = out.split("# sampler:")[1].splitlines()[1:]
             assert len(formulas) == 3
             assert all(len(line) < 1000 for line in formulas), (seed, k)
+
+
+LOOP_PTD = "vocab R 2\nelem a\nrel R a a\nstart a\n"
+
+# game, mode, k, source, target, verdict
+DEEP_GAMES = [
+    ("ef", "exists", 200, LOOP, LOOP, "true"),
+    ("ef", "backforth", 500, LOOP, LOOP, "true"),
+    ("modal", "exists", 1500, LOOP_PTD, LOOP_PTD, "true"),
+    ("modal", "backforth", 1500, LOOP_PTD, LOOP_PTD, "true"),
+    # Spoiler repeats his first move until the last round: a tree 1,000 rounds deep
+    ("ef", "exists", 1000, EDGE, TWOPTS, "false"),
+]
+
+
+@pytest.mark.parametrize("game,mode,k,source,target,verdict", DEEP_GAMES,
+                         ids=[f"{g}-{m}-k{k}" for g, m, k, *_ in DEEP_GAMES])
+def test_equiv_with_many_rounds(tmp_path, game, mode, k, source, target, verdict):
+    """The round-bounded solvers and their Spoiler-tree builders run without
+    recursion, so a game of more rounds than the interpreter's recursion limit
+    ends in a verdict whose certificate verifies."""
+    (tmp_path / "a.str").write_text(source)
+    (tmp_path / "b.str").write_text(target)
+    files = [str(tmp_path / "a.str"), str(tmp_path / "b.str")]
+    cert = str(tmp_path / "deep.cert")
+    code, out = run(["equiv", "--game", game, "--mode", mode, "-k", str(k),
+                     "--certificate", cert] + files)
+    assert f"\nresult: {verdict}\n" in out
+    assert code == (0 if verdict == "true" else 1)
+    code, out = run(["verify", "--certificate", cert] + files)
+    assert code == 0 and "\nresult: true\n" in out, out
+
+
+def test_equiv_refuses_a_table_over_the_play_cap(files):
+    """K3 to K3 is won, but its 13-round table would have 2,391,483 plays: the
+    command stops at the play cap before it builds any of it."""
+    proc = subprocess.run([sys.executable, "-m", "gamecomonads.cli", "equiv", "--game", "ef",
+                           "--mode", "exists", "-k", "13", files["k3"], files["k3"]],
+                          env=child_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3, proc.stderr[-3000:]
+    assert "play universe has 2391483 elements, cap is 1000000" in proc.stderr

@@ -260,14 +260,3 @@ def test_logical_soundness_sampled():
             for phi in counting:
                 assert logic.evaluate(a, phi) == logic.evaluate(b, phi)
 
-
-def test_user_supplied_winning_set():
-    """A winning set given as an explicit position table plugs into the
-    solver; making every position winning trivializes the game."""
-    always = eq.WinningSet("all", lambda s, t, a, b: True, absorbing=False)
-    res = eq.solve_back_forth(EDGE, TWOPTS, 2, "ef", w=always)
-    assert res.wins
-    positions = frozenset()
-    never = eq.table_w(positions, "empty-table")
-    res2 = eq.solve_back_forth(EDGE, EDGE, 1, "ef", w=never)
-    assert not res2.wins
