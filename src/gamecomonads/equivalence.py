@@ -120,7 +120,6 @@ def solve_back_forth(a: Structure, b: Structure, k: int, comonad: str) -> BackFo
         raise ToolkitError("k must be >= 1")
     if g.children is None:
         return _solve_pebble_backforth(a, b, k)
-    depth = g.depth
     value = round_values(g, a, b, k, g.winning, "AB")
     root_s, root_t = g.root(a), g.root(b)
 
@@ -130,7 +129,7 @@ def solve_back_forth(a: Structure, b: Structure, k: int, comonad: str) -> BackFo
         seen = {(root_s, root_t)}
         while queue:
             s, t = queue.pop(0)
-            if depth(s) == k:
+            if g.depth(s) == k:
                 continue
             here: dict = {}
             for side, m, replies in spoiler_moves(g, a, b, s, t, "AB"):
@@ -154,7 +153,7 @@ def solve_back_forth(a: Structure, b: Structure, k: int, comonad: str) -> BackFo
                                 if lost or not any(value(*pair) for _, pair in move[2]))
         branches = []
         for r, (s2, t2) in replies:
-            branches.append((r, None if depth(s2) == k
+            branches.append((r, None if g.depth(s2) == k
                              else (yield spoiler(s2, t2, lost or value(s2, t2) is None))))
         return SpoilerBFNode(side, m, tuple(branches))
 

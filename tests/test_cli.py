@@ -406,7 +406,7 @@ DEEP_GAMES = [
     ("ef", "backforth", 500, LOOP, LOOP, "true"),
     ("modal", "exists", 1500, LOOP_PTD, LOOP_PTD, "true"),
     ("modal", "backforth", 1500, LOOP_PTD, LOOP_PTD, "true"),
-    # Spoiler repeats his first move until the last round: a tree 1,000 rounds deep
+    # Spoiler repeats the first move until the last round: a tree 1,000 rounds deep
     ("ef", "exists", 1000, EDGE, TWOPTS, "false"),
 ]
 
