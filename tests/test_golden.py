@@ -25,6 +25,13 @@ from gamecomonads import cli
 GOLDEN = Path(__file__).with_name("golden")
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+
+def _cycle(n: int) -> str:
+    return ("vocab R 2\n" + "".join(f"elem v{i}\n" for i in range(n))
+            + "".join(f"rel R v{i} v{(i + 1) % n}\nrel R v{(i + 1) % n} v{i}\n"
+                      for i in range(n)))
+
+
 INPUTS = {
     "edge": "vocab R 2\nelem a\nelem b\nrel R a b\nrel R b a\n",
     "twopts": "vocab R 2\nelem x\nelem y\n",
@@ -37,9 +44,9 @@ INPUTS = {
            "rel R x y\nrel R y x\nrel R y z\nrel R z y\n"),
     "labelled": "vocab R 2\nvocab S 1\nelem a\nelem b\nrel R a b\nrel S b\nstart a\n",
     "marked": "vocab R 2\nvocab S 1\nelem p\nelem q\nrel R p q\nstart p\n",
-    "c5": ("vocab R 2\nelem v0\nelem v1\nelem v2\nelem v3\nelem v4\n"
-           + "".join(f"rel R v{i} v{(i + 1) % 5}\nrel R v{(i + 1) % 5} v{i}\n"
-                     for i in range(5))),
+    "c5": _cycle(5),
+    "c6": _cycle(6),
+    "c7": _cycle(7),
     # two labels: each step of `tcycle` has a same-element reply in `rtcycle` under
     # the other label first, so a modal position is its last label and element
     "tcycle": ("vocab R 2\nvocab T 2\nvocab P 1\nelem a\nelem b\nelem c\n"
@@ -90,6 +97,9 @@ def jobs():
     # repeated moves, and modal games where the last label decides a position
     later = [("ef", "exists", 3, "edge", "twopts"), ("ef", "backforth", 3, "edge", "edge")]
     later += [("modal", mode, 3, "tcycle", "rtcycle") for mode in ("exists", "both", "backforth")]
+    # pebble refutations that take several deletion passes: 4 for C5 against C6,
+    # 7 for C7 into C6
+    later += [("pebble", "backforth", 3, "c5", "c6"), ("pebble", "exists", 3, "c7", "c6")]
     return out + [_equiv_job(*job) for job in later]
 
 
