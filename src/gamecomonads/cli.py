@@ -84,18 +84,18 @@ def _cmd_equiv(args) -> tuple[int, list[str]]:
                  input_a=args.a, input_b=args.b)
     cert = None
     if args.mode == "exists":
-        res = g.decide(a, b, k)
+        res = g.decide(a, b, k, args.cap_plays)
         verdict = res.wins
         cert = _verdict_certificate(g.exists_kinds, g.name, k, res, a, b)
     elif args.mode == "both":
-        fwd = g.decide(a, b, k)
+        fwd = g.decide(a, b, k, args.cap_plays)
         if not fwd.wins:
             verdict = False
             cert = cert_mod.cert_both(
                 g.name, k, _verdict_certificate(g.exists_kinds, g.name, k, fwd, a, b), None,
                 failing="fwd")
         else:
-            bwd = g.decide(b, a, k)
+            bwd = g.decide(b, a, k, args.cap_plays)
             verdict = bwd.wins
             bwd_cert = _verdict_certificate(g.exists_kinds, g.name, k, bwd, b, a)
             if verdict:
@@ -105,7 +105,7 @@ def _cmd_equiv(args) -> tuple[int, list[str]]:
             else:
                 cert = cert_mod.cert_both(g.name, k, None, bwd_cert, failing="bwd")
     elif args.mode == "backforth":
-        res = eq_mod.solve_back_forth(a, b, k, g.name)
+        res = eq_mod.solve_back_forth(a, b, k, g.name, cap=args.cap_plays)
         verdict = res.wins
         cert = _verdict_certificate(g.backforth_kinds, g.name, k, res, a, b)
     elif args.mode == "iso":

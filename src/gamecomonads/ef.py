@@ -157,7 +157,7 @@ GAME = Game(
     prefixes=prefixes,
     play_error=_play_error,
     hom_error=lambda alpha, a: prefix_hom_error(alpha, a, None),
-    decide=lambda a, b, k: decide_exist_ef(a, b, k),
+    decide=lambda a, b, k, cap: decide_exist_ef(a, b, k),
     laws=lambda a, k, trunc, cap: check_ef_laws(a, k, cap=cap),
     exists_kinds=("ef-table", "ef-spoiler"),
     backforth_kinds=("bf-duplicator", "bf-spoiler"),

@@ -18,22 +18,25 @@ back-and-forth decision runs on positional states, pebble placements starting
 from the empty one, with unbounded rounds: a safety greatest fixpoint whose
 winning condition is partial isomorphism of the current placements.  It is
 computed by the deletion engine of the existential pebble game
-(`pebbling.delete_to_fixpoint`), fed with this game's placements and Spoiler
-moves.  The strategy-set fixpoint and coKleisli isomorphism are decided for
-the sequence and modal games only.
+(`pebbling.delete_to_fixpoint`), fed with this game's placements, grown one
+pebble index at a time, and its Spoiler moves.  A move is keyed by the
+placement without the moved pebble together with the move, and a placement
+answers one key per pebble on the board and side.  `solve_back_forth` refuses
+a pebble game whose (1 + |A|·|B|)^k candidate placements exceed its cap.  The
+strategy-set fixpoint and coKleisli isomorphism are decided for the sequence
+and modal games only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
 from typing import Mapping, Optional
 
 from . import ef as ef_mod
 from . import modal as modal_mod
 from . import pebbling as pebble_mod
 from .errors import CapExceededError, ToolkitError, VocabularyMismatchError
-from .game import Game, round_values, run, spoiler_moves, walk_tree
+from .game import DEFAULT_PLAY_CAP, Game, round_values, run, spoiler_moves, walk_tree
 from .structures import Elem, Structure, check_hom, is_partial_iso
 
 GAMES: dict[str, Game] = {g.name: g for g in (ef_mod.GAME, pebble_mod.GAME, modal_mod.GAME)}
@@ -64,7 +67,8 @@ def _tree_game(name: str, what: str) -> Game:
 def decide_both_ways(a: Structure, b: Structure, k: int, comonad: str) -> bool:
     """Conjunction of the two existential decisions."""
     g = game(comonad)
-    return g.decide(a, b, k).wins and g.decide(b, a, k).wins
+    return (g.decide(a, b, k, DEFAULT_PLAY_CAP).wins
+            and g.decide(b, a, k, DEFAULT_PLAY_CAP).wins)
 
 
 # ---------------------------------------------------------------------------
@@ -107,11 +111,13 @@ class BackForthResult:
     pebble_spoiler: Optional[PebbleBFNode] = None
 
 
-def solve_back_forth(a: Structure, b: Structure, k: int, comonad: str) -> BackForthResult:
+def solve_back_forth(a: Structure, b: Structure, k: int, comonad: str,
+                     cap: int = DEFAULT_PLAY_CAP) -> BackForthResult:
     """Decide the k-resource back-and-forth game.
 
     Sequence and modal games run k rounds by backward induction on positions;
-    the pebble game runs as an unbounded positional safety game.
+    the pebble game runs as an unbounded positional safety game, refused when
+    its (1 + |A|·|B|)^k candidate placements exceed `cap`.
     """
     g = game(comonad)
     if a.vocab != b.vocab:
@@ -119,6 +125,7 @@ def solve_back_forth(a: Structure, b: Structure, k: int, comonad: str) -> BackFo
     if k < 1:
         raise ToolkitError("k must be >= 1")
     if g.children is None:
+        pebble_mod.check_candidates((1 + len(a.universe) * len(b.universe)) ** k, cap)
         return _solve_pebble_backforth(a, b, k)
     value = round_values(g, a, b, k, g.winning, "AB")
     root_s, root_t = g.root(a), g.root(b)
@@ -237,34 +244,62 @@ def _pebble_position_pairs(pos: frozenset) -> list[tuple[Elem, Elem]]:
     return [(x, y) for _, x, y in pos]
 
 
-def _all_pebble_positions(a: Structure, b: Structure, k: int) -> list[frozenset]:
-    out = []
-    for size in range(k + 1):
-        for idxs in combinations(range(1, k + 1), size):
-            for xs in product(a.universe, repeat=size):
-                for ys in product(b.universe, repeat=size):
-                    out.append(frozenset(zip(idxs, xs, ys)))
-    return out
+def _partial_iso_placements(a: Structure, b: Structure, k: int) -> list[frozenset]:
+    """Every placement whose pairs form a partial isomorphism.  Placements
+    grow one pebble index at a time: a placement is good only if it is
+    without its highest pebble, so each index extends the good placements
+    found so far, and each distinct pair set is judged once."""
+    verdicts: dict[frozenset, bool] = {}
+    family = [frozenset()]
+    for i in range(1, k + 1):
+        grown = []
+        for pos in family:
+            pairs = frozenset(_pebble_position_pairs(pos))
+            for x in a.universe:
+                for y in b.universe:
+                    ext = pairs | {(x, y)}
+                    if ext not in verdicts:
+                        verdicts[ext] = is_partial_iso(ext, a, b)
+                    if verdicts[ext]:
+                        grown.append(pos | {(i, x, y)})
+        family += grown
+    return family
 
 
 def _solve_pebble_backforth(a: Structure, b: Structure, k: int) -> BackForthResult:
     """The greatest safe set of partial-isomorphism placements, by the
-    deletion engine of `pebbling`; Spoiler's moves at a placement are, by
-    pebble, placing it on an element of A, then on one of B."""
+    deletion engine of `pebbling`.  Spoiler's moves at a placement are, by
+    pebble, placing it on an element of A, then on one of B; the key of a
+    move is the placement without the moved pebble, with the move itself."""
     def obligations(pos: frozenset):
         for i in range(1, k + 1):
             rest = frozenset(tr for tr in pos if tr[0] != i)
             for e in a.universe:
-                yield (i, "A", e), ((y, rest | {(i, e, y)}) for y in b.universe)
+                move = (i, "A", e)
+                yield move, (rest, move)
             for e in b.universe:
-                yield (i, "B", e), ((x, rest | {(i, x, e)}) for x in a.universe)
+                move = (i, "B", e)
+                yield move, (rest, move)
 
-    good = {pos for pos in _all_pebble_positions(a, b, k)
-            if is_partial_iso(_pebble_position_pairs(pos), a, b)}
-    safe, trace = pebble_mod.delete_to_fixpoint(good, obligations)
+    def answers(pos: frozenset):
+        for tr in pos:
+            i, x, y = tr
+            rest = pos - {tr}
+            yield rest, (i, "A", x)
+            yield rest, (i, "B", y)
+
+    def replies(pos: frozenset, move: tuple):
+        i, side, e = move
+        rest = frozenset(tr for tr in pos if tr[0] != i)
+        if side == "A":
+            return ((y, rest | {(i, e, y)}) for y in b.universe)
+        return ((x, rest | {(i, x, e)}) for x in a.universe)
+
+    safe, trace = pebble_mod.delete_to_fixpoint(_partial_iso_placements(a, b, k),
+                                                obligations, answers)
     if frozenset() in safe:
         return BackForthResult(True, safe_positions=frozenset(safe))
-    spoiler = pebble_mod.refutation(trace, frozenset(), obligations,
+    spoiler = pebble_mod.refutation(trace, frozenset(), replies,
                                     lambda pos, move, branches: PebbleBFNode(pos, *move, branches))
     return BackForthResult(False, pebble_spoiler=spoiler)
 

@@ -64,16 +64,22 @@ def lift_along_prefixes(a: Structure, plays: list, last: Callable[[tuple], Elem]
                         compatible: Optional[Callable[[tuple], bool]]) -> Structure:
     """Lift `a` to `plays`: a tuple of plays is related iff all are prefixes of
     one of them, their last elements form a tuple of `a`, and `compatible`
-    (unless None) accepts the tuple."""
+    (unless None) accepts the tuple.
+
+    Each tuple is built once, from its longest play `top`: the components
+    before the first occurrence of `top` are proper prefixes of it, and those
+    after it are any prefixes."""
     interp: dict[str, set] = {name: set() for name, _ in a.vocab.symbols}
     for top in plays:
-        pref = prefixes(top)
-        ends = [last(p) for p in pref]
+        pref = [(p, last(p)) for p in prefixes(top)]
+        below = pref[:-1]
         for name, arity in a.vocab.symbols:
             base, lifted = a.tuples(name), interp[name]
-            for combo, tip in zip(product(pref, repeat=arity), product(ends, repeat=arity)):
-                if top in combo and tip in base and (compatible is None or compatible(combo)):
-                    lifted.add(combo)
+            for first in range(arity):
+                for combo in product(*[below] * first, pref[-1:], *[pref] * (arity - 1 - first)):
+                    chain, tip = zip(*combo)
+                    if tip in base and (compatible is None or compatible(chain)):
+                        lifted.add(chain)
     return Structure(a.vocab, tuple(plays), {n: frozenset(r) for n, r in interp.items()},
                      None)
 
@@ -165,7 +171,9 @@ class Game:
     prefixes: Callable[[tuple], list]
     play_error: Callable[[tuple, int, Structure], Optional[str]]
     hom_error: Callable[[Mapping, Structure], Optional[str]]
-    decide: Callable  # (a, b, k) -> result with .wins and .refutation
+    # (a, b, k, cap) -> result with .wins and .refutation; `cap` bounds the
+    # candidate positions of the pebble solver, and the others ignore it
+    decide: Callable
     laws: Callable  # (a, k, trunc, cap) -> LawReport
     # Certificate kinds: (true, false) pairs, then the iso and coalgebra witnesses.
     exists_kinds: tuple[str, str]

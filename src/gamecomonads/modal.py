@@ -299,7 +299,7 @@ GAME = Game(
     prefixes=path_prefixes,
     play_error=_play_error,
     hom_error=_hom_error,
-    decide=lambda a, b, k: decide_sim_k(a, b, k),
+    decide=lambda a, b, k, cap: decide_sim_k(a, b, k),
     laws=lambda a, k, trunc, cap: check_modal_laws(a, k, cap=cap),
     exists_kinds=("modal-table", "modal-spoiler"),
     backforth_kinds=("bf-duplicator", "bf-spoiler"),

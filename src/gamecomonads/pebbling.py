@@ -7,19 +7,28 @@ is never materialized: laws are checked on an explicit truncation, and the
 decision procedure works on positional strategies (families of partial
 homomorphisms with domains of size <= k).
 
-Both pebble games are decided by one deletion engine: `delete_to_fixpoint`
-takes an initial family of positions and the Spoiler moves each position
-must answer (`obligations`), deletes positions with an unanswerable move until
-none is left, and `refutation` reads Spoiler's strategy off the deletions.
+Both pebble games are decided by one deletion engine.  `delete_to_fixpoint`
+takes an initial family of positions and two callables: `obligations(pos)`
+yields each Spoiler move at `pos` with a key, and `answers(pos)` yields the
+keys of the moves that `pos` is itself a reply to.  A move's replies depend
+only on its key, so a move has a reply in the family exactly when some
+position of the family answers its key; a pass collects the answered keys in
+one sweep and deletes each position with an unanswered move, without building
+any reply position.  `refutation` reads Spoiler's strategy off the deletions,
+and only it enumerates replies, through a third callable `replies(pos, move)`.
 The existential game here and the back-and-forth game in `equivalence` each
-supply their own family, moves and node type.
+supply their own family, moves, keys, replies and node type.  Both grow their
+initial family one pebble at a time: partial homomorphisms and partial
+isomorphisms are closed under restriction, so only the good positions of one
+size are extended to the next.  Both refuse, before building any position, a
+game with more candidate positions than the cap (`check_candidates`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
-from operator import itemgetter
+from itertools import product
+from math import comb
 from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import CapExceededError, ToolkitError, VocabularyMismatchError
@@ -117,26 +126,34 @@ class PebbleResult:
     refutation: Optional[SpoilerPosition] = None
 
 
-def delete_to_fixpoint(positions: Iterable, obligations: Callable) -> tuple[set, dict]:
+def delete_to_fixpoint(positions: Iterable, obligations: Callable,
+                       answers: Callable) -> tuple[set, dict]:
     """The greatest subfamily of `positions` in which every Spoiler move has a
     reply leading back into the subfamily.
 
-    `obligations(pos)` yields each Spoiler move at `pos` with an iterable of
-    its (reply, next position) pairs, read before the next move is drawn, so
-    it may be a generator over the loop variables of `obligations`.  Deletion
-    runs in simultaneous passes: a position's failing move is judged against
-    the family at the start of the pass, so every next position it names was
-    deleted in an earlier pass or never was in the family, which keeps
-    `refutation` well-founded.  Returns the survivors and, per deleted
-    position, its first move without a surviving reply.
+    `obligations(pos)` yields each Spoiler move at `pos`, in the order in
+    which Spoiler tries them, as a pair `(move, key)`.  `answers(pos)` yields
+    the key of every move that has `pos` among its next positions.  The
+    contract: a position answers a key exactly when it is one of the next
+    positions of the moves with that key, so those moves all have the same
+    next positions.  The next positions themselves are never built here.
+
+    Deletion runs in simultaneous passes.  A pass judges every position
+    against the family as it stood at the start of the pass: one sweep over
+    the family collects the answered keys, then each position's first move
+    whose key is not among them is its failing move.  Every next position of
+    a failing move was therefore deleted in an earlier pass or never was in
+    the family, which keeps `refutation` well-founded.  Returns the survivors
+    and, per deleted position, its first move without a surviving reply.
     """
     alive = set(positions)
     trace: dict = {}
     while True:
+        answered = {key for pos in alive for key in answers(pos)}
         removed = {}
         for pos in alive:
-            for move, replies in obligations(pos):
-                if alive.isdisjoint(map(itemgetter(1), replies)):
+            for move, key in obligations(pos):
+                if key not in answered:
                     removed[pos] = move
                     break
         if not removed:
@@ -145,19 +162,47 @@ def delete_to_fixpoint(positions: Iterable, obligations: Callable) -> tuple[set,
         trace.update(removed)
 
 
-def refutation(trace: Mapping, root, obligations: Callable, node: Callable):
+def refutation(trace: Mapping, root, replies: Callable, node: Callable):
     """Spoiler's strategy from the deleted position `root`, read off the trace
     of `delete_to_fixpoint`: at each position, the recorded move with every
     reply paired with the strategy at its next position, or with None when
-    that position never was in the family.  `node(pos, move, branches)`
+    that position never was in the family.  `replies(pos, move)` yields the
+    (reply, next position) pairs of a move, and `node(pos, move, branches)`
     builds one node."""
     def refute(pos):
         move = trace[pos]
-        replies = next(pairs for m, pairs in obligations(pos) if m == move)
         return node(pos, move, tuple((reply, refute(nxt) if nxt in trace else None)
-                                     for reply, nxt in replies))
+                                     for reply, nxt in replies(pos, move)))
 
     return refute(root)
+
+
+def check_candidates(count: int, cap: int) -> None:
+    """Refuse a pebble game with more than `cap` candidate positions, before
+    any of them is built."""
+    if count > cap:
+        raise CapExceededError(f"pebble game has {count} candidate positions, cap is {cap}")
+
+
+def _partial_hom_family(a: Structure, b: Structure, k: int) -> set:
+    """Every partial homomorphism with at most k pairs.  The family grows one
+    domain element at a time, in declaration order: a map is a partial
+    homomorphism only if it is one without its last domain element, so each
+    size extends the good maps of the size below, and each map is judged
+    once."""
+    level = [(frozenset(), 0)]  # (map, index in `a` of the next domain element)
+    family = {frozenset()}
+    for _ in range(min(k, len(a.universe))):
+        grown = []
+        for part, start in level:
+            for i in range(start, len(a.universe)):
+                for y in b.universe:
+                    ext = part | {(a.universe[i], y)}
+                    if is_partial_hom(ext, a, b):
+                        grown.append((ext, i + 1))
+        family.update(ext for ext, _ in grown)
+        level = grown
+    return family
 
 
 def decide_exist_pebble(a: Structure, b: Structure, k: int) -> PebbleResult:
@@ -166,39 +211,51 @@ def decide_exist_pebble(a: Structure, b: Structure, k: int) -> PebbleResult:
 
     Spoiler's moves at a part are dropping one of its pairs (in index order),
     then, below k pairs, placing a pebble on an element outside its domain.
+    The key of a drop is the part without the pair, and the key of a placement
+    is the part with the element to place.
     """
     if a.vocab != b.vocab:
         raise VocabularyMismatchError("decide_exist_pebble requires a shared vocabulary")
     if k < 1:
         raise ToolkitError("k must be >= 1")
 
-    family: set[PartialMapSet] = set()
-    width = min(k, len(a.universe))
-    for size in range(width + 1):
-        for dom in combinations(a.universe, size):
-            for img in product(b.universe, repeat=size):
-                part = frozenset(zip(dom, img))
-                if is_partial_hom(part, a, b):
-                    family.add(part)
-
     def obligations(part: PartialMapSet):
         for pair in sorted(part, key=lambda xy: (a.index[xy[0]], b.index[xy[1]])):
-            yield ("drop", pair), ((None, part - {pair}),)
+            yield ("drop", pair), part - {pair}
         if len(part) < k:
             dom = {x for x, _ in part}
             for x in a.universe:
                 if x not in dom:
-                    yield ("place", x), ((y, part | {(x, y)}) for y in b.universe)
+                    yield ("place", x), (part, x)
+
+    def answers(part: PartialMapSet):
+        yield part
+        for pair in part:
+            yield part - {pair}, pair[0]
+
+    def replies(part: PartialMapSet, move: tuple):
+        if move[0] == "drop":
+            return ((None, part - {move[1]}),)
+        return ((y, part | {(move[1], y)}) for y in b.universe)
 
     def node(part: PartialMapSet, move: tuple, branches: tuple) -> SpoilerPosition:
         if move[0] == "drop":
             return SpoilerPosition(part, drop=move[1], child=branches[0][1])
         return SpoilerPosition(part, place=move[1], branches=branches)
 
-    family, trace = delete_to_fixpoint(family, obligations)
+    family, trace = delete_to_fixpoint(_partial_hom_family(a, b, k), obligations, answers)
     if family:
         return PebbleResult(True, family=StrategyFamily(k, frozenset(family)))
-    return PebbleResult(False, refutation=refutation(trace, frozenset(), obligations, node))
+    return PebbleResult(False, refutation=refutation(trace, frozenset(), replies, node))
+
+
+def _decide(a: Structure, b: Structure, k: int, cap: int) -> PebbleResult:
+    """The existential decision of `GAME`: `decide_exist_pebble`, once the
+    partial maps it may judge, those with at most k pairs and distinct domain
+    elements, are known to fit in `cap`."""
+    na, nb = len(a.universe), len(b.universe)
+    check_candidates(sum(comb(na, s) * nb ** s for s in range(min(k, na) + 1)), cap)
+    return decide_exist_pebble(a, b, k)
 
 
 def declaration_rank(a: Structure, b: Structure) -> Callable[[tuple], tuple]:
@@ -322,7 +379,7 @@ GAME = Game(
     prefixes=prefixes,
     play_error=_play_error,
     hom_error=lambda alpha, a: prefix_hom_error(alpha, a, active_last),
-    decide=lambda a, b, k: decide_exist_pebble(a, b, k),
+    decide=_decide,
     laws=lambda a, k, trunc, cap: check_pebble_laws(a, k, trunc, cap=cap),
     exists_kinds=("pebble-family", "pebble-refutation"),
     backforth_kinds=("pebble-safe", "pebble-bf-spoiler"),

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 from .errors import StructureParseError, ToolkitError, VocabularyMismatchError
@@ -361,26 +362,34 @@ def _as_pairs(p) -> list[tuple[Elem, Elem]]:
     return [tuple(x) for x in p]
 
 
+def _preserves(fn: Mapping[Elem, Elem], a: Structure, b: Structure) -> bool:
+    """`fn` sends every tuple of `a` whose components all lie in its domain
+    to a tuple of `b`.  The tuples inside a small domain are found by
+    enumerating the domain, the others by scanning the relation."""
+    for name, arity in a.vocab.symbols:
+        source, target = a.tuples(name), b.tuples(name)
+        if len(fn) ** arity < len(source):
+            inside = (tup for tup in product(fn, repeat=arity) if tup in source)
+        else:
+            inside = (tup for tup in source if all(e in fn for e in tup))
+        for tup in inside:
+            if tuple(fn[e] for e in tup) not in target:
+                return False
+    return True
+
+
 def is_partial_hom(p, a: Structure, b: Structure) -> bool:
     """`p` (pairs or mapping) is functional and preserves every tuple of `a`
     whose components all lie in its domain."""
     pairs = _as_pairs(p)
-    aset, bset = set(a.universe), set(b.universe)
     for x, y in pairs:
-        if x not in aset or y not in bset:
+        if x not in a.index or y not in b.index:
             raise ToolkitError(f"pair ({x!r}, {y!r}) not drawn from the two universes")
     fn: dict[Elem, Elem] = {}
     for x, y in pairs:
         if fn.setdefault(x, y) != y:
             return False
-    dom = set(fn)
-    for name, _ in a.vocab.symbols:
-        target = b.tuples(name)
-        for tup in a.tuples(name):
-            if all(e in dom for e in tup):
-                if tuple(fn[e] for e in tup) not in target:
-                    return False
-    return True
+    return _preserves(fn, a, b)
 
 
 def is_partial_iso(p, a: Structure, b: Structure) -> bool:
@@ -392,14 +401,7 @@ def is_partial_iso(p, a: Structure, b: Structure) -> bool:
     for x, y in pairs:
         if inv.setdefault(y, x) != x:
             return False
-    rng = set(inv)
-    for name, _ in b.vocab.symbols:
-        source = a.tuples(name)
-        for tup in b.tuples(name):
-            if all(e in rng for e in tup):
-                if tuple(inv[e] for e in tup) not in source:
-                    return False
-    return True
+    return _preserves(inv, b, a)
 
 
 def gaifman(a: Structure) -> Graph:

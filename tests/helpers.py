@@ -1,13 +1,14 @@
-"""Shared test fixtures: structure builders, exhaustive ensembles, and an
-independent set-based formula evaluator used as the evaluation oracle."""
+"""Shared test fixtures: structure builders, exhaustive ensembles, an
+independent set-based formula evaluator used as the evaluation oracle, and a
+full-rescan reference for the two pebble games."""
 
 from __future__ import annotations
 
 import random
 from itertools import combinations, product
 
-from gamecomonads import logic
-from gamecomonads.structures import Graph, Structure
+from gamecomonads import equivalence, logic, pebbling
+from gamecomonads.structures import Graph, Structure, is_partial_hom, is_partial_iso
 
 VOCAB_R = (("R", 2),)
 VOCAB_RS = (("R", 2), ("S", 1))
@@ -162,3 +163,91 @@ def _sat(a: Structure, phi, varlist: tuple) -> set:
                 out.add(t)
         return out
     raise AssertionError(f"unknown node {phi!r}")
+
+
+# ---------------------------------------------------------------------------
+# Reference pebble solvers: exhaustive initial families and a fixpoint that
+# rebuilds every reply position of every move on each pass
+
+
+def rescan_to_fixpoint(positions, obligations):
+    """`obligations(pos)` yields (move, replies), with replies an iterable of
+    (reply, next position); a pass deletes each position whose first move has
+    no next position alive at the start of the pass."""
+    alive = set(positions)
+    trace = {}
+    while True:
+        removed = {}
+        for pos in alive:
+            for move, replies in obligations(pos):
+                if alive.isdisjoint(nxt for _, nxt in replies):
+                    removed[pos] = move
+                    break
+        if not removed:
+            return alive, trace
+        alive.difference_update(removed)
+        trace.update(removed)
+
+
+def _refute(trace, root, obligations, node):
+    def refute(pos):
+        move = trace[pos]
+        replies = next(pairs for m, pairs in obligations(pos) if m == move)
+        return node(pos, move, tuple((reply, refute(nxt) if nxt in trace else None)
+                                     for reply, nxt in replies))
+
+    return refute(root)
+
+
+def reference_exist_pebble(a: Structure, b: Structure, k: int) -> pebbling.PebbleResult:
+    family = set()
+    for size in range(min(k, len(a.universe)) + 1):
+        for dom in combinations(a.universe, size):
+            for img in product(b.universe, repeat=size):
+                part = frozenset(zip(dom, img))
+                if is_partial_hom(part, a, b):
+                    family.add(part)
+
+    def obligations(part):
+        for pair in sorted(part, key=lambda xy: (a.index[xy[0]], b.index[xy[1]])):
+            yield ("drop", pair), ((None, part - {pair}),)
+        if len(part) < k:
+            dom = {x for x, _ in part}
+            for x in a.universe:
+                if x not in dom:
+                    yield ("place", x), ((y, part | {(x, y)}) for y in b.universe)
+
+    def node(part, move, branches):
+        if move[0] == "drop":
+            return pebbling.SpoilerPosition(part, drop=move[1], child=branches[0][1])
+        return pebbling.SpoilerPosition(part, place=move[1], branches=branches)
+
+    family, trace = rescan_to_fixpoint(family, obligations)
+    if family:
+        return pebbling.PebbleResult(True, family=pebbling.StrategyFamily(k, frozenset(family)))
+    return pebbling.PebbleResult(False, refutation=_refute(trace, frozenset(), obligations, node))
+
+
+def reference_pebble_backforth(a: Structure, b: Structure, k: int) -> equivalence.BackForthResult:
+    good = set()
+    for size in range(k + 1):
+        for idxs in combinations(range(1, k + 1), size):
+            for xs in product(a.universe, repeat=size):
+                for ys in product(b.universe, repeat=size):
+                    if is_partial_iso(list(zip(xs, ys)), a, b):
+                        good.add(frozenset(zip(idxs, xs, ys)))
+
+    def obligations(pos):
+        for i in range(1, k + 1):
+            rest = frozenset(tr for tr in pos if tr[0] != i)
+            for e in a.universe:
+                yield (i, "A", e), ((y, rest | {(i, e, y)}) for y in b.universe)
+            for e in b.universe:
+                yield (i, "B", e), ((x, rest | {(i, x, e)}) for x in a.universe)
+
+    safe, trace = rescan_to_fixpoint(good, obligations)
+    if frozenset() in safe:
+        return equivalence.BackForthResult(True, safe_positions=frozenset(safe))
+    return equivalence.BackForthResult(False, pebble_spoiler=_refute(
+        trace, frozenset(), obligations,
+        lambda pos, move, branches: equivalence.PebbleBFNode(pos, *move, branches)))

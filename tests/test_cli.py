@@ -437,3 +437,29 @@ def test_equiv_refuses_a_table_over_the_play_cap(files):
                           env=child_env(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 3, proc.stderr[-3000:]
     assert "play universe has 2391483 elements, cap is 1000000" in proc.stderr
+
+
+@pytest.mark.parametrize("mode,fits", [("backforth", 100), ("exists", 37), ("both", 37)])
+def test_pebble_cap_counts_candidate_positions(files, mode, fits):
+    """K3 against K3 with two pebbles: (1 + 3·3)^2 = 100 candidate placements
+    in the back-and-forth game, 1 + 3·3 + 3·9 = 37 partial maps each way in
+    the existential one."""
+    argv = ["equiv", "--game", "pebble", "--mode", mode, "-k", "2", files["k3"], files["k3"]]
+    code, out = run(argv + ["--cap-plays", str(fits)])
+    assert code == 0 and "\nresult: true\n" in out
+    code, _ = run(argv + ["--cap-plays", str(fits - 1)])
+    assert code == 3
+
+
+def test_pebble_game_over_the_cap_stops_before_enumerating(tmp_path):
+    """K7 against K7 with six pebbles has 50^6 candidate placements; the
+    command refuses at once instead of enumerating them."""
+    k7 = "vocab R 2\n" + "".join(f"elem v{i}\n" for i in range(7)) + "".join(
+        f"rel R v{i} v{j}\n" for i in range(7) for j in range(7) if i != j)
+    (tmp_path / "k7.str").write_text(k7)
+    path = str(tmp_path / "k7.str")
+    proc = subprocess.run([sys.executable, "-m", "gamecomonads.cli", "equiv", "--game", "pebble",
+                           "--mode", "backforth", "-k", "6", path, path],
+                          env=child_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3, proc.stderr[-3000:]
+    assert "pebble game has 15625000000 candidate positions, cap is 1000000" in proc.stderr

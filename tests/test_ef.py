@@ -1,13 +1,15 @@
 import random
+from itertools import product
 
 import pytest
 
-from gamecomonads import ef, logic
-from gamecomonads.game import CoKleisli, cokleisli_compose, counit_cokleisli
+from gamecomonads import ef, logic, pebbling
+from gamecomonads.game import (CoKleisli, cokleisli_compose, counit_cokleisli,
+                               lift_along_prefixes, prefixes)
 from gamecomonads.errors import CapExceededError, ToolkitError, VocabularyMismatchError
 from gamecomonads.structures import Structure, check_hom, find_hom
 
-from helpers import S, VOCAB_R, all_structures_upto, path_structure
+from helpers import S, VOCAB_R, all_structures_upto, path_structure, random_structure
 
 
 def test_universe_counts():
@@ -193,3 +195,32 @@ def test_certificate_table_matches_strategy_semantics():
     for s in ef.ef_universe(a, 2):
         t = res.strategy.star(s)
         assert is_partial_hom(list(zip(s, t)), a, b)
+
+
+def _lift_by_filter(a, plays, last, compatible):
+    """Every tuple of prefixes of each play, kept when it contains the play."""
+    interp = {name: set() for name, _ in a.vocab.symbols}
+    for top in plays:
+        pref = prefixes(top)
+        for name, arity in a.vocab.symbols:
+            for combo in product(pref, repeat=arity):
+                if (top in combo and tuple(map(last, combo)) in a.tuples(name)
+                        and (compatible is None or compatible(combo))):
+                    interp[name].add(combo)
+    return Structure(a.vocab, tuple(plays), {n: frozenset(r) for n, r in interp.items()}, None)
+
+
+def test_lifting_builds_each_tuple_from_its_longest_play():
+    rng = random.Random(7)
+    vocab = (("R", 2), ("P", 1), ("T", 3))
+    for _ in range(30):
+        a = random_structure(rng, rng.randint(1, 3), vocab)
+        for universe, last, compatible in [
+                (ef.ef_universe(a, 3), ef.counit, None),
+                (pebbling.pebble_universe(a, 2, 3), pebbling.pebble_counit,
+                 pebbling._on_one_branch)]:
+            # a random prefix-closed set of plays, so that every tuple lies inside it
+            tops = rng.sample(universe, min(len(universe), 12))
+            plays = [s for s in universe if any(t[:len(s)] == s for t in tops)]
+            assert (lift_along_prefixes(a, plays, last, compatible)
+                    == _lift_by_filter(a, plays, last, compatible))

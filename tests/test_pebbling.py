@@ -1,10 +1,14 @@
+import random
+
 import pytest
 
+from gamecomonads import equivalence as eq
 from gamecomonads import pebbling as pb
 from gamecomonads.errors import CapExceededError, ToolkitError, VocabularyMismatchError
 from gamecomonads.structures import check_hom
 
-from helpers import S, VOCAB_R, VOCAB_RS, all_structures_upto, clique_structure
+from helpers import (S, VOCAB_R, VOCAB_RS, all_structures_upto, clique_structure,
+                     random_structure, reference_exist_pebble, reference_pebble_backforth)
 
 
 def test_universe_counts():
@@ -151,3 +155,46 @@ def test_refutation_is_wellfounded_and_rooted():
     assert res.refutation.pos == frozenset()
     ok, why = pb.audit_spoiler_positions(res.refutation, edge, point, 2)
     assert ok, why
+
+
+VOCAB_RP = (("R", 2), ("P", 1))
+
+
+def _relabelled(rng: random.Random, a):
+    """An isomorphic copy of `a` on other names, declared in another order."""
+    names = ["p", "q", "r", "s"][:len(a.universe)]
+    rng.shuffle(names)
+    ren = dict(zip(a.universe, names))
+    order = sorted(names)
+    return S(VOCAB_RP, order, {name: [tuple(ren[e] for e in t) for t in a.tuples(name)]
+                               for name, _ in VOCAB_RP})
+
+
+def _cycle(n: int):
+    names = [f"v{i}" for i in range(n)]
+    return S(VOCAB_RP, names, {"R": [(names[i], names[(i + j) % n])
+                                     for i in range(n) for j in (1, -1) if n > 1]})
+
+
+def test_pebble_solvers_equal_the_full_rescan_reference():
+    """Both pebble games, grown families and keyed passes against the
+    exhaustive families and full rescans of `helpers`: equal survivors,
+    families, safe sets and refutation trees."""
+    rng = random.Random(20261018)
+    cases = [(S(VOCAB_RP, []), S(VOCAB_RP, []), 1), (S(VOCAB_RP, []), S(VOCAB_RP, ["x"]), 2),
+             (S(VOCAB_RP, ["x"]), S(VOCAB_RP, []), 2)]
+    # odd cycles into even ones: refutations that drop pebbles over several passes
+    cases += [(_cycle(m), _cycle(n), 3) for m, n in [(3, 2), (5, 2), (5, 4), (5, 6)]]
+    while len(cases) < 400:
+        a = random_structure(rng, rng.randint(0, 4), VOCAB_RP)
+        b = _relabelled(rng, a) if rng.random() < 0.3 else random_structure(
+            rng, rng.randint(0, 4), VOCAB_RP)
+        cases.append((a, b, rng.randint(1, 3)))
+    outcomes = set()
+    for a, b, k in cases:
+        got, want = pb.decide_exist_pebble(a, b, k), reference_exist_pebble(a, b, k)
+        assert got == want, (a, b, k)
+        got, want = eq._solve_pebble_backforth(a, b, k), reference_pebble_backforth(a, b, k)
+        assert got == want, (a, b, k)
+        outcomes.add(got.wins)
+    assert outcomes == {True, False}
