@@ -173,7 +173,7 @@ def _relabelled(rng: random.Random, a):
 def _cycle(n: int):
     names = [f"v{i}" for i in range(n)]
     return S(VOCAB_RP, names, {"R": [(names[i], names[(i + j) % n])
-                                     for i in range(n) for j in (1, -1) if n > 1]})
+                                     for i in range(n) for j in (1, -1)]})
 
 
 def test_pebble_solvers_equal_the_full_rescan_reference():
