@@ -12,8 +12,14 @@ small header:
 
 `KINDS` says, per kind, how its body is written from a solver result and how
 it is audited.  A kind belongs to the games whose `Game` record lists it, and
-`verify_certificate` rejects a `game` header that does not own the kind.  The
-five Spoiler-tree kinds share one node-tree codec.
+`verify_certificate` rejects a `game` header that does not own the kind.
+
+The Spoiler-tree kinds share one node-tree codec, which refuses a node named
+as the child of two branches.  The three round-bounded kinds (`ef-spoiler`,
+`modal-spoiler`, `bf-spoiler`) share one entry of it, `_ROUNDS`, and one audit,
+`game.audit_spoiler_tree`, under the game's forth condition with Spoiler on
+side A, or its winning condition with Spoiler on both sides; each pebble kind
+has its own entry and audit.
 """
 
 from __future__ import annotations
@@ -23,13 +29,11 @@ from dataclasses import dataclass, field
 from itertools import count
 from typing import Callable, NamedTuple, Optional
 
-from . import ef as ef_mod
 from . import equivalence as eq_mod
-from . import modal as modal_mod
 from . import parameters as par_mod
 from . import pebbling as pebble_mod
 from .errors import CertificateError, ToolkitError
-from .game import CoKleisli, walk_tree
+from .game import CoKleisli, SpoilerNode, audit_spoiler_tree, walk_tree
 from .structures import Structure, check_hom, gaifman
 
 _PAIR_RE = re.compile(r"\(([^()↦:]+)↦([^()↦:]+)\)")
@@ -215,15 +219,16 @@ class _Tree(NamedTuple):
     `head` gives the tokens after `node <id>`; `edges` the node's
     (reply token, child) pairs, with reply None for the single `child` row
     of a node that needs no reply; `build` makes the node back from its head
-    tokens, its branches and its `child` row (None for a malformed head);
-    `leaf` is the token of a reply that loses at once (None if no reply
-    does).
+    tokens, its branches and its `child` row (None for a malformed head).
+    A reply that loses at once has the child token `lose`.
     """
 
     head: Callable
     edges: Callable
     build: Callable
-    leaf: Optional[str]
+
+
+_LOSE = "lose"
 
 
 def cert_tree_rows(tree: _Tree, root, a: Structure, b: Structure) -> list[list[str]]:
@@ -234,7 +239,7 @@ def cert_tree_rows(tree: _Tree, root, a: Structure, b: Structure) -> list[list[s
     ids = count()
 
     def step(nd, edge: Optional[tuple]):
-        my = tree.leaf if nd is None else str(next(ids))
+        my = _LOSE if nd is None else str(next(ids))
         if edge is not None:
             parent, reply = edge
             rows.append(["child", parent, my] if reply is None else ["branch", parent, reply, my])
@@ -264,16 +269,21 @@ def _parse_tree(tree: _Tree, rows):
 
     # nodes are numbered in preorder, so every child's id is larger than its
     # parent's: building in decreasing id order finds each child built, and a
-    # child not built yet is not a later node
+    # child not built yet is not a later node.  Each node is the child of at
+    # most one branch, so the audit walks a tree, not every path of a DAG.
     nodes: dict[int, object] = {}
+    claimed: set[int] = set()
 
     def built(parent: int, tok: str):
-        if tok == tree.leaf:
+        if tok == _LOSE:
             return None
-        node = nodes.get(_int(tok))
-        if node is None:
+        i = _int(tok)
+        if i not in nodes:
             raise CertificateError(f"child {tok!r} of node {parent} is no node after it")
-        return node
+        if i in claimed:
+            raise CertificateError(f"node {i} is the child of more than one branch")
+        claimed.add(i)
+        return nodes[i]
 
     for i in sorted(heads, reverse=True):
         brs = tuple((reply, built(i, cid)) for reply, cid in branches.get(i, []))
@@ -284,24 +294,6 @@ def _parse_tree(tree: _Tree, rows):
     if 0 not in nodes:
         raise CertificateError("no root node 0")
     return nodes[0]
-
-
-def _ef_node(head, branches, child):
-    match head:
-        case ["move", x]:
-            return ef_mod.SpoilerNode(x, branches)
-
-
-def _modal_head(nd, a, b):
-    return ["fail", nd.fail] if nd.fail is not None else ["move", nd.label, str(nd.move)]
-
-
-def _modal_node(head, branches, child):
-    match head:
-        case ["fail", symbol]:
-            return modal_mod.ModalSpoilerNode(fail=symbol)
-        case ["move", label, x]:
-            return modal_mod.ModalSpoilerNode(label=label, move=x, branches=branches)
 
 
 def _refutation_head(nd, a, b):
@@ -326,25 +318,27 @@ def _refutation_node(head, branches, child):
             return pebble_mod.SpoilerPosition(parse_pairs(pos), place=x, branches=branches)
 
 
-def _bf_head(nd, a, b):
-    return ["stall"] if nd.side is None else ["side", nd.side, "move", fmt_play(nd.move)]
-
-
-def _bf_node(head, branches, child):
+def _spoiler_node(head, branches, child):
     match head:
-        case ["stall"]:
-            return eq_mod.SpoilerBFNode(None, None)
-        case ["side", side, "move", move]:
-            return eq_mod.SpoilerBFNode(side, parse_play(move),
-                                        tuple((parse_play(r), c) for r, c in branches))
+        case ["stall"] if not branches and child is None:
+            return SpoilerNode(None, None)
+        case ["A" | "B" as side, step] if child is None:
+            return SpoilerNode(side, parse_play(step),
+                               tuple((parse_play(r), c) for r, c in branches))
 
 
-def _pebble_bf_head(nd, a, b):
+# the round-bounded games: `node <id> <A|B> <step>` or `node <id> stall`, and
+# `branch <id> <reply step> <child|lose>`, steps written as play tokens
+_ROUNDS = _Tree(lambda nd, a, b: ["stall"] if nd.side is None else [nd.side, fmt_play(nd.step)],
+                lambda nd: [(fmt_play(r), c) for r, c in nd.branches], _spoiler_node)
+
+
+def _pebble_spoiler_head(nd, a, b):
     return [fmt_triples(nd.pos, a, b), "pebble", str(nd.index), "side", nd.side,
             "elem", str(nd.elem)]
 
 
-def _pebble_bf_node(head, branches, child):
+def _pebble_spoiler_node(head, branches, child):
     match head:
         case [pos, "pebble", i, "side", side, "elem", e]:
             return eq_mod.PebbleBFNode(parse_triples(pos), _int(i), side, e, branches)
@@ -547,6 +541,16 @@ def _tree_kind(witness: str, tree: _Tree, audit: Callable) -> _Kind:
                  lambda cert, a, b: audit(_parse_tree(tree, cert.body), cert, a, b))
 
 
+def _rounds_kind(witness: str, condition: str, sides: str) -> _Kind:
+    """A Spoiler-tree kind of the round-bounded games, audited against the
+    game's `condition` with Spoiler moving on `sides`."""
+    def audit(nd, cert, a, b):
+        g = eq_mod.GAMES[cert.game]
+        return audit_spoiler_tree(g, nd, a, b, cert.k, getattr(g, condition), sides)
+
+    return _tree_kind(witness, _ROUNDS, audit)
+
+
 KINDS: dict[str, _Kind] = {
     "hom-witness": _Kind(
         "true", lambda res, a, b: [["map", str(e), "->", str(res.mapping[e])]
@@ -573,25 +577,16 @@ KINDS: dict[str, _Kind] = {
         None, lambda res, a, b: [["map", str(v), "->", fmt_play(res.coalgebra.alpha[v])]
                                  for v in res.coalgebra.host.universe],
         _verify_modal_coalgebra),
-    "ef-spoiler": _tree_kind(
-        "refutation",
-        _Tree(lambda nd, a, b: ["move", str(nd.move)], _replies, _ef_node, "lose"),
-        lambda nd, cert, a, b: ef_mod.audit_spoiler_tree(nd, a, b, cert.k)),
-    "modal-spoiler": _tree_kind(
-        "refutation", _Tree(_modal_head, _replies, _modal_node, None),
-        lambda nd, cert, a, b: modal_mod.audit_modal_spoiler(nd, a, b, cert.k)),
+    "ef-spoiler": _rounds_kind("refutation", "forth", "A"),
+    "modal-spoiler": _rounds_kind("refutation", "forth", "A"),
     "pebble-refutation": _tree_kind(
         "refutation",
-        _Tree(_refutation_head, _refutation_edges, _refutation_node, "lose"),
+        _Tree(_refutation_head, _refutation_edges, _refutation_node),
         lambda nd, cert, a, b: pebble_mod.audit_spoiler_positions(nd, a, b, cert.k)),
-    "bf-spoiler": _tree_kind(
-        "spoiler",
-        _Tree(_bf_head, lambda nd: [(fmt_play(r), c) for r, c in nd.branches], _bf_node,
-              "fail"),
-        lambda nd, cert, a, b: eq_mod.audit_bf_spoiler(nd, a, b, cert.k, cert.game)),
+    "bf-spoiler": _rounds_kind("spoiler", "winning", "AB"),
     "pebble-bf-spoiler": _tree_kind(
         "pebble_spoiler",
-        _Tree(_pebble_bf_head, _replies, _pebble_bf_node, "lose"),
+        _Tree(_pebble_spoiler_head, _replies, _pebble_spoiler_node),
         lambda nd, cert, a, b: eq_mod.audit_pebble_spoiler(nd, a, b, cert.k)),
 }
 

@@ -163,16 +163,20 @@ def _cmd_eval(args) -> tuple[int, list[str]]:
     a = _load(args.a)
     out: list[str] = []
     _report_head(out, args, formula=repr(args.formula), input_a=args.a)
-    phi = logic_mod.parse_formula(args.formula)
-    fv = logic_mod.free_vars(phi)
-    env = {}
-    if fv:
-        if len(fv) == 1 and a.is_pointed:
-            env = {next(iter(fv)): a.point}
-        else:
-            raise ToolkitError(f"formula has free variables {sorted(fv)}; only a single "
-                               "free variable over a pointed structure is bound implicitly")
-    verdict = logic_mod.evaluate(a, phi, env)
+    try:  # the parser and the evaluator recurse once per level of nesting
+        phi = logic_mod.parse_formula(args.formula)
+        fv = logic_mod.free_vars(phi)
+        env = {}
+        if fv:
+            if len(fv) == 1 and a.is_pointed:
+                env = {next(iter(fv)): a.point}
+            else:
+                raise ToolkitError(f"formula has free variables {sorted(fv)}; only a single "
+                                   "free variable over a pointed structure is bound implicitly")
+        verdict = logic_mod.evaluate(a, phi, env)
+    except RecursionError:
+        raise CapExceededError("formula nested too deeply for the interpreter's recursion "
+                               "limit") from None
     out.append(f"result: {'true' if verdict else 'false'}")
     return (EXIT_TRUE if verdict else EXIT_FALSE), out
 

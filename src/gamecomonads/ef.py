@@ -4,18 +4,20 @@ relations, counit/comultiplication/coextension, and the existential decision.
 A play over a structure is a nonempty tuple of universe elements of length at
 most k.  Plays are ordered length-first, then lexicographically by element
 declaration order; every enumeration below respects that order.
+
+The existential decision is `game.decide_exist` on this game's record: a
+coKleisli table on a win, a `game.SpoilerNode` tree on a loss, whose steps
+are one element each.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Mapping, Optional
 
 from .errors import CapExceededError, ToolkitError, VocabularyMismatchError
-from .game import (DEFAULT_PLAY_CAP, CoKleisli, Game, LawReport, chain_error, first_replies,
-                   law_report, lift_along_prefixes, prefix_hom_error, prefixes, round_values,
-                   run, spoiler_moves, walk_tree)
+from .game import (DEFAULT_PLAY_CAP, ExistResult, Game, LawReport, chain_error, decide_exist,
+                   law_report, lift_along_prefixes, prefix_hom_error, prefixes)
 from .structures import Elem, Structure, is_partial_hom, is_partial_iso
 
 Play = tuple  # nonempty tuple of elements
@@ -59,27 +61,6 @@ def ef_structure(a: Structure, k: int, cap: int = DEFAULT_PLAY_CAP) -> Structure
     return lift_along_prefixes(a, ef_universe(a, k, cap), counit, None)
 
 
-@dataclass(frozen=True)
-class SpoilerNode:
-    """One node of a Spoiler winning tree for the existential game.
-
-    `move` is Spoiler's choice in the source; `branches` pairs each Duplicator
-    reply with a subtree, or with None when the reply already breaks the
-    partial-homomorphism condition.  No branches at all means the target
-    universe is empty and Duplicator cannot reply.
-    """
-
-    move: Elem
-    branches: tuple[tuple[Elem, Optional["SpoilerNode"]], ...]
-
-
-@dataclass(frozen=True)
-class ExistResult:
-    wins: bool
-    strategy: Optional[CoKleisli] = None
-    refutation: Optional[SpoilerNode] = None
-
-
 def decide_exist_ef(a: Structure, b: Structure, k: int) -> ExistResult:
     """Solve the k-round existential game from `a` to `b` by backward induction.
 
@@ -91,39 +72,7 @@ def decide_exist_ef(a: Structure, b: Structure, k: int) -> ExistResult:
         raise VocabularyMismatchError("decide_exist_ef requires a shared vocabulary")
     if k < 1:
         raise ToolkitError("k must be >= 1")
-
-    value = round_values(GAME, a, b, k, GAME.forth, "A")
-    if value((), ()):
-        return ExistResult(True, strategy=first_replies(GAME, a, b, k, value))
-
-    def spoiler(s: Play, t: Play):
-        # value(s, t) is False: Spoiler has a move that every reply loses.
-        _, s2, replies = next(move for move in spoiler_moves(GAME, a, b, s, t, "A")
-                              if not any(value(*pair) for _, pair in move[2]))
-        branches = []
-        for t2, pair in replies:
-            branches.append((t2[-1], None if value(*pair) is None else (yield spoiler(*pair))))
-        return SpoilerNode(s2[-1], tuple(branches))
-
-    return ExistResult(False, refutation=run(spoiler((), ())))
-
-
-def audit_spoiler_tree(node: SpoilerNode, a: Structure, b: Structure, k: int) -> tuple[bool, str]:
-    """Re-check a Spoiler tree using only partial-map audits (no game solving)."""
-    def step(nd: Optional[SpoilerNode], pairs: tuple):
-        if nd is None:
-            if is_partial_hom(pairs, a, b):
-                return f"leaf after reply {pairs[-1][1]!r} is still a partial homomorphism"
-            return ()
-        if len(pairs) >= k:
-            return f"tree deeper than {k} rounds"
-        if nd.move not in a.index:
-            return f"move {nd.move!r} outside source universe"
-        if b.universe and {y for y, _ in nd.branches} != set(b.universe):
-            return f"replies not exhaustive at move {nd.move!r}"
-        return [(child, pairs + ((nd.move, y),)) for y, child in nd.branches]
-
-    return walk_tree(node, (), step)
+    return decide_exist(GAME, a, b, k)
 
 
 def check_ef_laws(a: Structure, k: int, cap: int = DEFAULT_PLAY_CAP) -> LawReport:

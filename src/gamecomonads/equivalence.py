@@ -11,7 +11,10 @@ the initial position pairs the roots: the empty play for the sequence game and
 the one-element paths at the distinguished elements for the modal game.  The
 winning conditions are partial isomorphism of the play-pair history (sequence
 game) and label-matched histories with pointwise unary agreement (modal); the
-game is solved by `game.round_values` with Spoiler moving on both sides.
+game is solved by `game.round_values` with Spoiler moving on both sides.  A
+loss is witnessed by `game.spoiler_tree`, which stops at the first reply that
+leaves the winning set; a win by Duplicator's reply to every move at every
+reachable position, read off only once the plays of both sides fit the cap.
 
 The pebble game has no play tree (its universe is infinite), so its
 back-and-forth decision runs on positional states, pebble placements starting
@@ -36,7 +39,8 @@ from . import ef as ef_mod
 from . import modal as modal_mod
 from . import pebbling as pebble_mod
 from .errors import CapExceededError, ToolkitError, VocabularyMismatchError
-from .game import DEFAULT_PLAY_CAP, Game, round_values, run, spoiler_moves, walk_tree
+from .game import (DEFAULT_PLAY_CAP, Game, SpoilerNode, round_values, spoiler_moves, spoiler_tree,
+                   walk_tree)
 from .structures import Elem, Structure, check_hom, is_partial_iso
 
 GAMES: dict[str, Game] = {g.name: g for g in (ef_mod.GAME, pebble_mod.GAME, modal_mod.GAME)}
@@ -76,20 +80,6 @@ def decide_both_ways(a: Structure, b: Structure, k: int, comonad: str) -> bool:
 
 
 @dataclass(frozen=True)
-class SpoilerBFNode:
-    """Spoiler strategy for the back-and-forth game.
-
-    `side` is None for a stalled position that already fails the winning set.
-    A branch child of None claims the reply position terminal and losing
-    (final round reached).  Empty branches mean Duplicator cannot reply.
-    """
-
-    side: Optional[str]
-    move: Optional[tuple]
-    branches: tuple = ()
-
-
-@dataclass(frozen=True)
 class PebbleBFNode:
     """Spoiler strategy for the positional pebble game: place pebble `index`
     on `elem` of `side`; branch child None means the reply placement is not a
@@ -106,7 +96,7 @@ class PebbleBFNode:
 class BackForthResult:
     wins: bool
     duplicator: Optional[Mapping] = None  # (s, t) -> {(side, moved-node): reply-node}
-    spoiler: Optional[SpoilerBFNode] = None
+    spoiler: Optional[SpoilerNode] = None
     safe_positions: Optional[frozenset] = None
     pebble_spoiler: Optional[PebbleBFNode] = None
 
@@ -131,6 +121,8 @@ def solve_back_forth(a: Structure, b: Structure, k: int, comonad: str,
     root_s, root_t = g.root(a), g.root(b)
 
     if value(root_s, root_t):
+        g.universe(a, k, cap)  # the strategy answers every play: refuse one over the cap
+        g.universe(b, k, cap)
         entries: dict[tuple, dict] = {}
         queue = [(root_s, root_t)]
         seen = {(root_s, root_t)}
@@ -149,23 +141,7 @@ def solve_back_forth(a: Structure, b: Structure, k: int, comonad: str,
                 entries[(s, t)] = here
         return BackForthResult(True, duplicator=entries)
 
-    def spoiler(s: tuple, t: tuple, lost: bool):
-        # Spoiler wins from (s, t).  Once a position is lost (outside the
-        # winning set), the values below it are not consulted: any move wins,
-        # and Spoiler takes the first.
-        moves = list(spoiler_moves(g, a, b, s, t, "AB"))
-        if not moves:
-            return SpoilerBFNode(None, None)
-        side, m, replies = next(move for move in moves
-                                if lost or not any(value(*pair) for _, pair in move[2]))
-        branches = []
-        for r, (s2, t2) in replies:
-            branches.append((r, None if g.depth(s2) == k
-                             else (yield spoiler(s2, t2, lost or value(s2, t2) is None))))
-        return SpoilerBFNode(side, m, tuple(branches))
-
-    return BackForthResult(False, spoiler=run(spoiler(root_s, root_t,
-                                                      value(root_s, root_t) is None)))
+    return BackForthResult(False, spoiler=spoiler_tree(g, a, b, value, "AB"))
 
 
 def audit_bf_duplicator(entries: Mapping, a: Structure, b: Structure, k: int,
@@ -199,41 +175,6 @@ def audit_bf_duplicator(entries: Mapping, a: Structure, b: Structure, k: int,
                     seen.add(nxt)
                     queue.append(nxt)
     return True, "ok"
-
-
-def audit_bf_spoiler(node: SpoilerBFNode, a: Structure, b: Structure, k: int,
-                     comonad: str) -> tuple[bool, str]:
-    g = _tree_game(comonad, "a back-and-forth Spoiler tree")
-    root = g.root(a), g.root(b)
-
-    def step(nd: Optional[SpoilerBFNode], st: tuple):
-        s, t = st
-        d = g.depth(s)
-        if nd is None:
-            if d != k:
-                return "terminal claim before the final round"
-            if g.winning(s, t, a, b):
-                return f"final position {s!r}/{t!r} lies in the winning set"
-            return ()
-        cs = g.children(a, s) if d < k else []
-        ct = g.children(b, t) if d < k else []
-        if nd.side is None:
-            if cs or ct:
-                return "stall claimed at a position with moves"
-            if g.winning(s, t, a, b):
-                return "stalled position lies in the winning set"
-            return ()
-        if d >= k:
-            return "Spoiler move after the final round"
-        mine, theirs = (cs, ct) if nd.side == "A" else (ct, cs)
-        if nd.move not in mine:
-            return f"move {nd.move!r} is not an immediate successor"
-        if [r for r, _ in nd.branches] != theirs:
-            return "replies not exhaustive"
-        return [(child, (nd.move, r) if nd.side == "A" else (r, nd.move))
-                for r, child in nd.branches]
-
-    return walk_tree(node, root, step)
 
 
 # ---------------------------------------------------------------------------

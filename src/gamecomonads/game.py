@@ -12,10 +12,16 @@ the play cap, the lifting of a structure along play prefixes with its
 homomorphism check, the one comonad-law report, the one coKleisli morphism
 record (a total table on the plays of a round-bounded game) with its counit
 and composition, the one Spoiler-tree walk that the refutation audits and the
-certificate writer run on, the one solver of the round-bounded games
-(`round_values`) with the table read off its values (`first_replies`), and
-the driver (`run`) that runs recursion written as generators on an explicit
-stack.
+certificate writer run on, and the driver (`run`) that runs recursion written
+as generators on an explicit stack.
+
+The round-bounded games (sequence and modal, existential and back-and-forth)
+are solved here in one way: `round_values` is the backward induction, for the
+sides Spoiler may move on and the condition Duplicator must keep.  Their
+witnesses are read off its values in one way each: Duplicator's table of the
+existential game (`first_replies`), and Spoiler's tree of any of the four
+(`spoiler_tree`, one `SpoilerNode` type), which `audit_spoiler_tree` replays
+without solving.
 """
 
 from __future__ import annotations
@@ -275,6 +281,84 @@ def first_replies(game: Game, a: Structure, b: Structure, k: int,
                 reply[s2] = next(t2 for t2 in game.children(b, reply[s]) if value(s2, t2))
                 todo.append(s2)
     return CoKleisli(game, k, a, b, {s: game.last(reply[s]) for s in plays})
+
+
+@dataclass(frozen=True)
+class SpoilerNode:
+    """One node of Spoiler's winning tree in a round-bounded game.
+
+    Spoiler extends the play on `side` ("A" or "B") by `step`: an element in
+    the sequence game, a label and an element in the modal game.  `branches`
+    pairs each of Duplicator's reply steps with the subtree after it, or with
+    None when the reply loses at once.  A node with `side` None is a root that
+    has already lost."""
+
+    side: Optional[str]
+    step: Optional[tuple]
+    branches: tuple = ()
+
+
+@dataclass(frozen=True)
+class ExistResult:
+    wins: bool
+    strategy: Optional[CoKleisli] = None
+    refutation: Optional[SpoilerNode] = None
+
+
+def spoiler_tree(game: Game, a: Structure, b: Structure, value: Callable,
+                 sides: str) -> SpoilerNode:
+    """Spoiler's tree read off the values of a lost game (`round_values` with
+    the same `sides`): at each position, the first move to which every reply
+    loses; a reply that fails the condition at once is a leaf.  Equal-depth
+    plays have equal length, so a step is what a child adds past `len(s)`."""
+    def build(s: tuple, t: tuple):
+        side, moved, replies = next(move for move in spoiler_moves(game, a, b, s, t, sides)
+                                    if not any(value(*pair) for _, pair in move[2]))
+        branches = []
+        for r, pair in replies:
+            branches.append((r[len(s):],
+                             None if value(*pair) is None else (yield build(*pair))))
+        return SpoilerNode(side, moved[len(s):], tuple(branches))
+
+    root = game.root(a), game.root(b)
+    return SpoilerNode(None, None) if value(*root) is None else run(build(*root))
+
+
+def audit_spoiler_tree(game: Game, node: SpoilerNode, a: Structure, b: Structure, k: int,
+                       holds: Callable, sides: str) -> tuple[bool, str]:
+    """Replay a Spoiler tree on the play trees of `a` and `b` without solving:
+    every move is on a side in `sides`, before round k, and extends its play by
+    one child; the replies are Duplicator's, each once in any order; and every
+    leaf, like a stalled root, fails `holds`."""
+    def step(nd: Optional[SpoilerNode], plays: tuple):
+        s, t = plays
+        d = game.depth(s)
+        if nd is None or nd.side is None:
+            return f"position after round {d} does not lose" if holds(s, t, a, b) else ()
+        if d >= k:
+            return f"move in round {d + 1}, after the last round {k}"
+        if nd.side not in sides:
+            return f"move on side {nd.side} in round {d + 1}"
+        mine, host, theirs, other = (s, a, t, b) if nd.side == "A" else (t, b, s, a)
+        moved = mine + nd.step
+        if moved not in game.children(host, mine):
+            return f"illegal move in round {d + 1}"
+        replies = {r[len(s):] for r in game.children(other, theirs)}
+        if len(nd.branches) != len(replies) or {r for r, _ in nd.branches} != replies:
+            return f"replies in round {d + 1} are not Duplicator's"
+        return [(child, (moved, theirs + r) if nd.side == "A" else (theirs + r, moved))
+                for r, child in nd.branches]
+
+    return walk_tree(node, (game.root(a), game.root(b)), step)
+
+
+def decide_exist(game: Game, a: Structure, b: Structure, k: int) -> ExistResult:
+    """The existential k-round game from `a` to `b`: Duplicator's table on a
+    win, Spoiler's tree on a loss."""
+    value = round_values(game, a, b, k, game.forth, "A")
+    if value(game.root(a), game.root(b)):
+        return ExistResult(True, strategy=first_replies(game, a, b, k, value))
+    return ExistResult(False, refutation=spoiler_tree(game, a, b, value, "A"))
 
 
 def counit_cokleisli(game: Game, a: Structure, k: int) -> CoKleisli:

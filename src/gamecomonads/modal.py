@@ -4,17 +4,21 @@ depth-k bisimilarity.
 
 A path is stored flat: (a0, label1, a1, label2, a2, ...), always of odd length,
 starting at the distinguished element and following transitions.
+
+The simulation decision is `game.decide_exist` on this game's record: a
+coKleisli table on a win, a `game.SpoilerNode` tree on a loss, whose steps
+are a label and an element each.  A reply under another label, or to an
+element missing a unary symbol of Spoiler's, is a leaf that loses at once,
+and a root whose points already disagree is a stalled root.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .errors import ArityError, CapExceededError, PointError, ToolkitError, VocabularyMismatchError
-from .game import (DEFAULT_PLAY_CAP, CoKleisli, Game, LawReport, first_replies, law_report,
-                   round_values, run, spoiler_moves, walk_tree)
+from .game import DEFAULT_PLAY_CAP, ExistResult, Game, LawReport, decide_exist, law_report
 from .structures import Elem, Structure
 
 Path = tuple
@@ -121,29 +125,7 @@ def unravel(a: Structure, k: int, cap: int = DEFAULT_PLAY_CAP) -> Structure:
     return Structure(a.vocab, tuple(paths), interp, (a.point,))
 
 
-@dataclass(frozen=True)
-class ModalSpoilerNode:
-    """Spoiler tree for the existential simulation game.
-
-    `fail` names a unary symbol holding at the current source element but not
-    at the current target element; otherwise `label`/`move` is Spoiler's
-    transition, with one branch per same-label reply (none if the target is
-    stuck)."""
-
-    fail: Optional[str] = None
-    label: Optional[str] = None
-    move: Optional[Elem] = None
-    branches: tuple = ()
-
-
-@dataclass(frozen=True)
-class SimResult:
-    wins: bool
-    strategy: Optional[CoKleisli] = None
-    refutation: Optional[ModalSpoilerNode] = None
-
-
-def decide_sim_k(a: Structure, b: Structure, k: int) -> SimResult:
+def decide_sim_k(a: Structure, b: Structure, k: int) -> ExistResult:
     """Depth-k existential simulation: true iff a point-preserving
     homomorphism from the depth-k unravelling of `a` into `b` exists."""
     require_modal(a)
@@ -152,47 +134,7 @@ def decide_sim_k(a: Structure, b: Structure, k: int) -> SimResult:
         raise VocabularyMismatchError("decide_sim_k requires a shared vocabulary")
     if k < 1:
         raise ToolkitError("k must be >= 1")
-    value = round_values(GAME, a, b, k, GAME.forth, "A")
-    if value((a.point,), (b.point,)):
-        return SimResult(True, strategy=first_replies(GAME, a, b, k, value))
-    unaries = unary_symbols(a)
-
-    def spoiler(s: Path, t: Path):
-        # value(s, t) is falsy and the labels of s and t agree.
-        x, y = s[-1], t[-1]
-        for name in unaries:
-            if (x,) in a.tuples(name) and (y,) not in b.tuples(name):
-                return ModalSpoilerNode(fail=name)
-        _, s2, replies = next(move for move in spoiler_moves(GAME, a, b, s, t, "A")
-                              if not any(value(*pair) for _, pair in move[2]))
-        branches = []
-        for t2, pair in replies:
-            if t2[-2] == s2[-2]:
-                branches.append((t2[-1], (yield spoiler(*pair))))
-        return ModalSpoilerNode(label=s2[-2], move=s2[-1], branches=tuple(branches))
-
-    return SimResult(False, refutation=run(spoiler((a.point,), (b.point,))))
-
-
-def audit_modal_spoiler(node: ModalSpoilerNode, a: Structure, b: Structure,
-                        k: int) -> tuple[bool, str]:
-    """Audit a simulation refutation without re-solving."""
-    def step(nd: ModalSpoilerNode, at: tuple):
-        x, y, d = at
-        if nd.fail is not None:
-            if (x,) in a.tuples(nd.fail) and (y,) not in b.tuples(nd.fail):
-                return ()
-            return f"claimed unary failure {nd.fail!r} does not hold at ({x!r}, {y!r})"
-        if d <= 0:
-            return "move played after the round budget"
-        if (x, nd.move) not in a.tuples(nd.label):
-            return f"move {nd.label}:{nd.move!r} is not a transition of the source"
-        replies = [y2 for lab, y2 in successors(b, y) if lab == nd.label]
-        if sorted(map(repr, (y2 for y2, _ in nd.branches))) != sorted(map(repr, replies)):
-            return "replies not exhaustive"
-        return [(child, (nd.move, y2, d - 1)) for y2, child in nd.branches]
-
-    return walk_tree(node, (a.point, b.point, k), step)
+    return decide_exist(GAME, a, b, k)
 
 
 def bisim_oracle(a: Structure, b: Structure, k: int) -> bool:

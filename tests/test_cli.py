@@ -182,7 +182,7 @@ def test_parse_error_is_usage_error(tmp_path):
     "certificate ef-table\ngame ef\nk two\nclaim true\n",
     "certificate pebble-safe\ngame pebble\nk 2\nclaim true\npos\n",
     "certificate ef-spoiler\ngame ef\nk 2\nclaim false\nnode 0\n",
-    "certificate ef-spoiler\ngame ef\nk 2\nclaim false\nnode 0 move a\nbranch 0 x 0\n",
+    "certificate ef-spoiler\ngame ef\nk 2\nclaim false\nnode 0 A [a]\nbranch 0 [x] 0\n",
     "certificate both-pair\ngame pebble\nk 2\nclaim true\nfwd\n",
     ("certificate pebble-forest-cover\ngame pebble\nk 2\nkappa 2\nparent b a\npebble a 1\n"
      "pebble b 2\nbag b0 a\nbag b1 a b\nedge b0 zz\nedge zz b1\n"),
@@ -266,24 +266,19 @@ LOOP_P = "vocab R 2\nvocab P 1\nelem a\nrel R a a\nrel P a\nstart a\n"
 LOOP_NOT_P = "vocab R 2\nvocab P 1\nelem x\nrel R x x\nstart x\n"
 
 
-def _plays(e, n):
-    return "[" + ",".join(e * n) + "]"
-
-
 # kind, game, k, nodes, source, target, rows of node i (nxt: the next node or None), report
 DEEP_CHAINS = [
     ("ef-spoiler", "ef", 5000, 3000, EDGE, TWOPTS,
-     lambda i, nxt: [f"node {i} move a", f"branch {i} x {nxt or 'lose'}",
-                     f"branch {i} y lose"],
-     "result: false\ndetail: leaf after reply 'x' is still a partial homomorphism"),
+     lambda i, nxt: [f"node {i} A [a]", f"branch {i} [x] {nxt or 'lose'}",
+                     f"branch {i} [y] lose"],
+     "result: false\ndetail: position after round 3000 does not lose"),
     ("modal-spoiler", "modal", 5000, 3000, LOOP_P, LOOP_NOT_P,
-     lambda i, nxt: ([f"node {i} move R a", f"branch {i} x {nxt}"] if nxt
-                     else [f"node {i} fail P"]),
+     lambda i, nxt: [f"node {i} A [R,a]", f"branch {i} [R,x] {nxt or 'lose'}"],
      "result: true\ndetail: ok"),
-    ("bf-spoiler", "ef", 1200, 1201, LOOP, POINT,
-     lambda i, nxt: ([f"node {i} side A move {_plays('a', i + 1)}",
-                      f"branch {i} {_plays('x', i + 1)} {nxt}"] if nxt
-                     else [f"node {i} stall"]),
+    # Spoiler moves on A and on B by turns
+    ("bf-spoiler", "ef", 1201, 1201, LOOP, POINT,
+     lambda i, nxt: [f"node {i} {'AB'[i % 2]} [{'ax'[i % 2]}]",
+                     f"branch {i} [{'xa'[i % 2]}] {nxt or 'lose'}"],
      "result: true\ndetail: ok"),
     ("pebble-refutation", "pebble", 1, 3001, EDGE, TWOPTS,
      lambda i, nxt: ([f"node {i} - place a", f"branch {i} x {nxt or 'lose'}",
@@ -313,6 +308,75 @@ def test_verify_a_deep_spoiler_tree(tmp_path, kind, game, k, n, source, target, 
                      str(tmp_path / "b.str")])
     assert out.endswith(report + "\n")
     assert code == (0 if "result: true" in report else 1)
+
+
+EDGE_TWOPTS_K2_TREE = ("node 0 A [a]\nbranch 0 [x] 1\nbranch 0 [y] 2\n"
+                       "node 1 A [b]\nbranch 1 [x] lose\nbranch 1 [y] lose\n"
+                       "node 2 A [b]\nbranch 2 [x] lose\nbranch 2 [y] lose\n")
+
+
+# kind, k, source, target, tree rows, the audit's reason
+ILLEGAL_ROUND_TREES = [
+    ("ef-spoiler", 2, EDGE, TWOPTS, EDGE_TWOPTS_K2_TREE, "ok"),
+    ("ef-spoiler", 1, EDGE, TWOPTS, EDGE_TWOPTS_K2_TREE, "move in round 2, after the last round 1"),
+    ("ef-spoiler", 1, POINT, "vocab R 2\nelem p\nelem q\nrel R q q\n",
+     "node 0 B [q]\nbranch 0 [x] lose\n", "move on side B in round 1"),
+    ("ef-spoiler", 2, EDGE, TWOPTS, "node 0 A [z]\nbranch 0 [x] lose\nbranch 0 [y] lose\n",
+     "illegal move in round 1"),
+    ("bf-spoiler", 2, EDGE, TWOPTS, "node 0 A [a]\nbranch 0 [x] lose\n",
+     "replies in round 1 are not Duplicator's"),
+    ("ef-spoiler", 2, EDGE, TWOPTS, "node 0 stall\n", "position after round 0 does not lose"),
+]
+
+
+@pytest.mark.parametrize("kind,k,source,target,tree,reason", ILLEGAL_ROUND_TREES,
+                         ids=["legal", "past-the-last-round", "side-B-in-the-existential-game",
+                              "illegal-move", "missing-reply", "stall-at-a-root-that-holds"])
+def test_verify_replays_a_round_tree_move_by_move(tmp_path, kind, k, source, target, tree,
+                                                  reason):
+    (tmp_path / "t.cert").write_text(f"certificate {kind}\ngame ef\nk {k}\nclaim false\n"
+                                     + tree)
+    (tmp_path / "a.str").write_text(source)
+    (tmp_path / "b.str").write_text(target)
+    code, out = run(["verify", "--certificate", str(tmp_path / "t.cert"),
+                     str(tmp_path / "a.str"), str(tmp_path / "b.str")])
+    assert out.endswith(f"\ndetail: {reason}\n")
+    assert code == (0 if reason == "ok" else 1)
+
+
+def _shared_child_chain(n):
+    """An `ef-spoiler` chain whose two branches at each node both name the next node."""
+    lines = ["certificate ef-spoiler", "game ef", "k 5000", "claim false"]
+    for i in range(n):
+        nxt = i + 1 if i + 1 < n else "lose"
+        lines += [f"node {i} A [a]", f"branch {i} [x] {nxt}", f"branch {i} [y] {nxt}"]
+    return "\n".join(lines) + "\n"
+
+
+def _duplicated_branch():
+    """A golden `ef-spoiler` tree with one branch row to a node written twice."""
+    golden = Path(__file__).with_name("golden") / "equiv-ef-exists-k3-edge-twopts.cert"
+    rows = golden.read_text().splitlines()
+    i = next(i for i, row in enumerate(rows) if row.startswith("branch") and row[-1].isdigit())
+    return "\n".join(rows[:i + 1] + rows[i:]) + "\n"
+
+
+@pytest.mark.parametrize("text,source", [(_shared_child_chain(40), LOOP),
+                                         (_duplicated_branch(), EDGE)],
+                         ids=["shared-child-chain", "duplicated-branch"])
+def test_verify_rejects_a_node_claimed_by_two_branches(tmp_path, text, source):
+    """A Spoiler tree is a tree: a node named as the child of two branches
+    would make the audit walk every path of a DAG (2^40 here), so it is a
+    malformed certificate, refused at once."""
+    (tmp_path / "dag.cert").write_text(text)
+    (tmp_path / "a.str").write_text(source)
+    (tmp_path / "b.str").write_text(TWOPTS)
+    proc = subprocess.run([sys.executable, "-m", "gamecomonads.cli", "verify", "--certificate",
+                           str(tmp_path / "dag.cert"), str(tmp_path / "a.str"),
+                           str(tmp_path / "b.str")],
+                          env=child_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr[-3000:]
+    assert "is the child of more than one branch" in proc.stderr
 
 
 def test_runs_without_numpy(files):
@@ -449,6 +513,38 @@ def test_pebble_cap_counts_candidate_positions(files, mode, fits):
     assert code == 0 and "\nresult: true\n" in out
     code, _ = run(argv + ["--cap-plays", str(fits - 1)])
     assert code == 3
+
+
+def test_backforth_cap_counts_the_plays_of_each_side(tmp_path):
+    """C4 against C4 in three rounds is won, and its strategy answers the
+    4 + 16 + 64 = 84 plays of each side."""
+    (tmp_path / "c4.str").write_text("vocab R 2\n" + "".join(f"elem v{i}\n" for i in range(4))
+                                     + "".join(f"rel R v{i} v{(i + 1) % 4}\n"
+                                               f"rel R v{(i + 1) % 4} v{i}\n" for i in range(4)))
+    c4 = str(tmp_path / "c4.str")
+    argv = ["equiv", "--game", "ef", "--mode", "backforth", "-k", "3", c4, c4]
+    code, out = run(argv + ["--cap-plays", "84"])
+    assert code == 0 and "\nresult: true\n" in out
+    code, _ = run(argv + ["--cap-plays", "83"])
+    assert code == 3
+
+
+@pytest.mark.parametrize("formula", ["~" * 3000 + "T", " & ".join(["T"] * 3000)],
+                         ids=["nested-negation", "flat-conjunction"])
+def test_eval_of_a_formula_too_deep_is_a_resource_limit(files, formula):
+    """The parser and evaluator recurse on the formula; past the interpreter's
+    recursion limit the command exits 3 with a one-line error."""
+    proc = subprocess.run([sys.executable, "-m", "gamecomonads.cli", "eval", "-f", formula,
+                           files["edge"]], env=child_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+
+
+def test_eval_of_a_formula_nested_100_deep(files):
+    code, out = run(["eval", "-f", "(" * 100 + "E x . R(x,x) | T" + ")" * 100, files["edge"]])
+    assert code == 0 and "\nresult: true\n" in out
 
 
 def test_pebble_game_over_the_cap_stops_before_enumerating(tmp_path):

@@ -4,8 +4,8 @@ from itertools import product
 import pytest
 
 from gamecomonads import ef, logic, pebbling
-from gamecomonads.game import (CoKleisli, cokleisli_compose, counit_cokleisli,
-                               lift_along_prefixes, prefixes)
+from gamecomonads.game import (CoKleisli, audit_spoiler_tree, cokleisli_compose,
+                               counit_cokleisli, lift_along_prefixes, prefixes)
 from gamecomonads.errors import CapExceededError, ToolkitError, VocabularyMismatchError
 from gamecomonads.structures import Structure, check_hom, find_hom
 
@@ -109,7 +109,7 @@ def test_decide_loop_vs_two_cycle():
     cyc = S(VOCAB_R, ["x", "y"], {"R": [("x", "y"), ("y", "x")]})
     res = ef.decide_exist_ef(loop, cyc, 2)
     assert not res.wins
-    ok, why = ef.audit_spoiler_tree(res.refutation, loop, cyc, 2)
+    ok, why = audit_spoiler_tree(ef.GAME, res.refutation, loop, cyc, 2, ef.GAME.forth, "A")
     assert ok, why
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from gamecomonads import ef, equivalence as eq, logic, modal
 from gamecomonads.errors import CapExceededError, ToolkitError
+from gamecomonads.game import audit_spoiler_tree
 from gamecomonads.structures import Vocabulary
 
 from helpers import (S, VOCAB_R, all_pointed, all_structures_upto, clique_structure,
@@ -35,7 +36,7 @@ def test_backforth_copycat():
 def test_backforth_edge_vs_two_points():
     res = eq.solve_back_forth(EDGE, TWOPTS, 2, "ef")
     assert not res.wins
-    ok, why = eq.audit_bf_spoiler(res.spoiler, EDGE, TWOPTS, 2, "ef")
+    ok, why = audit_spoiler_tree(ef.GAME, res.spoiler, EDGE, TWOPTS, 2, ef.GAME.winning, "AB")
     assert ok, why
 
 
@@ -49,7 +50,7 @@ def test_backforth_paths_until_distinguished():
     assert ok, why
     r2 = eq.solve_back_forth(p3, p4, 2, "ef")
     assert not r2.wins
-    ok, why = eq.audit_bf_spoiler(r2.spoiler, p3, p4, 2, "ef")
+    ok, why = audit_spoiler_tree(ef.GAME, r2.spoiler, p3, p4, 2, ef.GAME.winning, "AB")
     assert ok, why
     # the separating sentence, as a sanity anchor
     phi = logic.parse_formula("E x . A y . (x = y | R(x,y))")

@@ -12,6 +12,7 @@ After an intended change of output, rewrite the corpus with
 
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -21,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from gamecomonads import cli
+from gamecomonads.certificates import KINDS
 
 GOLDEN = Path(__file__).with_name("golden")
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -44,6 +46,9 @@ INPUTS = {
            "rel R x y\nrel R y x\nrel R y z\nrel R z y\n"),
     "labelled": "vocab R 2\nvocab S 1\nelem a\nelem b\nrel R a b\nrel S b\nstart a\n",
     "marked": "vocab R 2\nvocab S 1\nelem p\nelem q\nrel R p q\nstart p\n",
+    "spoint": "vocab R 2\nvocab S 1\nelem a\nrel S a\nstart a\n",
+    "point": "vocab R 2\nelem x\n",
+    "ploop": "vocab R 2\nelem p\nelem q\nrel R q q\n",
     "c5": _cycle(5),
     "c6": _cycle(6),
     "c7": _cycle(7),
@@ -66,8 +71,8 @@ def jobs():
                                 ("modal", "cycle", "chain")]]
     equiv += [("ef", "iso", 2, "edge", "edge"), ("modal", "iso", 2, "chain", "chain")]
     # beyond criterion 9: the remaining refutation kinds, node forms and failing sides
-    equiv += [("modal", "exists", 2, "labelled", "marked"),  # fail and move nodes
-              ("modal", "backforth", 2, "labelled", "marked"),  # stall and side nodes
+    equiv += [("modal", "exists", 2, "labelled", "marked"),  # a reply lost on S
+              ("modal", "backforth", 2, "labelled", "marked"),  # the same, both ways
               ("pebble", "exists", 3, "c5", "edge"),  # drop and place nodes
               ("pebble", "both", 3, "edge", "k3"),  # both-pair failing backward
               ("modal", "both", 3, "chain", "cycle"),
@@ -100,6 +105,10 @@ def jobs():
     # pebble refutations that take several deletion passes: 4 for C5 against C6,
     # 7 for C7 into C6
     later += [("pebble", "backforth", 3, "c5", "c6"), ("pebble", "exists", 3, "c7", "c6")]
+    # round-bounded Spoiler trees with a stalled root (the points differ on S),
+    # and with a move on side B (only `ploop` has a loop)
+    later += [("modal", mode, 1, "spoint", "marked") for mode in ("exists", "backforth")]
+    later += [("ef", "backforth", 1, "point", "ploop")]
     return out + [_equiv_job(*job) for job in later]
 
 
@@ -135,6 +144,60 @@ def corpus() -> dict[str, str]:
             files[f"{name}.verify"] = out
     files["exit-codes.txt"] = "\n".join(exits) + "\n"
     return files
+
+
+# the node and leaf forms of a round-bounded Spoiler tree, on a row of any
+# certificate (inside a both-pair, after its `fwd`/`bwd` tag)
+ROUND_TREE_FORMS = {"A move": r"node \d+ A \[", "B move": r"node \d+ B \[",
+                    "stall": r"node \d+ stall$", "lose leaf": r"branch \d+ \[[^]]*\] lose$"}
+
+
+def test_golden_certificates_pin_every_kind_and_round_tree_form():
+    texts = [p.read_text(encoding="utf-8") for p in GOLDEN.glob("*.cert")]
+    kinds = {text.split("\n", 1)[0].removeprefix("certificate ") for text in texts}
+    assert sorted(set(KINDS) - kinds) == []
+    rows = [line.removeprefix("fwd ").removeprefix("bwd ")
+            for text in texts for line in text.splitlines()]
+    missing = [form for form, pattern in ROUND_TREE_FORMS.items()
+               if not any(re.match(pattern, row) for row in rows)]
+    assert missing == []
+
+
+# a branch row of a round-bounded Spoiler tree: (node, reply step, child or `lose`)
+ROUND_BRANCH = re.compile(r"((?:fwd |bwd )?branch \d+) (\[[^]]*\]) (\S+)$")
+
+
+def _tree_mutants(rows):
+    """The rows with one branch row dropped, and with a `lose` leaf swapped
+    with a sibling subtree, so that it claims a reply that still holds."""
+    branches = [(i, m) for i, m in enumerate(map(ROUND_BRANCH.match, rows)) if m]
+    for i, _ in branches:
+        yield "drop", rows[:i] + rows[i + 1:]
+    for i, m in branches:
+        for j, n in branches:
+            if m[1] == n[1] and m[3] == "lose" != n[3]:
+                swapped = list(rows)
+                swapped[i], swapped[j] = f"{m[1]} {m[2]} {n[3]}", f"{n[1]} {n[2]} lose"
+                yield "flip", swapped
+
+
+def test_golden_spoiler_trees_fail_when_mutated(tmp_path, monkeypatch):
+    """Dropping a branch, or moving a `lose` leaf onto a reply with a subtree,
+    turns every golden round-bounded Spoiler tree into one `verify` rejects."""
+    monkeypatch.chdir(tmp_path)
+    for name, text in INPUTS.items():
+        Path(f"{name}.str").write_text(text, encoding="utf-8")
+    seen = set()
+    for _, _, cert, structures in jobs():
+        if cert is None:
+            continue
+        for how, rows in _tree_mutants((GOLDEN / cert).read_text(encoding="utf-8").splitlines()):
+            seen.add(how)
+            Path("mutant.cert").write_text("\n".join(rows) + "\n", encoding="utf-8")
+            code, out = _run(["verify", "--certificate", "mutant.cert"]
+                             + [f"{s}.str" for s in structures])
+            assert (code, "\nresult: false\n" in out) == (1, True), (cert, how, out)
+    assert seen == {"drop", "flip"}
 
 
 def test_golden_corpus(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@ import pytest
 from gamecomonads import equivalence as eq
 from gamecomonads import modal
 from gamecomonads.errors import ArityError, PointError
+from gamecomonads.game import audit_spoiler_tree
 from gamecomonads.structures import check_hom, find_hom
 
 from helpers import S, VOCAB_R, all_pointed, all_structures_upto
@@ -88,7 +89,8 @@ def test_sim_agrees_with_unravel_hom_search():
                 if got.wins:
                     assert got.strategy.is_homomorphism()
                 else:
-                    ok, why = modal.audit_modal_spoiler(got.refutation, a, b, k)
+                    ok, why = audit_spoiler_tree(modal.GAME, got.refutation, a, b, k,
+                                                 modal.GAME.forth, "A")
                     assert ok, why
 
 
