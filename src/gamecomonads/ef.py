@@ -98,8 +98,8 @@ GAME = Game(
     universe=ef_universe,
     lifted=ef_structure,
     extend=_extend,
-    winning=lambda s, t, a, b: is_partial_iso(list(zip(s, t)), a, b),
-    forth=lambda s, t, a, b: is_partial_hom(list(zip(s, t)), a, b),
+    winning=lambda s, t, a, b: is_partial_iso(zip(s, t), a, b),
+    forth=lambda s, t, a, b: is_partial_hom(zip(s, t), a, b),
     position=lambda s, t: frozenset(zip(s, t)),
     coextend=coextend,
     last=counit,

@@ -1,15 +1,14 @@
 """Coalgebras for the three game constructions, their correspondence with
 forest covers / pebbled forest covers / tree decompositions, coalgebra numbers
-(tree-depth, tree-width + 1, synchronization tree depth), and brute-force
-oracles that are independent of all of that machinery.
+(tree-depth, tree-width + 1, synchronization tree depth), and the tree-depth
+and tree-width oracles.
 
-The tree-depth oracle scans every forest order outright (one cached table
-of acyclic parent maps, which also serves the pebble cover search); the
-tree-width oracle runs the exact elimination-ordering dynamic program over
-vertex subsets.  Coalgebra-number searches go through the structural
-characterizations instead: recursive minimum-height covers for the sequence
-game, exhaustive cover-plus-pebbling search for the pebble game, and the
-unique candidate tree shape for the modal game.
+The tree-depth oracle scans every forest order outright (one cached table of
+acyclic parent maps).  Tree-width comes from one pruned elimination-order
+dynamic program, `_treewidth_order`: the tree-width oracle reports its width,
+and the pebble coalgebra number turns its order into a tree decomposition and
+that into a pebbled forest cover.  The sequence game's number is a recursive
+minimum-height cover, and the modal game's is the unique candidate tree shape.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from typing import Iterator, Mapping, Optional
 
 from . import modal as modal_mod
 from .equivalence import GAMES, game
-from .pebbling import active_last
 from .errors import CapExceededError, CycleError, ToolkitError
 from .structures import Elem, Graph, Structure, gaifman
 
@@ -46,24 +44,27 @@ class ForestCover:
             p = self.parent[v]
             if p is not None and p not in vs:
                 raise ToolkitError(f"parent {p!r} outside the vertex set")
+        chains: dict[Elem, tuple[Elem, ...]] = {}
         for v in self.vertices:
-            if len(self.chain(v)) == 0:
-                raise ToolkitError("parent map has a cycle")
+            path: list[Elem] = []
+            u = v
+            while u is not None and u not in chains:
+                if u in path:
+                    raise ToolkitError("parent map has a cycle")
+                path.append(u)
+                u = self.parent[u]
+            chain = () if u is None else chains[u]
+            for w in reversed(path):
+                chain += (w,)
+                chains[w] = chain
+        object.__setattr__(self, "_chains", chains)
 
     def chain(self, v: Elem) -> tuple[Elem, ...]:
-        """Predecessors of v in ascending order, ending at v; () on a cycle."""
-        out = [v]
-        seen = {v}
-        while self.parent[out[-1]] is not None:
-            p = self.parent[out[-1]]
-            if p in seen:
-                return ()
-            seen.add(p)
-            out.append(p)
-        return tuple(reversed(out))
+        """Predecessors of v in ascending order, ending at v."""
+        return self._chains[v]
 
     def leq(self, u: Elem, v: Elem) -> bool:
-        return u in self.chain(v)
+        return u in self._chains[v]
 
     def height(self) -> int:
         return max((len(self.chain(v)) for v in self.vertices), default=0)
@@ -134,34 +135,27 @@ def is_tree_decomposition(td: TreeDecomposition, g: Graph) -> bool:
     except ToolkitError:
         return False
     # tree shape: every node reaches the root
+    rooted = {root}
     for x in td.nodes:
-        seen = set()
+        path = []
         cur = x
-        while cur is not None:
-            if cur in seen:
+        while cur not in rooted:
+            if cur is None or cur in path:
                 return False
-            seen.add(cur)
+            path.append(cur)
             cur = td.parent[cur]
-        if root not in seen:
-            return False
-    covered = set()
-    for x in td.nodes:
-        covered |= set(td.bags[x])
-    if not set(g.vertices) <= covered or not covered <= set(g.vertices):
+        rooted.update(path)
+    bags = {x: frozenset(td.bags[x]) for x in td.nodes}
+    if frozenset().union(*bags.values()) != frozenset(g.vertices):
         return False
     for u, v in g.edges:
-        if not any({u, v} <= set(td.bags[x]) for x in td.nodes):
+        if not any(u in bag and v in bag for bag in bags.values()):
             return False
-    # connectivity: the nodes holding v form one subtree
-    for v in g.vertices:
-        holders = [x for x in td.nodes if v in td.bags[x]]
-        if not holders:
-            return False
-        tops = [x for x in holders
-                if td.parent[x] is None or v not in td.bags[td.parent[x]]]
-        if len(tops) != 1:
-            return False
-    return True
+    # connectivity: the nodes holding v form one subtree, so exactly one of
+    # them has a parent without v
+    tops = [v for x in td.nodes for v in bags[x]
+            if td.parent[x] is None or v not in bags[td.parent[x]]]
+    return len(tops) == len(set(tops))
 
 
 # ---------------------------------------------------------------------------
@@ -217,20 +211,6 @@ def check_coalgebra(c: CoalgebraMap) -> tuple[bool, Optional[str]]:
 
 # ---------------------------------------------------------------------------
 # Coalgebra <-> forest cover (sequence game)
-
-
-def coalgebra_to_forest_cover(c: CoalgebraMap) -> ForestCover:
-    """v <= v' iff alpha(v) is a prefix of alpha(v')."""
-    if c.comonad != "ef":
-        raise ToolkitError("expected a sequence-game coalgebra")
-    ok, why = check_coalgebra(c)
-    if not ok:
-        raise ToolkitError(f"not a coalgebra: {why}")
-    parent = {}
-    for v in c.host.universe:
-        play = c.alpha[v]
-        parent[v] = play[-2] if len(play) >= 2 else None
-    return ForestCover(tuple(c.host.universe), parent)
 
 
 def forest_cover_to_coalgebra(cover: ForestCover, k: int, host: Structure) -> CoalgebraMap:
@@ -314,24 +294,18 @@ def _reachable_postorder(host: Structure) -> list[Elem]:
     return order
 
 
-def modal_depth(a: Structure) -> int:
-    """Synchronization tree depth: the longest transition path from the point
-    over the (required acyclic) reachable part."""
-    modal_mod.require_modal(a)
-    longest: dict[Elem, int] = {}
-    for u in _reachable_postorder(a):
-        longest[u] = max((1 + longest[v] for _, v in modal_mod.successors(a, u)), default=0)
-    return longest[a.point]
-
-
 # ---------------------------------------------------------------------------
 # Pebbled forest cover <-> tree decomposition
 
 
 def active_ancestors(pfc: PebbleForestCover, v: Elem) -> list[Elem]:
     """Ancestors u <= v (inclusive) whose pebble is untouched on (u, v]."""
-    play = tuple((pfc.pebbles[u], u) for u in pfc.cover.chain(v))
-    return [u for i, (_, u) in enumerate(play) if active_last(play[: i + 1], play)]
+    out, later = [], set()
+    for u in reversed(pfc.cover.chain(v)):
+        if pfc.pebbles[u] not in later:
+            out.append(u)
+            later.add(pfc.pebbles[u])
+    return out[::-1]
 
 
 def pfc_to_tree_decomposition(pfc: PebbleForestCover) -> TreeDecomposition:
@@ -361,55 +335,36 @@ def tree_decomposition_to_pfc(td: TreeDecomposition, k: int, g: Graph) -> Pebble
         raise ToolkitError("not a tree decomposition of the graph")
     if td.width() >= k:
         raise ToolkitError(f"width {td.width()} is not < k={k}")
-    root = td.root()
     vidx = g.index
-
     children: dict = {x: [] for x in td.nodes}
     for x in td.nodes:
-        p = td.parent[x]
-        if p is not None:
-            children[p].append(x)
-    order = [root]
-    i = 0
-    while i < len(order):
-        order.extend(sorted(children[order[i]], key=repr))
-        i += 1
-    node_depth = {x: (0 if td.parent[x] is None else None) for x in td.nodes}
-    for x in order[1:]:
-        node_depth[x] = node_depth[td.parent[x]] + 1
+        if td.parent[x] is not None:
+            children[td.parent[x]].append(x)
+    order = [td.root()]
+    for x in order:
+        order.extend(sorted(children[x], key=repr))
 
-    intro: dict[Elem, object] = {}
+    # each vertex is introduced at the first node (breadth first) holding it
+    new_at: dict = {x: [] for x in td.nodes}
+    seen: set = set()
     for x in order:
         for v in sorted(td.bags[x], key=vidx.__getitem__):
-            if v not in intro:
-                intro[v] = x
-    new_at: dict = {x: [] for x in td.nodes}
-    for v in g.vertices:
-        new_at[intro[v]].append(v)
-    for x in td.nodes:
-        new_at[x].sort(key=vidx.__getitem__)
+            if v not in seen:
+                seen.add(v)
+                new_at[x].append(v)
 
     # forest order: u < v iff intro(u) is a strict tree-ancestor of intro(v),
-    # or they share an introduction node and u was listed first
-    anc_path: dict = {}
+    # or they share an introduction node and u was listed first; so v's
+    # parent is the vertex listed just before it on its path from the root
+    parent: dict = {}
+    last: dict = {}  # node -> the last vertex introduced at it or above it
     for x in order:
-        anc_path[x] = (anc_path[td.parent[x]] + [x]) if td.parent[x] is not None else [x]
-
-    pos = {v: (node_depth[intro[v]], new_at[intro[v]].index(v)) for v in g.vertices}
-
-    def predecessors(v: Elem) -> list[Elem]:
-        out = []
-        for x in anc_path[intro[v]]:
-            for u in new_at[x]:
-                if pos[u] < pos[v]:
-                    out.append(u)
-        return out
-
-    parent = {}
-    for v in g.vertices:
-        pred = predecessors(v)
-        parent[v] = pred[-1] if pred else None
-    cover = ForestCover(tuple(g.vertices), parent)
+        above = last.get(td.parent[x])
+        for v in new_at[x]:
+            parent[v] = above
+            above = v
+        last[x] = above
+    cover = ForestCover(tuple(g.vertices), {v: parent[v] for v in g.vertices})
 
     pebbles: dict[Elem, int] = {}
     for x in order:
@@ -424,7 +379,7 @@ def tree_decomposition_to_pfc(td: TreeDecomposition, k: int, g: Graph) -> Pebble
 
 
 # ---------------------------------------------------------------------------
-# Brute-force oracles
+# Oracles: tree-depth by exhaustive search, tree-width by elimination orders
 
 
 @lru_cache(maxsize=None)
@@ -485,71 +440,126 @@ def oracle_treedepth(g: Graph, cap: int = DEFAULT_VERTEX_CAP) -> int:
 
 
 def oracle_treewidth(g: Graph, cap: int = DEFAULT_VERTEX_CAP) -> int:
-    """Exact tree-width by the elimination-ordering dynamic program over
-    vertex subsets (fill-in neighborhoods via reachability through the
-    eliminated prefix)."""
+    """Exact tree-width, by the elimination-order dynamic program."""
     n = len(g.vertices)
     if n == 0:
         return -1
     if n > cap:
         raise CapExceededError(f"{n} vertices exceeds the oracle cap {cap}")
+    return _treewidth_order(g)[0]
+
+
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _treewidth_order(g: Graph) -> tuple[int, tuple[Elem, ...]]:
+    """Tree-width of a nonempty graph with an elimination order attaining it.
+
+    Eliminating v after the set S costs |Q(S, v)|, the vertices outside
+    S + v that v reaches through S, so TW(S + v) = min max(TW(S), |Q(S, v)|)
+    over elimination prefixes, run forward one layer per |S|.  Each S finds
+    the components of G[S] and their outside neighbours once; Q(S, v) joins
+    v's neighbours outside S with those of the components it touches.  Two
+    exact bounds prune (Bodlaender, Fomin, Koster, Kratsch, Thilikos): the
+    greedy min-degree order is the first upper bound, and a prefix S followed
+    by the rest in any order costs at most max(TW(S), n - |S| - 1); a prefix
+    that cannot beat the bound is dropped.  Ties go to the first prefix and
+    the lowest vertex index."""
+    n = len(g.vertices)
     idx = g.index
     adj = [0] * n
     for u, v in g.edges:
         adj[idx[u]] |= 1 << idx[v]
         adj[idx[v]] |= 1 << idx[u]
+    full = (1 << n) - 1
 
-    def reach_outside(v: int, prefix: int) -> int:
-        """Vertices outside `prefix` (and != v) reachable from v through it."""
-        visited = 1 << v
-        frontier = adj[v]
-        result = 0
-        while frontier:
-            new = frontier & ~visited
-            if not new:
-                break
-            visited |= new
-            result |= new & ~prefix
-            inner = new & prefix
-            nxt = 0
-            m = inner
-            while m:
-                u = (m & -m).bit_length() - 1
-                nxt |= adj[u]
-                m &= m - 1
-            frontier = nxt & ~visited
-        return bin(result & ~(1 << v)).count("1")
+    # greedy min-degree elimination on the filled graph
+    nbrs = adj[:]
+    left = full
+    order = []
+    best = -1
+    while left:
+        v = min(_bits(left), key=lambda u: nbrs[u].bit_count())
+        best = max(best, nbrs[v].bit_count())
+        for u in _bits(nbrs[v]):
+            nbrs[u] = (nbrs[u] | nbrs[v]) & ~(1 << u) & ~(1 << v)
+        left &= ~(1 << v)
+        order.append(v)
+    best_prefix = None  # the greedy order stays the witness unless a prefix beats it
 
-    @lru_cache(maxsize=None)
-    def best(prefix: int) -> int:
-        if prefix == 0:
-            return -1
-        out = n
-        m = prefix
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            rest = prefix & ~(1 << v)
-            out = min(out, max(best(rest), reach_outside(v, rest)))
-        return out
+    came_from = {}  # prefix -> the prefix it extends
+    layer = {0: -1}  # prefix -> TW(prefix)
+    for size in range(n):
+        nxt: dict[int, int] = {}
+        for s, tw in layer.items():
+            if tw >= best:
+                continue
+            bound = max(tw, n - size - 1)
+            if bound < best:
+                best, best_prefix = bound, s
+            comps = []  # (component of G[s], its neighbours outside s)
+            rest = s
+            while rest:
+                comp = reach = rest & -rest
+                out = 0
+                while reach:
+                    around = 0
+                    for u in _bits(reach):
+                        around |= adj[u]
+                    out |= around & ~s
+                    reach = around & s & ~comp
+                    comp |= reach
+                comps.append((comp, out))
+                rest &= ~comp
+            for v in _bits(full & ~s):
+                q = adj[v] & ~s
+                for comp, out in comps:
+                    if adj[v] & comp:
+                        q |= out
+                w = max(tw, (q & ~(1 << v)).bit_count())
+                t = s | 1 << v
+                if w < best and w < nxt.get(t, n):
+                    nxt[t] = w
+                    came_from[t] = s
+        layer = nxt
 
-    result = best((1 << n) - 1)
-    best.cache_clear()
-    return result
+    if best_prefix is not None:
+        prefix = []
+        s = best_prefix
+        while s:
+            prev = came_from[s]
+            prefix.append((s & ~prev).bit_length() - 1)
+            s = prev
+        prefix.reverse()
+        order = prefix + list(_bits(full & ~best_prefix))
+    return best, tuple(g.vertices[v] for v in order)
+
+
+def _elimination_decomposition(g: Graph, order: tuple[Elem, ...]) -> TreeDecomposition:
+    """The tree decomposition of an elimination order: v's bag is v and its
+    later neighbours in the filled graph, its parent node the first of those
+    to be eliminated; the roots of the forest hang below the last vertex."""
+    nbrs = {v: set(g.adjacency[v]) for v in g.vertices}
+    later = {}
+    for v in order:
+        later[v] = nbrs.pop(v)
+        for u in later[v]:
+            nbrs[u] |= later[v] - {u}
+            nbrs[u].discard(v)
+    pos = {v: i for i, v in enumerate(order)}
+    last = order[-1]
+    parent = {v: min(later[v], key=pos.__getitem__) if later[v] else last for v in order}
+    parent[last] = None
+    return TreeDecomposition(tuple(order), parent,
+                             {v: frozenset(later[v] | {v}) for v in order})
 
 
 # ---------------------------------------------------------------------------
 # Coalgebra-number searches (structural characterizations)
-
-
-def all_forest_covers(g: Graph) -> Iterator[ForestCover]:
-    """Every forest cover of g, in the order of `_forest_table`."""
-    vs = g.vertices
-    need = _edge_mask(g)
-    for codes, _, mask in _forest_table(len(vs)):
-        if mask & need == need:
-            yield ForestCover(vs, {v: None if p is None else vs[p]
-                                   for v, p in zip(vs, codes)})
 
 
 def _cover_conflicts(cover: ForestCover, g: Graph) -> Iterator[tuple[Elem, Elem]]:
@@ -561,40 +571,6 @@ def _cover_conflicts(cover: ForestCover, g: Graph) -> Iterator[tuple[Elem, Elem]
                 chain = cover.chain(hi)
                 for w in chain[chain.index(lo) + 1:]:
                     yield lo, w
-
-
-def _min_coloring(vertices, conflicts: set[tuple], limit: int) -> Optional[dict]:
-    """Smallest proper coloring of the conflict pairs with at most `limit`
-    colors, by backtracking in vertex order; None if impossible."""
-    vs = list(vertices)
-    neighbors = {v: set() for v in vs}
-    for x, y in conflicts:
-        neighbors[x].add(y)
-        neighbors[y].add(x)
-
-    def attempt(bound: int) -> Optional[dict]:
-        colors: dict = {}
-
-        def rec(i: int) -> bool:
-            if i == len(vs):
-                return True
-            v = vs[i]
-            used = {colors[u] for u in neighbors[v] if u in colors}
-            for col in range(1, bound + 1):
-                if col not in used:
-                    colors[v] = col
-                    if rec(i + 1):
-                        return True
-                    del colors[v]
-            return False
-
-        return dict(colors) if rec(0) else None
-
-    for bound in range(limit + 1):
-        got = attempt(bound)
-        if got is not None:
-            return got
-    return None
 
 
 def min_height_forest_cover(g: Graph) -> ForestCover:
@@ -651,27 +627,6 @@ def min_height_forest_cover(g: Graph) -> ForestCover:
     return ForestCover(tuple(g.vertices), parent)
 
 
-def min_pebble_forest_cover(g: Graph, cap: int = DEFAULT_VERTEX_CAP) -> PebbleForestCover:
-    """Exhaustive search over forest covers, each given its exact minimum
-    pebbling; the overall minimum is the pebble-game coalgebra number."""
-    n = len(g.vertices)
-    if n > cap:
-        raise CapExceededError(f"{n} vertices exceeds the search cap {cap}")
-    best: Optional[PebbleForestCover] = None
-    best_k = n + 1
-    for cover in all_forest_covers(g):
-        conflicts = set(_cover_conflicts(cover, g))
-        coloring = _min_coloring(g.vertices, conflicts, best_k - 1)
-        if coloring is not None:
-            used = max(coloring.values(), default=0)
-            if used < best_k:
-                best_k = used
-                best = PebbleForestCover(cover, coloring)
-    if best is None:
-        raise ToolkitError("internal: no pebbled cover found")
-    return best
-
-
 @dataclass(frozen=True)
 class KappaResult:
     kappa: int
@@ -684,25 +639,35 @@ def coalgebra_number(a: Structure, comonad: str, cap: int = DEFAULT_VERTEX_CAP) 
     """Least k admitting a coalgebra, with a witness.
 
     Sequence game: minimum-height forest cover of the Gaifman graph.  Pebble
-    game: minimum over covers of the exact conflict coloring.  Modal game:
-    the unique candidate tree shape (errors on cycles and non-tree shapes).
+    game: tree-width + 1, pebbling the decomposition of an optimal
+    elimination order.  Modal game: the unique candidate tree shape (errors
+    on cycles and non-tree shapes).
     k is at least 1 by construction, so an empty or edgeless structure gets 1.
     """
     return _KAPPA_SEARCHES[game(comonad).name](a, cap)
 
 
-def _kappa_ef(a: Structure, cap: int) -> KappaResult:
+def _capped_gaifman(a: Structure, cap: int) -> Graph:
     g = gaifman(a)
     if len(g.vertices) > cap:
         raise CapExceededError(f"{len(g.vertices)} vertices exceeds the search cap {cap}")
+    return g
+
+
+def _kappa_ef(a: Structure, cap: int) -> KappaResult:
+    g = _capped_gaifman(a, cap)
     cover = min_height_forest_cover(g)
     kappa = max(1, cover.height())
     return KappaResult(kappa, forest_cover_to_coalgebra(cover, kappa, a), cover=cover)
 
 
 def _kappa_pebble(a: Structure, cap: int) -> KappaResult:
-    pfc = min_pebble_forest_cover(gaifman(a), cap)
-    kappa = max(1, max(pfc.pebbles.values(), default=0))
+    g = _capped_gaifman(a, cap)
+    kappa, pfc = 1, PebbleForestCover(ForestCover((), {}), {})
+    if g.vertices:
+        width, order = _treewidth_order(g)
+        kappa = width + 1
+        pfc = tree_decomposition_to_pfc(_elimination_decomposition(g, order), kappa, g)
     return KappaResult(kappa, pfc_to_pebble_coalgebra(pfc, kappa, a), pfc=pfc)
 
 

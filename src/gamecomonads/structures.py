@@ -356,10 +356,20 @@ def find_hom(a: Structure, b: Structure) -> Optional[Hom]:
     return None
 
 
-def _as_pairs(p) -> list[tuple[Elem, Elem]]:
-    if isinstance(p, Mapping):
-        return list(p.items())
-    return [tuple(x) for x in p]
+def _maps(p, a: Structure, b: Structure, inverse: bool) -> Optional[tuple[dict, dict]]:
+    """One pass over `p` (pairs or mapping): the map it defines and, if
+    `inverse`, the inverse map; None when either is not a function.  A pair
+    outside the two universes is an error."""
+    fn: dict[Elem, Elem] = {}
+    inv: dict[Elem, Elem] = {}
+    functional = True
+    a_index, b_index = a.index, b.index
+    for x, y in (p.items() if isinstance(p, Mapping) else p):
+        if x not in a_index or y not in b_index:
+            raise ToolkitError(f"pair ({x!r}, {y!r}) not drawn from the two universes")
+        if fn.setdefault(x, y) != y or inverse and inv.setdefault(y, x) != x:
+            functional = False
+    return (fn, inv) if functional else None
 
 
 def _preserves(fn: Mapping[Elem, Elem], a: Structure, b: Structure) -> bool:
@@ -381,27 +391,14 @@ def _preserves(fn: Mapping[Elem, Elem], a: Structure, b: Structure) -> bool:
 def is_partial_hom(p, a: Structure, b: Structure) -> bool:
     """`p` (pairs or mapping) is functional and preserves every tuple of `a`
     whose components all lie in its domain."""
-    pairs = _as_pairs(p)
-    for x, y in pairs:
-        if x not in a.index or y not in b.index:
-            raise ToolkitError(f"pair ({x!r}, {y!r}) not drawn from the two universes")
-    fn: dict[Elem, Elem] = {}
-    for x, y in pairs:
-        if fn.setdefault(x, y) != y:
-            return False
-    return _preserves(fn, a, b)
+    maps = _maps(p, a, b, inverse=False)
+    return maps is not None and _preserves(maps[0], a, b)
 
 
 def is_partial_iso(p, a: Structure, b: Structure) -> bool:
     """Partial hom, injective, and the inverse is a partial hom back."""
-    pairs = _as_pairs(p)
-    if not is_partial_hom(pairs, a, b):
-        return False
-    inv: dict[Elem, Elem] = {}
-    for x, y in pairs:
-        if inv.setdefault(y, x) != x:
-            return False
-    return _preserves(inv, b, a)
+    maps = _maps(p, a, b, inverse=True)
+    return maps is not None and _preserves(maps[0], a, b) and _preserves(maps[1], b, a)
 
 
 def gaifman(a: Structure) -> Graph:

@@ -1,13 +1,20 @@
 """Shared test fixtures: structure builders, exhaustive ensembles, an
-independent set-based formula evaluator used as the evaluation oracle, and a
-full-rescan reference for the two pebble games."""
+independent set-based formula evaluator used as the evaluation oracle, a
+full-rescan reference for the two pebble games, and exhaustive references for
+the coalgebra numbers: every forest cover with its minimum pebbling, the
+unpruned tree-width dynamic program, a coalgebra's forest cover and the
+synchronization tree depth."""
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import combinations, product
+from typing import Iterator, Optional
 
-from gamecomonads import equivalence, logic, pebbling
+from gamecomonads import equivalence, logic, modal, pebbling
+from gamecomonads import parameters as par
+from gamecomonads.errors import ToolkitError
 from gamecomonads.structures import Graph, Structure, is_partial_hom, is_partial_iso
 
 VOCAB_R = (("R", 2),)
@@ -251,3 +258,143 @@ def reference_pebble_backforth(a: Structure, b: Structure, k: int) -> equivalenc
     return equivalence.BackForthResult(False, pebble_spoiler=_refute(
         trace, frozenset(), obligations,
         lambda pos, move, branches: equivalence.PebbleBFNode(pos, *move, branches)))
+
+
+# ---------------------------------------------------------------------------
+# Coalgebra-number references: exhaustive covers and the unpruned width DP
+
+
+def all_forest_covers(g: Graph) -> Iterator[par.ForestCover]:
+    """Every forest cover of g, in the order of `_forest_table`."""
+    vs = g.vertices
+    need = par._edge_mask(g)
+    for codes, _, mask in par._forest_table(len(vs)):
+        if mask & need == need:
+            yield par.ForestCover(vs, {v: None if p is None else vs[p]
+                                       for v, p in zip(vs, codes)})
+
+
+def _min_coloring(vertices, conflicts: set[tuple], limit: int) -> Optional[dict]:
+    """Smallest proper coloring of the conflict pairs with at most `limit`
+    colors, by backtracking in vertex order; None if impossible."""
+    vs = list(vertices)
+    neighbors = {v: set() for v in vs}
+    for x, y in conflicts:
+        neighbors[x].add(y)
+        neighbors[y].add(x)
+
+    def attempt(bound: int) -> Optional[dict]:
+        colors: dict = {}
+
+        def rec(i: int) -> bool:
+            if i == len(vs):
+                return True
+            v = vs[i]
+            used = {colors[u] for u in neighbors[v] if u in colors}
+            for col in range(1, bound + 1):
+                if col not in used:
+                    colors[v] = col
+                    if rec(i + 1):
+                        return True
+                    del colors[v]
+            return False
+
+        return dict(colors) if rec(0) else None
+
+    for bound in range(limit + 1):
+        got = attempt(bound)
+        if got is not None:
+            return got
+    return None
+
+
+def min_pebble_forest_cover(g: Graph) -> par.PebbleForestCover:
+    """Exhaustive search over forest covers, each given its exact minimum
+    pebbling; the overall minimum is the pebble-game coalgebra number."""
+    n = len(g.vertices)
+    best = None
+    best_k = n + 1
+    for cover in all_forest_covers(g):
+        conflicts = set(par._cover_conflicts(cover, g))
+        coloring = _min_coloring(g.vertices, conflicts, best_k - 1)
+        if coloring is not None:
+            used = max(coloring.values(), default=0)
+            if used < best_k:
+                best_k = used
+                best = par.PebbleForestCover(cover, coloring)
+    assert best is not None
+    return best
+
+
+def reference_treewidth(g: Graph) -> int:
+    """Exact tree-width by the unpruned elimination-ordering dynamic program
+    over vertex subsets (fill-in neighborhoods via reachability through the
+    eliminated prefix)."""
+    n = len(g.vertices)
+    if n == 0:
+        return -1
+    idx = g.index
+    adj = [0] * n
+    for u, v in g.edges:
+        adj[idx[u]] |= 1 << idx[v]
+        adj[idx[v]] |= 1 << idx[u]
+
+    def reach_outside(v: int, prefix: int) -> int:
+        """Vertices outside `prefix` (and != v) reachable from v through it."""
+        visited = 1 << v
+        frontier = adj[v]
+        result = 0
+        while frontier:
+            new = frontier & ~visited
+            if not new:
+                break
+            visited |= new
+            result |= new & ~prefix
+            inner = new & prefix
+            nxt = 0
+            m = inner
+            while m:
+                u = (m & -m).bit_length() - 1
+                nxt |= adj[u]
+                m &= m - 1
+            frontier = nxt & ~visited
+        return bin(result & ~(1 << v)).count("1")
+
+    @lru_cache(maxsize=None)
+    def best(prefix: int) -> int:
+        if prefix == 0:
+            return -1
+        out = n
+        m = prefix
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            rest = prefix & ~(1 << v)
+            out = min(out, max(best(rest), reach_outside(v, rest)))
+        return out
+
+    return best((1 << n) - 1)
+
+
+def coalgebra_to_forest_cover(c: par.CoalgebraMap) -> par.ForestCover:
+    """v <= v' iff alpha(v) is a prefix of alpha(v')."""
+    if c.comonad != "ef":
+        raise ToolkitError("expected a sequence-game coalgebra")
+    ok, why = par.check_coalgebra(c)
+    if not ok:
+        raise ToolkitError(f"not a coalgebra: {why}")
+    parent = {}
+    for v in c.host.universe:
+        play = c.alpha[v]
+        parent[v] = play[-2] if len(play) >= 2 else None
+    return par.ForestCover(tuple(c.host.universe), parent)
+
+
+def modal_depth(a: Structure) -> int:
+    """Synchronization tree depth: the longest transition path from the point
+    over the (required acyclic) reachable part."""
+    modal.require_modal(a)
+    longest: dict = {}
+    for u in par._reachable_postorder(a):
+        longest[u] = max((1 + longest[v] for _, v in modal.successors(a, u)), default=0)
+    return longest[a.point]

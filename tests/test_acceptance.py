@@ -12,8 +12,9 @@ from gamecomonads import ef, equivalence as eq, logic, modal, parameters as par
 from gamecomonads import pebbling as pb
 from gamecomonads.structures import Structure, Vocabulary, find_hom
 
-from helpers import (S, VOCAB_R, VOCAB_RS, all_graphs, all_pointed, all_structures,
-                     all_structures_upto, clique_structure, graph_structure,
+from helpers import (S, VOCAB_R, VOCAB_RS, all_forest_covers, all_graphs, all_pointed,
+                     all_structures, all_structures_upto, clique_structure,
+                     coalgebra_to_forest_cover, graph_structure, min_pebble_forest_cover,
                      path_structure, random_graph)
 
 
@@ -99,11 +100,16 @@ def test_criterion_3_treedepth_is_kappa():
 # -- 4 -----------------------------------------------------------------------
 
 def test_criterion_4_treewidth_is_kappa_minus_one():
+    """The coalgebra number and the oracle share one elimination-order
+    dynamic program, so the number is also checked against the exhaustive
+    search over forest covers and their pebblings."""
     bad = []
 
     def check(g):
         a = graph_structure(g)
-        if par.coalgebra_number(a, "pebble").kappa != par.oracle_treewidth(g) + 1:
+        kappa = par.coalgebra_number(a, "pebble").kappa
+        exhaustive = max(1, max(min_pebble_forest_cover(g).pebbles.values(), default=0))
+        if not kappa == exhaustive == par.oracle_treewidth(g) + 1:
             bad.append(g)
 
     for n in (1, 2, 3, 4):
@@ -237,11 +243,11 @@ def test_criterion_8_bijection_roundtrips():
     for n in (1, 2, 3, 4):
         for g in all_graphs(n):
             a = graph_structure(g)
-            for cover in par.all_forest_covers(g):
+            for cover in all_forest_covers(g):
                 k = cover.height()
                 c = par.forest_cover_to_coalgebra(cover, k, a)
                 ok, _ = par.check_coalgebra(c)
-                if not ok or par.coalgebra_to_forest_cover(c) != cover:
+                if not ok or coalgebra_to_forest_cover(c) != cover:
                     bad.append(("cover roundtrip", g, cover))
                     continue
                 for assignment in product(range(1, n + 1), repeat=n):

@@ -559,3 +559,29 @@ def test_pebble_game_over_the_cap_stops_before_enumerating(tmp_path):
                           env=child_env(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 3, proc.stderr[-3000:]
     assert "pebble game has 15625000000 candidate positions, cap is 1000000" in proc.stderr
+
+
+def _graph_text(n, edges):
+    return "vocab R 2\n" + "".join(f"elem v{i}\n" for i in range(n)) + "".join(
+        f"rel R v{i} v{j}\nrel R v{j} v{i}\n" for i, j in edges)
+
+
+def test_param_pebble_runs_to_the_raised_vertex_cap(tmp_path):
+    """The 3 x 4 grid has tree-width 3: at `--cap-vertices 12` the pebble
+    number is the tree-width oracle's + 1 and its certificate verifies; an
+    8-vertex path is over the default cap of both commands."""
+    grid = [(r * 4 + c, r * 4 + c + 1) for r in range(3) for c in range(3)]
+    grid += [(r * 4 + c, r * 4 + c + 4) for r in range(2) for c in range(4)]
+    (tmp_path / "grid.str").write_text(_graph_text(12, grid))
+    (tmp_path / "p8.str").write_text(_graph_text(8, [(i, i + 1) for i in range(7)]))
+    path, cert = str(tmp_path / "grid.str"), str(tmp_path / "grid.cert")
+    code, out = run(["oracle", "treewidth", "--cap-vertices", "12", path])
+    assert code == 0 and "\ntreewidth: 3\n" in out
+    code, out = run(["param", "--comonad", "pebble", "--cap-vertices", "12",
+                     "--certificate", cert, path])
+    assert code == 0 and "\nkappa: 4\n" in out
+    code, out = run(["verify", "--certificate", cert, path])
+    assert code == 0 and "\nresult: true\n" in out, out
+    for argv in (["param", "--comonad", "pebble"], ["oracle", "treewidth"]):
+        code, _ = run(argv + [str(tmp_path / "p8.str")])
+        assert code == 3

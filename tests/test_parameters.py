@@ -7,8 +7,10 @@ from gamecomonads import parameters as par
 from gamecomonads.errors import CapExceededError, CycleError, ToolkitError
 from gamecomonads.structures import Graph, gaifman
 
-from helpers import (S, VOCAB_R, all_graphs, clique_structure, graph_structure,
-                     path_structure, random_graph, random_tree_pointed)
+from helpers import (S, VOCAB_R, all_forest_covers, all_graphs, clique_structure,
+                     coalgebra_to_forest_cover, graph_structure, min_pebble_forest_cover,
+                     modal_depth, path_structure, random_graph, random_tree_pointed,
+                     reference_treewidth)
 
 
 def test_check_coalgebra_forced_singleton():
@@ -45,7 +47,7 @@ def test_cover_coalgebra_bijection_edgeless_antichain():
     cover = par.ForestCover(("x", "y"), {"x": None, "y": None})
     c = par.forest_cover_to_coalgebra(cover, 1, a)
     assert c.alpha == {"x": ("x",), "y": ("y",)}
-    assert par.coalgebra_to_forest_cover(c) == cover
+    assert coalgebra_to_forest_cover(c) == cover
 
 
 def test_cover_coalgebra_bijection_edge_chain():
@@ -55,7 +57,7 @@ def test_cover_coalgebra_bijection_edge_chain():
     ok, why = par.check_coalgebra(c)
     assert ok, why
     assert c.alpha == {"a": ("a",), "b": ("a", "b")}
-    assert par.coalgebra_to_forest_cover(c) == cover
+    assert coalgebra_to_forest_cover(c) == cover
 
 
 def test_cover_backward_rejects_triangle_height_two():
@@ -71,12 +73,12 @@ def test_cover_roundtrip_all_covers_of_small_graphs():
     for n in (1, 2, 3):
         for g in all_graphs(n):
             a = graph_structure(g)
-            for cover in par.all_forest_covers(g):
+            for cover in all_forest_covers(g):
                 k = cover.height()
                 c = par.forest_cover_to_coalgebra(cover, k, a)
                 ok, why = par.check_coalgebra(c)
                 assert ok, why
-                assert par.coalgebra_to_forest_cover(c) == cover
+                assert coalgebra_to_forest_cover(c) == cover
 
 
 def test_forest_table_has_one_row_per_rooted_forest():
@@ -98,7 +100,7 @@ def test_all_forest_covers_matches_brute_force():
                     continue
                 if par.is_forest_cover(cover, g):
                     want.append(cover)
-            assert list(par.all_forest_covers(g)) == want
+            assert list(all_forest_covers(g)) == want
 
 
 def test_pebble_cover_roundtrip_single_edge():
@@ -169,7 +171,7 @@ def test_kappa_pebble_examples():
     ok, why = par.check_coalgebra(res.coalgebra)
     assert ok, why
     assert par.oracle_treewidth(gaifman(k3)) == 2
-    empty = par.min_pebble_forest_cover(Graph.build([], []))
+    empty = min_pebble_forest_cover(Graph.build([], []))
     assert empty.cover.vertices == () and empty.pebbles == {}
     assert par.coalgebra_number(S(VOCAB_R, [], {}), "pebble").kappa == 1
 
@@ -238,22 +240,43 @@ def test_tw_equals_kappa_pebble_random():
         assert par.coalgebra_number(a, "pebble").kappa == par.oracle_treewidth(g) + 1
 
 
+def test_pruned_treewidth_equals_the_unpruned_reference():
+    """Seeded graphs of 1-10 vertices at edge densities 0.1-0.9: the pruned
+    program's width is the unpruned one's, and the pebble number's witness is
+    a pebbled forest cover using exactly kappa = width + 1 pebbles."""
+    rng = random.Random(9)
+    for n in range(1, 11):
+        names = [f"v{i}" for i in range(n)]
+        pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1:]]
+        for density in (0.1, 0.3, 0.5, 0.7, 0.9):
+            for _ in range(6):
+                g = Graph.build(names, [e for e in pairs if rng.random() < density])
+                width = reference_treewidth(g)
+                assert par.oracle_treewidth(g, cap=10) == width, g
+                res = par.coalgebra_number(graph_structure(g), "pebble", cap=10)
+                assert res.kappa == width + 1
+                assert par.is_pebble_forest_cover(res.pfc, g, res.kappa)
+                assert max(res.pfc.pebbles.values()) == res.kappa
+                ok, why = par.check_coalgebra(res.coalgebra)
+                assert ok, why
+
+
 def test_modal_depth_examples():
     iso = S(VOCAB_R, ["a"], {}, point="a")
-    assert par.modal_depth(iso) == 0
+    assert modal_depth(iso) == 0
     assert par.coalgebra_number(iso, "modal").kappa == 1
     chain = S(VOCAB_R, ["a", "b", "c"], {"R": [("a", "b"), ("b", "c")]}, point="a")
-    assert par.modal_depth(chain) == 2
+    assert modal_depth(chain) == 2
     assert par.coalgebra_number(chain, "modal").kappa == 2
     diamond = S(VOCAB_R, list("abcd"),
                 {"R": [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]}, point="a")
-    assert par.modal_depth(diamond) == 2
+    assert modal_depth(diamond) == 2
 
 
 def test_modal_depth_rejects_cycles():
     cyc = S(VOCAB_R, ["a", "b"], {"R": [("a", "b"), ("b", "a")]}, point="a")
     with pytest.raises(CycleError):
-        par.modal_depth(cyc)
+        modal_depth(cyc)
     with pytest.raises(CycleError):
         par.coalgebra_number(cyc, "modal")
 
@@ -272,7 +295,7 @@ def test_modal_kappa_matches_depth_on_random_trees():
         res = par.coalgebra_number(a, "modal")
         ok, why = par.check_coalgebra(res.coalgebra)
         assert ok, why
-        assert res.kappa == max(1, par.modal_depth(a))
+        assert res.kappa == max(1, modal_depth(a))
 
 
 def test_every_search_witness_passes_check_coalgebra():
