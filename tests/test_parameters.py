@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -247,7 +247,7 @@ def test_pruned_treewidth_equals_the_unpruned_reference():
     rng = random.Random(9)
     for n in range(1, 11):
         names = [f"v{i}" for i in range(n)]
-        pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1:]]
+        pairs = list(combinations(names, 2))
         for density in (0.1, 0.3, 0.5, 0.7, 0.9):
             for _ in range(6):
                 g = Graph.build(names, [e for e in pairs if rng.random() < density])
