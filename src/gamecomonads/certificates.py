@@ -18,8 +18,12 @@ The Spoiler-tree kinds share one node-tree codec, which refuses a node named
 as the child of two branches.  The three round-bounded kinds (`ef-spoiler`,
 `modal-spoiler`, `bf-spoiler`) share one entry of it, `_ROUNDS`, and one audit,
 `game.audit_spoiler_tree`, under the game's forth condition with Spoiler on
-side A, or its winning condition with Spoiler on both sides; each pebble kind
-has its own entry and audit.
+side A, or its winning condition with Spoiler on both sides.  The pebble
+games are one game with Spoiler on side A (`pebble-family`,
+`pebble-refutation`) or on both sides (`pebble-safe`, `pebble-bf-spoiler`):
+their families share one row form (`part` rows) and one audit,
+`pebbling.audit_strategy_family`, and their trees one codec (`_pebble_tree`)
+and one audit, `pebbling.audit_spoiler_positions`, each told the sides.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from .game import CoKleisli, SpoilerNode, audit_spoiler_tree, walk_tree
 from .structures import Structure, check_hom, gaifman
 
 _PAIR_RE = re.compile(r"\(([^()↦:]+)↦([^()↦:]+)\)")
-_TRIPLE_RE = re.compile(r"\((\d+):([^()↦:]+)↦([^()↦:]+)\)")
 
 
 def fmt_play(s: tuple) -> str:
@@ -63,20 +66,6 @@ def parse_pairs(tok: str) -> frozenset:
     if not found:
         raise CertificateError(f"malformed pair token {tok!r}")
     return frozenset(found)
-
-
-def fmt_triples(pos, a: Structure, b: Structure) -> str:
-    items = sorted(pos, key=lambda t: t[0])
-    return "".join(f"({i}:{x}↦{y})" for i, x, y in items) or "-"
-
-
-def parse_triples(tok: str) -> frozenset:
-    if tok == "-":
-        return frozenset()
-    found = _TRIPLE_RE.findall(tok)
-    if not found:
-        raise CertificateError(f"malformed placement token {tok!r}")
-    return frozenset((int(i), x, y) for i, x, y in found)
 
 
 def _int(tok: str) -> int:
@@ -168,9 +157,9 @@ def _table_rows(table, head: str) -> list[list[str]]:
     return [[head, fmt_play(s), "->", str(table[s])] for s in sorted(table, key=_play_key)]
 
 
-def _family_rows(fam: pebble_mod.StrategyFamily, a: Structure, b: Structure) -> list:
+def _family_rows(parts: frozenset, a: Structure, b: Structure) -> list:
     rows = []
-    for p in sorted(fam.parts, key=lambda p: (len(p), fmt_pairs(p, a, b))):
+    for p in sorted(parts, key=lambda p: (len(p), fmt_pairs(p, a, b))):
         items = sorted(p, key=lambda xy: (a.index[xy[0]], b.index[xy[1]]))
         rows.append(["part"] + [f"({x}↦{y})" for x, y in items])
     return rows
@@ -184,11 +173,6 @@ def _duplicator_rows(entries: dict) -> list:
             rows.append(["respond", fmt_play(s), fmt_play(t), side,
                          fmt_play(mover), "->", fmt_play(here[(side, mover)])])
     return rows
-
-
-def _safe_rows(safe: frozenset, a: Structure, b: Structure) -> list:
-    return [["pos", fmt_triples(pos, a, b)]
-            for pos in sorted(safe, key=lambda p: (len(p), fmt_triples(p, a, b)))]
 
 
 def _cover_rows(cover: par_mod.ForestCover) -> list:
@@ -296,26 +280,35 @@ def _parse_tree(tree: _Tree, rows):
     return nodes[0]
 
 
-def _refutation_head(nd, a, b):
-    move = ["drop", str(nd.drop[0])] if nd.drop is not None else ["place", str(nd.place)]
-    return [fmt_pairs(nd.pos, a, b)] + move
+def _pebble_tree(sides: str) -> _Tree:
+    """The pebble games' codec: `node <id> <pairs> drop <x>` with one `child`
+    row, or `node <id> <pairs> place <e>` with a branch per reply, where a
+    game with Spoiler on both sides writes `place <A|B> <e>`."""
+    def head(nd, a, b):
+        if nd.drop is not None:
+            return [fmt_pairs(nd.pos, a, b), "drop", str(nd.drop[0])]
+        side = [nd.side] if sides == "AB" else []
+        return [fmt_pairs(nd.pos, a, b), "place", *side, str(nd.place)]
 
+    def edges(nd):
+        if nd.drop is not None:
+            return [(None, nd.child)]
+        return [(str(reply), child) for reply, child in nd.branches]
 
-def _refutation_edges(nd):
-    if nd.drop is not None:
-        return [(None, nd.child)]
-    return [(str(reply), child) for reply, child in nd.branches]
+    def build(head, branches, child):
+        match head:
+            case [pos, "drop", src] if child is not None:
+                pos = parse_pairs(pos)
+                pair = next((p for p in pos if p[0] == src), None)
+                if pair is not None:
+                    return pebble_mod.SpoilerPosition(pos, drop=pair, child=child)
+            case [pos, "place", e] if sides == "A":
+                return pebble_mod.SpoilerPosition(parse_pairs(pos), place=e, branches=branches)
+            case [pos, "place", "A" | "B" as side, e] if sides == "AB":
+                return pebble_mod.SpoilerPosition(parse_pairs(pos), place=e, side=side,
+                                                  branches=branches)
 
-
-def _refutation_node(head, branches, child):
-    match head:
-        case [pos, "drop", src] if child is not None:
-            pos = parse_pairs(pos)
-            pair = next((p for p in pos if p[0] == src), None)
-            if pair is not None:
-                return pebble_mod.SpoilerPosition(pos, drop=pair, child=child)
-        case [pos, "place", x]:
-            return pebble_mod.SpoilerPosition(parse_pairs(pos), place=x, branches=branches)
+    return _Tree(head, edges, build)
 
 
 def _spoiler_node(head, branches, child):
@@ -331,21 +324,6 @@ def _spoiler_node(head, branches, child):
 # `branch <id> <reply step> <child|lose>`, steps written as play tokens
 _ROUNDS = _Tree(lambda nd, a, b: ["stall"] if nd.side is None else [nd.side, fmt_play(nd.step)],
                 lambda nd: [(fmt_play(r), c) for r, c in nd.branches], _spoiler_node)
-
-
-def _pebble_spoiler_head(nd, a, b):
-    return [fmt_triples(nd.pos, a, b), "pebble", str(nd.index), "side", nd.side,
-            "elem", str(nd.elem)]
-
-
-def _pebble_spoiler_node(head, branches, child):
-    match head:
-        case [pos, "pebble", i, "side", side, "elem", e]:
-            return eq_mod.PebbleBFNode(parse_triples(pos), _int(i), side, e, branches)
-
-
-def _replies(nd):
-    return [(str(reply), child) for reply, child in nd.branches]
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +357,8 @@ def _verify_table(cert: Certificate, a: Structure, b: Structure) -> tuple[bool, 
     return (f.is_homomorphism(), "coKleisli homomorphism check")
 
 
-def _verify_family(cert: Certificate, a: Structure, b: Structure) -> tuple[bool, str]:
+def _verify_family(cert: Certificate, a: Structure, b: Structure,
+                   sides: str) -> tuple[bool, str]:
     parts = set()
     for row in cert.body:
         if row[0] != "part":
@@ -389,7 +368,7 @@ def _verify_family(cert: Certificate, a: Structure, b: Structure) -> tuple[bool,
             pairs |= parse_pairs(tok)
         parts.add(pairs)
     fam = pebble_mod.StrategyFamily(cert.k, frozenset(parts))
-    return pebble_mod.audit_strategy_family(fam, a, b)
+    return pebble_mod.audit_strategy_family(fam, a, b, sides)
 
 
 def _verify_duplicator(cert: Certificate, a: Structure, b: Structure) -> tuple[bool, str]:
@@ -400,14 +379,6 @@ def _verify_duplicator(cert: Certificate, a: Structure, b: Structure) -> tuple[b
         pos = (parse_play(row[1]), parse_play(row[2]))
         entries.setdefault(pos, {})[(row[3], parse_play(row[4]))] = parse_play(row[6])
     return eq_mod.audit_bf_duplicator(entries, a, b, cert.k, cert.game)
-
-
-def _verify_safe(cert: Certificate, a: Structure, b: Structure) -> tuple[bool, str]:
-    for row in cert.body:
-        if row[0] != "pos" or len(row) != 2:
-            raise CertificateError(f"bad pos row {row!r}")
-    safe = frozenset(parse_triples(row[1]) for row in cert.body)
-    return eq_mod.audit_pebble_safe(safe, a, b, cert.k)
 
 
 def _verify_iso(cert: Certificate, a: Structure, b: Structure) -> tuple[bool, str]:
@@ -551,6 +522,21 @@ def _rounds_kind(witness: str, condition: str, sides: str) -> _Kind:
     return _tree_kind(witness, _ROUNDS, audit)
 
 
+def _family_kind(parts: Callable, sides: str) -> _Kind:
+    """A pebble family kind: `part` rows of the parts `parts(res)`, audited
+    for the pebble game with Spoiler moving on `sides`."""
+    return _Kind("true", lambda res, a, b: _family_rows(parts(res), a, b),
+                 lambda cert, a, b: _verify_family(cert, a, b, sides))
+
+
+def _pebble_tree_kind(witness: str, sides: str) -> _Kind:
+    """A pebble Spoiler-tree kind, audited for the pebble game with Spoiler
+    moving on `sides`."""
+    return _tree_kind(witness, _pebble_tree(sides),
+                      lambda nd, cert, a, b: pebble_mod.audit_spoiler_positions(
+                          nd, a, b, cert.k, sides))
+
+
 KINDS: dict[str, _Kind] = {
     "hom-witness": _Kind(
         "true", lambda res, a, b: [["map", str(e), "->", str(res.mapping[e])]
@@ -559,12 +545,10 @@ KINDS: dict[str, _Kind] = {
         "true", lambda res, a, b: _table_rows(res.strategy.table, "map"), _verify_table),
     "modal-table": _Kind(
         "true", lambda res, a, b: _table_rows(res.strategy.table, "map"), _verify_table),
-    "pebble-family": _Kind(
-        "true", lambda res, a, b: _family_rows(res.family, a, b), _verify_family),
+    "pebble-family": _family_kind(lambda res: res.family.parts, "A"),
     "bf-duplicator": _Kind(
         "true", lambda res, a, b: _duplicator_rows(res.duplicator), _verify_duplicator),
-    "pebble-safe": _Kind(
-        "true", lambda res, a, b: _safe_rows(res.safe_positions, a, b), _verify_safe),
+    "pebble-safe": _family_kind(lambda res: res.safe_positions, "AB"),
     "kleisli-iso": _Kind(
         "true", lambda res, a, b: (_table_rows(res.forward, "fwd")
                                    + _table_rows(res.backward, "bwd")), _verify_iso),
@@ -579,15 +563,9 @@ KINDS: dict[str, _Kind] = {
         _verify_modal_coalgebra),
     "ef-spoiler": _rounds_kind("refutation", "forth", "A"),
     "modal-spoiler": _rounds_kind("refutation", "forth", "A"),
-    "pebble-refutation": _tree_kind(
-        "refutation",
-        _Tree(_refutation_head, _refutation_edges, _refutation_node),
-        lambda nd, cert, a, b: pebble_mod.audit_spoiler_positions(nd, a, b, cert.k)),
+    "pebble-refutation": _pebble_tree_kind("refutation", "A"),
     "bf-spoiler": _rounds_kind("spoiler", "winning", "AB"),
-    "pebble-bf-spoiler": _tree_kind(
-        "pebble_spoiler",
-        _Tree(_pebble_spoiler_head, _replies, _pebble_spoiler_node),
-        lambda nd, cert, a, b: eq_mod.audit_pebble_spoiler(nd, a, b, cert.k)),
+    "pebble-bf-spoiler": _pebble_tree_kind("spoiler", "AB"),
 }
 
 

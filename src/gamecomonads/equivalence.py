@@ -1,6 +1,6 @@
-"""The registry of the three games, and the equivalences each game induces:
-morphisms both ways, the back-and-forth game, the strategy-set fixpoint, and
-coKleisli isomorphism.
+"""The registry of the three games, and the equivalences each game induces
+beyond morphisms both ways: the back-and-forth game, the strategy-set
+fixpoint, and coKleisli isomorphism.
 
 `GAMES` maps each game's name to the `Game` record its module builds; every
 decider here looks the game up once and reads the play tree, lifting and
@@ -17,17 +17,12 @@ leaves the winning set; a win by Duplicator's reply to every move at every
 reachable position, read off only once the plays of both sides fit the cap.
 
 The pebble game has no play tree (its universe is infinite), so its
-back-and-forth decision runs on positional states, pebble placements starting
-from the empty one, with unbounded rounds: a safety greatest fixpoint whose
-winning condition is partial isomorphism of the current placements.  It is
-computed by the deletion engine of the existential pebble game
-(`pebbling.delete_to_fixpoint`), fed with this game's placements, grown one
-pebble index at a time, and its Spoiler moves.  A move is keyed by the
-placement without the moved pebble together with the move, and a placement
-answers one key per pebble on the board and side.  `solve_back_forth` refuses
-a pebble game whose (1 + |A|·|B|)^k candidate placements exceed its cap.  The
-strategy-set fixpoint and coKleisli isomorphism are decided for the sequence
-and modal games only.
+back-and-forth decision is positional, with unbounded rounds: the pebble game
+of `pebbling` with Spoiler moving on both sides, whose family is of partial
+isomorphisms with at most k pairs, closed under restriction, forth and back.
+`solve_back_forth` refuses a pebble game whose candidate partial maps exceed
+its cap.  The strategy-set fixpoint and coKleisli isomorphism are decided
+for the sequence and modal games only.
 """
 
 from __future__ import annotations
@@ -39,9 +34,8 @@ from . import ef as ef_mod
 from . import modal as modal_mod
 from . import pebbling as pebble_mod
 from .errors import CapExceededError, ToolkitError, VocabularyMismatchError
-from .game import (DEFAULT_PLAY_CAP, Game, SpoilerNode, round_values, spoiler_moves, spoiler_tree,
-                   walk_tree)
-from .structures import Elem, Structure, check_hom, is_partial_iso
+from .game import DEFAULT_PLAY_CAP, Game, round_values, spoiler_moves, spoiler_tree
+from .structures import Structure, check_hom
 
 GAMES: dict[str, Game] = {g.name: g for g in (ef_mod.GAME, pebble_mod.GAME, modal_mod.GAME)}
 COMONADS = tuple(GAMES)
@@ -65,40 +59,15 @@ def _tree_game(name: str, what: str) -> Game:
 
 
 # ---------------------------------------------------------------------------
-# Morphisms both ways
-
-
-def decide_both_ways(a: Structure, b: Structure, k: int, comonad: str) -> bool:
-    """Conjunction of the two existential decisions."""
-    g = game(comonad)
-    return (g.decide(a, b, k, DEFAULT_PLAY_CAP).wins
-            and g.decide(b, a, k, DEFAULT_PLAY_CAP).wins)
-
-
-# ---------------------------------------------------------------------------
 # The back-and-forth game
-
-
-@dataclass(frozen=True)
-class PebbleBFNode:
-    """Spoiler strategy for the positional pebble game: place pebble `index`
-    on `elem` of `side`; branch child None means the reply placement is not a
-    partial isomorphism."""
-
-    pos: frozenset
-    index: int
-    side: str
-    elem: Elem
-    branches: tuple = ()
 
 
 @dataclass(frozen=True)
 class BackForthResult:
     wins: bool
     duplicator: Optional[Mapping] = None  # (s, t) -> {(side, moved-node): reply-node}
-    spoiler: Optional[SpoilerNode] = None
-    safe_positions: Optional[frozenset] = None
-    pebble_spoiler: Optional[PebbleBFNode] = None
+    spoiler: Optional[object] = None  # SpoilerNode; pebbling.SpoilerPosition for pebble
+    safe_positions: Optional[frozenset] = None  # the pebble game's family of partial isos
 
 
 def solve_back_forth(a: Structure, b: Structure, k: int, comonad: str,
@@ -107,7 +76,7 @@ def solve_back_forth(a: Structure, b: Structure, k: int, comonad: str,
 
     Sequence and modal games run k rounds by backward induction on positions;
     the pebble game runs as an unbounded positional safety game, refused when
-    its (1 + |A|·|B|)^k candidate placements exceed `cap`.
+    its candidate partial maps exceed `cap`.
     """
     g = game(comonad)
     if a.vocab != b.vocab:
@@ -115,7 +84,7 @@ def solve_back_forth(a: Structure, b: Structure, k: int, comonad: str,
     if k < 1:
         raise ToolkitError("k must be >= 1")
     if g.children is None:
-        pebble_mod.check_candidates((1 + len(a.universe) * len(b.universe)) ** k, cap)
+        pebble_mod.check_candidates(a, b, k, cap)
         return _solve_pebble_backforth(a, b, k)
     value = round_values(g, a, b, k, g.winning, "AB")
     root_s, root_t = g.root(a), g.root(b)
@@ -181,115 +150,13 @@ def audit_bf_duplicator(entries: Mapping, a: Structure, b: Structure, k: int,
 # Positional pebble game (unbounded rounds, safety fixpoint)
 
 
-def _pebble_position_pairs(pos: frozenset) -> list[tuple[Elem, Elem]]:
-    return [(x, y) for _, x, y in pos]
-
-
-def _partial_iso_placements(a: Structure, b: Structure, k: int) -> list[frozenset]:
-    """Every placement whose pairs form a partial isomorphism.  Placements
-    grow one pebble index at a time: a placement is good only if it is
-    without its highest pebble, so each index extends the good placements
-    found so far, and each distinct pair set is judged once."""
-    verdicts: dict[frozenset, bool] = {}
-    family = [frozenset()]
-    for i in range(1, k + 1):
-        grown = []
-        for pos in family:
-            pairs = frozenset(_pebble_position_pairs(pos))
-            for x in a.universe:
-                for y in b.universe:
-                    ext = pairs | {(x, y)}
-                    if ext not in verdicts:
-                        verdicts[ext] = is_partial_iso(ext, a, b)
-                    if verdicts[ext]:
-                        grown.append(pos | {(i, x, y)})
-        family += grown
-    return family
-
-
 def _solve_pebble_backforth(a: Structure, b: Structure, k: int) -> BackForthResult:
-    """The greatest safe set of partial-isomorphism placements, by the
-    deletion engine of `pebbling`.  Spoiler's moves at a placement are, by
-    pebble, placing it on an element of A, then on one of B; the key of a
-    move is the placement without the moved pebble, with the move itself."""
-    def obligations(pos: frozenset):
-        for i in range(1, k + 1):
-            rest = frozenset(tr for tr in pos if tr[0] != i)
-            for e in a.universe:
-                move = (i, "A", e)
-                yield move, (rest, move)
-            for e in b.universe:
-                move = (i, "B", e)
-                yield move, (rest, move)
-
-    def answers(pos: frozenset):
-        for tr in pos:
-            i, x, y = tr
-            rest = pos - {tr}
-            yield rest, (i, "A", x)
-            yield rest, (i, "B", y)
-
-    def replies(pos: frozenset, move: tuple):
-        i, side, e = move
-        rest = frozenset(tr for tr in pos if tr[0] != i)
-        if side == "A":
-            return ((y, rest | {(i, e, y)}) for y in b.universe)
-        return ((x, rest | {(i, x, e)}) for x in a.universe)
-
-    safe, trace = pebble_mod.delete_to_fixpoint(_partial_iso_placements(a, b, k),
-                                                obligations, answers)
-    if frozenset() in safe:
-        return BackForthResult(True, safe_positions=frozenset(safe))
-    spoiler = pebble_mod.refutation(trace, frozenset(), replies,
-                                    lambda pos, move, branches: PebbleBFNode(pos, *move, branches))
-    return BackForthResult(False, pebble_spoiler=spoiler)
-
-
-def audit_pebble_safe(safe: frozenset, a: Structure, b: Structure, k: int) -> tuple[bool, str]:
-    """The safe set must contain the empty placement, consist of partial
-    isomorphisms, and be closed under every Spoiler move."""
-    if frozenset() not in safe:
-        return False, "empty placement missing from the safe set"
-    for pos in pebble_mod.in_declaration_order(safe, pebble_mod.declaration_rank(a, b)):
-        if not is_partial_iso(_pebble_position_pairs(pos), a, b):
-            return False, "safe position is not a partial isomorphism"
-        if any(i < 1 or i > k for i, _, _ in pos):
-            return False, "pebble index out of range"
-        for i in range(1, k + 1):
-            rest = frozenset(tr for tr in pos if tr[0] != i)
-            for e in a.universe:
-                if not any(rest | {(i, e, y)} in safe for y in b.universe):
-                    return False, f"no safe reply to placing {i} on {e!r} in A"
-            for e in b.universe:
-                if not any(rest | {(i, x, e)} in safe for x in a.universe):
-                    return False, f"no safe reply to placing {i} on {e!r} in B"
-    return True, "ok"
-
-
-def audit_pebble_spoiler(node: PebbleBFNode, a: Structure, b: Structure,
-                         k: int) -> tuple[bool, str]:
-    def step(nd: Optional[PebbleBFNode], expected: frozenset):
-        if nd is None:
-            if is_partial_iso(_pebble_position_pairs(expected), a, b):
-                return "reply claimed losing but placements form a partial iso"
-            return ()
-        if nd.pos != expected:
-            return "position does not match the play so far"
-        if not is_partial_iso(_pebble_position_pairs(nd.pos), a, b):
-            return "interior position is not a partial isomorphism"
-        if not (1 <= nd.index <= k):
-            return "pebble index out of range"
-        rest = frozenset(tr for tr in nd.pos if tr[0] != nd.index)
-        others = b.universe if nd.side == "A" else a.universe
-        if [r for r, _ in nd.branches] != list(others):
-            return "replies not exhaustive"
-        return [(child, rest | ({(nd.index, nd.elem, r)} if nd.side == "A"
-                                else {(nd.index, r, nd.elem)}))
-                for r, child in nd.branches]
-
-    if node.pos != frozenset():
-        return False, "root is not the empty placement"
-    return walk_tree(node, frozenset(), step)
+    """The pebble game of `pebbling` with Spoiler on both sides: the family of
+    partial isomorphisms on a win, Spoiler's tree on a loss."""
+    res = pebble_mod.decide_pebble(a, b, k, "AB")
+    if res.wins:
+        return BackForthResult(True, safe_positions=res.family.parts)
+    return BackForthResult(False, spoiler=res.refutation)
 
 
 # ---------------------------------------------------------------------------

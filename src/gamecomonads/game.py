@@ -10,8 +10,8 @@ the module attribute up at call time.
 This module also holds the pieces the constructions would otherwise repeat:
 the play cap, the lifting of a structure along play prefixes with its
 homomorphism check, the one comonad-law report, the one coKleisli morphism
-record (a total table on the plays of a round-bounded game) with its counit
-and composition, the one Spoiler-tree walk that the refutation audits and the
+record (a total table on the plays of a round-bounded game), the one
+Spoiler-tree walk that the refutation audits and the
 certificate writer run on, and the driver (`run`) that runs recursion written
 as generators on an explicit stack.
 
@@ -359,18 +359,6 @@ def decide_exist(game: Game, a: Structure, b: Structure, k: int) -> ExistResult:
     if value(game.root(a), game.root(b)):
         return ExistResult(True, strategy=first_replies(game, a, b, k, value))
     return ExistResult(False, refutation=spoiler_tree(game, a, b, value, "A"))
-
-
-def counit_cokleisli(game: Game, a: Structure, k: int) -> CoKleisli:
-    return CoKleisli(game, k, a, a, {s: game.last(s) for s in game.universe(a, k)})
-
-
-def cokleisli_compose(g: CoKleisli, f: CoKleisli) -> CoKleisli:
-    """(g after f)(s) = g(f*(s))."""
-    if g.game is not f.game or f.target.universe != g.source.universe or f.k != g.k:
-        raise ToolkitError("coKleisli composition shape mismatch")
-    table = {s: g.table[f.star(s)] for s in f.game.universe(f.source, f.k)}
-    return CoKleisli(f.game, f.k, f.source, g.target, table)
 
 
 def law_report(game: Game, a: Structure, lifted: Structure, comult: Callable, fmap: Callable,

@@ -58,6 +58,7 @@ class ForestCover:
                 chain += (w,)
                 chains[w] = chain
         object.__setattr__(self, "_chains", chains)
+        object.__setattr__(self, "_conflicts", {})
 
     def chain(self, v: Elem) -> tuple[Elem, ...]:
         """Predecessors of v in ascending order, ending at v."""
@@ -69,6 +70,23 @@ class ForestCover:
     def height(self) -> int:
         return max((len(self.chain(v)) for v in self.vertices), default=0)
 
+    def conflicts(self, g: Graph) -> Optional[tuple[tuple[Elem, Elem], ...]]:
+        """Pairs that must carry distinct pebbles: an edge's lower endpoint
+        against every vertex on the half-open chain up to the upper endpoint;
+        None when an edge joins two incomparable vertices.  Derived once per
+        edge set; the edges must join vertices of the cover."""
+        if g.edges not in self._conflicts:
+            pairs: Optional[list] = []
+            for u, v in g.edges:
+                lo, hi = (u, v) if u in self._chains[v] else (v, u)
+                chain = self._chains[hi]
+                if lo not in chain:
+                    pairs = None
+                    break
+                pairs.extend((lo, w) for w in chain[chain.index(lo) + 1:])
+            self._conflicts[g.edges] = None if pairs is None else tuple(pairs)
+        return self._conflicts[g.edges]
+
     def __eq__(self, other):
         if not isinstance(other, ForestCover):
             return NotImplemented
@@ -76,9 +94,7 @@ class ForestCover:
 
 
 def is_forest_cover(cover: ForestCover, g: Graph) -> bool:
-    if tuple(cover.vertices) != tuple(g.vertices):
-        return False
-    return all(cover.leq(u, v) or cover.leq(v, u) for u, v in g.edges)
+    return tuple(cover.vertices) == tuple(g.vertices) and cover.conflicts(g) is not None
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +117,7 @@ def is_pebble_forest_cover(pfc: PebbleForestCover, g: Graph, k: int) -> bool:
         p = pfc.pebbles.get(v)
         if p is None or not (1 <= p <= k):
             return False
-    return all(pfc.pebbles[x] != pfc.pebbles[y] for x, y in _cover_conflicts(pfc.cover, g))
+    return all(pfc.pebbles[x] != pfc.pebbles[y] for x, y in pfc.cover.conflicts(g))
 
 
 @dataclass(frozen=True, eq=False)
@@ -560,17 +576,6 @@ def _elimination_decomposition(g: Graph, order: tuple[Elem, ...]) -> TreeDecompo
 
 # ---------------------------------------------------------------------------
 # Coalgebra-number searches (structural characterizations)
-
-
-def _cover_conflicts(cover: ForestCover, g: Graph) -> Iterator[tuple[Elem, Elem]]:
-    """Pairs that must carry distinct pebbles: an edge's lower endpoint
-    against every vertex on the half-open chain up to the upper endpoint."""
-    for u, v in g.edges:
-        for lo, hi in ((u, v), (v, u)):
-            if cover.leq(lo, hi):
-                chain = cover.chain(hi)
-                for w in chain[chain.index(lo) + 1:]:
-                    yield lo, w
 
 
 def min_height_forest_cover(g: Graph) -> ForestCover:

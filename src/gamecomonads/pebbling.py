@@ -1,27 +1,29 @@
 """The pebble-indexed game construction: truncated play universes with the
-active-pebble relation lifting, and a positional fixpoint decision of the
-existential k-pebble game.
+active-pebble relation lifting, and one positional fixpoint decision of the
+k-pebble games, existential and back-and-forth.
 
 The untruncated play universe is infinite even over a finite structure, so it
 is never materialized: laws are checked on an explicit truncation, and the
-decision procedure works on positional strategies (families of partial
-homomorphisms with domains of size <= k).
+decision procedure works on positional strategies: families of partial
+homomorphisms (existential game) or partial isomorphisms (back-and-forth
+game, Kolaitis-Vardi) with at most k pairs.
 
-Both pebble games are decided by one deletion engine.  `delete_to_fixpoint`
-takes an initial family of positions and two callables: `obligations(pos)`
-yields each Spoiler move at `pos` with a key, and `answers(pos)` yields the
-keys of the moves that `pos` is itself a reply to.  A move's replies depend
-only on its key, so a move has a reply in the family exactly when some
-position of the family answers its key; a pass collects the answered keys in
-one sweep and deletes each position with an unanswered move, without building
-any reply position.  `refutation` reads Spoiler's strategy off the deletions,
-and only it enumerates replies, through a third callable `replies(pos, move)`.
-The existential game here and the back-and-forth game in `equivalence` each
-supply their own family, moves, keys, replies and node type.  Both grow their
-initial family one pebble at a time: partial homomorphisms and partial
-isomorphisms are closed under restriction, so only the good positions of one
-size are extended to the next.  Both refuse, before building any position, a
-game with more candidate positions than the cap (`check_candidates`).
+Both pebble games are one game with Spoiler moving on side A or on both
+sides (`decide_pebble`), decided by one deletion engine.
+`delete_to_fixpoint` takes an initial family of positions and two callables:
+`obligations(pos)` yields each Spoiler move at `pos` with a key, and
+`answers(pos)` yields the keys of the moves that `pos` is itself a reply to.
+A move's replies depend only on its key, so a move has a reply in the family
+exactly when some position of the family answers its key; a pass collects
+the answered keys in one sweep and deletes each position with an unanswered
+move, without building any reply position.  `refutation` reads Spoiler's
+strategy off the deletions, and only it enumerates replies, through a third
+callable `replies(pos, move)`.  The initial family grows one pair at a time:
+partial homomorphisms and partial isomorphisms are closed under restriction,
+so only the good maps of one size are extended to the next.  A game with more
+candidate positions than the cap is refused before any position is built
+(`check_candidates`).  `audit_strategy_family` and `audit_spoiler_positions`
+check a win or a loss of either game without the solver.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Callable, Iterable, Mapping, Optional
 from .errors import CapExceededError, ToolkitError, VocabularyMismatchError
 from .game import (DEFAULT_PLAY_CAP, Game, LawReport, chain_error, law_report,
                    lift_along_prefixes, prefix_hom_error, prefixes, walk_tree)
-from .structures import Elem, Structure, is_partial_hom
+from .structures import Elem, Structure, is_partial_hom, is_partial_iso
 
 Move = tuple  # (pebble index, element)
 PebblePlay = tuple  # nonempty tuple of moves
@@ -94,8 +96,10 @@ PartialMapSet = frozenset  # frozenset of (source elem, target elem) pairs
 
 @dataclass(frozen=True)
 class StrategyFamily:
-    """Positional Duplicator strategy: partial homomorphisms closed under
-    restriction and satisfying the forth property."""
+    """Positional Duplicator strategy: partial homomorphisms (partial
+    isomorphisms in the back-and-forth game) with at most k pairs, closed
+    under restriction and satisfying the forth property (and the back
+    property)."""
 
     k: int
     parts: frozenset  # frozenset of PartialMapSet
@@ -105,16 +109,19 @@ class StrategyFamily:
 class SpoilerPosition:
     """One node of a positional Spoiler refutation DAG.
 
-    At `pos` (a partial map, known to be a partial homomorphism) Spoiler either
-    picks up the pair `drop` (single child, no reply needed) or places a pebble
-    on `place`; branches map each Duplicator reply to a child node or to None
-    when the extended map is not a partial homomorphism.  Children were deleted
-    strictly earlier by the fixpoint, so the recursion is well-founded.
+    At `pos` (a partial map, known to be a partial homomorphism, or a partial
+    isomorphism in the back-and-forth game) Spoiler either picks up the pair
+    `drop` (single child, no reply needed) or places a pebble on the element
+    `place` of `side`; branches map each Duplicator reply, an element of the
+    other side, to a child node or to None when the extended map is not a
+    partial homomorphism (isomorphism).  Children were deleted strictly
+    earlier by the fixpoint, so the recursion is well-founded.
     """
 
     pos: PartialMapSet
     drop: Optional[tuple] = None
     place: Optional[Elem] = None
+    side: str = "A"  # of `place`: "A" or "B"
     branches: tuple = ()  # ((reply, child-or-None), ...) when placing
     child: Optional["SpoilerPosition"] = None  # when dropping
 
@@ -177,19 +184,22 @@ def refutation(trace: Mapping, root, replies: Callable, node: Callable):
     return refute(root)
 
 
-def check_candidates(count: int, cap: int) -> None:
-    """Refuse a pebble game with more than `cap` candidate positions, before
-    any of them is built."""
+def check_candidates(a: Structure, b: Structure, k: int, cap: int) -> None:
+    """Refuse a pebble game, before any position is built, when its candidate
+    positions exceed `cap`: the partial maps from `a` to `b` with at most k
+    pairs and distinct domain elements."""
+    na, nb = len(a.universe), len(b.universe)
+    count = sum(comb(na, s) * nb ** s for s in range(min(k, na) + 1))
     if count > cap:
         raise CapExceededError(f"pebble game has {count} candidate positions, cap is {cap}")
 
 
-def _partial_hom_family(a: Structure, b: Structure, k: int) -> set:
-    """Every partial homomorphism with at most k pairs.  The family grows one
-    domain element at a time, in declaration order: a map is a partial
-    homomorphism only if it is one without its last domain element, so each
-    size extends the good maps of the size below, and each map is judged
-    once."""
+def _partial_family(a: Structure, b: Structure, k: int, check: Callable) -> set:
+    """Every partial map with at most k pairs that passes `check`
+    (`is_partial_hom` or `is_partial_iso`).  The family grows one domain
+    element at a time, in declaration order: a map passes either check only
+    if it does without its last domain element, so each size extends the good
+    maps of the size below, and each map is judged once."""
     level = [(frozenset(), 0)]  # (map, index in `a` of the next domain element)
     family = {frozenset()}
     for _ in range(min(k, len(a.universe))):
@@ -198,26 +208,32 @@ def _partial_hom_family(a: Structure, b: Structure, k: int) -> set:
             for i in range(start, len(a.universe)):
                 for y in b.universe:
                     ext = part | {(a.universe[i], y)}
-                    if is_partial_hom(ext, a, b):
+                    if check(ext, a, b):
                         grown.append((ext, i + 1))
         family.update(ext for ext, _ in grown)
         level = grown
     return family
 
 
-def decide_exist_pebble(a: Structure, b: Structure, k: int) -> PebbleResult:
-    """Greatest family of partial homomorphisms with |dom| <= k closed under
-    restriction and forth; Duplicator wins iff it is nonempty.
+def decide_pebble(a: Structure, b: Structure, k: int, sides: str) -> PebbleResult:
+    """The k-pebble game from `a` to `b` with Spoiler moving on `sides`: the
+    existential game ("A") or the back-and-forth game ("AB").
 
-    Spoiler's moves at a part are dropping one of its pairs (in index order),
-    then, below k pairs, placing a pebble on an element outside its domain.
-    The key of a drop is the part without the pair, and the key of a placement
-    is the part with the element to place.
+    The greatest family of partial homomorphisms ("A") or partial
+    isomorphisms ("AB") with at most k pairs closed under restriction, forth
+    and, for "AB", back; Duplicator wins iff it is nonempty (Kolaitis-Vardi).
+    Spoiler's moves at a part are dropping one of its pairs (in declaration
+    order), then, below k pairs, placing a pebble on an element of A outside
+    its domain and, for "AB", on an element of B outside its range.  The key
+    of a drop is the part without the pair, and the key of a placement is
+    `(part, side, element)`; a part answers itself and, per pair, the
+    placements of its two elements on the part without it.
     """
     if a.vocab != b.vocab:
-        raise VocabularyMismatchError("decide_exist_pebble requires a shared vocabulary")
+        raise VocabularyMismatchError("decide_pebble requires a shared vocabulary")
     if k < 1:
         raise ToolkitError("k must be >= 1")
+    back = sides == "AB"
 
     def obligations(part: PartialMapSet):
         for pair in sorted(part, key=lambda xy: (a.index[xy[0]], b.index[xy[1]])):
@@ -226,112 +242,132 @@ def decide_exist_pebble(a: Structure, b: Structure, k: int) -> PebbleResult:
             dom = {x for x, _ in part}
             for x in a.universe:
                 if x not in dom:
-                    yield ("place", x), (part, x)
+                    yield ("A", x), (part, "A", x)
+            if back:
+                rng = {y for _, y in part}
+                for y in b.universe:
+                    if y not in rng:
+                        yield ("B", y), (part, "B", y)
 
     def answers(part: PartialMapSet):
         yield part
         for pair in part:
-            yield part - {pair}, pair[0]
+            rest = part - {pair}
+            yield rest, "A", pair[0]
+            if back:
+                yield rest, "B", pair[1]
 
     def replies(part: PartialMapSet, move: tuple):
-        if move[0] == "drop":
-            return ((None, part - {move[1]}),)
-        return ((y, part | {(move[1], y)}) for y in b.universe)
+        kind, e = move
+        if kind == "drop":
+            return ((None, part - {e}),)
+        if kind == "A":
+            return ((y, part | {(e, y)}) for y in b.universe)
+        return ((x, part | {(x, e)}) for x in a.universe)
 
     def node(part: PartialMapSet, move: tuple, branches: tuple) -> SpoilerPosition:
-        if move[0] == "drop":
-            return SpoilerPosition(part, drop=move[1], child=branches[0][1])
-        return SpoilerPosition(part, place=move[1], branches=branches)
+        kind, e = move
+        if kind == "drop":
+            return SpoilerPosition(part, drop=e, child=branches[0][1])
+        return SpoilerPosition(part, place=e, side=kind, branches=branches)
 
-    family, trace = delete_to_fixpoint(_partial_hom_family(a, b, k), obligations, answers)
+    check = is_partial_iso if back else is_partial_hom
+    family, trace = delete_to_fixpoint(_partial_family(a, b, k, check), obligations, answers)
     if family:
         return PebbleResult(True, family=StrategyFamily(k, frozenset(family)))
     return PebbleResult(False, refutation=refutation(trace, frozenset(), replies, node))
 
 
+def decide_exist_pebble(a: Structure, b: Structure, k: int) -> PebbleResult:
+    """The existential k-pebble game from `a` to `b`."""
+    return decide_pebble(a, b, k, "A")
+
+
 def _decide(a: Structure, b: Structure, k: int, cap: int) -> PebbleResult:
-    """The existential decision of `GAME`: `decide_exist_pebble`, once the
-    partial maps it may judge, those with at most k pairs and distinct domain
-    elements, are known to fit in `cap`."""
-    na, nb = len(a.universe), len(b.universe)
-    check_candidates(sum(comb(na, s) * nb ** s for s in range(min(k, na) + 1)), cap)
+    """The existential decision of `GAME`: `decide_exist_pebble`, once its
+    candidate positions are known to fit in `cap`."""
+    check_candidates(a, b, k, cap)
     return decide_exist_pebble(a, b, k)
 
 
-def declaration_rank(a: Structure, b: Structure) -> Callable[[tuple], tuple]:
-    """Rank a pair (x, y), or a placement (i, x, y), by pebble index and then
-    by the declaration indices of x in `a` and y in `b`; an element outside
-    its universe ranks last."""
-    ia, ib, na, nb = a.index, b.index, len(a.universe), len(b.universe)
-    return lambda m: (*m[:-2], ia.get(m[-2], na), ib.get(m[-1], nb))
+def _partial_check(sides: str) -> tuple[Callable, str]:
+    """The partial-map check of the game with Spoiler on `sides`, and its
+    short name."""
+    return (is_partial_iso, "iso") if sides == "AB" else (is_partial_hom, "hom")
 
 
-def in_declaration_order(sets: Iterable, rank: Callable[[tuple], tuple]) -> list:
-    """`sets` (partial maps or placements) sorted by size, then by the sorted
-    ranks of their members, so that an audit meets them, and names its first
-    fault, in the same order whatever the hash seed."""
-    return sorted(sets, key=lambda p: (len(p), sorted(map(rank, p))))
-
-
-def audit_strategy_family(fam: StrategyFamily, a: Structure, b: Structure) -> tuple[bool, str]:
-    """Independent audit: partial homs, restriction closure, and forth below
-    k pairs.  Reusing a pebble at a full part needs nothing more: closure puts
-    the part without the pair in the family, where forth is checked."""
-    parts = fam.parts
-    k = fam.k
+def audit_strategy_family(fam: StrategyFamily, a: Structure, b: Structure,
+                          sides: str = "A") -> tuple[bool, str]:
+    """Independent audit of a family for the game with Spoiler on `sides`:
+    partial homomorphisms ("A") or partial isomorphisms ("AB") of at most k
+    pairs, closed under restriction, with forth (and, for "AB", back) below k
+    pairs.  Each one-pair extension in the family is collected once as the
+    placement it answers, so forth and back are one lookup per move.  Parts
+    are met in declaration order, so the first fault named does not depend on
+    the hash seed."""
+    parts, k = fam.parts, fam.k
     if not parts:
         return False, "family is empty"
     if frozenset() not in parts:
         return False, "family does not contain the empty map"
-    rank = declaration_rank(a, b)
-    ordered = in_declaration_order(parts, rank)
+    check, name = _partial_check(sides)
+    ia, ib, na, nb = a.index, b.index, len(a.universe), len(b.universe)
+    ordered = sorted(parts, key=lambda p: (len(p), sorted((ia.get(x, na), ib.get(y, nb))
+                                                          for x, y in p)))
     for part in ordered:
         if len(part) > k:
             return False, f"part {sorted(part)!r} exceeds {k} pairs"
-        if not is_partial_hom(part, a, b):
-            return False, f"part {sorted(part)!r} is not a partial homomorphism"
+        if not check(part, a, b):
+            return False, f"part {sorted(part)!r} is not a partial {name}"
         for pair in part:
             if part - {pair} not in parts:
                 return False, f"family not closed under restriction at {sorted(part)!r}"
 
-    def extends(base: PartialMapSet, x: Elem) -> bool:
-        if x in {u for u, _ in base}:
-            return True
-        return any(base | {(x, y)} in parts for y in b.universe)
-
+    moves = (("A", a, 0, "forth"), ("B", b, 1, "back"))[:len(sides)]
+    answered = {(part - {pair}, side, pair[j])
+                for part in parts for pair in part for side, _, j, _ in moves}
     for part in ordered:
         if len(part) < k:
-            for x in a.universe:
-                if not extends(part, x):
-                    return False, f"forth fails at {sorted(part)!r} on {x!r}"
+            for side, host, j, prop in moves:
+                placed = {pair[j] for pair in part}
+                for e in host.universe:
+                    if e not in placed and (part, side, e) not in answered:
+                        return False, f"{prop} fails at {sorted(part)!r} on {e!r}"
     return True, "ok"
 
 
 def audit_spoiler_positions(node: SpoilerPosition, a: Structure, b: Structure,
-                            k: int) -> tuple[bool, str]:
-    """Audit a positional refutation: root empty, moves legal, replies
-    exhaustive, terminal maps broken, and each position matching the play so far."""
+                            k: int, sides: str = "A") -> tuple[bool, str]:
+    """Audit a positional refutation of the game with Spoiler on `sides`:
+    root empty, moves legal, replies exhaustive, terminal maps broken, and
+    each position matching the play so far."""
+    check, name = _partial_check(sides)
+
     def step(nd: Optional[SpoilerPosition], at: tuple):
         expected, reply = at
         if nd is None:
-            if is_partial_hom(expected, a, b):
-                return f"reply {reply!r} claimed losing but map is a partial hom"
+            if check(expected, a, b):
+                return f"reply {reply!r} claimed losing but map is a partial {name}"
             return ()
         if nd.pos != expected:
             return "position does not match the play so far"
-        if not is_partial_hom(nd.pos, a, b):
-            return "interior position is not a partial homomorphism"
+        if not check(nd.pos, a, b):
+            return f"interior position is not a partial {name}"
         if nd.drop is not None:
             if nd.drop not in nd.pos or nd.child is None:
                 return "drop move malformed"
             return [(nd.child, (nd.pos - {nd.drop}, None))]
-        if nd.place is None or nd.place not in a.index:
+        if nd.side not in sides:
+            return f"placement on side {nd.side!r}"
+        host, other, j = (a, b, 0) if nd.side == "A" else (b, a, 1)
+        if nd.place is None or nd.place not in host.index:
             return "placement move malformed"
-        if len(nd.pos) >= k and nd.place not in {x for x, _ in nd.pos}:
+        if len(nd.pos) >= k and nd.place not in {pair[j] for pair in nd.pos}:
             return "placement exceeds the pebble budget"
-        if {y for y, _ in nd.branches} != set(b.universe):
+        if {r for r, _ in nd.branches} != set(other.universe):
             return "replies not exhaustive"
-        return [(child, (nd.pos | {(nd.place, y)}, y)) for y, child in nd.branches]
+        return [(child, (nd.pos | {(nd.place, r) if j == 0 else (r, nd.place)}, r))
+                for r, child in nd.branches]
 
     if node.pos != frozenset():
         return False, "root position is not the empty map"

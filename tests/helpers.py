@@ -1,9 +1,10 @@
 """Shared test fixtures: structure builders, exhaustive ensembles, an
-independent set-based formula evaluator used as the evaluation oracle, a
-full-rescan reference for the two pebble games, and exhaustive references for
-the coalgebra numbers: every forest cover with its minimum pebbling, the
-unpruned tree-width dynamic program, a coalgebra's forest cover and the
-synchronization tree depth."""
+independent set-based formula evaluator used as the evaluation oracle,
+morphisms both ways and coKleisli counits and composition, a full-rescan
+reference for the two pebble games (the back-and-forth one on pebble-indexed
+placements), and exhaustive references for the coalgebra numbers: every
+forest cover with its minimum pebbling, the unpruned tree-width dynamic
+program, a coalgebra's forest cover and the synchronization tree depth."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from typing import Iterator, Optional
 from gamecomonads import equivalence, logic, modal, pebbling
 from gamecomonads import parameters as par
 from gamecomonads.errors import ToolkitError
+from gamecomonads.game import DEFAULT_PLAY_CAP, CoKleisli, Game
 from gamecomonads.structures import Graph, Structure, is_partial_hom, is_partial_iso
 
 VOCAB_R = (("R", 2),)
@@ -114,6 +116,29 @@ def random_tree_pointed(rng: random.Random, size: int, labels=("R",)) -> Structu
         rels[labels[rng.randrange(len(labels))]].append((parent, names[i]))
     vocab = tuple((lab, 2) for lab in labels)
     return S(vocab, names, rels, point=names[0])
+
+
+# ---------------------------------------------------------------------------
+# Morphisms both ways, and the coKleisli category's identities and composition
+
+
+def decide_both_ways(a: Structure, b: Structure, k: int, comonad: str) -> bool:
+    """Conjunction of the two existential decisions."""
+    g = equivalence.game(comonad)
+    return (g.decide(a, b, k, DEFAULT_PLAY_CAP).wins
+            and g.decide(b, a, k, DEFAULT_PLAY_CAP).wins)
+
+
+def counit_cokleisli(game: Game, a: Structure, k: int) -> CoKleisli:
+    return CoKleisli(game, k, a, a, {s: game.last(s) for s in game.universe(a, k)})
+
+
+def cokleisli_compose(g: CoKleisli, f: CoKleisli) -> CoKleisli:
+    """(g after f)(s) = g(f*(s))."""
+    if g.game is not f.game or f.target.universe != g.source.universe or f.k != g.k:
+        raise ToolkitError("coKleisli composition shape mismatch")
+    table = {s: g.table[f.star(s)] for s in f.game.universe(f.source, f.k)}
+    return CoKleisli(f.game, f.k, f.source, g.target, table)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +261,10 @@ def reference_exist_pebble(a: Structure, b: Structure, k: int) -> pebbling.Pebbl
 
 
 def reference_pebble_backforth(a: Structure, b: Structure, k: int) -> equivalence.BackForthResult:
+    """The back-and-forth pebble game on pebble-indexed placements: a safe
+    set of (pebble, x, y) triples whose pairs form partial isomorphisms, with
+    Spoiler moving any pebble to any element of either side.  The verdict and,
+    on a win, the safe placements."""
     good = set()
     for size in range(k + 1):
         for idxs in combinations(range(1, k + 1), size):
@@ -252,12 +281,10 @@ def reference_pebble_backforth(a: Structure, b: Structure, k: int) -> equivalenc
             for e in b.universe:
                 yield (i, "B", e), ((x, rest | {(i, x, e)}) for x in a.universe)
 
-    safe, trace = rescan_to_fixpoint(good, obligations)
+    safe, _ = rescan_to_fixpoint(good, obligations)
     if frozenset() in safe:
         return equivalence.BackForthResult(True, safe_positions=frozenset(safe))
-    return equivalence.BackForthResult(False, pebble_spoiler=_refute(
-        trace, frozenset(), obligations,
-        lambda pos, move, branches: equivalence.PebbleBFNode(pos, *move, branches)))
+    return equivalence.BackForthResult(False)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +342,7 @@ def min_pebble_forest_cover(g: Graph) -> par.PebbleForestCover:
     best = None
     best_k = n + 1
     for cover in all_forest_covers(g):
-        conflicts = set(par._cover_conflicts(cover, g))
+        conflicts = set(cover.conflicts(g))
         coloring = _min_coloring(g.vertices, conflicts, best_k - 1)
         if coloring is not None:
             used = max(coloring.values(), default=0)

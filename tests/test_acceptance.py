@@ -14,8 +14,8 @@ from gamecomonads.structures import Structure, Vocabulary, find_hom
 
 from helpers import (S, VOCAB_R, VOCAB_RS, all_forest_covers, all_graphs, all_pointed,
                      all_structures, all_structures_upto, clique_structure,
-                     coalgebra_to_forest_cover, graph_structure, min_pebble_forest_cover,
-                     path_structure, random_graph)
+                     coalgebra_to_forest_cover, decide_both_ways, graph_structure,
+                     min_pebble_forest_cover, path_structure, random_graph)
 
 
 def report(num, name, ok):
@@ -166,9 +166,9 @@ def test_criterion_6_inclusions_and_monotonicity():
             for k in (1, 2, 3):
                 iso = eq.decide_cokleisli_iso(a, b, k, "ef").wins
                 bf = eq.solve_back_forth(a, b, k, "ef").wins
-                both = eq.decide_both_ways(a, b, k, "ef")
+                both = decide_both_ways(a, b, k, "ef")
                 pbf = eq.solve_back_forth(a, b, k, "pebble").wins
-                pboth = eq.decide_both_ways(a, b, k, "pebble")
+                pboth = decide_both_ways(a, b, k, "pebble")
                 if iso and not bf:
                     bad.append(("iso=>bf", a, b, k))
                 if bf and not both:
@@ -188,7 +188,7 @@ def test_criterion_6_inclusions_and_monotonicity():
             for k in (1, 2, 3):
                 iso = eq.decide_cokleisli_iso(a, b, k, "modal").wins
                 bf = eq.solve_back_forth(a, b, k, "modal").wins
-                both = eq.decide_both_ways(a, b, k, "modal")
+                both = decide_both_ways(a, b, k, "modal")
                 if iso and not bf:
                     bad.append(("modal iso=>bf", a, b, k))
                 if bf and not both:

@@ -286,9 +286,9 @@ DEEP_CHAINS = [
                      else [f"node {i} (a↦x) drop a", f"child {i} {nxt}"]),
      "result: false\ndetail: reply 'x' claimed losing but map is a partial hom"),
     ("pebble-bf-spoiler", "pebble", 1, 3000, EDGE, TWOPTS,
-     lambda i, nxt: [f"node {i} {'(1:a↦x)' if i else '-'} pebble 1 side A elem a",
+     lambda i, nxt: [f"node {i} {'(a↦x)' if i else '-'} place A a",
                      f"branch {i} x {nxt or 'lose'}", f"branch {i} y lose"],
-     "result: false\ndetail: reply claimed losing but placements form a partial iso"),
+     "result: false\ndetail: reply 'x' claimed losing but map is a partial iso"),
 ]
 
 
@@ -503,11 +503,47 @@ def test_equiv_refuses_a_table_over_the_play_cap(files):
     assert "play universe has 2391483 elements, cap is 1000000" in proc.stderr
 
 
-@pytest.mark.parametrize("mode,fits", [("backforth", 100), ("exists", 37), ("both", 37)])
+# edits of the `pebble-safe` family of K3 against K3 with two pebbles: rows
+# dropped, rows added, and the fault `verify` names first
+SAFE_EDITS = [
+    (["part (u↦u)"], [], "family not closed under restriction at [('u', 'u'), ('v', 'v')]"),
+    (["part (u↦u) (v↦v)", "part (u↦u) (w↦v)"], [], "back fails at [('u', 'u')] on 'v'"),
+    ([], ["part (u↦u) (v↦v) (w↦w)"],
+     "part [('u', 'u'), ('v', 'v'), ('w', 'w')] exceeds 2 pairs"),
+    ([], ["part (u↦u) (v↦u)"], "part [('u', 'u'), ('v', 'u')] is not a partial iso"),
+]
+
+
+@pytest.mark.parametrize("drop,add,detail", SAFE_EDITS,
+                         ids=["missing-restriction", "removed-back-reply", "part-over-k",
+                              "not-injective"])
+def test_verify_rejects_a_tampered_pebble_safe_family(files, drop, add, detail):
+    cert = files["dir"] / "safe.cert"
+    code, _ = run(["equiv", "--game", "pebble", "--mode", "backforth", "-k", "2",
+                   "--certificate", str(cert), files["k3"], files["k3"]])
+    assert code == 0
+    rows = cert.read_text().splitlines()
+    assert set(drop) <= set(rows)
+    cert.write_text("\n".join([row for row in rows if row not in drop] + add) + "\n")
+    code, out = run(["verify", "--certificate", str(cert), files["k3"], files["k3"]])
+    assert code == 1 and out.endswith(f"result: false\ndetail: {detail}\n")
+
+
+def test_verify_refuses_a_placement_row_in_a_pebble_safe_family(files, capsys):
+    cert = files["dir"] / "safe.cert"
+    code, _ = run(["equiv", "--game", "pebble", "--mode", "backforth", "-k", "2",
+                   "--certificate", str(cert), files["k3"], files["k3"]])
+    assert code == 0
+    cert.write_text(cert.read_text() + "pos (1:u↦u)\n")
+    code, out = run(["verify", "--certificate", str(cert), files["k3"], files["k3"]])
+    assert code == 2 and "result:" not in out
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("mode,fits", [("backforth", 37), ("exists", 37), ("both", 37)])
 def test_pebble_cap_counts_candidate_positions(files, mode, fits):
-    """K3 against K3 with two pebbles: (1 + 3·3)^2 = 100 candidate placements
-    in the back-and-forth game, 1 + 3·3 + 3·9 = 37 partial maps each way in
-    the existential one."""
+    """K3 against K3 with two pebbles: 1 + 3·3 + 3·9 = 37 candidate partial
+    maps, in the back-and-forth game and each way in the existential one."""
     argv = ["equiv", "--game", "pebble", "--mode", mode, "-k", "2", files["k3"], files["k3"]]
     code, out = run(argv + ["--cap-plays", str(fits)])
     assert code == 0 and "\nresult: true\n" in out
@@ -548,8 +584,9 @@ def test_eval_of_a_formula_nested_100_deep(files):
 
 
 def test_pebble_game_over_the_cap_stops_before_enumerating(tmp_path):
-    """K7 against K7 with six pebbles has 50^6 candidate placements; the
-    command refuses at once instead of enumerating them."""
+    """K7 against K7 with six pebbles has Σ_{s ≤ 6} C(7, s)·7^s = 1,273,609
+    candidate partial maps; the command refuses at once instead of
+    enumerating them."""
     k7 = "vocab R 2\n" + "".join(f"elem v{i}\n" for i in range(7)) + "".join(
         f"rel R v{i} v{j}\n" for i in range(7) for j in range(7) if i != j)
     (tmp_path / "k7.str").write_text(k7)
@@ -558,7 +595,7 @@ def test_pebble_game_over_the_cap_stops_before_enumerating(tmp_path):
                            "--mode", "backforth", "-k", "6", path, path],
                           env=child_env(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 3, proc.stderr[-3000:]
-    assert "pebble game has 15625000000 candidate positions, cap is 1000000" in proc.stderr
+    assert "pebble game has 1273609 candidate positions, cap is 1000000" in proc.stderr
 
 
 def _graph_text(n, edges):

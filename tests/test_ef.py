@@ -4,12 +4,12 @@ from itertools import product
 import pytest
 
 from gamecomonads import ef, logic, pebbling
-from gamecomonads.game import (CoKleisli, audit_spoiler_tree, cokleisli_compose,
-                               counit_cokleisli, lift_along_prefixes, prefixes)
+from gamecomonads.game import CoKleisli, audit_spoiler_tree, lift_along_prefixes, prefixes
 from gamecomonads.errors import CapExceededError, ToolkitError, VocabularyMismatchError
 from gamecomonads.structures import Structure, check_hom, find_hom
 
-from helpers import S, VOCAB_R, all_structures_upto, path_structure, random_structure
+from helpers import (S, VOCAB_R, all_structures_upto, cokleisli_compose, counit_cokleisli,
+                     path_structure, random_structure)
 
 
 def test_universe_counts():

@@ -3,12 +3,13 @@ import random
 import pytest
 
 from gamecomonads import ef, equivalence as eq, logic, modal
+from gamecomonads import pebbling as pb
 from gamecomonads.errors import CapExceededError, ToolkitError
 from gamecomonads.game import audit_spoiler_tree
 from gamecomonads.structures import Vocabulary
 
 from helpers import (S, VOCAB_R, all_pointed, all_structures_upto, clique_structure,
-                     path_structure)
+                     decide_both_ways, path_structure)
 
 EDGE = S(VOCAB_R, ["a", "b"], {"R": [("a", "b"), ("b", "a")]})
 TWOPTS = S(VOCAB_R, ["x", "y"], {})
@@ -21,11 +22,11 @@ def small_pool():
 
 
 def test_both_ways_examples():
-    assert eq.decide_both_ways(EDGE, EDGE, 2, "ef")
-    assert not eq.decide_both_ways(LOOP, TWOCYC, 2, "ef")
+    assert decide_both_ways(EDGE, EDGE, 2, "ef")
+    assert not decide_both_ways(LOOP, TWOCYC, 2, "ef")
     arrow = S(VOCAB_R, ["a", "b"], {"R": [("a", "b")]})
     chain3 = S(VOCAB_R, ["a", "b", "c"], {"R": [("a", "b"), ("b", "c")]})
-    assert eq.decide_both_ways(arrow, chain3, 1, "ef")
+    assert decide_both_ways(arrow, chain3, 1, "ef")
 
 
 def test_backforth_copycat():
@@ -167,7 +168,7 @@ def test_inclusion_chain_on_pool():
                 if eq.decide_cokleisli_iso(a, b, k, "ef").wins:
                     assert eq.solve_back_forth(a, b, k, "ef").wins
                 if eq.solve_back_forth(a, b, k, "ef").wins:
-                    assert eq.decide_both_ways(a, b, k, "ef")
+                    assert decide_both_ways(a, b, k, "ef")
 
 
 def test_monotone_in_k_all_deciders():
@@ -176,8 +177,8 @@ def test_monotone_in_k_all_deciders():
     sample = [(rng.choice(pool), rng.choice(pool)) for _ in range(30)]
     for a, b in sample:
         for k in (1, 2):
-            if eq.decide_both_ways(a, b, k + 1, "ef"):
-                assert eq.decide_both_ways(a, b, k, "ef")
+            if decide_both_ways(a, b, k + 1, "ef"):
+                assert decide_both_ways(a, b, k, "ef")
             if eq.solve_back_forth(a, b, k + 1, "ef").wins:
                 assert eq.solve_back_forth(a, b, k, "ef").wins
             if eq.decide_cokleisli_iso(a, b, k + 1, "ef").wins:
@@ -190,7 +191,7 @@ def test_equivalence_relations_reflexive_symmetric_transitive():
     verdicts = {}
     for i, a in enumerate(pool):
         for j, b in enumerate(pool):
-            verdicts[i, j] = (eq.decide_both_ways(a, b, 2, "ef"),
+            verdicts[i, j] = (decide_both_ways(a, b, 2, "ef"),
                               eq.solve_back_forth(a, b, 2, "ef").wins,
                               eq.decide_cokleisli_iso(a, b, 2, "ef").wins)
     for i in range(n):
@@ -211,11 +212,11 @@ def test_pebble_backforth_cliques():
     k3, k2 = clique_structure(3), clique_structure(2)
     res = eq.solve_back_forth(k3, k2, 2, "pebble")
     assert res.wins
-    ok, why = eq.audit_pebble_safe(res.safe_positions, k3, k2, 2)
+    ok, why = pb.audit_strategy_family(pb.StrategyFamily(2, res.safe_positions), k3, k2, "AB")
     assert ok, why
     res3 = eq.solve_back_forth(k3, k2, 3, "pebble")
     assert not res3.wins
-    ok, why = eq.audit_pebble_spoiler(res3.pebble_spoiler, k3, k2, 3)
+    ok, why = pb.audit_spoiler_positions(res3.spoiler, k3, k2, 3, "AB")
     assert ok, why
 
 
@@ -226,7 +227,7 @@ def test_pebble_backforth_implies_both_ways():
         a, b = rng.choice(pool), rng.choice(pool)
         for k in (1, 2):
             if eq.solve_back_forth(a, b, k, "pebble").wins:
-                assert eq.decide_both_ways(a, b, k, "pebble")
+                assert decide_both_ways(a, b, k, "pebble")
 
 
 def test_modal_backforth_is_bisimulation():
@@ -251,7 +252,7 @@ def test_logical_soundness_sampled():
     rng = random.Random(31)
     for _ in range(40):
         a, b = rng.choice(pool), rng.choice(pool)
-        if eq.decide_both_ways(a, b, 2, "ef"):
+        if decide_both_ways(a, b, 2, "ef"):
             for phi in ep:
                 assert logic.evaluate(a, phi) == logic.evaluate(b, phi)
         if eq.solve_back_forth(a, b, 2, "ef").wins:

@@ -177,9 +177,12 @@ def _cycle(n: int):
 
 
 def test_pebble_solvers_equal_the_full_rescan_reference():
-    """Both pebble games, grown families and keyed passes against the
-    exhaustive families and full rescans of `helpers`: equal survivors,
-    families, safe sets and refutation trees."""
+    """Both pebble games, grown families and keyed passes, against the
+    exhaustive references of `helpers`.  Existential: equal families and
+    refutation trees.  Back-and-forth, against the game on pebble-indexed
+    placements: equal verdicts; on a win, the family of partial isomorphisms
+    is the reference's safe set projected to pair sets and passes the audit;
+    on a loss, the audit accepts the Spoiler tree."""
     rng = random.Random(20261018)
     cases = [(S(VOCAB_RP, []), S(VOCAB_RP, []), 1), (S(VOCAB_RP, []), S(VOCAB_RP, ["x"]), 2),
              (S(VOCAB_RP, ["x"]), S(VOCAB_RP, []), 2)]
@@ -195,6 +198,14 @@ def test_pebble_solvers_equal_the_full_rescan_reference():
         got, want = pb.decide_exist_pebble(a, b, k), reference_exist_pebble(a, b, k)
         assert got == want, (a, b, k)
         got, want = eq._solve_pebble_backforth(a, b, k), reference_pebble_backforth(a, b, k)
-        assert got == want, (a, b, k)
+        assert got.wins == want.wins, (a, b, k)
+        if got.wins:
+            assert got.safe_positions == {frozenset((x, y) for _, x, y in pos)
+                                          for pos in want.safe_positions}, (a, b, k)
+            audit = pb.audit_strategy_family(pb.StrategyFamily(k, got.safe_positions), a, b,
+                                             "AB")
+        else:
+            audit = pb.audit_spoiler_positions(got.spoiler, a, b, k, "AB")
+        assert audit == (True, "ok"), (a, b, k, audit)
         outcomes.add(got.wins)
     assert outcomes == {True, False}
