@@ -18,7 +18,9 @@ The Spoiler-tree kinds share one node-tree codec, which refuses a node named
 as the child of two branches.  The three round-bounded kinds (`ef-spoiler`,
 `modal-spoiler`, `bf-spoiler`) share one entry of it, `_ROUNDS`, and one audit,
 `game.audit_spoiler_tree`, under the game's forth condition with Spoiler on
-side A, or its winning condition with Spoiler on both sides.  The pebble
+side A, or its winning condition with Spoiler on both sides; `bf-duplicator` is
+one `win <play> <play>` row per won position and round below k, audited by
+`game.audit_won_positions`.  The pebble
 games are one game with Spoiler on side A (`pebble-family`,
 `pebble-refutation`) or on both sides (`pebble-safe`, `pebble-bf-spoiler`):
 their families share one row form (`part` rows) and one audit,
@@ -37,7 +39,7 @@ from . import equivalence as eq_mod
 from . import parameters as par_mod
 from . import pebbling as pebble_mod
 from .errors import CertificateError, ToolkitError
-from .game import CoKleisli, SpoilerNode, audit_spoiler_tree, walk_tree
+from .game import CoKleisli, SpoilerNode, audit_spoiler_tree, audit_won_positions, walk_tree
 from .structures import Structure, check_hom, gaifman
 
 _PAIR_RE = re.compile(r"\(([^()↦:]+)↦([^()↦:]+)\)")
@@ -162,16 +164,6 @@ def _family_rows(parts: frozenset, a: Structure, b: Structure) -> list:
     for p in sorted(parts, key=lambda p: (len(p), fmt_pairs(p, a, b))):
         items = sorted(p, key=lambda xy: (a.index[xy[0]], b.index[xy[1]]))
         rows.append(["part"] + [f"({x}↦{y})" for x, y in items])
-    return rows
-
-
-def _duplicator_rows(entries: dict) -> list:
-    rows = []
-    for (s, t) in sorted(entries, key=lambda st: (_play_key(st[0]), _play_key(st[1]))):
-        here = entries[(s, t)]
-        for (side, mover) in sorted(here, key=lambda sm: (sm[0], _play_key(sm[1]))):
-            rows.append(["respond", fmt_play(s), fmt_play(t), side,
-                         fmt_play(mover), "->", fmt_play(here[(side, mover)])])
     return rows
 
 
@@ -371,14 +363,13 @@ def _verify_family(cert: Certificate, a: Structure, b: Structure,
     return pebble_mod.audit_strategy_family(fam, a, b, sides)
 
 
-def _verify_duplicator(cert: Certificate, a: Structure, b: Structure) -> tuple[bool, str]:
-    entries: dict = {}
+def _verify_won_positions(cert: Certificate, a: Structure, b: Structure) -> tuple[bool, str]:
+    pairs = []
     for row in cert.body:
-        if row[0] != "respond" or len(row) != 7 or row[5] != "->":
-            raise CertificateError(f"bad respond row {row!r}")
-        pos = (parse_play(row[1]), parse_play(row[2]))
-        entries.setdefault(pos, {})[(row[3], parse_play(row[4]))] = parse_play(row[6])
-    return eq_mod.audit_bf_duplicator(entries, a, b, cert.k, cert.game)
+        if row[0] != "win" or len(row) != 3:
+            raise CertificateError(f"expected `win <play> <play>` rows, got {row!r}")
+        pairs.append((parse_play(row[1]), parse_play(row[2])))
+    return audit_won_positions(eq_mod.GAMES[cert.game], pairs, a, b, cert.k)
 
 
 def _verify_iso(cert: Certificate, a: Structure, b: Structure) -> tuple[bool, str]:
@@ -547,7 +538,8 @@ KINDS: dict[str, _Kind] = {
         "true", lambda res, a, b: _table_rows(res.strategy.table, "map"), _verify_table),
     "pebble-family": _family_kind(lambda res: res.family.parts, "A"),
     "bf-duplicator": _Kind(
-        "true", lambda res, a, b: _duplicator_rows(res.duplicator), _verify_duplicator),
+        "true", lambda res, a, b: [["win", fmt_play(s), fmt_play(t)] for s, t in res.duplicator],
+        _verify_won_positions),
     "pebble-safe": _family_kind(lambda res: res.safe_positions, "AB"),
     "kleisli-iso": _Kind(
         "true", lambda res, a, b: (_table_rows(res.forward, "fwd")
@@ -575,12 +567,15 @@ KINDS: dict[str, _Kind] = {
 
 def _check_header(cert: Certificate) -> None:
     """The claim is the kind's (a both-pair claims either way, a coalgebra
-    witness nothing); every kind but hom-witness names a game that owns it,
-    and a round or pebble count; coalgebra witnesses also claim their kappa."""
+    witness nothing); a `k` header is at least 1; every kind but hom-witness
+    names a game that owns it, and a round or pebble count; coalgebra
+    witnesses also claim their kappa."""
     claim = KINDS[cert.kind].claim
     if cert.claim not in (("true", "false") if cert.kind == "both-pair" else (claim,)):
         raise CertificateError(
             f"certificate kind {cert.kind!r} cannot claim {cert.claim or 'nothing'}")
+    if cert.k is not None and cert.k < 1:
+        raise CertificateError(f"`k {cert.k}` header: k must be >= 1")
     if cert.kind == "hom-witness":
         return
     game = eq_mod.GAMES.get(cert.game)

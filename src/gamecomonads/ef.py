@@ -83,7 +83,9 @@ def check_ef_laws(a: Structure, k: int, cap: int = DEFAULT_PLAY_CAP) -> LawRepor
 
 
 def _play_error(play: Play, k: int, host: Structure) -> Optional[str]:
-    return f"longer than k={k}" if len(play) > k else None
+    if len(play) > k:
+        return f"longer than k={k}"
+    return None if all(e in host.index for e in play) else "element outside the universe"
 
 
 def _extend(fstar: Mapping, s: Play, y: Elem) -> Play:

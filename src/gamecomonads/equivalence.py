@@ -13,8 +13,9 @@ winning conditions are partial isomorphism of the play-pair history (sequence
 game) and label-matched histories with pointwise unary agreement (modal); the
 game is solved by `game.round_values` with Spoiler moving on both sides.  A
 loss is witnessed by `game.spoiler_tree`, which stops at the first reply that
-leaves the winning set; a win by Duplicator's reply to every move at every
-reachable position, read off only once the plays of both sides fit the cap.
+leaves the winning set; a win by `game.won_positions`, one won play pair per
+(position, round) below round k, read off only once the plays of both sides
+fit the cap.
 
 The pebble game has no play tree (its universe is infinite), so its
 back-and-forth decision is positional, with unbounded rounds: the pebble game
@@ -34,7 +35,7 @@ from . import ef as ef_mod
 from . import modal as modal_mod
 from . import pebbling as pebble_mod
 from .errors import CapExceededError, ToolkitError, VocabularyMismatchError
-from .game import DEFAULT_PLAY_CAP, Game, round_values, spoiler_moves, spoiler_tree
+from .game import DEFAULT_PLAY_CAP, Game, round_values, spoiler_tree, won_positions
 from .structures import Structure, check_hom
 
 GAMES: dict[str, Game] = {g.name: g for g in (ef_mod.GAME, pebble_mod.GAME, modal_mod.GAME)}
@@ -65,7 +66,7 @@ def _tree_game(name: str, what: str) -> Game:
 @dataclass(frozen=True)
 class BackForthResult:
     wins: bool
-    duplicator: Optional[Mapping] = None  # (s, t) -> {(side, moved-node): reply-node}
+    duplicator: Optional[tuple] = None  # won play pairs, one per (position, round) below k
     spoiler: Optional[object] = None  # SpoilerNode; pebbling.SpoilerPosition for pebble
     safe_positions: Optional[frozenset] = None  # the pebble game's family of partial isos
 
@@ -87,63 +88,11 @@ def solve_back_forth(a: Structure, b: Structure, k: int, comonad: str,
         pebble_mod.check_candidates(a, b, k, cap)
         return _solve_pebble_backforth(a, b, k)
     value = round_values(g, a, b, k, g.winning, "AB")
-    root_s, root_t = g.root(a), g.root(b)
-
-    if value(root_s, root_t):
-        g.universe(a, k, cap)  # the strategy answers every play: refuse one over the cap
+    if value(g.root(a), g.root(b)):
+        g.universe(a, k, cap)  # enforce --cap-plays on the plays of each side
         g.universe(b, k, cap)
-        entries: dict[tuple, dict] = {}
-        queue = [(root_s, root_t)]
-        seen = {(root_s, root_t)}
-        while queue:
-            s, t = queue.pop(0)
-            if g.depth(s) == k:
-                continue
-            here: dict = {}
-            for side, m, replies in spoiler_moves(g, a, b, s, t, "AB"):
-                reply, pair = next((r, pair) for r, pair in replies if value(*pair))
-                here[(side, m)] = reply
-                if pair not in seen:
-                    seen.add(pair)
-                    queue.append(pair)
-            if here:
-                entries[(s, t)] = here
-        return BackForthResult(True, duplicator=entries)
-
+        return BackForthResult(True, duplicator=won_positions(g, a, b, k, value))
     return BackForthResult(False, spoiler=spoiler_tree(g, a, b, value, "AB"))
-
-
-def audit_bf_duplicator(entries: Mapping, a: Structure, b: Structure, k: int,
-                        comonad: str) -> tuple[bool, str]:
-    """Walk the strategy from the root; every Spoiler option must have a reply
-    and every final or stalled position must lie in the winning set."""
-    g = _tree_game(comonad, "a back-and-forth strategy table")
-    root = g.root(a), g.root(b)
-    queue, seen = [root], {root}
-    while queue:
-        s, t = queue.pop(0)
-        d = g.depth(s)
-        cs = g.children(a, s) if d < k else []
-        ct = g.children(b, t) if d < k else []
-        if d == k or (not cs and not ct):
-            if not g.winning(s, t, a, b):
-                return False, f"final position {s!r}/{t!r} outside the winning set"
-            continue
-        here = entries.get((s, t))
-        if here is None:
-            return False, f"no strategy entry for reachable position {s!r}/{t!r}"
-        for side, mine, theirs in (("A", cs, ct), ("B", ct, cs)):
-            for m in mine:
-                r = here.get((side, m))
-                if r is None:
-                    return False, f"no reply recorded for {side} move {m!r} at {s!r}/{t!r}"
-                if r not in theirs:
-                    return False, f"reply {r!r} is not an immediate successor"
-                nxt = (m, r) if side == "A" else (r, m)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-    return True, "ok"
 
 
 # ---------------------------------------------------------------------------

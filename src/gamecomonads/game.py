@@ -19,9 +19,11 @@ The round-bounded games (sequence and modal, existential and back-and-forth)
 are solved here in one way: `round_values` is the backward induction, for the
 sides Spoiler may move on and the condition Duplicator must keep.  Their
 witnesses are read off its values in one way each: Duplicator's table of the
-existential game (`first_replies`), and Spoiler's tree of any of the four
-(`spoiler_tree`, one `SpoilerNode` type), which `audit_spoiler_tree` replays
-without solving.
+existential game (`first_replies`), Duplicator's won positions of the
+back-and-forth game (`won_positions`, one play pair per position and round,
+which `audit_won_positions` checks without solving), and Spoiler's tree of any
+of the four (`spoiler_tree`, one `SpoilerNode` type), which
+`audit_spoiler_tree` replays without solving.
 """
 
 from __future__ import annotations
@@ -169,10 +171,12 @@ class Game:
     winning: Optional[Callable[[tuple, tuple, Structure, Structure], bool]]
     forth: Optional[Callable[[tuple, tuple, Structure, Structure], bool]]
     # What the value of (s, t) depends on besides its depth, once every
-    # proper prefix of (s, t) meets the winning condition.
+    # proper prefix of (s, t) meets the winning condition; `round_values`
+    # memoises on it, and `audit_won_positions` relies on it.
     position: Optional[Callable[[tuple, tuple], object]]
     coextend: Callable
-    # Reading a coalgebra play.
+    # Reading a coalgebra play; `play_error(play, k, host)` says why a tuple is
+    # no play of `host` of depth <= k (only its shape, in the pebble game).
     last: Callable[[tuple], Elem]
     prefixes: Callable[[tuple], list]
     play_error: Callable[[tuple, int, Structure], Optional[str]]
@@ -265,6 +269,25 @@ def round_values(game: Game, a: Structure, b: Structure, k: int, holds: Callable
     return lambda s, t: run(solve(s, t))
 
 
+def won_positions(game: Game, a: Structure, b: Structure, k: int, value: Callable) -> tuple:
+    """Duplicator's witness read off the values of a won back-and-forth game:
+    one play pair per (position, round) key below round k, found breadth-first
+    from the roots by answering each Spoiler move with its first winning reply."""
+    root = game.root(a), game.root(b)
+    pairs, seen = [root], {(game.position(*root), 0)}
+    for s, t in pairs:  # grows while it is walked: the breadth-first queue
+        d = game.depth(s) + 1
+        if d == k:
+            continue
+        for _, _, replies in spoiler_moves(game, a, b, s, t, "AB"):
+            pair = next(pair for _, pair in replies if value(*pair))
+            key = game.position(*pair), d
+            if key not in seen:
+                seen.add(key)
+                pairs.append(pair)
+    return tuple(pairs)
+
+
 def first_replies(game: Game, a: Structure, b: Structure, k: int,
                   value: Callable) -> CoKleisli:
     """Duplicator's table read off the values of a won existential game: each
@@ -350,6 +373,35 @@ def audit_spoiler_tree(game: Game, node: SpoilerNode, a: Structure, b: Structure
                 for r, child in nd.branches]
 
     return walk_tree(node, (game.root(a), game.root(b)), step)
+
+
+def audit_won_positions(game: Game, pairs, a: Structure, b: Structure,
+                        k: int) -> tuple[bool, str]:
+    """Check a `won_positions` witness without solving.  Each pair must be a
+    play of `a` and a play of `b` of one round d < k that meets
+    `game.winning`, and claims its (position, d) key.  The roots' key must be
+    claimed, and every Spoiler move at a pair, on either side, needs a reply
+    that meets `game.winning` and ends the game or has its key claimed.  By
+    the `Game.position` contract, Duplicator then wins from every claimed key."""
+    claimed = set()
+    for s, t in pairs:
+        why = game.play_error(s, k, a) or game.play_error(t, k, b)
+        if why is None and not game.depth(s) == game.depth(t) < k:
+            why = f"plays of rounds {game.depth(s)} and {game.depth(t)}, not of one round below {k}"
+        if why is None and not game.winning(s, t, a, b):
+            why = "outside the winning set"
+        if why is not None:
+            return False, f"position {s!r}/{t!r}: {why}"
+        claimed.add((game.position(s, t), game.depth(s)))
+    if (game.position(game.root(a), game.root(b)), 0) not in claimed:
+        return False, "the initial position is not claimed"
+    for s, t in pairs:
+        d = game.depth(s) + 1
+        for side, m, replies in spoiler_moves(game, a, b, s, t, "AB"):
+            if not any((d == k or (game.position(*pair), d) in claimed)
+                       and game.winning(*pair, a, b) for _, pair in replies):
+                return False, f"no claimed reply to {side} move {m!r} at {s!r}/{t!r}"
+    return True, "ok"
 
 
 def decide_exist(game: Game, a: Structure, b: Structure, k: int) -> ExistResult:

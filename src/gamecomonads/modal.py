@@ -202,9 +202,8 @@ def _play_error(play: Path, k: int, host: Structure) -> Optional[str]:
         return f"more than k={k} steps"
     if play[0] != host.point:
         return "modal path does not start at the distinguished element"
-    for i in range(1, path_steps(play) + 1):
-        label, tgt = play[2 * i - 1], play[2 * i]
-        if (play[2 * i - 2], tgt) not in host.tuples(label):
+    for src, label, tgt in zip(play[0::2], play[1::2], play[2::2]):
+        if (src, tgt) not in host.tuples(label):
             return f"step {label}:{tgt!r} is not a transition"
     return None
 

@@ -540,6 +540,54 @@ def test_verify_refuses_a_placement_row_in_a_pebble_safe_family(files, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+# edits of the `bf-duplicator` won positions of K3 against K3 in three
+# rounds: rows dropped, rows added, and the fault `verify` names first
+WON_EDITS = [
+    (["win [] []"], [], "the initial position is not claimed"),
+    (["win [u,v] [u,v]"], ["win [u,v] [u,u]"],
+     "position ('u', 'v')/('u', 'u'): outside the winning set"),
+    ([], ["win [u,v,w] [u,v,w]"],
+     "position ('u', 'v', 'w')/('u', 'v', 'w'): plays of rounds 3 and 3, not of one round below 3"),
+    (["win [v,v] [u,u]"], [], "no claimed reply to A move ('v', 'v') at ('v',)/('u',)"),
+]
+
+
+@pytest.mark.parametrize("drop,add,detail", WON_EDITS,
+                         ids=["root-removed", "not-winning", "at-round-k", "reply-removed"])
+def test_verify_rejects_tampered_won_positions(files, drop, add, detail):
+    cert = files["dir"] / "won.cert"
+    code, _ = run(["equiv", "--game", "ef", "--mode", "backforth", "-k", "3",
+                   "--certificate", str(cert), files["k3"], files["k3"]])
+    assert code == 0
+    rows = cert.read_text().splitlines()
+    assert set(drop) <= set(rows)
+    cert.write_text("\n".join([row for row in rows if row not in drop] + add) + "\n")
+    code, out = run(["verify", "--certificate", str(cert), files["k3"], files["k3"]])
+    assert code == 1 and out.endswith(f"result: false\ndetail: {detail}\n")
+
+
+def test_verify_refuses_a_reply_row_in_won_positions(files, capsys):
+    cert = files["dir"] / "won.cert"
+    code, _ = run(["equiv", "--game", "ef", "--mode", "backforth", "-k", "2",
+                   "--certificate", str(cert), files["k3"], files["k3"]])
+    assert code == 0
+    cert.write_text(cert.read_text() + "respond [] [] A [u] -> [u]\n")
+    code, out = run(["verify", "--certificate", str(cert), files["k3"], files["k3"]])
+    assert code == 2 and "result:" not in out
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_won_positions_grow_by_one_row_a_round(tmp_path):
+    """A pointed self-loop against itself has one position per round, so its
+    200-round back-and-forth game is won by exactly 200 `win` rows."""
+    (tmp_path / "loop.str").write_text(LOOP_PTD)
+    loop, cert = str(tmp_path / "loop.str"), tmp_path / "loop.cert"
+    code, _ = run(["equiv", "--game", "modal", "--mode", "backforth", "-k", "200",
+                   "--certificate", str(cert), loop, loop])
+    assert code == 0
+    assert sum(row.startswith("win ") for row in cert.read_text().splitlines()) == 200
+
+
 @pytest.mark.parametrize("mode,fits", [("backforth", 37), ("exists", 37), ("both", 37)])
 def test_pebble_cap_counts_candidate_positions(files, mode, fits):
     """K3 against K3 with two pebbles: 1 + 3·3 + 3·9 = 37 candidate partial

@@ -5,7 +5,7 @@ import pytest
 from gamecomonads import ef, equivalence as eq, logic, modal
 from gamecomonads import pebbling as pb
 from gamecomonads.errors import CapExceededError, ToolkitError
-from gamecomonads.game import audit_spoiler_tree
+from gamecomonads.game import audit_spoiler_tree, audit_won_positions
 from gamecomonads.structures import Vocabulary
 
 from helpers import (S, VOCAB_R, all_pointed, all_structures_upto, clique_structure,
@@ -47,7 +47,7 @@ def test_backforth_paths_until_distinguished():
     p3, p4 = path_structure(3), path_structure(4, "wxyz")
     r1 = eq.solve_back_forth(p3, p4, 1, "ef")
     assert r1.wins
-    ok, why = eq.audit_bf_duplicator(r1.duplicator, p3, p4, 1, "ef")
+    ok, why = audit_won_positions(ef.GAME, r1.duplicator, p3, p4, 1)
     assert ok, why
     r2 = eq.solve_back_forth(p3, p4, 2, "ef")
     assert not r2.wins
@@ -58,6 +58,34 @@ def test_backforth_paths_until_distinguished():
     assert logic.quantifier_rank(phi) == 2
     assert logic.evaluate(p3, phi) and not logic.evaluate(p4, phi)
     assert not eq.solve_back_forth(p3, p4, 3, "ef").wins
+
+
+def _every_winning_pair(g, a, b, k):
+    """Every pair of plays of one round below k that meets the winning
+    condition: the largest claim a won-position witness can make."""
+    pairs, todo = [], [(g.root(a), g.root(b))]
+    while todo:
+        s, t = todo.pop()
+        if g.depth(s) < k and g.winning(s, t, a, b):
+            pairs.append((s, t))
+            todo.extend((s2, t2) for s2 in g.children(a, s) for t2 in g.children(b, t))
+    return pairs
+
+
+@pytest.mark.parametrize("comonad", ["ef", "modal"])
+def test_won_positions_pass_the_audit_and_no_claim_wins_a_lost_game(comonad):
+    """On every pair of small structures and k 1-3, the won positions of a won
+    back-and-forth game pass the audit, and on a lost game the audit rejects
+    even the largest claim."""
+    g = eq.game(comonad)
+    pool = small_pool() if comonad == "ef" else all_pointed(small_pool())
+    for a in pool:
+        for b in pool:
+            for k in (1, 2, 3):
+                res = eq.solve_back_forth(a, b, k, comonad)
+                claim = res.duplicator if res.wins else _every_winning_pair(g, a, b, k)
+                ok, why = audit_won_positions(g, claim, a, b, k)
+                assert ok == res.wins, (a, b, k, why)
 
 
 def test_backforth_empty_structures():

@@ -200,6 +200,24 @@ def test_golden_spoiler_trees_fail_when_mutated(tmp_path, monkeypatch):
     assert seen == {"drop", "flip"}
 
 
+K_HEADED = [(cert, structures) for _, _, cert, structures in jobs()
+            if cert is not None and "\nk " in (GOLDEN / cert).read_text(encoding="utf-8")]
+
+
+@pytest.mark.parametrize("cert,structures", K_HEADED, ids=[cert for cert, _ in K_HEADED])
+def test_verify_refuses_a_k_header_below_one(tmp_path, monkeypatch, capsys, cert, structures):
+    """Every decider refuses k < 1, so `verify` takes a certificate that
+    claims zero rounds or pebbles for malformed, whatever its kind."""
+    monkeypatch.chdir(tmp_path)
+    for name in structures:
+        Path(f"{name}.str").write_text(INPUTS[name], encoding="utf-8")
+    text = (GOLDEN / cert).read_text(encoding="utf-8")
+    Path("zero.cert").write_text(re.sub(r"^k \d+$", "k 0", text, flags=re.M), encoding="utf-8")
+    code, out = _run(["verify", "--certificate", "zero.cert"] + [f"{s}.str" for s in structures])
+    assert code == 2 and "result:" not in out
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_golden_corpus(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     got = corpus()
