@@ -417,7 +417,7 @@ def _verify_forest_cover(cert: Certificate, a: Structure,
         parent[row[1]] = row[2]
     try:
         cover = par_mod.ForestCover(tuple(a.universe), parent)
-        if cover.height() != cert.kappa:
+        if max(1, cover.height()) != cert.kappa:  # an empty structure has kappa 1
             return False, f"cover height {cover.height()} != claimed {cert.kappa}"
         c = par_mod.forest_cover_to_coalgebra(cover, cert.kappa, a)
     except ToolkitError as exc:

@@ -43,7 +43,6 @@ def _report_head(out: list[str], args, **extra) -> None:
         out.append(f"{key.replace('_', '.')}: {val}")
     out.append(f"seed: {args.seed}")
     out.append(f"cap.plays: {args.cap_plays}")
-    out.append(f"cap.tables: {args.cap_tables}")
     out.append(f"cap.vertices: {args.cap_vertices}")
 
 
@@ -109,7 +108,7 @@ def _cmd_equiv(args) -> tuple[int, list[str]]:
         verdict = res.wins
         cert = _verdict_certificate(g.backforth_kinds, g.name, k, res, a, b)
     elif args.mode == "iso":
-        res = eq_mod.decide_cokleisli_iso(a, b, k, g.name, cap=args.cap_tables)
+        res = eq_mod.decide_cokleisli_iso(a, b, k, g.name, cap=args.cap_plays)
         verdict = res.wins
         cert = cert_mod.cert_result(g.iso_kind, g.name, k, res, a, b) if verdict else None
     else:
@@ -217,8 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for all sampling (default %(default)s)")
     common.add_argument("--cap-plays", type=int, default=DEFAULT_PLAY_CAP,
                         help="largest materialized play universe")
-    common.add_argument("--cap-tables", type=int, default=eq_mod.DEFAULT_TABLE_CAP,
-                        help="largest strategy-table set / search budget")
     common.add_argument("--cap-vertices", type=int, default=par_mod.DEFAULT_VERTEX_CAP,
                         help="largest vertex count for oracles and kappa searches")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -51,8 +51,8 @@ def comult(s: Play) -> tuple[Play, ...]:
 
 def coextend(f: Mapping[Play, Elem] | Callable[[Play], Elem], s: Play) -> Play:
     """f*[a_1..a_j] = [f[a_1], f[a_1,a_2], ..., f[a_1..a_j]]."""
-    get = f.__getitem__ if isinstance(f, Mapping) else f
-    return tuple(get(s[:i]) for i in range(1, len(s) + 1))
+    get = f if callable(f) else f.__getitem__
+    return tuple([get(s[:i]) for i in range(1, len(s) + 1)])
 
 
 def ef_structure(a: Structure, k: int, cap: int = DEFAULT_PLAY_CAP) -> Structure:
@@ -88,8 +88,16 @@ def _play_error(play: Play, k: int, host: Structure) -> Optional[str]:
     return None if all(e in host.index for e in play) else "element outside the universe"
 
 
-def _extend(fstar: Mapping, s: Play, y: Elem) -> Play:
-    return fstar[s[:-1]] + (y,) if len(s) > 1 else (y,)
+def _reflects(s: Play, t: Play, a: Structure, b: Structure) -> bool:
+    """Every tuple of the pairs along (s, t) holds in `a` iff it holds in `b`.
+    The pairs need not form a map: coKleisli morphisms do not see equality."""
+    pairs = set(zip(s, t))
+    for name, arity in a.vocab.symbols:
+        source, target = a.tuples(name), b.tuples(name)
+        for combo in product(pairs, repeat=arity):
+            if (tuple(x for x, _ in combo) in source) != (tuple(y for _, y in combo) in target):
+                return False
+    return True
 
 
 GAME = Game(
@@ -99,9 +107,9 @@ GAME = Game(
     depth=len,
     universe=ef_universe,
     lifted=ef_structure,
-    extend=_extend,
     winning=lambda s, t, a, b: is_partial_iso(zip(s, t), a, b),
     forth=lambda s, t, a, b: is_partial_hom(zip(s, t), a, b),
+    reflects=_reflects,
     position=lambda s, t: frozenset(zip(s, t)),
     coextend=coextend,
     last=counit,

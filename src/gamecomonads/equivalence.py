@@ -23,7 +23,8 @@ of `pebbling` with Spoiler moving on both sides, whose family is of partial
 isomorphisms with at most k pairs, closed under restriction, forth and back.
 `solve_back_forth` refuses a pebble game whose candidate partial maps exceed
 its cap.  The strategy-set fixpoint and coKleisli isomorphism are decided
-for the sequence and modal games only.
+for the sequence and modal games only; coKleisli isomorphism is their
+bijective game, `game.bijective_game`.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from . import ef as ef_mod
 from . import modal as modal_mod
 from . import pebbling as pebble_mod
 from .errors import CapExceededError, ToolkitError, VocabularyMismatchError
-from .game import DEFAULT_PLAY_CAP, Game, round_values, spoiler_tree, won_positions
+from .game import (DEFAULT_PLAY_CAP, Game, bijective_game, read_off, round_values,
+                   spoiler_tree, won_positions)
 from .structures import Structure, check_hom
 
 GAMES: dict[str, Game] = {g.name: g for g in (ef_mod.GAME, pebble_mod.GAME, modal_mod.GAME)}
@@ -122,41 +124,52 @@ class ThetaResult:
 
 
 def _enumerate_tables(a: Structure, b: Structure, k: int, g: Game,
-                      cap: int) -> tuple[list, list, list]:
+                      cap: int) -> tuple[list, list]:
     """All tables f with (s, f*(s)) winning for every play s, found by DFS
     along the play forest in declaration order, pruning mid-branch since the
     winning condition is absorbing.  Every coextension must also be a play of
-    `b` (a valid path, for modal tables)."""
+    `b` (a valid path, for modal tables).  Each table comes with its
+    coextension, as the universe index of f*(s) for each play s in order."""
     plays = g.universe(a, k)
-    plays_b = set(g.universe(b, k))
+    index_b = {t: i for i, t in enumerate(g.universe(b, k))}
 
     tables: list[dict] = []
-    stars: list[dict] = []
+    stars: list[tuple] = []
     f: dict = {}
     fstar: dict = {}
 
     def dfs(i: int):
         if i == len(plays):
             tables.append(dict(f))
-            stars.append(dict(fstar))
+            stars.append(tuple(index_b[fstar[s]] for s in plays))
             if len(tables) > cap:
                 raise CapExceededError(f"more than {cap} strategy tables; "
                                        "fall back to the game solver")
             return
         s = plays[i]
         for y in b.universe:
-            st = g.extend(fstar, s, y)
-            if st not in plays_b:
-                continue
-            if not g.winning(s, st, a, b):
-                continue
-            f[s] = y
-            fstar[s] = st
-            dfs(i + 1)
-            del f[s], fstar[s]
+            f[s] = y  # the candidate reply, which the coextension reads
+            st = g.coextend(f, s)
+            if st in index_b and g.winning(s, st, a, b):
+                fstar[s] = st
+                dfs(i + 1)
+        f.pop(s, None)
 
     dfs(0)
-    return plays, tables, stars
+    return tables, stars
+
+
+def _inversion(stars: list, others: list):
+    """The inversion operator onto the tables with coextensions `stars` (play
+    indices to play indices), from sets of the tables with coextensions
+    `others`, as bitmasks: a table survives iff, for every play t, some table
+    of the set sends its image of t back to t."""
+    sends: dict = {}  # (u, v) -> bitmask of the tables whose coextension sends play u to v
+    for i, star in enumerate(others):
+        for u, v in enumerate(star):
+            sends[u, v] = sends.get((u, v), 0) | 1 << i
+    return lambda mask: sum(1 << i for i, star in enumerate(stars)
+                            if all(sends.get((v, t), 0) & mask for t, v in enumerate(star)))
 
 
 def theta_fixpoint(a: Structure, b: Structure, k: int, comonad: str = "ef",
@@ -168,42 +181,10 @@ def theta_fixpoint(a: Structure, b: Structure, k: int, comonad: str = "ef",
     if a.vocab != b.vocab:
         raise VocabularyMismatchError("theta_fixpoint requires a shared vocabulary")
     # the winning conditions are symmetric, so tables back from b are judged alike
-    plays_a, tabs_s, stars_s = _enumerate_tables(a, b, k, g, cap)
-    plays_b, tabs_t, stars_t = _enumerate_tables(b, a, k, g, cap)
-    idx_a = {s: i for i, s in enumerate(plays_a)}
-    idx_b = {t: i for i, t in enumerate(plays_b)}
-    fstars = [tuple(idx_b[st[s]] for s in plays_a) for st in stars_s]
-    gstars = [tuple(idx_a[st[t]] for t in plays_b) for st in stars_t]
-
-    # cond_s[(u, t_idx)]: bitmask of f with f*(play_b u) ... f* sends play u of A
-    cond_s: dict[tuple[int, int], int] = {}
-    for fi, fs in enumerate(fstars):
-        for u, tv in enumerate(fs):
-            key = (u, tv)
-            cond_s[key] = cond_s.get(key, 0) | (1 << fi)
-    cond_t: dict[tuple[int, int], int] = {}
-    for gi, gs in enumerate(gstars):
-        for u, sv in enumerate(gs):
-            key = (u, sv)
-            cond_t[key] = cond_t.get(key, 0) | (1 << gi)
-
-    full_f = (1 << len(fstars)) - 1
-
-    def gamma(fmask: int) -> int:
-        out = 0
-        for gi, gs in enumerate(gstars):
-            if all(cond_s.get((gs[t], t), 0) & fmask for t in range(len(plays_b))):
-                out |= 1 << gi
-        return out
-
-    def delta(gmask: int) -> int:
-        out = 0
-        for fi, fs in enumerate(fstars):
-            if all(cond_t.get((fs[s], s), 0) & gmask for s in range(len(plays_a))):
-                out |= 1 << fi
-        return out
-
-    fmask = full_f
+    tabs_s, fstars = _enumerate_tables(a, b, k, g, cap)
+    tabs_t, gstars = _enumerate_tables(b, a, k, g, cap)
+    gamma, delta = _inversion(gstars, fstars), _inversion(fstars, gstars)
+    fmask = (1 << len(fstars)) - 1
     iters = 0
     while True:
         iters += 1
@@ -232,72 +213,24 @@ class IsoResult:
 
 
 def decide_cokleisli_iso(a: Structure, b: Structure, k: int, comonad: str = "ef",
-                         cap: int = DEFAULT_TABLE_CAP) -> IsoResult:
-    """Search for mutually inverse coKleisli morphisms.
-
-    A witness forward morphism must have a bijective coextension (prefix
-    closure makes the induced inverse table the only candidate back), so the
-    search enumerates homomorphism tables in play order with injectivity and
-    relation pruning, then checks the induced backward table.  Sequence and
-    modal games only."""
+                         cap: int = DEFAULT_PLAY_CAP) -> IsoResult:
+    """Decide coKleisli isomorphism as the bijective k-round game
+    (`game.bijective_game`).  On a win the forward table answers each play
+    along the lexicographically first matching at each pair, and the backward
+    table is its inverse.  Both play universes are listed first, so a game
+    over the play cap is refused before it is solved.  Sequence and modal
+    games only."""
     g = _tree_game(comonad, "coKleisli isomorphism")
     if a.vocab != b.vocab:
         raise VocabularyMismatchError("decide_cokleisli_iso requires a shared vocabulary")
-    lifted_a = g.lifted(a, k)
-    lifted_b = g.lifted(b, k)
-    plays_a = list(lifted_a.universe)
-    plays_b = list(lifted_b.universe)
-    if len(plays_a) != len(plays_b):
+    plays = g.universe(a, k, cap)
+    g.universe(b, k, cap)
+    value, matching = bijective_game(g, a, b, k)
+    if not value(g.root(a), g.root(b)):
         return IsoResult(False)
-    order_index = {s: i for i, s in enumerate(plays_a)}
-    playset_b = set(plays_b)
-
-    # Constraints of a's lifted tuples indexed by their longest component.
-    constraints: dict[tuple, list[tuple[str, tuple]]] = {s: [] for s in plays_a}
-    for name, _ in a.vocab.symbols:
-        for combo in lifted_a.tuples(name):
-            top = max(combo, key=lambda c: order_index[c])
-            constraints[top].append((name, combo))
-
-    nodes_budget = cap
-    f: dict = {}
-    fstar: dict = {}
-    used: set = set()
-    # Depth-first along plays_a with an explicit stack holding, per play, the
-    # replies not yet tried; a last level past the final play marks a full table.
-    stack = [iter(b.universe)]
-    while stack:
-        i = len(stack) - 1
-        if i == len(plays_a):
-            inv = {fstar[s]: s for s in plays_a}
-            back = {t: inv[t][-1] for t in plays_b}
-            if check_hom(back, lifted_b, a):
-                return IsoResult(True, forward=dict(f), backward=back)
-            stack.pop()
-            continue
-        s = plays_a[i]
-        if s in f:  # the reply tried last led to no witness
-            used.discard(fstar.pop(s))
-            del f[s]
-        for y in stack[-1]:
-            nodes_budget -= 1
-            if nodes_budget < 0:
-                raise CapExceededError("coKleisli isomorphism search budget exceeded")
-            st = g.extend(fstar, s, y)
-            if st in used or st not in playset_b:
-                continue
-            f[s] = y
-            if all(tuple(f[c] for c in combo) in b.tuples(name)
-                   for name, combo in constraints[s]):
-                fstar[s] = st
-                used.add(st)
-                break
-            del f[s]
-        else:
-            stack.pop()
-            continue
-        stack.append(iter(b.universe))
-    return IsoResult(False)
+    reply = read_off(g, a, b, k, matching)
+    return IsoResult(True, forward={s: g.last(reply[s]) for s in plays},
+                     backward={reply[s]: g.last(s) for s in plays})
 
 
 def audit_iso_pair(forward: Mapping, backward: Mapping, a: Structure, b: Structure,

@@ -17,13 +17,15 @@ as generators on an explicit stack.
 
 The round-bounded games (sequence and modal, existential and back-and-forth)
 are solved here in one way: `round_values` is the backward induction, for the
-sides Spoiler may move on and the condition Duplicator must keep.  Their
-witnesses are read off its values in one way each: Duplicator's table of the
-existential game (`first_replies`), Duplicator's won positions of the
-back-and-forth game (`won_positions`, one play pair per position and round,
-which `audit_won_positions` checks without solving), and Spoiler's tree of any
-of the four (`spoiler_tree`, one `SpoilerNode` type), which
-`audit_spoiler_tree` replays without solving.
+sides Spoiler may move on and the condition Duplicator must keep; their
+bijective game (`bijective_game`), whose wins are the coKleisli isomorphisms,
+memoises on the same keys.  Their witnesses are read off the values in one
+way each: Duplicator's tables of the existential game (`first_replies`) and of
+the bijective game, by one play-tree walk (`read_off`); Duplicator's won
+positions of the back-and-forth game (`won_positions`, one play pair per
+position and round, which `audit_won_positions` checks without solving); and
+Spoiler's tree of any of the four (`spoiler_tree`, one `SpoilerNode` type),
+which `audit_spoiler_tree` replays without solving.
 """
 
 from __future__ import annotations
@@ -165,14 +167,16 @@ class Game:
     depth: Optional[Callable[[tuple], int]]
     universe: Optional[Callable[[Structure, int], list]]  # plays of depth <= k
     lifted: Optional[Callable[[Structure, int, int], Structure]]  # (a, k, cap)
-    extend: Optional[Callable[[Mapping, tuple, Elem], tuple]]  # f*(s) from f* below s
-    # Winning conditions (s, t, a, b) -> bool on equal-depth plays, both
-    # absorbing: of the back-and-forth game, and of the existential game.
+    # Winning conditions (s, t, a, b) -> bool on equal-depth plays, all
+    # absorbing: of the back-and-forth game, of the existential game, and of
+    # the bijective game (each lifted tuple along the pair holds on both
+    # sides or on neither).
     winning: Optional[Callable[[tuple, tuple, Structure, Structure], bool]]
     forth: Optional[Callable[[tuple, tuple, Structure, Structure], bool]]
+    reflects: Optional[Callable[[tuple, tuple, Structure, Structure], bool]]
     # What the value of (s, t) depends on besides its depth, once every
-    # proper prefix of (s, t) meets the winning condition; `round_values`
-    # memoises on it, and `audit_won_positions` relies on it.
+    # proper prefix of (s, t) meets the game's condition; `round_values` and
+    # `bijective_game` memoise on it, and `audit_won_positions` relies on it.
     position: Optional[Callable[[tuple, tuple], object]]
     coextend: Callable
     # Reading a coalgebra play; `play_error(play, k, host)` says why a tuple is
@@ -269,6 +273,50 @@ def round_values(game: Game, a: Structure, b: Structure, k: int, holds: Callable
     return lambda s, t: run(solve(s, t))
 
 
+def bijective_game(game: Game, a: Structure, b: Structure, k: int):
+    """Solve Hella's bijective k-round game from `a` to `b`: a play pair wins
+    iff it meets `game.reflects` and, before round k, a perfect matching pairs
+    the children of its plays into winning pairs.  Values are memoised on
+    (`game.position`, round) and found lazily under `run`.  Returns `value(s,
+    t)`, and `matching(s, t)`: at a won pair below round k, the replies to the
+    children of s in the lexicographically first such matching."""
+    memo: dict = {}
+
+    def solve(s: tuple, t: tuple):
+        key = game.position(s, t), game.depth(s)
+        if key not in memo:
+            memo[key] = game.reflects(s, t, a, b) and (key[1] == k or (
+                yield matching(s, t)) is not None)
+        return memo[key]
+
+    def matching(s: tuple, t: tuple):
+        return _first_matching(game.children(a, s), game.children(b, t), solve)
+
+    return (lambda s, t: run(solve(s, t))), (lambda s, t: run(matching(s, t)))
+
+
+def _first_matching(left: list, right: list, edge: Callable):
+    """Pair `left` one to one with `right` along the pairs where the generator
+    `edge(x, y)` returns true under `run`: each left in turn takes the first
+    right still free.  Returns the partners of `left` in order, or None when a
+    left finds none.  In the bijective game this finds a perfect matching
+    whenever there is one, and the lexicographically first: winning is an
+    equivalence (coKleisli isomorphisms compose and invert), so the winning
+    pairs of children form complete bipartite blocks."""
+    if len(left) != len(right):
+        return None
+    free, partners = list(right), []
+    for x in left:
+        for y in free:
+            if (yield edge(x, y)):
+                free.remove(y)
+                partners.append(y)
+                break
+        else:
+            return None
+    return partners
+
+
 def won_positions(game: Game, a: Structure, b: Structure, k: int, value: Callable) -> tuple:
     """Duplicator's witness read off the values of a won back-and-forth game:
     one play pair per (position, round) key below round k, found breadth-first
@@ -288,6 +336,21 @@ def won_positions(game: Game, a: Structure, b: Structure, k: int, value: Callabl
     return tuple(pairs)
 
 
+def read_off(game: Game, a: Structure, b: Structure, k: int, replies: Callable) -> dict:
+    """Duplicator's reply to every node of the play tree of `a` up to round k,
+    walked from the roots: `replies(s, t)` answers the children of s, in
+    order, once s is answered by t."""
+    reply = {game.root(a): game.root(b)}
+    todo = [game.root(a)]
+    while todo:
+        s = todo.pop()
+        if game.depth(s) < k:
+            for s2, t2 in zip(game.children(a, s), replies(s, reply[s])):
+                reply[s2] = t2
+                todo.append(s2)
+    return reply
+
+
 def first_replies(game: Game, a: Structure, b: Structure, k: int,
                   value: Callable) -> CoKleisli:
     """Duplicator's table read off the values of a won existential game: each
@@ -295,14 +358,8 @@ def first_replies(game: Game, a: Structure, b: Structure, k: int,
     parent's answer from which Duplicator still wins.  The play universe is
     listed first, so a table over the play cap is refused before any is built."""
     plays = game.universe(a, k)
-    reply = {game.root(a): game.root(b)}
-    todo = [game.root(a)]
-    while todo:
-        s = todo.pop()
-        if game.depth(s) < k:
-            for s2 in game.children(a, s):
-                reply[s2] = next(t2 for t2 in game.children(b, reply[s]) if value(s2, t2))
-                todo.append(s2)
+    reply = read_off(game, a, b, k, lambda s, t: [
+        next(t2 for t2 in game.children(b, t) if value(s2, t2)) for s2 in game.children(a, s)])
     return CoKleisli(game, k, a, b, {s: game.last(reply[s]) for s in plays})
 
 

@@ -72,7 +72,7 @@ def modal_comult(s: Path) -> Path:
 
 
 def modal_coextend(f, s: Path) -> Path:
-    get = f.__getitem__ if isinstance(f, Mapping) else f
+    get = f if callable(f) else f.__getitem__
     out: list = [get(s[:1])]
     for i in range(1, path_steps(s) + 1):
         out.append(s[2 * i - 1])
@@ -177,10 +177,6 @@ def _root(x: Structure) -> Path:
     return (x.point,)
 
 
-def _extend(fstar: Mapping, s: Path, y: Elem) -> Path:
-    return fstar[s[:-2]] + (s[-2], y) if len(s) > 1 else (y,)
-
-
 def _matches(s: Path, t: Path, a: Structure, b: Structure, agree=operator.eq) -> bool:
     """Same labels along both paths and, at each step, unary symbols that
     `agree`: the same ones at both ends (`eq`), or those of the source element
@@ -231,9 +227,9 @@ GAME = Game(
     depth=path_steps,
     universe=modal_universe,
     lifted=unravel,
-    extend=_extend,
     winning=_matches,
     forth=lambda s, t, a, b: _matches(s, t, a, b, operator.le),
+    reflects=_matches,
     position=lambda s, t: (s[-2:], t[-2:]),
     coextend=modal_coextend,
     last=modal_counit,

@@ -400,10 +400,10 @@ GAME = Game(
     depth=None,
     universe=None,
     lifted=None,
-    extend=None,
     # the positional game checks partial isomorphism of the placements itself
     winning=None,
     forth=None,
+    reflects=None,
     position=None,
     coextend=pebble_coextend,
     last=pebble_counit,

@@ -17,7 +17,8 @@ from gamecomonads import equivalence, logic, modal, pebbling
 from gamecomonads import parameters as par
 from gamecomonads.errors import ToolkitError
 from gamecomonads.game import DEFAULT_PLAY_CAP, CoKleisli, Game
-from gamecomonads.structures import Graph, Structure, is_partial_hom, is_partial_iso
+from gamecomonads.structures import (Graph, Structure, check_hom, is_partial_hom,
+                                     is_partial_iso)
 
 VOCAB_R = (("R", 2),)
 VOCAB_RS = (("R", 2), ("S", 1))
@@ -139,6 +140,52 @@ def cokleisli_compose(g: CoKleisli, f: CoKleisli) -> CoKleisli:
         raise ToolkitError("coKleisli composition shape mismatch")
     table = {s: g.table[f.star(s)] for s in f.game.universe(f.source, f.k)}
     return CoKleisli(f.game, f.k, f.source, g.target, table)
+
+
+def search_cokleisli_iso(a: Structure, b: Structure, k: int,
+                         comonad: str) -> equivalence.IsoResult:
+    """The small-size oracle for coKleisli isomorphism: a depth-first search
+    over forward tables, assigning the plays of `a` in universe order and the
+    elements of `b` in declaration order, pruned by injectivity of the
+    coextension and by every lifted tuple whose longest play is assigned;
+    each full table's inverse is then checked as a homomorphism back.  The
+    first pair found is returned."""
+    g = equivalence.game(comonad)
+    lifted_a, lifted_b = g.lifted(a, k, DEFAULT_PLAY_CAP), g.lifted(b, k, DEFAULT_PLAY_CAP)
+    plays_a, plays_b = list(lifted_a.universe), list(lifted_b.universe)
+    if len(plays_a) != len(plays_b):
+        return equivalence.IsoResult(False)
+    order = {s: i for i, s in enumerate(plays_a)}
+    constraints: dict = {s: [] for s in plays_a}  # lifted tuples by their longest play
+    for name, _ in a.vocab.symbols:
+        for combo in lifted_a.tuples(name):
+            constraints[max(combo, key=order.__getitem__)].append((name, combo))
+    free_b = set(plays_b)  # the plays of `b` no coextension has taken yet
+    f, fstar = {}, {}
+
+    def search(i: int) -> Optional[equivalence.IsoResult]:
+        if i == len(plays_a):
+            back = {t: g.last(s) for s, t in fstar.items()}
+            if not check_hom(back, lifted_b, a):
+                return None
+            return equivalence.IsoResult(True, dict(f), back)
+        s = plays_a[i]
+        for y in b.universe:
+            st = g.coextend(lambda p: y if p == s else f[p], s)
+            if st not in free_b:
+                continue
+            f[s], fstar[s] = y, st
+            if all(tuple(f[c] for c in combo) in b.tuples(name)
+                   for name, combo in constraints[s]):
+                free_b.remove(st)
+                found = search(i + 1)
+                if found is not None:
+                    return found
+                free_b.add(st)
+            del f[s], fstar[s]
+        return None
+
+    return search(0) or equivalence.IsoResult(False)
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,17 @@ def test_param_and_verify_all_comonads(files):
         assert code == 0, out
 
 
+def test_param_ef_on_an_empty_structure_verifies(tmp_path):
+    """A structure with no elements has coalgebra number 1, the least k a
+    game takes, and the cover audit accepts its empty cover for that claim."""
+    empty, cert = tmp_path / "empty.str", str(tmp_path / "empty.cert")
+    empty.write_text("vocab R 2\n")
+    code, out = run(["param", "--comonad", "ef", "--certificate", cert, str(empty)])
+    assert code == 0 and "\nkappa: 1\n" in out
+    code, out = run(["verify", "--certificate", cert, str(empty)])
+    assert code == 0 and "\nresult: true\n" in out, out
+
+
 def test_param_modal_cycle_is_usage_error(files):
     code, _ = run(["param", "--comonad", "modal", files["cycle"]])
     assert code == 2
@@ -442,13 +453,60 @@ def test_hom_on_a_long_path(tmp_path):
 
 
 def test_equiv_iso_on_large_edgeless_structures(tmp_path):
-    """The coKleisli isomorphism search runs without recursion over 1,640 plays."""
+    """The bijective game runs without recursion over 1,640 plays a side."""
     edgeless = tmp_path / "edgeless.str"
     edgeless.write_text("vocab R 2\n" + "".join(f"elem v{i}\n" for i in range(40)))
     code, out = run(["equiv", "--game", "ef", "--mode", "iso", "-k", "2", str(edgeless),
                      str(edgeless)])
     assert code == 0
     assert "result: true" in out
+
+
+def graph_text(names, edges):
+    return ("vocab R 2\n" + "".join(f"elem {v}\n" for v in names)
+            + "".join(f"rel R {u} {v}\nrel R {v} {u}\n" for u, v in edges))
+
+
+P4 = graph_text("wxyz", ["wx", "xy", "yz"])
+P4_SHUFFLED = graph_text("ywzx", ["yz", "xy", "wx"])  # the same path, declared in another order
+TWO_TRIANGLES = graph_text("abcdef", ["ab", "bc", "ca", "de", "ef", "fd"])
+C6 = graph_text("uvwxyz", ["uv", "vw", "wx", "xy", "yz", "zu"])
+K5 = graph_text("abcde", ["ab", "ac", "ad", "ae", "bc", "bd", "be", "cd", "ce", "de"])
+
+
+def equiv_iso(tmp_path, k, source, target, *extra):
+    (tmp_path / "a.str").write_text(source)
+    (tmp_path / "b.str").write_text(target)
+    files = [str(tmp_path / "a.str"), str(tmp_path / "b.str")]
+    cert = str(tmp_path / "iso.cert")
+    code, out = run(["equiv", "--game", "ef", "--mode", "iso", "-k", str(k),
+                     "--certificate", cert, *extra] + files)
+    return code, out, ["verify", "--certificate", cert] + files
+
+
+def test_equiv_iso_on_a_relabelled_path(tmp_path):
+    """P4 against itself declared in another order is a coKleisli isomorphism
+    at three rounds, and its certificate verifies."""
+    code, out, verify = equiv_iso(tmp_path, 3, P4, P4_SHUFFLED)
+    assert code == 0 and "\nresult: true\n" in out
+    code, out = run(verify)
+    assert code == 0 and "\nresult: true\n" in out, out
+
+
+@pytest.mark.parametrize("k,code", [(2, 0), (3, 1)])
+def test_equiv_iso_tells_two_triangles_from_the_hexagon_at_three_rounds(tmp_path, k, code):
+    """Two triangles and the 6-cycle are both 2-regular on six vertices;
+    only with three rounds can Spoiler ask for a vertex whose neighbours are
+    adjacent."""
+    assert equiv_iso(tmp_path, k, TWO_TRIANGLES, C6)[0] == code
+
+
+def test_equiv_iso_over_the_play_cap_exits_3(tmp_path, capsys):
+    """K5 has 155 plays of at most 3 rounds: `--cap-plays 10` refuses the game
+    before it is solved."""
+    code, out, _ = equiv_iso(tmp_path, 3, K5, K5, "--cap-plays", "10")
+    assert code == 3 and "result:" not in out
+    assert "play universe has 155 elements, cap is 10" in capsys.readouterr().err
 
 
 def test_sample_modal_on_the_default_vocabulary():
@@ -468,6 +526,7 @@ LOOP_PTD = "vocab R 2\nelem a\nrel R a a\nstart a\n"
 DEEP_GAMES = [
     ("ef", "exists", 200, LOOP, LOOP, "true"),
     ("ef", "backforth", 500, LOOP, LOOP, "true"),
+    ("ef", "iso", 200, LOOP, LOOP, "true"),
     ("modal", "exists", 1500, LOOP_PTD, LOOP_PTD, "true"),
     ("modal", "backforth", 1500, LOOP_PTD, LOOP_PTD, "true"),
     # Spoiler repeats the first move until the last round: a tree 1,000 rounds deep

@@ -9,7 +9,7 @@ from gamecomonads.game import audit_spoiler_tree, audit_won_positions
 from gamecomonads.structures import Vocabulary
 
 from helpers import (S, VOCAB_R, all_pointed, all_structures_upto, clique_structure,
-                     decide_both_ways, path_structure)
+                     decide_both_ways, path_structure, search_cokleisli_iso)
 
 EDGE = S(VOCAB_R, ["a", "b"], {"R": [("a", "b"), ("b", "a")]})
 TWOPTS = S(VOCAB_R, ["x", "y"], {})
@@ -178,6 +178,27 @@ def test_iso_is_counting_sensitive_at_rank_one():
     assert res.wins
     phi = logic.parse_formula("E>=1 x . R(x,x)")
     assert logic.evaluate(loop_pt, phi) and not logic.evaluate(two_pts, phi)
+
+
+RP = (("R", 2), ("P", 1))
+
+
+@pytest.mark.parametrize("comonad", ["ef", "modal"])
+@pytest.mark.parametrize("vocab", [VOCAB_R, RP], ids=["R", "RP"])
+def test_iso_game_equals_the_table_search(vocab, comonad):
+    """The bijective game and the table search agree on every pair of
+    structures with at most two elements (pointed, for modal) at k = 1..3:
+    the same verdict and, on a win, the same forward and backward tables."""
+    pool = all_structures_upto(vocab, 2, include_empty=True)
+    if comonad == "modal":
+        pool = all_pointed(pool)
+    for a in pool:
+        for b in pool:
+            for k in (1, 2, 3):
+                got = eq.decide_cokleisli_iso(a, b, k, comonad)
+                want = search_cokleisli_iso(a, b, k, comonad)
+                assert ((got.wins, got.forward, got.backward)
+                        == (want.wins, want.forward, want.backward)), (a, b, k)
 
 
 def test_iso_modal_copycat():
