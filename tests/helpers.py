@@ -1,10 +1,11 @@
 """Shared test fixtures: structure builders, exhaustive ensembles, an
 independent set-based formula evaluator used as the evaluation oracle,
-morphisms both ways and coKleisli counits and composition, a full-rescan
-reference for the two pebble games (the back-and-forth one on pebble-indexed
-placements), and exhaustive references for the coalgebra numbers: every
-forest cover with its minimum pebbling, the unpruned tree-width dynamic
-program, a coalgebra's forest cover and the synchronization tree depth."""
+morphisms both ways and coKleisli counits and composition, the table search
+for coKleisli isomorphism, a full-rescan reference for the two pebble games
+(the back-and-forth one on pebble-indexed placements), and exhaustive
+references for the coalgebra numbers: every forest cover with its minimum
+pebbling, the unpruned tree-width dynamic program, a coalgebra's forest cover
+and the synchronization tree depth."""
 
 from __future__ import annotations
 
