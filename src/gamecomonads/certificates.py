@@ -344,9 +344,9 @@ def _verify_table(cert: Certificate, a: Structure, b: Structure) -> tuple[bool, 
     table = _parse_map_rows(cert.body, "map", play_key=True)
     try:
         f = CoKleisli(eq_mod.GAMES[cert.game], cert.k, a, b, table)
+        return f.is_homomorphism(), "coKleisli homomorphism check"
     except ToolkitError as exc:
         return False, str(exc)
-    return (f.is_homomorphism(), "coKleisli homomorphism check")
 
 
 def _verify_family(cert: Certificate, a: Structure, b: Structure,

@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Optional
 
 from .errors import CapExceededError, ToolkitError, VocabularyMismatchError
 from .game import (DEFAULT_PLAY_CAP, ExistResult, Game, LawReport, chain_error, decide_exist,
-                   law_report, lift_along_prefixes, prefix_hom_error, prefixes)
+                   law_report, lifted_structure, prefix_hom_error, prefix_lifting, prefixes)
 from .structures import Elem, Structure, is_partial_hom, is_partial_iso
 
 Play = tuple  # nonempty tuple of elements
@@ -58,7 +58,7 @@ def coextend(f: Mapping[Play, Elem] | Callable[[Play], Elem], s: Play) -> Play:
 def ef_structure(a: Structure, k: int, cap: int = DEFAULT_PLAY_CAP) -> Structure:
     """Lift `a` to its play universe: a tuple of plays is related iff the plays
     are pairwise prefix-comparable and their last elements form a tuple of `a`."""
-    return lift_along_prefixes(a, ef_universe(a, k, cap), counit, None)
+    return lifted_structure(GAME, a, ef_universe(a, k, cap))
 
 
 def decide_exist_ef(a: Structure, b: Structure, k: int) -> ExistResult:
@@ -106,7 +106,8 @@ GAME = Game(
     children=lambda x, node: [node + (e,) for e in x.universe],
     depth=len,
     universe=ef_universe,
-    lifted=ef_structure,
+    lifted_at=prefix_lifting,  # a play lists its prefixes' last elements; any may join it
+    pointed=False,
     winning=lambda s, t, a, b: is_partial_iso(zip(s, t), a, b),
     forth=lambda s, t, a, b: is_partial_hom(zip(s, t), a, b),
     reflects=_reflects,

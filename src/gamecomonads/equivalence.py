@@ -36,9 +36,9 @@ from . import ef as ef_mod
 from . import modal as modal_mod
 from . import pebbling as pebble_mod
 from .errors import CapExceededError, ToolkitError, VocabularyMismatchError
-from .game import (DEFAULT_PLAY_CAP, Game, bijective_game, read_off, round_values,
-                   spoiler_tree, won_positions)
-from .structures import Structure, check_hom
+from .game import (DEFAULT_PLAY_CAP, Game, bijective_game, coextensions, lifted_hom, read_off,
+                   round_values, spoiler_tree, won_positions)
+from .structures import Structure
 
 GAMES: dict[str, Game] = {g.name: g for g in (ef_mod.GAME, pebble_mod.GAME, modal_mod.GAME)}
 COMONADS = tuple(GAMES)
@@ -235,23 +235,25 @@ def decide_cokleisli_iso(a: Structure, b: Structure, k: int, comonad: str = "ef"
 
 def audit_iso_pair(forward: Mapping, backward: Mapping, a: Structure, b: Structure,
                    k: int, comonad: str) -> tuple[bool, str]:
-    """Check both tables are homomorphisms and mutually inverse under
-    coextension; pure table work, no search."""
+    """Check both tables are homomorphisms from the liftings
+    (`game.lifted_hom`, which builds neither) and mutually inverse under
+    coextension; pure table work, no search.  Once both are homomorphisms,
+    each coextension is a play of the other side, and a composite's
+    coextension at a play extends its parent's by one step, so it is the
+    identity at a play iff it is at the parent and the second table sends the
+    first one's coextension back to the play's last element."""
     g = _tree_game(comonad, "coKleisli isomorphism")
-    lifted_a = g.lifted(a, k)
-    lifted_b = g.lifted(b, k)
-    star = g.coextend
+    plays_a, plays_b = g.universe(a, k), g.universe(b, k)
     try:
-        if not check_hom(forward, lifted_a, b):
+        if not lifted_hom(g, a, b, k, forward, plays_a):
             return False, "forward table is not a homomorphism"
-        if not check_hom(backward, lifted_b, a):
+        if not lifted_hom(g, b, a, k, backward, plays_b):
             return False, "backward table is not a homomorphism"
     except ToolkitError as exc:
         return False, str(exc)
-    for s in lifted_a.universe:
-        if star(backward, star(forward, s)) != s:
-            return False, f"backward after forward is not the identity at {s!r}"
-    for t in lifted_b.universe:
-        if star(forward, star(backward, t)) != t:
-            return False, f"forward after backward is not the identity at {t!r}"
+    for there, back, source, what in ((forward, backward, a, "backward after forward"),
+                                      (backward, forward, b, "forward after backward")):
+        for s, star in coextensions(g, source, there, k):
+            if back[star] != g.last(s):
+                return False, f"{what} is not the identity at {s!r}"
     return True, "ok"

@@ -8,10 +8,11 @@ that the benchmark tracer rebinds (the deciders) are wrapped so that they look
 the module attribute up at call time.
 
 This module also holds the pieces the constructions would otherwise repeat:
-the play cap, the lifting of a structure along play prefixes with its
-homomorphism check, the one comonad-law report, the one coKleisli morphism
-record (a total table on the plays of a round-bounded game), the one
-Spoiler-tree walk that the refutation audits and the
+the play cap, the lifting along play prefixes at one top play, the one
+comonad-law report, the one coKleisli morphism record (a total table on the
+plays of a round-bounded game) with the walk of a table's plays and their
+coextensions and the homomorphism check run on it (which builds no lifted
+structure), the one Spoiler-tree walk that the refutation audits and the
 certificate writer run on, and the driver (`run`) that runs recursion written
 as generators on an explicit stack.
 
@@ -32,10 +33,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Callable, Generator, Mapping, Optional
+from typing import Callable, Generator, Iterator, Mapping, Optional
 
 from .errors import ToolkitError
-from .structures import Elem, Structure, check_hom
+from .structures import Elem, Structure
 
 DEFAULT_PLAY_CAP = 10 ** 6
 
@@ -70,28 +71,35 @@ def prefixes(s: tuple) -> list[tuple]:
     return [s[:i] for i in range(1, len(s) + 1)]
 
 
-def lift_along_prefixes(a: Structure, plays: list, last: Callable[[tuple], Elem],
-                        compatible: Optional[Callable[[tuple], bool]]) -> Structure:
-    """Lift `a` to `plays`: a tuple of plays is related iff all are prefixes of
-    one of them, their last elements form a tuple of `a`, and `compatible`
-    (unless None) accepts the tuple.
+def prefix_lifting(a: Structure, tips: list, labels: list) -> Iterator[tuple[str, tuple]]:
+    """The lifted tuples of `a` whose longest play is one play `top`, drawn
+    from the prefixes of `top` that may join it, `top` last: `tips[j]` is the
+    last element of the j-th and `labels[j]` what stands for it (the prefix
+    itself, or its image).  A tuple is related iff its last elements form a
+    tuple of `a`, and is yielded as its symbol and labels.  It is built once:
+    its components before the first `top` are proper prefixes."""
+    d = len(tips) - 1
+    low_t, low_l = tips[:d], labels[:d]
+    for name, arity in a.vocab.symbols:
+        base = a.tuples(name)
+        for first in range(arity):
+            rest = arity - 1 - first
+            for tip, label in zip(product(*[low_t] * first, tips[d:], *[tips] * rest),
+                                  product(*[low_l] * first, labels[d:], *[labels] * rest)):
+                if tip in base:
+                    yield name, label
 
-    Each tuple is built once, from its longest play `top`: the components
-    before the first occurrence of `top` are proper prefixes of it, and those
-    after it are any prefixes."""
-    interp: dict[str, set] = {name: set() for name, _ in a.vocab.symbols}
+
+def lifted_structure(game: Game, a: Structure, plays: list) -> Structure:
+    """The lifting of `a` to `plays`, a prefix-closed set of its plays: the
+    tuples of `game.lifted_at` at each play, labelled by the prefixes, and
+    the root play as the point when the game's lifting is pointed."""
+    interp: dict[str, set] = {name: set() for name in a.vocab.names}
     for top in plays:
-        pref = [(p, last(p)) for p in prefixes(top)]
-        below = pref[:-1]
-        for name, arity in a.vocab.symbols:
-            base, lifted = a.tuples(name), interp[name]
-            for first in range(arity):
-                for combo in product(*[below] * first, pref[-1:], *[pref] * (arity - 1 - first)):
-                    chain, tip = zip(*combo)
-                    if tip in base and (compatible is None or compatible(chain)):
-                        lifted.add(chain)
+        for name, chain in game.lifted_at(a, top, prefixes(top)):
+            interp[name].add(chain)
     return Structure(a.vocab, tuple(plays), {n: frozenset(r) for n, r in interp.items()},
-                     None)
+                     game.root(a) if game.pointed else None)
 
 
 def chain_error(plays, active: Optional[Callable[[tuple, tuple], bool]]) -> Optional[str]:
@@ -166,7 +174,12 @@ class Game:
     children: Optional[Callable[[Structure, tuple], list]]
     depth: Optional[Callable[[tuple], int]]
     universe: Optional[Callable[[Structure, int], list]]  # plays of depth <= k
-    lifted: Optional[Callable[[Structure, int, int], Structure]]  # (a, k, cap)
+    # The lifting: `lifted_at(a, top, labels)` yields each lifted tuple whose
+    # longest play is `top`, as its symbol and the labels at its positions,
+    # where `labels[j]` stands for the prefix `top[:j + 1]`; `pointed` when
+    # the root is a play and the lifting is pointed at it.
+    lifted_at: Callable[[Structure, tuple, list], Iterator[tuple[str, tuple]]]
+    pointed: bool
     # Winning conditions (s, t, a, b) -> bool on equal-depth plays, all
     # absorbing: of the back-and-forth game, of the existential game, and of
     # the bijective game (each lifted tuple along the pair holds on both
@@ -208,7 +221,8 @@ class CoKleisli:
     plays of depth <= k of `source` to elements of `target`.
 
     It encodes a Duplicator strategy for the existential game and is a
-    morphism when `is_homomorphism` holds (checked against the lifted source).
+    morphism when `is_homomorphism` holds (`lifted_hom`: checked one lifted
+    tuple at a time, the lifting is never built).
     """
 
     game: Game
@@ -226,8 +240,51 @@ class CoKleisli:
         return self.game.coextend(self.table, s)
 
     def is_homomorphism(self, cap: int = DEFAULT_PLAY_CAP) -> bool:
-        return check_hom(dict(self.table), self.game.lifted(self.source, self.k, cap),
-                         self.target)
+        return lifted_hom(self.game, self.source, self.target, self.k, self.table,
+                          self.game.universe(self.source, self.k, cap))
+
+
+def coextensions(game: Game, a: Structure, table: Mapping, k: int) -> Iterator[tuple]:
+    """Each play s of `a` up to round k, in universe order (breadth-first,
+    children in declaration order), with its coextension f*(s) under the total
+    `table`, built from its parent's: a step ends with the element it adds,
+    and the coextension keeps the rest of the step and maps that element.
+    Only the plays before round k are kept, to be extended in turn."""
+    root = game.root(a)
+    level, first = [(root, ())], [root] if game.pointed else None
+    while level:
+        below = []
+        for parent, star in level:
+            for s in first or game.children(a, parent):
+                s_star = star + s[len(parent):-1] + (table[s],)
+                yield s, s_star
+                if game.depth(s) < k:
+                    below.append((s, s_star))
+        level, first = below, None
+
+
+def lifted_hom(game: Game, a: Structure, b: Structure, k: int, table: Mapping,
+               plays: list) -> bool:
+    """`check_hom(table, lifting of a, b)` without building the lifting:
+    `plays` are the plays of `a` up to round k (`game.universe(a, k)`).
+    The table must be total on them with values in `b` (else ToolkitError),
+    send a pointed lifting's root to the point of a pointed `b`, and map each
+    lifted tuple at each play into `b`, the tuple's images read off the play's
+    coextension at its positions; the walk stops at the first failure."""
+    for s in plays:
+        if s not in table:
+            raise ToolkitError(f"mapping not total: {s!r} unassigned")
+    for s in plays:
+        if table[s] not in b.index:
+            raise ToolkitError(f"mapping value {table[s]!r} outside target universe")
+    if game.pointed and b.is_pointed and table[game.root(a)] != b.point:
+        return False
+    targets = {name: b.tuples(name) for name in a.vocab.names}
+    for top, star in coextensions(game, a, table, k):
+        for name, image in game.lifted_at(a, top, star):
+            if image not in targets[name]:
+                return False
+    return True
 
 
 def spoiler_moves(game: Game, a: Structure, b: Structure, s: tuple, t: tuple, sides: str):
@@ -452,11 +509,20 @@ def audit_won_positions(game: Game, pairs, a: Structure, b: Structure,
         claimed.add((game.position(s, t), game.depth(s)))
     if (game.position(game.root(a), game.root(b)), 0) not in claimed:
         return False, "the initial position is not claimed"
+    # A reply extends a pair that meets `game.winning`, so whether it meets it
+    # too is fixed by the reply's key, and is found once per key.
+    won: dict = {}
     for s, t in pairs:
         d = game.depth(s) + 1
         for side, m, replies in spoiler_moves(game, a, b, s, t, "AB"):
-            if not any((d == k or (game.position(*pair), d) in claimed)
-                       and game.winning(*pair, a, b) for _, pair in replies):
+            for _, pair in replies:
+                key = game.position(*pair), d
+                if d == k or key in claimed:
+                    if key not in won:
+                        won[key] = game.winning(*pair, a, b)
+                    if won[key]:
+                        break
+            else:
                 return False, f"no claimed reply to {side} move {m!r} at {s!r}/{t!r}"
     return True, "ok"
 

@@ -18,7 +18,8 @@ import operator
 from typing import Mapping, Optional
 
 from .errors import ArityError, CapExceededError, PointError, ToolkitError, VocabularyMismatchError
-from .game import DEFAULT_PLAY_CAP, ExistResult, Game, LawReport, decide_exist, law_report
+from .game import (DEFAULT_PLAY_CAP, ExistResult, Game, LawReport, decide_exist, law_report,
+                   lifted_structure)
 from .structures import Elem, Structure
 
 Path = tuple
@@ -107,22 +108,22 @@ def modal_universe(a: Structure, k: int, cap: int = DEFAULT_PLAY_CAP) -> list[Pa
     return paths
 
 
+def _lifted_at(a: Structure, top: Path, labels: list):
+    """The lifted tuples at `top` (see `Game.lifted_at`): unary symbols hold
+    at a path iff they hold at its endpoint, and a binary symbol relates the
+    path's parent to it when it labels the path's last step."""
+    d = len(top) - 1
+    for name in unary_symbols(a):
+        if (top[-1],) in a.tuples(name):
+            yield name, (labels[d],)
+    if d:
+        yield top[-2], (labels[d - 2], labels[d])
+
+
 def unravel(a: Structure, k: int, cap: int = DEFAULT_PLAY_CAP) -> Structure:
     """The depth-k tree: binary symbols relate a path to its one-step
     extensions; unary symbols hold at a path iff they hold at its endpoint."""
-    paths = modal_universe(a, k, cap)
-    pathset = set(paths)
-    interp: dict[str, frozenset] = {}
-    for name in unary_symbols(a):
-        rel = a.tuples(name)
-        interp[name] = frozenset((s,) for s in paths if (s[-1],) in rel)
-    for name in binary_symbols(a):
-        lifted = set()
-        for s in paths:
-            if path_steps(s) >= 1 and s[-2] == name and s[:-2] in pathset:
-                lifted.add((s[:-2], s))
-        interp[name] = frozenset(lifted)
-    return Structure(a.vocab, tuple(paths), interp, (a.point,))
+    return lifted_structure(GAME, a, modal_universe(a, k, cap))
 
 
 def decide_sim_k(a: Structure, b: Structure, k: int) -> ExistResult:
@@ -226,7 +227,8 @@ GAME = Game(
     children=lambda x, node: [node + (label, e2) for label, e2 in successors(x, node[-1])],
     depth=path_steps,
     universe=modal_universe,
-    lifted=unravel,
+    lifted_at=_lifted_at,
+    pointed=True,
     winning=_matches,
     forth=lambda s, t, a, b: _matches(s, t, a, b, operator.le),
     reflects=_matches,

@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import CapExceededError, ToolkitError, VocabularyMismatchError
 from .game import (DEFAULT_PLAY_CAP, Game, LawReport, chain_error, law_report,
-                   lift_along_prefixes, prefix_hom_error, prefixes, walk_tree)
+                   lifted_structure, prefix_hom_error, prefix_lifting, prefixes, walk_tree)
 from .structures import Elem, Structure, is_partial_hom, is_partial_iso
 
 Move = tuple  # (pebble index, element)
@@ -86,9 +86,22 @@ def _on_one_branch(plays: tuple) -> bool:
     return chain_error(plays, active_last) is None
 
 
+def _lifted_at(a: Structure, top: PebblePlay, labels: list):
+    """The lifted tuples at `top`: the prefixes that may join it are those
+    whose last pebble is not reused later in `top`, so that every pair of
+    components is on one branch with its pebbles active."""
+    later, keep = set(), [len(top) - 1]
+    for i in range(len(top) - 2, -1, -1):
+        later.add(top[i + 1][0])
+        if top[i][0] not in later:
+            keep.append(i)
+    keep.reverse()
+    return prefix_lifting(a, [top[i][1] for i in keep], [labels[i] for i in keep])
+
+
 def pebble_structure(a: Structure, k: int, n: int, cap: int = DEFAULT_PLAY_CAP) -> Structure:
     """Lift `a` to the truncated play universe with the active-pebble condition."""
-    return lift_along_prefixes(a, pebble_universe(a, k, n, cap), pebble_counit, _on_one_branch)
+    return lifted_structure(GAME, a, pebble_universe(a, k, n, cap))
 
 
 PartialMapSet = frozenset  # frozenset of (source elem, target elem) pairs
@@ -399,7 +412,8 @@ GAME = Game(
     children=None,
     depth=None,
     universe=None,
-    lifted=None,
+    lifted_at=_lifted_at,
+    pointed=False,
     # the positional game checks partial isomorphism of the placements itself
     winning=None,
     forth=None,

@@ -1,11 +1,12 @@
 """Shared test fixtures: structure builders, exhaustive ensembles, an
 independent set-based formula evaluator used as the evaluation oracle,
-morphisms both ways and coKleisli counits and composition, the table search
-for coKleisli isomorphism, a full-rescan reference for the two pebble games
-(the back-and-forth one on pebble-indexed placements), and exhaustive
-references for the coalgebra numbers: every forest cover with its minimum
-pebbling, the unpruned tree-width dynamic program, a coalgebra's forest cover
-and the synchronization tree depth."""
+morphisms both ways and coKleisli counits and composition, liftings built in
+full by filtering and the audit of coKleisli isomorphism pairs on them, the
+table search for coKleisli isomorphism, a full-rescan reference for the two
+pebble games (the back-and-forth one on pebble-indexed placements), and
+exhaustive references for the coalgebra numbers: every forest cover with its
+minimum pebbling, the unpruned tree-width dynamic program, a coalgebra's
+forest cover and the synchronization tree depth."""
 
 from __future__ import annotations
 
@@ -143,6 +144,50 @@ def cokleisli_compose(g: CoKleisli, f: CoKleisli) -> CoKleisli:
     return CoKleisli(f.game, f.k, f.source, g.target, table)
 
 
+def lifting(game: Game, a: Structure, k: int) -> Structure:
+    """The lifted structure of `a` up to round k of the sequence or modal
+    game, built in full and apart from `Game.lifted_at`: every tuple of
+    prefixes of a play that contains the play, kept when its last elements
+    form a tuple of `a`; in the modal game a binary symbol relates a path only
+    to its one-step extensions with that label."""
+    plays = game.universe(a, k, DEFAULT_PLAY_CAP)
+    interp = {name: set() for name in a.vocab.names}
+    for top in plays:
+        for name, arity in a.vocab.symbols:
+            for combo in product(game.prefixes(top), repeat=arity):
+                if game.name == "modal" and arity == 2:
+                    related = combo[1][:-2] == combo[0] and combo[1][-2] == name
+                else:
+                    related = tuple(map(game.last, combo)) in a.tuples(name)
+                if top in combo and related:
+                    interp[name].add(combo)
+    return Structure(a.vocab, tuple(plays), {n: frozenset(r) for n, r in interp.items()},
+                     game.root(a) if game.name == "modal" else None)
+
+
+def materialised_iso_audit(forward, backward, a: Structure, b: Structure, k: int,
+                           comonad: str) -> tuple[bool, str]:
+    """The oracle for `equivalence.audit_iso_pair`: both liftings built in
+    full, both tables checked by `check_hom`, and both composites' whole
+    coextensions compared with every play."""
+    g = equivalence.game(comonad)
+    lifted_a, lifted_b = lifting(g, a, k), lifting(g, b, k)
+    try:
+        if not check_hom(forward, lifted_a, b):
+            return False, "forward table is not a homomorphism"
+        if not check_hom(backward, lifted_b, a):
+            return False, "backward table is not a homomorphism"
+    except ToolkitError as exc:
+        return False, str(exc)
+    for s in lifted_a.universe:
+        if g.coextend(backward, g.coextend(forward, s)) != s:
+            return False, f"backward after forward is not the identity at {s!r}"
+    for t in lifted_b.universe:
+        if g.coextend(forward, g.coextend(backward, t)) != t:
+            return False, f"forward after backward is not the identity at {t!r}"
+    return True, "ok"
+
+
 def search_cokleisli_iso(a: Structure, b: Structure, k: int,
                          comonad: str) -> equivalence.IsoResult:
     """The small-size oracle for coKleisli isomorphism: a depth-first search
@@ -152,7 +197,7 @@ def search_cokleisli_iso(a: Structure, b: Structure, k: int,
     each full table's inverse is then checked as a homomorphism back.  The
     first pair found is returned."""
     g = equivalence.game(comonad)
-    lifted_a, lifted_b = g.lifted(a, k, DEFAULT_PLAY_CAP), g.lifted(b, k, DEFAULT_PLAY_CAP)
+    lifted_a, lifted_b = lifting(g, a, k), lifting(g, b, k)
     plays_a, plays_b = list(lifted_a.universe), list(lifted_b.universe)
     if len(plays_a) != len(plays_b):
         return equivalence.IsoResult(False)

@@ -524,9 +524,9 @@ LOOP_PTD = "vocab R 2\nelem a\nrel R a a\nstart a\n"
 
 # game, mode, k, source, target, verdict
 DEEP_GAMES = [
-    ("ef", "exists", 200, LOOP, LOOP, "true"),
+    ("ef", "exists", 1000, LOOP, LOOP, "true"),
     ("ef", "backforth", 500, LOOP, LOOP, "true"),
-    ("ef", "iso", 200, LOOP, LOOP, "true"),
+    ("ef", "iso", 1000, LOOP, LOOP, "true"),
     ("modal", "exists", 1500, LOOP_PTD, LOOP_PTD, "true"),
     ("modal", "backforth", 1500, LOOP_PTD, LOOP_PTD, "true"),
     # Spoiler repeats the first move until the last round: a tree 1,000 rounds deep
@@ -535,7 +535,8 @@ DEEP_GAMES = [
 
 
 @pytest.mark.parametrize("game,mode,k,source,target,verdict", DEEP_GAMES,
-                         ids=[f"{g}-{m}-k{k}" for g, m, k, *_ in DEEP_GAMES])
+                         ids=[f"{g}-{m}-k{k}" + ("" if v == "true" else "-false")
+                              for g, m, k, _, _, v in DEEP_GAMES])
 def test_equiv_with_many_rounds(tmp_path, game, mode, k, source, target, verdict):
     """The round-bounded solvers and their Spoiler-tree builders run without
     recursion, so a game of more rounds than the interpreter's recursion limit
@@ -550,6 +551,34 @@ def test_equiv_with_many_rounds(tmp_path, game, mode, k, source, target, verdict
     assert code == (0 if verdict == "true" else 1)
     code, out = run(["verify", "--certificate", cert] + files)
     assert code == 0 and "\nresult: true\n" in out, out
+
+
+ARROW_AB = "vocab R 2\nelem a\nelem b\nrel R a b\nstart a\n"
+ARROW_CD = "vocab R 2\nelem c\nelem d\nrel R c d\nstart c\n"
+
+
+def test_verify_reports_a_table_value_outside_the_target(tmp_path):
+    """A certificate whose table sends a play or element to no element of the
+    target is a false verdict, whatever kind carries the table."""
+    (tmp_path / "a.str").write_text(ARROW_AB)
+    (tmp_path / "b.str").write_text(ARROW_CD)
+    files = [str(tmp_path / "a.str"), str(tmp_path / "b.str")]
+    cert = tmp_path / "edited.cert"
+    for kind, argv in [
+            ("hom-witness", ["hom"]),
+            ("ef-table", ["equiv", "--game", "ef", "--mode", "exists", "-k", "1"]),
+            ("modal-table", ["equiv", "--game", "modal", "--mode", "exists", "-k", "1"]),
+            ("both-pair", ["equiv", "--game", "ef", "--mode", "both", "-k", "1"]),
+            ("kleisli-iso", ["equiv", "--game", "ef", "--mode", "iso", "-k", "1"])]:
+        code, _ = run(argv + ["--certificate", str(cert)] + files)
+        assert code == 0
+        text = cert.read_text()
+        assert f"certificate {kind}\n" in text and "-> c\n" in text
+        cert.write_text(text.replace("-> c\n", "-> zz\n", 1))
+        code, out = run(["verify", "--certificate", str(cert)] + files)
+        assert code == 1, kind
+        assert "\nresult: false\n" in out, kind
+        assert "mapping value 'zz' outside target universe\n" in out, kind
 
 
 def test_equiv_refuses_a_table_over_the_play_cap(files):

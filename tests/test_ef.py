@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from gamecomonads import ef, logic, pebbling
-from gamecomonads.game import CoKleisli, audit_spoiler_tree, lift_along_prefixes, prefixes
+from gamecomonads.game import CoKleisli, audit_spoiler_tree, lifted_structure, prefixes
 from gamecomonads.errors import CapExceededError, ToolkitError, VocabularyMismatchError
 from gamecomonads.structures import Structure, check_hom, find_hom
 
@@ -215,12 +215,11 @@ def test_lifting_builds_each_tuple_from_its_longest_play():
     vocab = (("R", 2), ("P", 1), ("T", 3))
     for _ in range(30):
         a = random_structure(rng, rng.randint(1, 3), vocab)
-        for universe, last, compatible in [
-                (ef.ef_universe(a, 3), ef.counit, None),
-                (pebbling.pebble_universe(a, 2, 3), pebbling.pebble_counit,
-                 pebbling._on_one_branch)]:
+        for game, universe, compatible in [
+                (ef.GAME, ef.ef_universe(a, 3), None),
+                (pebbling.GAME, pebbling.pebble_universe(a, 2, 3), pebbling._on_one_branch)]:
             # a random prefix-closed set of plays, so that every tuple lies inside it
             tops = rng.sample(universe, min(len(universe), 12))
             plays = [s for s in universe if any(t[:len(s)] == s for t in tops)]
-            assert (lift_along_prefixes(a, plays, last, compatible)
-                    == _lift_by_filter(a, plays, last, compatible))
+            assert (lifted_structure(game, a, plays)
+                    == _lift_by_filter(a, plays, game.last, compatible))

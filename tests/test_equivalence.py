@@ -1,15 +1,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gamecomonads import ef, equivalence as eq, logic, modal
 from gamecomonads import pebbling as pb
 from gamecomonads.errors import CapExceededError, ToolkitError
-from gamecomonads.game import audit_spoiler_tree, audit_won_positions
-from gamecomonads.structures import Vocabulary
+from gamecomonads.game import (DEFAULT_PLAY_CAP, audit_spoiler_tree, audit_won_positions,
+                               lifted_hom)
+from gamecomonads.structures import Vocabulary, check_hom
 
-from helpers import (S, VOCAB_R, all_pointed, all_structures_upto, clique_structure,
-                     decide_both_ways, path_structure, search_cokleisli_iso)
+from helpers import (NAMES, S, VOCAB_R, all_pointed, all_structures_upto, clique_structure,
+                     decide_both_ways, lifting, materialised_iso_audit, path_structure,
+                     search_cokleisli_iso)
 
 EDGE = S(VOCAB_R, ["a", "b"], {"R": [("a", "b"), ("b", "a")]})
 TWOPTS = S(VOCAB_R, ["x", "y"], {})
@@ -199,6 +203,114 @@ def test_iso_game_equals_the_table_search(vocab, comonad):
                 want = search_cokleisli_iso(a, b, k, comonad)
                 assert ((got.wins, got.forward, got.backward)
                         == (want.wins, want.forward, want.backward)), (a, b, k)
+
+
+# Random liftings: symbols of arity 1-3 for the sequence game and 1-2 for the
+# modal game, at most three elements, k <= 3.
+SYMBOLS = {"ef": [("R", 2), ("P", 1), ("T", 3)], "modal": [("R", 2), ("S", 2), ("P", 1)]}
+
+
+@st.composite
+def _structure(draw, vocab, names, point: bool):
+    names = list(draw(st.permutations(names)))
+    rels = {name: draw(st.sets(st.tuples(*[st.sampled_from(names)] * arity), max_size=6))
+            for name, arity in vocab}
+    return S(vocab, names, rels, point=names[0] if point else None)
+
+
+@st.composite
+def _pair(draw):
+    """A game, a vocabulary, a source, a target (often a renamed copy of the
+    source, so that the solver finds tables) and k."""
+    game = draw(st.sampled_from(["ef", "modal"]))
+    vocab = draw(st.lists(st.sampled_from(SYMBOLS[game]), min_size=1, max_size=2,
+                          unique=True))
+    point = game == "modal"
+    a = draw(_structure(vocab, NAMES[:draw(st.integers(1, 3))], point))
+    if draw(st.booleans()):
+        rename = dict(zip(a.universe, ("x", "y", "z")))
+        b = S(vocab, [rename[e] for e in reversed(a.universe)],
+              {name: [tuple(rename[e] for e in t) for t in a.tuples(name)] for name, _ in vocab},
+              point=rename[a.point] if point else None)
+    else:
+        b = draw(_structure(vocab, ("x", "y", "z")[:draw(st.integers(1, 3))], point))
+    return eq.game(game), a, b, draw(st.integers(1, 3))
+
+
+def _edited(draw, table: dict, plays: list, values) -> dict:
+    """`table` with one entry, the first play (the modal root) as often as
+    any other, given another value, a value outside the target, or dropped."""
+    table = dict(table)
+    s = plays[draw(st.one_of(st.just(0), st.integers(0, len(plays) - 1)))]
+    how = draw(st.sampled_from(["value", "outside", "drop"]))
+    if how == "drop":
+        del table[s]
+    else:
+        table[s] = draw(st.sampled_from(values)) if how == "value" else "zz"
+    return table
+
+
+def _outcome(check):
+    try:
+        return check()
+    except ToolkitError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_lifted_hom_agrees_with_check_hom_on_the_built_lifting(data):
+    """The check that walks the plays agrees with `check_hom` against the
+    lifting built in full, on the solver's tables, on random tables, and on
+    either with one entry edited: the same verdict or the same error.  Each
+    lifted tuple counts: both refuse a total table into a target that holds
+    the images of all lifted tuples but one."""
+    g, a, b, k = data.draw(_pair())
+    plays = g.universe(a, k, DEFAULT_PLAY_CAP)
+    res = g.decide(a, b, k, DEFAULT_PLAY_CAP)
+    if res.wins:
+        table = res.strategy.table
+    else:
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        table = {s: rng.choice(b.universe) for s in plays}
+    if data.draw(st.booleans()):
+        table = _edited(data.draw, table, plays, b.universe)
+    lifted = lifting(g, a, k)
+    assert (_outcome(lambda: lifted_hom(g, a, b, k, table, plays))
+            == _outcome(lambda: check_hom(table, lifted, b)))
+    if any(lifted.interp.values()) and all(table.get(s) in b.index for s in plays):
+        # a target holding the images of the lifted tuples but one, so that
+        # the verdict turns on that one
+        images = sorted({(name, tuple(table[s] for s in t))
+                         for name in a.vocab.names for t in lifted.tuples(name)})
+        images.remove(data.draw(st.sampled_from(images)))
+        b = S(a.vocab.symbols, b.universe, {name: [t for n, t in images if n == name]
+                                            for name in a.vocab.names}, point=b.point)
+        assert not lifted_hom(g, a, b, k, table, plays) and not check_hom(table, lifted, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_iso_audit_agrees_with_the_materialised_audit(data):
+    """`audit_iso_pair` agrees with the audit on liftings built in full and
+    whole coextensions, on the solver's isomorphism pairs and on pairs with
+    one entry of one table edited or the two tables swapped."""
+    g, a, b, k = data.draw(_pair())
+    res = eq.decide_cokleisli_iso(a, b, k, g.name)
+    if not res.wins:
+        return
+    fwd, bwd = res.forward, res.backward
+    how = data.draw(st.sampled_from(["none", "forward", "backward", "swap"]))
+    if how == "forward":
+        fwd = _edited(data.draw, fwd, g.universe(a, k), b.universe)
+    elif how == "backward":
+        bwd = _edited(data.draw, bwd, g.universe(b, k), a.universe)
+    elif how == "swap":
+        fwd, bwd = bwd, fwd
+    got = eq.audit_iso_pair(fwd, bwd, a, b, k, g.name)
+    assert got == materialised_iso_audit(fwd, bwd, a, b, k, g.name)
+    if how == "none":
+        assert got == (True, "ok")
 
 
 def test_iso_modal_copycat():
