@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple, Optional
 from . import equivalence as eq_mod
 from . import parameters as par_mod
 from . import pebbling as pebble_mod
-from .errors import CertificateError, ToolkitError
+from .errors import CapExceededError, CertificateError, ToolkitError
 from .game import CoKleisli, SpoilerNode, audit_spoiler_tree, audit_won_positions, walk_tree
 from .structures import Structure, check_hom, gaifman
 
@@ -345,6 +345,8 @@ def _verify_table(cert: Certificate, a: Structure, b: Structure) -> tuple[bool, 
     try:
         f = CoKleisli(eq_mod.GAMES[cert.game], cert.k, a, b, table)
         return f.is_homomorphism(), "coKleisli homomorphism check"
+    except CapExceededError:
+        raise  # a resource limit, not a verdict
     except ToolkitError as exc:
         return False, str(exc)
 

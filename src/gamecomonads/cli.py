@@ -8,6 +8,8 @@ cap/resource errors.  Reports are byte-identical for identical argv and seed.
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -47,10 +49,21 @@ def _report_head(out: list[str], args, **extra) -> None:
 
 
 def _write_certificate(args, cert, out: list[str]) -> None:
-    if getattr(args, "certificate", None):
-        Path(args.certificate).write_text(cert_mod.format_certificate(cert),
-                                          encoding="utf-8")
-        out.append(f"certificate: {args.certificate}")
+    """Write the certificate over the `--certificate` path in place, then cut
+    a regular file to it.  Opening with O_TRUNC would make close wait for
+    writeback when the path already holds a file; a device such as /dev/null
+    takes no truncate."""
+    path = getattr(args, "certificate", None)
+    if path:
+        data = cert_mod.format_certificate(cert).encode("utf-8")
+        try:
+            with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+                f.write(data)
+                if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                    f.truncate(len(data))
+        except OSError as exc:
+            raise ToolkitError(f"{path}: {exc}") from exc
+        out.append(f"certificate: {path}")
 
 
 def _cmd_hom(args) -> tuple[int, list[str]]:

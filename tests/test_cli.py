@@ -1,5 +1,6 @@
 import io
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -186,6 +187,49 @@ def test_parse_error_is_usage_error(tmp_path):
     bad.write_text("vocab R 2\nrel R a a\n")
     code, _ = run(["oracle", "treedepth", str(bad)])
     assert code == 2
+
+
+@pytest.mark.parametrize("target", ["nodir/x.cert", "."], ids=["missing-directory", "directory"])
+def test_unwritable_certificate_is_usage_error(files, capsys, target):
+    path = str(files["dir"] / target)
+    code, out = run(["hom", files["edge"], files["edge"], "--certificate", path])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+def hom_report(files, cert):
+    """The code and report of `hom edge edge --certificate cert`."""
+    return run(["hom", files["edge"], files["edge"], "--certificate", cert])
+
+
+def test_certificate_to_dev_null(files):
+    """/dev/null takes the bytes and no truncate; the report is the one a file gets."""
+    path = str(files["dir"] / "edge.cert")
+    assert hom_report(files, "/dev/null") == (0, hom_report(files, path)[1].replace(
+        f"certificate: {path}\n", "certificate: /dev/null\n"))
+
+
+def test_certificate_to_dev_stdout_in_a_pipe(files):
+    """Written to a pipe, the certificate comes first and the report after it."""
+    path = files["dir"] / "edge.cert"
+    _, report = hom_report(files, str(path))
+    proc = subprocess.run([sys.executable, "-m", "gamecomonads.cli", "hom", files["edge"],
+                           files["edge"], "--certificate", "/dev/stdout"],
+                          env=child_env(), capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    assert proc.stdout == path.read_bytes() + report.replace(
+        f"certificate: {path}\n", "certificate: /dev/stdout\n").encode("utf-8")
+
+
+def test_certificate_through_a_symlink(files):
+    """A symlink stays one, and the longer file it points to now holds
+    exactly the certificate."""
+    path, target, link = (files["dir"] / name for name in ("edge.cert", "old.cert", "link.cert"))
+    hom_report(files, str(path))
+    target.write_text("stale\n" * 100)
+    link.symlink_to(target)
+    assert hom_report(files, str(link))[0] == 0
+    assert link.is_symlink() and target.read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize("text", [
@@ -590,6 +634,30 @@ def test_equiv_refuses_a_table_over_the_play_cap(files):
                           env=child_env(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 3, proc.stderr[-3000:]
     assert "play universe has 2391483 elements, cap is 1000000" in proc.stderr
+
+
+LOOPED_PAIR = ("vocab R 2\nelem a\nelem b\nrel R a a\nrel R a b\nrel R b a\nrel R b b\n"
+               "start a\n")
+
+
+@pytest.mark.parametrize("game,source", [("ef", ARROW_AB), ("modal", LOOPED_PAIR)],
+                         ids=["ef-table", "modal-table"])
+def test_verify_of_a_table_over_the_play_cap_exits_3(tmp_path, capsys, game, source):
+    """A table whose `k` header puts the play universe over the play cap is a
+    resource limit, as for `kleisli-iso`: exit 3, not a false verdict.  At
+    k = 25 two elements have 67,108,862 sequence plays; the modal plays of
+    a→b end after one step, so the modal table is over the two-element
+    digraph with every edge and loop (2^26 - 1 modal plays)."""
+    (tmp_path / "a.str").write_text(source)
+    files = [str(tmp_path / "a.str")] * 2
+    cert = tmp_path / "table.cert"
+    code, _ = run(["equiv", "--game", game, "--mode", "exists", "-k", "1",
+                   "--certificate", str(cert)] + files)
+    assert code == 0
+    cert.write_text(re.sub(r"^k 1$", "k 25", cert.read_text(), flags=re.M))
+    code, out = run(["verify", "--certificate", str(cert)] + files)
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err.startswith("error:")
 
 
 # edits of the `pebble-safe` family of K3 against K3 with two pebbles: rows

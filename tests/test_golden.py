@@ -234,6 +234,24 @@ def test_golden_corpus(tmp_path, monkeypatch):
         assert got[name].encode("utf-8") == want[name], name
 
 
+def test_certificates_overwrite_a_longer_and_a_shorter_file(tmp_path, monkeypatch):
+    """Rerun with its certificate path already holding a longer file, and
+    then a shorter one, every certificate-writing job writes its golden
+    certificate and report: the file is cut to the new certificate, with no
+    stale tail."""
+    monkeypatch.chdir(tmp_path)
+    for name, text in INPUTS.items():
+        Path(f"{name}.str").write_text(text, encoding="utf-8")
+    for name, argv, cert, _ in jobs():
+        if cert is None or not (GOLDEN / cert).exists():
+            continue
+        want = ((GOLDEN / cert).read_bytes(), (GOLDEN / f"{name}.out").read_bytes())
+        for size in (2 * len(want[0]) + 100, len(want[0]) // 2):
+            Path(cert).write_bytes(b"#" * size)
+            _, out = _run(argv)
+            assert (Path(cert).read_bytes(), out.encode("utf-8")) == want, (cert, size)
+
+
 @pytest.mark.parametrize("hashseed", ["0", "1"])
 def test_golden_corpus_under_fixed_hash_seeds(hashseed, tmp_path):
     """Set iteration order varies with the hash seed; the reports must not.
