@@ -39,7 +39,8 @@ from . import equivalence as eq_mod
 from . import parameters as par_mod
 from . import pebbling as pebble_mod
 from .errors import CapExceededError, CertificateError, ToolkitError
-from .game import CoKleisli, SpoilerNode, audit_spoiler_tree, audit_won_positions, walk_tree
+from .game import (DEFAULT_PLAY_CAP, CoKleisli, SpoilerNode, audit_spoiler_tree,
+                   audit_won_positions, walk_tree)
 from .structures import Structure, check_hom, gaifman
 
 _PAIR_RE = re.compile(r"\(([^()↦:]+)↦([^()↦:]+)\)")
@@ -332,7 +333,7 @@ def _parse_map_rows(rows, head: str, play_key: bool) -> dict:
     return table
 
 
-def _verify_hom(cert: Certificate, a: Structure, b: Structure) -> tuple[bool, str]:
+def _verify_hom(cert: Certificate, a: Structure, b: Structure, cap: int) -> tuple[bool, str]:
     table = _parse_map_rows(cert.body, "map", play_key=False)
     try:
         return (check_hom(table, a, b), "homomorphism check")
@@ -340,10 +341,10 @@ def _verify_hom(cert: Certificate, a: Structure, b: Structure) -> tuple[bool, st
         return False, str(exc)
 
 
-def _verify_table(cert: Certificate, a: Structure, b: Structure) -> tuple[bool, str]:
+def _verify_table(cert: Certificate, a: Structure, b: Structure, cap: int) -> tuple[bool, str]:
     table = _parse_map_rows(cert.body, "map", play_key=True)
     try:
-        f = CoKleisli(eq_mod.GAMES[cert.game], cert.k, a, b, table)
+        f = CoKleisli(eq_mod.GAMES[cert.game], cert.k, a, b, table, cap)
         return f.is_homomorphism(), "coKleisli homomorphism check"
     except CapExceededError:
         raise  # a resource limit, not a verdict
@@ -365,7 +366,8 @@ def _verify_family(cert: Certificate, a: Structure, b: Structure,
     return pebble_mod.audit_strategy_family(fam, a, b, sides)
 
 
-def _verify_won_positions(cert: Certificate, a: Structure, b: Structure) -> tuple[bool, str]:
+def _verify_won_positions(cert: Certificate, a: Structure, b: Structure,
+                          cap: int) -> tuple[bool, str]:
     pairs = []
     for row in cert.body:
         if row[0] != "win" or len(row) != 3:
@@ -374,10 +376,10 @@ def _verify_won_positions(cert: Certificate, a: Structure, b: Structure) -> tupl
     return audit_won_positions(eq_mod.GAMES[cert.game], pairs, a, b, cert.k)
 
 
-def _verify_iso(cert: Certificate, a: Structure, b: Structure) -> tuple[bool, str]:
+def _verify_iso(cert: Certificate, a: Structure, b: Structure, cap: int) -> tuple[bool, str]:
     fwd = _parse_map_rows([r for r in cert.body if r[0] == "fwd"], "fwd", True)
     bwd = _parse_map_rows([r for r in cert.body if r[0] == "bwd"], "bwd", True)
-    return eq_mod.audit_iso_pair(fwd, bwd, a, b, cert.k, cert.game)
+    return eq_mod.audit_iso_pair(fwd, bwd, a, b, cert.k, cert.game, cap)
 
 
 def _inner_rows(cert: Certificate, direction: str) -> list[list[str]]:
@@ -388,18 +390,18 @@ def _inner_rows(cert: Certificate, direction: str) -> list[list[str]]:
     return rows
 
 
-def _verify_both(cert: Certificate, a: Structure, b: Structure) -> tuple[bool, str]:
+def _verify_both(cert: Certificate, a: Structure, b: Structure, cap: int) -> tuple[bool, str]:
     game, k = cert.game, cert.k
     true_kind, false_kind = eq_mod.GAMES[game].exists_kinds
     if cert.claim == "true":
         fwd_rows = _inner_rows(cert, "fwd")
         bwd_rows = _inner_rows(cert, "bwd")
         ok1, why1 = verify_certificate(
-            Certificate(true_kind, game, k, "true", body=fwd_rows), a, b)
+            Certificate(true_kind, game, k, "true", body=fwd_rows), a, b, cap)
         if not ok1:
             return False, f"forward: {why1}"
         ok2, why2 = verify_certificate(
-            Certificate(true_kind, game, k, "true", body=bwd_rows), b, a)
+            Certificate(true_kind, game, k, "true", body=bwd_rows), b, a, cap)
         return ok2, ("ok" if ok2 else f"backward: {why2}")
     direction = next((row[1] for row in cert.body
                       if row[0] == "direction" and len(row) == 2), None)
@@ -407,11 +409,12 @@ def _verify_both(cert: Certificate, a: Structure, b: Structure) -> tuple[bool, s
         raise CertificateError("both-pair false certificate needs a direction row")
     rows = _inner_rows(cert, direction)
     src, dst = (a, b) if direction == "fwd" else (b, a)
-    return verify_certificate(Certificate(false_kind, game, k, "false", body=rows), src, dst)
+    return verify_certificate(Certificate(false_kind, game, k, "false", body=rows), src, dst,
+                              cap)
 
 
-def _verify_forest_cover(cert: Certificate, a: Structure,
-                         b: Optional[Structure]) -> tuple[bool, str]:
+def _verify_forest_cover(cert: Certificate, a: Structure, b: Optional[Structure],
+                         cap: int) -> tuple[bool, str]:
     parent = {v: None for v in a.universe}
     for row in cert.body:
         if row[0] != "parent" or len(row) != 3:
@@ -428,7 +431,8 @@ def _verify_forest_cover(cert: Certificate, a: Structure,
     return ok, (why or "coalgebra laws hold")
 
 
-def _verify_pfc(cert: Certificate, a: Structure, b: Optional[Structure]) -> tuple[bool, str]:
+def _verify_pfc(cert: Certificate, a: Structure, b: Optional[Structure],
+                cap: int) -> tuple[bool, str]:
     parent = {v: None for v in a.universe}
     pebbles: dict = {}
     bags: dict = {}
@@ -475,8 +479,8 @@ def _verify_pfc(cert: Certificate, a: Structure, b: Optional[Structure]) -> tupl
     return True, "ok"
 
 
-def _verify_modal_coalgebra(cert: Certificate, a: Structure,
-                            b: Optional[Structure]) -> tuple[bool, str]:
+def _verify_modal_coalgebra(cert: Certificate, a: Structure, b: Optional[Structure],
+                            cap: int) -> tuple[bool, str]:
     alpha = {v: parse_play(p) for v, p in _parse_map_rows(cert.body, "map", False).items()}
     c = par_mod.CoalgebraMap("modal", cert.kappa, a, alpha)
     ok, why = par_mod.check_coalgebra(c)
@@ -495,14 +499,14 @@ class _Kind(NamedTuple):
 
     claim: Optional[str]
     emit: Callable  # (result, a, b) -> body rows
-    verify: Callable  # (certificate, a, b) -> (ok, reason)
+    verify: Callable  # (certificate, a, b, play cap) -> (ok, reason)
 
 
 def _tree_kind(witness: str, tree: _Tree, audit: Callable) -> _Kind:
     """A Spoiler-tree kind: written from `res.<witness>` by the codec."""
     return _Kind("false",
                  lambda res, a, b: cert_tree_rows(tree, getattr(res, witness), a, b),
-                 lambda cert, a, b: audit(_parse_tree(tree, cert.body), cert, a, b))
+                 lambda cert, a, b, cap: audit(_parse_tree(tree, cert.body), cert, a, b))
 
 
 def _rounds_kind(witness: str, condition: str, sides: str) -> _Kind:
@@ -519,7 +523,7 @@ def _family_kind(parts: Callable, sides: str) -> _Kind:
     """A pebble family kind: `part` rows of the parts `parts(res)`, audited
     for the pebble game with Spoiler moving on `sides`."""
     return _Kind("true", lambda res, a, b: _family_rows(parts(res), a, b),
-                 lambda cert, a, b: _verify_family(cert, a, b, sides))
+                 lambda cert, a, b, cap: _verify_family(cert, a, b, sides))
 
 
 def _pebble_tree_kind(witness: str, sides: str) -> _Kind:
@@ -590,9 +594,10 @@ def _check_header(cert: Certificate) -> None:
         raise CertificateError("missing `kappa <n>` header")
 
 
-def verify_certificate(cert: Certificate, a: Structure,
-                       b: Optional[Structure] = None) -> tuple[bool, str]:
-    """Audit the certificate against the given structures.
+def verify_certificate(cert: Certificate, a: Structure, b: Optional[Structure] = None,
+                       cap: int = DEFAULT_PLAY_CAP) -> tuple[bool, str]:
+    """Audit the certificate against the given structures, listing play
+    universes under `cap`.
 
     Returns (ok, reason).  Raises CertificateError on malformed input and
     ToolkitError when a required second structure is missing.
@@ -603,4 +608,4 @@ def verify_certificate(cert: Certificate, a: Structure,
     _check_header(cert)
     if spec.claim is not None and b is None:
         raise ToolkitError(f"certificate kind {cert.kind!r} needs two structures")
-    return spec.verify(cert, a, b)
+    return spec.verify(cert, a, b, cap)

@@ -175,20 +175,16 @@ def _cmd_eval(args) -> tuple[int, list[str]]:
     a = _load(args.a)
     out: list[str] = []
     _report_head(out, args, formula=repr(args.formula), input_a=args.a)
-    try:  # the parser and the evaluator recurse once per level of nesting
-        phi = logic_mod.parse_formula(args.formula)
-        fv = logic_mod.free_vars(phi)
-        env = {}
-        if fv:
-            if len(fv) == 1 and a.is_pointed:
-                env = {next(iter(fv)): a.point}
-            else:
-                raise ToolkitError(f"formula has free variables {sorted(fv)}; only a single "
-                                   "free variable over a pointed structure is bound implicitly")
-        verdict = logic_mod.evaluate(a, phi, env)
-    except RecursionError:
-        raise CapExceededError("formula nested too deeply for the interpreter's recursion "
-                               "limit") from None
+    phi = logic_mod.parse_formula(args.formula)
+    fv = logic_mod.free_vars(phi)
+    env = {}
+    if fv:
+        if len(fv) == 1 and a.is_pointed:
+            env = {next(iter(fv)): a.point}
+        else:
+            raise ToolkitError(f"formula has free variables {sorted(fv)}; only a single "
+                               "free variable over a pointed structure is bound implicitly")
+    verdict = logic_mod.evaluate(a, phi, env)
     out.append(f"result: {'true' if verdict else 'false'}")
     return (EXIT_TRUE if verdict else EXIT_FALSE), out
 
@@ -213,7 +209,7 @@ def _cmd_verify(args) -> tuple[int, list[str]]:
                  input_b=args.b or "-")
     text = Path(args.certificate).read_text(encoding="utf-8")
     cert = cert_mod.parse_certificate(text)
-    ok, why = cert_mod.verify_certificate(cert, a, b)
+    ok, why = cert_mod.verify_certificate(cert, a, b, args.cap_plays)
     out.append(f"kind: {cert.kind}")
     out.append(f"result: {'true' if ok else 'false'}")
     out.append(f"detail: {why}")
@@ -305,6 +301,10 @@ def main(argv=None) -> int:
         code, out = args.func(args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except RecursionError:  # a formula, a cover or a forest table nested too deeply
+        print("error: input nested too deeply for the interpreter's recursion limit",
+              file=sys.stderr)
         return EXIT_CAP
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -234,16 +234,16 @@ def decide_cokleisli_iso(a: Structure, b: Structure, k: int, comonad: str = "ef"
 
 
 def audit_iso_pair(forward: Mapping, backward: Mapping, a: Structure, b: Structure,
-                   k: int, comonad: str) -> tuple[bool, str]:
+                   k: int, comonad: str, cap: int = DEFAULT_PLAY_CAP) -> tuple[bool, str]:
     """Check both tables are homomorphisms from the liftings
     (`game.lifted_hom`, which builds neither) and mutually inverse under
-    coextension; pure table work, no search.  Once both are homomorphisms,
+    coextension; pure table work, no search, on play universes under `cap`.  Once both are homomorphisms,
     each coextension is a play of the other side, and a composite's
     coextension at a play extends its parent's by one step, so it is the
     identity at a play iff it is at the parent and the second table sends the
     first one's coextension back to the play's last element."""
     g = _tree_game(comonad, "coKleisli isomorphism")
-    plays_a, plays_b = g.universe(a, k), g.universe(b, k)
+    plays_a, plays_b = g.universe(a, k, cap), g.universe(b, k, cap)
     try:
         if not lifted_hom(g, a, b, k, forward, plays_a):
             return False, "forward table is not a homomorphism"

@@ -222,7 +222,8 @@ class CoKleisli:
 
     It encodes a Duplicator strategy for the existential game and is a
     morphism when `is_homomorphism` holds (`lifted_hom`: checked one lifted
-    tuple at a time, the lifting is never built).
+    tuple at a time, the lifting is never built).  Both list the plays under
+    `cap`.
     """
 
     game: Game
@@ -230,18 +231,19 @@ class CoKleisli:
     source: Structure
     target: Structure
     table: Mapping[tuple, Elem]
+    cap: int = DEFAULT_PLAY_CAP
 
     def __post_init__(self):
-        for s in self.game.universe(self.source, self.k):
+        for s in self.game.universe(self.source, self.k, self.cap):
             if s not in self.table:
                 raise ToolkitError(f"coKleisli table not total: play {s!r} unassigned")
 
     def star(self, s: tuple) -> tuple:
         return self.game.coextend(self.table, s)
 
-    def is_homomorphism(self, cap: int = DEFAULT_PLAY_CAP) -> bool:
+    def is_homomorphism(self) -> bool:
         return lifted_hom(self.game, self.source, self.target, self.k, self.table,
-                          self.game.universe(self.source, self.k, cap))
+                          self.game.universe(self.source, self.k, self.cap))
 
 
 def coextensions(game: Game, a: Structure, table: Mapping, k: int) -> Iterator[tuple]:

@@ -8,7 +8,8 @@ acyclic parent maps).  Tree-width comes from one pruned elimination-order
 dynamic program, `_treewidth_order`: the tree-width oracle reports its width,
 and the pebble coalgebra number turns its order into a tree decomposition and
 that into a pebbled forest cover.  The sequence game's number is a recursive
-minimum-height cover, and the modal game's is the unique candidate tree shape.
+minimum-height cover on the same neighbour bitmasks and component split, and
+the modal game's is the unique candidate tree shape.
 """
 
 from __future__ import annotations
@@ -472,6 +473,35 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _components(adj: list[int], s: int) -> list[tuple[int, int]]:
+    """The components of G[s], lowest vertex first, each with its neighbours
+    outside s."""
+    comps = []
+    rest = s
+    while rest:
+        comp = reach = rest & -rest
+        out = 0
+        while reach:
+            around = 0
+            for u in _bits(reach):
+                around |= adj[u]
+            out |= around & ~s
+            reach = around & s & ~comp
+            comp |= reach
+        comps.append((comp, out))
+        rest &= ~comp
+    return comps
+
+
+def _eliminate(nbrs: list[int], v: int) -> int:
+    """Eliminate v from the filled graph `nbrs`, in place: its neighbours
+    become a clique and lose v.  Returns v's neighbours."""
+    later = nbrs[v]
+    for u in _bits(later):
+        nbrs[u] = (nbrs[u] | later) & ~(1 << u) & ~(1 << v)
+    return later
+
+
 def _treewidth_order(g: Graph) -> tuple[int, tuple[Elem, ...]]:
     """Tree-width of a nonempty graph with an elimination order attaining it.
 
@@ -486,11 +516,7 @@ def _treewidth_order(g: Graph) -> tuple[int, tuple[Elem, ...]]:
     that cannot beat the bound is dropped.  Ties go to the first prefix and
     the lowest vertex index."""
     n = len(g.vertices)
-    idx = g.index
-    adj = [0] * n
-    for u, v in g.edges:
-        adj[idx[u]] |= 1 << idx[v]
-        adj[idx[v]] |= 1 << idx[u]
+    adj = g.adjacency
     full = (1 << n) - 1
 
     # greedy min-degree elimination on the filled graph
@@ -500,9 +526,7 @@ def _treewidth_order(g: Graph) -> tuple[int, tuple[Elem, ...]]:
     best = -1
     while left:
         v = min(_bits(left), key=lambda u: nbrs[u].bit_count())
-        best = max(best, nbrs[v].bit_count())
-        for u in _bits(nbrs[v]):
-            nbrs[u] = (nbrs[u] | nbrs[v]) & ~(1 << u) & ~(1 << v)
+        best = max(best, _eliminate(nbrs, v).bit_count())
         left &= ~(1 << v)
         order.append(v)
     best_prefix = None  # the greedy order stays the witness unless a prefix beats it
@@ -517,20 +541,7 @@ def _treewidth_order(g: Graph) -> tuple[int, tuple[Elem, ...]]:
             bound = max(tw, n - size - 1)
             if bound < best:
                 best, best_prefix = bound, s
-            comps = []  # (component of G[s], its neighbours outside s)
-            rest = s
-            while rest:
-                comp = reach = rest & -rest
-                out = 0
-                while reach:
-                    around = 0
-                    for u in _bits(reach):
-                        around |= adj[u]
-                    out |= around & ~s
-                    reach = around & s & ~comp
-                    comp |= reach
-                comps.append((comp, out))
-                rest &= ~comp
+            comps = _components(adj, s)
             for v in _bits(full & ~s):
                 q = adj[v] & ~s
                 for comp, out in comps:
@@ -559,19 +570,14 @@ def _elimination_decomposition(g: Graph, order: tuple[Elem, ...]) -> TreeDecompo
     """The tree decomposition of an elimination order: v's bag is v and its
     later neighbours in the filled graph, its parent node the first of those
     to be eliminated; the roots of the forest hang below the last vertex."""
-    nbrs = {v: set(g.adjacency[v]) for v in g.vertices}
-    later = {}
-    for v in order:
-        later[v] = nbrs.pop(v)
-        for u in later[v]:
-            nbrs[u] |= later[v] - {u}
-            nbrs[u].discard(v)
+    nbrs = g.adjacency[:]
+    later = {v: frozenset(g.vertices[u] for u in _bits(_eliminate(nbrs, g.index[v])))
+             for v in order}
     pos = {v: i for i, v in enumerate(order)}
     last = order[-1]
     parent = {v: min(later[v], key=pos.__getitem__) if later[v] else last for v in order}
     parent[last] = None
-    return TreeDecomposition(tuple(order), parent,
-                             {v: frozenset(later[v] | {v}) for v in order})
+    return TreeDecomposition(tuple(order), parent, {v: later[v] | {v} for v in order})
 
 
 # ---------------------------------------------------------------------------
@@ -580,56 +586,38 @@ def _elimination_decomposition(g: Graph, order: tuple[Elem, ...]) -> TreeDecompo
 
 def min_height_forest_cover(g: Graph) -> ForestCover:
     """A minimum-height forest cover by the removal recursion on connected
-    induced subgraphs (memoized); deterministic root choices."""
+    vertex sets: td(S) = 1 + min over roots v of max td(C), over the
+    components C of S - v.  Roots are tried in index order and the first
+    minimum is kept; a root is dropped as soon as one of its components
+    reaches the best height found so far.  The memo keeps (height, root) per
+    set, and the parent map is read off the roots at the end."""
     adj = g.adjacency
-    vidx = g.index
+    memo: dict[int, tuple[int, int]] = {}
 
-    def components(sub: frozenset) -> list[frozenset]:
-        left = set(sub)
-        out = []
-        while left:
-            seed = min(left, key=vidx.__getitem__)
-            comp = {seed}
-            queue = [seed]
-            while queue:
-                u = queue.pop()
-                for w in adj[u]:
-                    if w in sub and w not in comp:
-                        comp.add(w)
-                        queue.append(w)
-            out.append(frozenset(comp))
-            left -= comp
-        return out
-
-    memo: dict[frozenset, tuple[int, dict]] = {}
-
-    def solve(sub: frozenset) -> tuple[int, dict]:
-        """Minimum height and a witness parent map for a connected sub."""
-        if sub in memo:
-            return memo[sub]
-        if len(sub) == 1:
-            (v,) = sub
-            memo[sub] = (1, {v: None})
-            return memo[sub]
-        best: Optional[tuple[int, dict]] = None
-        for v in sorted(sub, key=vidx.__getitem__):
+    def solve(s: int) -> int:
+        if s in memo:
+            return memo[s][0]
+        best, root = s.bit_count() + 1, -1  # every root beats |S| + 1
+        for v in _bits(s):
             h = 1
-            par = {v: None}
-            for comp in components(sub - {v}):
-                ch, cpar = solve(comp)
-                h = max(h, 1 + ch)
-                for u, p in cpar.items():
-                    par[u] = v if p is None else p
-            if best is None or h < best[0]:
-                best = (h, par)
-        memo[sub] = best
+            for comp, _ in _components(adj, s & ~(1 << v)):
+                h = max(h, 1 + solve(comp))
+                if h >= best:
+                    break
+            else:
+                best, root = h, v
+        memo[s] = (best, root)
         return best
 
+    vs = g.vertices
     parent: dict = {}
-    for comp in components(frozenset(g.vertices)):
-        _, par = solve(comp)
-        parent.update(par)
-    return ForestCover(tuple(g.vertices), parent)
+    todo = [(comp, None) for comp, _ in _components(adj, (1 << len(vs)) - 1)]
+    for s, above in todo:
+        solve(s)
+        v = memo[s][1]
+        parent[vs[v]] = above
+        todo.extend((comp, vs[v]) for comp, _ in _components(adj, s & ~(1 << v)))
+    return ForestCover(tuple(vs), parent)
 
 
 @dataclass(frozen=True)

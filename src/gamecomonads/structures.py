@@ -163,15 +163,15 @@ class Graph:
         return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
-    def adjacency(self) -> dict[Elem, frozenset]:
-        adj = {v: set() for v in self.vertices}
+    def adjacency(self) -> list[int]:
+        """Neighbour bitmasks by vertex index: bit j of entry i is set when
+        vertices i and j are adjacent.  Shared; copy before changing it."""
+        idx = self.index
+        adj = [0] * len(self.vertices)
         for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return {v: frozenset(s) for v, s in adj.items()}
-
-    def adjacent(self, u: Elem, v: Elem) -> bool:
-        return v in self.adjacency[u]
+            adj[idx[u]] |= 1 << idx[v]
+            adj[idx[v]] |= 1 << idx[u]
+        return adj
 
     def __eq__(self, other):
         if not isinstance(other, Graph):

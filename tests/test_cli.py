@@ -660,6 +660,27 @@ def test_verify_of_a_table_over_the_play_cap_exits_3(tmp_path, capsys, game, sou
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("mode,kind", [("exists", "ef-table"), ("iso", "kleisli-iso"),
+                                       ("both", "both-pair")])
+def test_verify_enforces_the_play_cap(tmp_path, capsys, mode, kind):
+    """The two-element digraph with every edge and loop has 2 + 4 = 6
+    sequence plays of at most two rounds: `verify` of its table, its
+    isomorphism and the tables inside its true both-pair exits 3 under
+    `--cap-plays 3` and verifies at 6."""
+    (tmp_path / "a.str").write_text(LOOPED_PAIR)
+    files = [str(tmp_path / "a.str")] * 2
+    cert = str(tmp_path / "game.cert")
+    code, out = run(["equiv", "--game", "ef", "--mode", mode, "-k", "2",
+                     "--certificate", cert] + files)
+    assert code == 0 and f"certificate {kind}\n" in Path(cert).read_text()
+    verify = ["verify", "--certificate", cert] + files
+    code, out = run(verify + ["--cap-plays", "3"])
+    assert (code, out) == (3, "")
+    assert "play universe has 6 elements, cap is 3" in capsys.readouterr().err
+    code, out = run(verify + ["--cap-plays", "6"])
+    assert code == 0 and "\ncap.plays: 6\n" in out and "\nresult: true\n" in out
+
+
 # edits of the `pebble-safe` family of K3 against K3 with two pebbles: rows
 # dropped, rows added, and the fault `verify` names first
 SAFE_EDITS = [
@@ -779,6 +800,24 @@ def test_eval_of_a_formula_too_deep_is_a_resource_limit(files, formula):
                            files["edge"]], env=child_env(), capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 3
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [["param", "--comonad", "ef"], ["oracle", "treedepth"]],
+                         ids=["param-ef", "oracle-treedepth"])
+def test_a_graph_too_deep_for_the_recursion_limit_is_a_resource_limit(tmp_path, argv):
+    """The tree-depth recursion and the forest-table search go one level
+    deeper per vertex of a path; on 1,100 vertices both pass the interpreter's
+    recursion limit, and the command exits 3 with a one-line error."""
+    n = 1100
+    (tmp_path / "path.str").write_text(
+        "vocab R 2\n" + "".join(f"elem p{i}\n" for i in range(n))
+        + "".join(f"rel R p{i} p{i + 1}\n" for i in range(n - 1)))
+    proc = subprocess.run([sys.executable, "-m", "gamecomonads.cli", *argv, "--cap-vertices",
+                           "2000", str(tmp_path / "path.str")],
+                          env=child_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3, proc.stderr[-3000:]
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
     assert proc.stdout == ""
 

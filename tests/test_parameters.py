@@ -162,6 +162,17 @@ def test_kappa_ef_examples():
     ok, why = par.check_coalgebra(res.coalgebra)
     assert ok, why
     assert par.oracle_treedepth(gaifman(p4)) == 3
+    # above the oracle's cap, against the closed forms td(P_n) = ⌈log2(n + 1)⌉
+    # and td(C_n) = 1 + ⌈log2 n⌉
+    paths = [(n, n - 1, n.bit_length()) for n in range(1, 17)]
+    cycles = [(n, n, 1 + (n - 1).bit_length()) for n in range(3, 17)]
+    for n, edges, td in paths + cycles:
+        names = [f"v{i}" for i in range(n)]
+        a = S(VOCAB_R, names, {"R": [(names[i], names[(i + 1) % n]) for i in range(edges)]})
+        res = par.coalgebra_number(a, "ef", cap=n)
+        assert res.kappa == td, (n, edges)
+        ok, why = par.check_coalgebra(res.coalgebra)
+        assert ok, (n, edges, why)
 
 
 def test_kappa_pebble_examples():
