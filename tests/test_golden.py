@@ -34,6 +34,11 @@ def _cycle(n: int) -> str:
                       for i in range(n)))
 
 
+def _clique(n: int) -> str:
+    return ("vocab R 2\n" + "".join(f"elem v{i}\n" for i in range(n))
+            + "".join(f"rel R v{i} v{j}\n" for i in range(n) for j in range(n) if i != j))
+
+
 INPUTS = {
     "edge": "vocab R 2\nelem a\nelem b\nrel R a b\nrel R b a\n",
     "twopts": "vocab R 2\nelem x\nelem y\n",
@@ -55,6 +60,12 @@ INPUTS = {
     "c5": _cycle(5),
     "c6": _cycle(6),
     "c7": _cycle(7),
+    # the 6-cycle w0 w3 w1 w4 w2 w5, its vertices declared in another order
+    "c6r": ("vocab R 2\n" + "".join(f"elem w{i}\n" for i in range(6))
+            + "".join(f"rel R w{i} w{j}\nrel R w{j} w{i}\n"
+                      for i, j in [(0, 3), (3, 1), (1, 4), (4, 2), (2, 5), (5, 0)])),
+    "k5": _clique(5),
+    "k6": _clique(6),
     # two labels: each step of `tcycle` has a same-element reply in `rtcycle` under
     # the other label first, so a modal position is its last label and element
     "tcycle": ("vocab R 2\nvocab T 2\nvocab P 1\nelem a\nelem b\nelem c\n"
@@ -114,6 +125,11 @@ def jobs():
     later += [("ef", "backforth", 1, "point", "ploop")]
     # a coKleisli isomorphism whose tables are not the identity
     later += [("ef", "iso", 2, "p4", "p4r")]
+    # back-and-forth games decided by colour refinement: won positions of two
+    # cliques, a pebble family between two declarations of one cycle, and a
+    # modal game lost only in the third round
+    later += [("ef", "backforth", 4, "k5", "k6"), ("pebble", "backforth", 3, "c6", "c6r"),
+              ("modal", "backforth", 3, "chain", "cycle")]
     return out + [_equiv_job(*job) for job in later]
 
 
