@@ -17,8 +17,9 @@ from typing import Callable, Mapping, Optional
 
 from .errors import CapExceededError, ToolkitError, VocabularyMismatchError
 from .game import (DEFAULT_PLAY_CAP, ExistResult, Game, LawReport, chain_error, decide_exist,
-                   law_report, lifted_structure, prefix_hom_error, prefix_lifting, prefixes)
-from .structures import Elem, Structure, is_partial_hom, is_partial_iso
+                   law_report, lifted_structure, prefix_hom_error, prefix_lifting, prefixes,
+                   refined_values)
+from .structures import Elem, Structure, atomic_type, is_partial_hom, is_partial_iso
 
 Play = tuple  # nonempty tuple of elements
 
@@ -27,13 +28,18 @@ def _play_count(size: int, k: int) -> int:
     return sum(size ** i for i in range(1, k + 1))
 
 
+def check_plays(a: Structure, k: int, cap: int) -> None:
+    """Refuse, without listing them, more than `cap` plays of length <= k."""
+    if _play_count(len(a.universe), k) > cap:
+        raise CapExceededError(
+            f"play universe has {_play_count(len(a.universe), k)} elements, cap is {cap}")
+
+
 def ef_universe(a: Structure, k: int, cap: int = DEFAULT_PLAY_CAP) -> list[Play]:
     """All nonempty plays of length <= k, in length-then-lex order."""
     if k < 1:
         raise ToolkitError("k must be >= 1")
-    if _play_count(len(a.universe), k) > cap:
-        raise CapExceededError(
-            f"play universe has {_play_count(len(a.universe), k)} elements, cap is {cap}")
+    check_plays(a, k, cap)
     plays: list[Play] = []
     for length in range(1, k + 1):
         plays.extend(product(a.universe, repeat=length))
@@ -75,6 +81,16 @@ def decide_exist_ef(a: Structure, b: Structure, k: int) -> ExistResult:
     return decide_exist(GAME, a, b, k)
 
 
+def _decide(a: Structure, b: Structure, k: int, cap: int) -> ExistResult:
+    """The existential decision of `GAME`: `decide_exist_ef`, whose table is
+    refused when the plays it answers exceed `cap`.  A lost game lists no
+    plays, and may have more."""
+    res = decide_exist_ef(a, b, k)
+    if res.wins:
+        check_plays(a, k, cap)
+    return res
+
+
 def check_ef_laws(a: Structure, k: int, cap: int = DEFAULT_PLAY_CAP) -> LawReport:
     """Comonad laws over the full play universe: the comultiplication images
     of a lifted tuple must be pairwise prefix-comparable."""
@@ -86,6 +102,12 @@ def _play_error(play: Play, k: int, host: Structure) -> Optional[str]:
     if len(play) > k:
         return f"longer than k={k}"
     return None if all(e in host.index for e in play) else "element outside the universe"
+
+
+def _distinct(s: Play) -> tuple:
+    """The distinct elements of a play in first-occurrence order: all that the
+    back-and-forth game sees of it once its pairs form a partial isomorphism."""
+    return tuple(dict.fromkeys(s))
 
 
 def _reflects(s: Play, t: Play, a: Structure, b: Structure) -> bool:
@@ -112,12 +134,13 @@ GAME = Game(
     forth=lambda s, t, a, b: is_partial_hom(zip(s, t), a, b),
     reflects=_reflects,
     position=lambda s, t: frozenset(zip(s, t)),
+    refine=lambda a, b, k, cap: refined_values(GAME, a, b, k, cap, _distinct, atomic_type),
     coextend=coextend,
     last=counit,
     prefixes=prefixes,
     play_error=_play_error,
     hom_error=lambda alpha, a: prefix_hom_error(alpha, a, None),
-    decide=lambda a, b, k, cap: decide_exist_ef(a, b, k),
+    decide=_decide,
     laws=lambda a, k, trunc, cap: check_ef_laws(a, k, cap=cap),
     exists_kinds=("ef-table", "ef-spoiler"),
     backforth_kinds=("bf-duplicator", "bf-spoiler"),

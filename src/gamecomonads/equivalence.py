@@ -11,8 +11,9 @@ the initial position pairs the roots: the empty play for the sequence game and
 the one-element paths at the distinguished elements for the modal game.  The
 winning conditions are partial isomorphism of the play-pair history (sequence
 game) and label-matched histories with pointwise unary agreement (modal); the
-game is solved by `game.round_values` with Spoiler moving on both sides.  A
-loss is witnessed by `game.spoiler_tree`, which stops at the first reply that
+game is solved by colour refinement on each structure alone (`Game.refine`,
+`game.refined_values`), once the keys it colours fit the cap.  A loss is
+witnessed by `game.spoiler_tree`, which stops at the first reply that
 leaves the winning set; a win by `game.won_positions`, one won play pair per
 (position, round) below round k, read off only once the plays of both sides
 fit the cap.
@@ -21,8 +22,9 @@ The pebble game has no play tree (its universe is infinite), so its
 back-and-forth decision is positional, with unbounded rounds: the pebble game
 of `pebbling` with Spoiler moving on both sides, whose family is of partial
 isomorphisms with at most k pairs, closed under restriction, forth and back.
-`solve_back_forth` refuses a pebble game whose candidate partial maps exceed
-its cap.  The strategy-set fixpoint and coKleisli isomorphism are decided
+`pebbling.decide_back_forth` decides it by refining the tuples of each side.
+`solve_back_forth` refuses a pebble game whose candidate partial maps, or
+whose tuples on either side, exceed its cap.  The strategy-set fixpoint and coKleisli isomorphism are decided
 for the sequence and modal games only; coKleisli isomorphism is their
 bijective game, `game.bijective_game`.
 """
@@ -37,7 +39,7 @@ from . import modal as modal_mod
 from . import pebbling as pebble_mod
 from .errors import CapExceededError, ToolkitError, VocabularyMismatchError
 from .game import (DEFAULT_PLAY_CAP, Game, bijective_game, coextensions, lifted_hom, read_off,
-                   round_values, spoiler_tree, won_positions)
+                   spoiler_tree, won_positions)
 from .structures import Structure
 
 GAMES: dict[str, Game] = {g.name: g for g in (ef_mod.GAME, pebble_mod.GAME, modal_mod.GAME)}
@@ -77,9 +79,9 @@ def solve_back_forth(a: Structure, b: Structure, k: int, comonad: str,
                      cap: int = DEFAULT_PLAY_CAP) -> BackForthResult:
     """Decide the k-resource back-and-forth game.
 
-    Sequence and modal games run k rounds by backward induction on positions;
-    the pebble game runs as an unbounded positional safety game, refused when
-    its candidate partial maps exceed `cap`.
+    Sequence and modal games run k rounds, decided by `Game.refine`; the
+    pebble game runs as an unbounded positional safety game, refused when its
+    candidate partial maps or refined tuples exceed `cap`.
     """
     g = game(comonad)
     if a.vocab != b.vocab:
@@ -88,8 +90,9 @@ def solve_back_forth(a: Structure, b: Structure, k: int, comonad: str,
         raise ToolkitError("k must be >= 1")
     if g.children is None:
         pebble_mod.check_candidates(a, b, k, cap)
+        pebble_mod.check_tuples(a, b, k, cap)
         return _solve_pebble_backforth(a, b, k)
-    value = round_values(g, a, b, k, g.winning, "AB")
+    value = g.refine(a, b, k, cap)
     if value(g.root(a), g.root(b)):
         g.universe(a, k, cap)  # enforce --cap-plays on the plays of each side
         g.universe(b, k, cap)
@@ -102,9 +105,10 @@ def solve_back_forth(a: Structure, b: Structure, k: int, comonad: str,
 
 
 def _solve_pebble_backforth(a: Structure, b: Structure, k: int) -> BackForthResult:
-    """The pebble game of `pebbling` with Spoiler on both sides: the family of
-    partial isomorphisms on a win, Spoiler's tree on a loss."""
-    res = pebble_mod.decide_pebble(a, b, k, "AB")
+    """The pebble game of `pebbling` with Spoiler on both sides
+    (`pebbling.decide_back_forth`): the family of partial isomorphisms on a
+    win, Spoiler's tree on a loss."""
+    res = pebble_mod.decide_back_forth(a, b, k)
     if res.wins:
         return BackForthResult(True, safe_positions=res.family.parts)
     return BackForthResult(False, spoiler=res.refutation)

@@ -16,12 +16,14 @@ structure), the one Spoiler-tree walk that the refutation audits and the
 certificate writer run on, and the driver (`run`) that runs recursion written
 as generators on an explicit stack.
 
-The round-bounded games (sequence and modal, existential and back-and-forth)
-are solved here in one way: `round_values` is the backward induction, for the
-sides Spoiler may move on and the condition Duplicator must keep; their
-bijective game (`bijective_game`), whose wins are the coKleisli isomorphisms,
-memoises on the same keys.  Their witnesses are read off the values in one
-way each: Duplicator's tables of the existential game (`first_replies`) and of
+The round-bounded games (sequence and modal) are solved here: `round_values`
+is the backward induction, for the sides Spoiler may move on and the
+condition Duplicator must keep, and decides the existential game;
+`refined_values` decides the back-and-forth game by colour refinement on each
+structure alone, with the same contract, and the backward induction with
+Spoiler on both sides stays as its test oracle; their bijective game
+(`bijective_game`), whose wins are the coKleisli isomorphisms, memoises on the
+same keys.  Their witnesses are read off the values in one way each: Duplicator's tables of the existential game (`first_replies`) and of
 the bijective game, by one play-tree walk (`read_off`); Duplicator's won
 positions of the back-and-forth game (`won_positions`, one play pair per
 position and round, which `audit_won_positions` checks without solving); and
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Callable, Generator, Iterator, Mapping, Optional
 
-from .errors import ToolkitError
+from .errors import CapExceededError, ToolkitError
 from .structures import Elem, Structure
 
 DEFAULT_PLAY_CAP = 10 ** 6
@@ -188,9 +190,15 @@ class Game:
     forth: Optional[Callable[[tuple, tuple, Structure, Structure], bool]]
     reflects: Optional[Callable[[tuple, tuple, Structure, Structure], bool]]
     # What the value of (s, t) depends on besides its depth, once every
-    # proper prefix of (s, t) meets the game's condition; `round_values` and
-    # `bijective_game` memoise on it, and `audit_won_positions` relies on it.
+    # proper prefix of (s, t) meets the game's condition; `round_values`,
+    # `refined_values` and `bijective_game` memoise on it, and
+    # `audit_won_positions` relies on it.
     position: Optional[Callable[[tuple, tuple], object]]
+    # The back-and-forth game by colour refinement on each structure alone:
+    # `(a, b, k, cap) -> value` with the contract of `round_values` under
+    # `winning` with Spoiler on both sides (`refined_values`); None for the
+    # positional pebble game, whose tuples `pebbling.decide_back_forth` refines.
+    refine: Optional[Callable]
     coextend: Callable
     # Reading a coalgebra play; `play_error(play, k, host)` says why a tuple is
     # no play of `host` of depth <= k (only its shape, in the pebble game).
@@ -198,8 +206,9 @@ class Game:
     prefixes: Callable[[tuple], list]
     play_error: Callable[[tuple, int, Structure], Optional[str]]
     hom_error: Callable[[Mapping, Structure], Optional[str]]
-    # (a, b, k, cap) -> result with .wins and .refutation; `cap` bounds the
-    # candidate positions of the pebble solver, and the others ignore it
+    # (a, b, k, cap) -> result with .wins and .refutation; refused when a won
+    # table answers more than `cap` plays, or, in the pebble game, before it
+    # is solved when its candidate positions exceed `cap`
     decide: Callable
     laws: Callable  # (a, k, trunc, cap) -> LawReport
     # Certificate kinds: (true, false) pairs, then the iso and coalgebra witnesses.
@@ -329,7 +338,71 @@ def round_values(game: Game, a: Structure, b: Structure, k: int, holds: Callable
             memo[key] = won
         return memo[key]
 
-    return lambda s, t: run(solve(s, t))
+    def value(s: tuple, t: tuple) -> Optional[bool]:
+        key = game.position(s, t), game.depth(s)
+        return memo[key] if key in memo else run(solve(s, t))
+
+    return value
+
+
+def refined_values(game: Game, a: Structure, b: Structure, k: int, cap: int,
+                   key: Callable[[tuple], tuple], atomic: Callable[[Structure, tuple], object]):
+    """Solve the k-round back-and-forth game from `a` to `b` by colour
+    refinement on each structure alone, with the contract of `round_values`
+    under `game.winning` with Spoiler on both sides.
+
+    Duplicator's winning relation is an equivalence, and her win from a
+    position depends on each side's play only through `key(s)` and the
+    rounds left: `key` keeps what the winning condition sees of a play, which
+    is itself a node of the play tree.  The colour of a key with r rounds left
+    is its `atomic(x, key)` type and, when r > 0, the set of its children's
+    colours with r - 1 rounds left (the rank-r type of Fraïssé for the
+    sequence game, k-bisimulation for the modal game).  Colours are interned
+    in tables shared by both sides, so a position of the winning set is won
+    iff its plays have one colour.  The keys of each side are listed round by
+    round from the root, and refused once they exceed `cap`, before any is
+    coloured; colours are then found from the last round back."""
+    types: dict = {}
+    colours: dict = {}
+    colour_a = _key_colours(game, a, k, cap, key, atomic, types, colours)
+    colour_b = _key_colours(game, b, k, cap, key, atomic, types, colours)
+    memo: dict = {}
+
+    def value(s: tuple, t: tuple) -> Optional[bool]:
+        at = game.position(s, t), game.depth(s)
+        if at not in memo:
+            memo[at] = colour_a(s) == colour_b(t) if game.winning(s, t, a, b) else None
+        return memo[at]
+
+    return value
+
+
+def _key_colours(game: Game, x: Structure, k: int, cap: int, key: Callable, atomic: Callable,
+                 types: dict, colours: dict) -> Callable[[tuple], int]:
+    """The colour of each play of `x` up to round k, as `refined_values`
+    finds it: interned in `types` (atomic types) and `colours`."""
+    kids: dict = {}  # key -> its children's keys, in play-tree order
+    rounds = [[key(game.root(x))]]
+    count = 1
+    while len(rounds) <= k:
+        below: dict = {}
+        for u in rounds[-1]:
+            if u not in kids:
+                kids[u] = [key(c) for c in game.children(x, u)]
+            below.update(dict.fromkeys(kids[u]))
+        count += len(below)
+        if count > cap:
+            raise CapExceededError(f"colour refinement exceeds {cap} keys")
+        rounds.append(list(below))
+    own = {u: types.setdefault(atomic(x, u), len(types)) for u in kids.keys() | rounds[-1]}
+    by_round, after = [], {}
+    for d in range(k, -1, -1):
+        after = {u: colours.setdefault(
+            (own[u], frozenset(after[c] for c in kids[u]) if d < k else frozenset()),
+            len(colours)) for u in rounds[d]}
+        by_round.append(after)
+    by_round.reverse()
+    return lambda s: by_round[game.depth(s)][key(s)]
 
 
 def bijective_game(game: Game, a: Structure, b: Structure, k: int):
@@ -447,7 +520,7 @@ class ExistResult:
 def spoiler_tree(game: Game, a: Structure, b: Structure, value: Callable,
                  sides: str) -> SpoilerNode:
     """Spoiler's tree read off the values of a lost game (`round_values` with
-    the same `sides`): at each position, the first move to which every reply
+    the same `sides`, or `refined_values` for "AB"): at each position, the first move to which every reply
     loses; a reply that fails the condition at once is a leaf.  Equal-depth
     plays have equal length, so a step is what a child adds past `len(s)`."""
     def build(s: tuple, t: tuple):

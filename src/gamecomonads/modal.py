@@ -19,7 +19,7 @@ from typing import Mapping, Optional
 
 from .errors import ArityError, CapExceededError, PointError, ToolkitError, VocabularyMismatchError
 from .game import (DEFAULT_PLAY_CAP, ExistResult, Game, LawReport, decide_exist, law_report,
-                   lifted_structure)
+                   lifted_structure, refined_values)
 from .structures import Elem, Structure
 
 Path = tuple
@@ -108,6 +108,21 @@ def modal_universe(a: Structure, k: int, cap: int = DEFAULT_PLAY_CAP) -> list[Pa
     return paths
 
 
+def check_paths(a: Structure, k: int, cap: int) -> None:
+    """Refuse, without listing them, more than `cap` paths of 0..k steps
+    from the point: they are counted by their ends, one step at a time."""
+    ends, count = {a.point: 1}, 1
+    for _ in range(k):
+        below: dict = {}
+        for e, n in ends.items():
+            for _, e2 in successors(a, e):
+                below[e2] = below.get(e2, 0) + n
+        ends = below
+        count += sum(ends.values())
+        if count > cap:
+            raise CapExceededError(f"unravelling exceeds {cap} paths")
+
+
 def _lifted_at(a: Structure, top: Path, labels: list):
     """The lifted tuples at `top` (see `Game.lifted_at`): unary symbols hold
     at a path iff they hold at its endpoint, and a binary symbol relates the
@@ -138,32 +153,14 @@ def decide_sim_k(a: Structure, b: Structure, k: int) -> ExistResult:
     return decide_exist(GAME, a, b, k)
 
 
-def bisim_oracle(a: Structure, b: Structure, k: int) -> bool:
-    """Independent partition-refinement check of depth-k bisimilarity.
-
-    Colors elements of the disjoint union: round 0 by unary signature, then k
-    rounds of refinement by multisets-as-sets of (label, successor color).
-    """
-    require_modal(a)
-    require_modal(b)
-    if a.vocab != b.vocab:
-        raise VocabularyMismatchError("bisim_oracle requires a shared vocabulary")
-    elems = [("A", e) for e in a.universe] + [("B", e) for e in b.universe]
-    side = {"A": a, "B": b}
-
-    def signature(tag: str, e: Elem) -> tuple:
-        st = side[tag]
-        return tuple((s, (e,) in st.tuples(s)) for s, ar in st.vocab.symbols if ar == 1)
-
-    color = {te: signature(*te) for te in elems}
-    for _ in range(k):
-        nxt = {}
-        for tag, e in elems:
-            outs = frozenset((label, color[(tag, e2)])
-                             for label, e2 in successors(side[tag], e))
-            nxt[(tag, e)] = (color[(tag, e)], outs)
-        color = nxt
-    return color[("A", a.point)] == color[("B", b.point)]
+def _decide(a: Structure, b: Structure, k: int, cap: int) -> ExistResult:
+    """The existential decision of `GAME`: `decide_sim_k`, whose table is
+    refused when the paths it answers exceed `cap`.  A lost game lists no
+    paths, and may have more."""
+    res = decide_sim_k(a, b, k)
+    if res.wins:
+        check_paths(a, k, cap)
+    return res
 
 
 def check_modal_laws(a: Structure, k: int, cap: int = DEFAULT_PLAY_CAP) -> LawReport:
@@ -190,6 +187,19 @@ def _matches(s: Path, t: Path, a: Structure, b: Structure, agree=operator.eq) ->
             if not agree((x,) in a.tuples(name), (y,) in b.tuples(name)):
                 return False
     return True
+
+
+def _last_step(s: Path) -> Path:
+    """A path's last label and element, or its point alone: all that the
+    modal game sees of it once the labels and unary symbols along it match."""
+    return s[-2:]
+
+
+def _atomic_type(x: Structure, last: Path) -> tuple:
+    """What the modal game sees of a path's last step (`last` is its label
+    and element, or the point alone): the label, and the unary symbols that
+    hold at the element."""
+    return last[:-1], tuple((last[-1],) in x.tuples(name) for name in unary_symbols(x))
 
 
 def _play_error(play: Path, k: int, host: Structure) -> Optional[str]:
@@ -232,13 +242,14 @@ GAME = Game(
     winning=_matches,
     forth=lambda s, t, a, b: _matches(s, t, a, b, operator.le),
     reflects=_matches,
-    position=lambda s, t: (s[-2:], t[-2:]),
+    position=lambda s, t: (_last_step(s), _last_step(t)),
+    refine=lambda a, b, k, cap: refined_values(GAME, a, b, k, cap, _last_step, _atomic_type),
     coextend=modal_coextend,
     last=modal_counit,
     prefixes=path_prefixes,
     play_error=_play_error,
     hom_error=_hom_error,
-    decide=lambda a, b, k, cap: decide_sim_k(a, b, k),
+    decide=_decide,
     laws=lambda a, k, trunc, cap: check_modal_laws(a, k, cap=cap),
     exists_kinds=("modal-table", "modal-spoiler"),
     backforth_kinds=("bf-duplicator", "bf-spoiler"),

@@ -65,9 +65,6 @@ class ForestCover:
         """Predecessors of v in ascending order, ending at v."""
         return self._chains[v]
 
-    def leq(self, u: Elem, v: Elem) -> bool:
-        return u in self._chains[v]
-
     def height(self) -> int:
         return max((len(self.chain(v)) for v in self.vertices), default=0)
 

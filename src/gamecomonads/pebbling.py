@@ -9,7 +9,10 @@ homomorphisms (existential game) or partial isomorphisms (back-and-forth
 game, Kolaitis-Vardi) with at most k pairs.
 
 Both pebble games are one game with Spoiler moving on side A or on both
-sides (`decide_pebble`), decided by one deletion engine.
+sides (`decide_pebble`), decided by one deletion engine.  The back-and-forth
+game is decided first by refining the k-tuples of each side alone
+(`decide_back_forth`): on a win its family is read off the colours, and only
+a loss runs the engine, for Spoiler's tree.
 `delete_to_fixpoint` takes an initial family of positions and two callables:
 `obligations(pos)` yields each Spoiler move at `pos` with a key, and
 `answers(pos)` yields the keys of the moves that `pos` is itself a reply to.
@@ -36,7 +39,7 @@ from typing import Callable, Iterable, Mapping, Optional
 from .errors import CapExceededError, ToolkitError, VocabularyMismatchError
 from .game import (DEFAULT_PLAY_CAP, Game, LawReport, chain_error, law_report,
                    lifted_structure, prefix_hom_error, prefix_lifting, prefixes, walk_tree)
-from .structures import Elem, Structure, is_partial_hom, is_partial_iso
+from .structures import Elem, Structure, atomic_type, is_partial_hom, is_partial_iso
 
 Move = tuple  # (pebble index, element)
 PebblePlay = tuple  # nonempty tuple of moves
@@ -291,6 +294,105 @@ def decide_pebble(a: Structure, b: Structure, k: int, sides: str) -> PebbleResul
     return PebbleResult(False, refutation=refutation(trace, frozenset(), replies, node))
 
 
+def _tuple_length(a: Structure, b: Structure, k: int) -> int:
+    """The length of the tuples `decide_back_forth` refines: k, or the size of
+    the larger universe when that is smaller.  Every partial isomorphism then
+    still fits, and no placement that k pebbles allow is lost, so the game is
+    the same."""
+    return min(k, max(len(a.universe), len(b.universe)))
+
+
+def check_tuples(a: Structure, b: Structure, k: int, cap: int) -> None:
+    """Refuse the back-and-forth game, before any tuple is coloured, when the
+    tuples `decide_back_forth` refines on either side exceed `cap`."""
+    m = _tuple_length(a, b, k)
+    for x in (a, b):
+        if len(x.universe) ** m > cap:
+            raise CapExceededError(f"pebble refinement has {len(x.universe) ** m} tuples "
+                                   f"on one side, cap is {cap}")
+
+
+def _tuple_colours(a: Structure, b: Structure, m: int) -> Optional[list]:
+    """The colours of the m-tuples of `a` and of `b` at the fixpoint of
+    k-tuple refinement with sets (Immerman-Lander), or None once the colours
+    of the constant tuples differ between the sides.
+
+    A tuple is coded by the indices of its elements, the first digit most
+    significant.  Its first colour is its atomic type; each pass gives it its
+    colour and, per position, the set of colours of the tuples that differ
+    from it at that position only.  Colours are interned in tables shared by
+    both sides, and the passes stop when one splits no class.  Duplicator
+    wins the game from a placement iff its padded tuples have one colour, so
+    she wins from the start iff both sides have the same constant-tuple
+    colours; those only split further, so a difference is final."""
+    sides = [(len(x.universe), [len(x.universe) ** (m - 1 - j) for j in range(m)])
+             for x in (a, b)]
+    table: dict = {}
+    cols = [[table.setdefault(atomic_type(x, t), len(table)) for t in product(x.universe, repeat=m)]
+            for x in (a, b)]
+    while True:
+        diagonals = [{col[v * sum(strides)] for v in range(n)}
+                     for (n, strides), col in zip(sides, cols)]
+        if diagonals[0] != diagonals[1]:
+            return None
+        classes, sets, table = len(table), {}, {}
+        for side, ((n, strides), col) in enumerate(zip(sides, cols)):
+            groups = []
+            for stride in strides:
+                group = [0] * len(col)
+                for top in range(0, len(col), stride * n):
+                    for base in range(top, top + stride):
+                        group[base:base + stride * n:stride] = [sets.setdefault(
+                            frozenset(col[base:base + stride * n:stride]), len(sets))] * n
+                groups.append(group)
+            cols[side] = [table.setdefault(sig, len(table)) for sig in zip(col, *groups)]
+        if len(table) == classes:
+            return cols
+
+
+def _safe_parts(a: Structure, b: Structure, k: int, m: int, cols: list) -> set:
+    """The partial isomorphisms with at most k pairs whose padded m-tuples
+    (the domain in declaration order, its last element repeated, and the
+    partners in the same order) have one colour in `cols`.  They grow one
+    domain element at a time, as in `_partial_family`: they are closed under
+    restriction, so only those of one size are extended to the next."""
+    (col_a, col_b), tails = cols, []
+    for n in (len(a.universe), len(b.universe)):
+        strides = [n ** (m - 1 - j) for j in range(m)]
+        tails.append((strides, [sum(strides[j:]) for j in range(m)]))
+    (strides_a, tail_a), (strides_b, tail_b) = tails
+    level = [(frozenset(), 0, 0, 0)]  # (map, next domain index, codes of its unpadded tuples)
+    family = {frozenset()}
+    for size in range(min(k, len(a.universe))):
+        grown = []
+        for part, start, code_a, code_b in level:
+            for i in range(start, len(a.universe)):
+                c = col_a[code_a + i * tail_a[size]]
+                for j, y in enumerate(b.universe):
+                    if col_b[code_b + j * tail_b[size]] == c:
+                        grown.append((part | {(a.universe[i], y)}, i + 1,
+                                      code_a + i * strides_a[size], code_b + j * strides_b[size]))
+        family.update(part for part, *_ in grown)
+        level = grown
+    return family
+
+
+def decide_back_forth(a: Structure, b: Structure, k: int) -> PebbleResult:
+    """The k-pebble back-and-forth game by refining the tuples of each side
+    (`_tuple_colours`): on a win, the greatest family of `decide_pebble`,
+    read off the colours (`_safe_parts`); on a loss, `decide_pebble`'s
+    Spoiler tree, read off its deletion trace."""
+    if a.vocab != b.vocab:
+        raise VocabularyMismatchError("decide_back_forth requires a shared vocabulary")
+    if k < 1:
+        raise ToolkitError("k must be >= 1")
+    m = _tuple_length(a, b, k)
+    cols = _tuple_colours(a, b, m)
+    if cols is None:
+        return decide_pebble(a, b, k, "AB")
+    return PebbleResult(True, family=StrategyFamily(k, frozenset(_safe_parts(a, b, k, m, cols))))
+
+
 def decide_exist_pebble(a: Structure, b: Structure, k: int) -> PebbleResult:
     """The existential k-pebble game from `a` to `b`."""
     return decide_pebble(a, b, k, "A")
@@ -419,6 +521,7 @@ GAME = Game(
     forth=None,
     reflects=None,
     position=None,
+    refine=None,
     coextend=pebble_coextend,
     last=pebble_counit,
     prefixes=prefixes,

@@ -401,6 +401,20 @@ def is_partial_iso(p, a: Structure, b: Structure) -> bool:
     return maps is not None and _preserves(maps[0], a, b) and _preserves(maps[1], b, a)
 
 
+def atomic_type(a: Structure, u: tuple) -> tuple:
+    """The atomic type of the tuple `u` of elements of `a`: which of its
+    positions hold equal elements and, per symbol, the tuples of its
+    positions whose elements the symbol relates.  Tuples of two structures
+    over one vocabulary have equal types iff their pairs form a partial
+    isomorphism."""
+    facts = []
+    for name, arity in a.vocab.symbols:
+        rel = a.tuples(name)
+        facts.append(frozenset(at for at, tup in zip(product(range(len(u)), repeat=arity),
+                                                     product(u, repeat=arity)) if tup in rel))
+    return tuple(map(u.index, u)), tuple(facts)
+
+
 def gaifman(a: Structure) -> Graph:
     """Vertices = universe; edges join distinct elements co-occurring in a tuple."""
     idx = a.index

@@ -3,8 +3,8 @@ independent set-based formula evaluator used as the evaluation oracle,
 morphisms both ways and coKleisli counits and composition, liftings built in
 full by filtering and the audit of coKleisli isomorphism pairs on them, the
 table search for coKleisli isomorphism, a full-rescan reference for the two
-pebble games (the back-and-forth one on pebble-indexed placements), and
-exhaustive references for the coalgebra numbers: every forest cover with its
+pebble games (the back-and-forth one on pebble-indexed placements), a
+partition-refinement check of depth-k bisimilarity, and exhaustive references for the coalgebra numbers: every forest cover with its
 minimum pebbling, the unpruned tree-width dynamic program, a coalgebra's
 forest cover and the synchronization tree depth."""
 
@@ -17,7 +17,7 @@ from typing import Iterator, Optional
 
 from gamecomonads import equivalence, logic, modal, pebbling
 from gamecomonads import parameters as par
-from gamecomonads.errors import ToolkitError
+from gamecomonads.errors import ToolkitError, VocabularyMismatchError
 from gamecomonads.game import DEFAULT_PLAY_CAP, CoKleisli, Game
 from gamecomonads.structures import (Graph, Structure, check_hom, is_partial_hom,
                                      is_partial_iso)
@@ -378,6 +378,34 @@ def reference_pebble_backforth(a: Structure, b: Structure, k: int) -> equivalenc
     if frozenset() in safe:
         return equivalence.BackForthResult(True, safe_positions=frozenset(safe))
     return equivalence.BackForthResult(False)
+
+
+def bisim_oracle(a: Structure, b: Structure, k: int) -> bool:
+    """Independent partition-refinement check of depth-k bisimilarity.
+
+    Colors elements of the disjoint union: round 0 by unary signature, then k
+    rounds of refinement by multisets-as-sets of (label, successor color).
+    """
+    modal.require_modal(a)
+    modal.require_modal(b)
+    if a.vocab != b.vocab:
+        raise VocabularyMismatchError("bisim_oracle requires a shared vocabulary")
+    elems = [("A", e) for e in a.universe] + [("B", e) for e in b.universe]
+    side = {"A": a, "B": b}
+
+    def signature(tag: str, e) -> tuple:
+        st = side[tag]
+        return tuple((s, (e,) in st.tuples(s)) for s, ar in st.vocab.symbols if ar == 1)
+
+    color = {te: signature(*te) for te in elems}
+    for _ in range(k):
+        nxt = {}
+        for tag, e in elems:
+            outs = frozenset((label, color[(tag, e2)])
+                             for label, e2 in modal.successors(side[tag], e))
+            nxt[(tag, e)] = (color[(tag, e)], outs)
+        color = nxt
+    return color[("A", a.point)] == color[("B", b.point)]
 
 
 # ---------------------------------------------------------------------------

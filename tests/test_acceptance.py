@@ -13,7 +13,7 @@ from gamecomonads import pebbling as pb
 from gamecomonads.structures import Structure, Vocabulary, find_hom
 
 from helpers import (S, VOCAB_R, VOCAB_RS, all_forest_covers, all_graphs, all_pointed,
-                     all_structures, all_structures_upto, clique_structure,
+                     all_structures, all_structures_upto, bisim_oracle, clique_structure,
                      coalgebra_to_forest_cover, decide_both_ways, graph_structure,
                      min_pebble_forest_cover, path_structure, random_graph)
 
@@ -208,7 +208,7 @@ def test_criterion_7_modal_agreement():
     bad = []
 
     def check(a, b, k):
-        if eq.solve_back_forth(a, b, k, "modal").wins != modal.bisim_oracle(a, b, k):
+        if eq.solve_back_forth(a, b, k, "modal").wins != bisim_oracle(a, b, k):
             bad.append(("game", a, b, k))
 
     # exhaustive: point pairs within every 3-state single-label structure

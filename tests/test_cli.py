@@ -791,6 +791,50 @@ def test_backforth_cap_counts_the_plays_of_each_side(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("mode", ["exists", "both"])
+def test_exists_refuses_a_table_over_the_play_cap(tmp_path, capsys, mode):
+    """K5 maps to K5 in three rounds by a table on 5 + 25 + 125 = 155 plays:
+    under `--cap-plays 10` the command exits 3 and writes no certificate."""
+    (tmp_path / "k5.str").write_text(K5)
+    k5, cert = str(tmp_path / "k5.str"), tmp_path / "table.cert"
+    code, out = run(["equiv", "--game", "ef", "--mode", mode, "-k", "3", "--cap-plays", "10",
+                     "--certificate", str(cert), k5, k5])
+    assert (code, out) == (3, "") and not cert.exists()
+    assert "play universe has 155 elements, cap is 10" in capsys.readouterr().err
+
+
+K4 = graph_text("abcd", ["ab", "ac", "ad", "bc", "bd", "cd"])
+
+# game, k, source, target, the largest keys (tuples) of one side, the error
+REFINEMENT_CAPS = [
+    # K4 has 1 + Σ_{j ≥ 1} 4!/(4-j)!·(5-j) = 1 + 16 + 36 + 48 + 24 keys up to round 4
+    ("ef", 4, K3, K4, 125, "colour refinement exceeds 124 keys"),
+    # the cycle's last step and its rounds 0-3, one key each
+    ("modal", 3, CHAIN_PTD, CYCLE_PTD, 4, "colour refinement exceeds 3 keys"),
+    # five pebbles on five elements: 5^5 tuples
+    ("pebble", 5, "vocab R 2\nelem a\n", graph_text("abcde", []), 3125,
+     "pebble refinement has 3125 tuples on one side, cap is 3124"),
+]
+
+
+@pytest.mark.parametrize("game,k,source,target,fits,error", REFINEMENT_CAPS,
+                         ids=[case[0] for case in REFINEMENT_CAPS])
+def test_refinement_counts_its_keys_against_the_play_cap(tmp_path, capsys, game, k, source,
+                                                          target, fits, error):
+    """Each lost back-and-forth game is decided with its keys at the cap, and
+    refused with exit 3 one below it, before any is coloured."""
+    (tmp_path / "a.str").write_text(source)
+    (tmp_path / "b.str").write_text(target)
+    argv = ["equiv", "--game", game, "--mode", "backforth", "-k", str(k),
+            str(tmp_path / "a.str"), str(tmp_path / "b.str")]
+    code, out = run(argv + ["--cap-plays", str(fits)])
+    assert code == 1 and "\nresult: false\n" in out
+    capsys.readouterr()
+    code, out = run(argv + ["--cap-plays", str(fits - 1)])
+    assert (code, out) == (3, "")
+    assert error in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("formula", ["~" * 3000 + "T", " & ".join(["T"] * 3000)],
                          ids=["nested-negation", "flat-conjunction"])
 def test_eval_of_a_formula_too_deep_is_a_resource_limit(files, formula):

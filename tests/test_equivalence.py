@@ -8,12 +8,12 @@ from gamecomonads import ef, equivalence as eq, logic, modal
 from gamecomonads import pebbling as pb
 from gamecomonads.errors import CapExceededError, ToolkitError
 from gamecomonads.game import (DEFAULT_PLAY_CAP, audit_spoiler_tree, audit_won_positions,
-                               lifted_hom)
+                               lifted_hom, round_values, spoiler_tree, won_positions)
 from gamecomonads.structures import Vocabulary, check_hom
 
-from helpers import (NAMES, S, VOCAB_R, all_pointed, all_structures_upto, clique_structure,
-                     decide_both_ways, lifting, materialised_iso_audit, path_structure,
-                     search_cokleisli_iso)
+from helpers import (NAMES, S, VOCAB_R, all_pointed, all_structures_upto, bisim_oracle,
+                     clique_structure, decide_both_ways, lifting, materialised_iso_audit,
+                     path_structure, search_cokleisli_iso)
 
 EDGE = S(VOCAB_R, ["a", "b"], {"R": [("a", "b"), ("b", "a")]})
 TWOPTS = S(VOCAB_R, ["x", "y"], {})
@@ -313,6 +313,68 @@ def test_iso_audit_agrees_with_the_materialised_audit(data):
         assert got == (True, "ok")
 
 
+# Colour refinement against the pair searches: symbols of arity 1-3 (1-2 for
+# the modal game), at most four elements, k <= 3, half of the targets renamed
+# copies of their sources declared in another order.
+REFINED_SYMBOLS = {"ef": SYMBOLS["ef"], "pebble": SYMBOLS["ef"], "modal": SYMBOLS["modal"]}
+
+
+@st.composite
+def _refined_pair(draw, game: str):
+    vocab = draw(st.lists(st.sampled_from(REFINED_SYMBOLS[game]), min_size=1, max_size=2,
+                          unique=True))
+    point = game == "modal"
+    a = draw(_structure(vocab, NAMES[:draw(st.integers(1, 4))], point))
+    if draw(st.booleans()):
+        order = draw(st.permutations(a.universe))
+        rename = dict(zip(order, ("w", "x", "y", "z")))
+        b = S(vocab, [rename[e] for e in order],
+              {name: [tuple(rename[e] for e in t) for t in a.tuples(name)] for name, _ in vocab},
+              point=rename[a.point] if point else None)
+    else:
+        b = draw(_structure(vocab, ("w", "x", "y", "z")[:draw(st.integers(1, 4))], point))
+    return a, b, draw(st.integers(1, 3))
+
+
+def _contract_pairs(g, a, b, k):
+    """Every pair of plays of one round up to k whose proper prefixes meet
+    the winning condition: where a back-and-forth value is defined."""
+    pairs, todo = [], [(g.root(a), g.root(b))]
+    while todo:
+        s, t = todo.pop()
+        pairs.append((s, t))
+        if g.depth(s) < k and g.winning(s, t, a, b):
+            todo.extend((s2, t2) for s2 in g.children(a, s) for t2 in g.children(b, t))
+    return pairs
+
+
+@pytest.mark.parametrize("comonad", ["ef", "modal"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_refinement_agrees_with_the_backward_induction(comonad, data):
+    """The refined values equal the backward induction's wherever the
+    contract defines them, and give the same won positions or Spoiler tree."""
+    g = eq.game(comonad)
+    a, b, k = data.draw(_refined_pair(comonad))
+    got = g.refine(a, b, k, DEFAULT_PLAY_CAP)
+    want = round_values(g, a, b, k, g.winning, "AB")
+    for s, t in _contract_pairs(g, a, b, k):
+        assert got(s, t) == want(s, t), (s, t)
+    if want(g.root(a), g.root(b)):
+        assert won_positions(g, a, b, k, got) == won_positions(g, a, b, k, want)
+    else:
+        assert spoiler_tree(g, a, b, got, "AB") == spoiler_tree(g, a, b, want, "AB")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_pebble_refinement_agrees_with_the_deletion_engine(data):
+    """The verdict, and the family read off the colours or the Spoiler tree,
+    equal the deletion engine's."""
+    a, b, k = data.draw(_refined_pair("pebble"))
+    assert pb.decide_back_forth(a, b, k) == pb.decide_pebble(a, b, k, "AB")
+
+
 def test_iso_modal_copycat():
     a = S(VOCAB_R, ["a", "b"], {"R": [("a", "b")]}, point="a")
     res = eq.decide_cokleisli_iso(a, a, 2, "modal")
@@ -397,7 +459,7 @@ def test_modal_backforth_is_bisimulation():
         for b in pool:
             for k in (1, 2):
                 got = eq.solve_back_forth(a, b, k, "modal").wins
-                want = modal.bisim_oracle(a, b, k)
+                want = bisim_oracle(a, b, k)
                 assert got == want, (a, b, k)
 
 
