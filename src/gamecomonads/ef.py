@@ -128,6 +128,7 @@ GAME = Game(
     children=lambda x, node: [node + (e,) for e in x.universe],
     depth=len,
     universe=ef_universe,
+    check_plays=check_plays,
     lifted_at=prefix_lifting,  # a play lists its prefixes' last elements; any may join it
     pointed=False,
     winning=lambda s, t, a, b: is_partial_iso(zip(s, t), a, b),

@@ -24,9 +24,9 @@ of `pebbling` with Spoiler moving on both sides, whose family is of partial
 isomorphisms with at most k pairs, closed under restriction, forth and back.
 `pebbling.decide_back_forth` decides it by refining the tuples of each side.
 `solve_back_forth` refuses a pebble game whose candidate partial maps, or
-whose tuples on either side, exceed its cap.  The strategy-set fixpoint and coKleisli isomorphism are decided
-for the sequence and modal games only; coKleisli isomorphism is their
-bijective game, `game.bijective_game`.
+whose tuples on either side, exceed its cap.  The strategy-set fixpoint and
+coKleisli isomorphism are decided for the sequence and modal games only;
+coKleisli isomorphism is their bijective game, `game.bijective_game`.
 """
 
 from __future__ import annotations
@@ -94,8 +94,8 @@ def solve_back_forth(a: Structure, b: Structure, k: int, comonad: str,
         return _solve_pebble_backforth(a, b, k)
     value = g.refine(a, b, k, cap)
     if value(g.root(a), g.root(b)):
-        g.universe(a, k, cap)  # enforce --cap-plays on the plays of each side
-        g.universe(b, k, cap)
+        g.check_plays(a, k, cap)  # the won positions answer every play of each side
+        g.check_plays(b, k, cap)
         return BackForthResult(True, duplicator=won_positions(g, a, b, k, value))
     return BackForthResult(False, spoiler=spoiler_tree(g, a, b, value, "AB"))
 
@@ -228,7 +228,7 @@ def decide_cokleisli_iso(a: Structure, b: Structure, k: int, comonad: str = "ef"
     if a.vocab != b.vocab:
         raise VocabularyMismatchError("decide_cokleisli_iso requires a shared vocabulary")
     plays = g.universe(a, k, cap)
-    g.universe(b, k, cap)
+    g.check_plays(b, k, cap)
     value, matching = bijective_game(g, a, b, k)
     if not value(g.root(a), g.root(b)):
         return IsoResult(False)

@@ -23,8 +23,9 @@ condition Duplicator must keep, and decides the existential game;
 structure alone, with the same contract, and the backward induction with
 Spoiler on both sides stays as its test oracle; their bijective game
 (`bijective_game`), whose wins are the coKleisli isomorphisms, memoises on the
-same keys.  Their witnesses are read off the values in one way each: Duplicator's tables of the existential game (`first_replies`) and of
-the bijective game, by one play-tree walk (`read_off`); Duplicator's won
+same keys.  Their witnesses are read off the values in one way each:
+Duplicator's tables of the existential game (`first_replies`) and of the
+bijective game, by one play-tree walk (`read_off`); Duplicator's won
 positions of the back-and-forth game (`won_positions`, one play pair per
 position and round, which `audit_won_positions` checks without solving); and
 Spoiler's tree of any of the four (`spoiler_tree`, one `SpoilerNode` type),
@@ -176,6 +177,8 @@ class Game:
     children: Optional[Callable[[Structure, tuple], list]]
     depth: Optional[Callable[[tuple], int]]
     universe: Optional[Callable[[Structure, int], list]]  # plays of depth <= k
+    # (x, k, cap) refuses, without listing them, more than `cap` plays of depth <= k
+    check_plays: Optional[Callable[[Structure, int, int], None]]
     # The lifting: `lifted_at(a, top, labels)` yields each lifted tuple whose
     # longest play is `top`, as its symbol and the labels at its positions,
     # where `labels[j]` stands for the prefix `top[:j + 1]`; `pointed` when
@@ -520,9 +523,10 @@ class ExistResult:
 def spoiler_tree(game: Game, a: Structure, b: Structure, value: Callable,
                  sides: str) -> SpoilerNode:
     """Spoiler's tree read off the values of a lost game (`round_values` with
-    the same `sides`, or `refined_values` for "AB"): at each position, the first move to which every reply
-    loses; a reply that fails the condition at once is a leaf.  Equal-depth
-    plays have equal length, so a step is what a child adds past `len(s)`."""
+    the same `sides`, or `refined_values` for "AB"): at each position, the
+    first move to which every reply loses; a reply that fails the condition
+    at once is a leaf.  Equal-depth plays have equal length, so a step is
+    what a child adds past `len(s)`."""
     def build(s: tuple, t: tuple):
         side, moved, replies = next(move for move in spoiler_moves(game, a, b, s, t, sides)
                                     if not any(value(*pair) for _, pair in move[2]))

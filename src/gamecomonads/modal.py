@@ -94,6 +94,7 @@ def modal_universe(a: Structure, k: int, cap: int = DEFAULT_PLAY_CAP) -> list[Pa
     require_modal(a)
     if k < 1:
         raise ToolkitError("k must be >= 1")
+    check_paths(a, k, cap)
     paths: list[Path] = [(a.point,)]
     frontier = [(a.point,)]
     for _ in range(k):
@@ -103,8 +104,6 @@ def modal_universe(a: Structure, k: int, cap: int = DEFAULT_PLAY_CAP) -> list[Pa
                 nxt.append(s + (label, e2))
         paths.extend(nxt)
         frontier = nxt
-        if len(paths) > cap:
-            raise CapExceededError(f"unravelling exceeds {cap} paths")
     return paths
 
 
@@ -237,6 +236,7 @@ GAME = Game(
     children=lambda x, node: [node + (label, e2) for label, e2 in successors(x, node[-1])],
     depth=path_steps,
     universe=modal_universe,
+    check_plays=check_paths,
     lifted_at=_lifted_at,
     pointed=True,
     winning=_matches,

@@ -302,6 +302,12 @@ def _tuple_length(a: Structure, b: Structure, k: int) -> int:
     return min(k, max(len(a.universe), len(b.universe)))
 
 
+def _strides(n: int, m: int) -> list[int]:
+    """The place values of the digits of an m-tuple over n elements, coded by
+    the indices of its elements with the first digit most significant."""
+    return [n ** (m - 1 - j) for j in range(m)]
+
+
 def check_tuples(a: Structure, b: Structure, k: int, cap: int) -> None:
     """Refuse the back-and-forth game, before any tuple is coloured, when the
     tuples `decide_back_forth` refines on either side exceed `cap`."""
@@ -317,16 +323,15 @@ def _tuple_colours(a: Structure, b: Structure, m: int) -> Optional[list]:
     k-tuple refinement with sets (Immerman-Lander), or None once the colours
     of the constant tuples differ between the sides.
 
-    A tuple is coded by the indices of its elements, the first digit most
-    significant.  Its first colour is its atomic type; each pass gives it its
+    A tuple is coded by the indices of its elements (`_strides`).  Its first
+    colour is its atomic type; each pass gives it its
     colour and, per position, the set of colours of the tuples that differ
     from it at that position only.  Colours are interned in tables shared by
     both sides, and the passes stop when one splits no class.  Duplicator
     wins the game from a placement iff its padded tuples have one colour, so
     she wins from the start iff both sides have the same constant-tuple
     colours; those only split further, so a difference is final."""
-    sides = [(len(x.universe), [len(x.universe) ** (m - 1 - j) for j in range(m)])
-             for x in (a, b)]
+    sides = [(len(x.universe), _strides(len(x.universe), m)) for x in (a, b)]
     table: dict = {}
     cols = [[table.setdefault(atomic_type(x, t), len(table)) for t in product(x.universe, repeat=m)]
             for x in (a, b)]
@@ -356,22 +361,21 @@ def _safe_parts(a: Structure, b: Structure, k: int, m: int, cols: list) -> set:
     partners in the same order) have one colour in `cols`.  They grow one
     domain element at a time, as in `_partial_family`: they are closed under
     restriction, so only those of one size are extended to the next."""
-    (col_a, col_b), tails = cols, []
-    for n in (len(a.universe), len(b.universe)):
-        strides = [n ** (m - 1 - j) for j in range(m)]
-        tails.append((strides, [sum(strides[j:]) for j in range(m)]))
-    (strides_a, tail_a), (strides_b, tail_b) = tails
+    col_a, col_b = cols
+    strides_a, strides_b = _strides(len(a.universe), m), _strides(len(b.universe), m)
+    tail_a, tail_b = ([sum(strides[j:]) for j in range(m)] for strides in (strides_a, strides_b))
     level = [(frozenset(), 0, 0, 0)]  # (map, next domain index, codes of its unpadded tuples)
     family = {frozenset()}
     for size in range(min(k, len(a.universe))):
         grown = []
         for part, start, code_a, code_b in level:
+            partners: dict = {}  # colour -> the partners that give it, in declaration order
+            for j, y in enumerate(b.universe):
+                partners.setdefault(col_b[code_b + j * tail_b[size]], []).append((j, y))
             for i in range(start, len(a.universe)):
-                c = col_a[code_a + i * tail_a[size]]
-                for j, y in enumerate(b.universe):
-                    if col_b[code_b + j * tail_b[size]] == c:
-                        grown.append((part | {(a.universe[i], y)}, i + 1,
-                                      code_a + i * strides_a[size], code_b + j * strides_b[size]))
+                for j, y in partners.get(col_a[code_a + i * tail_a[size]], ()):
+                    grown.append((part | {(a.universe[i], y)}, i + 1,
+                                  code_a + i * strides_a[size], code_b + j * strides_b[size]))
         family.update(part for part, *_ in grown)
         level = grown
     return family
@@ -514,6 +518,7 @@ GAME = Game(
     children=None,
     depth=None,
     universe=None,
+    check_plays=None,
     lifted_at=_lifted_at,
     pointed=False,
     # the positional game checks partial isomorphism of the placements itself

@@ -313,26 +313,32 @@ def test_iso_audit_agrees_with_the_materialised_audit(data):
         assert got == (True, "ok")
 
 
-# Colour refinement against the pair searches: symbols of arity 1-3 (1-2 for
-# the modal game), at most four elements, k <= 3, half of the targets renamed
-# copies of their sources declared in another order.
-REFINED_SYMBOLS = {"ef": SYMBOLS["ef"], "pebble": SYMBOLS["ef"], "modal": SYMBOLS["modal"]}
+# Colour refinement against the pair searches: symbols of arity 1-3 (for the
+# modal game, one or two binary symbols and a unary one), at most four
+# elements, k <= 3.  Half of the targets are
+# renamed copies of their sources declared in another order, a quarter are
+# such copies with one tuple added or removed, so that some games are lost
+# late, and a quarter are drawn apart.
+REFINED_SYMBOLS = {"ef": SYMBOLS["ef"], "pebble": SYMBOLS["ef"], "modal": [("R", 2), ("S", 2)]}
 
 
 @st.composite
 def _refined_pair(draw, game: str):
-    vocab = draw(st.lists(st.sampled_from(REFINED_SYMBOLS[game]), min_size=1, max_size=2,
-                          unique=True))
     point = game == "modal"
+    vocab = draw(st.lists(st.sampled_from(REFINED_SYMBOLS[game]), min_size=1, max_size=2,
+                          unique=True)) + ([("P", 1)] if point else [])
     a = draw(_structure(vocab, NAMES[:draw(st.integers(1, 4))], point))
-    if draw(st.booleans()):
-        order = draw(st.permutations(a.universe))
-        rename = dict(zip(order, ("w", "x", "y", "z")))
-        b = S(vocab, [rename[e] for e in order],
-              {name: [tuple(rename[e] for e in t) for t in a.tuples(name)] for name, _ in vocab},
-              point=rename[a.point] if point else None)
-    else:
+    how = draw(st.sampled_from(["copy", "copy", "edited", "apart"]))
+    if how == "apart":
         b = draw(_structure(vocab, ("w", "x", "y", "z")[:draw(st.integers(1, 4))], point))
+        return a, b, draw(st.integers(1, 3))
+    order = draw(st.permutations(a.universe))
+    rename = dict(zip(order, ("w", "x", "y", "z")))
+    rels = {name: {tuple(rename[e] for e in t) for t in a.tuples(name)} for name, _ in vocab}
+    if how == "edited":
+        name, arity = draw(st.sampled_from(vocab))
+        rels[name] ^= {draw(st.tuples(*[st.sampled_from(list(rename.values()))] * arity))}
+    b = S(vocab, [rename[e] for e in order], rels, point=rename[a.point] if point else None)
     return a, b, draw(st.integers(1, 3))
 
 
