@@ -491,10 +491,22 @@ def first_replies(game: Game, a: Structure, b: Structure, k: int,
     """Duplicator's table read off the values of a won existential game: each
     play of `a` is answered by the first child, in declaration order, of its
     parent's answer from which Duplicator still wins.  The play universe is
-    listed first, so a table over the play cap is refused before any is built."""
+    listed first, so a table over the play cap is refused before any is built.
+
+    The children of a play, and the values of their pairs, depend on a pair
+    of plays only through its position and round, so the places of the
+    first winning replies among the children are found once per key."""
     plays = game.universe(a, k)
-    reply = read_off(game, a, b, k, lambda s, t: [
-        next(t2 for t2 in game.children(b, t) if value(s2, t2)) for s2 in game.children(a, s)])
+    firsts: dict = {}
+
+    def replies(s: tuple, t: tuple) -> list:
+        key, theirs = (game.position(s, t), game.depth(s)), game.children(b, t)
+        if key not in firsts:
+            firsts[key] = [next(i for i, t2 in enumerate(theirs) if value(s2, t2))
+                           for s2 in game.children(a, s)]
+        return [theirs[i] for i in firsts[key]]
+
+    reply = read_off(game, a, b, k, replies)
     return CoKleisli(game, k, a, b, {s: game.last(reply[s]) for s in plays})
 
 
