@@ -19,7 +19,7 @@ from .errors import CapExceededError, ToolkitError, VocabularyMismatchError
 from .game import (DEFAULT_PLAY_CAP, ExistResult, Game, LawReport, chain_error, decide_exist,
                    law_report, lifted_structure, prefix_hom_error, prefix_lifting, prefixes,
                    refined_values)
-from .structures import Elem, Structure, atomic_type, is_partial_hom, is_partial_iso
+from .structures import Elem, Structure, extend_type, is_partial_hom, is_partial_iso
 
 Play = tuple  # nonempty tuple of elements
 
@@ -135,7 +135,7 @@ GAME = Game(
     forth=lambda s, t, a, b: is_partial_hom(zip(s, t), a, b),
     reflects=_reflects,
     position=lambda s, t: frozenset(zip(s, t)),
-    refine=lambda a, b, k, cap: refined_values(GAME, a, b, k, cap, _distinct, atomic_type),
+    refine=lambda a, b, k, cap: refined_values(GAME, a, b, k, cap, _distinct, extend_type),
     coextend=coextend,
     last=counit,
     prefixes=prefixes,

@@ -349,7 +349,7 @@ def round_values(game: Game, a: Structure, b: Structure, k: int, holds: Callable
 
 
 def refined_values(game: Game, a: Structure, b: Structure, k: int, cap: int,
-                   key: Callable[[tuple], tuple], atomic: Callable[[Structure, tuple], object]):
+                   key: Callable[[tuple], tuple], atomic: Callable):
     """Solve the k-round back-and-forth game from `a` to `b` by colour
     refinement on each structure alone, with the contract of `round_values`
     under `game.winning` with Spoiler on both sides.
@@ -358,13 +358,18 @@ def refined_values(game: Game, a: Structure, b: Structure, k: int, cap: int,
     position depends on each side's play only through `key(s)` and the
     rounds left: `key` keeps what the winning condition sees of a play, which
     is itself a node of the play tree.  The colour of a key with r rounds left
-    is its `atomic(x, key)` type and, when r > 0, the set of its children's
-    colours with r - 1 rounds left (the rank-r type of Fraïssé for the
+    is its atomic type and, when r > 0, the set of its children's colours
+    with r - 1 rounds left (the rank-r type of Fraïssé for the
     sequence game, k-bisimulation for the modal game).  Colours are interned
     in tables shared by both sides, so a position of the winning set is won
     iff its plays have one colour.  The keys of each side are listed round by
     round from the root, and refused once they exceed `cap`, before any is
-    coloured; colours are then found from the last round back."""
+    coloured; colours are then found from the last round back.
+
+    `atomic(x, key, parent)` says what the key's atomic type is, given the
+    interned type of the key it is first found below (None at the root):
+    keys of either side get one interned type iff their atomic types are
+    equal."""
     types: dict = {}
     colours: dict = {}
     colour_a = _key_colours(game, a, k, cap, key, atomic, types, colours)
@@ -384,20 +389,24 @@ def _key_colours(game: Game, x: Structure, k: int, cap: int, key: Callable, atom
                  types: dict, colours: dict) -> Callable[[tuple], int]:
     """The colour of each play of `x` up to round k, as `refined_values`
     finds it: interned in `types` (atomic types) and `colours`."""
+    root = key(game.root(x))
+    own = {root: types.setdefault(atomic(x, root, None), len(types))}  # key -> its type
     kids: dict = {}  # key -> its children's keys, in play-tree order
-    rounds = [[key(game.root(x))]]
+    rounds = [[root]]
     count = 1
     while len(rounds) <= k:
         below: dict = {}
         for u in rounds[-1]:
             if u not in kids:
                 kids[u] = [key(c) for c in game.children(x, u)]
+                for c in kids[u]:
+                    if c not in own:
+                        own[c] = types.setdefault(atomic(x, c, own[u]), len(types))
             below.update(dict.fromkeys(kids[u]))
         count += len(below)
         if count > cap:
             raise CapExceededError(f"colour refinement exceeds {cap} keys")
         rounds.append(list(below))
-    own = {u: types.setdefault(atomic(x, u), len(types)) for u in kids.keys() | rounds[-1]}
     by_round, after = [], {}
     for d in range(k, -1, -1):
         after = {u: colours.setdefault(

@@ -194,10 +194,10 @@ def _last_step(s: Path) -> Path:
     return s[-2:]
 
 
-def _atomic_type(x: Structure, last: Path) -> tuple:
+def _atomic_type(x: Structure, last: Path, parent) -> tuple:
     """What the modal game sees of a path's last step (`last` is its label
-    and element, or the point alone): the label, and the unary symbols that
-    hold at the element."""
+    and element, or the point alone), whatever step came before it: the
+    label, and the unary symbols that hold at the element."""
     return last[:-1], tuple((last[-1],) in x.tuples(name) for name in unary_symbols(x))
 
 

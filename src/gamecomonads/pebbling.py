@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Mapping, Optional
 from .errors import CapExceededError, ToolkitError, VocabularyMismatchError
 from .game import (DEFAULT_PLAY_CAP, Game, LawReport, chain_error, law_report,
                    lifted_structure, prefix_hom_error, prefix_lifting, prefixes, walk_tree)
-from .structures import Elem, Structure, atomic_type, is_partial_hom, is_partial_iso
+from .structures import Elem, Structure, extend_type, is_partial_hom, is_partial_iso
 
 Move = tuple  # (pebble index, element)
 PebblePlay = tuple  # nonempty tuple of moves
@@ -332,9 +332,15 @@ def _tuple_colours(a: Structure, b: Structure, m: int) -> Optional[list]:
     she wins from the start iff both sides have the same constant-tuple
     colours; those only split further, so a difference is final."""
     sides = [(len(x.universe), _strides(len(x.universe), m)) for x in (a, b)]
+    types: dict = {}
     table: dict = {}
-    cols = [[table.setdefault(atomic_type(x, t), len(table)) for t in product(x.universe, repeat=m)]
-            for x in (a, b)]
+    cols = []
+    for x in (a, b):
+        level = [((), None)]  # the tuples of one length, in code order, with their types
+        for _ in range(m):
+            level = [(t + (e,), types.setdefault(extend_type(x, t + (e,), ty), len(types)))
+                     for t, ty in level for e in x.universe]
+        cols.append([table.setdefault(ty, len(table)) for _, ty in level])
     while True:
         diagonals = [{col[v * sum(strides)] for v in range(n)}
                      for (n, strides), col in zip(sides, cols)]

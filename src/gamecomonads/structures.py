@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
+from operator import itemgetter
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 from .errors import StructureParseError, ToolkitError, VocabularyMismatchError
@@ -401,18 +402,30 @@ def is_partial_iso(p, a: Structure, b: Structure) -> bool:
     return maps is not None and _preserves(maps[0], a, b) and _preserves(maps[1], b, a)
 
 
-def atomic_type(a: Structure, u: tuple) -> tuple:
-    """The atomic type of the tuple `u` of elements of `a`: which of its
-    positions hold equal elements and, per symbol, the tuples of its
-    positions whose elements the symbol relates.  Tuples of two structures
-    over one vocabulary have equal types iff their pairs form a partial
+@lru_cache(maxsize=None)
+def _through(j: int, arity: int) -> tuple:
+    """A getter of the elements at each tuple of positions 0..j of length
+    `arity` that contains j, in `product` order."""
+    if arity == 1:
+        return (lambda u: (u[j],),)
+    return tuple(itemgetter(*at) for at in product(range(j + 1), repeat=arity) if j in at)
+
+
+def extend_type(a: Structure, u: tuple, parent) -> tuple:
+    """The atomic type of the tuple `u` of elements of `a`, built on
+    `parent`, the interned type of `u` without its last element: the first
+    position that holds the last element and, per symbol, whether it relates
+    the elements at each tuple of positions through the last (and () for
+    the empty tuple).  Tuples of two structures over one vocabulary get
+    equal types, each built on equal types, iff their pairs form a partial
     isomorphism."""
+    if not u:
+        return ()
     facts = []
     for name, arity in a.vocab.symbols:
         rel = a.tuples(name)
-        facts.append(frozenset(at for at, tup in zip(product(range(len(u)), repeat=arity),
-                                                     product(u, repeat=arity)) if tup in rel))
-    return tuple(map(u.index, u)), tuple(facts)
+        facts.append(tuple(get(u) in rel for get in _through(len(u) - 1, arity)))
+    return parent, u.index(u[-1]), tuple(facts)
 
 
 def gaifman(a: Structure) -> Graph:
