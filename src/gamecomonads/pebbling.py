@@ -324,10 +324,10 @@ def _tuple_colours(a: Structure, b: Structure, m: int) -> Optional[list]:
     of the constant tuples differ between the sides.
 
     A tuple is coded by the indices of its elements (`_strides`).  Its first
-    colour is its atomic type; each pass gives it its
-    colour and, per position, the set of colours of the tuples that differ
-    from it at that position only.  Colours are interned in tables shared by
-    both sides, and the passes stop when one splits no class.  Duplicator
+    colour is its atomic type, built along its prefixes; each pass gives it
+    its colour and, per position, the set of colours of the tuples that
+    differ from it at that position only.  Colours are interned in tables
+    shared by both sides, and the passes stop when one splits no class.  Duplicator
     wins the game from a placement iff its padded tuples have one colour, so
     she wins from the start iff both sides have the same constant-tuple
     colours; those only split further, so a difference is final."""
