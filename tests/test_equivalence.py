@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gamecomonads import ef, equivalence as eq, logic, modal
+from gamecomonads import ef, equivalence as eq, logic
 from gamecomonads import pebbling as pb
 from gamecomonads.errors import CapExceededError, ToolkitError
 from gamecomonads.game import (DEFAULT_PLAY_CAP, audit_spoiler_tree, audit_won_positions,
