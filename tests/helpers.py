@@ -4,9 +4,10 @@ morphisms both ways and coKleisli counits and composition, liftings built in
 full by filtering and the audit of coKleisli isomorphism pairs on them, the
 table search for coKleisli isomorphism, a full-rescan reference for the two
 pebble games (the back-and-forth one on pebble-indexed placements), a
-partition-refinement check of depth-k bisimilarity, and exhaustive references for the coalgebra numbers: every forest cover with its
-minimum pebbling, the unpruned tree-width dynamic program, a coalgebra's
-forest cover and the synchronization tree depth."""
+partition-refinement check of depth-k bisimilarity, and exhaustive
+references for the coalgebra numbers: every forest cover with its minimum
+pebbling, the unpruned tree-width dynamic program, a coalgebra's forest
+cover and the synchronization tree depth."""
 
 from __future__ import annotations
 
