@@ -30,11 +30,18 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 
-def _load(path: str) -> Structure:
+def _read(path: str) -> str:
+    """The text of an input file; one that cannot be read as UTF-8 is bad input."""
     try:
-        return parse_structure(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ToolkitError(f"{path}: {exc}") from exc
+
+
+def _load(path: str) -> Structure:
+    text = _read(path)
+    try:
+        return parse_structure(text)
     except ToolkitError as exc:
         raise ToolkitError(f"{path}: {exc}") from exc
 
@@ -87,9 +94,9 @@ def _verdict_certificate(kinds: tuple[str, str], game: str, k: int, res, a, b):
 
 def _cmd_equiv(args) -> tuple[int, list[str]]:
     a, b = _load(args.a), _load(args.b)
-    k = args.pebbles if args.pebbles is not None else args.k
-    if k is None:
-        raise ToolkitError("equiv requires -k (or --pebbles for the pebble game)")
+    if args.pebbles is not None and args.game != "pebble":
+        raise ToolkitError(f"--pebbles is for the pebble game; the {args.game} game takes -k")
+    k = args.k if args.pebbles is None else args.pebbles
     g = eq_mod.game(args.game)
     out: list[str] = []
     _report_head(out, args, game=args.game, mode=args.mode, k=k,
@@ -207,8 +214,7 @@ def _cmd_verify(args) -> tuple[int, list[str]]:
     out: list[str] = []
     _report_head(out, args, certificate_in=args.certificate, input_a=args.a,
                  input_b=args.b or "-")
-    text = Path(args.certificate).read_text(encoding="utf-8")
-    cert = cert_mod.parse_certificate(text)
+    cert = cert_mod.parse_certificate(_read(args.certificate))
     ok, why = cert_mod.verify_certificate(cert, a, b, args.cap_plays)
     out.append(f"kind: {cert.kind}")
     out.append(f"result: {'true' if ok else 'false'}")
@@ -242,9 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--game", choices=eq_mod.COMONADS, required=True)
     p.add_argument("--mode", choices=("exists", "both", "backforth", "iso"),
                    required=True)
-    p.add_argument("-k", type=int, default=None)
-    p.add_argument("--pebbles", type=int, default=None,
-                   help="pebble count (alias for -k in the pebble game)")
+    size = p.add_mutually_exclusive_group(required=True)
+    size.add_argument("-k", type=int, default=None)
+    size.add_argument("--pebbles", type=int, default=None,
+                      help="pebble count (alias for -k in the pebble game)")
     p.add_argument("--certificate")
     p.add_argument("a")
     p.add_argument("b")
@@ -256,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a")
     p.set_defaults(func=_cmd_param)
 
-    p = add("oracle", help="brute-force graph parameter")
+    p = add("oracle", help="tree-depth by exhaustive forest-order search; tree-width by "
+                           "the elimination-order program of param --comonad pebble")
     p.add_argument("parameter", choices=("treedepth", "treewidth"))
     p.add_argument("a")
     p.set_defaults(func=_cmd_oracle)

@@ -1,6 +1,6 @@
 """The registry of the three games, and the equivalences each game induces
-beyond morphisms both ways: the back-and-forth game, the strategy-set
-fixpoint, and coKleisli isomorphism.
+beyond morphisms both ways: the back-and-forth game and coKleisli
+isomorphism.
 
 `GAMES` maps each game's name to the `Game` record its module builds; every
 decider here looks the game up once and reads the play tree, lifting and
@@ -24,9 +24,9 @@ of `pebbling` with Spoiler moving on both sides, whose family is of partial
 isomorphisms with at most k pairs, closed under restriction, forth and back.
 `pebbling.decide_back_forth` decides it by refining the tuples of each side.
 `solve_back_forth` refuses a pebble game whose candidate partial maps, or
-whose tuples on either side, exceed its cap.  The strategy-set fixpoint and
-coKleisli isomorphism are decided for the sequence and modal games only;
-coKleisli isomorphism is their bijective game, `game.bijective_game`.
+whose tuples on either side, exceed its cap.  CoKleisli isomorphism is
+decided for the sequence and modal games only, as their bijective game,
+`game.bijective_game`.
 """
 
 from __future__ import annotations
@@ -37,15 +37,13 @@ from typing import Mapping, Optional
 from . import ef as ef_mod
 from . import modal as modal_mod
 from . import pebbling as pebble_mod
-from .errors import CapExceededError, ToolkitError, VocabularyMismatchError
+from .errors import ToolkitError, VocabularyMismatchError
 from .game import (DEFAULT_PLAY_CAP, Game, bijective_game, coextensions, lifted_hom, read_off,
                    spoiler_tree, won_positions)
 from .structures import Structure
 
 GAMES: dict[str, Game] = {g.name: g for g in (ef_mod.GAME, pebble_mod.GAME, modal_mod.GAME)}
 COMONADS = tuple(GAMES)
-
-DEFAULT_TABLE_CAP = 200_000
 
 
 def game(name: str) -> Game:
@@ -55,11 +53,11 @@ def game(name: str) -> Game:
         raise ToolkitError(f"unknown comonad {name!r}; choose from {COMONADS}") from None
 
 
-def _tree_game(name: str, what: str) -> Game:
-    """The game `name`, which must have a play tree for `what`."""
+def _iso_game(name: str) -> Game:
+    """The game `name`, which must have a play tree for coKleisli isomorphism."""
     g = game(name)
     if g.children is None:
-        raise ToolkitError(f"{what} is not decided for the {name} game")
+        raise ToolkitError(f"coKleisli isomorphism is not decided for the {name} game")
     return g
 
 
@@ -115,97 +113,6 @@ def _solve_pebble_backforth(a: Structure, b: Structure, k: int) -> BackForthResu
 
 
 # ---------------------------------------------------------------------------
-# Strategy-set fixpoint (greatest fixpoint of composing the two inversion
-# operators on sets of winning-position-respecting tables)
-
-
-@dataclass(frozen=True)
-class ThetaResult:
-    nonempty: bool
-    tables_ab: tuple  # surviving tables, each a dict play -> target element
-    tables_ba: tuple
-    iterations: int
-
-
-def _enumerate_tables(a: Structure, b: Structure, k: int, g: Game,
-                      cap: int) -> tuple[list, list]:
-    """All tables f with (s, f*(s)) winning for every play s, found by DFS
-    along the play forest in declaration order, pruning mid-branch since the
-    winning condition is absorbing.  Every coextension must also be a play of
-    `b` (a valid path, for modal tables).  Each table comes with its
-    coextension, as the universe index of f*(s) for each play s in order."""
-    plays = g.universe(a, k)
-    index_b = {t: i for i, t in enumerate(g.universe(b, k))}
-
-    tables: list[dict] = []
-    stars: list[tuple] = []
-    f: dict = {}
-    fstar: dict = {}
-
-    def dfs(i: int):
-        if i == len(plays):
-            tables.append(dict(f))
-            stars.append(tuple(index_b[fstar[s]] for s in plays))
-            if len(tables) > cap:
-                raise CapExceededError(f"more than {cap} strategy tables; "
-                                       "fall back to the game solver")
-            return
-        s = plays[i]
-        for y in b.universe:
-            f[s] = y  # the candidate reply, which the coextension reads
-            st = g.coextend(f, s)
-            if st in index_b and g.winning(s, st, a, b):
-                fstar[s] = st
-                dfs(i + 1)
-        f.pop(s, None)
-
-    dfs(0)
-    return tables, stars
-
-
-def _inversion(stars: list, others: list):
-    """The inversion operator onto the tables with coextensions `stars` (play
-    indices to play indices), from sets of the tables with coextensions
-    `others`, as bitmasks: a table survives iff, for every play t, some table
-    of the set sends its image of t back to t."""
-    sends: dict = {}  # (u, v) -> bitmask of the tables whose coextension sends play u to v
-    for i, star in enumerate(others):
-        for u, v in enumerate(star):
-            sends[u, v] = sends.get((u, v), 0) | 1 << i
-    return lambda mask: sum(1 << i for i, star in enumerate(stars)
-                            if all(sends.get((v, t), 0) & mask for t, v in enumerate(star)))
-
-
-def theta_fixpoint(a: Structure, b: Structure, k: int, comonad: str = "ef",
-                   cap: int = DEFAULT_TABLE_CAP) -> ThetaResult:
-    """Literal descending iteration to the greatest fixpoint of the composite
-    inversion operator on strategy-table sets; nonempty iff the back-and-forth
-    equivalence holds.  Sequence and modal games only."""
-    g = _tree_game(comonad, "the strategy-set fixpoint")
-    if a.vocab != b.vocab:
-        raise VocabularyMismatchError("theta_fixpoint requires a shared vocabulary")
-    # the winning conditions are symmetric, so tables back from b are judged alike
-    tabs_s, fstars = _enumerate_tables(a, b, k, g, cap)
-    tabs_t, gstars = _enumerate_tables(b, a, k, g, cap)
-    gamma, delta = _inversion(gstars, fstars), _inversion(fstars, gstars)
-    fmask = (1 << len(fstars)) - 1
-    iters = 0
-    while True:
-        iters += 1
-        nxt = delta(gamma(fmask))
-        if nxt == fmask:
-            break
-        fmask = nxt
-    gmask = gamma(fmask)
-    surviving_f = tuple(tabs_s[i] for i in range(len(tabs_s)) if fmask >> i & 1)
-    surviving_g = tuple(tabs_t[i] for i in range(len(tabs_t)) if gmask >> i & 1)
-    # Over an empty play universe the inversion conditions hold vacuously, so
-    # one side can survive while the other is empty; the pair must be nonempty
-    # on both sides to witness the equivalence.
-    return ThetaResult(bool(fmask) and bool(gmask), surviving_f, surviving_g, iters)
-
-
-# ---------------------------------------------------------------------------
 # CoKleisli isomorphism
 
 
@@ -224,7 +131,7 @@ def decide_cokleisli_iso(a: Structure, b: Structure, k: int, comonad: str = "ef"
     table is its inverse.  Both play universes are listed first, so a game
     over the play cap is refused before it is solved.  Sequence and modal
     games only."""
-    g = _tree_game(comonad, "coKleisli isomorphism")
+    g = _iso_game(comonad)
     if a.vocab != b.vocab:
         raise VocabularyMismatchError("decide_cokleisli_iso requires a shared vocabulary")
     plays = g.universe(a, k, cap)
@@ -246,7 +153,7 @@ def audit_iso_pair(forward: Mapping, backward: Mapping, a: Structure, b: Structu
     coextension at a play extends its parent's by one step, so it is the
     identity at a play iff it is at the parent and the second table sends the
     first one's coextension back to the play's last element."""
-    g = _tree_game(comonad, "coKleisli isomorphism")
+    g = _iso_game(comonad)
     plays_a, plays_b = g.universe(a, k, cap), g.universe(b, k, cap)
     try:
         if not lifted_hom(g, a, b, k, forward, plays_a):

@@ -250,9 +250,6 @@ class CoKleisli:
             if s not in self.table:
                 raise ToolkitError(f"coKleisli table not total: play {s!r} unassigned")
 
-    def star(self, s: tuple) -> tuple:
-        return self.game.coextend(self.table, s)
-
     def is_homomorphism(self) -> bool:
         return lifted_hom(self.game, self.source, self.target, self.k, self.table,
                           self.game.universe(self.source, self.k, self.cap))

@@ -1,5 +1,6 @@
-"""First-order formulas with quantifier-rank tracking, counting quantifiers,
-Tarskian evaluation, a small text syntax, and deterministic samplers.
+"""First-order formulas with counting quantifiers, Tarskian evaluation, a
+small text syntax, and deterministic samplers that draw formulas of bounded
+quantifier rank.
 
 Text syntax: `E x . phi`, `A x . phi`, `E>=2 x . phi`, `E<=2 x . phi`,
 connectives `~  &  |  ->`, atoms `R(x,y)` and `x = y`, constants `T`/`F`,
@@ -115,30 +116,6 @@ def free_vars(phi: Formula) -> frozenset[str]:
     if isinstance(phi, _QUANT):
         return free_vars(phi.body) - {phi.var}
     raise ToolkitError(f"unknown formula node {phi!r}")
-
-
-def quantifier_rank(phi: Formula) -> int:
-    """Maximum quantifier nesting depth; counting quantifiers count one level."""
-    if isinstance(phi, (Rel, Eq, Top, Bottom)):
-        return 0
-    if isinstance(phi, Not):
-        return quantifier_rank(phi.body)
-    if isinstance(phi, _BINARY):
-        return max(quantifier_rank(phi.left), quantifier_rank(phi.right))
-    if isinstance(phi, _QUANT):
-        return 1 + quantifier_rank(phi.body)
-    raise ToolkitError(f"unknown formula node {phi!r}")
-
-
-def is_existential_positive(phi: Formula) -> bool:
-    """Only atoms, truth, conjunction, disjunction, existentials."""
-    if isinstance(phi, (Rel, Eq, Top)):
-        return True
-    if isinstance(phi, (And, Or)):
-        return is_existential_positive(phi.left) and is_existential_positive(phi.right)
-    if isinstance(phi, Exists):
-        return is_existential_positive(phi.body)
-    return False
 
 
 def evaluate(a: Structure, phi: Formula, env: Optional[Mapping[str, object]] = None) -> bool:

@@ -41,7 +41,6 @@ from .game import (DEFAULT_PLAY_CAP, Game, LawReport, chain_error, law_report,
                    lifted_structure, prefix_hom_error, prefix_lifting, prefixes, walk_tree)
 from .structures import Elem, Structure, extend_type, is_partial_hom, is_partial_iso
 
-Move = tuple  # (pebble index, element)
 PebblePlay = tuple  # nonempty tuple of moves
 
 

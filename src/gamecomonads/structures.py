@@ -37,13 +37,6 @@ class Vocabulary:
             if arity < 1:
                 raise ToolkitError(f"symbol {name!r} has arity {arity}; arities must be >= 1")
 
-    @cached_property
-    def arities(self) -> dict[str, int]:
-        return dict(self.symbols)
-
-    def arity(self, name: str) -> int:
-        return self.arities[name]
-
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.symbols)
@@ -304,7 +297,6 @@ def find_hom(a: Structure, b: Structure) -> Optional[Hom]:
         return Hom(a, b, {})
     if len(b.universe) == 0:
         return None
-    pos_of = a.index
     # For each element, the tuples it occurs in (with the symbol's target set).
     occurs: dict[Elem, list[tuple[tuple, frozenset]]] = {e: [] for e in a.universe}
     all_constraints: list[tuple[tuple, frozenset]] = []

@@ -1,24 +1,34 @@
-"""Shared test fixtures: structure builders, exhaustive ensembles, an
-independent set-based formula evaluator used as the evaluation oracle,
-morphisms both ways and coKleisli counits and composition, liftings built in
-full by filtering and the audit of coKleisli isomorphism pairs on them, the
-table search for coKleisli isomorphism, a full-rescan reference for the two
-pebble games (the back-and-forth one on pebble-indexed placements), a
-partition-refinement check of depth-k bisimilarity, and exhaustive
-references for the coalgebra numbers: every forest cover with its minimum
-pebbling, the unpruned tree-width dynamic program, a coalgebra's forest
-cover and the synchronization tree depth."""
+"""Shared test fixtures and the oracles that only tests call.
+
+- Structure builders and exhaustive ensembles.
+- Morphisms both ways, and coKleisli counits, coextension (`star`) and
+  composition.
+- Liftings built in full by filtering, the audit of coKleisli isomorphism
+  pairs on them, and the table search for coKleisli isomorphism.
+- The strategy-set fixpoint (`theta_fixpoint`): the greatest fixpoint of
+  the two inversion operators on sets of strategy tables, an independent
+  route to the back-and-forth verdict.
+- An independent set-based formula evaluator, and the quantifier-rank and
+  existential-positive checks of the samplers' output.
+- A full-rescan reference for the two pebble games (the back-and-forth one
+  on pebble-indexed placements), and a partition-refinement check of
+  depth-k bisimilarity.
+- Exhaustive references for the coalgebra numbers: every forest cover with
+  its minimum pebbling, the unpruned tree-width dynamic program (the
+  independent check of tree-width), a coalgebra's forest cover and the
+  synchronization tree depth."""
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
 from itertools import combinations, product
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from gamecomonads import equivalence, logic, modal, pebbling
 from gamecomonads import parameters as par
-from gamecomonads.errors import ToolkitError, VocabularyMismatchError
+from gamecomonads.errors import CapExceededError, ToolkitError, VocabularyMismatchError
 from gamecomonads.game import DEFAULT_PLAY_CAP, CoKleisli, Game
 from gamecomonads.structures import (Graph, Structure, check_hom, is_partial_hom,
                                      is_partial_iso)
@@ -137,11 +147,16 @@ def counit_cokleisli(game: Game, a: Structure, k: int) -> CoKleisli:
     return CoKleisli(game, k, a, a, {s: game.last(s) for s in game.universe(a, k)})
 
 
+def star(f: CoKleisli, s: tuple) -> tuple:
+    """The coextension f*(s) of the coKleisli morphism `f` at the play `s`."""
+    return f.game.coextend(f.table, s)
+
+
 def cokleisli_compose(g: CoKleisli, f: CoKleisli) -> CoKleisli:
     """(g after f)(s) = g(f*(s))."""
     if g.game is not f.game or f.target.universe != g.source.universe or f.k != g.k:
         raise ToolkitError("coKleisli composition shape mismatch")
-    table = {s: g.table[f.star(s)] for s in f.game.universe(f.source, f.k)}
+    table = {s: g.table[star(f, s)] for s in f.game.universe(f.source, f.k)}
     return CoKleisli(f.game, f.k, f.source, g.target, table)
 
 
@@ -236,6 +251,101 @@ def search_cokleisli_iso(a: Structure, b: Structure, k: int,
 
 
 # ---------------------------------------------------------------------------
+# Strategy-set fixpoint (greatest fixpoint of composing the two inversion
+# operators on sets of winning-position-respecting tables)
+
+DEFAULT_TABLE_CAP = 200_000
+
+
+@dataclass(frozen=True)
+class ThetaResult:
+    nonempty: bool
+    tables_ab: tuple  # surviving tables, each a dict play -> target element
+    tables_ba: tuple
+    iterations: int
+
+
+def _enumerate_tables(a: Structure, b: Structure, k: int, g: Game,
+                      cap: int) -> tuple[list, list]:
+    """All tables f with (s, f*(s)) winning for every play s, found by DFS
+    along the play forest in declaration order, pruning mid-branch since the
+    winning condition is absorbing.  Every coextension must also be a play of
+    `b` (a valid path, for modal tables).  Each table comes with its
+    coextension, as the universe index of f*(s) for each play s in order."""
+    plays = g.universe(a, k)
+    index_b = {t: i for i, t in enumerate(g.universe(b, k))}
+
+    tables: list[dict] = []
+    stars: list[tuple] = []
+    f: dict = {}
+    fstar: dict = {}
+
+    def dfs(i: int):
+        if i == len(plays):
+            tables.append(dict(f))
+            stars.append(tuple(index_b[fstar[s]] for s in plays))
+            if len(tables) > cap:
+                raise CapExceededError(f"more than {cap} strategy tables; "
+                                       "fall back to the game solver")
+            return
+        s = plays[i]
+        for y in b.universe:
+            f[s] = y  # the candidate reply, which the coextension reads
+            st = g.coextend(f, s)
+            if st in index_b and g.winning(s, st, a, b):
+                fstar[s] = st
+                dfs(i + 1)
+        f.pop(s, None)
+
+    dfs(0)
+    return tables, stars
+
+
+def _inversion(stars: list, others: list):
+    """The inversion operator onto the tables with coextensions `stars` (play
+    indices to play indices), from sets of the tables with coextensions
+    `others`, as bitmasks: a table survives iff, for every play t, some table
+    of the set sends its image of t back to t."""
+    sends: dict = {}  # (u, v) -> bitmask of the tables whose coextension sends play u to v
+    for i, star in enumerate(others):
+        for u, v in enumerate(star):
+            sends[u, v] = sends.get((u, v), 0) | 1 << i
+    return lambda mask: sum(1 << i for i, star in enumerate(stars)
+                            if all(sends.get((v, t), 0) & mask for t, v in enumerate(star)))
+
+
+def theta_fixpoint(a: Structure, b: Structure, k: int, comonad: str = "ef",
+                   cap: int = DEFAULT_TABLE_CAP) -> ThetaResult:
+    """Literal descending iteration to the greatest fixpoint of the composite
+    inversion operator on strategy-table sets; nonempty iff the back-and-forth
+    equivalence holds.  Sequence and modal games only."""
+    g = equivalence.game(comonad)
+    if g.children is None:
+        raise ToolkitError(f"the strategy-set fixpoint is not decided for the {comonad} game")
+    if a.vocab != b.vocab:
+        raise VocabularyMismatchError("theta_fixpoint requires a shared vocabulary")
+    # the winning conditions are symmetric, so tables back from b are judged alike
+    tabs_s, fstars = _enumerate_tables(a, b, k, g, cap)
+    tabs_t, gstars = _enumerate_tables(b, a, k, g, cap)
+    gamma, delta = _inversion(gstars, fstars), _inversion(fstars, gstars)
+    fmask = (1 << len(fstars)) - 1
+    iters = 0
+    while True:
+        iters += 1
+        nxt = delta(gamma(fmask))
+        if nxt == fmask:
+            break
+        fmask = nxt
+    gmask = gamma(fmask)
+    surviving_f = tuple(tabs_s[i] for i in range(len(tabs_s)) if fmask >> i & 1)
+    surviving_g = tuple(tabs_t[i] for i in range(len(tabs_t)) if gmask >> i & 1)
+    # Over an empty play universe the inversion conditions hold vacuously, so
+    # one side can survive while the other is empty; the pair must be nonempty
+    # on both sides to witness the equivalence.
+    return ThetaResult(bool(fmask) and bool(gmask), surviving_f, surviving_g, iters)
+
+
+# ---------------------------------------------------------------------------
 # Independent evaluation oracle: set-of-assignments semantics
 
 
@@ -289,6 +399,34 @@ def _sat(a: Structure, phi, varlist: tuple) -> set:
                 out.add(t)
         return out
     raise AssertionError(f"unknown node {phi!r}")
+
+
+# ---------------------------------------------------------------------------
+# Independent checks of the samplers' output: rank and fragment
+
+
+def quantifier_rank(phi: logic.Formula) -> int:
+    """Maximum quantifier nesting depth; counting quantifiers count one level."""
+    if isinstance(phi, (logic.Rel, logic.Eq, logic.Top, logic.Bottom)):
+        return 0
+    if isinstance(phi, logic.Not):
+        return quantifier_rank(phi.body)
+    if isinstance(phi, (logic.And, logic.Or, logic.Implies)):
+        return max(quantifier_rank(phi.left), quantifier_rank(phi.right))
+    if isinstance(phi, (logic.Exists, logic.Forall, logic.CountAtLeast, logic.CountAtMost)):
+        return 1 + quantifier_rank(phi.body)
+    raise ToolkitError(f"unknown formula node {phi!r}")
+
+
+def is_existential_positive(phi: logic.Formula) -> bool:
+    """Only atoms, truth, conjunction, disjunction, existentials."""
+    if isinstance(phi, (logic.Rel, logic.Eq, logic.Top)):
+        return True
+    if isinstance(phi, (logic.And, logic.Or)):
+        return is_existential_positive(phi.left) and is_existential_positive(phi.right)
+    if isinstance(phi, logic.Exists):
+        return is_existential_positive(phi.body)
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from gamecomonads.structures import Structure, Vocabulary, find_hom
 from helpers import (S, VOCAB_R, VOCAB_RS, all_forest_covers, all_graphs, all_pointed,
                      all_structures, all_structures_upto, bisim_oracle, clique_structure,
                      coalgebra_to_forest_cover, decide_both_ways, graph_structure,
-                     min_pebble_forest_cover, path_structure, random_graph)
+                     min_pebble_forest_cover, path_structure, random_graph, theta_fixpoint)
 
 
 def report(num, name, ok):
@@ -145,11 +145,11 @@ def test_criterion_5_fixpoint_agrees_with_game():
     for a in pool:
         for b in pool:
             for k in (1, 2):
-                if (eq.theta_fixpoint(a, b, k, "ef").nonempty
+                if (theta_fixpoint(a, b, k, "ef").nonempty
                         != eq.solve_back_forth(a, b, k, "ef").wins):
                     bad.append((a, b, k))
     for a, b, k in _named_three_element_cases():
-        if (eq.theta_fixpoint(a, b, k, "ef").nonempty
+        if (theta_fixpoint(a, b, k, "ef").nonempty
                 != eq.solve_back_forth(a, b, k, "ef").wins):
             bad.append((a, b, k))
     report(5, "fixpoint/game agreement", not bad)

@@ -1,17 +1,22 @@
 import io
 import os
+import random
 import re
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gamecomonads import cli
 from gamecomonads.certificates import parse_certificate, verify_certificate
 from gamecomonads.errors import CertificateError
 from gamecomonads.structures import parse_structure
+
+from test_golden import GOLDEN, INPUTS as GOLDEN_INPUTS, jobs as golden_jobs
 
 EDGE = "vocab R 2\nelem a\nelem b\nrel R a b\nrel R b a\n"
 TWOPTS = "vocab R 2\nelem x\nelem y\n"
@@ -101,6 +106,22 @@ def test_equiv_pebbles_flag(files):
                      "--pebbles", "3", files["k3"], files["edge"]])
     assert code == 1
     assert "k: 3" in out
+
+
+def test_equiv_refuses_k_and_pebbles_together(files, capsys):
+    code, out = run(["equiv", "--game", "ef", "--mode", "exists", "-k", "2", "--pebbles", "3",
+                     files["k3"], files["edge"]])
+    assert (code, out) == (2, "")
+    assert "argument --pebbles: not allowed with argument -k" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("game", ["ef", "modal"])
+def test_equiv_refuses_pebbles_outside_the_pebble_game(files, capsys, game):
+    code, out = run(["equiv", "--game", game, "--mode", "exists", "--pebbles", "2",
+                     files["chain"], files["cycle"]])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (f"error: --pebbles is for the pebble game; "
+                                       f"the {game} game takes -k\n")
 
 
 def test_param_and_verify_all_comonads(files):
@@ -195,6 +216,27 @@ def test_unwritable_certificate_is_usage_error(files, capsys, target):
     code, out = run(["hom", files["edge"], files["edge"], "--certificate", path])
     assert (code, out) == (2, "")
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+# unreadable inputs to `verify`: (certificate, structure, the file named in the error);
+# the structure is read before the certificate
+UNREADABLE = [("missing.cert", "edge.str", "missing.cert"), ("sub", "edge.str", "sub"),
+              ("missing.cert", "ff.str", "ff.str"), ("ff.cert", "edge.str", "ff.cert")]
+
+
+@pytest.mark.parametrize("cert,structure,named", UNREADABLE,
+                         ids=["missing-certificate", "certificate-is-a-directory",
+                              "structure-not-utf8", "certificate-not-utf8"])
+def test_unreadable_input_is_usage_error(tmp_path, capsys, cert, structure, named):
+    (tmp_path / "edge.str").write_text(EDGE)
+    (tmp_path / "ff.str").write_bytes(b"vocab R 2\nelem \xff\n")
+    (tmp_path / "ff.cert").write_bytes(b"certificate ef-table\ngame ef\nk 1\n\xff\n")
+    (tmp_path / "sub").mkdir()
+    code, out = run(["verify", "--certificate", str(tmp_path / cert), str(tmp_path / structure)])
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {tmp_path / named}: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
 
 
 def hom_report(files, cert):
@@ -910,3 +952,106 @@ def test_param_pebble_runs_to_the_raised_vertex_cap(tmp_path):
     for argv in (["param", "--comonad", "pebble"], ["oracle", "treewidth"]):
         code, _ = run(argv + [str(tmp_path / "p8.str")])
         assert code == 3
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the bytes the command line reads: the golden certificates with their
+# bytes or lines mutated, and structure files that are mutated, random or
+# assembled from random lines.  The examples are derandomized, so each run
+# tries the same ones.
+
+GOLDEN_CERTS = [(cert, structures) for _, _, cert, structures in golden_jobs()
+                if cert is not None and (GOLDEN / cert).exists()]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    for name, text in GOLDEN_INPUTS.items():
+        (d / f"{name}.str").write_text(text, encoding="utf-8")
+    return d
+
+
+def write_new(path: Path, data: bytes) -> None:
+    """Write `data` to a new file at `path`: ext4 flushes a file truncated
+    over old contents when it is closed, which would cost each example
+    tens of milliseconds."""
+    path.unlink(missing_ok=True)
+    path.write_bytes(data)
+
+
+MUTATIONS = ("flip", "delete", "insert", "duplicate", "drop")
+
+
+@st.composite
+def mutants(draw, data: bytes) -> bytes:
+    """`data` with one bit flipped, a run of bytes deleted, a run of its own
+    bytes inserted, or a line duplicated or dropped, at a place drawn
+    uniformly by a seeded `random.Random` (hypothesis's own integers favour
+    the first bytes)."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    how = rng.choice(MUTATIONS)
+    if how in ("duplicate", "drop"):
+        lines = data.splitlines(keepends=True)
+        i = rng.randrange(len(lines))
+        return b"".join(lines[:i] + lines[i:i + 1] * (how == "duplicate") + lines[i + 1:])
+    i = rng.randrange(len(data))
+    if how == "flip":
+        return data[:i] + bytes([data[i] ^ 1 << rng.randrange(8)]) + data[i + 1:]
+    if how == "delete":
+        return data[:i] + data[i + rng.randrange(1, 9):]
+    return data[:i] + bytes(rng.choices(data, k=rng.randrange(1, 9))) + data[i:]
+
+
+# lines of structure text, legal and not, from which random structures are drawn
+STRUCTURE_LINES = ["vocab R 2", "vocab S 1", "vocab T 3", "vocab R 0", "elem a", "elem b",
+                   "elem c", "rel R a b", "rel R b a", "rel R a a", "rel S a", "rel T a b c",
+                   "rel R a", "rel R a z", "start a", "start z", "# note", "", "elem"]
+
+
+def run_contained(argv) -> tuple[int, str, str]:
+    """`cli.main` on argv, with stdout and stderr captured."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_contract(code: int, out: str, err: str) -> None:
+    """Exit 0 or 1 with a report whose verdict is false iff the exit is 1;
+    exit 2 or 3 with no report and a one-line error."""
+    assert code in (0, 1, 2, 3), (code, out, err)
+    if code in (0, 1):
+        assert ("\nresult: false\n" in out) == (code == 1), (code, out)
+    else:
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1, (code, err)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_verify_of_mutated_golden_certificates(fuzz_dir, data):
+    cert, structures = data.draw(st.sampled_from(GOLDEN_CERTS))
+    path = fuzz_dir / "mutant.cert"
+    write_new(path, data.draw(mutants((GOLDEN / cert).read_bytes())))
+    assert_contract(*run_contained(["verify", "--certificate", str(path)]
+                                   + [str(fuzz_dir / f"{s}.str") for s in structures]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_commands_on_random_structure_bytes(fuzz_dir, data):
+    name = data.draw(st.sampled_from(sorted(GOLDEN_INPUTS)))
+    text = GOLDEN_INPUTS[name].encode("utf-8")
+    lines = st.lists(st.sampled_from(STRUCTURE_LINES), max_size=12)
+    raw = data.draw(st.one_of(mutants(text), st.binary(max_size=64),
+                              lines.map(lambda rows: "\n".join(rows).encode("utf-8"))))
+    path = fuzz_dir / "random.str"
+    write_new(path, raw)
+    argv = data.draw(st.sampled_from([
+        ["oracle", "treedepth", str(path)],
+        ["equiv", "--game", "ef", "--mode", "backforth", "-k", "2", str(path), str(path)],
+        ["equiv", "--game", "modal", "--mode", "exists", "-k", "2", str(path),
+         str(fuzz_dir / f"{name}.str")],
+        ["verify", "--certificate", str(GOLDEN / "hom-edge-k3.cert"), str(path),
+         str(fuzz_dir / "k3.str")]]))
+    assert_contract(*run_contained(argv))

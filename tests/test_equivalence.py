@@ -13,7 +13,7 @@ from gamecomonads.structures import Vocabulary, check_hom
 
 from helpers import (NAMES, S, VOCAB_R, all_pointed, all_structures_upto, bisim_oracle,
                      clique_structure, decide_both_ways, lifting, materialised_iso_audit,
-                     path_structure, search_cokleisli_iso)
+                     path_structure, quantifier_rank, search_cokleisli_iso, theta_fixpoint)
 
 EDGE = S(VOCAB_R, ["a", "b"], {"R": [("a", "b"), ("b", "a")]})
 TWOPTS = S(VOCAB_R, ["x", "y"], {})
@@ -59,7 +59,7 @@ def test_backforth_paths_until_distinguished():
     assert ok, why
     # the separating sentence, as a sanity anchor
     phi = logic.parse_formula("E x . A y . (x = y | R(x,y))")
-    assert logic.quantifier_rank(phi) == 2
+    assert quantifier_rank(phi) == 2
     assert logic.evaluate(p3, phi) and not logic.evaluate(p4, phi)
     assert not eq.solve_back_forth(p3, p4, 3, "ef").wins
 
@@ -101,7 +101,7 @@ def test_backforth_empty_structures():
 
 def test_theta_singleton_identity():
     one = S(VOCAB_R, ["a"], {})
-    res = eq.theta_fixpoint(one, one, 1, "ef")
+    res = theta_fixpoint(one, one, 1, "ef")
     assert res.nonempty
     assert res.tables_ab == ({("a",): "a"},)
 
@@ -112,17 +112,17 @@ def test_theta_matches_game_on_two_element_pairs():
         for b in pool:
             for k in (1, 2):
                 game = eq.solve_back_forth(a, b, k, "ef").wins
-                theta = eq.theta_fixpoint(a, b, k, "ef").nonempty
+                theta = theta_fixpoint(a, b, k, "ef").nonempty
                 assert game == theta, (a, b, k)
 
 
 def test_theta_edge_vs_two_points_empty():
-    res = eq.theta_fixpoint(EDGE, TWOPTS, 2, "ef")
+    res = theta_fixpoint(EDGE, TWOPTS, 2, "ef")
     assert not res.nonempty and res.tables_ab == ()
 
 
 def test_theta_surviving_tables_respect_winning_set():
-    res = eq.theta_fixpoint(EDGE, EDGE, 2, "ef")
+    res = theta_fixpoint(EDGE, EDGE, 2, "ef")
     assert res.nonempty
     from gamecomonads.structures import is_partial_iso
     for table in res.tables_ab:
@@ -134,12 +134,12 @@ def test_theta_surviving_tables_respect_winning_set():
 def test_theta_cap():
     a = clique_structure(3)
     with pytest.raises(CapExceededError):
-        eq.theta_fixpoint(a, a, 2, "ef", cap=5)
+        theta_fixpoint(a, a, 2, "ef", cap=5)
 
 
 def test_theta_rejects_pebble():
     with pytest.raises(ToolkitError):
-        eq.theta_fixpoint(EDGE, EDGE, 2, "pebble")
+        theta_fixpoint(EDGE, EDGE, 2, "pebble")
 
 
 def test_iso_counit_pair():

@@ -6,7 +6,8 @@ from gamecomonads import logic
 from gamecomonads.errors import ToolkitError, UnboundVariableError
 from gamecomonads.structures import Vocabulary, check_hom
 
-from helpers import S, VOCAB_R, VOCAB_RS, naive_eval, random_structure
+from helpers import (S, VOCAB_R, VOCAB_RS, is_existential_positive, naive_eval,
+                     quantifier_rank, random_structure)
 
 L = logic
 VR = Vocabulary(VOCAB_R)
@@ -14,20 +15,20 @@ VRS = Vocabulary(VOCAB_RS)
 
 
 def test_quantifier_rank():
-    assert L.quantifier_rank(L.parse_formula("R(x,y)")) == 0
-    assert L.quantifier_rank(L.parse_formula("E x . E y . R(x,y)")) == 2
-    assert L.quantifier_rank(L.parse_formula("E x . (R(x,x) & A y . S(y))")) == 2
-    assert L.quantifier_rank(L.parse_formula("E>=2 x . R(x,x)")) == 1
+    assert quantifier_rank(L.parse_formula("R(x,y)")) == 0
+    assert quantifier_rank(L.parse_formula("E x . E y . R(x,y)")) == 2
+    assert quantifier_rank(L.parse_formula("E x . (R(x,x) & A y . S(y))")) == 2
+    assert quantifier_rank(L.parse_formula("E>=2 x . R(x,x)")) == 1
 
 
 def test_existential_positive_predicate():
-    assert L.is_existential_positive(L.parse_formula("E x . R(x,x)"))
-    assert not L.is_existential_positive(L.parse_formula("~R(x,x)"))
-    assert not L.is_existential_positive(L.parse_formula("A x . R(x,x)"))
-    assert not L.is_existential_positive(L.parse_formula("E>=2 x . R(x,x)"))
-    assert L.is_existential_positive(L.parse_formula("x = y"))
-    assert L.is_existential_positive(L.parse_formula("T"))
-    assert not L.is_existential_positive(L.parse_formula("F"))
+    assert is_existential_positive(L.parse_formula("E x . R(x,x)"))
+    assert not is_existential_positive(L.parse_formula("~R(x,x)"))
+    assert not is_existential_positive(L.parse_formula("A x . R(x,x)"))
+    assert not is_existential_positive(L.parse_formula("E>=2 x . R(x,x)"))
+    assert is_existential_positive(L.parse_formula("x = y"))
+    assert is_existential_positive(L.parse_formula("T"))
+    assert not is_existential_positive(L.parse_formula("F"))
 
 
 def test_eval_basics():
@@ -86,10 +87,10 @@ def test_sampler_deterministic_and_in_fragment():
         other = L.sample_formulas(VRS, 2, fragment, 50, seed=10)
         assert one != other
         for phi in one:
-            assert L.quantifier_rank(phi) <= 2
+            assert quantifier_rank(phi) <= 2
             assert not L.free_vars(phi)
             if fragment == "ep":
-                assert L.is_existential_positive(phi)
+                assert is_existential_positive(phi)
                 assert not _mentions_equality(phi)
 
 
@@ -109,14 +110,14 @@ def _mentions_equality(phi) -> bool:
 def test_sampler_empty_count_and_rank_zero():
     assert L.sample_formulas(VR, 2, "ep", 0, seed=1) == []
     for phi in L.sample_formulas(VR, 0, "full", 20, seed=3):
-        assert L.quantifier_rank(phi) == 0
+        assert quantifier_rank(phi) == 0
 
 
 def test_modal_fragment_shape():
     formulas = L.sample_formulas(VRS, 2, "modal", 40, seed=5)
     for phi in formulas:
         assert L.free_vars(phi) <= {L.MODAL_FREE_VAR}
-        assert L.quantifier_rank(phi) <= 2
+        assert quantifier_rank(phi) <= 2
 
 
 def test_eval_agrees_with_naive_oracle():
