@@ -31,9 +31,8 @@ and one audit, `pebbling.audit_spoiler_positions`, each told the sides.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from itertools import count
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import equivalence as eq_mod
 from . import parameters as par_mod
@@ -41,7 +40,7 @@ from . import pebbling as pebble_mod
 from .errors import CapExceededError, CertificateError, ToolkitError
 from .game import (DEFAULT_PLAY_CAP, CoKleisli, SpoilerNode, audit_spoiler_tree,
                    audit_won_positions, walk_tree)
-from .structures import Structure, check_hom, gaifman
+from .structures import Record, Structure, check_hom, gaifman
 
 _PAIR_RE = re.compile(r"\(([^()↦:]+)↦([^()↦:]+)\)")
 
@@ -78,14 +77,13 @@ def _int(tok: str) -> int:
         raise CertificateError(f"expected an integer, got {tok!r}") from None
 
 
-@dataclass
-class Certificate:
+class Certificate(Record):
     kind: str
     game: Optional[str] = None
     k: Optional[int] = None
     claim: Optional[str] = None  # "true" | "false"
     kappa: Optional[int] = None
-    body: list[list[str]] = field(default_factory=list)  # token rows
+    body: Sequence[list[str]] = ()  # token rows
 
 
 def format_certificate(cert: Certificate) -> str:
@@ -584,6 +582,8 @@ def _check_header(cert: Certificate) -> None:
         raise CertificateError(f"`k {cert.k}` header: k must be >= 1")
     if cert.kind == "hom-witness":
         return
+    if cert.game is None:
+        raise CertificateError("missing `game <name>` header")
     game = eq_mod.GAMES.get(cert.game)
     if game is None or cert.kind not in game.kinds:
         raise CertificateError(

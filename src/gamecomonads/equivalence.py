@@ -31,7 +31,6 @@ decided for the sequence and modal games only, as their bijective game,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from . import ef as ef_mod
@@ -40,7 +39,7 @@ from . import pebbling as pebble_mod
 from .errors import ToolkitError, VocabularyMismatchError
 from .game import (DEFAULT_PLAY_CAP, Game, bijective_game, coextensions, lifted_hom, read_off,
                    spoiler_tree, won_positions)
-from .structures import Structure
+from .structures import Record, Structure
 
 GAMES: dict[str, Game] = {g.name: g for g in (ef_mod.GAME, pebble_mod.GAME, modal_mod.GAME)}
 COMONADS = tuple(GAMES)
@@ -65,8 +64,7 @@ def _iso_game(name: str) -> Game:
 # The back-and-forth game
 
 
-@dataclass(frozen=True)
-class BackForthResult:
+class BackForthResult(Record):
     wins: bool
     duplicator: Optional[tuple] = None  # won play pairs, one per (position, round) below k
     spoiler: Optional[object] = None  # SpoilerNode; pebbling.SpoilerPosition for pebble
@@ -116,8 +114,7 @@ def _solve_pebble_backforth(a: Structure, b: Structure, k: int) -> BackForthResu
 # CoKleisli isomorphism
 
 
-@dataclass(frozen=True)
-class IsoResult:
+class IsoResult(Record):
     wins: bool
     forward: Optional[Mapping] = None  # play of A -> element of B
     backward: Optional[Mapping] = None

@@ -34,18 +34,16 @@ which `audit_spoiler_tree` replays without solving.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Callable, Generator, Iterator, Mapping, Optional
 
 from .errors import CapExceededError, ToolkitError
-from .structures import Elem, Structure
+from .structures import Elem, Record, Structure
 
 DEFAULT_PLAY_CAP = 10 ** 6
 
 
-@dataclass(frozen=True)
-class LawReport:
+class LawReport(Record):
     ok: bool
     failures: tuple[str, ...] = ()
 
@@ -166,8 +164,7 @@ def run(gen: Generator):
     return result
 
 
-@dataclass(frozen=True)
-class Game:
+class Game(Record):
     """One game construction, as the deciders, coalgebra checks, certificates
     and the command line see it."""
 
@@ -227,8 +224,7 @@ class Game:
                           self.cover_kind, "both-pair")) - {None}
 
 
-@dataclass(frozen=True)
-class CoKleisli:
+class CoKleisli(Record):
     """A coKleisli morphism of a round-bounded game: a total table from the
     plays of depth <= k of `source` to elements of `target`.
 
@@ -516,8 +512,7 @@ def first_replies(game: Game, a: Structure, b: Structure, k: int,
     return CoKleisli(game, k, a, b, {s: game.last(reply[s]) for s in plays})
 
 
-@dataclass(frozen=True)
-class SpoilerNode:
+class SpoilerNode(Record):
     """One node of Spoiler's winning tree in a round-bounded game.
 
     Spoiler extends the play on `side` ("A" or "B") by `step`: an element in
@@ -531,8 +526,7 @@ class SpoilerNode:
     branches: tuple = ()
 
 
-@dataclass(frozen=True)
-class ExistResult:
+class ExistResult(Record):
     wins: bool
     strategy: Optional[CoKleisli] = None
     refutation: Optional[SpoilerNode] = None

@@ -11,87 +11,73 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .errors import ToolkitError, UnboundVariableError
-from .structures import Structure, Vocabulary
+from .structures import Record, Structure, Vocabulary
 
 SAMPLER_ALGORITHM = "mt19937"  # random.Random; recorded in sampler output headers
 FRAGMENTS = ("ep", "full", "counting", "modal")
 MODAL_FREE_VAR = "w0"
 
 
-@dataclass(frozen=True)
-class Formula:
+class Formula(Record):
     pass
 
 
-@dataclass(frozen=True)
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True)
 class Bottom(Formula):
     pass
 
 
-@dataclass(frozen=True)
 class Rel(Formula):
     name: str
     args: tuple[str, ...]
 
 
-@dataclass(frozen=True)
 class Eq(Formula):
     left: str
     right: str
 
 
-@dataclass(frozen=True)
 class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
 class Exists(Formula):
     var: str
     body: Formula
 
 
-@dataclass(frozen=True)
 class Forall(Formula):
     var: str
     body: Formula
 
 
-@dataclass(frozen=True)
 class CountAtLeast(Formula):
     bound: int
     var: str
     body: Formula
 
 
-@dataclass(frozen=True)
 class CountAtMost(Formula):
     bound: int
     var: str

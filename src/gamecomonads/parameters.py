@@ -14,14 +14,13 @@ the modal game's is the unique candidate tree shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping, Optional
 
 from . import modal as modal_mod
 from .equivalence import GAMES, game
 from .errors import CapExceededError, CycleError, ToolkitError
-from .structures import Elem, Graph, Structure, gaifman
+from .structures import Elem, Graph, Record, Structure, gaifman
 
 DEFAULT_VERTEX_CAP = 7
 
@@ -30,8 +29,7 @@ DEFAULT_VERTEX_CAP = 7
 # Cover / decomposition value types
 
 
-@dataclass(frozen=True, eq=False)
-class ForestCover:
+class ForestCover(Record):
     """A forest order on the vertex set, stored as an immediate-parent map."""
 
     vertices: tuple[Elem, ...]
@@ -95,8 +93,7 @@ def is_forest_cover(cover: ForestCover, g: Graph) -> bool:
     return tuple(cover.vertices) == tuple(g.vertices) and cover.conflicts(g) is not None
 
 
-@dataclass(frozen=True, eq=False)
-class PebbleForestCover:
+class PebbleForestCover(Record):
     cover: ForestCover
     pebbles: Mapping[Elem, int]
 
@@ -118,8 +115,7 @@ def is_pebble_forest_cover(pfc: PebbleForestCover, g: Graph, k: int) -> bool:
     return all(pfc.pebbles[x] != pfc.pebbles[y] for x, y in pfc.cover.conflicts(g))
 
 
-@dataclass(frozen=True, eq=False)
-class TreeDecomposition:
+class TreeDecomposition(Record):
     """A rooted tree of bags; `parent` has exactly one None entry (the root)."""
 
     nodes: tuple
@@ -176,8 +172,7 @@ def is_tree_decomposition(td: TreeDecomposition, g: Graph) -> bool:
 # Coalgebras
 
 
-@dataclass(frozen=True, eq=False)
-class CoalgebraMap:
+class CoalgebraMap(Record):
     """A structure map into the k-indexed construction on the host, tagged by
     which game it belongs to ('ef', 'pebble', 'modal')."""
 
@@ -617,8 +612,7 @@ def min_height_forest_cover(g: Graph) -> ForestCover:
     return ForestCover(tuple(vs), parent)
 
 
-@dataclass(frozen=True)
-class KappaResult:
+class KappaResult(Record):
     kappa: int
     coalgebra: CoalgebraMap
     cover: Optional[ForestCover] = None

@@ -31,7 +31,6 @@ check a win or a loss of either game without the solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import comb
 from typing import Callable, Iterable, Mapping, Optional
@@ -39,7 +38,8 @@ from typing import Callable, Iterable, Mapping, Optional
 from .errors import CapExceededError, ToolkitError, VocabularyMismatchError
 from .game import (DEFAULT_PLAY_CAP, Game, LawReport, chain_error, law_report,
                    lifted_structure, prefix_hom_error, prefix_lifting, prefixes, walk_tree)
-from .structures import Elem, Structure, extend_type, is_partial_hom, is_partial_iso
+from .structures import (Elem, Record, Structure, extend_type, is_partial_hom,
+                         is_partial_iso)
 
 PebblePlay = tuple  # nonempty tuple of moves
 
@@ -109,8 +109,7 @@ def pebble_structure(a: Structure, k: int, n: int, cap: int = DEFAULT_PLAY_CAP) 
 PartialMapSet = frozenset  # frozenset of (source elem, target elem) pairs
 
 
-@dataclass(frozen=True)
-class StrategyFamily:
+class StrategyFamily(Record):
     """Positional Duplicator strategy: partial homomorphisms (partial
     isomorphisms in the back-and-forth game) with at most k pairs, closed
     under restriction and satisfying the forth property (and the back
@@ -120,8 +119,7 @@ class StrategyFamily:
     parts: frozenset  # frozenset of PartialMapSet
 
 
-@dataclass(frozen=True)
-class SpoilerPosition:
+class SpoilerPosition(Record):
     """One node of a positional Spoiler refutation DAG.
 
     At `pos` (a partial map, known to be a partial homomorphism, or a partial
@@ -141,8 +139,7 @@ class SpoilerPosition:
     child: Optional["SpoilerPosition"] = None  # when dropping
 
 
-@dataclass(frozen=True)
-class PebbleResult:
+class PebbleResult(Record):
     wins: bool
     family: Optional[StrategyFamily] = None
     refutation: Optional[SpoilerPosition] = None

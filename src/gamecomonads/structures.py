@@ -9,21 +9,107 @@ is significant everywhere; all searches enumerate in that order so that every
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
-from operator import itemgetter
-from typing import Hashable, Iterable, Mapping, Optional, Sequence
+from operator import attrgetter, itemgetter
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
 from .errors import StructureParseError, ToolkitError, VocabularyMismatchError
 
 Elem = Hashable
 
 _IDENT_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.'+-]*$")
+_MISSING = object()
 
 
-@dataclass(frozen=True)
-class Vocabulary:
+class Record:
+    """Base of the package's immutable records.
+
+    A subclass's fields are its annotated names after those it inherits, and
+    a class attribute of a field's name is that field's default.  A record is
+    built by position or keyword (a missing, unknown or extra argument is a
+    `TypeError`) and then checked by `__post_init__`.  It refuses assignment
+    and deletion, equals only a record of its own type with equal fields,
+    hashes as its field tuple and prints as `Name(field=value, ...)`; a class
+    that defines its own `__eq__` keeps it and is unhashable.  Each class's
+    constructor, equality and hash are closures made once, when the class is
+    created, so no code is compiled for it."""
+
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = tuple(dict.fromkeys(name for klass in reversed(cls.__mro__)
+                                    for name in vars(klass).get("__annotations__", ())))
+        cls._fields = names
+        fill = tuple(getattr(cls, name, _MISSING) for name in names)
+        check = None if cls.__post_init__ is Record.__post_init__ else cls.__post_init__
+
+        def __init__(self, *args, **kwargs):
+            if kwargs or len(args) != len(names):
+                args = _bind(cls, fill, args, kwargs)
+            for name, value in zip(names, args):
+                object.__setattr__(self, name, value)
+            if check is not None:
+                check(self)
+
+        cls.__init__ = __init__
+        if "__eq__" in vars(cls):
+            return
+        values = _field_getter(names)
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return values(self) == values(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash(values(self))
+
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
+
+    def __post_init__(self):
+        """Validate the fields; a subclass that checks its input overrides it."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+def _field_getter(names: tuple) -> Callable:
+    """A getter of a record's field tuple, at C speed from two fields on."""
+    if len(names) > 1:
+        return attrgetter(*names)
+    if names:
+        get = attrgetter(*names)
+        return lambda record: (get(record),)
+    return lambda record: ()
+
+
+def _bind(cls, fill: tuple, args: tuple, kwargs: dict) -> list:
+    """The field values of `cls` from a call's arguments and the defaults in
+    `fill`."""
+    names = cls._fields
+    if len(args) > len(names):
+        raise TypeError(f"{cls.__name__} takes {len(names)} arguments, got {len(args)}")
+    values = [*args, *fill[len(args):]]
+    for name, value in kwargs.items():
+        if name not in names[len(args):]:
+            raise TypeError(f"{cls.__name__} got an unexpected or repeated argument {name!r}")
+        values[names.index(name)] = value
+    for name, value in zip(names, values):
+        if value is _MISSING:
+            raise TypeError(f"{cls.__name__} is missing the argument {name!r}")
+    return values
+
+
+class Vocabulary(Record):
     """An ordered family of relation symbols with positive arities."""
 
     symbols: tuple[tuple[str, int], ...]
@@ -45,8 +131,7 @@ class Vocabulary:
         return max((a for _, a in self.symbols), default=0)
 
 
-@dataclass(frozen=True, eq=False)
-class Structure:
+class Structure(Record):
     """A finite relational structure, optionally pointed.
 
     `interp` maps each symbol name to a frozenset of tuples over the universe.
@@ -113,8 +198,7 @@ class Structure:
         return f"Structure(|A|={len(self.universe)}, {dict((n, len(self.tuples(n))) for n in self.vocab.names)}{pt})"
 
 
-@dataclass(frozen=True)
-class Hom:
+class Hom(Record):
     """A homomorphism witness; construction re-checks relation preservation."""
 
     source: Structure
@@ -125,12 +209,8 @@ class Hom:
         if not check_hom(self.mapping, self.source, self.target):
             raise ToolkitError("mapping is not a homomorphism")
 
-    def __call__(self, e: Elem) -> Elem:
-        return self.mapping[e]
 
-
-@dataclass(frozen=True, eq=False)
-class Graph:
+class Graph(Record):
     """A finite simple graph: symmetric irreflexive adjacency."""
 
     vertices: tuple[Elem, ...]

@@ -333,6 +333,15 @@ def test_verify_rejects_iso_pair_without_k(files, capsys):
     assert_rejected(files, capsys, text.replace("k 2\n", ""))
 
 
+def test_verify_names_a_missing_game_header(files, capsys):
+    text = (GOLDEN / "equiv-ef-backforth-k2-edge-twopts.cert").read_text()
+    cert = files["dir"] / "nogame.cert"
+    cert.write_text(text.replace("game ef\n", "", 1))
+    code, out = run(["verify", "--certificate", str(cert), files["edge"], files["twopts"]])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: missing `game <name>` header\n"
+
+
 @pytest.mark.parametrize("mode,claim", [("exists", "claim false\n"), ("exists", ""),
                                         ("both", "claim maybe\n")],
                          ids=["table-claiming-false", "table-without-claim",
