@@ -38,7 +38,7 @@ from . import equivalence as eq_mod
 from . import parameters as par_mod
 from . import pebbling as pebble_mod
 from .errors import CapExceededError, CertificateError, ToolkitError
-from .game import (DEFAULT_PLAY_CAP, CoKleisli, SpoilerNode, audit_spoiler_tree,
+from .game import (DEFAULT_PLAY_CAP, CoKleisli, Game, SpoilerNode, audit_spoiler_tree,
                    audit_won_positions, walk_tree)
 from .structures import Record, Structure, check_hom, gaifman
 
@@ -130,6 +130,29 @@ def _play_key(s: tuple):
     return (len(s), tuple(str(x) for x in s))
 
 
+def _put(table: dict, key, value, row: list[str]) -> None:
+    """Enter a row's value under its key; a key written twice is malformed,
+    since the audit would read only one of its rows."""
+    if key in table:
+        raise CertificateError(f"row {row!r} repeats the key of an earlier row")
+    table[key] = value
+
+
+def _element(tok: str, x: Structure) -> str:
+    """A row's key read as an element of `x`."""
+    if tok not in x.index:
+        raise CertificateError(f"{tok!r} names no element of the structure")
+    return tok
+
+
+def _play(tok: str, game: Game, k: int, x: Structure) -> tuple:
+    """A table row's key read as a play of `x` up to round k."""
+    s = parse_play(tok)
+    if not s or game.play_error(s, k, x) is not None:
+        raise CertificateError(f"{tok} is no play of up to {k} rounds")
+    return s
+
+
 # ---------------------------------------------------------------------------
 # Emitters: in-memory results -> Certificate
 
@@ -144,14 +167,16 @@ def cert_result(kind: str, game: Optional[str], k: Optional[int], res,
     return Certificate(kind, game, k, spec.claim, kappa, spec.emit(res, a, b))
 
 
-def cert_both(game: str, k: int, fwd: Optional[Certificate], bwd: Optional[Certificate],
-              failing: Optional[str] = None) -> Certificate:
-    if failing is None:
-        rows = [["fwd"] + row for row in fwd.body] + [["bwd"] + row for row in bwd.body]
-        return Certificate("both-pair", game, k, "true", body=rows)
-    inner = fwd if failing == "fwd" else bwd
-    rows = [["direction", failing]] + [[failing] + row for row in inner.body]
-    return Certificate("both-pair", game, k, "false", body=rows)
+def cert_both(game: Game, k: int, fwd, bwd, a: Structure, b: Structure) -> Certificate:
+    """The both-pair certificate of the existential decisions `fwd` (from `a`)
+    and `bwd` (from `b`; None when `fwd` is lost)."""
+    if fwd.wins and bwd.wins:
+        emit = KINDS[game.exists_kinds[0]].emit
+        rows = [["fwd", *r] for r in emit(fwd, a, b)] + [["bwd", *r] for r in emit(bwd, b, a)]
+        return Certificate("both-pair", game.name, k, "true", body=rows)
+    way, res, x, y = ("bwd", bwd, b, a) if fwd.wins else ("fwd", fwd, a, b)
+    rows = [[way, *r] for r in KINDS[game.exists_kinds[1]].emit(res, x, y)]
+    return Certificate("both-pair", game.name, k, "false", body=[["direction", way], *rows])
 
 
 def _table_rows(table, head: str) -> list[list[str]]:
@@ -234,11 +259,11 @@ def _parse_tree(tree: _Tree, rows):
     children: dict[int, str] = {}
     for row in rows:
         if row[0] == "node" and len(row) >= 2:
-            heads[_int(row[1])] = row[2:]
+            _put(heads, _int(row[1]), row[2:], row)
         elif row[0] == "branch" and len(row) == 4:
             branches.setdefault(_int(row[1]), []).append((row[2], row[3]))
         elif row[0] == "child" and len(row) == 3:
-            children[_int(row[1])] = row[2]
+            _put(children, _int(row[1]), row[2], row)
         else:
             raise CertificateError(f"unexpected row {row!r}")
 
@@ -321,18 +346,18 @@ _ROUNDS = _Tree(lambda nd, a, b: ["stall"] if nd.side is None else [nd.side, fmt
 # Parsing bodies back into auditable objects
 
 
-def _parse_map_rows(rows, head: str, play_key: bool) -> dict:
-    table = {}
+def _parse_map_rows(rows, head: str, key: Callable[[str], object]) -> dict:
+    """The `<head> <x> -> <y>` rows as a table from `key(x)` to y."""
+    table: dict = {}
     for row in rows:
         if row[0] != head or len(row) != 4 or row[2] != "->":
             raise CertificateError(f"expected `{head} <x> -> <y>` rows, got {row!r}")
-        key = parse_play(row[1]) if play_key else row[1]
-        table[key] = row[3]
+        _put(table, key(row[1]), row[3], row)
     return table
 
 
 def _verify_hom(cert: Certificate, a: Structure, b: Structure, cap: int) -> tuple[bool, str]:
-    table = _parse_map_rows(cert.body, "map", play_key=False)
+    table = _parse_map_rows(cert.body, "map", lambda tok: _element(tok, a))
     try:
         return (check_hom(table, a, b), "homomorphism check")
     except ToolkitError as exc:
@@ -340,10 +365,11 @@ def _verify_hom(cert: Certificate, a: Structure, b: Structure, cap: int) -> tupl
 
 
 def _verify_table(cert: Certificate, a: Structure, b: Structure, cap: int) -> tuple[bool, str]:
-    table = _parse_map_rows(cert.body, "map", play_key=True)
+    g = eq_mod.GAMES[cert.game]
+    table = _parse_map_rows(cert.body, "map", lambda tok: _play(tok, g, cert.k, a))
     try:
-        f = CoKleisli(eq_mod.GAMES[cert.game], cert.k, a, b, table, cap)
-        return f.is_homomorphism(), "coKleisli homomorphism check"
+        return (CoKleisli(g, cert.k, a, b, table, cap).is_homomorphism(),
+                "coKleisli homomorphism check")
     except CapExceededError:
         raise  # a resource limit, not a verdict
     except ToolkitError as exc:
@@ -375,8 +401,11 @@ def _verify_won_positions(cert: Certificate, a: Structure, b: Structure,
 
 
 def _verify_iso(cert: Certificate, a: Structure, b: Structure, cap: int) -> tuple[bool, str]:
-    fwd = _parse_map_rows([r for r in cert.body if r[0] == "fwd"], "fwd", True)
-    bwd = _parse_map_rows([r for r in cert.body if r[0] == "bwd"], "bwd", True)
+    g, k = eq_mod.GAMES[cert.game], cert.k
+    fwd = _parse_map_rows([r for r in cert.body if r[0] == "fwd"], "fwd",
+                          lambda tok: _play(tok, g, k, a))
+    bwd = _parse_map_rows([r for r in cert.body if r[0] == "bwd"], "bwd",
+                          lambda tok: _play(tok, g, k, b))
     return eq_mod.audit_iso_pair(fwd, bwd, a, b, cert.k, cert.game, cap)
 
 
@@ -413,13 +442,13 @@ def _verify_both(cert: Certificate, a: Structure, b: Structure, cap: int) -> tup
 
 def _verify_forest_cover(cert: Certificate, a: Structure, b: Optional[Structure],
                          cap: int) -> tuple[bool, str]:
-    parent = {v: None for v in a.universe}
+    parent: dict = {}
     for row in cert.body:
         if row[0] != "parent" or len(row) != 3:
             raise CertificateError(f"bad cover row {row!r}")
-        parent[row[1]] = row[2]
+        _put(parent, _element(row[1], a), row[2], row)
     try:
-        cover = par_mod.ForestCover(tuple(a.universe), parent)
+        cover = par_mod.ForestCover(tuple(a.universe), {v: parent.get(v) for v in a.universe})
         if max(1, cover.height()) != cert.kappa:  # an empty structure has kappa 1
             return False, f"cover height {cover.height()} != claimed {cert.kappa}"
         c = par_mod.forest_cover_to_coalgebra(cover, cert.kappa, a)
@@ -431,28 +460,26 @@ def _verify_forest_cover(cert: Certificate, a: Structure, b: Optional[Structure]
 
 def _verify_pfc(cert: Certificate, a: Structure, b: Optional[Structure],
                 cap: int) -> tuple[bool, str]:
-    parent = {v: None for v in a.universe}
+    parent: dict = {}
     pebbles: dict = {}
     bags: dict = {}
-    td_parent: dict = {}
+    td_parent: dict = {}  # node -> the node of the `edge` row above it
     for row in cert.body:
         if row[0] == "parent" and len(row) == 3:
-            parent[row[1]] = row[2]
+            _put(parent, _element(row[1], a), row[2], row)
         elif row[0] == "pebble" and len(row) == 3:
-            pebbles[row[1]] = _int(row[2])
+            _put(pebbles, _element(row[1], a), _int(row[2]), row)
         elif row[0] == "bag" and len(row) >= 2:
-            bags[row[1]] = frozenset(row[2:])
-            td_parent.setdefault(row[1], None)
+            _put(bags, row[1], frozenset(row[2:]), row)
         elif row[0] == "edge" and len(row) == 3:
-            td_parent[row[2]] = row[1]
-            td_parent.setdefault(row[1], None)
+            _put(td_parent, row[2], row[1], row)
         else:
             raise CertificateError(f"bad cover row {row!r}")
-    if not set(td_parent) <= set(bags):
+    if not {*td_parent, *td_parent.values()} <= set(bags):
         raise CertificateError("an `edge` row names a node without a `bag` row")
     g = gaifman(a)
     try:
-        cover = par_mod.ForestCover(tuple(a.universe), parent)
+        cover = par_mod.ForestCover(tuple(a.universe), {v: parent.get(v) for v in a.universe})
         pfc = par_mod.PebbleForestCover(cover, pebbles)
     except ToolkitError as exc:
         return False, str(exc)
@@ -469,7 +496,8 @@ def _verify_pfc(cert: Certificate, a: Structure, b: Optional[Structure],
     if not ok:
         return False, why
     if bags:
-        td = par_mod.TreeDecomposition(tuple(sorted(bags, key=str)), td_parent, bags)
+        td = par_mod.TreeDecomposition(tuple(sorted(bags, key=str)),
+                                       {x: td_parent.get(x) for x in bags}, bags)
         if not par_mod.is_tree_decomposition(td, g):
             return False, "attached tree decomposition is invalid"
         if td.width() > cert.kappa - 1:
@@ -479,7 +507,8 @@ def _verify_pfc(cert: Certificate, a: Structure, b: Optional[Structure],
 
 def _verify_modal_coalgebra(cert: Certificate, a: Structure, b: Optional[Structure],
                             cap: int) -> tuple[bool, str]:
-    alpha = {v: parse_play(p) for v, p in _parse_map_rows(cert.body, "map", False).items()}
+    alpha = {v: parse_play(p) for v, p in
+             _parse_map_rows(cert.body, "map", lambda tok: _element(tok, a)).items()}
     c = par_mod.CoalgebraMap("modal", cert.kappa, a, alpha)
     ok, why = par_mod.check_coalgebra(c)
     return ok, (why or "coalgebra laws hold")

@@ -108,21 +108,9 @@ def _cmd_equiv(args) -> tuple[int, list[str]]:
         cert = _verdict_certificate(g.exists_kinds, g.name, k, res, a, b)
     elif args.mode == "both":
         fwd = g.decide(a, b, k, args.cap_plays)
-        if not fwd.wins:
-            verdict = False
-            cert = cert_mod.cert_both(
-                g.name, k, _verdict_certificate(g.exists_kinds, g.name, k, fwd, a, b), None,
-                failing="fwd")
-        else:
-            bwd = g.decide(b, a, k, args.cap_plays)
-            verdict = bwd.wins
-            bwd_cert = _verdict_certificate(g.exists_kinds, g.name, k, bwd, b, a)
-            if verdict:
-                cert = cert_mod.cert_both(
-                    g.name, k, _verdict_certificate(g.exists_kinds, g.name, k, fwd, a, b),
-                    bwd_cert)
-            else:
-                cert = cert_mod.cert_both(g.name, k, None, bwd_cert, failing="bwd")
+        bwd = g.decide(b, a, k, args.cap_plays) if fwd.wins else None
+        verdict = fwd.wins and bwd.wins
+        cert = cert_mod.cert_both(g, k, fwd, bwd, a, b)
     elif args.mode == "backforth":
         res = eq_mod.solve_back_forth(a, b, k, g.name, cap=args.cap_plays)
         verdict = res.wins

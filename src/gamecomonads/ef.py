@@ -1,9 +1,9 @@
-"""The round-bounded game construction on sequences: play universes, lifted
+"""The round-bounded game construction on sequences: its play tree, lifted
 relations, counit/comultiplication/coextension, and the existential decision.
 
 A play over a structure is a nonempty tuple of universe elements of length at
-most k.  Plays are ordered length-first, then lexicographically by element
-declaration order; every enumeration below respects that order.
+most k, a child of the empty root.  `game.play_universe` lists the plays
+length-first, then lexicographically by element declaration order.
 
 The existential decision is `game.decide_exist` on this game's record: a
 coKleisli table on a win, a `game.SpoilerNode` tree on a loss, whose steps
@@ -16,9 +16,9 @@ from itertools import product
 from typing import Callable, Mapping, Optional
 
 from .errors import CapExceededError, ToolkitError, VocabularyMismatchError
-from .game import (DEFAULT_PLAY_CAP, ExistResult, Game, LawReport, chain_error, decide_exist,
-                   law_report, lifted_structure, prefix_hom_error, prefix_lifting, prefixes,
-                   refined_values)
+from .game import (DEFAULT_PLAY_CAP, ExistResult, Game, LawReport, decide_exist, law_report,
+                   lifted_structure, play_universe, prefix_hom_error, prefix_lifting, prefixes,
+                   refined_values, won_within)
 from .structures import Elem, Structure, extend_type, is_partial_hom, is_partial_iso
 
 Play = tuple  # nonempty tuple of elements
@@ -33,17 +33,6 @@ def check_plays(a: Structure, k: int, cap: int) -> None:
     if _play_count(len(a.universe), k) > cap:
         raise CapExceededError(
             f"play universe has {_play_count(len(a.universe), k)} elements, cap is {cap}")
-
-
-def ef_universe(a: Structure, k: int, cap: int = DEFAULT_PLAY_CAP) -> list[Play]:
-    """All nonempty plays of length <= k, in length-then-lex order."""
-    if k < 1:
-        raise ToolkitError("k must be >= 1")
-    check_plays(a, k, cap)
-    plays: list[Play] = []
-    for length in range(1, k + 1):
-        plays.extend(product(a.universe, repeat=length))
-    return plays
 
 
 def counit(s: Play) -> Elem:
@@ -64,7 +53,7 @@ def coextend(f: Mapping[Play, Elem] | Callable[[Play], Elem], s: Play) -> Play:
 def ef_structure(a: Structure, k: int, cap: int = DEFAULT_PLAY_CAP) -> Structure:
     """Lift `a` to its play universe: a tuple of plays is related iff the plays
     are pairwise prefix-comparable and their last elements form a tuple of `a`."""
-    return lifted_structure(GAME, a, ef_universe(a, k, cap))
+    return lifted_structure(GAME, a, play_universe(GAME, a, k, cap))
 
 
 def decide_exist_ef(a: Structure, b: Structure, k: int) -> ExistResult:
@@ -81,21 +70,9 @@ def decide_exist_ef(a: Structure, b: Structure, k: int) -> ExistResult:
     return decide_exist(GAME, a, b, k)
 
 
-def _decide(a: Structure, b: Structure, k: int, cap: int) -> ExistResult:
-    """The existential decision of `GAME`: `decide_exist_ef`, whose table is
-    refused when the plays it answers exceed `cap`.  A lost game lists no
-    plays, and may have more."""
-    res = decide_exist_ef(a, b, k)
-    if res.wins:
-        check_plays(a, k, cap)
-    return res
-
-
 def check_ef_laws(a: Structure, k: int, cap: int = DEFAULT_PLAY_CAP) -> LawReport:
-    """Comonad laws over the full play universe: the comultiplication images
-    of a lifted tuple must be pairwise prefix-comparable."""
-    return law_report(GAME, a, ef_structure(a, k, cap), comult, lambda f, d: tuple(map(f, d)),
-                      lambda name, images: chain_error(images, None) is None)
+    """Comonad laws over the full play universe."""
+    return law_report(GAME, a, ef_structure(a, k, cap), comult)
 
 
 def _play_error(play: Play, k: int, host: Structure) -> Optional[str]:
@@ -127,7 +104,6 @@ GAME = Game(
     root=lambda x: (),
     children=lambda x, node: [node + (e,) for e in x.universe],
     depth=len,
-    universe=ef_universe,
     check_plays=check_plays,
     lifted_at=prefix_lifting,  # a play lists its prefixes' last elements; any may join it
     pointed=False,
@@ -141,7 +117,7 @@ GAME = Game(
     prefixes=prefixes,
     play_error=_play_error,
     hom_error=lambda alpha, a: prefix_hom_error(alpha, a, None),
-    decide=_decide,
+    decide=lambda a, b, k, cap: won_within(GAME, decide_exist_ef(a, b, k), a, k, cap),
     laws=lambda a, k, trunc, cap: check_ef_laws(a, k, cap=cap),
     exists_kinds=("ef-table", "ef-spoiler"),
     backforth_kinds=("bf-duplicator", "bf-spoiler"),

@@ -37,8 +37,8 @@ from . import ef as ef_mod
 from . import modal as modal_mod
 from . import pebbling as pebble_mod
 from .errors import ToolkitError, VocabularyMismatchError
-from .game import (DEFAULT_PLAY_CAP, Game, bijective_game, coextensions, lifted_hom, read_off,
-                   spoiler_tree, won_positions)
+from .game import (DEFAULT_PLAY_CAP, Game, bijective_game, coextensions, lifted_hom,
+                   play_universe, read_off, spoiler_tree, won_positions)
 from .structures import Record, Structure
 
 GAMES: dict[str, Game] = {g.name: g for g in (ef_mod.GAME, pebble_mod.GAME, modal_mod.GAME)}
@@ -131,7 +131,7 @@ def decide_cokleisli_iso(a: Structure, b: Structure, k: int, comonad: str = "ef"
     g = _iso_game(comonad)
     if a.vocab != b.vocab:
         raise VocabularyMismatchError("decide_cokleisli_iso requires a shared vocabulary")
-    plays = g.universe(a, k, cap)
+    plays = play_universe(g, a, k, cap)
     g.check_plays(b, k, cap)
     value, matching = bijective_game(g, a, b, k)
     if not value(g.root(a), g.root(b)):
@@ -151,7 +151,7 @@ def audit_iso_pair(forward: Mapping, backward: Mapping, a: Structure, b: Structu
     identity at a play iff it is at the parent and the second table sends the
     first one's coextension back to the play's last element."""
     g = _iso_game(comonad)
-    plays_a, plays_b = g.universe(a, k, cap), g.universe(b, k, cap)
+    plays_a, plays_b = play_universe(g, a, k, cap), play_universe(g, b, k, cap)
     try:
         if not lifted_hom(g, a, b, k, forward, plays_a):
             return False, "forward table is not a homomorphism"

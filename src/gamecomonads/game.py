@@ -8,13 +8,14 @@ that the benchmark tracer rebinds (the deciders) are wrapped so that they look
 the module attribute up at call time.
 
 This module also holds the pieces the constructions would otherwise repeat:
-the play cap, the lifting along play prefixes at one top play, the one
-comonad-law report, the one coKleisli morphism record (a total table on the
-plays of a round-bounded game) with the walk of a table's plays and their
-coextensions and the homomorphism check run on it (which builds no lifted
-structure), the one Spoiler-tree walk that the refutation audits and the
-certificate writer run on, and the driver (`run`) that runs recursion written
-as generators on an explicit stack.
+the play cap, the listing of a round-bounded game's plays off its play tree
+(`play_universe`) and the cap on a won table (`won_within`), the lifting along
+play prefixes at one top play, the one comonad-law report, the one coKleisli
+morphism record with the walk of a table's plays and their coextensions and
+the homomorphism check run on it (which builds no lifted structure), the one
+Spoiler-tree walk that the refutation audits and the certificate writer run
+on, and the driver (`run`) that runs recursion written as generators on an
+explicit stack.
 
 The round-bounded games (sequence and modal) are solved here: `round_values`
 is the backward induction, for the sides Spoiler may move on and the
@@ -38,7 +39,7 @@ from itertools import combinations, product
 from typing import Callable, Generator, Iterator, Mapping, Optional
 
 from .errors import CapExceededError, ToolkitError
-from .structures import Elem, Record, Structure
+from .structures import Elem, Record, Structure, check_hom
 
 DEFAULT_PLAY_CAP = 10 ** 6
 
@@ -48,19 +49,20 @@ class LawReport(Record):
     failures: tuple[str, ...] = ()
 
 
-def pointwise_law_failure(plays: list, counit: Callable, comult: Callable, fmap: Callable,
-                          coextend: Callable) -> Optional[str]:
+def pointwise_law_failure(game: Game, plays: list, comult: Callable) -> Optional[str]:
     """The first play at which a comonad law fails: both counit identities,
-    coassociativity, or coextension of the counit being the identity.
-    `fmap(f, s)` applies `f` to the entries of a play of plays."""
+    coassociativity, or coextension of the counit being the identity.  The
+    functor maps `f` over a play of plays as the coextension of `f` after the
+    counit."""
+    counit, coextend = game.last, game.coextend
     counit_table = {s: counit(s) for s in plays}
     for s in plays:
         d = comult(s)
         if counit(d) != s:
             return f"counit(comult({s!r})) != {s!r}"
-        if fmap(counit, d) != s:
+        if coextend(lambda x: counit(counit(x)), d) != s:
             return f"mapped-counit of comult({s!r}) != {s!r}"
-        if comult(d) != fmap(comult, d):
+        if comult(d) != coextend(lambda x: comult(counit(x)), d):
             return f"coassociativity fails at {s!r}"
         if coextend(counit_table, s) != s:
             return f"coextension of counit not identity at {s!r}"
@@ -173,7 +175,6 @@ class Game(Record):
     root: Optional[Callable[[Structure], tuple]]  # validates the structure too
     children: Optional[Callable[[Structure, tuple], list]]
     depth: Optional[Callable[[tuple], int]]
-    universe: Optional[Callable[[Structure, int], list]]  # plays of depth <= k
     # (x, k, cap) refuses, without listing them, more than `cap` plays of depth <= k
     check_plays: Optional[Callable[[Structure, int, int], None]]
     # The lifting: `lifted_at(a, top, labels)` yields each lifted tuple whose
@@ -224,14 +225,38 @@ class Game(Record):
                           self.cover_kind, "both-pair")) - {None}
 
 
+def play_universe(game: Game, a: Structure, k: int, cap: int = DEFAULT_PLAY_CAP) -> list:
+    """The plays of `a` up to round k, read off the play tree breadth-first,
+    children in declaration order (the order `coextensions` walks); the root
+    is a play only when the lifting is pointed.  `game.root` validates `a`,
+    and more than `cap` plays are refused before any is listed."""
+    level = [game.root(a)]
+    if k < 1:
+        raise ToolkitError("k must be >= 1")
+    game.check_plays(a, k, cap)
+    plays = level[:] if game.pointed else []
+    for _ in range(k):
+        level = [s for parent in level for s in game.children(a, parent)]
+        plays += level
+    return plays
+
+
+def won_within(game: Game, res, a: Structure, k: int, cap: int):
+    """`res`, an existential decision from `a` up to round k, once a won table
+    is known to answer at most `cap` plays; a lost game lists none."""
+    if res.wins:
+        game.check_plays(a, k, cap)
+    return res
+
+
 class CoKleisli(Record):
-    """A coKleisli morphism of a round-bounded game: a total table from the
-    plays of depth <= k of `source` to elements of `target`.
+    """A coKleisli morphism of a round-bounded game: a table from the plays of
+    depth <= k of `source` to elements of `target`.
 
     It encodes a Duplicator strategy for the existential game and is a
-    morphism when `is_homomorphism` holds (`lifted_hom`: checked one lifted
-    tuple at a time, the lifting is never built).  Both list the plays under
-    `cap`.
+    morphism when `is_homomorphism` holds (`lifted_hom`: total, and checked
+    one lifted tuple at a time, the lifting never built) on the plays listed
+    under `cap`.
     """
 
     game: Game
@@ -241,14 +266,9 @@ class CoKleisli(Record):
     table: Mapping[tuple, Elem]
     cap: int = DEFAULT_PLAY_CAP
 
-    def __post_init__(self):
-        for s in self.game.universe(self.source, self.k, self.cap):
-            if s not in self.table:
-                raise ToolkitError(f"coKleisli table not total: play {s!r} unassigned")
-
     def is_homomorphism(self) -> bool:
         return lifted_hom(self.game, self.source, self.target, self.k, self.table,
-                          self.game.universe(self.source, self.k, self.cap))
+                          play_universe(self.game, self.source, self.k, self.cap))
 
 
 def coextensions(game: Game, a: Structure, table: Mapping, k: int) -> Iterator[tuple]:
@@ -273,7 +293,7 @@ def coextensions(game: Game, a: Structure, table: Mapping, k: int) -> Iterator[t
 def lifted_hom(game: Game, a: Structure, b: Structure, k: int, table: Mapping,
                plays: list) -> bool:
     """`check_hom(table, lifting of a, b)` without building the lifting:
-    `plays` are the plays of `a` up to round k (`game.universe(a, k)`).
+    `plays` are the plays of `a` up to round k (`play_universe`).
     The table must be total on them with values in `b` (else ToolkitError),
     send a pointed lifting's root to the point of a pointed `b`, and map each
     lifted tuple at each play into `b`, the tuple's images read off the play's
@@ -492,13 +512,13 @@ def first_replies(game: Game, a: Structure, b: Structure, k: int,
                   value: Callable) -> CoKleisli:
     """Duplicator's table read off the values of a won existential game: each
     play of `a` is answered by the first child, in declaration order, of its
-    parent's answer from which Duplicator still wins.  The play universe is
-    listed first, so a table over the play cap is refused before any is built.
+    parent's answer from which Duplicator still wins.  The plays are counted
+    first, so a table over the play cap is refused before any is built.
 
     The children of a play, and the values of their pairs, depend on a pair
     of plays only through its position and round, so the places of the
     first winning replies among the children are found once per key."""
-    plays = game.universe(a, k)
+    game.check_plays(a, k, DEFAULT_PLAY_CAP)
     firsts: dict = {}
 
     def replies(s: tuple, t: tuple) -> list:
@@ -509,7 +529,9 @@ def first_replies(game: Game, a: Structure, b: Structure, k: int,
         return [theirs[i] for i in firsts[key]]
 
     reply = read_off(game, a, b, k, replies)
-    return CoKleisli(game, k, a, b, {s: game.last(reply[s]) for s in plays})
+    if not game.pointed:
+        del reply[game.root(a)]
+    return CoKleisli(game, k, a, b, {s: game.last(t) for s, t in reply.items()})
 
 
 class SpoilerNode(Record):
@@ -627,28 +649,18 @@ def decide_exist(game: Game, a: Structure, b: Structure, k: int) -> ExistResult:
     return ExistResult(False, refutation=spoiler_tree(game, a, b, value, "A"))
 
 
-def law_report(game: Game, a: Structure, lifted: Structure, comult: Callable, fmap: Callable,
-               comult_ok: Callable[[str, tuple], bool]) -> LawReport:
+def law_report(game: Game, a: Structure, lifted: Structure, comult: Callable) -> LawReport:
     """The comonad laws of `game` over the plays of `lifted`, its lifting of
     `a`: the pointwise laws; the counit and the comultiplication as
-    homomorphisms, the latter holding when `comult_ok(name, images)` accepts
-    the comultiplication images of every lifted `name` tuple; and, for a
-    pointed lifting, the root play as its point."""
-    failures = [pointwise_law_failure(lifted.universe, game.last, comult, fmap, game.coextend),
-                _lifted_hom_failure(game, a, lifted, comult, comult_ok)]
+    homomorphisms, the latter judged by the game's own coalgebra condition
+    (`game.hom_error`), since it is the structure map of the cofree
+    coalgebra; and, for a pointed lifting, the root play as its point."""
+    counit = {s: game.last(s) for s in lifted.universe}
+    why = game.hom_error({s: comult(s) for s in lifted.universe}, lifted)
+    failures = [pointwise_law_failure(game, lifted.universe, comult),
+                None if check_hom(counit, lifted, a) else "counit not a homomorphism",
+                why and f"comult: {why}"]
     if lifted.is_pointed and lifted.point != game.root(a):
         failures.append(f"lifted point {lifted.point!r} is not the root play")
     failures = tuple(f for f in failures if f is not None)
     return LawReport(not failures, failures)
-
-
-def _lifted_hom_failure(game: Game, a: Structure, lifted: Structure, comult: Callable,
-                        comult_ok: Callable[[str, tuple], bool]) -> Optional[str]:
-    for name, _ in a.vocab.symbols:
-        base = a.tuples(name)
-        for combo in lifted.tuples(name):
-            if tuple(map(game.last, combo)) not in base:
-                return f"counit not a homomorphism on {name} at {combo!r}"
-            if not comult_ok(name, tuple(map(comult, combo))):
-                return f"comult not a homomorphism on {name} at {combo!r}"
-    return None

@@ -19,7 +19,7 @@ from typing import Mapping, Optional
 
 from .errors import ArityError, CapExceededError, PointError, ToolkitError, VocabularyMismatchError
 from .game import (DEFAULT_PLAY_CAP, ExistResult, Game, LawReport, decide_exist, law_report,
-                   lifted_structure, refined_values)
+                   lifted_structure, play_universe, refined_values, won_within)
 from .structures import Elem, Structure
 
 Path = tuple
@@ -81,32 +81,6 @@ def modal_coextend(f, s: Path) -> Path:
     return tuple(out)
 
 
-def modal_map(f, s: Path) -> Path:
-    """Functorial action: apply f to the element slots, keep the labels."""
-    out = list(s)
-    for i in range(0, len(s), 2):
-        out[i] = f(s[i])
-    return tuple(out)
-
-
-def modal_universe(a: Structure, k: int, cap: int = DEFAULT_PLAY_CAP) -> list[Path]:
-    """All transition paths of 0..k steps from the point, breadth-first."""
-    require_modal(a)
-    if k < 1:
-        raise ToolkitError("k must be >= 1")
-    check_paths(a, k, cap)
-    paths: list[Path] = [(a.point,)]
-    frontier = [(a.point,)]
-    for _ in range(k):
-        nxt = []
-        for s in frontier:
-            for label, e2 in successors(a, s[-1]):
-                nxt.append(s + (label, e2))
-        paths.extend(nxt)
-        frontier = nxt
-    return paths
-
-
 def check_paths(a: Structure, k: int, cap: int) -> None:
     """Refuse, without listing them, more than `cap` paths of 0..k steps
     from the point: they are counted by their ends, one step at a time."""
@@ -137,7 +111,7 @@ def _lifted_at(a: Structure, top: Path, labels: list):
 def unravel(a: Structure, k: int, cap: int = DEFAULT_PLAY_CAP) -> Structure:
     """The depth-k tree: binary symbols relate a path to its one-step
     extensions; unary symbols hold at a path iff they hold at its endpoint."""
-    return lifted_structure(GAME, a, modal_universe(a, k, cap))
+    return lifted_structure(GAME, a, play_universe(GAME, a, k, cap))
 
 
 def decide_sim_k(a: Structure, b: Structure, k: int) -> ExistResult:
@@ -152,21 +126,9 @@ def decide_sim_k(a: Structure, b: Structure, k: int) -> ExistResult:
     return decide_exist(GAME, a, b, k)
 
 
-def _decide(a: Structure, b: Structure, k: int, cap: int) -> ExistResult:
-    """The existential decision of `GAME`: `decide_sim_k`, whose table is
-    refused when the paths it answers exceed `cap`.  A lost game lists no
-    paths, and may have more."""
-    res = decide_sim_k(a, b, k)
-    if res.wins:
-        check_paths(a, k, cap)
-    return res
-
-
 def check_modal_laws(a: Structure, k: int, cap: int = DEFAULT_PLAY_CAP) -> LawReport:
-    """Comonad laws over the full depth-k unravelling: the comultiplication
-    images of a lifted transition must be one step apart with its label."""
-    return law_report(GAME, a, unravel(a, k, cap), modal_comult, modal_map,
-                      lambda name, images: len(images) == 1 or _one_step(name, *images))
+    """Comonad laws over the full depth-k unravelling."""
+    return law_report(GAME, a, unravel(a, k, cap), modal_comult)
 
 
 def _root(x: Structure) -> Path:
@@ -235,7 +197,6 @@ GAME = Game(
     root=_root,
     children=lambda x, node: [node + (label, e2) for label, e2 in successors(x, node[-1])],
     depth=path_steps,
-    universe=modal_universe,
     check_plays=check_paths,
     lifted_at=_lifted_at,
     pointed=True,
@@ -249,7 +210,7 @@ GAME = Game(
     prefixes=path_prefixes,
     play_error=_play_error,
     hom_error=_hom_error,
-    decide=_decide,
+    decide=lambda a, b, k, cap: won_within(GAME, decide_sim_k(a, b, k), a, k, cap),
     laws=lambda a, k, trunc, cap: check_modal_laws(a, k, cap=cap),
     exists_kinds=("modal-table", "modal-spoiler"),
     backforth_kinds=("bf-duplicator", "bf-spoiler"),

@@ -18,6 +18,7 @@ from functools import lru_cache
 from typing import Iterator, Mapping, Optional
 
 from . import modal as modal_mod
+from . import pebbling as pebble_mod
 from .equivalence import GAMES, game
 from .errors import CapExceededError, CycleError, ToolkitError
 from .structures import Elem, Graph, Record, Structure, gaifman
@@ -309,12 +310,8 @@ def _reachable_postorder(host: Structure) -> list[Elem]:
 
 def active_ancestors(pfc: PebbleForestCover, v: Elem) -> list[Elem]:
     """Ancestors u <= v (inclusive) whose pebble is untouched on (u, v]."""
-    out, later = [], set()
-    for u in reversed(pfc.cover.chain(v)):
-        if pfc.pebbles[u] not in later:
-            out.append(u)
-            later.add(pfc.pebbles[u])
-    return out[::-1]
+    chain = pfc.cover.chain(v)
+    return [chain[i] for i in pebble_mod.active([(pfc.pebbles[u], u) for u in chain])]
 
 
 def pfc_to_tree_decomposition(pfc: PebbleForestCover) -> TreeDecomposition:

@@ -36,8 +36,8 @@ from math import comb
 from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import CapExceededError, ToolkitError, VocabularyMismatchError
-from .game import (DEFAULT_PLAY_CAP, Game, LawReport, chain_error, law_report,
-                   lifted_structure, prefix_hom_error, prefix_lifting, prefixes, walk_tree)
+from .game import (DEFAULT_PLAY_CAP, Game, LawReport, law_report, lifted_structure,
+                   prefix_hom_error, prefix_lifting, prefixes, walk_tree)
 from .structures import (Elem, Record, Structure, extend_type, is_partial_hom,
                          is_partial_iso)
 
@@ -77,27 +77,27 @@ def pebble_coextend(f, s: PebblePlay) -> PebblePlay:
     return tuple((s[i][0], get(s[: i + 1])) for i in range(len(s)))
 
 
+def active(play: PebblePlay) -> list[int]:
+    """The positions of `play` whose pebble is not reused later in it, in
+    order: the prefixes `play[:i + 1]` still active at the end of the play."""
+    later, keep = set(), []
+    for i in range(len(play) - 1, -1, -1):
+        if play[i][0] not in later:
+            later.add(play[i][0])
+            keep.append(i)
+    return keep[::-1]
+
+
 def active_last(s: PebblePlay, t: PebblePlay) -> bool:
-    """For s a prefix of t: the pebble of s's last move is not reused in the
-    strict suffix of s in t."""
-    p = s[-1][0]
-    return all(move[0] != p for move in t[len(s):])
-
-
-def _on_one_branch(plays: tuple) -> bool:
-    return chain_error(plays, active_last) is None
+    """For s a prefix of t: s is still active at the end of t."""
+    return len(s) - 1 in active(t)
 
 
 def _lifted_at(a: Structure, top: PebblePlay, labels: list):
-    """The lifted tuples at `top`: the prefixes that may join it are those
-    whose last pebble is not reused later in `top`, so that every pair of
-    components is on one branch with its pebbles active."""
-    later, keep = set(), [len(top) - 1]
-    for i in range(len(top) - 2, -1, -1):
-        later.add(top[i + 1][0])
-        if top[i][0] not in later:
-            keep.append(i)
-    keep.reverse()
+    """The lifted tuples at `top`: the prefixes that may join it are the
+    active ones, so that every pair of components is on one branch with its
+    pebbles active."""
+    keep = active(top)
     return prefix_lifting(a, [top[i][1] for i in keep], [labels[i] for i in keep])
 
 
@@ -497,12 +497,8 @@ def audit_spoiler_positions(node: SpoilerPosition, a: Structure, b: Structure,
 
 def check_pebble_laws(a: Structure, k: int, n: int, cap: int = DEFAULT_PLAY_CAP) -> LawReport:
     """Comonad laws on the n-truncation, pointwise; truncation keeps every play
-    involved inside the cap (comultiplication preserves length).  The
-    comultiplication images of a lifted tuple must lie on one branch with
-    their pebbles active."""
-    return law_report(GAME, a, pebble_structure(a, k, n, cap), pebble_comult,
-                      lambda f, d: tuple((p, f(s)) for p, s in d),
-                      lambda name, images: _on_one_branch(images))
+    involved inside the cap (comultiplication preserves length)."""
+    return law_report(GAME, a, pebble_structure(a, k, n, cap), pebble_comult)
 
 
 def _play_error(play: PebblePlay, k: int, host: Structure) -> Optional[str]:
@@ -519,7 +515,6 @@ GAME = Game(
     root=None,
     children=None,
     depth=None,
-    universe=None,
     check_plays=None,
     lifted_at=_lifted_at,
     pointed=False,

@@ -29,7 +29,7 @@ from typing import Iterator, Optional
 from gamecomonads import equivalence, logic, modal, pebbling
 from gamecomonads import parameters as par
 from gamecomonads.errors import CapExceededError, ToolkitError, VocabularyMismatchError
-from gamecomonads.game import DEFAULT_PLAY_CAP, CoKleisli, Game
+from gamecomonads.game import DEFAULT_PLAY_CAP, CoKleisli, Game, play_universe
 from gamecomonads.structures import (Graph, Structure, check_hom, is_partial_hom,
                                      is_partial_iso)
 
@@ -144,7 +144,7 @@ def decide_both_ways(a: Structure, b: Structure, k: int, comonad: str) -> bool:
 
 
 def counit_cokleisli(game: Game, a: Structure, k: int) -> CoKleisli:
-    return CoKleisli(game, k, a, a, {s: game.last(s) for s in game.universe(a, k)})
+    return CoKleisli(game, k, a, a, {s: game.last(s) for s in play_universe(game, a, k)})
 
 
 def star(f: CoKleisli, s: tuple) -> tuple:
@@ -156,7 +156,7 @@ def cokleisli_compose(g: CoKleisli, f: CoKleisli) -> CoKleisli:
     """(g after f)(s) = g(f*(s))."""
     if g.game is not f.game or f.target.universe != g.source.universe or f.k != g.k:
         raise ToolkitError("coKleisli composition shape mismatch")
-    table = {s: g.table[star(f, s)] for s in f.game.universe(f.source, f.k)}
+    table = {s: g.table[star(f, s)] for s in play_universe(f.game, f.source, f.k)}
     return CoKleisli(f.game, f.k, f.source, g.target, table)
 
 
@@ -166,7 +166,7 @@ def lifting(game: Game, a: Structure, k: int) -> Structure:
     prefixes of a play that contains the play, kept when its last elements
     form a tuple of `a`; in the modal game a binary symbol relates a path only
     to its one-step extensions with that label."""
-    plays = game.universe(a, k, DEFAULT_PLAY_CAP)
+    plays = play_universe(game, a, k, DEFAULT_PLAY_CAP)
     interp = {name: set() for name in a.vocab.names}
     for top in plays:
         for name, arity in a.vocab.symbols:
@@ -272,8 +272,8 @@ def _enumerate_tables(a: Structure, b: Structure, k: int, g: Game,
     winning condition is absorbing.  Every coextension must also be a play of
     `b` (a valid path, for modal tables).  Each table comes with its
     coextension, as the universe index of f*(s) for each play s in order."""
-    plays = g.universe(a, k)
-    index_b = {t: i for i, t in enumerate(g.universe(b, k))}
+    plays = play_universe(g, a, k)
+    index_b = {t: i for i, t in enumerate(play_universe(g, b, k))}
 
     tables: list[dict] = []
     stars: list[tuple] = []

@@ -677,6 +677,74 @@ def test_verify_reports_a_table_value_outside_the_target(tmp_path):
         assert "mapping value 'zz' outside target universe\n" in out, kind
 
 
+# Rows written into a golden certificate just after its header: each repeats
+# the key of a row of the file, names no element of the structure, or gives a
+# table entry for no play up to k.  The audit would read another witness than
+# the one written (the later of two rows would win), so each is malformed.
+STRAY_ROWS = [
+    ("hom-stray", "hom-edge-k3", "map zz -> u"), ("hom-repeated", "hom-edge-k3", "map a -> w"),
+    ("cover-stray", "param-ef-k3", "parent zz u"), ("cover-repeated", "param-ef-k3", "parent v w"),
+    ("pebbled-stray-pebble", "param-pebble-k3", "pebble zz 1"),
+    ("pebbled-stray-parent", "param-pebble-k3", "parent zz u"),
+    ("pebbled-repeated-pebble", "param-pebble-k3", "pebble u 1"),
+    ("pebbled-repeated-parent", "param-pebble-k3", "parent v u"),
+    ("pebbled-repeated-bag", "param-pebble-k3", "bag b2 u"),
+    ("pebbled-repeated-edge", "param-pebble-k3", "edge b2 b0"),
+    ("modal-cover-stray", "param-modal-chain", "map zz -> [a]"),
+    ("modal-cover-repeated", "param-modal-chain", "map b -> [a,R,b]"),
+    ("ef-table-past-k", "equiv-ef-exists-k2-edge-edge", "map [a,a,a] -> a"),
+    ("ef-table-stray", "equiv-ef-exists-k2-edge-edge", "map [zz] -> a"),
+    ("ef-table-root", "equiv-ef-exists-k2-edge-edge", "map [] -> a"),
+    ("ef-table-repeated", "equiv-ef-exists-k2-edge-edge", "map [a,b] -> a"),
+    ("modal-table-no-path", "equiv-modal-exists-k2-chain-cycle", "map [a,R,c] -> x"),
+    ("modal-table-off-point", "equiv-modal-exists-k2-chain-cycle", "map [b] -> x"),
+    ("iso-repeated", "equiv-ef-iso-k2-edge-edge", "fwd [b] -> a"),
+    ("iso-stray", "equiv-ef-iso-k2-edge-edge", "bwd [zz] -> a"),
+    ("both-past-k", "equiv-ef-both-k2-edge-edge", "fwd map [a,a,a] -> a"),
+    ("both-repeated", "equiv-ef-both-k2-edge-edge", "bwd map [b] -> b"),
+    ("spoiler-repeated-node", "equiv-ef-exists-k3-edge-twopts", "node 0 B [zz]"),
+    ("pebble-repeated-child", "equiv-pebble-exists-k3-c5-edge", "child 3 4"),
+]
+
+
+def _verify_edited_golden(tmp_path, name: str, text: str):
+    """`verify` of `text` against the structures of the golden job `name`."""
+    (tmp_path / "edited.cert").write_text(text)
+    structures = next(s for job, _, _, s in golden_jobs() if job == name)
+    for s in structures:
+        (tmp_path / f"{s}.str").write_text(GOLDEN_INPUTS[s])
+    return run(["verify", "--certificate", str(tmp_path / "edited.cert"),
+                *(str(tmp_path / f"{s}.str") for s in structures)])
+
+
+@pytest.mark.parametrize("name,row", [case[1:] for case in STRAY_ROWS],
+                         ids=[case[0] for case in STRAY_ROWS])
+def test_verify_refuses_a_repeated_or_stray_row(tmp_path, capsys, name, row):
+    rows = (GOLDEN / f"{name}.cert").read_text().splitlines()
+    head = next(i for i, r in enumerate(rows) if r.split()[0] not in
+                ("certificate", "game", "k", "claim", "kappa"))
+    code, out = _verify_edited_golden(tmp_path, name,
+                                      "\n".join(rows[:head] + [row] + rows[head:]) + "\n")
+    err = capsys.readouterr().err
+    assert (code, out) == (2, ""), err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name,row,detail", [
+    ("hom-edge-k3", "map b -> v", "mapping not total: 'b' unassigned"),
+    ("equiv-ef-exists-k2-edge-edge", "map [b,a] -> b", "mapping not total: ('b', 'a') unassigned"),
+    ("equiv-modal-exists-k2-chain-cycle", "map [a] -> x", "mapping not total: ('a',) unassigned"),
+], ids=["hom-witness", "ef-table", "modal-table"])
+def test_verify_finds_a_missing_row_false(tmp_path, name, row, detail):
+    """A table without the entry of one element or play is no morphism: a
+    false verdict, not a malformed certificate."""
+    text = (GOLDEN / f"{name}.cert").read_text()
+    assert f"{row}\n" in text
+    code, out = _verify_edited_golden(tmp_path, name, text.replace(f"{row}\n", ""))
+    assert code == 1
+    assert out.endswith(f"result: false\ndetail: {detail}\n")
+
+
 def test_equiv_refuses_a_table_over_the_play_cap(files):
     """K3 to K3 is won, but its 13-round table would have 2,391,483 plays: the
     command stops at the play cap before it builds any of it."""

@@ -4,7 +4,8 @@ from itertools import product
 import pytest
 
 from gamecomonads import ef, logic, pebbling
-from gamecomonads.game import CoKleisli, audit_spoiler_tree, lifted_structure, prefixes
+from gamecomonads.game import (CoKleisli, audit_spoiler_tree, chain_error, lifted_structure,
+                               play_universe, prefixes)
 from gamecomonads.errors import CapExceededError, ToolkitError, VocabularyMismatchError
 from gamecomonads.structures import Structure, check_hom, find_hom
 
@@ -14,18 +15,18 @@ from helpers import (S, VOCAB_R, all_structures_upto, cokleisli_compose, counit_
 
 def test_universe_counts():
     a2 = S(VOCAB_R, ["a", "b"], {})
-    assert len(ef.ef_universe(a2, 2)) == 6
+    assert len(play_universe(ef.GAME, a2, 2)) == 6
     a1 = S(VOCAB_R, ["a"], {})
-    assert ef.ef_universe(a1, 3) == [("a",), ("a", "a"), ("a", "a", "a")]
-    assert ef.ef_universe(S(VOCAB_R, []), 4) == []
+    assert play_universe(ef.GAME, a1, 3) == [("a",), ("a", "a"), ("a", "a", "a")]
+    assert play_universe(ef.GAME, S(VOCAB_R, []), 4) == []
 
 
 def test_universe_rejects_k_zero_and_caps():
     a = S(VOCAB_R, ["a", "b"], {})
     with pytest.raises(ToolkitError):
-        ef.ef_universe(a, 0)
+        play_universe(ef.GAME, a, 0)
     with pytest.raises(CapExceededError):
-        ef.ef_universe(a, 2, cap=3)
+        play_universe(ef.GAME, a, 2, cap=3)
 
 
 def test_lifted_structure_membership():
@@ -72,7 +73,7 @@ def test_coextension():
 def test_coextension_of_counit_is_identity():
     a = S(VOCAB_R, ["a", "b"], {"R": [("a", "b")]})
     f = counit_cokleisli(ef.GAME, a, 2)
-    for s in ef.ef_universe(a, 2):
+    for s in play_universe(ef.GAME, a, 2):
         assert star(f, s) == s
 
 
@@ -85,7 +86,7 @@ def test_cokleisli_identity_laws_and_associativity():
 
     def random_table(src, dst):
         return CoKleisli(ef.GAME, k, src, dst,
-                         {s: rng.choice(dst.universe) for s in ef.ef_universe(src, k)})
+                         {s: rng.choice(dst.universe) for s in play_universe(ef.GAME, src, k)})
 
     for _ in range(10):
         f = random_table(a, b)
@@ -192,7 +193,7 @@ def test_certificate_table_matches_strategy_semantics():
     assert res.wins
     # the table replays the game: every play's pair history is a partial hom
     from gamecomonads.structures import is_partial_hom
-    for s in ef.ef_universe(a, 2):
+    for s in play_universe(ef.GAME, a, 2):
         t = star(res.strategy, s)
         assert is_partial_hom(list(zip(s, t)), a, b)
 
@@ -216,8 +217,9 @@ def test_lifting_builds_each_tuple_from_its_longest_play():
     for _ in range(30):
         a = random_structure(rng, rng.randint(1, 3), vocab)
         for game, universe, compatible in [
-                (ef.GAME, ef.ef_universe(a, 3), None),
-                (pebbling.GAME, pebbling.pebble_universe(a, 2, 3), pebbling._on_one_branch)]:
+                (ef.GAME, play_universe(ef.GAME, a, 3), None),
+                (pebbling.GAME, pebbling.pebble_universe(a, 2, 3),
+                 lambda plays: chain_error(plays, pebbling.active_last) is None)]:
             # a random prefix-closed set of plays, so that every tuple lies inside it
             tops = rng.sample(universe, min(len(universe), 12))
             plays = [s for s in universe if any(t[:len(s)] == s for t in tops)]

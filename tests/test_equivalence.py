@@ -1,14 +1,16 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gamecomonads import ef, equivalence as eq, logic
+from gamecomonads import ef, equivalence as eq, logic, modal
 from gamecomonads import pebbling as pb
 from gamecomonads.errors import CapExceededError, ToolkitError
-from gamecomonads.game import (DEFAULT_PLAY_CAP, audit_spoiler_tree, audit_won_positions,
-                               lifted_hom, round_values, spoiler_tree, won_positions)
+from gamecomonads.game import (DEFAULT_PLAY_CAP, Game, audit_spoiler_tree, audit_won_positions,
+                               chain_error, law_report, lifted_hom, play_universe, round_values,
+                               spoiler_tree, won_positions)
 from gamecomonads.structures import Vocabulary, check_hom
 
 from helpers import (NAMES, S, VOCAB_R, all_pointed, all_structures_upto, bisim_oracle,
@@ -126,7 +128,7 @@ def test_theta_surviving_tables_respect_winning_set():
     assert res.nonempty
     from gamecomonads.structures import is_partial_iso
     for table in res.tables_ab:
-        for s in ef.ef_universe(EDGE, 2):
+        for s in play_universe(ef.GAME, EDGE, 2):
             t = ef.coextend(table, s)
             assert is_partial_iso(list(zip(s, t)), EDGE, EDGE)
 
@@ -266,7 +268,7 @@ def test_lifted_hom_agrees_with_check_hom_on_the_built_lifting(data):
     lifted tuple counts: both refuse a total table into a target that holds
     the images of all lifted tuples but one."""
     g, a, b, k = data.draw(_pair())
-    plays = g.universe(a, k, DEFAULT_PLAY_CAP)
+    plays = play_universe(g, a, k, DEFAULT_PLAY_CAP)
     res = g.decide(a, b, k, DEFAULT_PLAY_CAP)
     if res.wins:
         table = res.strategy.table
@@ -302,15 +304,148 @@ def test_iso_audit_agrees_with_the_materialised_audit(data):
     fwd, bwd = res.forward, res.backward
     how = data.draw(st.sampled_from(["none", "forward", "backward", "swap"]))
     if how == "forward":
-        fwd = _edited(data.draw, fwd, g.universe(a, k), b.universe)
+        fwd = _edited(data.draw, fwd, play_universe(g, a, k), b.universe)
     elif how == "backward":
-        bwd = _edited(data.draw, bwd, g.universe(b, k), a.universe)
+        bwd = _edited(data.draw, bwd, play_universe(g, b, k), a.universe)
     elif how == "swap":
         fwd, bwd = bwd, fwd
     got = eq.audit_iso_pair(fwd, bwd, a, b, k, g.name)
     assert got == materialised_iso_audit(fwd, bwd, a, b, k, g.name)
     if how == "none":
         assert got == (True, "ok")
+
+
+# The play universe read off the play tree, against a listing apart from it:
+# symbols of arity <= 2, at most three elements, k <= 3.
+def _plays_by_product(g, a, k: int) -> list:
+    """The plays up to round k, length by length in lexicographic order: for
+    the sequence game every tuple of elements; for the modal game, the point
+    followed by every tuple of (label, element) steps along transitions."""
+    if g.name == "ef":
+        return [s for n in range(1, k + 1) for s in product(a.universe, repeat=n)]
+    steps = [(name, e) for name, arity in a.vocab.symbols if arity == 2 for e in a.universe]
+    plays = [(a.point,)]
+    for n in range(1, k + 1):
+        for path in product(steps, repeat=n):
+            s = (a.point,) + tuple(x for step in path for x in step)
+            if all((u, v) in a.tuples(label) for u, label, v in zip(s[::2], s[1::2], s[2::2])):
+                plays.append(s)
+    return plays
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_play_universe_lists_the_play_tree(data):
+    """`play_universe` lists the plays breadth-first in declaration order, and
+    refuses one play over the cap without visiting the play tree."""
+    g = eq.game(data.draw(st.sampled_from(["ef", "modal"])))
+    vocab = data.draw(st.lists(st.sampled_from([s for s in SYMBOLS[g.name] if s[1] <= 2]),
+                               min_size=1, max_size=2, unique=True))
+    size = data.draw(st.integers(0 if g.name == "ef" else 1, 3))
+    a = data.draw(_structure(vocab, NAMES[:size], g.name == "modal")) if size else S(vocab, [])
+    k = data.draw(st.integers(1, 3))
+    want = _plays_by_product(g, a, k)
+    assert play_universe(g, a, k, len(want)) == want
+
+    def untouched(x, node):
+        raise AssertionError("the play tree was visited")
+
+    blind = Game(**{f: getattr(g, f) for f in Game._fields} | {"children": untouched})
+    if want:
+        with pytest.raises(CapExceededError):
+            play_universe(blind, a, k, len(want) - 1)
+
+
+# The comultiplication judged by each game's `hom_error`, against the
+# per-tuple tests the law check made before: the images of a lifted tuple
+# pairwise prefix-comparable (sequence game), and each shorter one active
+# along the longer (pebble game), or one step apart with the tuple's label
+# (modal game).
+def _still_active(s: tuple, t: tuple) -> bool:
+    return all(move[0] != s[-1][0] for move in t[len(s):])
+
+
+COMULT_OK = {
+    "ef": lambda name, images: chain_error(images, None) is None,
+    "pebble": lambda name, images: chain_error(images, _still_active) is None,
+    "modal": lambda name, images: (len(images) == 1 or images[1][:-2] == images[0]
+                                   and images[1][-2] == name),
+}
+COMULT = {"ef": ef.comult, "pebble": pb.pebble_comult, "modal": modal.modal_comult}
+
+
+def _lifted(name: str, a, k: int):
+    if name == "ef":
+        return ef.ef_structure(a, k)
+    if name == "pebble":
+        return pb.pebble_structure(a, k, 2)
+    return modal.unravel(a, k)
+
+
+def _swap_first_two(d: tuple) -> tuple:
+    return d[1:2] + d[:1] + d[2:]
+
+
+# A comultiplication wrong at every play of two or more moves: two prefixes
+# swapped, the last move renumbered to the first move's pebble, the last step
+# relabelled.
+BAD_COMULT = {
+    "ef": lambda s: _swap_first_two(ef.comult(s)),
+    "pebble": lambda s: (pb.pebble_comult(s)[:-1] + ((s[0][0], s),)),
+    "modal": lambda s: modal.modal_comult(s)[:-2] + ("Q", s) if len(s) > 1 else (s,),
+}
+LAW_HOSTS = {"ef": (S(VOCAB_R, ["a", "b"], {"R": [("a", "b")]}), 2),
+             "pebble": (S(VOCAB_R, ["a", "b"], {"R": [("a", "b")]}), 2),
+             "modal": (S(VOCAB_R, ["a", "b"], {"R": [("a", "b")]}, point="a"), 2)}
+
+
+@pytest.mark.parametrize("name", ["ef", "pebble", "modal"])
+def test_law_report_catches_a_comultiplication_that_is_no_homomorphism(name):
+    g, (a, k) = eq.game(name), LAW_HOSTS[name]
+    lifted = _lifted(name, a, k)
+    assert law_report(g, a, lifted, COMULT[name]).ok
+    rep = law_report(g, a, lifted, BAD_COMULT[name])
+    assert not rep.ok
+    assert any(f.startswith("comult: homomorphism fails on R") for f in rep.failures), rep
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_hom_error_on_the_comultiplication_agrees_with_the_per_tuple_tests(data):
+    """On random liftings (symbols of arity 1-3, 1-2 for the modal game, at
+    most three elements, k <= 3, or 2 pebbles on plays of length <= 2), with
+    the comultiplication right or, three times in four, edited at one play:
+    two entries swapped, one pebble renumbered, or one step relabelled."""
+    name = data.draw(st.sampled_from(["ef", "pebble", "modal"]))
+    g = eq.game(name)
+    vocab = data.draw(st.lists(st.sampled_from(SYMBOLS["modal" if name == "modal" else "ef"]),
+                               min_size=1, max_size=2, unique=True))
+    a = data.draw(_structure(vocab, NAMES[:data.draw(st.integers(1, 3))], name == "modal"))
+    k = 2 if name == "pebble" else data.draw(st.integers(1, 3))
+    lifted = _lifted(name, a, k)
+    delta = {s: COMULT[name](s) for s in lifted.universe}
+    # the edited play is, when there is one, a play of two or more moves in a
+    # lifted tuple of two or more plays
+    joined = [x for sym, _ in vocab for combo in lifted.tuples(sym) if len(set(combo)) > 1
+              for x in combo if len(delta[x]) > 1]
+    s = data.draw(st.sampled_from(joined or lifted.universe))
+    d = list(delta[s])
+    if data.draw(st.integers(0, 3)):
+        if name == "ef" and len(d) > 1:
+            i, j = data.draw(st.lists(st.integers(0, len(d) - 1), min_size=2, max_size=2,
+                                      unique=True))
+            d[i], d[j] = d[j], d[i]
+        elif name == "pebble":
+            i = data.draw(st.integers(0, len(d) - 1))
+            d[i] = (3 - d[i][0], d[i][1])
+        elif len(d) > 1:
+            i = data.draw(st.sampled_from(range(1, len(d), 2)))
+            d[i] = data.draw(st.sampled_from([n for n, arity in vocab if arity == 2 and n != d[i]]
+                                             + ["Q"]))
+    delta[s] = tuple(d)
+    want = all(COMULT_OK[name](sym, tuple(delta[x] for x in combo))
+               for sym, _ in vocab for combo in lifted.tuples(sym))
+    assert (g.hom_error(delta, lifted) is None) == want
 
 
 # Colour refinement against the pair searches: symbols of arity 1-3 (for the

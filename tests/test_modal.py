@@ -3,7 +3,7 @@ import pytest
 from gamecomonads import equivalence as eq
 from gamecomonads import modal
 from gamecomonads.errors import ArityError, PointError
-from gamecomonads.game import audit_spoiler_tree
+from gamecomonads.game import audit_spoiler_tree, play_universe
 from gamecomonads.structures import check_hom, find_hom
 
 from helpers import S, VOCAB_R, all_pointed, all_structures_upto, bisim_oracle
@@ -52,7 +52,7 @@ def test_counit_comult_basics():
     d = modal.modal_comult(path)
     assert d == (("a",), "R", ("a", "R", "b"))
     assert modal.modal_counit(d) == path
-    plays = modal.modal_universe(a, 2)
+    plays = play_universe(modal.GAME, a, 2)
     counit_table = {s: s[-1] for s in plays}
     for s in plays:
         assert modal.modal_coextend(counit_table, s) == s

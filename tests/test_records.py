@@ -21,10 +21,10 @@ FIELDS = {
     "structures.Hom": ("source", "target", "mapping"),
     "structures.Graph": ("vertices", "edges"),
     "game.LawReport": ("ok", "failures"),
-    "game.Game": ("name", "root", "children", "depth", "universe", "check_plays", "lifted_at",
-                  "pointed", "winning", "forth", "reflects", "position", "refine", "coextend",
-                  "last", "prefixes", "play_error", "hom_error", "decide", "laws",
-                  "exists_kinds", "backforth_kinds", "iso_kind", "cover_kind"),
+    "game.Game": ("name", "root", "children", "depth", "check_plays", "lifted_at", "pointed",
+                  "winning", "forth", "reflects", "position", "refine", "coextend", "last",
+                  "prefixes", "play_error", "hom_error", "decide", "laws", "exists_kinds",
+                  "backforth_kinds", "iso_kind", "cover_kind"),
     "game.CoKleisli": ("game", "k", "source", "target", "table", "cap"),
     "game.SpoilerNode": ("side", "step", "branches"),
     "game.ExistResult": ("wins", "strategy", "refutation"),
@@ -74,7 +74,7 @@ OWN_EQ = {"structures.Structure", "structures.Graph", "parameters.ForestCover",
           "parameters.CoalgebraMap"}
 # Records whose `__post_init__` checks its input, so arbitrary values do not build one.
 CHECKED = {"structures.Vocabulary", "structures.Structure", "structures.Hom", "structures.Graph",
-           "game.CoKleisli", "parameters.ForestCover"}
+           "parameters.ForestCover"}
 
 
 def records():
