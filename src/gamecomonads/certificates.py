@@ -401,12 +401,21 @@ def _verify_won_positions(cert: Certificate, a: Structure, b: Structure,
 
 
 def _verify_iso(cert: Certificate, a: Structure, b: Structure, cap: int) -> tuple[bool, str]:
+    _only_rows(cert, ("fwd", "bwd"))
     g, k = eq_mod.GAMES[cert.game], cert.k
     fwd = _parse_map_rows([r for r in cert.body if r[0] == "fwd"], "fwd",
                           lambda tok: _play(tok, g, k, a))
     bwd = _parse_map_rows([r for r in cert.body if r[0] == "bwd"], "bwd",
                           lambda tok: _play(tok, g, k, b))
     return eq_mod.audit_iso_pair(fwd, bwd, a, b, cert.k, cert.game, cap)
+
+
+def _only_rows(cert: Certificate, heads: tuple) -> None:
+    """Refuse a row of a composite certificate whose first token is not in
+    `heads`: the audit would read no such row."""
+    for row in cert.body:
+        if row[0] not in heads:
+            raise CertificateError(f"stray row {row!r} in a {cert.kind} certificate")
 
 
 def _inner_rows(cert: Certificate, direction: str) -> list[list[str]]:
@@ -421,6 +430,7 @@ def _verify_both(cert: Certificate, a: Structure, b: Structure, cap: int) -> tup
     game, k = cert.game, cert.k
     true_kind, false_kind = eq_mod.GAMES[game].exists_kinds
     if cert.claim == "true":
+        _only_rows(cert, ("fwd", "bwd"))
         fwd_rows = _inner_rows(cert, "fwd")
         bwd_rows = _inner_rows(cert, "bwd")
         ok1, why1 = verify_certificate(
@@ -430,10 +440,11 @@ def _verify_both(cert: Certificate, a: Structure, b: Structure, cap: int) -> tup
         ok2, why2 = verify_certificate(
             Certificate(true_kind, game, k, "true", body=bwd_rows), b, a, cap)
         return ok2, ("ok" if ok2 else f"backward: {why2}")
-    direction = next((row[1] for row in cert.body
-                      if row[0] == "direction" and len(row) == 2), None)
+    heads = [row for row in cert.body if row[0] == "direction"]
+    direction = heads[0][1] if len(heads) == 1 and len(heads[0]) == 2 else None
     if direction not in ("fwd", "bwd"):
-        raise CertificateError("both-pair false certificate needs a direction row")
+        raise CertificateError("both-pair false certificate needs one `direction fwd|bwd` row")
+    _only_rows(cert, ("direction", direction))
     rows = _inner_rows(cert, direction)
     src, dst = (a, b) if direction == "fwd" else (b, a)
     return verify_certificate(Certificate(false_kind, game, k, "false", body=rows), src, dst,
@@ -488,11 +499,7 @@ def _verify_pfc(cert: Certificate, a: Structure, b: Optional[Structure],
     used = max(pfc.pebbles.values(), default=1)
     if used != cert.kappa:
         return False, f"pebbles used {used} != claimed {cert.kappa}"
-    try:
-        c = par_mod.pfc_to_pebble_coalgebra(pfc, cert.kappa, a)
-    except ToolkitError as exc:
-        return False, str(exc)
-    ok, why = par_mod.check_coalgebra(c)
+    ok, why = par_mod.check_coalgebra(par_mod.pfc_to_pebble_coalgebra(pfc, cert.kappa, a))
     if not ok:
         return False, why
     if bags:

@@ -136,7 +136,7 @@ def decide_cokleisli_iso(a: Structure, b: Structure, k: int, comonad: str = "ef"
     value, matching = bijective_game(g, a, b, k)
     if not value(g.root(a), g.root(b)):
         return IsoResult(False)
-    reply = read_off(g, a, b, k, matching)
+    reply = dict(read_off(g, a, b, k, matching))
     return IsoResult(True, forward={s: g.last(reply[s]) for s in plays},
                      backward={reply[s]: g.last(s) for s in plays})
 

@@ -8,14 +8,14 @@ that the benchmark tracer rebinds (the deciders) are wrapped so that they look
 the module attribute up at call time.
 
 This module also holds the pieces the constructions would otherwise repeat:
-the play cap, the listing of a round-bounded game's plays off its play tree
-(`play_universe`) and the cap on a won table (`won_within`), the lifting along
-play prefixes at one top play, the one comonad-law report, the one coKleisli
-morphism record with the walk of a table's plays and their coextensions and
-the homomorphism check run on it (which builds no lifted structure), the one
-Spoiler-tree walk that the refutation audits and the certificate writer run
-on, and the driver (`run`) that runs recursion written as generators on an
-explicit stack.
+the play cap, the one walk of a round-bounded game's play tree (`walk_plays`)
+off which its plays, a table's coextensions and Duplicator's replies are
+read, the cap on a won table (`won_within`), the lifting along play prefixes
+at one top play, the one comonad-law report, the one coKleisli morphism
+record and the homomorphism check run on it (which builds no lifted
+structure), the one Spoiler-tree walk that the refutation audits and the
+certificate writer run on, and the driver (`run`) that runs recursion
+written as generators on an explicit stack.
 
 The round-bounded games (sequence and modal) are solved here: `round_values`
 is the backward induction, for the sides Spoiler may move on and the
@@ -26,7 +26,7 @@ Spoiler on both sides stays as its test oracle; their bijective game
 (`bijective_game`), whose wins are the coKleisli isomorphisms, memoises on the
 same keys.  Their witnesses are read off the values in one way each:
 Duplicator's tables of the existential game (`first_replies`) and of the
-bijective game, by one play-tree walk (`read_off`); Duplicator's won
+bijective game, by the play walk (`read_off`); Duplicator's won
 positions of the back-and-forth game (`won_positions`, one play pair per
 position and round, which `audit_won_positions` checks without solving); and
 Spoiler's tree of any of the four (`spoiler_tree`, one `SpoilerNode` type),
@@ -35,7 +35,7 @@ which `audit_spoiler_tree` replays without solving.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 from typing import Callable, Generator, Iterator, Mapping, Optional
 
 from .errors import CapExceededError, ToolkitError
@@ -225,20 +225,36 @@ class Game(Record):
                           self.cover_kind, "both-pair")) - {None}
 
 
+def walk_plays(game: Game, a: Structure, k: int, value=None,
+               carry: Optional[Callable] = None) -> Iterator[tuple[tuple, object]]:
+    """Each play of `a` up to round k with its value, breadth-first, children
+    in declaration order; the root is a play only when the lifting is
+    pointed.  `value` is the root's, and `carry(s, v, kids)` gives the values
+    of the children `kids` of s, in order, from the value v of s (None
+    without `carry`).  Only the plays before round k are kept."""
+    root = game.root(a)
+    if game.pointed:
+        yield root, value
+    level = [(root, value)]
+    for depth in range(1, k + 1):
+        below = []
+        for s, v in level:
+            kids = game.children(a, s)
+            for c, cv in zip(kids, carry(s, v, kids) if carry else repeat(None)):
+                yield c, cv
+                if depth < k:
+                    below.append((c, cv))
+        level = below
+
+
 def play_universe(game: Game, a: Structure, k: int, cap: int = DEFAULT_PLAY_CAP) -> list:
-    """The plays of `a` up to round k, read off the play tree breadth-first,
-    children in declaration order (the order `coextensions` walks); the root
-    is a play only when the lifting is pointed.  `game.root` validates `a`,
-    and more than `cap` plays are refused before any is listed."""
-    level = [game.root(a)]
+    """The plays of `a` up to round k, in `walk_plays` order.  `game.root`
+    validates `a`, and more than `cap` plays are refused before any is listed."""
+    game.root(a)
     if k < 1:
         raise ToolkitError("k must be >= 1")
     game.check_plays(a, k, cap)
-    plays = level[:] if game.pointed else []
-    for _ in range(k):
-        level = [s for parent in level for s in game.children(a, parent)]
-        plays += level
-    return plays
+    return [s for s, _ in walk_plays(game, a, k)]
 
 
 def won_within(game: Game, res, a: Structure, k: int, cap: int):
@@ -272,22 +288,12 @@ class CoKleisli(Record):
 
 
 def coextensions(game: Game, a: Structure, table: Mapping, k: int) -> Iterator[tuple]:
-    """Each play s of `a` up to round k, in universe order (breadth-first,
-    children in declaration order), with its coextension f*(s) under the total
-    `table`, built from its parent's: a step ends with the element it adds,
-    and the coextension keeps the rest of the step and maps that element.
-    Only the plays before round k are kept, to be extended in turn."""
+    """Each play s of `a` up to round k, in `walk_plays` order, with its
+    coextension f*(s) under the total `table`, carried from its parent's: a
+    step ends with the element it adds, which the coextension maps."""
     root = game.root(a)
-    level, first = [(root, ())], [root] if game.pointed else None
-    while level:
-        below = []
-        for parent, star in level:
-            for s in first or game.children(a, parent):
-                s_star = star + s[len(parent):-1] + (table[s],)
-                yield s, s_star
-                if game.depth(s) < k:
-                    below.append((s, s_star))
-        level, first = below, None
+    return walk_plays(game, a, k, (table[root],) if game.pointed else (),
+                      lambda s, star, kids: [star + c[len(s):-1] + (table[c],) for c in kids])
 
 
 def lifted_hom(game: Game, a: Structure, b: Structure, k: int, table: Mapping,
@@ -493,19 +499,12 @@ def won_positions(game: Game, a: Structure, b: Structure, k: int, value: Callabl
     return tuple(pairs)
 
 
-def read_off(game: Game, a: Structure, b: Structure, k: int, replies: Callable) -> dict:
-    """Duplicator's reply to every node of the play tree of `a` up to round k,
-    walked from the roots: `replies(s, t)` answers the children of s, in
-    order, once s is answered by t."""
-    reply = {game.root(a): game.root(b)}
-    todo = [game.root(a)]
-    while todo:
-        s = todo.pop()
-        if game.depth(s) < k:
-            for s2, t2 in zip(game.children(a, s), replies(s, reply[s])):
-                reply[s2] = t2
-                todo.append(s2)
-    return reply
+def read_off(game: Game, a: Structure, b: Structure, k: int,
+             replies: Callable) -> Iterator[tuple[tuple, tuple]]:
+    """Each play of `a` up to round k, in `walk_plays` order, with
+    Duplicator's reply in `b`: the root answers the root, and `replies(s, t)`
+    the children of s, in order, once s is answered by t."""
+    return walk_plays(game, a, k, game.root(b), lambda s, t, kids: replies(s, t))
 
 
 def first_replies(game: Game, a: Structure, b: Structure, k: int,
@@ -528,10 +527,8 @@ def first_replies(game: Game, a: Structure, b: Structure, k: int,
                            for s2 in game.children(a, s)]
         return [theirs[i] for i in firsts[key]]
 
-    reply = read_off(game, a, b, k, replies)
-    if not game.pointed:
-        del reply[game.root(a)]
-    return CoKleisli(game, k, a, b, {s: game.last(t) for s, t in reply.items()})
+    return CoKleisli(game, k, a, b,
+                     {s: game.last(t) for s, t in read_off(game, a, b, k, replies)})
 
 
 class SpoilerNode(Record):

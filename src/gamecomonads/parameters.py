@@ -21,6 +21,7 @@ from . import modal as modal_mod
 from . import pebbling as pebble_mod
 from .equivalence import GAMES, game
 from .errors import CapExceededError, CycleError, ToolkitError
+from .game import walk_plays
 from .structures import Elem, Graph, Record, Structure, gaifman
 
 DEFAULT_VERTEX_CAP = 7
@@ -84,11 +85,6 @@ class ForestCover(Record):
             self._conflicts[g.edges] = None if pairs is None else tuple(pairs)
         return self._conflicts[g.edges]
 
-    def __eq__(self, other):
-        if not isinstance(other, ForestCover):
-            return NotImplemented
-        return self.vertices == other.vertices and dict(self.parent) == dict(other.parent)
-
 
 def is_forest_cover(cover: ForestCover, g: Graph) -> bool:
     return tuple(cover.vertices) == tuple(g.vertices) and cover.conflicts(g) is not None
@@ -97,11 +93,6 @@ def is_forest_cover(cover: ForestCover, g: Graph) -> bool:
 class PebbleForestCover(Record):
     cover: ForestCover
     pebbles: Mapping[Elem, int]
-
-    def __eq__(self, other):
-        if not isinstance(other, PebbleForestCover):
-            return NotImplemented
-        return self.cover == other.cover and dict(self.pebbles) == dict(other.pebbles)
 
 
 def is_pebble_forest_cover(pfc: PebbleForestCover, g: Graph, k: int) -> bool:
@@ -131,13 +122,6 @@ class TreeDecomposition(Record):
 
     def width(self) -> int:
         return max((len(self.bags[x]) for x in self.nodes), default=0) - 1
-
-    def __eq__(self, other):
-        if not isinstance(other, TreeDecomposition):
-            return NotImplemented
-        return (self.nodes == other.nodes and dict(self.parent) == dict(other.parent)
-                and {x: frozenset(self.bags[x]) for x in self.nodes}
-                == {x: frozenset(other.bags[x]) for x in other.nodes})
 
 
 def is_tree_decomposition(td: TreeDecomposition, g: Graph) -> bool:
@@ -181,12 +165,6 @@ class CoalgebraMap(Record):
     k: int
     host: Structure
     alpha: Mapping[Elem, tuple]
-
-    def __eq__(self, other):
-        if not isinstance(other, CoalgebraMap):
-            return NotImplemented
-        return (self.comonad == other.comonad and self.k == other.k
-                and self.host == other.host and dict(self.alpha) == dict(other.alpha))
 
 
 def check_coalgebra(c: CoalgebraMap) -> tuple[bool, Optional[str]]:
@@ -253,55 +231,26 @@ def modal_coalgebra(host: Structure, k: Optional[int] = None) -> CoalgebraMap:
 
 
 def _tree_paths(host: Structure) -> tuple[int, dict]:
-    """Root paths of a synchronization tree; raises CycleError on reachable
-    cycles and ToolkitError when the reachable part is not a spanning tree."""
-    point = host.point
-    _reachable_postorder(host)  # raises CycleError on a reachable cycle
-    paths = {point: (point,)}
-    queue = [point]
-    depth = 0
-    while queue:
-        nxt = []
-        for u in queue:
-            for label, v in modal_mod.successors(host, u):
-                if v in paths:
-                    raise ToolkitError(
-                        "no modal coalgebra: an element is reachable along two "
-                        "different labelled paths (the reachable part is not a tree)")
-                paths[v] = paths[u] + (label, v)
-                nxt.append(v)
-        queue = nxt
-        if queue:
-            depth += 1
+    """Root paths of a synchronization tree and its depth, read off its modal
+    plays up to |universe| steps (a tree's paths are shorter; a path that
+    long meets an element twice).  The walk stops at the first fault met:
+    CycleError when a path returns to an element on it, ToolkitError when an
+    element is reached twice; ToolkitError too when one is never reached."""
+    paths: dict = {}
+    for path, _ in walk_plays(modal_mod.GAME, host, len(host.universe)):
+        v = path[-1]
+        if v in path[:-1:2]:
+            raise CycleError("a cycle is reachable from the distinguished element")
+        if v in paths:
+            raise ToolkitError(
+                "no modal coalgebra: an element is reachable along two "
+                "different labelled paths (the reachable part is not a tree)")
+        paths[v] = path
     missing = [v for v in host.universe if v not in paths]
     if missing:
         raise ToolkitError(f"no modal coalgebra: {missing[0]!r} is unreachable "
                            "from the distinguished element")
-    return depth, paths
-
-
-def _reachable_postorder(host: Structure) -> list[Elem]:
-    """Elements reachable from the point, each after all its successors, by an
-    explicit-stack depth-first search; raises CycleError on a reachable cycle."""
-    order: list[Elem] = []
-    on_path = {host.point}
-    done: set = set()
-    stack = [(host.point, iter(modal_mod.successors(host, host.point)))]
-    while stack:
-        u, succ = stack[-1]
-        for _, v in succ:
-            if v in on_path:
-                raise CycleError("a cycle is reachable from the distinguished element")
-            if v not in done:
-                on_path.add(v)
-                stack.append((v, iter(modal_mod.successors(host, v))))
-                break
-        else:
-            stack.pop()
-            on_path.discard(u)
-            done.add(u)
-            order.append(u)
-    return order
+    return modal_mod.path_steps(path), paths  # the last path of the walk is a deepest
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,10 @@ class Record:
     built by position or keyword (a missing, unknown or extra argument is a
     `TypeError`) and then checked by `__post_init__`.  It refuses assignment
     and deletion, equals only a record of its own type with equal fields,
-    hashes as its field tuple and prints as `Name(field=value, ...)`; a class
-    that defines its own `__eq__` keeps it and is unhashable.  Each class's
-    constructor, equality and hash are closures made once, when the class is
-    created, so no code is compiled for it."""
+    hashes as its field tuple (so a record with a dict field is unhashable)
+    and prints as `Name(field=value, ...)`.  Each class's constructor,
+    equality and hash are closures made once, when the class is created, so
+    no code is compiled for it."""
 
     _fields = ()
 
@@ -54,8 +54,6 @@ class Record:
                 check(self)
 
         cls.__init__ = __init__
-        if "__eq__" in vars(cls):
-            return
         values = _field_getter(names)
 
         def __eq__(self, other):
@@ -185,14 +183,6 @@ class Structure(Record):
     def is_pointed(self) -> bool:
         return self.point is not None
 
-    def __eq__(self, other):
-        if not isinstance(other, Structure):
-            return NotImplemented
-        return (self.vocab == other.vocab and self.universe == other.universe
-                and {n: self.tuples(n) for n in self.vocab.names}
-                == {n: other.tuples(n) for n in other.vocab.names}
-                and self.point == other.point)
-
     def __repr__(self):
         pt = f", point={self.point!r}" if self.point is not None else ""
         return f"Structure(|A|={len(self.universe)}, {dict((n, len(self.tuples(n))) for n in self.vocab.names)}{pt})"
@@ -246,11 +236,6 @@ class Graph(Record):
             adj[idx[u]] |= 1 << idx[v]
             adj[idx[v]] |= 1 << idx[u]
         return adj
-
-    def __eq__(self, other):
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self.vertices == other.vertices and self.edges == other.edges
 
 
 def parse_structure(text: str | bytes) -> Structure:

@@ -15,8 +15,8 @@
   depth-k bisimilarity.
 - Exhaustive references for the coalgebra numbers: every forest cover with
   its minimum pebbling, the unpruned tree-width dynamic program (the
-  independent check of tree-width), a coalgebra's forest cover and the
-  synchronization tree depth."""
+  independent check of tree-width), a coalgebra's forest cover, and the
+  synchronization tree shape and depth."""
 
 from __future__ import annotations
 
@@ -28,9 +28,10 @@ from typing import Iterator, Optional
 
 from gamecomonads import equivalence, logic, modal, pebbling
 from gamecomonads import parameters as par
-from gamecomonads.errors import CapExceededError, ToolkitError, VocabularyMismatchError
+from gamecomonads.errors import (CapExceededError, CycleError, ToolkitError,
+                                 VocabularyMismatchError)
 from gamecomonads.game import DEFAULT_PLAY_CAP, CoKleisli, Game, play_universe
-from gamecomonads.structures import (Graph, Structure, check_hom, is_partial_hom,
+from gamecomonads.structures import (Elem, Graph, Structure, check_hom, is_partial_hom,
                                      is_partial_iso)
 
 VOCAB_R = (("R", 2),)
@@ -677,11 +678,38 @@ def coalgebra_to_forest_cover(c: par.CoalgebraMap) -> par.ForestCover:
     return par.ForestCover(tuple(c.host.universe), parent)
 
 
+def is_synchronization_tree(a: Structure) -> bool:
+    """The part of the pointed `a` reachable from its point is a tree that
+    reaches every element: each element is reachable, the point has no
+    incoming transition, and every other element exactly one (a transition
+    is a labelled pair)."""
+    incoming = {v: 0 for v in a.universe}
+    for name in modal.binary_symbols(a):
+        for _, v in a.tuples(name):
+            incoming[v] += 1
+    reached, todo = {a.point}, [a.point]
+    while todo:
+        for _, v in modal.successors(a, todo.pop()):
+            if v not in reached:
+                reached.add(v)
+                todo.append(v)
+    return (len(reached) == len(a.universe)
+            and all(n == (v != a.point) for v, n in incoming.items()))
+
+
 def modal_depth(a: Structure) -> int:
     """Synchronization tree depth: the longest transition path from the point
-    over the (required acyclic) reachable part."""
+    over the (required acyclic) reachable part, by a depth-first search that
+    raises CycleError on a transition back to an element on its path."""
     modal.require_modal(a)
     longest: dict = {}
-    for u in par._reachable_postorder(a):
-        longest[u] = max((1 + longest[v] for _, v in modal.successors(a, u)), default=0)
-    return longest[a.point]
+
+    def visit(u: Elem, path: frozenset) -> int:
+        if u in path:
+            raise CycleError("a cycle is reachable from the distinguished element")
+        if u not in longest:
+            longest[u] = max((1 + visit(v, path | {u}) for _, v in modal.successors(a, u)),
+                             default=0)
+        return longest[u]
+
+    return visit(a.point, frozenset())

@@ -274,24 +274,39 @@ def test_certificate_through_a_symlink(files):
     assert link.is_symlink() and target.read_bytes() == path.read_bytes()
 
 
-@pytest.mark.parametrize("text", [
-    "certificate\n",
-    "certificate ef-table\ngame ef\nk two\nclaim true\n",
-    "certificate pebble-safe\ngame pebble\nk 2\nclaim true\npos\n",
-    "certificate ef-spoiler\ngame ef\nk 2\nclaim false\nnode 0\n",
-    "certificate ef-spoiler\ngame ef\nk 2\nclaim false\nnode 0 A [a]\nbranch 0 [x] 0\n",
-    "certificate both-pair\ngame pebble\nk 2\nclaim true\nfwd\n",
+def _golden_with(name: str, *rows: str) -> str:
+    """The golden certificate `name` with `rows` appended."""
+    return (GOLDEN / f"{name}.cert").read_text() + "".join(f"{row}\n" for row in rows)
+
+
+@pytest.mark.parametrize("text,target", [
+    ("certificate\n", "edge"),
+    ("certificate ef-table\ngame ef\nk two\nclaim true\n", "edge"),
+    ("certificate pebble-safe\ngame pebble\nk 2\nclaim true\npos\n", "edge"),
+    ("certificate ef-spoiler\ngame ef\nk 2\nclaim false\nnode 0\n", "edge"),
+    ("certificate ef-spoiler\ngame ef\nk 2\nclaim false\nnode 0 A [a]\nbranch 0 [x] 0\n",
+     "edge"),
+    ("certificate both-pair\ngame pebble\nk 2\nclaim true\nfwd\n", "edge"),
     ("certificate pebble-forest-cover\ngame pebble\nk 2\nkappa 2\nparent b a\npebble a 1\n"
-     "pebble b 2\nbag b0 a\nbag b1 a b\nedge b0 zz\nedge zz b1\n"),
+     "pebble b 2\nbag b0 a\nbag b1 a b\nedge b0 zz\nedge zz b1\n", "edge"),
+    # a row that a composite certificate's audit would not read
+    (_golden_with("equiv-ef-iso-k2-edge-edge", "zz [a] -> b"), "edge"),
+    (_golden_with("equiv-ef-both-k2-edge-edge", "zz map [a] -> zz"), "edge"),
+    (_golden_with("equiv-ef-both-k2-edge-edge", "direction fwd"), "edge"),
+    (_golden_with("equiv-ef-both-k2-edge-twopts", "bwd map [x] -> a"), "twopts"),
+    (_golden_with("equiv-ef-both-k2-edge-twopts", "zz junk"), "twopts"),
+    (_golden_with("equiv-ef-both-k2-edge-twopts", "direction fwd"), "twopts"),
 ], ids=["bare-header", "k-not-integer", "pos-without-token", "node-without-move",
-         "child-not-a-later-node",
-        "empty-inner-row", "edge-to-bagless-node"])
-def test_malformed_certificate_is_usage_error(files, capsys, text):
+         "child-not-a-later-node", "empty-inner-row", "edge-to-bagless-node",
+         "iso-stray-head", "both-true-stray-head", "both-true-direction",
+         "both-false-other-direction", "both-false-stray-head", "both-false-two-directions"])
+def test_malformed_certificate_is_usage_error(files, capsys, text, target):
     cert = files["dir"] / "bad.cert"
     cert.write_text(text)
-    code, _ = run(["verify", "--certificate", str(cert), files["edge"], files["edge"]])
+    code, _ = run(["verify", "--certificate", str(cert), files["edge"], files[target]])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def emitted(files, argv):
@@ -741,6 +756,25 @@ def test_verify_finds_a_missing_row_false(tmp_path, name, row, detail):
     text = (GOLDEN / f"{name}.cert").read_text()
     assert f"{row}\n" in text
     code, out = _verify_edited_golden(tmp_path, name, text.replace(f"{row}\n", ""))
+    assert code == 1
+    assert out.endswith(f"result: false\ndetail: {detail}\n")
+
+
+@pytest.mark.parametrize("name,row,edited,detail", [
+    ("param-ef-k3", "parent v u", "parent v w", "parent map has a cycle"),
+    ("param-ef-k3", "parent v u", "parent v zz", "parent 'zz' outside the vertex set"),
+    ("param-pebble-k3", "kappa 3", "kappa 4", "pebbles used 3 != claimed 4"),
+    ("param-pebble-k3", "bag b2 w", "bag b2 u", "attached tree decomposition is invalid"),
+    ("param-pebble-p4", "bag b1 x y", "bag b1 w x y", "decomposition width 2 exceeds 1"),
+], ids=["cover-cycle", "cover-parent-outside", "pebbles-under-claim", "decomposition-invalid",
+        "decomposition-too-wide"])
+def test_verify_refuses_a_tampered_cover(tmp_path, name, row, edited, detail):
+    """A cover whose parent map is no forest, or a pebbled cover whose
+    pebbles or attached decomposition miss the claimed kappa, is a false
+    verdict."""
+    text = (GOLDEN / f"{name}.cert").read_text()
+    assert f"\n{row}\n" in text
+    code, out = _verify_edited_golden(tmp_path, name, text.replace(f"\n{row}\n", f"\n{edited}\n"))
     assert code == 1
     assert out.endswith(f"result: false\ndetail: {detail}\n")
 

@@ -2,15 +2,17 @@ import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gamecomonads import parameters as par
 from gamecomonads.errors import CapExceededError, CycleError, ToolkitError
 from gamecomonads.structures import Graph, gaifman
 
-from helpers import (S, VOCAB_R, all_forest_covers, all_graphs, clique_structure,
-                     coalgebra_to_forest_cover, graph_structure, min_pebble_forest_cover,
-                     modal_depth, path_structure, random_graph, random_tree_pointed,
-                     reference_treewidth)
+from helpers import (NAMES, S, VOCAB_R, all_forest_covers, all_graphs, clique_structure,
+                     coalgebra_to_forest_cover, graph_structure, is_synchronization_tree,
+                     min_pebble_forest_cover, modal_depth, path_structure, random_graph,
+                     random_tree_pointed, reference_treewidth)
 
 
 def test_check_coalgebra_forced_singleton():
@@ -185,6 +187,15 @@ def test_kappa_pebble_examples():
     empty = min_pebble_forest_cover(Graph.build([], []))
     assert empty.cover.vertices == () and empty.pebbles == {}
     assert par.coalgebra_number(S(VOCAB_R, [], {}), "pebble").kappa == 1
+    # min-degree greedy eliminates to width 4 here, so the dynamic program
+    # must beat its bound and read its own order back
+    g = Graph.build([f"v{i}" for i in range(6)],
+                    [(f"v{e[0]}", f"v{e[1]}") for e in "02 04 05 12 13 14 15 23 34 35".split()])
+    res = par.coalgebra_number(graph_structure(g), "pebble")
+    assert res.kappa == 4 and par.is_pebble_forest_cover(res.pfc, g, 4)
+    ok, why = par.check_coalgebra(res.coalgebra)
+    assert ok, why
+    assert par.oracle_treewidth(g) == reference_treewidth(g) == 3
 
 
 def test_oracle_treedepth_cliques_and_singleton():
@@ -307,6 +318,27 @@ def test_modal_kappa_matches_depth_on_random_trees():
         ok, why = par.check_coalgebra(res.coalgebra)
         assert ok, why
         assert res.kappa == max(1, modal_depth(a))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_modal_kappa_exactly_on_synchronization_trees(data):
+    """On random pointed structures with two labels, the modal coalgebra
+    number exists exactly when the reachable part is a tree that reaches
+    every element, and is then the tree's depth (at least 1)."""
+    names = NAMES[:data.draw(st.integers(1, 5))]
+    edges = data.draw(st.sets(st.tuples(st.sampled_from("RT"), st.sampled_from(names),
+                                        st.sampled_from(names)), max_size=7))
+    rels = {label: [(u, v) for lab, u, v in edges if lab == label] for label in "RT"}
+    a = S((("R", 2), ("T", 2)), names, rels, point=data.draw(st.sampled_from(names)))
+    if is_synchronization_tree(a):
+        res = par.coalgebra_number(a, "modal")
+        assert res.kappa == max(1, modal_depth(a))
+        ok, why = par.check_coalgebra(res.coalgebra)
+        assert ok, why
+    else:
+        with pytest.raises(ToolkitError):
+            par.coalgebra_number(a, "modal")
 
 
 def test_every_search_witness_passes_check_coalgebra():

@@ -4,10 +4,10 @@ A fresh interpreter sets a profile hook before `gamecomonads` is imported,
 so functions called at import time count too, and then runs every
 golden-corpus job with its `verify` (`test_golden.corpus`).  A `def` the
 hook never sees is reached from the tests alone: it belongs in
-`tests/helpers.py`, or nowhere.  `ALLOWED` names the few kept on purpose,
-each with its reason.  Dunder methods are left out: Python calls them
-through operators, `raise` and `repr`, and a job reaches them only if its
-input happens to (`StructureParseError.__init__` runs on a malformed file).
+`tests/helpers.py`, or nowhere.  Dunder methods count too, though Python
+calls them through operators, `raise` and `repr`: an `__eq__` no job reaches
+is as dead as any other `def`.  `ALLOWED` names the few kept on purpose,
+each with its reason.
 """
 
 import ast
@@ -28,6 +28,20 @@ ALLOWED = {
         "public API: the tuples `serialize_structure` writes",
     ("structures.py", "Graph.build"):
         "public API: a graph from vertices and edges, without a structure",
+    ("structures.py", "Record.__setattr__"):
+        "refuses assignment to a frozen record; no job assigns to one",
+    ("structures.py", "Record.__delattr__"):
+        "refuses deletion from a frozen record; no job deletes from one",
+    ("structures.py", "Record.__repr__"):
+        "how a record prints when debugging; no job prints a record",
+    ("structures.py", "Structure.__repr__"):
+        "how a structure prints when debugging; no job prints one",
+    ("structures.py", "Record.__post_init__"):
+        "the base no-op check, which the constructor skips for a record without its own",
+    ("structures.py", "Record.__init_subclass__.<locals>.__hash__"):
+        "records hash as their fields; no job puts a record in a set or dict",
+    ("errors.py", "StructureParseError.__init__"):
+        "runs on a malformed structure file, which no golden job reads",
 }
 
 # argv: package directory, src, tests, working directory, output file
@@ -55,16 +69,15 @@ with open(out, "w") as f:
 
 def defined_functions() -> dict[tuple[str, int], str]:
     """(module file, first line) -> qualified name of every `def` in the
-    package but the dunder methods; the first line of a decorated function is
-    its first decorator's, as in its code object."""
+    package; the first line of a decorated function is its first
+    decorator's, as in its code object."""
     found = {}
 
     def walk(node, file: str, prefix: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 first = min([d.lineno for d in child.decorator_list] + [child.lineno])
-                if not (child.name.startswith("__") and child.name.endswith("__")):
-                    found[file, first] = prefix + child.name
+                found[file, first] = prefix + child.name
                 walk(child, file, f"{prefix}{child.name}.<locals>.")
             elif isinstance(child, ast.ClassDef):
                 walk(child, file, f"{prefix}{child.name}.")
