@@ -13,27 +13,33 @@ sides (`decide_pebble`), decided by one deletion engine.  The back-and-forth
 game is decided first by refining the k-tuples of each side alone
 (`decide_back_forth`): on a win its family is read off the colours, and only
 a loss runs the engine, for Spoiler's tree.
-`delete_to_fixpoint` takes an initial family of positions and two callables:
-`obligations(pos)` yields each Spoiler move at `pos` with a key, and
-`answers(pos)` yields the keys of the moves that `pos` is itself a reply to.
-A move's replies depend only on its key, so a move has a reply in the family
-exactly when some position of the family answers its key; a pass collects
-the answered keys in one sweep and deletes each position with an unanswered
-move, without building any reply position.  `refutation` reads Spoiler's
-strategy off the deletions, and only it enumerates replies, through a third
-callable `replies(pos, move)`.  The initial family grows one pair at a time:
-partial homomorphisms and partial isomorphisms are closed under restriction,
-so only the good maps of one size are extended to the next.  A game with more
-candidate positions than the cap is refused before any position is built
-(`check_candidates`).  `audit_strategy_family` and `audit_spoiler_positions`
-check a win or a loss of either game without the solver.
+Inside the engine a partial map is an integer code (`_codes`), a mixed-radix
+number with one digit per element of A (0 outside the domain, 1 + the index
+of the image inside it), kept with one shared tuple of its pairs.  The
+initial family grows one pair at a time (`_partial_maps`): partial
+homomorphisms and partial isomorphisms are closed under restriction, so only
+the good maps of one size are extended to the next, and each extension is
+checked on the tuples through its new pair alone, indexed by element for any
+arity.  Each Spoiler move has an integer key, answered by the maps that are
+its replies, and `delete_to_fixpoint` counts the live answers of each
+placement key: its first pass judges every map, and each later pass only the
+maps with a move whose key lost its last answer in the pass before.
+`_refutation` reads Spoiler's strategy off the deletions.  Codes become pair
+sets only in the results: `StrategyFamily.parts` and `SpoilerPosition.pos`.
+A game with more candidate positions than the cap is refused before any
+position is built (`check_candidates`).  `audit_strategy_family` and
+`audit_spoiler_positions` check a win or a loss of either game without the
+solver, on pair sets.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Mapping
 from itertools import product
 from math import comb
-from typing import Callable, Iterable, Mapping, Optional
+from operator import itemgetter
+from typing import Callable, Optional
 
 from .errors import CapExceededError, ToolkitError, VocabularyMismatchError
 from .game import (DEFAULT_PLAY_CAP, Game, LawReport, law_report, lifted_structure,
@@ -145,57 +151,6 @@ class PebbleResult(Record):
     refutation: Optional[SpoilerPosition] = None
 
 
-def delete_to_fixpoint(positions: Iterable, obligations: Callable,
-                       answers: Callable) -> tuple[set, dict]:
-    """The greatest subfamily of `positions` in which every Spoiler move has a
-    reply leading back into the subfamily.
-
-    `obligations(pos)` yields each Spoiler move at `pos`, in the order in
-    which Spoiler tries them, as a pair `(move, key)`.  `answers(pos)` yields
-    the key of every move that has `pos` among its next positions.  The
-    contract: a position answers a key exactly when it is one of the next
-    positions of the moves with that key, so those moves all have the same
-    next positions.  The next positions themselves are never built here.
-
-    Deletion runs in simultaneous passes.  A pass judges every position
-    against the family as it stood at the start of the pass: one sweep over
-    the family collects the answered keys, then each position's first move
-    whose key is not among them is its failing move.  Every next position of
-    a failing move was therefore deleted in an earlier pass or never was in
-    the family, which keeps `refutation` well-founded.  Returns the survivors
-    and, per deleted position, its first move without a surviving reply.
-    """
-    alive = set(positions)
-    trace: dict = {}
-    while True:
-        answered = {key for pos in alive for key in answers(pos)}
-        removed = {}
-        for pos in alive:
-            for move, key in obligations(pos):
-                if key not in answered:
-                    removed[pos] = move
-                    break
-        if not removed:
-            return alive, trace
-        alive.difference_update(removed)
-        trace.update(removed)
-
-
-def refutation(trace: Mapping, root, replies: Callable, node: Callable):
-    """Spoiler's strategy from the deleted position `root`, read off the trace
-    of `delete_to_fixpoint`: at each position, the recorded move with every
-    reply paired with the strategy at its next position, or with None when
-    that position never was in the family.  `replies(pos, move)` yields the
-    (reply, next position) pairs of a move, and `node(pos, move, branches)`
-    builds one node."""
-    def refute(pos):
-        move = trace[pos]
-        return node(pos, move, tuple((reply, refute(nxt) if nxt in trace else None)
-                                     for reply, nxt in replies(pos, move)))
-
-    return refute(root)
-
-
 def check_candidates(a: Structure, b: Structure, k: int, cap: int) -> None:
     """Refuse a pebble game, before any position is built, when its candidate
     positions exceed `cap`: the partial maps from `a` to `b` with at most k
@@ -206,25 +161,209 @@ def check_candidates(a: Structure, b: Structure, k: int, cap: int) -> None:
         raise CapExceededError(f"pebble game has {count} candidate positions, cap is {cap}")
 
 
-def _partial_family(a: Structure, b: Structure, k: int, check: Callable) -> set:
-    """Every partial map with at most k pairs that passes `check`
-    (`is_partial_hom` or `is_partial_iso`).  The family grows one domain
-    element at a time, in declaration order: a map passes either check only
-    if it does without its last domain element, so each size extends the good
-    maps of the size below, and each map is judged once."""
-    level = [(frozenset(), 0)]  # (map, index in `a` of the next domain element)
-    family = {frozenset()}
-    for _ in range(min(k, len(a.universe))):
+def _codes(na: int, nb: int) -> tuple[int, list, list, list]:
+    """The integer codes of the partial maps from an `na`-element structure
+    to an `nb`-element one.  A map's code has one digit per element of the
+    source, in radix nb + 1: digit i is 0 when element i is outside the
+    domain and 1 + the index of its image otherwise, so a map's code is the
+    sum of the codes of its pairs.  Returns `(top, pairs, place_a,
+    place_b)`: every code is below `top`; `pairs[i][j]` is the one shared
+    `(i, j, code)` record of the pair of element i and element j; and a
+    placement on element i of the source at the map coded p has the key
+    `p + place_a[i]`, and one on element j of the target `p + place_b[j]`.
+    Placement keys lie above every code, so a key names its map and move."""
+    top = (nb + 1) ** na
+    return (top, [[(i, j, (1 + j) * (nb + 1) ** i) for j in range(nb)] for i in range(na)],
+            [top * (1 + i) for i in range(na)], [top * (1 + na + j) for j in range(nb)])
+
+
+def _tuples_through(x: Structure, y: Structure) -> list[list]:
+    """Per element index of `x`, each tuple of `x` through that element: the
+    bitmask of the indices of its other elements, a getter of its image
+    from a list of images by index, and the same symbol's relation in `y`,
+    as a set of what that getter returns."""
+    ix, iy = x.index, y.index
+    through: list[list] = [[] for _ in x.universe]
+    for name, arity in x.vocab.symbols:
+        rel = {tuple(iy[e] for e in tup) if arity > 1 else iy[tup[0]] for tup in y.tuples(name)}
+        for tup in x.tuples(name):
+            coded = {ix[e] for e in tup}
+            get = itemgetter(*(ix[e] for e in tup))
+            for c in coded:
+                through[c].append((sum(1 << o for o in coded if o != c), get, rel))
+    return through
+
+
+def _gained(through: list, new: int, have: int) -> list:
+    """The tuples through `new` whose other elements are all in the bitmask
+    `have`: the tuples a map with domain `have` gains by adding `new`."""
+    return [(get, rel) for others, get, rel in through[new] if others & have == others]
+
+
+def _kept(gained: list, img: list) -> bool:
+    """`img`, a list of images by index, sends every tuple of `gained` into
+    its relation."""
+    return all(get(img) in rel for get, rel in gained)
+
+
+def _partial_maps(a: Structure, b: Structure, k: int, back: bool, pairs: list) -> dict:
+    """Every partial homomorphism (partial isomorphism, when `back`) from `a`
+    to `b` with at most k pairs, as a dict from its code to its pair
+    records in domain order.  The maps grow one domain element at a time, in
+    declaration order: a map passes only if it does without its last pair,
+    so each size extends the good maps of the size below, and an extension
+    is judged on the tuples through its new pair alone: those of `a` through
+    the new element and, when `back`, those of `b` through the new image,
+    which must also be outside the range."""
+    na, nb = len(a.universe), len(b.universe)
+    forth = _tuples_through(a, b)
+    backs = _tuples_through(b, a) if back else None
+    every = [(j, ()) for j in range(nb)]  # each image, with no tuple of b to check
+    parts = {0: ()}
+    level = [0]
+    for _ in range(min(k, na)):
         grown = []
-        for part, start in level:
-            for i in range(start, len(a.universe)):
-                for y in b.universe:
-                    ext = part | {(a.universe[i], y)}
-                    if check(ext, a, b):
-                        grown.append((ext, i + 1))
-        family.update(ext for ext, _ in grown)
+        for p in level:
+            part = parts[p]
+            img, inv = [-1] * na, [-1] * nb
+            dom = rng = 0
+            for i, j, _ in part:
+                img[i], inv[j] = j, i
+                dom, rng = dom | 1 << i, rng | 1 << j
+            images = every
+            if back:
+                images = [(j, _gained(backs, j, rng)) for j in range(nb) if inv[j] < 0]
+            for i in range(part[-1][0] + 1 if part else 0, na):
+                gained = _gained(forth, i, dom)
+                for j, gained_b in images:
+                    img[i] = j
+                    if not _kept(gained, img):
+                        continue
+                    if gained_b:
+                        inv[j] = i
+                        kept = _kept(gained_b, inv)
+                        inv[j] = -1
+                        if not kept:
+                            continue
+                    q = p + pairs[i][j][2]
+                    parts[q] = part + (pairs[i][j],)
+                    grown.append(q)
+                img[i] = -1
         level = grown
-    return family
+    return parts
+
+
+def delete_to_fixpoint(parts: dict, k: int, back: bool, codes: tuple) -> tuple[set, dict]:
+    """The greatest subfamily of `parts` (codes to pair records, as
+    `_partial_maps` gives them) in which every Spoiler move has a reply
+    leading back into the subfamily.
+
+    Spoiler's moves at a map are dropping one of its pairs, in domain order,
+    then, below k pairs, placing a pebble on an element of A outside its
+    domain and, when `back`, on an element of B outside its range.  A drop's
+    key is the map without the pair, and a placement's its key in `_codes`.
+    A map answers a drop key by being it, and a placement key by extending
+    the key's map with one pair on the key's element, so a move has a reply
+    in the family exactly when some live map answers its key.  The engine
+    counts, per placement key, the live maps that answer it.
+
+    Deletion runs in simultaneous passes.  A pass judges maps against the
+    family as it stood at the start of the pass, and deletes each at its
+    first move whose key is unanswered.  The first pass judges every map;
+    each later one only the maps with a move whose key lost its last answer
+    in the pass before: the map of a placement key, and the live one-pair
+    extensions of a deleted map.  Every other map keeps the answers with
+    which it survived.  Every reply of a failing move was therefore deleted
+    in an earlier pass or never was in the family, which keeps the
+    refutation well-founded.  Returns the survivors and, per deleted map,
+    the key of its first move without a surviving reply."""
+    _, pairs, place_a, place_b = codes
+    alive = set(parts)
+    answers = Counter(p - d + place_a[i] for p, part in parts.items() for i, _, d in part)
+    if back:
+        answers.update(p - d + place_b[j] for p, part in parts.items() for _, j, d in part)
+    answers = dict(answers)  # a plain dict deletes faster than a Counter
+
+    def failing(p: int) -> Optional[int]:
+        part = parts[p]
+        for _, _, d in part:
+            if p - d not in alive:
+                return p - d
+        if len(part) < k:
+            # a placement key on an element of the domain is never answered
+            for i, at in enumerate(place_a):
+                if p + at not in answers and all(x != i for x, _, _ in part):
+                    return p + at
+            if back:
+                for j, at in enumerate(place_b):
+                    if p + at not in answers and all(y != j for _, y, _ in part):
+                        return p + at
+        return None
+
+    trace: dict = {}
+    judged = alive
+    while True:
+        removed = {}
+        for p in judged:
+            key = failing(p)
+            if key is not None:
+                removed[p] = key
+        if not removed:
+            return alive, trace
+        alive.difference_update(removed)
+        trace.update(removed)
+        judged = set()
+        for p in removed:
+            for i, j, d in parts[p]:
+                rest = p - d
+                for key in (rest + place_a[i], rest + place_b[j]) if back else (rest + place_a[i],):
+                    left = answers[key] - 1
+                    if left:
+                        answers[key] = left
+                    else:
+                        del answers[key]
+                        if rest in alive:
+                            judged.add(rest)
+        for p in removed:
+            if len(parts[p]) < k:
+                for i, at in enumerate(place_a):
+                    if p + at in answers:
+                        judged.update(q for q in (p + d for _, _, d in pairs[i]) if q in alive)
+
+
+def _frozen(part: tuple, a: Structure, b: Structure) -> PartialMapSet:
+    """The pairs of elements behind a map's pair records."""
+    return frozenset((a.universe[i], b.universe[j]) for i, j, _ in part)
+
+
+def _refutation(parts: dict, trace: dict, codes: tuple, a: Structure,
+                b: Structure) -> SpoilerPosition:
+    """Spoiler's strategy from the empty map, read off the trace of
+    `delete_to_fixpoint`: at each map, the recorded move with every reply
+    paired with the strategy at its next map, or with None when that map
+    never was in the family.  A reply on a placement in B that is already
+    in the domain makes no map, and so gets None."""
+    na, (top, pairs, _, _) = len(a.universe), codes
+    ua, ub = a.universe, b.universe
+
+    def child(q: int) -> Optional[SpoilerPosition]:
+        return refute(q) if q in trace else None
+
+    def refute(p: int) -> SpoilerPosition:
+        key, part = trace[p], parts[p]
+        pos = _frozen(part, a, b)
+        if key < top:
+            i, j, _ = next(pair for pair in part if p - pair[2] == key)
+            return SpoilerPosition(pos, drop=(ua[i], ub[j]), child=child(key))
+        e = key // top - 1
+        if e < na:
+            return SpoilerPosition(pos, place=ua[e], branches=tuple(
+                (ub[j], child(p + d)) for _, j, d in pairs[e]))
+        dom = {i for i, _, _ in part}
+        return SpoilerPosition(pos, place=ub[e - na], side="B", branches=tuple(
+            (ua[i], None if i in dom else child(p + pairs[i][e - na][2])) for i in range(na)))
+
+    return refute(0)
 
 
 def decide_pebble(a: Structure, b: Structure, k: int, sides: str) -> PebbleResult:
@@ -234,60 +373,20 @@ def decide_pebble(a: Structure, b: Structure, k: int, sides: str) -> PebbleResul
     The greatest family of partial homomorphisms ("A") or partial
     isomorphisms ("AB") with at most k pairs closed under restriction, forth
     and, for "AB", back; Duplicator wins iff it is nonempty (Kolaitis-Vardi).
-    Spoiler's moves at a part are dropping one of its pairs (in declaration
-    order), then, below k pairs, placing a pebble on an element of A outside
-    its domain and, for "AB", on an element of B outside its range.  The key
-    of a drop is the part without the pair, and the key of a placement is
-    `(part, side, element)`; a part answers itself and, per pair, the
-    placements of its two elements on the part without it.
-    """
+    Maps are integer codes (`_codes`) inside the engine, and pair sets in
+    its results."""
     if a.vocab != b.vocab:
         raise VocabularyMismatchError("decide_pebble requires a shared vocabulary")
     if k < 1:
         raise ToolkitError("k must be >= 1")
     back = sides == "AB"
-
-    def obligations(part: PartialMapSet):
-        for pair in sorted(part, key=lambda xy: (a.index[xy[0]], b.index[xy[1]])):
-            yield ("drop", pair), part - {pair}
-        if len(part) < k:
-            dom = {x for x, _ in part}
-            for x in a.universe:
-                if x not in dom:
-                    yield ("A", x), (part, "A", x)
-            if back:
-                rng = {y for _, y in part}
-                for y in b.universe:
-                    if y not in rng:
-                        yield ("B", y), (part, "B", y)
-
-    def answers(part: PartialMapSet):
-        yield part
-        for pair in part:
-            rest = part - {pair}
-            yield rest, "A", pair[0]
-            if back:
-                yield rest, "B", pair[1]
-
-    def replies(part: PartialMapSet, move: tuple):
-        kind, e = move
-        if kind == "drop":
-            return ((None, part - {e}),)
-        if kind == "A":
-            return ((y, part | {(e, y)}) for y in b.universe)
-        return ((x, part | {(x, e)}) for x in a.universe)
-
-    def node(part: PartialMapSet, move: tuple, branches: tuple) -> SpoilerPosition:
-        kind, e = move
-        if kind == "drop":
-            return SpoilerPosition(part, drop=e, child=branches[0][1])
-        return SpoilerPosition(part, place=e, side=kind, branches=branches)
-
-    check = is_partial_iso if back else is_partial_hom
-    family, trace = delete_to_fixpoint(_partial_family(a, b, k, check), obligations, answers)
-    if family:
-        return PebbleResult(True, family=StrategyFamily(k, frozenset(family)))
-    return PebbleResult(False, refutation=refutation(trace, frozenset(), replies, node))
+    codes = _codes(len(a.universe), len(b.universe))
+    parts = _partial_maps(a, b, k, back, codes[1])
+    alive, trace = delete_to_fixpoint(parts, k, back, codes)
+    if alive:
+        return PebbleResult(True, family=StrategyFamily(
+            k, frozenset(_frozen(parts[p], a, b) for p in alive)))
+    return PebbleResult(False, refutation=_refutation(parts, trace, codes, a, b))
 
 
 def _tuple_length(a: Structure, b: Structure, k: int) -> int:

@@ -9,10 +9,11 @@ is significant everywhere; all searches enumerate in that order so that every
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from functools import cached_property, lru_cache
 from itertools import product
 from operator import attrgetter, itemgetter
-from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .errors import StructureParseError, ToolkitError, VocabularyMismatchError
 

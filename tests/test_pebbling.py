@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -158,6 +159,7 @@ def test_refutation_is_wellfounded_and_rooted():
 
 
 VOCAB_RP = (("R", 2), ("P", 1))
+VOCAB_TPR = (("T", 3), ("P", 1), ("R", 2))
 
 
 def _relabelled(rng: random.Random, a):
@@ -166,8 +168,18 @@ def _relabelled(rng: random.Random, a):
     rng.shuffle(names)
     ren = dict(zip(a.universe, names))
     order = sorted(names)
-    return S(VOCAB_RP, order, {name: [tuple(ren[e] for e in t) for t in a.tuples(name)]
-                               for name, _ in VOCAB_RP})
+    return S(a.vocab.symbols, order, {name: [tuple(ren[e] for e in t) for t in a.tuples(name)]
+                                      for name in a.vocab.names})
+
+
+def _random_tpr(rng: random.Random, size: int):
+    """A structure over a ternary, a unary and a binary symbol, reflexive
+    tuples included; the ternary one sparse, so that maps survive it."""
+    names = ["a", "b", "c", "d"][:size]
+    density = {"T": 0.12, "P": 0.4, "R": 0.3}
+    return S(VOCAB_TPR, names, {name: [t for t in product(names, repeat=arity)
+                                       if rng.random() < density[name]]
+                                for name, arity in VOCAB_TPR})
 
 
 def _cycle(n: int):
@@ -178,34 +190,53 @@ def _cycle(n: int):
 
 def test_pebble_solvers_equal_the_full_rescan_reference():
     """Both pebble games, grown families and keyed passes, against the
-    exhaustive references of `helpers`.  Existential: equal families and
-    refutation trees.  Back-and-forth, against the game on pebble-indexed
-    placements: equal verdicts; on a win, the family of partial isomorphisms
-    is the reference's safe set projected to pair sets and passes the audit;
-    on a loss, the audit accepts the Spoiler tree."""
+    exhaustive references of `helpers`, over a binary and a unary symbol,
+    and over a ternary, a unary and a binary one with reflexive tuples.
+    Existential: equal families and refutation trees.  Back-and-forth,
+    against the game on pebble-indexed placements: equal verdicts from the
+    refinement and from the deletion engine; on a win, both families of
+    partial isomorphisms are the reference's safe set projected to pair sets
+    and pass the audit; on a loss, the audit accepts the Spoiler tree."""
     rng = random.Random(20261018)
     cases = [(S(VOCAB_RP, []), S(VOCAB_RP, []), 1), (S(VOCAB_RP, []), S(VOCAB_RP, ["x"]), 2),
              (S(VOCAB_RP, ["x"]), S(VOCAB_RP, []), 2)]
     # odd cycles into even ones: refutations that drop pebbles over several passes
     cases += [(_cycle(m), _cycle(n), 3) for m, n in [(3, 2), (5, 2), (5, 4), (5, 6)]]
-    while len(cases) < 400:
-        a = random_structure(rng, rng.randint(0, 4), VOCAB_RP)
-        b = _relabelled(rng, a) if rng.random() < 0.3 else random_structure(
-            rng, rng.randint(0, 4), VOCAB_RP)
-        cases.append((a, b, rng.randint(1, 3)))
+    for count, build in [(400, lambda size: random_structure(rng, size, VOCAB_RP)),
+                         (550, lambda size: _random_tpr(rng, size))]:
+        while len(cases) < count:
+            a = build(rng.randint(0, 4))
+            b = _relabelled(rng, a) if rng.random() < 0.3 else build(rng.randint(0, 4))
+            cases.append((a, b, rng.randint(1, 3)))
     outcomes = set()
     for a, b, k in cases:
         got, want = pb.decide_exist_pebble(a, b, k), reference_exist_pebble(a, b, k)
         assert got == want, (a, b, k)
-        got, want = eq._solve_pebble_backforth(a, b, k), reference_pebble_backforth(a, b, k)
-        assert got.wins == want.wins, (a, b, k)
+        got, engine = eq._solve_pebble_backforth(a, b, k), pb.decide_pebble(a, b, k, "AB")
+        want = reference_pebble_backforth(a, b, k)
+        assert got.wins == engine.wins == want.wins, (a, b, k)
         if got.wins:
-            assert got.safe_positions == {frozenset((x, y) for _, x, y in pos)
-                                          for pos in want.safe_positions}, (a, b, k)
-            audit = pb.audit_strategy_family(pb.StrategyFamily(k, got.safe_positions), a, b,
-                                             "AB")
+            assert got.safe_positions == engine.family.parts == {
+                frozenset((x, y) for _, x, y in pos) for pos in want.safe_positions}, (a, b, k)
+            audit = pb.audit_strategy_family(engine.family, a, b, "AB")
         else:
-            audit = pb.audit_spoiler_positions(got.spoiler, a, b, k, "AB")
+            assert got.spoiler == engine.refutation, (a, b, k)
+            audit = pb.audit_spoiler_positions(engine.refutation, a, b, k, "AB")
         assert audit == (True, "ok"), (a, b, k, audit)
-        outcomes.add(got.wins)
-    assert outcomes == {True, False}
+        outcomes.add((a.vocab.symbols, got.wins))
+    assert outcomes == {(vocab, wins) for vocab in (VOCAB_RP, VOCAB_TPR) for wins in (True, False)}
+
+
+def test_placement_in_b_replied_inside_the_domain_is_a_dead_end():
+    """At {x↦p}, Spoiler places on q in B; the only reply, x, is already in
+    the domain, so the extended pairs are no map and the branch is None.
+    Adding the pair's code to the map's code would instead read {x↦r}, a
+    deleted map: the digits of x↦p and x↦q add up to that of x↦r."""
+    point = S(VOCAB_R, ["x"], {})
+    three = S(VOCAB_R, ["p", "q", "r"], {})
+    res = pb.decide_pebble(point, three, 2, "AB")
+    assert not res.wins
+    assert pb.audit_spoiler_positions(res.refutation, point, three, 2, "AB") == (True, "ok")
+    node = dict(res.refutation.branches)["p"]
+    assert (node.pos, node.side, node.place) == (frozenset({("x", "p")}), "B", "q")
+    assert node.branches == (("x", None),)
