@@ -11,6 +11,7 @@ import argparse
 import os
 import stat
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import certificates as cert_mod
@@ -101,31 +102,33 @@ def _cmd_equiv(args) -> tuple[int, list[str]]:
     out: list[str] = []
     _report_head(out, args, game=args.game, mode=args.mode, k=k,
                  input_a=args.a, input_b=args.b)
-    cert = None
+    certify = None  # builds the verdict's certificate, called only when one is asked for
     if args.mode == "exists":
         res = g.decide(a, b, k, args.cap_plays)
         verdict = res.wins
-        cert = _verdict_certificate(g.exists_kinds, g.name, k, res, a, b)
+        certify = partial(_verdict_certificate, g.exists_kinds, g.name, k, res, a, b)
     elif args.mode == "both":
         fwd = g.decide(a, b, k, args.cap_plays)
         bwd = g.decide(b, a, k, args.cap_plays) if fwd.wins else None
         verdict = fwd.wins and bwd.wins
-        cert = cert_mod.cert_both(g, k, fwd, bwd, a, b)
+        certify = partial(cert_mod.cert_both, g, k, fwd, bwd, a, b)
     elif args.mode == "backforth":
         res = eq_mod.solve_back_forth(a, b, k, g.name, cap=args.cap_plays)
         verdict = res.wins
-        cert = _verdict_certificate(g.backforth_kinds, g.name, k, res, a, b)
+        certify = partial(_verdict_certificate, g.backforth_kinds, g.name, k, res, a, b)
     elif args.mode == "iso":
         res = eq_mod.decide_cokleisli_iso(a, b, k, g.name, cap=args.cap_plays)
         verdict = res.wins
-        cert = cert_mod.cert_result(g.iso_kind, g.name, k, res, a, b) if verdict else None
+        if verdict:
+            certify = partial(cert_mod.cert_result, g.iso_kind, g.name, k, res, a, b)
     else:
         raise ToolkitError(f"unknown mode {args.mode!r}")
     out.append(f"result: {'true' if verdict else 'false'}")
-    if cert is not None:
-        _write_certificate(args, cert, out)
-    elif getattr(args, "certificate", None):
-        out.append("certificate: none (no witness for this verdict)")
+    if getattr(args, "certificate", None):
+        if certify is None:
+            out.append("certificate: none (no witness for this verdict)")
+        else:
+            _write_certificate(args, certify(), out)
     return (EXIT_TRUE if verdict else EXIT_FALSE), out
 
 

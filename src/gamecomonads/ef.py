@@ -12,13 +12,12 @@ are one element each.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Callable, Mapping, Optional
 
 from .errors import CapExceededError, ToolkitError, VocabularyMismatchError
 from .game import (DEFAULT_PLAY_CAP, ExistResult, Game, LawReport, decide_exist, law_report,
-                   lifted_structure, play_universe, prefix_hom_error, prefix_lifting, prefixes,
-                   refined_values, won_within)
+                   lifted_structure, multiset, play_universe, prefix_hom_error, prefix_lifting,
+                   prefixes, refined_colours, refined_values, won_within)
 from .structures import Elem, Structure, extend_type, is_partial_hom, is_partial_iso
 
 Play = tuple  # nonempty tuple of elements
@@ -28,11 +27,13 @@ def _play_count(size: int, k: int) -> int:
     return sum(size ** i for i in range(1, k + 1))
 
 
-def check_plays(a: Structure, k: int, cap: int) -> None:
-    """Refuse, without listing them, more than `cap` plays of length <= k."""
-    if _play_count(len(a.universe), k) > cap:
-        raise CapExceededError(
-            f"play universe has {_play_count(len(a.universe), k)} elements, cap is {cap}")
+def check_plays(a: Structure, k: int, cap: int) -> int:
+    """The number of plays of length <= k, counted without listing them;
+    more than `cap` are refused."""
+    count = _play_count(len(a.universe), k)
+    if count > cap:
+        raise CapExceededError(f"play universe has {count} elements, cap is {cap}")
+    return count
 
 
 def counit(s: Play) -> Elem:
@@ -87,16 +88,12 @@ def _distinct(s: Play) -> tuple:
     return tuple(dict.fromkeys(s))
 
 
-def _reflects(s: Play, t: Play, a: Structure, b: Structure) -> bool:
-    """Every tuple of the pairs along (s, t) holds in `a` iff it holds in `b`.
-    The pairs need not form a map: coKleisli morphisms do not see equality."""
-    pairs = set(zip(s, t))
-    for name, arity in a.vocab.symbols:
-        source, target = a.tuples(name), b.tuples(name)
-        for combo in product(pairs, repeat=arity):
-            if (tuple(x for x, _ in combo) in source) != (tuple(y for _, y in combo) in target):
-                return False
-    return True
+def _counted_type(a: Structure, s: Play, parent) -> tuple:
+    """The atomic type of `extend_type` without its equality entry: the
+    bijective game sees which tuples along a play hold, but not which of its
+    elements are equal, since coKleisli morphisms do not see equality."""
+    whole = extend_type(a, s, parent)
+    return whole[:1] + whole[2:]
 
 
 GAME = Game(
@@ -109,9 +106,10 @@ GAME = Game(
     pointed=False,
     winning=lambda s, t, a, b: is_partial_iso(zip(s, t), a, b),
     forth=lambda s, t, a, b: is_partial_hom(zip(s, t), a, b),
-    reflects=_reflects,
     position=lambda s, t: frozenset(zip(s, t)),
     refine=lambda a, b, k, cap: refined_values(GAME, a, b, k, cap, _distinct, extend_type),
+    iso_colours=lambda a, b, k: refined_colours(GAME, a, b, k, lambda s: s, _counted_type,
+                                                multiset),
     coextend=coextend,
     last=counit,
     prefixes=prefixes,

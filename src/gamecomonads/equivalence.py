@@ -25,8 +25,8 @@ isomorphisms with at most k pairs, closed under restriction, forth and back.
 `pebbling.decide_back_forth` decides it by refining the tuples of each side.
 `solve_back_forth` refuses a pebble game whose candidate partial maps, or
 whose tuples on either side, exceed its cap.  CoKleisli isomorphism is
-decided for the sequence and modal games only, as their bijective game,
-`game.bijective_game`.
+decided for the sequence and modal games only, as their bijective game, by
+the same refinement with multisets of colours (`Game.iso_colours`).
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from . import ef as ef_mod
 from . import modal as modal_mod
 from . import pebbling as pebble_mod
 from .errors import ToolkitError, VocabularyMismatchError
-from .game import (DEFAULT_PLAY_CAP, Game, bijective_game, coextensions, lifted_hom,
-                   play_universe, read_off, spoiler_tree, won_positions)
+from .game import (DEFAULT_PLAY_CAP, Game, coextensions, lifted_hom, play_count, play_universe,
+                   read_off, spoiler_tree, won_positions)
 from .structures import Record, Structure
 
 GAMES: dict[str, Game] = {g.name: g for g in (ef_mod.GAME, pebble_mod.GAME, modal_mod.GAME)}
@@ -122,23 +122,31 @@ class IsoResult(Record):
 
 def decide_cokleisli_iso(a: Structure, b: Structure, k: int, comonad: str = "ef",
                          cap: int = DEFAULT_PLAY_CAP) -> IsoResult:
-    """Decide coKleisli isomorphism as the bijective k-round game
-    (`game.bijective_game`).  On a win the forward table answers each play
-    along the lexicographically first matching at each pair, and the backward
-    table is its inverse.  Both play universes are listed first, so a game
-    over the play cap is refused before it is solved.  Sequence and modal
-    games only."""
+    """Decide coKleisli isomorphism as Hella's bijective k-round game, by
+    colour refinement with multisets (`Game.iso_colours`), once both sides'
+    plays are counted under the cap; unequal counts lose at once.  On a win
+    each child of a play answered by t is answered by the first still free
+    child of t of its colour: winning is an equivalence, so this is the
+    lexicographically first perfect matching.  The backward table is the
+    forward one's inverse.  Sequence and modal games only."""
     g = _iso_game(comonad)
     if a.vocab != b.vocab:
         raise VocabularyMismatchError("decide_cokleisli_iso requires a shared vocabulary")
-    plays = play_universe(g, a, k, cap)
-    g.check_plays(b, k, cap)
-    value, matching = bijective_game(g, a, b, k)
-    if not value(g.root(a), g.root(b)):
+    if play_count(g, a, k, cap) != play_count(g, b, k, cap):
         return IsoResult(False)
-    reply = dict(read_off(g, a, b, k, matching))
-    return IsoResult(True, forward={s: g.last(reply[s]) for s in plays},
-                     backward={reply[s]: g.last(s) for s in plays})
+    colour_a, colour_b = g.iso_colours(a, b, k)
+    if colour_a(g.root(a)) != colour_b(g.root(b)):
+        return IsoResult(False)
+
+    def replies(s: tuple, t: tuple) -> list:
+        free: dict = {}  # colour -> the children of t of that colour, in order
+        for u in g.children(b, t):
+            free.setdefault(colour_b(u), []).append(u)
+        return [free[colour_a(c)].pop(0) for c in g.children(a, s)]
+
+    reply = dict(read_off(g, a, b, k, replies))
+    return IsoResult(True, forward={s: g.last(t) for s, t in reply.items()},
+                     backward={t: g.last(s) for s, t in reply.items()})
 
 
 def audit_iso_pair(forward: Mapping, backward: Mapping, a: Structure, b: Structure,

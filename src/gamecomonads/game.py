@@ -17,20 +17,20 @@ structure), the one Spoiler-tree walk that the refutation audits and the
 certificate writer run on, and the driver (`run`) that runs recursion
 written as generators on an explicit stack.
 
-The round-bounded games (sequence and modal) are solved here: `round_values`
-is the backward induction, for the sides Spoiler may move on and the
-condition Duplicator must keep, and decides the existential game;
-`refined_values` decides the back-and-forth game by colour refinement on each
-structure alone, with the same contract, and the backward induction with
-Spoiler on both sides stays as its test oracle; their bijective game
-(`bijective_game`), whose wins are the coKleisli isomorphisms, memoises on the
-same keys.  Their witnesses are read off the values in one way each:
-Duplicator's tables of the existential game (`first_replies`) and of the
-bijective game, by the play walk (`read_off`); Duplicator's won
+The round-bounded games (sequence and modal) are solved here, in two ways.
+`round_values` is the backward induction, for the sides Spoiler may move on
+and the condition Duplicator must keep, and decides the existential game.
+Colour refinement on each structure alone (`refined_colours`) decides the two
+equivalences: with the set of the children's colours the back-and-forth game
+(`refined_values`, with the contract of the backward induction, which stays
+as its test oracle), and with their multiset the bijective game, whose wins
+are the coKleisli isomorphisms.  Their witnesses are read off in one way
+each: Duplicator's tables of the existential game (`first_replies`) and of
+the bijective game, by the play walk (`read_off`); Duplicator's won
 positions of the back-and-forth game (`won_positions`, one play pair per
 position and round, which `audit_won_positions` checks without solving); and
-Spoiler's tree of any of the four (`spoiler_tree`, one `SpoilerNode` type),
-which `audit_spoiler_tree` replays without solving.
+Spoiler's tree of the existential or back-and-forth game (`spoiler_tree`,
+one `SpoilerNode` type), which `audit_spoiler_tree` replays without solving.
 """
 
 from __future__ import annotations
@@ -175,31 +175,33 @@ class Game(Record):
     root: Optional[Callable[[Structure], tuple]]  # validates the structure too
     children: Optional[Callable[[Structure, tuple], list]]
     depth: Optional[Callable[[tuple], int]]
-    # (x, k, cap) refuses, without listing them, more than `cap` plays of depth <= k
-    check_plays: Optional[Callable[[Structure, int, int], None]]
+    # (x, k, cap) -> the number of plays of depth <= k, counted without listing
+    # them; more than `cap` are refused
+    check_plays: Optional[Callable[[Structure, int, int], int]]
     # The lifting: `lifted_at(a, top, labels)` yields each lifted tuple whose
     # longest play is `top`, as its symbol and the labels at its positions,
     # where `labels[j]` stands for the prefix `top[:j + 1]`; `pointed` when
     # the root is a play and the lifting is pointed at it.
     lifted_at: Callable[[Structure, tuple, list], Iterator[tuple[str, tuple]]]
     pointed: bool
-    # Winning conditions (s, t, a, b) -> bool on equal-depth plays, all
-    # absorbing: of the back-and-forth game, of the existential game, and of
-    # the bijective game (each lifted tuple along the pair holds on both
-    # sides or on neither).
+    # Winning conditions (s, t, a, b) -> bool on equal-depth plays, both
+    # absorbing: of the back-and-forth game and of the existential game.
     winning: Optional[Callable[[tuple, tuple, Structure, Structure], bool]]
     forth: Optional[Callable[[tuple, tuple, Structure, Structure], bool]]
-    reflects: Optional[Callable[[tuple, tuple, Structure, Structure], bool]]
     # What the value of (s, t) depends on besides its depth, once every
-    # proper prefix of (s, t) meets the game's condition; `round_values`,
-    # `refined_values` and `bijective_game` memoise on it, and
-    # `audit_won_positions` relies on it.
+    # proper prefix of (s, t) meets the game's condition; `round_values` and
+    # `refined_values` memoise on it, and `audit_won_positions` relies on it.
     position: Optional[Callable[[tuple, tuple], object]]
     # The back-and-forth game by colour refinement on each structure alone:
     # `(a, b, k, cap) -> value` with the contract of `round_values` under
     # `winning` with Spoiler on both sides (`refined_values`); None for the
     # positional pebble game, whose tuples `pebbling.decide_back_forth` refines.
     refine: Optional[Callable]
+    # The bijective game, whose wins are the coKleisli isomorphisms, by the
+    # same refinement with multisets: `(a, b, k) -> (colour_a, colour_b)`
+    # (`refined_colours`), run once both sides' plays are counted under the
+    # cap; None for the pebble game.
+    iso_colours: Optional[Callable]
     coextend: Callable
     # Reading a coalgebra play; `play_error(play, k, host)` says why a tuple is
     # no play of `host` of depth <= k (only its shape, in the pebble game).
@@ -247,13 +249,19 @@ def walk_plays(game: Game, a: Structure, k: int, value=None,
         level = below
 
 
-def play_universe(game: Game, a: Structure, k: int, cap: int = DEFAULT_PLAY_CAP) -> list:
-    """The plays of `a` up to round k, in `walk_plays` order.  `game.root`
-    validates `a`, and more than `cap` plays are refused before any is listed."""
+def play_count(game: Game, a: Structure, k: int, cap: int = DEFAULT_PLAY_CAP) -> int:
+    """The number of plays of `a` up to round k, refused over `cap` without
+    listing them; `game.root` validates `a`."""
     game.root(a)
     if k < 1:
         raise ToolkitError("k must be >= 1")
-    game.check_plays(a, k, cap)
+    return game.check_plays(a, k, cap)
+
+
+def play_universe(game: Game, a: Structure, k: int, cap: int = DEFAULT_PLAY_CAP) -> list:
+    """The plays of `a` up to round k, in `walk_plays` order, once
+    `play_count` admits them."""
+    play_count(game, a, k, cap)
     return [s for s, _ in walk_plays(game, a, k)]
 
 
@@ -369,30 +377,13 @@ def round_values(game: Game, a: Structure, b: Structure, k: int, holds: Callable
 
 def refined_values(game: Game, a: Structure, b: Structure, k: int, cap: int,
                    key: Callable[[tuple], tuple], atomic: Callable):
-    """Solve the k-round back-and-forth game from `a` to `b` by colour
-    refinement on each structure alone, with the contract of `round_values`
-    under `game.winning` with Spoiler on both sides.
-
-    Duplicator's winning relation is an equivalence, and her win from a
-    position depends on each side's play only through `key(s)` and the
-    rounds left: `key` keeps what the winning condition sees of a play, which
-    is itself a node of the play tree.  The colour of a key with r rounds left
-    is its atomic type and, when r > 0, the set of its children's colours
-    with r - 1 rounds left (the rank-r type of Fraïssé for the
-    sequence game, k-bisimulation for the modal game).  Colours are interned
-    in tables shared by both sides, so a position of the winning set is won
-    iff its plays have one colour.  The keys of each side are listed round by
-    round from the root, and refused once they exceed `cap`, before any is
-    coloured; colours are then found from the last round back.
-
-    `atomic(x, key, parent)` says what the key's atomic type is, given the
-    interned type of the key it is first found below (None at the root):
-    keys of either side get one interned type iff their atomic types are
-    equal."""
-    types: dict = {}
-    colours: dict = {}
-    colour_a = _key_colours(game, a, k, cap, key, atomic, types, colours)
-    colour_b = _key_colours(game, b, k, cap, key, atomic, types, colours)
+    """Solve the k-round back-and-forth game from `a` to `b` with the
+    contract of `round_values` under `game.winning` with Spoiler on both
+    sides: a position of the winning set is won iff its plays have one
+    colour under `refined_colours` with sets (the rank-r type of Fraïssé for
+    the sequence game, k-bisimulation for the modal game).  More than `cap`
+    keys on either side are refused."""
+    colour_a, colour_b = refined_colours(game, a, b, k, key, atomic, frozenset, cap)
     memo: dict = {}
 
     def value(s: tuple, t: tuple) -> Optional[bool]:
@@ -404,9 +395,37 @@ def refined_values(game: Game, a: Structure, b: Structure, k: int, cap: int,
     return value
 
 
-def _key_colours(game: Game, x: Structure, k: int, cap: int, key: Callable, atomic: Callable,
-                 types: dict, colours: dict) -> Callable[[tuple], int]:
-    """The colour of each play of `x` up to round k, as `refined_values`
+def multiset(colours) -> tuple:
+    """The children's colours as a multiset: their sorted tuple."""
+    return tuple(sorted(colours))
+
+
+def refined_colours(game: Game, a: Structure, b: Structure, k: int, key: Callable[[tuple], tuple],
+                    atomic: Callable, collect: Callable, cap: Optional[int] = None):
+    """The colours of the plays of `a` and of `b` up to round k, found by
+    colour refinement on each structure alone, as two functions of the play.
+
+    `key(s)` keeps what the game's condition sees of a play, and is itself a
+    node of the play tree.  A key's colour with r rounds left is its atomic
+    type and, when r > 0, its children's colours with r - 1 rounds left,
+    gathered by `collect`: as a set (`frozenset`, the back-and-forth game)
+    or as a `multiset` (the bijective game).  Colours are interned in tables
+    shared by both sides, so plays of one round have one colour iff
+    Duplicator wins from their pair.  Each side's keys are listed round by
+    round from the root and, under a `cap`, refused once they exceed it,
+    before any is coloured; colours are then found from the last round back.
+    `atomic(x, key, parent)` is the key's atomic type, given the interned
+    type of the key it is first found below (None at the root)."""
+    types: dict = {}
+    colours: dict = {}
+    return (_key_colours(game, a, k, cap, key, atomic, collect, types, colours),
+            _key_colours(game, b, k, cap, key, atomic, collect, types, colours))
+
+
+def _key_colours(game: Game, x: Structure, k: int, cap: Optional[int], key: Callable,
+                 atomic: Callable, collect: Callable, types: dict,
+                 colours: dict) -> Callable[[tuple], int]:
+    """The colour of each play of `x` up to round k, as `refined_colours`
     finds it: interned in `types` (atomic types) and `colours`."""
     root = key(game.root(x))
     own = {root: types.setdefault(atomic(x, root, None), len(types))}  # key -> its type
@@ -423,61 +442,17 @@ def _key_colours(game: Game, x: Structure, k: int, cap: int, key: Callable, atom
                         own[c] = types.setdefault(atomic(x, c, own[u]), len(types))
             below.update(dict.fromkeys(kids[u]))
         count += len(below)
-        if count > cap:
+        if cap is not None and count > cap:
             raise CapExceededError(f"colour refinement exceeds {cap} keys")
         rounds.append(list(below))
     by_round, after = [], {}
     for d in range(k, -1, -1):
         after = {u: colours.setdefault(
-            (own[u], frozenset(after[c] for c in kids[u]) if d < k else frozenset()),
-            len(colours)) for u in rounds[d]}
+            (own[u], collect([after[c] for c in kids[u]] if d < k else ())), len(colours))
+            for u in rounds[d]}
         by_round.append(after)
     by_round.reverse()
     return lambda s: by_round[game.depth(s)][key(s)]
-
-
-def bijective_game(game: Game, a: Structure, b: Structure, k: int):
-    """Solve Hella's bijective k-round game from `a` to `b`: a play pair wins
-    iff it meets `game.reflects` and, before round k, a perfect matching pairs
-    the children of its plays into winning pairs.  Values are memoised on
-    (`game.position`, round) and found lazily under `run`.  Returns `value(s,
-    t)`, and `matching(s, t)`: at a won pair below round k, the replies to the
-    children of s in the lexicographically first such matching."""
-    memo: dict = {}
-
-    def solve(s: tuple, t: tuple):
-        key = game.position(s, t), game.depth(s)
-        if key not in memo:
-            memo[key] = game.reflects(s, t, a, b) and (key[1] == k or (
-                yield matching(s, t)) is not None)
-        return memo[key]
-
-    def matching(s: tuple, t: tuple):
-        return _first_matching(game.children(a, s), game.children(b, t), solve)
-
-    return (lambda s, t: run(solve(s, t))), (lambda s, t: run(matching(s, t)))
-
-
-def _first_matching(left: list, right: list, edge: Callable):
-    """Pair `left` one to one with `right` along the pairs where the generator
-    `edge(x, y)` returns true under `run`: each left in turn takes the first
-    right still free.  Returns the partners of `left` in order, or None when a
-    left finds none.  In the bijective game this finds a perfect matching
-    whenever there is one, and the lexicographically first: winning is an
-    equivalence (coKleisli isomorphisms compose and invert), so the winning
-    pairs of children form complete bipartite blocks."""
-    if len(left) != len(right):
-        return None
-    free, partners = list(right), []
-    for x in left:
-        for y in free:
-            if (yield edge(x, y)):
-                free.remove(y)
-                partners.append(y)
-                break
-        else:
-            return None
-    return partners
 
 
 def won_positions(game: Game, a: Structure, b: Structure, k: int, value: Callable) -> tuple:

@@ -19,7 +19,8 @@ from typing import Mapping, Optional
 
 from .errors import ArityError, CapExceededError, PointError, ToolkitError, VocabularyMismatchError
 from .game import (DEFAULT_PLAY_CAP, ExistResult, Game, LawReport, decide_exist, law_report,
-                   lifted_structure, play_universe, refined_values, won_within)
+                   lifted_structure, multiset, play_universe, refined_colours, refined_values,
+                   won_within)
 from .structures import Elem, Structure
 
 Path = tuple
@@ -81,9 +82,10 @@ def modal_coextend(f, s: Path) -> Path:
     return tuple(out)
 
 
-def check_paths(a: Structure, k: int, cap: int) -> None:
-    """Refuse, without listing them, more than `cap` paths of 0..k steps
-    from the point: they are counted by their ends, one step at a time."""
+def check_paths(a: Structure, k: int, cap: int) -> int:
+    """The number of paths of 0..k steps from the point, counted by their
+    ends one step at a time without listing them; more than `cap` are
+    refused."""
     ends, count = {a.point: 1}, 1
     for _ in range(k):
         below: dict = {}
@@ -94,6 +96,7 @@ def check_paths(a: Structure, k: int, cap: int) -> None:
         count += sum(ends.values())
         if count > cap:
             raise CapExceededError(f"unravelling exceeds {cap} paths")
+    return count
 
 
 def _lifted_at(a: Structure, top: Path, labels: list):
@@ -202,9 +205,10 @@ GAME = Game(
     pointed=True,
     winning=_matches,
     forth=lambda s, t, a, b: _matches(s, t, a, b, operator.le),
-    reflects=_matches,
     position=lambda s, t: (_last_step(s), _last_step(t)),
     refine=lambda a, b, k, cap: refined_values(GAME, a, b, k, cap, _last_step, _atomic_type),
+    iso_colours=lambda a, b, k: refined_colours(GAME, a, b, k, _last_step, _atomic_type,
+                                                multiset),
     coextend=modal_coextend,
     last=modal_counit,
     prefixes=path_prefixes,

@@ -460,8 +460,9 @@ def _safe_parts(a: Structure, b: Structure, k: int, m: int, cols: list) -> set:
     """The partial isomorphisms with at most k pairs whose padded m-tuples
     (the domain in declaration order, its last element repeated, and the
     partners in the same order) have one colour in `cols`.  They grow one
-    domain element at a time, as in `_partial_family`: they are closed under
-    restriction, so only those of one size are extended to the next."""
+    domain element at a time, in declaration order, as in `_partial_maps`:
+    they are closed under restriction, so only those of one size are
+    extended to the next."""
     col_a, col_b = cols
     strides_a, strides_b = _strides(len(a.universe), m), _strides(len(b.universe), m)
     tail_a, tail_b = ([sum(strides[j:]) for j in range(m)] for strides in (strides_a, strides_b))
@@ -620,9 +621,9 @@ GAME = Game(
     # the positional game checks partial isomorphism of the placements itself
     winning=None,
     forth=None,
-    reflects=None,
     position=None,
     refine=None,
+    iso_colours=None,
     coextend=pebble_coextend,
     last=pebble_counit,
     prefixes=prefixes,

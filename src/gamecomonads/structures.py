@@ -460,13 +460,17 @@ def is_partial_iso(p, a: Structure, b: Structure) -> bool:
     return maps is not None and _preserves(maps[0], a, b) and _preserves(maps[1], b, a)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _through(j: int, arity: int) -> tuple:
     """A getter of the elements at each tuple of positions 0..j of length
-    `arity` that contains j, in `product` order."""
+    `arity` that contains j, grouped by the first place that holds j: the
+    places before it range over positions 0..j-1, those after over 0..j.
+    Only the last few lengths are kept: a long play meets each once."""
     if arity == 1:
         return (lambda u: (u[j],),)
-    return tuple(itemgetter(*at) for at in product(range(j + 1), repeat=arity) if j in at)
+    low, every = range(j), range(j + 1)
+    return tuple(itemgetter(*at) for first in range(arity)
+                 for at in product(*[low] * first, (j,), *[every] * (arity - 1 - first)))
 
 
 def extend_type(a: Structure, u: tuple, parent) -> tuple:

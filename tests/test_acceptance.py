@@ -238,11 +238,30 @@ def test_criterion_7_modal_agreement():
 
 # -- 8 -----------------------------------------------------------------------
 
+def _decomposition_fault(td, g, kk):
+    """Why the decomposition `td` of a pebble forest cover of `g` with kk
+    pebbles breaks the bounds, or None: it must be a tree decomposition of
+    width < kk that turns back into a pebble forest cover with at most kk
+    pebbles."""
+    if not par.is_tree_decomposition(td, g) or td.width() > kk - 1:
+        return "pfc->td bound"
+    back = par.tree_decomposition_to_pfc(td, kk, g)
+    if not par.is_pebble_forest_cover(back, g, kk) or max(back.pebbles.values()) > kk:
+        return "td->pfc bound"
+    return None
+
+
 def test_criterion_8_bijection_roundtrips():
+    """Every forest cover of every graph on at most four vertices round-trips
+    through its coalgebra, and every valid pebbling of it through its tree
+    decomposition within the bounds.  Many pebblings give one decomposition;
+    the checks on a decomposition are pure, so each is judged once per
+    (decomposition, pebble count)."""
     bad = []
     for n in (1, 2, 3, 4):
         for g in all_graphs(n):
             a = graph_structure(g)
+            faults: dict = {}  # (nodes, parents, bags, kk) -> `_decomposition_fault`
             for cover in all_forest_covers(g):
                 k = cover.height()
                 c = par.forest_cover_to_coalgebra(cover, k, a)
@@ -257,13 +276,11 @@ def test_criterion_8_bijection_roundtrips():
                     if not par.is_pebble_forest_cover(pfc, g, kk):
                         continue
                     td = par.pfc_to_tree_decomposition(pfc)
-                    if not par.is_tree_decomposition(td, g) or td.width() > kk - 1:
-                        bad.append(("pfc->td bound", g, pfc))
-                        continue
-                    back = par.tree_decomposition_to_pfc(td, kk, g)
-                    if (not par.is_pebble_forest_cover(back, g, kk)
-                            or max(back.pebbles.values()) > kk):
-                        bad.append(("td->pfc bound", g, td))
+                    key = td.nodes, tuple(td.parent.items()), tuple(td.bags.items()), kk
+                    if key not in faults:
+                        faults[key] = _decomposition_fault(td, g, kk)
+                    if faults[key] is not None:
+                        bad.append((faults[key], g, pfc))
     report(8, "bijection round-trips within bounds", not bad)
 
 

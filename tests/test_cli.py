@@ -619,6 +619,61 @@ def test_equiv_iso_over_the_play_cap_exits_3(tmp_path, capsys):
     assert "play universe has 155 elements, cap is 10" in capsys.readouterr().err
 
 
+# game, k, source, target, the larger side's plays, the error one below it, the verdict
+ISO_CAPS = [
+    # the edge has 2 + 4 plays up to two rounds, K3 3 + 9
+    ("ef", 2, EDGE, EDGE, 6, "play universe has 6 elements, cap is 5", "true"),
+    ("ef", 2, EDGE, K3, 12, "play universe has 12 elements, cap is 11", "false"),
+    ("ef", 2, K3, EDGE, 12, "play universe has 12 elements, cap is 11", "false"),
+    # the 2-cycle has 1 + 1 + 1 + 1 paths up to three steps, the chain a-b-c three
+    ("modal", 3, CYCLE_PTD, CYCLE_PTD, 4, "unravelling exceeds 3 paths", "true"),
+    ("modal", 3, CHAIN_PTD, CYCLE_PTD, 4, "unravelling exceeds 3 paths", "false"),
+    ("modal", 3, CYCLE_PTD, CHAIN_PTD, 4, "unravelling exceeds 3 paths", "false"),
+]
+
+
+@pytest.mark.parametrize("game,k,source,target,fits,error,verdict", ISO_CAPS,
+                         ids=[f"{c[0]}-{i}" for i, c in enumerate(ISO_CAPS)])
+def test_iso_counts_the_plays_of_each_side_against_the_cap(tmp_path, capsys, game, k, source,
+                                                             target, fits, error, verdict):
+    """`--mode iso` is decided with the larger side's plays at the cap, the
+    source's or the target's, and refused with exit 3 one below it."""
+    (tmp_path / "a.str").write_text(source)
+    (tmp_path / "b.str").write_text(target)
+    argv = ["equiv", "--game", game, "--mode", "iso", "-k", str(k),
+            str(tmp_path / "a.str"), str(tmp_path / "b.str")]
+    code, out = run(argv + ["--cap-plays", str(fits)])
+    assert (code, f"\nresult: {verdict}\n" in out) == (0 if verdict == "true" else 1, True)
+    capsys.readouterr()
+    code, out = run(argv + ["--cap-plays", str(fits - 1)])
+    assert (code, out) == (3, "")
+    assert error in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["exists", "both", "backforth", "iso"])
+@pytest.mark.parametrize("target", ["edge", "twopts"])
+def test_equiv_builds_a_certificate_only_when_asked(files, monkeypatch, mode, target):
+    """With every certificate emitter raising, `equiv` without
+    `--certificate` still gives the same exit code and report; with it, the
+    emitters are reached whenever the verdict has a witness."""
+    argv = ["equiv", "--game", "ef", "--mode", mode, "-k", "2", files["edge"], files[target]]
+    want = run(argv)
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("a certificate was built")
+
+    for name in ("cert_result", "cert_both", "format_certificate"):
+        monkeypatch.setattr(cli.cert_mod, name, refuse)
+    assert run(argv) == want
+    asked = argv + ["--certificate", str(files["dir"] / "out.cert")]
+    if mode == "iso" and target == "twopts":
+        code, out = run(asked)
+        assert code == 1 and out.endswith("certificate: none (no witness for this verdict)\n")
+    else:
+        with pytest.raises(RuntimeError, match="a certificate was built"):
+            run(asked)
+
+
 def test_sample_modal_on_the_default_vocabulary():
     for seed in range(10):
         for k in (1, 2, 3):

@@ -239,6 +239,18 @@ def _pair(draw):
     return eq.game(game), a, b, draw(st.integers(1, 3))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_iso_refinement_equals_the_table_search_on_random_pairs(data):
+    """On random pairs (symbols of arity 1-3, at most three elements, k <= 3)
+    the multiset refinement and the table search give the same verdict and,
+    on a win, the same forward and backward tables."""
+    g, a, b, k = data.draw(_pair())
+    got = eq.decide_cokleisli_iso(a, b, k, g.name)
+    want = search_cokleisli_iso(a, b, k, g.name)
+    assert (got.wins, got.forward, got.backward) == (want.wins, want.forward, want.backward)
+
+
 def _edited(draw, table: dict, plays: list, values) -> dict:
     """`table` with one entry, the first play (the modal root) as often as
     any other, given another value, a value outside the target, or dropped."""

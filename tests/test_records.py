@@ -22,7 +22,7 @@ FIELDS = {
     "structures.Graph": ("vertices", "edges"),
     "game.LawReport": ("ok", "failures"),
     "game.Game": ("name", "root", "children", "depth", "check_plays", "lifted_at", "pointed",
-                  "winning", "forth", "reflects", "position", "refine", "coextend", "last",
+                  "winning", "forth", "position", "refine", "iso_colours", "coextend", "last",
                   "prefixes", "play_error", "hom_error", "decide", "laws", "exists_kinds",
                   "backforth_kinds", "iso_kind", "cover_kind"),
     "game.CoKleisli": ("game", "k", "source", "target", "table", "cap"),
