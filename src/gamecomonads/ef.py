@@ -1,5 +1,6 @@
 """The round-bounded game construction on sequences: its play tree, lifted
-relations, counit/comultiplication/coextension, and the existential decision.
+relations, its comonad as a Kleisli triple (counit and coextension), and the
+existential decision.
 
 A play over a structure is a nonempty tuple of universe elements of length at
 most k, a child of the empty root.  `game.play_universe` lists the plays
@@ -12,49 +13,30 @@ are one element each.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Optional
+from typing import Callable, Optional
 
-from .errors import CapExceededError, ToolkitError, VocabularyMismatchError
-from .game import (DEFAULT_PLAY_CAP, ExistResult, Game, LawReport, decide_exist, law_report,
-                   lifted_structure, multiset, play_universe, prefix_hom_error, prefix_lifting,
-                   prefixes, refined_colours, refined_values, won_within)
+from .game import (ExistResult, Game, capped_count, decide_exist, law_report, multiset,
+                   play_universe, powers, prefix_hom_error, prefix_lifting, prefixes,
+                   refined_colours, refined_values, won_within)
 from .structures import Elem, Structure, extend_type, is_partial_hom, is_partial_iso
 
 Play = tuple  # nonempty tuple of elements
 
 
-def _play_count(size: int, k: int) -> int:
-    return sum(size ** i for i in range(1, k + 1))
-
-
 def check_plays(a: Structure, k: int, cap: int) -> int:
     """The number of plays of length <= k, counted without listing them;
     more than `cap` are refused."""
-    count = _play_count(len(a.universe), k)
-    if count > cap:
-        raise CapExceededError(f"play universe has {count} elements, cap is {cap}")
-    return count
+    return capped_count(powers(len(a.universe), k), cap,
+                        "play universe has {count} elements, cap is {cap}")
 
 
 def counit(s: Play) -> Elem:
     return s[-1]
 
 
-def comult(s: Play) -> tuple[Play, ...]:
-    """The play-of-plays of prefixes: coextension of the identity."""
-    return tuple(prefixes(s))
-
-
-def coextend(f: Mapping[Play, Elem] | Callable[[Play], Elem], s: Play) -> Play:
+def coextend(f: Callable[[Play], Elem], s: Play) -> Play:
     """f*[a_1..a_j] = [f[a_1], f[a_1,a_2], ..., f[a_1..a_j]]."""
-    get = f if callable(f) else f.__getitem__
-    return tuple([get(s[:i]) for i in range(1, len(s) + 1)])
-
-
-def ef_structure(a: Structure, k: int, cap: int = DEFAULT_PLAY_CAP) -> Structure:
-    """Lift `a` to its play universe: a tuple of plays is related iff the plays
-    are pairwise prefix-comparable and their last elements form a tuple of `a`."""
-    return lifted_structure(GAME, a, play_universe(GAME, a, k, cap))
+    return tuple([f(s[:i]) for i in range(1, len(s) + 1)])
 
 
 def decide_exist_ef(a: Structure, b: Structure, k: int) -> ExistResult:
@@ -64,16 +46,7 @@ def decide_exist_ef(a: Structure, b: Structure, k: int) -> ExistResult:
     certificate is the full coKleisli table (first winning reply in declaration
     order); on a loss, a Spoiler winning tree.
     """
-    if a.vocab != b.vocab:
-        raise VocabularyMismatchError("decide_exist_ef requires a shared vocabulary")
-    if k < 1:
-        raise ToolkitError("k must be >= 1")
     return decide_exist(GAME, a, b, k)
-
-
-def check_ef_laws(a: Structure, k: int, cap: int = DEFAULT_PLAY_CAP) -> LawReport:
-    """Comonad laws over the full play universe."""
-    return law_report(GAME, a, ef_structure(a, k, cap), comult)
 
 
 def _play_error(play: Play, k: int, host: Structure) -> Optional[str]:
@@ -116,7 +89,7 @@ GAME = Game(
     play_error=_play_error,
     hom_error=lambda alpha, a: prefix_hom_error(alpha, a, None),
     decide=lambda a, b, k, cap: won_within(GAME, decide_exist_ef(a, b, k), a, k, cap),
-    laws=lambda a, k, trunc, cap: check_ef_laws(a, k, cap=cap),
+    laws=lambda a, k, trunc, cap: law_report(GAME, a, play_universe(GAME, a, k, cap)),
     exists_kinds=("ef-table", "ef-spoiler"),
     backforth_kinds=("bf-duplicator", "bf-spoiler"),
     iso_kind="kleisli-iso",

@@ -3,19 +3,23 @@
 Each game module (`ef`, `pebbling`, `modal`) builds one `Game` record that
 says how its plays are shaped, lifted, extended and read back from a
 coalgebra, which procedures decide it, and which certificate kinds witness
-its verdicts; `equivalence.GAMES` collects the three.  Callables in a record
-that the benchmark tracer rebinds (the deciders) are wrapped so that they look
-the module attribute up at call time.
+its verdicts.  It states the game's comonad once, as a Kleisli triple: the
+play tree, the counit (`Game.last`) and the coextension of a function
+(`Game.coextend`); `equivalence.GAMES` collects the three.  Callables in a
+record that the benchmark tracer rebinds (the deciders) are wrapped so that
+they look the module attribute up at call time.
 
 This module also holds the pieces the constructions would otherwise repeat:
-the play cap, the one walk of a round-bounded game's play tree (`walk_plays`)
-off which its plays, a table's coextensions and Duplicator's replies are
-read, the cap on a won table (`won_within`), the lifting along play prefixes
-at one top play, the one comonad-law report, the one coKleisli morphism
-record and the homomorphism check run on it (which builds no lifted
-structure), the one Spoiler-tree walk that the refutation audits and the
-certificate writer run on, and the driver (`run`) that runs recursion
-written as generators on an explicit stack.
+the play cap and the one cap check on a count (`capped_count`), the one walk
+of a round-bounded game's play tree (`walk_plays`) off which its plays, a
+table's coextensions and Duplicator's replies are read, the cap on a won
+table (`won_within`), the lifting along play prefixes at one top play, the
+one comonad-law report (`law_report`, which lifts a structure to a list of
+its plays and derives the comultiplication as the coextension of the
+identity), the one coKleisli morphism record and the homomorphism check run
+on it (which builds no lifted structure), the one Spoiler-tree walk that the
+refutation audits and the certificate writer run on, and the driver (`run`)
+that runs recursion written as generators on an explicit stack.
 
 The round-bounded games (sequence and modal) are solved here, in two ways.
 `round_values` is the backward induction, for the sides Spoiler may move on
@@ -35,13 +39,48 @@ one `SpoilerNode` type), which `audit_spoiler_tree` replays without solving.
 
 from __future__ import annotations
 
+import sys
+from functools import partial
 from itertools import combinations, product, repeat
-from typing import Callable, Generator, Iterator, Mapping, Optional
+from typing import Callable, Generator, Iterable, Iterator, Mapping, Optional
 
-from .errors import CapExceededError, ToolkitError
+from .errors import CapExceededError, ToolkitError, VocabularyMismatchError
 from .structures import Elem, Record, Structure, check_hom
 
 DEFAULT_PLAY_CAP = 10 ** 6
+
+
+def capped_count(terms: Iterable[int], cap: int, refusal: str) -> int:
+    """The sum of `terms`, a count of what a decision would list, refused
+    with CapExceededError when it exceeds `cap`; `refusal` is the message,
+    with `{count}` and `{cap}` fields.  The interpreter converts an integer
+    of at most D digits to a string (`sys.get_int_max_str_digits`, 4300 by
+    default), so summing stops once the count passes both the cap and
+    10 ** D, and the message then names it as at least 10^D."""
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    shown = 10 ** digits
+    stop = max(cap + 1, shown)
+    count = 0
+    for term in terms:
+        count += term
+        if count >= stop:
+            break
+    if count > cap:
+        raise CapExceededError(refusal.format(
+            count=count if count < shown else f"at least 10^{digits}", cap=cap))
+    return count
+
+
+def powers(base: int, top: int) -> Iterator[int]:
+    """base ** i for i = 1..top, the number of plays of each length over
+    `base` moves; below base 2 they are all equal and come as their sum."""
+    if base < 2:
+        yield base * top
+        return
+    term = 1
+    for _ in range(top):
+        term *= base
+        yield term
 
 
 class LawReport(Record):
@@ -55,7 +94,6 @@ def pointwise_law_failure(game: Game, plays: list, comult: Callable) -> Optional
     functor maps `f` over a play of plays as the coextension of `f` after the
     counit."""
     counit, coextend = game.last, game.coextend
-    counit_table = {s: counit(s) for s in plays}
     for s in plays:
         d = comult(s)
         if counit(d) != s:
@@ -64,7 +102,7 @@ def pointwise_law_failure(game: Game, plays: list, comult: Callable) -> Optional
             return f"mapped-counit of comult({s!r}) != {s!r}"
         if comult(d) != coextend(lambda x: comult(counit(x)), d):
             return f"coassociativity fails at {s!r}"
-        if coextend(counit_table, s) != s:
+        if coextend(counit, s) != s:
             return f"coextension of counit not identity at {s!r}"
     return None
 
@@ -202,6 +240,8 @@ class Game(Record):
     # (`refined_colours`), run once both sides' plays are counted under the
     # cap; None for the pebble game.
     iso_colours: Optional[Callable]
+    # The comonad as a Kleisli triple with the play tree: `coextend(f, s)` is
+    # f*(s) for a function f from plays to elements, and `last` the counit.
     coextend: Callable
     # Reading a coalgebra play; `play_error(play, k, host)` says why a tuple is
     # no play of `host` of depth <= k (only its shape, in the pebble game).
@@ -448,7 +488,7 @@ def _key_colours(game: Game, x: Structure, k: int, cap: Optional[int], key: Call
     by_round, after = [], {}
     for d in range(k, -1, -1):
         after = {u: colours.setdefault(
-            (own[u], collect([after[c] for c in kids[u]] if d < k else ())), len(colours))
+            (own[u], collect(map(after.__getitem__, kids[u]) if d < k else ())), len(colours))
             for u in rounds[d]}
         by_round.append(after)
     by_round.reverse()
@@ -614,19 +654,32 @@ def audit_won_positions(game: Game, pairs, a: Structure, b: Structure,
 
 def decide_exist(game: Game, a: Structure, b: Structure, k: int) -> ExistResult:
     """The existential k-round game from `a` to `b`: Duplicator's table on a
-    win, Spoiler's tree on a loss."""
+    win, Spoiler's tree on a loss.  Both structures are validated by
+    `game.root` before their vocabularies are compared."""
+    game.root(a)
+    game.root(b)
+    if a.vocab != b.vocab:
+        raise VocabularyMismatchError("decide_exist requires a shared vocabulary")
+    if k < 1:
+        raise ToolkitError("k must be >= 1")
     value = round_values(game, a, b, k, game.forth, "A")
     if value(game.root(a), game.root(b)):
         return ExistResult(True, strategy=first_replies(game, a, b, k, value))
     return ExistResult(False, refutation=spoiler_tree(game, a, b, value, "A"))
 
 
-def law_report(game: Game, a: Structure, lifted: Structure, comult: Callable) -> LawReport:
-    """The comonad laws of `game` over the plays of `lifted`, its lifting of
-    `a`: the pointwise laws; the counit and the comultiplication as
-    homomorphisms, the latter judged by the game's own coalgebra condition
-    (`game.hom_error`), since it is the structure map of the cofree
-    coalgebra; and, for a pointed lifting, the root play as its point."""
+def law_report(game: Game, a: Structure, plays: list) -> LawReport:
+    """The comonad laws of `game` over `plays`, a prefix-closed set of plays
+    of `a`, on their lifting (`lifted_structure`).  The comonad is given as a
+    Kleisli triple, the counit `game.last` and the coextension
+    `game.coextend`, so the comultiplication is the coextension of the
+    identity.  Checked: the pointwise laws; the counit and the
+    comultiplication as homomorphisms, the latter judged by the game's own
+    coalgebra condition (`game.hom_error`), since it is the structure map of
+    the cofree coalgebra; and, for a pointed lifting, the root play as its
+    point."""
+    lifted = lifted_structure(game, a, plays)
+    comult = partial(game.coextend, lambda s: s)
     counit = {s: game.last(s) for s in lifted.universe}
     why = game.hom_error({s: comult(s) for s in lifted.universe}, lifted)
     failures = [pointwise_law_failure(game, lifted.universe, comult),

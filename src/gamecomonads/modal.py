@@ -1,6 +1,8 @@
-"""Depth-bounded unravelling of pointed structures over vocabularies of arity
-<= 2, the decision of depth-k simulation, and a partition-refinement check of
-depth-k bisimilarity.
+"""The modal game construction on pointed structures over vocabularies of
+arity <= 2: its play tree of paths, whose lifting is the depth-bounded
+unravelling, its comonad as a Kleisli triple (counit and coextension), the
+decision of depth-k simulation, and what colour refinement sees of a path
+when it decides depth-k bisimilarity.
 
 A path is stored flat: (a0, label1, a1, label2, a2, ...), always of odd length,
 starting at the distinguished element and following transitions.
@@ -15,12 +17,11 @@ and a root whose points already disagree is a stalled root.
 from __future__ import annotations
 
 import operator
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
-from .errors import ArityError, CapExceededError, PointError, ToolkitError, VocabularyMismatchError
-from .game import (DEFAULT_PLAY_CAP, ExistResult, Game, LawReport, decide_exist, law_report,
-                   lifted_structure, multiset, play_universe, refined_colours, refined_values,
-                   won_within)
+from .errors import ArityError, CapExceededError, PointError
+from .game import (ExistResult, Game, decide_exist, law_report, multiset, play_universe,
+                   refined_colours, refined_values, won_within)
 from .structures import Elem, Structure
 
 Path = tuple
@@ -64,21 +65,13 @@ def modal_counit(s: Path) -> Elem:
     return s[-1]
 
 
-def modal_comult(s: Path) -> Path:
-    """The path of prefixes, with the same labels."""
-    out: list = [s[:1]]
+def modal_coextend(f: Callable[[Path], Elem], s: Path) -> Path:
+    """f* maps each element of a path to f of the prefix it ends, keeping
+    the labels."""
+    out: list = [f(s[:1])]
     for i in range(1, path_steps(s) + 1):
         out.append(s[2 * i - 1])
-        out.append(s[: 2 * i + 1])
-    return tuple(out)
-
-
-def modal_coextend(f, s: Path) -> Path:
-    get = f if callable(f) else f.__getitem__
-    out: list = [get(s[:1])]
-    for i in range(1, path_steps(s) + 1):
-        out.append(s[2 * i - 1])
-        out.append(get(s[: 2 * i + 1]))
+        out.append(f(s[: 2 * i + 1]))
     return tuple(out)
 
 
@@ -111,27 +104,10 @@ def _lifted_at(a: Structure, top: Path, labels: list):
         yield top[-2], (labels[d - 2], labels[d])
 
 
-def unravel(a: Structure, k: int, cap: int = DEFAULT_PLAY_CAP) -> Structure:
-    """The depth-k tree: binary symbols relate a path to its one-step
-    extensions; unary symbols hold at a path iff they hold at its endpoint."""
-    return lifted_structure(GAME, a, play_universe(GAME, a, k, cap))
-
-
 def decide_sim_k(a: Structure, b: Structure, k: int) -> ExistResult:
     """Depth-k existential simulation: true iff a point-preserving
     homomorphism from the depth-k unravelling of `a` into `b` exists."""
-    require_modal(a)
-    require_modal(b)
-    if a.vocab != b.vocab:
-        raise VocabularyMismatchError("decide_sim_k requires a shared vocabulary")
-    if k < 1:
-        raise ToolkitError("k must be >= 1")
     return decide_exist(GAME, a, b, k)
-
-
-def check_modal_laws(a: Structure, k: int, cap: int = DEFAULT_PLAY_CAP) -> LawReport:
-    """Comonad laws over the full depth-k unravelling."""
-    return law_report(GAME, a, unravel(a, k, cap), modal_comult)
 
 
 def _root(x: Structure) -> Path:
@@ -215,7 +191,7 @@ GAME = Game(
     play_error=_play_error,
     hom_error=_hom_error,
     decide=lambda a, b, k, cap: won_within(GAME, decide_sim_k(a, b, k), a, k, cap),
-    laws=lambda a, k, trunc, cap: check_modal_laws(a, k, cap=cap),
+    laws=lambda a, k, trunc, cap: law_report(GAME, a, play_universe(GAME, a, k, cap)),
     exists_kinds=("modal-table", "modal-spoiler"),
     backforth_kinds=("bf-duplicator", "bf-spoiler"),
     iso_kind="kleisli-iso",

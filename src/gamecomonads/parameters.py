@@ -6,8 +6,8 @@ and tree-width oracles.
 The tree-depth oracle scans every forest order outright (one cached table of
 acyclic parent maps).  Tree-width comes from one pruned elimination-order
 dynamic program, `_treewidth_order`: the tree-width oracle reports its width,
-and the pebble coalgebra number turns its order into a tree decomposition and
-that into a pebbled forest cover.  The sequence game's number is a recursive
+and the pebble coalgebra number reads a pebbled forest cover straight off its
+order (`_elimination_cover`).  The sequence game's number is a recursive
 minimum-height cover on the same neighbour bitmasks and component split, and
 the modal game's is the unique candidate tree shape.
 """
@@ -254,7 +254,7 @@ def _tree_paths(host: Structure) -> tuple[int, dict]:
 
 
 # ---------------------------------------------------------------------------
-# Pebbled forest cover <-> tree decomposition
+# Pebbled forest cover -> tree decomposition
 
 
 def active_ancestors(pfc: PebbleForestCover, v: Elem) -> list[Elem]:
@@ -281,56 +281,6 @@ def pfc_to_tree_decomposition(pfc: PebbleForestCover) -> TreeDecomposition:
         bags["r"] = frozenset()
         parent["r"] = None
     return TreeDecomposition(tuple(nodes), parent, bags)
-
-
-def tree_decomposition_to_pfc(td: TreeDecomposition, k: int, g: Graph) -> PebbleForestCover:
-    """From a width < k decomposition: order vertices by their introduction
-    nodes, then pebble greedily avoiding the already-pebbled bag mates."""
-    if not is_tree_decomposition(td, g):
-        raise ToolkitError("not a tree decomposition of the graph")
-    if td.width() >= k:
-        raise ToolkitError(f"width {td.width()} is not < k={k}")
-    vidx = g.index
-    children: dict = {x: [] for x in td.nodes}
-    for x in td.nodes:
-        if td.parent[x] is not None:
-            children[td.parent[x]].append(x)
-    order = [td.root()]
-    for x in order:
-        order.extend(sorted(children[x], key=repr))
-
-    # each vertex is introduced at the first node (breadth first) holding it
-    new_at: dict = {x: [] for x in td.nodes}
-    seen: set = set()
-    for x in order:
-        for v in sorted(td.bags[x], key=vidx.__getitem__):
-            if v not in seen:
-                seen.add(v)
-                new_at[x].append(v)
-
-    # forest order: u < v iff intro(u) is a strict tree-ancestor of intro(v),
-    # or they share an introduction node and u was listed first; so v's
-    # parent is the vertex listed just before it on its path from the root
-    parent: dict = {}
-    last: dict = {}  # node -> the last vertex introduced at it or above it
-    for x in order:
-        above = last.get(td.parent[x])
-        for v in new_at[x]:
-            parent[v] = above
-            above = v
-        last[x] = above
-    cover = ForestCover(tuple(g.vertices), {v: parent[v] for v in g.vertices})
-
-    pebbles: dict[Elem, int] = {}
-    for x in order:
-        for v in new_at[x]:
-            taken = {pebbles[u] for u in td.bags[x] if u in pebbles and u != v}
-            pebbles[v] = next(i for i in range(1, k + 1) if i not in taken)
-
-    pfc = PebbleForestCover(cover, pebbles)
-    if not is_pebble_forest_cover(pfc, g, k):
-        raise ToolkitError("internal: constructed pebbled cover fails validation")
-    return pfc
 
 
 # ---------------------------------------------------------------------------
@@ -504,18 +454,27 @@ def _treewidth_order(g: Graph) -> tuple[int, tuple[Elem, ...]]:
     return best, tuple(g.vertices[v] for v in order)
 
 
-def _elimination_decomposition(g: Graph, order: tuple[Elem, ...]) -> TreeDecomposition:
-    """The tree decomposition of an elimination order: v's bag is v and its
-    later neighbours in the filled graph, its parent node the first of those
-    to be eliminated; the roots of the forest hang below the last vertex."""
+def _elimination_cover(g: Graph, order: tuple[Elem, ...]) -> PebbleForestCover:
+    """The pebbled forest cover of an elimination order.  A vertex's parent
+    is the first eliminated of its later neighbours in the filled graph, or
+    the last vertex when it has none; the last vertex is the root.  Those
+    neighbours are all ancestors of the vertex, so pebbles are given in
+    reverse elimination order: each vertex gets the least pebble that none
+    of its later neighbours carries.  This is the cover that pebbling the
+    order's tree decomposition breadth-first gives, read without building
+    the decomposition."""
     nbrs = g.adjacency[:]
-    later = {v: frozenset(g.vertices[u] for u in _bits(_eliminate(nbrs, g.index[v])))
-             for v in order}
+    later = {v: [g.vertices[u] for u in _bits(_eliminate(nbrs, g.index[v]))] for v in order}
     pos = {v: i for i, v in enumerate(order)}
     last = order[-1]
     parent = {v: min(later[v], key=pos.__getitem__) if later[v] else last for v in order}
     parent[last] = None
-    return TreeDecomposition(tuple(order), parent, {v: later[v] | {v} for v in order})
+    pebbles: dict = {}
+    for v in reversed(order):
+        taken = {pebbles[u] for u in later[v]}
+        pebbles[v] = next(i for i in range(1, len(taken) + 2) if i not in taken)
+    return PebbleForestCover(ForestCover(tuple(g.vertices), {v: parent[v] for v in g.vertices}),
+                             {v: pebbles[v] for v in g.vertices})
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +528,8 @@ def coalgebra_number(a: Structure, comonad: str, cap: int = DEFAULT_VERTEX_CAP) 
     """Least k admitting a coalgebra, with a witness.
 
     Sequence game: minimum-height forest cover of the Gaifman graph.  Pebble
-    game: tree-width + 1, pebbling the decomposition of an optimal
-    elimination order.  Modal game: the unique candidate tree shape (errors
+    game: tree-width + 1, the pebbled forest cover of an optimal elimination
+    order.  Modal game: the unique candidate tree shape (errors
     on cycles and non-tree shapes).
     k is at least 1 by construction, so an empty or edgeless structure gets 1.
     """
@@ -596,8 +555,7 @@ def _kappa_pebble(a: Structure, cap: int) -> KappaResult:
     kappa, pfc = 1, PebbleForestCover(ForestCover((), {}), {})
     if g.vertices:
         width, order = _treewidth_order(g)
-        kappa = width + 1
-        pfc = tree_decomposition_to_pfc(_elimination_decomposition(g, order), kappa, g)
+        kappa, pfc = width + 1, _elimination_cover(g, order)
     return KappaResult(kappa, pfc_to_pebble_coalgebra(pfc, kappa, a), pfc=pfc)
 
 

@@ -1,12 +1,15 @@
-"""The pebble-indexed game construction: truncated play universes with the
-active-pebble relation lifting, and one positional fixpoint decision of the
-k-pebble games, existential and back-and-forth.
+"""The pebble-indexed game construction: its comonad as a Kleisli triple
+(counit and coextension) on plays of (pebble, element) moves, truncated play
+universes with the active-pebble relation lifting, and one positional
+fixpoint decision of the k-pebble games, existential and back-and-forth.
 
 The untruncated play universe is infinite even over a finite structure, so it
-is never materialized: laws are checked on an explicit truncation, and the
-decision procedure works on positional strategies: families of partial
-homomorphisms (existential game) or partial isomorphisms (back-and-forth
-game, Kolaitis-Vardi) with at most k pairs.
+is never materialized.  The laws are checked by `game.law_report` on the
+plays of at most n moves (`pebble_universe`), which the comultiplication
+maps to plays of the same length.  The decision procedure works on
+positional strategies: families of partial homomorphisms (existential game)
+or partial isomorphisms (back-and-forth game, Kolaitis-Vardi) with at most k
+pairs.
 
 Both pebble games are one game with Spoiler moving on side A or on both
 sides (`decide_pebble`), decided by one deletion engine.  The back-and-forth
@@ -35,23 +38,18 @@ solver, on pair sets.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping
 from itertools import product
 from math import comb
 from operator import itemgetter
 from typing import Callable, Optional
 
-from .errors import CapExceededError, ToolkitError, VocabularyMismatchError
-from .game import (DEFAULT_PLAY_CAP, Game, LawReport, law_report, lifted_structure,
-                   prefix_hom_error, prefix_lifting, prefixes, walk_tree)
+from .errors import ToolkitError, VocabularyMismatchError
+from .game import (DEFAULT_PLAY_CAP, Game, capped_count, law_report, powers, prefix_hom_error,
+                   prefix_lifting, prefixes, walk_tree)
 from .structures import (Elem, Record, Structure, extend_type, is_partial_hom,
                          is_partial_iso)
 
 PebblePlay = tuple  # nonempty tuple of moves
-
-
-def _pplay_count(size: int, k: int, n: int) -> int:
-    return sum((k * size) ** i for i in range(1, n + 1))
 
 
 def pebble_universe(a: Structure, k: int, n: int, cap: int = DEFAULT_PLAY_CAP) -> list[PebblePlay]:
@@ -59,9 +57,8 @@ def pebble_universe(a: Structure, k: int, n: int, cap: int = DEFAULT_PLAY_CAP) -
     moves ordered by pebble index first, then element declaration order."""
     if k < 1 or n < 1:
         raise ToolkitError("k and n must be >= 1")
-    if _pplay_count(len(a.universe), k, n) > cap:
-        raise CapExceededError(
-            f"truncated universe has {_pplay_count(len(a.universe), k, n)} plays, cap is {cap}")
+    capped_count(powers(k * len(a.universe), n), cap,
+                 "truncated universe has {count} plays, cap is {cap}")
     moves = [(p, e) for p in range(1, k + 1) for e in a.universe]
     plays: list[PebblePlay] = []
     for length in range(1, n + 1):
@@ -73,14 +70,10 @@ def pebble_counit(s: PebblePlay) -> Elem:
     return s[-1][1]
 
 
-def pebble_comult(s: PebblePlay) -> PebblePlay:
-    """Prefix play with pebble indices carried over."""
-    return tuple((s[i][0], s[: i + 1]) for i in range(len(s)))
-
-
-def pebble_coextend(f, s: PebblePlay) -> PebblePlay:
-    get = f.__getitem__ if isinstance(f, Mapping) else f
-    return tuple((s[i][0], get(s[: i + 1])) for i in range(len(s)))
+def pebble_coextend(f: Callable[[PebblePlay], Elem], s: PebblePlay) -> PebblePlay:
+    """f* keeps each move's pebble and maps its element to f of the prefix
+    the move ends."""
+    return tuple((s[i][0], f(s[: i + 1])) for i in range(len(s)))
 
 
 def active(play: PebblePlay) -> list[int]:
@@ -105,11 +98,6 @@ def _lifted_at(a: Structure, top: PebblePlay, labels: list):
     pebbles active."""
     keep = active(top)
     return prefix_lifting(a, [top[i][1] for i in keep], [labels[i] for i in keep])
-
-
-def pebble_structure(a: Structure, k: int, n: int, cap: int = DEFAULT_PLAY_CAP) -> Structure:
-    """Lift `a` to the truncated play universe with the active-pebble condition."""
-    return lifted_structure(GAME, a, pebble_universe(a, k, n, cap))
 
 
 PartialMapSet = frozenset  # frozenset of (source elem, target elem) pairs
@@ -156,9 +144,8 @@ def check_candidates(a: Structure, b: Structure, k: int, cap: int) -> None:
     positions exceed `cap`: the partial maps from `a` to `b` with at most k
     pairs and distinct domain elements."""
     na, nb = len(a.universe), len(b.universe)
-    count = sum(comb(na, s) * nb ** s for s in range(min(k, na) + 1))
-    if count > cap:
-        raise CapExceededError(f"pebble game has {count} candidate positions, cap is {cap}")
+    capped_count((comb(na, s) * nb ** s for s in range(min(k, na) + 1)), cap,
+                 "pebble game has {count} candidate positions, cap is {cap}")
 
 
 def _codes(na: int, nb: int) -> tuple[int, list, list, list]:
@@ -408,9 +395,8 @@ def check_tuples(a: Structure, b: Structure, k: int, cap: int) -> None:
     tuples `decide_back_forth` refines on either side exceed `cap`."""
     m = _tuple_length(a, b, k)
     for x in (a, b):
-        if len(x.universe) ** m > cap:
-            raise CapExceededError(f"pebble refinement has {len(x.universe) ** m} tuples "
-                                   f"on one side, cap is {cap}")
+        capped_count([len(x.universe) ** m], cap,
+                     "pebble refinement has {count} tuples on one side, cap is {cap}")
 
 
 def _tuple_colours(a: Structure, b: Structure, m: int) -> Optional[list]:
@@ -595,12 +581,6 @@ def audit_spoiler_positions(node: SpoilerPosition, a: Structure, b: Structure,
     return walk_tree(node, (frozenset(), None), step)
 
 
-def check_pebble_laws(a: Structure, k: int, n: int, cap: int = DEFAULT_PLAY_CAP) -> LawReport:
-    """Comonad laws on the n-truncation, pointwise; truncation keeps every play
-    involved inside the cap (comultiplication preserves length)."""
-    return law_report(GAME, a, pebble_structure(a, k, n, cap), pebble_comult)
-
-
 def _play_error(play: PebblePlay, k: int, host: Structure) -> Optional[str]:
     for move in play:
         if not (isinstance(move, tuple) and len(move) == 2):
@@ -630,7 +610,7 @@ GAME = Game(
     play_error=_play_error,
     hom_error=lambda alpha, a: prefix_hom_error(alpha, a, active_last),
     decide=_decide,
-    laws=lambda a, k, trunc, cap: check_pebble_laws(a, k, trunc, cap=cap),
+    laws=lambda a, k, trunc, cap: law_report(GAME, a, pebble_universe(a, k, trunc, cap)),
     exists_kinds=("pebble-family", "pebble-refutation"),
     backforth_kinds=("pebble-safe", "pebble-bf-spoiler"),
     iso_kind=None,

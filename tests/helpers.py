@@ -16,7 +16,11 @@
 - Exhaustive references for the coalgebra numbers: every forest cover with
   its minimum pebbling, the unpruned tree-width dynamic program (the
   independent check of tree-width), a coalgebra's forest cover, and the
-  synchronization tree shape and depth."""
+  synchronization tree shape and depth.
+- The bijection from tree decompositions of width < k to k-pebble forest
+  covers (`tree_decomposition_to_pfc`), and the tree decomposition of an
+  elimination order (`_elimination_decomposition`): their round trip is the
+  reference for the pebble coalgebra number's cover."""
 
 from __future__ import annotations
 
@@ -31,6 +35,8 @@ from gamecomonads import parameters as par
 from gamecomonads.errors import (CapExceededError, CycleError, ToolkitError,
                                  VocabularyMismatchError)
 from gamecomonads.game import DEFAULT_PLAY_CAP, CoKleisli, Game, play_universe
+from gamecomonads.parameters import (ForestCover, PebbleForestCover, TreeDecomposition, _bits,
+                                     _eliminate, is_pebble_forest_cover, is_tree_decomposition)
 from gamecomonads.structures import (Elem, Graph, Structure, check_hom, is_partial_hom,
                                      is_partial_iso)
 
@@ -150,7 +156,7 @@ def counit_cokleisli(game: Game, a: Structure, k: int) -> CoKleisli:
 
 def star(f: CoKleisli, s: tuple) -> tuple:
     """The coextension f*(s) of the coKleisli morphism `f` at the play `s`."""
-    return f.game.coextend(f.table, s)
+    return f.game.coextend(f.table.__getitem__, s)
 
 
 def cokleisli_compose(g: CoKleisli, f: CoKleisli) -> CoKleisli:
@@ -197,10 +203,10 @@ def materialised_iso_audit(forward, backward, a: Structure, b: Structure, k: int
     except ToolkitError as exc:
         return False, str(exc)
     for s in lifted_a.universe:
-        if g.coextend(backward, g.coextend(forward, s)) != s:
+        if g.coextend(backward.__getitem__, g.coextend(forward.__getitem__, s)) != s:
             return False, f"backward after forward is not the identity at {s!r}"
     for t in lifted_b.universe:
-        if g.coextend(forward, g.coextend(backward, t)) != t:
+        if g.coextend(forward.__getitem__, g.coextend(backward.__getitem__, t)) != t:
             return False, f"forward after backward is not the identity at {t!r}"
     return True, "ok"
 
@@ -292,7 +298,7 @@ def _enumerate_tables(a: Structure, b: Structure, k: int, g: Game,
         s = plays[i]
         for y in b.universe:
             f[s] = y  # the candidate reply, which the coextension reads
-            st = g.coextend(f, s)
+            st = g.coextend(f.__getitem__, s)
             if st in index_b and g.winning(s, st, a, b):
                 fstar[s] = st
                 dfs(i + 1)
@@ -612,6 +618,72 @@ def min_pebble_forest_cover(g: Graph) -> par.PebbleForestCover:
                 best = par.PebbleForestCover(cover, coloring)
     assert best is not None
     return best
+
+
+def tree_decomposition_to_pfc(td: TreeDecomposition, k: int, g: Graph) -> PebbleForestCover:
+    """From a width < k decomposition: order vertices by their introduction
+    nodes, then pebble greedily avoiding the already-pebbled bag mates."""
+    if not is_tree_decomposition(td, g):
+        raise ToolkitError("not a tree decomposition of the graph")
+    if td.width() >= k:
+        raise ToolkitError(f"width {td.width()} is not < k={k}")
+    vidx = g.index
+    children: dict = {x: [] for x in td.nodes}
+    for x in td.nodes:
+        if td.parent[x] is not None:
+            children[td.parent[x]].append(x)
+    order = [td.root()]
+    for x in order:
+        order.extend(sorted(children[x], key=repr))
+
+    # each vertex is introduced at the first node (breadth first) holding it
+    new_at: dict = {x: [] for x in td.nodes}
+    seen: set = set()
+    for x in order:
+        for v in sorted(td.bags[x], key=vidx.__getitem__):
+            if v not in seen:
+                seen.add(v)
+                new_at[x].append(v)
+
+    # forest order: u < v iff intro(u) is a strict tree-ancestor of intro(v),
+    # or they share an introduction node and u was listed first; so v's
+    # parent is the vertex listed just before it on its path from the root
+    parent: dict = {}
+    last: dict = {}  # node -> the last vertex introduced at it or above it
+    for x in order:
+        above = last.get(td.parent[x])
+        for v in new_at[x]:
+            parent[v] = above
+            above = v
+        last[x] = above
+    cover = ForestCover(tuple(g.vertices), {v: parent[v] for v in g.vertices})
+
+    pebbles: dict[Elem, int] = {}
+    for x in order:
+        for v in new_at[x]:
+            taken = {pebbles[u] for u in td.bags[x] if u in pebbles and u != v}
+            pebbles[v] = next(i for i in range(1, k + 1) if i not in taken)
+
+    pfc = PebbleForestCover(cover, pebbles)
+    if not is_pebble_forest_cover(pfc, g, k):
+        raise ToolkitError("internal: constructed pebbled cover fails validation")
+    return pfc
+
+
+
+
+def _elimination_decomposition(g: Graph, order: tuple[Elem, ...]) -> TreeDecomposition:
+    """The tree decomposition of an elimination order: v's bag is v and its
+    later neighbours in the filled graph, its parent node the first of those
+    to be eliminated; the roots of the forest hang below the last vertex."""
+    nbrs = g.adjacency[:]
+    later = {v: frozenset(g.vertices[u] for u in _bits(_eliminate(nbrs, g.index[v])))
+             for v in order}
+    pos = {v: i for i, v in enumerate(order)}
+    last = order[-1]
+    parent = {v: min(later[v], key=pos.__getitem__) if later[v] else last for v in order}
+    parent[last] = None
+    return TreeDecomposition(tuple(order), parent, {v: later[v] | {v} for v in order})
 
 
 def reference_treewidth(g: Graph) -> int:

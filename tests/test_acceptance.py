@@ -10,12 +10,14 @@ from itertools import product
 
 from gamecomonads import ef, equivalence as eq, logic, modal, parameters as par
 from gamecomonads import pebbling as pb
+from gamecomonads.game import law_report, lifted_structure, play_universe
 from gamecomonads.structures import Structure, Vocabulary, find_hom
 
 from helpers import (S, VOCAB_R, VOCAB_RS, all_forest_covers, all_graphs, all_pointed,
                      all_structures, all_structures_upto, bisim_oracle, clique_structure,
                      coalgebra_to_forest_cover, decide_both_ways, graph_structure,
-                     min_pebble_forest_cover, path_structure, random_graph, theta_fixpoint)
+                     min_pebble_forest_cover, path_structure, random_graph, theta_fixpoint,
+                     tree_decomposition_to_pfc)
 
 
 def report(num, name, ok):
@@ -31,16 +33,16 @@ def test_criterion_1_comonad_laws():
         pool = all_structures_upto(vocab, 3, include_empty=True)
         for a in pool:
             for k in (1, 2, 3):
-                if not ef.check_ef_laws(a, k).ok:
+                if not law_report(ef.GAME, a, play_universe(ef.GAME, a, k)).ok:
                     failures.append(("ef", a, k))
         for a in all_pointed(pool):
             for k in (1, 2, 3):
-                if not modal.check_modal_laws(a, k).ok:
+                if not law_report(modal.GAME, a, play_universe(modal.GAME, a, k)).ok:
                     failures.append(("modal", a, k))
         for a in all_structures_upto(vocab, 2, include_empty=True):
             for k in (1, 2, 3):
                 for n in (1, 2, 3):
-                    if not pb.check_pebble_laws(a, k, n).ok:
+                    if not law_report(pb.GAME, a, pb.pebble_universe(a, k, n)).ok:
                         failures.append(("pebble", a, k, n))
     report(1, "comonad-law suite", not failures)
 
@@ -56,7 +58,8 @@ def test_criterion_2_existential_triangle():
 
     def check(a, b, k):
         decided = ef.decide_exist_ef(a, b, k).wins
-        oracle = find_hom(ef.ef_structure(a, k), b) is not None
+        oracle = find_hom(lifted_structure(ef.GAME, a, play_universe(ef.GAME, a, k)),
+                          b) is not None
         if decided != oracle:
             disagreements.append((a, b, k))
         if decided:
@@ -245,7 +248,7 @@ def _decomposition_fault(td, g, kk):
     pebbles."""
     if not par.is_tree_decomposition(td, g) or td.width() > kk - 1:
         return "pfc->td bound"
-    back = par.tree_decomposition_to_pfc(td, kk, g)
+    back = tree_decomposition_to_pfc(td, kk, g)
     if not par.is_pebble_forest_cover(back, g, kk) or max(back.pebbles.values()) > kk:
         return "td->pfc bound"
     return None

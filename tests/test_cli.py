@@ -1094,6 +1094,37 @@ def test_pebble_game_over_the_cap_stops_before_enumerating(tmp_path):
     assert "pebble game has 1273609 candidate positions, cap is 1000000" in proc.stderr
 
 
+# Counts far past the cap, and past the digits the interpreter prints: each
+# command refuses at once with exit 3 and one error line.
+POINTS = "vocab R 2\n" + "".join(f"elem x{i}\n" for i in range(1500))
+HUGE_COUNTS = [
+    (["equiv", "--game", "ef", "--mode", "iso", "-k", "10000", "p3", "p3"],
+     "play universe has {} elements"),
+    (["equiv", "--game", "ef", "--mode", "backforth", "-k", "10000", "p3", "p3"],
+     "play universe has {} elements"),
+    (["laws", "--comonad", "ef", "-k", "1000000", "p3"], "play universe has {} elements"),
+    (["laws", "--comonad", "pebble", "-k", "2", "--trunc", "6000", "p3"],
+     "truncated universe has {} plays"),
+    (["equiv", "--game", "pebble", "--mode", "exists", "--pebbles", "1500", "points", "points"],
+     "pebble game has {} candidate positions"),
+    (["equiv", "--game", "pebble", "--mode", "backforth", "--pebbles", "1500", "points",
+      "points"], "pebble game has {} candidate positions"),
+]
+
+
+@pytest.mark.parametrize("argv,error", HUGE_COUNTS,
+                         ids=["-".join(argv[:5:2] + argv[6:7]) for argv, _ in HUGE_COUNTS])
+def test_a_count_too_long_to_print_is_refused_without_a_traceback(tmp_path, argv, error):
+    (tmp_path / "p3").write_text(graph_text("uvw", ["uv", "vw"]))
+    (tmp_path / "points").write_text(POINTS)
+    code, out, err = run_contained([str(tmp_path / x) if x in ("p3", "points") else x
+                                    for x in argv])
+    assert_contract(code, out, err)
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    assert (code, err) == (3, f"error: {error.format(f'at least 10^{digits}')}, "
+                              "cap is 1000000\n")
+
+
 def _graph_text(n, edges):
     return "vocab R 2\n" + "".join(f"elem v{i}\n" for i in range(n)) + "".join(
         f"rel R v{i} v{j}\nrel R v{j} v{i}\n" for i, j in edges)

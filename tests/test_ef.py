@@ -1,16 +1,22 @@
 import random
+import sys
 from itertools import product
 
 import pytest
 
 from gamecomonads import ef, logic, pebbling
-from gamecomonads.game import (CoKleisli, audit_spoiler_tree, chain_error, lifted_structure,
-                               play_universe, prefixes)
+from gamecomonads.game import (CoKleisli, audit_spoiler_tree, chain_error, law_report,
+                               lifted_structure, play_universe, prefixes)
 from gamecomonads.errors import CapExceededError, ToolkitError, VocabularyMismatchError
 from gamecomonads.structures import Structure, check_hom, find_hom
 
 from helpers import (S, VOCAB_R, all_structures_upto, cokleisli_compose, counit_cokleisli,
                      path_structure, random_structure, star)
+
+
+def _lifted(a, k):
+    """The sequence game's lifting of `a` to its plays up to round k."""
+    return lifted_structure(ef.GAME, a, play_universe(ef.GAME, a, k))
 
 
 def test_universe_counts():
@@ -29,45 +35,68 @@ def test_universe_rejects_k_zero_and_caps():
         play_universe(ef.GAME, a, 2, cap=3)
 
 
+def test_play_count_over_the_cap_is_named_while_it_prints():
+    """Ten elements have 11...10 plays up to round k, a number of k + 1
+    digits: a refusal names it while the interpreter prints integers that
+    long, and says it is at least 10^D once it has D + 1 digits.  One
+    element has k plays, counted at once for any k."""
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    ten = S(VOCAB_R, [f"e{i}" for i in range(10)])
+    with pytest.raises(CapExceededError) as err:
+        ef.check_plays(ten, digits - 1, 5)
+    assert str(err.value) == f"play universe has {'1' * (digits - 1)}0 elements, cap is 5"
+    with pytest.raises(CapExceededError) as err:
+        ef.check_plays(ten, digits, 5)
+    assert str(err.value) == f"play universe has at least 10^{digits} elements, cap is 5"
+    one = S(VOCAB_R, ["a"])
+    assert ef.check_plays(one, 10 ** 12, 10 ** 12) == 10 ** 12
+    with pytest.raises(CapExceededError, match="^play universe has 1000000000000 elements, "):
+        ef.check_plays(one, 10 ** 12, 10 ** 12 - 1)
+    assert ef.check_plays(S(VOCAB_R, []), 10 ** 12, 0) == 0
+
+
 def test_lifted_structure_membership():
     a = S(VOCAB_R, ["a", "b"], {"R": [("a", "b")]})
-    lifted = ef.ef_structure(a, 2)
+    lifted = _lifted(a, 2)
     assert (("a",), ("a", "b")) in lifted.tuples("R")
     assert (("a",), ("b",)) not in lifted.tuples("R")
 
 
 def test_lifted_unary_is_comparability_free():
     a = S((("S", 1),), ["a", "b"], {"S": [("a",)]})
-    lifted = ef.ef_structure(a, 2)
+    lifted = _lifted(a, 2)
     assert (("b", "a"),) in lifted.tuples("S")
     assert (("a", "b"),) not in lifted.tuples("S")
 
 
 def test_lifted_ternary_needs_a_chain():
     a = S((("T", 3),), ["a", "b"], {"T": [("a", "b", "a")]})
-    lifted = ef.ef_structure(a, 2)
+    lifted = _lifted(a, 2)
     assert (("a",), ("a", "b"), ("a",)) in lifted.tuples("T")
     assert (("a",), ("a", "b"), ("b",)) not in lifted.tuples("T")  # b incomparable
     assert (("a",), ("a", "a"), ("a",)) not in lifted.tuples("T")  # tips not in T
 
 
 def test_counit_and_comult():
+    """The comultiplication, the coextension of the identity, is the play
+    of prefixes."""
     assert ef.counit(("a",)) == "a"
     assert ef.counit(("a", "b")) == "b"
     assert ef.counit(("b", "b", "a")) == "a"
-    assert ef.comult(("a",)) == (("a",),)
-    assert ef.comult(("a", "b")) == (("a",), ("a", "b"))
+    assert ef.coextend(lambda s: s, ("a",)) == (("a",),)
+    assert ef.coextend(lambda s: s, ("a", "b")) == (("a",), ("a", "b"))
     for s in [("a",), ("a", "b"), ("b", "a", "a")]:
-        assert len(ef.comult(s)) == len(s)
+        assert ef.coextend(lambda x: x, s) == tuple(prefixes(s))
+        assert len(ef.coextend(lambda x: x, s)) == len(s)
 
 
 def test_coextension():
     const = {("a",): "c", ("a", "b"): "c", ("b",): "c", ("b", "a"): "c",
              ("a", "a"): "c", ("b", "b"): "c"}
-    assert ef.coextend(const, ("a", "b")) == ("c", "c")
+    assert ef.coextend(const.__getitem__, ("a", "b")) == ("c", "c")
     table = {("a",): "x", ("a", "b"): "y", ("b",): "x", ("b", "a"): "x",
              ("a", "a"): "x", ("b", "b"): "x"}
-    assert ef.coextend(table, ("a", "b")) == ("x", "y")
+    assert ef.coextend(table.__getitem__, ("a", "b")) == ("x", "y")
 
 
 def test_coextension_of_counit_is_identity():
@@ -141,7 +170,7 @@ def test_decide_agrees_with_lifted_hom_search_small():
     for a in pool:
         for b in pool:
             for k in (1, 2):
-                want = find_hom(ef.ef_structure(a, k), b) is not None
+                want = find_hom(_lifted(a, k), b) is not None
                 assert ef.decide_exist_ef(a, b, k).wins == want
 
 
@@ -155,7 +184,7 @@ def test_decide_agrees_with_lifted_hom_search_named_three_element():
     ]
     for a, b in cases:
         for k in (1, 2, 3):
-            want = find_hom(ef.ef_structure(a, k), b) is not None
+            want = find_hom(_lifted(a, k), b) is not None
             assert ef.decide_exist_ef(a, b, k).wins == want
 
 
@@ -175,14 +204,14 @@ def test_formula_bridge_existential_positive():
 def test_counit_is_homomorphism():
     for a in all_structures_upto(VOCAB_R, 2):
         for k in (1, 2, 3):
-            lifted = ef.ef_structure(a, k)
+            lifted = _lifted(a, k)
             assert check_hom({s: s[-1] for s in lifted.universe}, lifted, a)
 
 
 def test_laws_exhaustive_small():
     for a in all_structures_upto(VOCAB_R, 2, include_empty=True):
         for k in (1, 2, 3):
-            rep = ef.check_ef_laws(a, k)
+            rep = law_report(ef.GAME, a, play_universe(ef.GAME, a, k))
             assert rep.ok, rep.failures
 
 

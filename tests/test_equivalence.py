@@ -9,8 +9,8 @@ from gamecomonads import ef, equivalence as eq, logic, modal
 from gamecomonads import pebbling as pb
 from gamecomonads.errors import CapExceededError, ToolkitError
 from gamecomonads.game import (DEFAULT_PLAY_CAP, Game, audit_spoiler_tree, audit_won_positions,
-                               chain_error, law_report, lifted_hom, play_universe, round_values,
-                               spoiler_tree, won_positions)
+                               chain_error, law_report, lifted_hom, lifted_structure,
+                               play_universe, round_values, spoiler_tree, won_positions)
 from gamecomonads.structures import Vocabulary, check_hom
 
 from helpers import (NAMES, S, VOCAB_R, all_pointed, all_structures_upto, bisim_oracle,
@@ -129,7 +129,7 @@ def test_theta_surviving_tables_respect_winning_set():
     from gamecomonads.structures import is_partial_iso
     for table in res.tables_ab:
         for s in play_universe(ef.GAME, EDGE, 2):
-            t = ef.coextend(table, s)
+            t = ef.coextend(table.__getitem__, s)
             assert is_partial_iso(list(zip(s, t)), EDGE, EDGE)
 
 
@@ -389,28 +389,54 @@ COMULT_OK = {
     "modal": lambda name, images: (len(images) == 1 or images[1][:-2] == images[0]
                                    and images[1][-2] == name),
 }
-COMULT = {"ef": ef.comult, "pebble": pb.pebble_comult, "modal": modal.modal_comult}
+# The comultiplication of each game as the play of its prefixes, written
+# out apart from the coextension it is derived from in `law_report`.
+COMULT = {
+    "ef": lambda s: tuple(s[:i] for i in range(1, len(s) + 1)),
+    "pebble": lambda s: tuple((s[i][0], s[: i + 1]) for i in range(len(s))),
+    "modal": lambda s: sum(((s[2 * i - 1], s[: 2 * i + 1]) for i in range(1, len(s) // 2 + 1)),
+                           (s[:1],)),
+}
+
+
+def _plays(name: str, a, k: int) -> list:
+    """The plays the law check of `name` runs on: up to round k, or of at
+    most two moves with k pebbles."""
+    if name == "pebble":
+        return pb.pebble_universe(a, k, 2)
+    return play_universe(eq.game(name), a, k)
 
 
 def _lifted(name: str, a, k: int):
-    if name == "ef":
-        return ef.ef_structure(a, k)
-    if name == "pebble":
-        return pb.pebble_structure(a, k, 2)
-    return modal.unravel(a, k)
+    return lifted_structure(eq.game(name), a, _plays(name, a, k))
+
+
+@pytest.mark.parametrize("name", ["ef", "pebble", "modal"])
+def test_the_comultiplication_is_the_coextension_of_the_identity(name):
+    """On every play up to round 3 (two moves with 2 pebbles) of the
+    structures of at most two elements, the coextension of the identity is
+    the play of prefixes, e.g. (("a",), ("a", "b")) at ("a", "b")."""
+    g = eq.game(name)
+    pool = all_pointed(small_pool()) if name == "modal" else small_pool()
+    plays = {s for a in pool for s in _plays(name, a, 2 if name == "pebble" else 3)}
+    assert plays
+    for s in plays:
+        assert g.coextend(lambda x: x, s) == COMULT[name](s), s
+    assert eq.game("ef").coextend(lambda x: x, ("a", "b")) == (("a",), ("a", "b"))
 
 
 def _swap_first_two(d: tuple) -> tuple:
     return d[1:2] + d[:1] + d[2:]
 
 
-# A comultiplication wrong at every play of two or more moves: two prefixes
-# swapped, the last move renumbered to the first move's pebble, the last step
-# relabelled.
-BAD_COMULT = {
-    "ef": lambda s: _swap_first_two(ef.comult(s)),
-    "pebble": lambda s: (pb.pebble_comult(s)[:-1] + ((s[0][0], s),)),
-    "modal": lambda s: modal.modal_comult(s)[:-2] + ("Q", s) if len(s) > 1 else (s,),
+# A coextension whose comultiplication is wrong at every play of two or more
+# moves: two entries swapped, the last move renumbered to the first move's
+# pebble, the last step relabelled.
+BAD_COEXTEND = {
+    "ef": lambda f, s: _swap_first_two(ef.coextend(f, s)),
+    "pebble": lambda f, s: pb.pebble_coextend(f, s)[:-1] + ((s[0][0], f(s)),),
+    "modal": lambda f, s: (modal.modal_coextend(f, s)[:-2] + ("Q", f(s)) if len(s) > 1
+                           else (f(s),)),
 }
 LAW_HOSTS = {"ef": (S(VOCAB_R, ["a", "b"], {"R": [("a", "b")]}), 2),
              "pebble": (S(VOCAB_R, ["a", "b"], {"R": [("a", "b")]}), 2),
@@ -419,10 +445,13 @@ LAW_HOSTS = {"ef": (S(VOCAB_R, ["a", "b"], {"R": [("a", "b")]}), 2),
 
 @pytest.mark.parametrize("name", ["ef", "pebble", "modal"])
 def test_law_report_catches_a_comultiplication_that_is_no_homomorphism(name):
+    """A copy of the game's record with its coextension broken: the
+    comultiplication derived from it fails as a homomorphism."""
     g, (a, k) = eq.game(name), LAW_HOSTS[name]
-    lifted = _lifted(name, a, k)
-    assert law_report(g, a, lifted, COMULT[name]).ok
-    rep = law_report(g, a, lifted, BAD_COMULT[name])
+    plays = _plays(name, a, k)
+    assert law_report(g, a, plays).ok
+    broken = Game(**{f: getattr(g, f) for f in Game._fields} | {"coextend": BAD_COEXTEND[name]})
+    rep = law_report(broken, a, plays)
     assert not rep.ok
     assert any(f.startswith("comult: homomorphism fails on R") for f in rep.failures), rep
 

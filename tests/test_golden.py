@@ -60,6 +60,13 @@ INPUTS = {
     "c5": _cycle(5),
     "c6": _cycle(6),
     "c7": _cycle(7),
+    # C5 and a disjoint edge: the edge is eliminated first, so its component
+    # hangs below the last vertex of the cycle and reuses the cycle's pebbles
+    "c5edge": _cycle(5) + "elem e0\nelem e1\nrel R e0 e1\nrel R e1 e0\n",
+    # a centre with three legs of two vertices: a branching pebbled cover
+    "spider": ("vocab R 2\nelem s\n" + "".join(f"elem {x}1\nelem {x}2\n" for x in "abc")
+               + "".join(f"rel R s {x}1\nrel R {x}1 s\nrel R {x}1 {x}2\nrel R {x}2 {x}1\n"
+                         for x in "abc")),
     # the 6-cycle w0 w3 w1 w4 w2 w5, its vertices declared in another order
     "c6r": ("vocab R 2\n" + "".join(f"elem w{i}\n" for i in range(6))
             + "".join(f"rel R w{i} w{j}\nrel R w{j} w{i}\n"
@@ -93,7 +100,7 @@ def jobs():
               ("pebble", "backforth", 2, "k3", "twopts")]
     out = [_equiv_job(*job) for job in equiv]
     for comonad, a in [("ef", "p4"), ("ef", "k3"), ("pebble", "k3"), ("pebble", "p4"),
-                       ("modal", "chain")]:
+                       ("pebble", "c5edge"), ("pebble", "spider"), ("modal", "chain")]:
         name = f"param-{comonad}-{a}"
         out.append((name, ["param", "--comonad", comonad, "--certificate", f"{name}.cert",
                            f"{a}.str"], f"{name}.cert", [a]))

@@ -3,7 +3,7 @@ import pytest
 from gamecomonads import equivalence as eq
 from gamecomonads import modal
 from gamecomonads.errors import ArityError, PointError
-from gamecomonads.game import audit_spoiler_tree, play_universe
+from gamecomonads.game import audit_spoiler_tree, law_report, lifted_structure, play_universe
 from gamecomonads.structures import check_hom, find_hom
 
 from helpers import S, VOCAB_R, all_pointed, all_structures_upto, bisim_oracle
@@ -13,9 +13,15 @@ def pointed_pool(max_size=2, vocab=VOCAB_R):
     return all_pointed(all_structures_upto(vocab, max_size))
 
 
+def unravel(a, k):
+    """The depth-k unravelling: the modal game's lifting of `a` to its
+    paths of at most k steps."""
+    return lifted_structure(modal.GAME, a, play_universe(modal.GAME, a, k))
+
+
 def test_unravel_two_cycle():
     a = S(VOCAB_R, ["a", "b"], {"R": [("a", "b"), ("b", "a")]}, point="a")
-    u = modal.unravel(a, 2)
+    u = unravel(a, 2)
     assert u.universe == (("a",), ("a", "R", "b"), ("a", "R", "b", "R", "a"))
     assert u.point == ("a",)
 
@@ -23,12 +29,12 @@ def test_unravel_two_cycle():
 def test_unravel_isolated_point():
     a = S(VOCAB_R, ["a"], {}, point="a")
     for k in (1, 2, 3):
-        assert modal.unravel(a, k).universe == (("a",),)
+        assert unravel(a, k).universe == (("a",),)
 
 
 def test_unravel_tree_is_isomorphic_to_itself():
     a = S(VOCAB_R, ["a", "b", "c"], {"R": [("a", "b"), ("a", "c")]}, point="a")
-    u = modal.unravel(a, 3)
+    u = unravel(a, 3)
     # path -> endpoint is a bijective strong homomorphism on trees
     endpoints = [s[-1] for s in u.universe]
     assert sorted(endpoints) == sorted(a.universe)
@@ -40,28 +46,31 @@ def test_unravel_tree_is_isomorphic_to_itself():
 
 def test_unravel_rejects_high_arity_and_missing_point():
     with pytest.raises(ArityError):
-        modal.unravel(S((("T", 3),), ["a"], {}, point="a"), 1)
+        unravel(S((("T", 3),), ["a"], {}, point="a"), 1)
     with pytest.raises(PointError):
-        modal.unravel(S(VOCAB_R, ["a"], {}), 1)
+        unravel(S(VOCAB_R, ["a"], {}), 1)
 
 
 def test_counit_comult_basics():
+    """The comultiplication, the coextension of the identity, is the path
+    of prefixes with the same labels."""
     a = S(VOCAB_R, ["a", "b"], {"R": [("a", "b")]}, point="a")
     path = ("a", "R", "b")
     assert modal.modal_counit(path) == "b"
-    d = modal.modal_comult(path)
+    d = modal.modal_coextend(lambda s: s, path)
     assert d == (("a",), "R", ("a", "R", "b"))
     assert modal.modal_counit(d) == path
+    assert modal.modal_coextend(lambda s: s, ("a",)) == (("a",),)
     plays = play_universe(modal.GAME, a, 2)
     counit_table = {s: s[-1] for s in plays}
     for s in plays:
-        assert modal.modal_coextend(counit_table, s) == s
+        assert modal.modal_coextend(counit_table.__getitem__, s) == s
 
 
 def test_laws_on_pointed_pool():
     for a in pointed_pool(2):
         for k in (1, 2, 3):
-            rep = modal.check_modal_laws(a, k)
+            rep = law_report(modal.GAME, a, play_universe(modal.GAME, a, k))
             assert rep.ok, rep.failures
 
 
@@ -83,7 +92,7 @@ def test_sim_agrees_with_unravel_hom_search():
     for a in pool:
         for b in pool:
             for k in (1, 2):
-                want = find_hom(modal.unravel(a, k), b) is not None
+                want = find_hom(unravel(a, k), b) is not None
                 got = modal.decide_sim_k(a, b, k)
                 assert got.wins == want
                 if got.wins:
@@ -136,8 +145,8 @@ def test_bisim_implies_modal_formula_agreement():
 def test_unravel_fixpoint_on_pool():
     """Unravelling an unravelling changes nothing but the path bookkeeping."""
     for a in pointed_pool(2)[:40]:
-        u = modal.unravel(a, 2)
-        uu = modal.unravel(u, 2)
+        u = unravel(a, 2)
+        uu = unravel(u, 2)
         mapping = {s: s[-1] for s in uu.universe}
         assert check_hom(mapping, uu, u)
         assert sorted(s[-1] for s in uu.universe) == sorted(u.universe)

@@ -12,7 +12,8 @@ from gamecomonads.structures import Graph, gaifman
 from helpers import (NAMES, S, VOCAB_R, all_forest_covers, all_graphs, clique_structure,
                      coalgebra_to_forest_cover, graph_structure, is_synchronization_tree,
                      min_pebble_forest_cover, modal_depth, path_structure, random_graph,
-                     random_tree_pointed, reference_treewidth)
+                     random_tree_pointed, reference_treewidth, tree_decomposition_to_pfc,
+                     _elimination_decomposition)
 
 
 def test_check_coalgebra_forced_singleton():
@@ -113,7 +114,7 @@ def test_pebble_cover_roundtrip_single_edge():
     td = par.pfc_to_tree_decomposition(pfc)
     assert par.is_tree_decomposition(td, g)
     assert td.width() == 1
-    back = par.tree_decomposition_to_pfc(td, 2, g)
+    back = tree_decomposition_to_pfc(td, 2, g)
     assert par.is_pebble_forest_cover(back, g, 2)
 
 
@@ -131,7 +132,7 @@ def test_k3_single_bag_decomposition():
     td = par.pfc_to_tree_decomposition(res.pfc)
     assert par.is_tree_decomposition(td, k3)
     assert td.width() == 2
-    back = par.tree_decomposition_to_pfc(td, 3, k3)
+    back = tree_decomposition_to_pfc(td, 3, k3)
     assert par.is_pebble_forest_cover(back, k3, 3)
 
 
@@ -144,7 +145,7 @@ def test_c4_width_two_decomposition():
     td = par.pfc_to_tree_decomposition(res.pfc)
     assert par.is_tree_decomposition(td, g) and td.width() <= 2
     with pytest.raises(ToolkitError):
-        par.tree_decomposition_to_pfc(td, 2, g)  # width 2 is not < 2
+        tree_decomposition_to_pfc(td, 2, g)  # width 2 is not < 2
 
 
 def test_td_width_bound_errors():
@@ -152,7 +153,7 @@ def test_td_width_bound_errors():
     td = par.TreeDecomposition(("b0",), {"b0": None}, {"b0": frozenset(["a"])})
     assert par.is_tree_decomposition(td, g)
     with pytest.raises(ToolkitError):
-        par.tree_decomposition_to_pfc(td, 0, g)
+        tree_decomposition_to_pfc(td, 0, g)
 
 
 def test_kappa_ef_examples():
@@ -252,6 +253,28 @@ def test_td_equals_kappa_ef_random():
         g = random_graph(rng, rng.randint(1, 5))
         a = graph_structure(g)
         assert par.coalgebra_number(a, "ef").kappa == par.oracle_treedepth(g)
+
+
+def test_pebble_cover_equals_the_elimination_decomposition_pebbled():
+    """The pebbled cover of the pebble coalgebra number, read straight off
+    its elimination order, is the one the paper's bijection gives for the
+    order's tree decomposition (`tree_decomposition_to_pfc` of
+    `_elimination_decomposition`): on seeded graphs of 1-10 vertices at edge
+    densities 0-1, declared in a shuffled order, edgeless and complete graphs
+    included."""
+    rng = random.Random(29)
+    for n in range(1, 11):
+        for density in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
+            for _ in range(4):
+                names = [f"v{i}" for i in range(n)]
+                rng.shuffle(names)
+                g = Graph.build(names, [e for e in combinations(names, 2)
+                                        if rng.random() < density])
+                res = par.coalgebra_number(graph_structure(g), "pebble", cap=n)
+                width, order = par._treewidth_order(g)
+                td = _elimination_decomposition(g, order)
+                assert res.kappa == width + 1
+                assert res.pfc == tree_decomposition_to_pfc(td, res.kappa, g), (g, order)
 
 
 def test_tw_equals_kappa_pebble_random():
@@ -360,6 +383,6 @@ def test_pfc_to_td_width_bound_general():
         td = par.pfc_to_tree_decomposition(res.pfc)
         assert par.is_tree_decomposition(td, g)
         assert td.width() <= res.kappa - 1
-        back = par.tree_decomposition_to_pfc(td, res.kappa, g)
+        back = tree_decomposition_to_pfc(td, res.kappa, g)
         assert par.is_pebble_forest_cover(back, g, res.kappa)
         assert max(back.pebbles.values(), default=1) <= res.kappa

@@ -6,10 +6,16 @@ import pytest
 from gamecomonads import equivalence as eq
 from gamecomonads import pebbling as pb
 from gamecomonads.errors import CapExceededError, ToolkitError, VocabularyMismatchError
+from gamecomonads.game import law_report, lifted_structure
 from gamecomonads.structures import check_hom
 
 from helpers import (S, VOCAB_R, VOCAB_RS, all_structures_upto, clique_structure,
                      random_structure, reference_exist_pebble, reference_pebble_backforth)
+
+
+def pebble_structure(a, k, n):
+    """The pebble game's lifting of `a` to its plays of at most n moves."""
+    return lifted_structure(pb.GAME, a, pb.pebble_universe(a, k, n))
 
 
 def test_universe_counts():
@@ -32,7 +38,7 @@ def test_universe_errors():
 
 def test_lifted_active_pebble_condition():
     a = S(VOCAB_R, ["a", "b"], {"R": [("a", "b")]})
-    lifted = pb.pebble_structure(a, 2, 2)
+    lifted = pebble_structure(a, 2, 2)
     s = ((1, "a"),)
     t_ok = ((1, "a"), (2, "b"))
     t_bad = ((1, "a"), (1, "b"))
@@ -42,26 +48,30 @@ def test_lifted_active_pebble_condition():
 
 def test_lifted_unary_activeness_vacuous():
     a = S(VOCAB_RS, ["a", "b", "c"], {"S": [("c",)]})
-    lifted = pb.pebble_structure(a, 2, 1)
+    lifted = pebble_structure(a, 2, 1)
     assert (((2, "c"),),) in lifted.tuples("S")
     assert (((1, "a"),),) not in lifted.tuples("S")
 
 
 def test_counit_and_coextension():
+    """The comultiplication, the coextension of the identity, is the play
+    of prefixes with the pebbles carried over."""
     assert pb.pebble_counit(((2, "a"),)) == "a"
     plays = pb.pebble_universe(S(VOCAB_R, ["a", "b"], {}), 2, 2)
     const = {s: "c" for s in plays}
-    assert pb.pebble_coextend(const, ((1, "a"), (2, "b"))) == ((1, "c"), (2, "c"))
+    assert pb.pebble_coextend(const.__getitem__, ((1, "a"), (2, "b"))) == ((1, "c"), (2, "c"))
     counit_table = {s: s[-1][1] for s in plays}
     for s in plays:
-        assert pb.pebble_coextend(counit_table, s) == s
+        assert pb.pebble_coextend(counit_table.__getitem__, s) == s
+    s = ((1, "a"), (2, "b"))
+    assert pb.pebble_coextend(lambda x: x, s) == ((1, ((1, "a"),)), (2, s))
 
 
 def test_laws_on_truncation():
     for a in all_structures_upto(VOCAB_R, 2, include_empty=True):
         for k in (1, 2):
             for n in (1, 2, 3):
-                rep = pb.check_pebble_laws(a, k, n)
+                rep = law_report(pb.GAME, a, pb.pebble_universe(a, k, n))
                 assert rep.ok, rep.failures
 
 
@@ -145,7 +155,7 @@ def test_family_replays_to_truncated_cokleisli_hom():
         y = next(y for y in b.universe if base | {(x, y)} in parts)  # forth
         part_for[s] = base | {(x, y)}
         table[s] = y
-    assert check_hom(table, pb.pebble_structure(a, k, n), b)
+    assert check_hom(table, pebble_structure(a, k, n), b)
 
 
 def test_refutation_is_wellfounded_and_rooted():

@@ -100,3 +100,23 @@ def test_every_function_in_the_package_runs_in_a_cli_job(tmp_path):
     assert sorted(unreached - ALLOWED.keys()) == []
     # an allowed function that a job now reaches, or that is gone, leaves the list
     assert sorted(ALLOWED.keys() - unreached) == []
+
+
+def test_every_import_in_the_package_is_used():
+    """Each name a module of the package imports is read somewhere in it as
+    a plain name (`ast.Name`, which covers attribute access and
+    annotations); `__init__.py` imports only to re-export, and is exempt."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [alias.asname or alias.name for alias in node.names]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(path.name, name) for name in imported if name not in used]
+    assert unused == []
