@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import re
 from itertools import count
+from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import equivalence as eq_mod
@@ -97,7 +98,7 @@ def format_certificate(cert: Certificate) -> str:
     if cert.kappa is not None:
         lines.append(f"kappa {cert.kappa}")
     for row in cert.body:
-        lines.append(" ".join(str(t) for t in row))
+        lines.append(" ".join(map(str, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -124,10 +125,6 @@ def parse_certificate(text: str) -> Certificate:
     kappa = _int(head["kappa"]) if "kappa" in head else None
     return Certificate(head["certificate"], head.get("game"), k, head.get("claim"), kappa,
                        rows)
-
-
-def _play_key(s: tuple):
-    return (len(s), tuple(str(x) for x in s))
 
 
 def _put(table: dict, key, value, row: list[str]) -> None:
@@ -180,7 +177,10 @@ def cert_both(game: Game, k: int, fwd, bwd, a: Structure, b: Structure) -> Certi
 
 
 def _table_rows(table, head: str) -> list[list[str]]:
-    return [[head, fmt_play(s), "->", str(table[s])] for s in sorted(table, key=_play_key)]
+    """One `<head> <play> -> <value>` row per play, shorter plays first,
+    then by their elements' strings, each play's formatted once."""
+    keyed = sorted((((len(s), tuple(map(str, s))), s) for s in table), key=itemgetter(0))
+    return [[head, "[" + ",".join(strs) + "]", "->", str(table[s])] for (_, strs), s in keyed]
 
 
 def _family_rows(parts: frozenset, a: Structure, b: Structure) -> list:

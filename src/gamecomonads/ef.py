@@ -13,12 +13,13 @@ are one element each.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional
 
 from .game import (ExistResult, Game, capped_count, decide_exist, law_report, multiset,
                    play_universe, powers, prefix_hom_error, prefix_lifting, prefixes,
                    refined_colours, refined_values, won_within)
-from .structures import Elem, Structure, extend_type, is_partial_hom, is_partial_iso
+from .structures import Elem, Structure, _through, extend_type
 
 Play = tuple  # nonempty tuple of elements
 
@@ -55,6 +56,26 @@ def _play_error(play: Play, k: int, host: Structure) -> Optional[str]:
     return None if all(e in host.index for e in play) else "element outside the universe"
 
 
+def _step(s: Play, t: Play, a: Structure, b: Structure, iso: bool) -> bool:
+    """The step of partial isomorphism (`iso`) or homomorphism of the play
+    pairs: the last pair, judged by where its elements first occur and, when
+    new, by the tuples of positions through the last (as `extend_type`)."""
+    if not s:
+        return True
+    i, j = s.index(s[-1]), len(s) - 1
+    if t[i] != t[-1] or iso and t.index(t[-1]) != i:
+        return False
+    if i < j:
+        return True
+    for name, arity in a.vocab.symbols:
+        here, there = a.tuples(name), b.tuples(name)
+        for get in _through(j, arity):
+            held = get(s) in here
+            if held != (get(t) in there) and (iso or held):
+                return False
+    return True
+
+
 def _distinct(s: Play) -> tuple:
     """The distinct elements of a play in first-occurrence order: all that the
     back-and-forth game sees of it once its pairs form a partial isomorphism."""
@@ -77,8 +98,8 @@ GAME = Game(
     check_plays=check_plays,
     lifted_at=prefix_lifting,  # a play lists its prefixes' last elements; any may join it
     pointed=False,
-    winning=lambda s, t, a, b: is_partial_iso(zip(s, t), a, b),
-    forth=lambda s, t, a, b: is_partial_hom(zip(s, t), a, b),
+    winning=partial(_step, iso=True),
+    forth=partial(_step, iso=False),
     position=lambda s, t: frozenset(zip(s, t)),
     refine=lambda a, b, k, cap: refined_values(GAME, a, b, k, cap, _distinct, extend_type),
     iso_colours=lambda a, b, k: refined_colours(GAME, a, b, k, lambda s: s, _counted_type,

@@ -41,11 +41,11 @@ from __future__ import annotations
 
 import sys
 from functools import partial
-from itertools import combinations, product, repeat
+from itertools import combinations, repeat
 from typing import Callable, Generator, Iterable, Iterator, Mapping, Optional
 
 from .errors import CapExceededError, ToolkitError, VocabularyMismatchError
-from .structures import Elem, Record, Structure, check_hom
+from .structures import Elem, Record, Structure, _through, check_hom
 
 DEFAULT_PLAY_CAP = 10 ** 6
 
@@ -117,18 +117,15 @@ def prefix_lifting(a: Structure, tips: list, labels: list) -> Iterator[tuple[str
     from the prefixes of `top` that may join it, `top` last: `tips[j]` is the
     last element of the j-th and `labels[j]` what stands for it (the prefix
     itself, or its image).  A tuple is related iff its last elements form a
-    tuple of `a`, and is yielded as its symbol and labels.  It is built once:
-    its components before the first `top` are proper prefixes."""
+    tuple of `a`, and is yielded as its symbol and labels.  Its positions
+    are a tuple of positions through the last (`structures._through`), so
+    it is built once."""
     d = len(tips) - 1
-    low_t, low_l = tips[:d], labels[:d]
     for name, arity in a.vocab.symbols:
         base = a.tuples(name)
-        for first in range(arity):
-            rest = arity - 1 - first
-            for tip, label in zip(product(*[low_t] * first, tips[d:], *[tips] * rest),
-                                  product(*[low_l] * first, labels[d:], *[labels] * rest)):
-                if tip in base:
-                    yield name, label
+        for get in _through(d, arity):
+            if get(tips) in base:
+                yield name, get(labels)
 
 
 def lifted_structure(game: Game, a: Structure, plays: list) -> Structure:
@@ -222,8 +219,9 @@ class Game(Record):
     # the root is a play and the lifting is pointed at it.
     lifted_at: Callable[[Structure, tuple, list], Iterator[tuple[str, tuple]]]
     pointed: bool
-    # Winning conditions (s, t, a, b) -> bool on equal-depth plays, both
-    # absorbing: of the back-and-forth game and of the existential game.
+    # Winning conditions of the back-and-forth and the existential game, as step
+    # conditions (s, t, a, b) -> bool on equal-depth plays: does (s, t) meet it,
+    # given that each proper prefix pair does?  See `holds_along` for whole pairs.
     winning: Optional[Callable[[tuple, tuple, Structure, Structure], bool]]
     forth: Optional[Callable[[tuple, tuple, Structure, Structure], bool]]
     # What the value of (s, t) depends on besides its depth, once every
@@ -279,6 +277,8 @@ def walk_plays(game: Game, a: Structure, k: int, value=None,
         yield root, value
     level = [(root, value)]
     for depth in range(1, k + 1):
+        if not level:  # the play tree has ended
+            return
         below = []
         for s, v in level:
             kids = game.children(a, s)
@@ -388,29 +388,28 @@ def round_values(game: Game, a: Structure, b: Structure, k: int, holds: Callable
 
     The returned `value(s, t)`, for equal-depth plays whose proper prefixes
     all hold, is True when Duplicator wins from (s, t), False when Spoiler
-    does, and None when (s, t) itself fails `holds`.  The winning conditions
-    are absorbing, so that value is fixed by `game.position(s, t)` and the
-    depth, which is the memo key."""
+    does, and None when (s, t) itself fails `holds`, a step condition that
+    relies on that contract.  The value is fixed by `game.position(s, t)` and
+    the depth, which is the memo key."""
     memo: dict = {}
 
-    def solve(s: tuple, t: tuple):
-        key = game.position(s, t), game.depth(s)
-        if key not in memo:
-            won = True if holds(s, t, a, b) else None
-            if won and key[1] < k:
-                for _, _, replies in spoiler_moves(game, a, b, s, t, sides):
-                    for _, pair in replies:
-                        if (yield solve(*pair)):
-                            break
-                    else:
-                        won = False
-                        break
-            memo[key] = won
-        return memo[key]
+    def wins(s: tuple, t: tuple, d: int):  # (s, t) holds, in round d < k
+        for _, _, replies in spoiler_moves(game, a, b, s, t, sides):
+            for _, pair in replies:
+                at = game.position(*pair), d + 1
+                if at not in memo and holds(*pair, a, b):
+                    memo[at] = d + 1 == k or (yield wins(*pair, d + 1))
+                if memo.setdefault(at, None):
+                    break
+            else:
+                return False
+        return True
 
     def value(s: tuple, t: tuple) -> Optional[bool]:
         key = game.position(s, t), game.depth(s)
-        return memo[key] if key in memo else run(solve(s, t))
+        if key not in memo and holds(s, t, a, b):
+            memo[key] = key[1] == k or run(wins(s, t, key[1]))
+        return memo.setdefault(key, None)
 
     return value
 
@@ -472,7 +471,7 @@ def _key_colours(game: Game, x: Structure, k: int, cap: Optional[int], key: Call
     kids: dict = {}  # key -> its children's keys, in play-tree order
     rounds = [[root]]
     count = 1
-    while len(rounds) <= k:
+    while len(rounds) <= k and rounds[-1]:  # until round k or the tree's end
         below: dict = {}
         for u in rounds[-1]:
             if u not in kids:
@@ -486,7 +485,7 @@ def _key_colours(game: Game, x: Structure, k: int, cap: Optional[int], key: Call
             raise CapExceededError(f"colour refinement exceeds {cap} keys")
         rounds.append(list(below))
     by_round, after = [], {}
-    for d in range(k, -1, -1):
+    for d in range(len(rounds) - 1, -1, -1):
         after = {u: colours.setdefault(
             (own[u], collect(map(after.__getitem__, kids[u]) if d < k else ())), len(colours))
             for u in rounds[d]}
@@ -530,17 +529,18 @@ def first_replies(game: Game, a: Structure, b: Structure, k: int,
     first, so a table over the play cap is refused before any is built.
 
     The children of a play, and the values of their pairs, depend on a pair
-    of plays only through its position and round, so the places of the
-    first winning replies among the children are found once per key."""
+    of plays only through its position and round, so the steps of the first
+    winning replies are found once per key."""
     game.check_plays(a, k, DEFAULT_PLAY_CAP)
     firsts: dict = {}
 
     def replies(s: tuple, t: tuple) -> list:
-        key, theirs = (game.position(s, t), game.depth(s)), game.children(b, t)
+        key = game.position(s, t), game.depth(s)
         if key not in firsts:
-            firsts[key] = [next(i for i, t2 in enumerate(theirs) if value(s2, t2))
+            theirs = game.children(b, t)
+            firsts[key] = [next(t2 for t2 in theirs if value(s2, t2))[len(t):]
                            for s2 in game.children(a, s)]
-        return [theirs[i] for i in firsts[key]]
+        return [t + step for step in firsts[key]]
 
     return CoKleisli(game, k, a, b,
                      {s: game.last(t) for s, t in read_off(game, a, b, k, replies)})
@@ -586,17 +586,25 @@ def spoiler_tree(game: Game, a: Structure, b: Structure, value: Callable,
     return SpoilerNode(None, None) if value(*root) is None else run(build(*root))
 
 
+def holds_along(game: Game, holds: Callable, s: tuple, t: tuple, a: Structure,
+                b: Structure) -> bool:
+    """The step condition `holds` on the whole pair (s, t): its prefix pairs' fold."""
+    return all(holds(p, q, a, b) for p, q in zip(game.prefixes(s), game.prefixes(t)))
+
+
 def audit_spoiler_tree(game: Game, node: SpoilerNode, a: Structure, b: Structure, k: int,
                        holds: Callable, sides: str) -> tuple[bool, str]:
     """Replay a Spoiler tree on the play trees of `a` and `b` without solving:
     every move is on a side in `sides`, before round k, and extends its play by
     one child; the replies are Duplicator's, each once in any order; and every
-    leaf, like a stalled root, fails `holds`."""
-    def step(nd: Optional[SpoilerNode], plays: tuple):
-        s, t = plays
+    leaf, like a stalled root, fails `holds` on its whole pair, which is
+    carried down the walk one step a node."""
+    def step(nd: Optional[SpoilerNode], at: tuple):
+        s, t, held = at
+        held = held and holds(s, t, a, b)  # its prefix pairs all held
         d = game.depth(s)
         if nd is None or nd.side is None:
-            return f"position after round {d} does not lose" if holds(s, t, a, b) else ()
+            return f"position after round {d} does not lose" if held else ()
         if d >= k:
             return f"move in round {d + 1}, after the last round {k}"
         if nd.side not in sides:
@@ -608,34 +616,34 @@ def audit_spoiler_tree(game: Game, node: SpoilerNode, a: Structure, b: Structure
         replies = {r[len(s):] for r in game.children(other, theirs)}
         if len(nd.branches) != len(replies) or {r for r, _ in nd.branches} != replies:
             return f"replies in round {d + 1} are not Duplicator's"
-        return [(child, (moved, theirs + r) if nd.side == "A" else (theirs + r, moved))
+        return [(child, (moved, theirs + r, held) if nd.side == "A" else (theirs + r, moved, held))
                 for r, child in nd.branches]
 
-    return walk_tree(node, (game.root(a), game.root(b)), step)
+    return walk_tree(node, (game.root(a), game.root(b), True), step)
 
 
 def audit_won_positions(game: Game, pairs, a: Structure, b: Structure,
                         k: int) -> tuple[bool, str]:
     """Check a `won_positions` witness without solving.  Each pair must be a
-    play of `a` and a play of `b` of one round d < k that meets
-    `game.winning`, and claims its (position, d) key.  The roots' key must be
-    claimed, and every Spoiler move at a pair, on either side, needs a reply
-    that meets `game.winning` and ends the game or has its key claimed.  By
-    the `Game.position` contract, Duplicator then wins from every claimed key."""
+    play of `a` and a play of `b` of one round d < k that meets `game.winning`
+    whole (`holds_along`), and claims its (position, d) key.  The roots' key
+    must be claimed, and every Spoiler move at a pair, on either side, needs a
+    reply whose step meets it and that ends the game or has its key claimed.
+    By the `Game.position` contract, Duplicator then wins from every claimed key."""
     claimed = set()
     for s, t in pairs:
         why = game.play_error(s, k, a) or game.play_error(t, k, b)
         if why is None and not game.depth(s) == game.depth(t) < k:
             why = f"plays of rounds {game.depth(s)} and {game.depth(t)}, not of one round below {k}"
-        if why is None and not game.winning(s, t, a, b):
+        if why is None and not holds_along(game, game.winning, s, t, a, b):
             why = "outside the winning set"
         if why is not None:
             return False, f"position {s!r}/{t!r}: {why}"
         claimed.add((game.position(s, t), game.depth(s)))
     if (game.position(game.root(a), game.root(b)), 0) not in claimed:
         return False, "the initial position is not claimed"
-    # A reply extends a pair that meets `game.winning`, so whether it meets it
-    # too is fixed by the reply's key, and is found once per key.
+    # A reply extends a pair that meets `game.winning`, so whether its step
+    # meets it is fixed by the reply's key, and is found once per key.
     won: dict = {}
     for s, t in pairs:
         d = game.depth(s) + 1

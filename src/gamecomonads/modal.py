@@ -81,6 +81,8 @@ def check_paths(a: Structure, k: int, cap: int) -> int:
     refused."""
     ends, count = {a.point: 1}, 1
     for _ in range(k):
+        if not ends:  # the unravelling has ended
+            break
         below: dict = {}
         for e, n in ends.items():
             for _, e2 in successors(a, e):
@@ -115,20 +117,6 @@ def _root(x: Structure) -> Path:
     return (x.point,)
 
 
-def _matches(s: Path, t: Path, a: Structure, b: Structure, agree=operator.eq) -> bool:
-    """Same labels along both paths and, at each step, unary symbols that
-    `agree`: the same ones at both ends (`eq`), or those of the source element
-    at the target too (`le`)."""
-    if s[1::2] != t[1::2]:
-        return False
-    unaries = unary_symbols(a)
-    for x, y in zip(s[0::2], t[0::2]):
-        for name in unaries:
-            if not agree((x,) in a.tuples(name), (y,) in b.tuples(name)):
-                return False
-    return True
-
-
 def _last_step(s: Path) -> Path:
     """A path's last label and element, or its point alone: all that the
     modal game sees of it once the labels and unary symbols along it match."""
@@ -140,6 +128,14 @@ def _atomic_type(x: Structure, last: Path, parent) -> tuple:
     and element, or the point alone), whatever step came before it: the
     label, and the unary symbols that hold at the element."""
     return last[:-1], tuple((last[-1],) in x.tuples(name) for name in unary_symbols(x))
+
+
+def _step_matches(s: Path, t: Path, a: Structure, b: Structure, agree=operator.eq) -> bool:
+    """The step of one label sequence with unary symbols that `agree` (`eq`:
+    the same ones; `le`: the source's hold at the target): the last step's."""
+    label, here = _atomic_type(a, _last_step(s), None)
+    other, there = _atomic_type(b, _last_step(t), None)
+    return label == other and all(map(agree, here, there))
 
 
 def _play_error(play: Path, k: int, host: Structure) -> Optional[str]:
@@ -179,8 +175,8 @@ GAME = Game(
     check_plays=check_paths,
     lifted_at=_lifted_at,
     pointed=True,
-    winning=_matches,
-    forth=lambda s, t, a, b: _matches(s, t, a, b, operator.le),
+    winning=_step_matches,
+    forth=lambda s, t, a, b: _step_matches(s, t, a, b, operator.le),
     position=lambda s, t: (_last_step(s), _last_step(t)),
     refine=lambda a, b, k, cap: refined_values(GAME, a, b, k, cap, _last_step, _atomic_type),
     iso_colours=lambda a, b, k: refined_colours(GAME, a, b, k, _last_step, _atomic_type,

@@ -3,6 +3,8 @@
 - Structure builders and exhaustive ensembles.
 - Morphisms both ways, and coKleisli counits, coextension (`star`) and
   composition.
+- The round-bounded games' conditions on whole play pairs, judged apart
+  from their step code, and the lifting at one top play built by `product`.
 - Liftings built in full by filtering, the audit of coKleisli isomorphism
   pairs on them, and the table search for coKleisli isomorphism.
 - The strategy-set fixpoint (`theta_fixpoint`): the greatest fixpoint of
@@ -24,6 +26,7 @@
 
 from __future__ import annotations
 
+import operator
 import random
 from functools import lru_cache
 from itertools import combinations, product
@@ -167,6 +170,48 @@ def cokleisli_compose(g: CoKleisli, f: CoKleisli) -> CoKleisli:
     return CoKleisli(f.game, f.k, f.source, g.target, table)
 
 
+def modal_matches(s: tuple, t: tuple, a: Structure, b: Structure, agree=operator.eq) -> bool:
+    """The modal game's condition on a whole pair of paths: the same labels
+    along both and, at each step, unary symbols that `agree`: the same ones
+    at both ends (`eq`), or those of the source element at the target too
+    (`le`)."""
+    if s[1::2] != t[1::2]:
+        return False
+    for x, y in zip(s[0::2], t[0::2]):
+        for name in modal.unary_symbols(a):
+            if not agree((x,) in a.tuples(name), (y,) in b.tuples(name)):
+                return False
+    return True
+
+
+def whole_holds(g: Game, s: tuple, t: tuple, a: Structure, b: Structure,
+                iso: bool = True) -> bool:
+    """The winning (`iso`) or forth condition of the sequence or modal game
+    on a whole pair of equal-depth plays, judged apart from the games' step
+    conditions: the play pairs form a partial isomorphism or homomorphism,
+    or the paths pass `modal_matches`."""
+    if g.name == "modal":
+        return modal_matches(s, t, a, b, operator.eq if iso else operator.le)
+    return (is_partial_iso if iso else is_partial_hom)(list(zip(s, t)), a, b)
+
+
+def product_prefix_lifting(a: Structure, tips: list, labels: list):
+    """The reference for `game.prefix_lifting`: each tuple of the prefixes of
+    the top play (`tips[j]` the last element of the j-th, `labels[j]` what
+    stands for it) whose first place that holds the top is `first`, the
+    places before it drawn from the proper prefixes, built by `product`."""
+    d = len(tips) - 1
+    low_t, low_l = tips[:d], labels[:d]
+    for name, arity in a.vocab.symbols:
+        base = a.tuples(name)
+        for first in range(arity):
+            rest = arity - 1 - first
+            for tip, label in zip(product(*[low_t] * first, tips[d:], *[tips] * rest),
+                                  product(*[low_l] * first, labels[d:], *[labels] * rest)):
+                if tip in base:
+                    yield name, label
+
+
 def lifting(game: Game, a: Structure, k: int) -> Structure:
     """The lifted structure of `a` up to round k of the sequence or modal
     game, built in full and apart from `Game.lifted_at`: every tuple of
@@ -299,7 +344,7 @@ def _enumerate_tables(a: Structure, b: Structure, k: int, g: Game,
         for y in b.universe:
             f[s] = y  # the candidate reply, which the coextension reads
             st = g.coextend(f.__getitem__, s)
-            if st in index_b and g.winning(s, st, a, b):
+            if st in index_b and whole_holds(g, s, st, a, b):
                 fstar[s] = st
                 dfs(i + 1)
         f.pop(s, None)

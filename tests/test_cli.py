@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -552,6 +553,46 @@ def test_param_modal_on_a_deep_path(tmp_path):
     code, out = run(["param", "--comonad", "modal", write_path(tmp_path, 1100, ["start v0"])])
     assert code == 0
     assert "kappa: 1099" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["laws", "--comonad", "modal", "-k", "3000000", "chain"],
+    ["equiv", "--game", "modal", "--mode", "exists", "-k", "3000000", "chain", "chain"],
+    ["equiv", "--game", "modal", "--mode", "backforth", "-k", "3000000", "chain", "chain"],
+], ids=["laws", "exists", "backforth"])
+def test_modal_walks_stop_where_the_path_tree_ends(files, argv):
+    """The chain a->b->c has no path of more than two steps: asked for three
+    million rounds, the path count, the play walk and the colour refinement
+    stop at the first empty round instead of running through the rest."""
+    start = time.perf_counter()
+    code, out = run([files.get(x, x) for x in argv])
+    elapsed = time.perf_counter() - start
+    assert code == 0 and "\nk: 3000000\n" in out and out.endswith("\nresult: true\n"), out
+    assert elapsed < 0.5, elapsed
+
+
+def test_round_bounded_games_judge_play_pairs_by_their_last_step(files, monkeypatch):
+    """With `is_partial_hom` and `is_partial_iso` raising wherever the package
+    binds them, the sequence and modal games still decide every mode, won
+    and lost, and their certificates (tables, won positions and Spoiler
+    trees) verify: no whole-play partial-map check runs on these paths."""
+    def refuse(*args):
+        raise AssertionError("a whole-play partial-map check ran")
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "gamecomonads":
+            for attr in ("is_partial_hom", "is_partial_iso"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    for game, x, y in [("ef", "edge", "edge"), ("ef", "k3", "edge"), ("ef", "edge", "twopts"),
+                       ("modal", "chain", "chain"), ("modal", "cycle", "chain")]:
+        for mode in ("exists", "backforth", "both"):
+            cert = str(files["dir"] / f"{game}-{mode}-{x}-{y}.cert")
+            code, out = run(["equiv", "--game", game, "--mode", mode, "-k", "3", files[x],
+                             files[y], "--certificate", cert])
+            assert code in (0, 1), out
+            code, out = run(["verify", "--certificate", cert, files[x], files[y]])
+            assert code == 0 and "result: true" in out, (game, mode, x, y, out)
 
 
 def test_hom_on_a_long_path(tmp_path):

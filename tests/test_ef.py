@@ -3,15 +3,19 @@ import sys
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gamecomonads import ef, logic, pebbling
-from gamecomonads.game import (CoKleisli, audit_spoiler_tree, chain_error, law_report,
-                               lifted_structure, play_universe, prefixes)
+from gamecomonads.game import (CoKleisli, audit_spoiler_tree, chain_error, holds_along,
+                               law_report, lifted_structure, play_universe, prefix_lifting,
+                               prefixes)
 from gamecomonads.errors import CapExceededError, ToolkitError, VocabularyMismatchError
 from gamecomonads.structures import Structure, check_hom, find_hom
 
-from helpers import (S, VOCAB_R, all_structures_upto, cokleisli_compose, counit_cokleisli,
-                     path_structure, random_structure, star)
+from helpers import (NAMES, S, VOCAB_R, all_structures_upto, cokleisli_compose,
+                     counit_cokleisli, path_structure, product_prefix_lifting,
+                     random_structure, star, whole_holds)
 
 
 def _lifted(a, k):
@@ -254,3 +258,51 @@ def test_lifting_builds_each_tuple_from_its_longest_play():
             plays = [s for s in universe if any(t[:len(s)] == s for t in tops)]
             assert (lifted_structure(game, a, plays)
                     == _lift_by_filter(a, plays, game.last, compatible))
+
+
+@st.composite
+def _structures_of_arity_up_to_three(draw):
+    """Two structures over one vocabulary of arities 1-3, with reflexive and
+    repeated-element tuples, on one to three elements each; the second is
+    the first one half of the time."""
+    vocab = draw(st.lists(st.sampled_from([("U", 1), ("R", 2), ("T", 3)]), min_size=1,
+                          unique=True))
+
+    def structure(names):
+        return S(vocab, names, {name: draw(st.sets(st.tuples(*[st.sampled_from(names)] * arity),
+                                                   max_size=8))
+                                for name, arity in vocab})
+
+    a = structure(list(NAMES[:draw(st.integers(1, 3))]))
+    b = a if draw(st.booleans()) else structure(["x", "y", "z"][:draw(st.integers(1, 3))])
+    return a, b
+
+
+def _play(draw, x, n):
+    return tuple(draw(st.lists(st.sampled_from(x.universe), min_size=n, max_size=n)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_the_fold_of_the_step_conditions_is_the_whole_partial_map_check(data):
+    """Over every prefix, the step conditions of the sequence game say what
+    `is_partial_iso` and `is_partial_hom` say of the whole play pairs."""
+    a, b = data.draw(_structures_of_arity_up_to_three())
+    n = data.draw(st.sampled_from((3, 4, 2, 1, 0)))
+    s = _play(data.draw, a, n)
+    t = s if b is a and data.draw(st.booleans()) else _play(data.draw, b, n)
+    for iso, step in ((True, ef.GAME.winning), (False, ef.GAME.forth)):
+        assert holds_along(ef.GAME, step, s, t, a, b) == whole_holds(ef.GAME, s, t, a, b, iso)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_prefix_lifting_yields_the_tuples_the_product_does(data):
+    """At a top play with repeated elements, the lifting read through the
+    tuples of positions through the last yields the tuples built by
+    `product`, each once, under prefix labels and under image labels."""
+    a, b = data.draw(_structures_of_arity_up_to_three())
+    top = _play(data.draw, a, data.draw(st.sampled_from((3, 4, 2, 1))))
+    for labels in (prefixes(top), list(_play(data.draw, b, len(top)))):
+        got = list(prefix_lifting(a, list(top), labels))
+        assert sorted(got) == sorted(product_prefix_lifting(a, list(top), labels))

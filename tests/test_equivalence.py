@@ -8,14 +8,16 @@ from hypothesis import strategies as st
 from gamecomonads import ef, equivalence as eq, logic, modal
 from gamecomonads import pebbling as pb
 from gamecomonads.errors import CapExceededError, ToolkitError
-from gamecomonads.game import (DEFAULT_PLAY_CAP, Game, audit_spoiler_tree, audit_won_positions,
-                               chain_error, law_report, lifted_hom, lifted_structure,
-                               play_universe, round_values, spoiler_tree, won_positions)
+from gamecomonads.game import (DEFAULT_PLAY_CAP, Game, SpoilerNode, audit_spoiler_tree,
+                               audit_won_positions, chain_error, law_report, lifted_hom,
+                               lifted_structure, play_universe, round_values, spoiler_tree,
+                               won_positions)
 from gamecomonads.structures import Vocabulary, check_hom
 
 from helpers import (NAMES, S, VOCAB_R, all_pointed, all_structures_upto, bisim_oracle,
                      clique_structure, decide_both_ways, lifting, materialised_iso_audit,
-                     path_structure, quantifier_rank, search_cokleisli_iso, theta_fixpoint)
+                     path_structure, quantifier_rank, search_cokleisli_iso, theta_fixpoint,
+                     whole_holds)
 
 EDGE = S(VOCAB_R, ["a", "b"], {"R": [("a", "b"), ("b", "a")]})
 TWOPTS = S(VOCAB_R, ["x", "y"], {})
@@ -72,7 +74,7 @@ def _every_winning_pair(g, a, b, k):
     pairs, todo = [], [(g.root(a), g.root(b))]
     while todo:
         s, t = todo.pop()
-        if g.depth(s) < k and g.winning(s, t, a, b):
+        if g.depth(s) < k and whole_holds(g, s, t, a, b):
             pairs.append((s, t))
             todo.extend((s2, t2) for s2 in g.children(a, s) for t2 in g.children(b, t))
     return pairs
@@ -92,6 +94,29 @@ def test_won_positions_pass_the_audit_and_no_claim_wins_a_lost_game(comonad):
                 claim = res.duplicator if res.wins else _every_winning_pair(g, a, b, k)
                 ok, why = audit_won_positions(g, claim, a, b, k)
                 assert ok == res.wins, (a, b, k, why)
+
+
+def test_the_won_positions_audit_judges_a_claimed_pair_from_its_first_step():
+    """A claimed pair is judged whole: the loop element repeated against a
+    loopless one repeated passes its last step, but not its first."""
+    one = S(VOCAB_R, ["x"], {})
+    claim = [((), ()), (("a", "a"), ("x", "x"))]
+    assert audit_won_positions(ef.GAME, claim, LOOP, one, 3) == (
+        False, "position ('a', 'a')/('x', 'x'): outside the winning set")
+
+
+def test_a_spoiler_tree_may_play_on_after_duplicator_has_lost():
+    """The audit carries whether the pairs have held so far down the tree: a
+    leaf whose last step holds by itself still loses when an earlier one
+    failed, as Spoiler playing the loop element twice against a loopless
+    point does, and against a loop the same tree is refused."""
+    leaf = SpoilerNode("A", ("a",), ((("x",), None),))
+    tree = SpoilerNode("A", ("a",), ((("x",), leaf),))
+    for holds, sides in ((ef.GAME.forth, "A"), (ef.GAME.winning, "AB")):
+        for loop, verdict in ((False, (True, "ok")),
+                              (True, (False, "position after round 2 does not lose"))):
+            x = S(VOCAB_R, ["x"], {"R": [("x", "x")] if loop else []})
+            assert audit_spoiler_tree(ef.GAME, tree, LOOP, x, 2, holds, sides) == verdict
 
 
 def test_backforth_empty_structures():
@@ -531,7 +556,7 @@ def _contract_pairs(g, a, b, k):
     while todo:
         s, t = todo.pop()
         pairs.append((s, t))
-        if g.depth(s) < k and g.winning(s, t, a, b):
+        if g.depth(s) < k and whole_holds(g, s, t, a, b):
             todo.extend((s2, t2) for s2 in g.children(a, s) for t2 in g.children(b, t))
     return pairs
 

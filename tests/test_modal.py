@@ -1,12 +1,18 @@
+import operator
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gamecomonads import equivalence as eq
 from gamecomonads import modal
 from gamecomonads.errors import ArityError, PointError
-from gamecomonads.game import audit_spoiler_tree, law_report, lifted_structure, play_universe
+from gamecomonads.game import (audit_spoiler_tree, holds_along, law_report, lifted_structure,
+                               play_universe)
 from gamecomonads.structures import check_hom, find_hom
 
-from helpers import S, VOCAB_R, all_pointed, all_structures_upto, bisim_oracle
+from helpers import (NAMES, S, VOCAB_R, all_pointed, all_structures_upto, bisim_oracle,
+                     modal_matches)
 
 
 def pointed_pool(max_size=2, vocab=VOCAB_R):
@@ -152,3 +158,32 @@ def test_unravel_fixpoint_on_pool():
         assert sorted(s[-1] for s in uu.universe) == sorted(u.universe)
         for name in modal.binary_symbols(a):
             assert len(uu.tuples(name)) == len(u.tuples(name))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_the_fold_of_the_step_conditions_matches_whole_paths(data):
+    """Over every prefix, the modal game's step conditions say what
+    `modal_matches` says of the whole paths: the same labels, and unary
+    symbols that agree (`eq`) or are kept (`le`) at each step."""
+    vocab = (("P", 1), ("Q", 1), ("R", 2), ("S", 2))
+
+    def structure(names):
+        rels = {name: data.draw(st.sets(st.tuples(*[st.sampled_from(names)] * arity),
+                                        max_size=4))
+                for name, arity in vocab}
+        return S(vocab, names, rels, point=names[0])
+
+    a = structure(list(NAMES[:data.draw(st.integers(1, 3))]))
+    b = structure(["x", "y", "z"][:data.draw(st.integers(1, 3))])
+    n = data.draw(st.sampled_from((2, 3, 1, 0)))
+
+    def path(x):
+        out = [x.point]
+        for _ in range(n):
+            out += [data.draw(st.sampled_from(("R", "S"))), data.draw(st.sampled_from(x.universe))]
+        return tuple(out)
+
+    s, t = path(a), path(b)
+    for agree, step in ((operator.eq, modal.GAME.winning), (operator.le, modal.GAME.forth)):
+        assert holds_along(modal.GAME, step, s, t, a, b) == modal_matches(s, t, a, b, agree)
