@@ -17,7 +17,7 @@ from functools import partial
 from typing import Callable, Optional
 
 from .game import (ExistResult, Game, capped_count, decide_exist, law_report, multiset,
-                   play_universe, powers, prefix_hom_error, prefix_lifting, prefixes,
+                   play_universe, powers, prefix_hom_error, prefix_lifting,
                    refined_colours, refined_values, won_within)
 from .structures import Elem, Structure, _through, extend_type
 
@@ -106,7 +106,7 @@ GAME = Game(
                                                 multiset),
     coextend=coextend,
     last=counit,
-    prefixes=prefixes,
+    parent=lambda s: s[:-1],
     play_error=_play_error,
     hom_error=lambda alpha, a: prefix_hom_error(alpha, a, None),
     decide=lambda a, b, k, cap: won_within(GAME, decide_exist_ef(a, b, k), a, k, cap),

@@ -221,7 +221,7 @@ class Game(Record):
     pointed: bool
     # Winning conditions of the back-and-forth and the existential game, as step
     # conditions (s, t, a, b) -> bool on equal-depth plays: does (s, t) meet it,
-    # given that each proper prefix pair does?  See `holds_along` for whole pairs.
+    # given that its parent pair (`parent` of each play) does?
     winning: Optional[Callable[[tuple, tuple, Structure, Structure], bool]]
     forth: Optional[Callable[[tuple, tuple, Structure, Structure], bool]]
     # What the value of (s, t) depends on besides its depth, once every
@@ -241,10 +241,11 @@ class Game(Record):
     # The comonad as a Kleisli triple with the play tree: `coextend(f, s)` is
     # f*(s) for a function f from plays to elements, and `last` the counit.
     coextend: Callable
-    # Reading a coalgebra play; `play_error(play, k, host)` says why a tuple is
-    # no play of `host` of depth <= k (only its shape, in the pebble game).
+    # Reading a coalgebra play: `parent(s)` is s one step up the play tree, and
+    # `play_error(play, k, host)` says why a tuple is no play of `host` of depth
+    # <= k (only its shape, in the pebble game).
     last: Callable[[tuple], Elem]
-    prefixes: Callable[[tuple], list]
+    parent: Callable[[tuple], tuple]
     play_error: Callable[[tuple, int, Structure], Optional[str]]
     hom_error: Callable[[Mapping, Structure], Optional[str]]
     # (a, b, k, cap) -> result with .wins and .refutation; refused when a won
@@ -586,12 +587,6 @@ def spoiler_tree(game: Game, a: Structure, b: Structure, value: Callable,
     return SpoilerNode(None, None) if value(*root) is None else run(build(*root))
 
 
-def holds_along(game: Game, holds: Callable, s: tuple, t: tuple, a: Structure,
-                b: Structure) -> bool:
-    """The step condition `holds` on the whole pair (s, t): its prefix pairs' fold."""
-    return all(holds(p, q, a, b) for p, q in zip(game.prefixes(s), game.prefixes(t)))
-
-
 def audit_spoiler_tree(game: Game, node: SpoilerNode, a: Structure, b: Structure, k: int,
                        holds: Callable, sides: str) -> tuple[bool, str]:
     """Replay a Spoiler tree on the play trees of `a` and `b` without solving:
@@ -626,16 +621,24 @@ def audit_won_positions(game: Game, pairs, a: Structure, b: Structure,
                         k: int) -> tuple[bool, str]:
     """Check a `won_positions` witness without solving.  Each pair must be a
     play of `a` and a play of `b` of one round d < k that meets `game.winning`
-    whole (`holds_along`), and claims its (position, d) key.  The roots' key
-    must be claimed, and every Spoiler move at a pair, on either side, needs a
-    reply whose step meets it and that ends the game or has its key claimed.
-    By the `Game.position` contract, Duplicator then wins from every claimed key."""
+    whole, and claims its (position, d) key.  The roots' key must be claimed,
+    and every Spoiler move at a pair, on either side, needs a reply whose step
+    meets it and that ends the game or has its key claimed.  By the
+    `Game.position` contract, Duplicator then wins from every claimed key."""
+    held: dict = {}  # pair -> it meets `game.winning` whole: its step and parent pair do
+
+    def holds(s: tuple, t: tuple):
+        if (s, t) not in held:
+            up = game.depth(s) == 0 or (yield holds(game.parent(s), game.parent(t)))
+            held[s, t] = up and game.winning(s, t, a, b)
+        return held[s, t]
+
     claimed = set()
     for s, t in pairs:
         why = game.play_error(s, k, a) or game.play_error(t, k, b)
         if why is None and not game.depth(s) == game.depth(t) < k:
             why = f"plays of rounds {game.depth(s)} and {game.depth(t)}, not of one round below {k}"
-        if why is None and not holds_along(game, game.winning, s, t, a, b):
+        if why is None and not run(holds(s, t)):
             why = "outside the winning set"
         if why is not None:
             return False, f"position {s!r}/{t!r}: {why}"

@@ -57,10 +57,6 @@ def path_steps(s: Path) -> int:
     return (len(s) - 1) // 2
 
 
-def path_prefixes(s: Path) -> list[Path]:
-    return [s[: 2 * i + 1] for i in range(path_steps(s) + 1)]
-
-
 def modal_counit(s: Path) -> Elem:
     return s[-1]
 
@@ -183,7 +179,7 @@ GAME = Game(
                                                 multiset),
     coextend=modal_coextend,
     last=modal_counit,
-    prefixes=path_prefixes,
+    parent=lambda s: s[:-2],
     play_error=_play_error,
     hom_error=_hom_error,
     decide=lambda a, b, k, cap: won_within(GAME, decide_sim_k(a, b, k), a, k, cap),

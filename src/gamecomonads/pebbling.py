@@ -45,7 +45,7 @@ from typing import Callable, Optional
 
 from .errors import ToolkitError, VocabularyMismatchError
 from .game import (DEFAULT_PLAY_CAP, Game, capped_count, law_report, powers, prefix_hom_error,
-                   prefix_lifting, prefixes, walk_tree)
+                   prefix_lifting, walk_tree)
 from .structures import (Elem, Record, Structure, extend_type, is_partial_hom,
                          is_partial_iso)
 
@@ -606,7 +606,7 @@ GAME = Game(
     iso_colours=None,
     coextend=pebble_coextend,
     last=pebble_counit,
-    prefixes=prefixes,
+    parent=lambda s: s[:-1],
     play_error=_play_error,
     hom_error=lambda alpha, a: prefix_hom_error(alpha, a, active_last),
     decide=_decide,

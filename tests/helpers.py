@@ -4,7 +4,9 @@
 - Morphisms both ways, and coKleisli counits, coextension (`star`) and
   composition.
 - The round-bounded games' conditions on whole play pairs, judged apart
-  from their step code, and the lifting at one top play built by `product`.
+  from their step code, the fold of a step condition along the prefix pairs
+  read off `Game.parent`, and the lifting at one top play built by
+  `product`.
 - Liftings built in full by filtering, the audit of coKleisli isomorphism
   pairs on them, and the table search for coKleisli isomorphism.
 - The strategy-set fixpoint (`theta_fixpoint`): the greatest fixpoint of
@@ -195,6 +197,23 @@ def whole_holds(g: Game, s: tuple, t: tuple, a: Structure, b: Structure,
     return (is_partial_iso if iso else is_partial_hom)(list(zip(s, t)), a, b)
 
 
+def prefix_chain(game: Game, s: tuple) -> list:
+    """The nonempty plays from the top of the play tree down to `s`, `s`
+    last, read off `Game.parent`: the prefixes of `s` of each round."""
+    chain = []
+    while s:
+        chain.append(s)
+        s = game.parent(s)
+    return chain[::-1]
+
+
+def holds_along(game: Game, holds, s: tuple, t: tuple, a: Structure, b: Structure) -> bool:
+    """The step condition `holds` on the whole pair (s, t), as the fold of
+    its prefix pairs: the reference for what `game.audit_won_positions`
+    judges off each pair's parent pair."""
+    return all(holds(p, q, a, b) for p, q in zip(prefix_chain(game, s), prefix_chain(game, t)))
+
+
 def product_prefix_lifting(a: Structure, tips: list, labels: list):
     """The reference for `game.prefix_lifting`: each tuple of the prefixes of
     the top play (`tips[j]` the last element of the j-th, `labels[j]` what
@@ -222,7 +241,7 @@ def lifting(game: Game, a: Structure, k: int) -> Structure:
     interp = {name: set() for name in a.vocab.names}
     for top in plays:
         for name, arity in a.vocab.symbols:
-            for combo in product(game.prefixes(top), repeat=arity):
+            for combo in product(prefix_chain(game, top), repeat=arity):
                 if game.name == "modal" and arity == 2:
                     related = combo[1][:-2] == combo[0] and combo[1][-2] == name
                 else:

@@ -7,14 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gamecomonads import ef, logic, pebbling
-from gamecomonads.game import (CoKleisli, audit_spoiler_tree, chain_error, holds_along,
-                               law_report, lifted_structure, play_universe, prefix_lifting,
-                               prefixes)
+from gamecomonads.game import (CoKleisli, audit_spoiler_tree, chain_error, law_report,
+                               lifted_structure, play_universe, prefix_lifting, prefixes)
 from gamecomonads.errors import CapExceededError, ToolkitError, VocabularyMismatchError
 from gamecomonads.structures import Structure, check_hom, find_hom
 
 from helpers import (NAMES, S, VOCAB_R, all_structures_upto, cokleisli_compose,
-                     counit_cokleisli, path_structure, product_prefix_lifting,
+                     counit_cokleisli, holds_along, path_structure, product_prefix_lifting,
                      random_structure, star, whole_holds)
 
 

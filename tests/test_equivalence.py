@@ -97,12 +97,45 @@ def test_won_positions_pass_the_audit_and_no_claim_wins_a_lost_game(comonad):
 
 
 def test_the_won_positions_audit_judges_a_claimed_pair_from_its_first_step():
-    """A claimed pair is judged whole: the loop element repeated against a
-    loopless one repeated passes its last step, but not its first."""
+    """A claimed pair is judged whole, off parent pairs that need not be
+    claimed: the loop element repeated against a loopless one repeated, also
+    3,000 rounds deep, and a modal path through an element with P against the
+    loop's path pass their last step, but not their first."""
     one = S(VOCAB_R, ["x"], {})
-    claim = [((), ()), (("a", "a"), ("x", "x"))]
-    assert audit_won_positions(ef.GAME, claim, LOOP, one, 3) == (
-        False, "position ('a', 'a')/('x', 'x'): outside the winning set")
+    vocab = (("P", 1), ("R", 2))
+    ploop = S(vocab, ["a"], {"R": [("a", "a")]}, point="a")
+    chain = S(vocab, ["x", "y", "z"], {"R": [("x", "y"), ("y", "z")], "P": [("y",)]}, point="x")
+    for g, a, b, k, s, t in [(ef.GAME, LOOP, one, 3, ("a", "a"), ("x", "x")),
+                             (ef.GAME, LOOP, one, 3001, ("a",) * 3000, ("x",) * 3000),
+                             (modal.GAME, ploop, chain, 3, ("a", "R", "a", "R", "a"),
+                              ("x", "R", "y", "R", "z"))]:
+        claim = [(g.root(a), g.root(b)), (s, t)]
+        assert audit_won_positions(g, claim, a, b, k) == (
+            False, f"position {s!r}/{t!r}: outside the winning set")
+
+
+@pytest.mark.parametrize("comonad", ["ef", "modal"])
+def test_the_won_positions_audit_makes_as_many_step_calls_per_row_at_every_depth(comonad):
+    """Each claimed pair is judged off its parent pair, so auditing the won
+    positions of a one-element loop against itself calls the step condition
+    as often per row at k = 250, 500 and 1000: the audit is linear in the
+    certificate."""
+    g = eq.game(comonad)
+    loop = S(VOCAB_R, ["a"], {"R": [("a", "a")]}, point="a" if comonad == "modal" else None)
+    calls = []
+
+    def winning(*args):
+        calls.append(args)
+        return g.winning(*args)
+
+    counted = Game(**{**{f: getattr(g, f) for f in Game._fields}, "winning": winning})
+    per_row = []
+    for k in (250, 500, 1000):
+        rows = eq.solve_back_forth(loop, loop, k, comonad).duplicator
+        calls.clear()
+        assert audit_won_positions(counted, rows, loop, loop, k) == (True, "ok")
+        per_row.append(len(calls) / len(rows))
+    assert per_row[0] == per_row[1] == per_row[2], per_row
 
 
 def test_a_spoiler_tree_may_play_on_after_duplicator_has_lost():

@@ -248,6 +248,45 @@ def test_verify_refuses_a_k_header_below_one(tmp_path, monkeypatch, capsys, cert
     assert capsys.readouterr().err.startswith("error:")
 
 
+# What solves a game or searches for a witness, wherever the package binds it.
+SOLVERS = ("round_values", "refined_values", "refined_colours", "won_positions",
+           "first_replies", "read_off", "spoiler_tree", "decide_exist", "decide_exist_ef",
+           "decide_sim_k", "decide_pebble", "decide_exist_pebble", "delete_to_fixpoint",
+           "decide_back_forth", "_tuple_colours", "_safe_parts", "solve_back_forth",
+           "_solve_pebble_backforth", "decide_cokleisli_iso", "find_hom",
+           "min_height_forest_cover", "_treewidth_order", "_elimination_cover",
+           "oracle_treedepth", "oracle_treewidth", "coalgebra_number")
+
+
+def test_verify_reaches_no_solver(tmp_path, monkeypatch):
+    """The audits share with the solvers only the play tree with `Game.parent`,
+    the step conditions and `Game.position`: with every solver raising, `verify`
+    of each golden certificate still prints its golden report."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify reached a solver")
+
+    bound = set()
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "gamecomonads":
+            for attr in SOLVERS:
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+                    bound.add(attr)
+    assert bound == set(SOLVERS)
+    monkeypatch.chdir(tmp_path)
+    for name, text in INPUTS.items():
+        Path(f"{name}.str").write_text(text, encoding="utf-8")
+    verified = 0
+    for job, _, cert, structures in jobs():
+        if cert is None or not (GOLDEN / cert).exists():
+            continue
+        Path(cert).write_bytes((GOLDEN / cert).read_bytes())
+        _, out = _run(["verify", "--certificate", cert] + [f"{s}.str" for s in structures])
+        assert out.encode("utf-8") == (GOLDEN / f"{job}.verify").read_bytes(), job
+        verified += 1
+    assert verified == len(list(GOLDEN.glob("*.cert")))
+
+
 def test_golden_corpus(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     got = corpus()

@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 from gamecomonads import equivalence as eq
 from gamecomonads import modal
 from gamecomonads.errors import ArityError, PointError
-from gamecomonads.game import (audit_spoiler_tree, holds_along, law_report, lifted_structure,
-                               play_universe)
+from gamecomonads.game import audit_spoiler_tree, law_report, lifted_structure, play_universe
 from gamecomonads.structures import check_hom, find_hom
 
 from helpers import (NAMES, S, VOCAB_R, all_pointed, all_structures_upto, bisim_oracle,
-                     modal_matches)
+                     holds_along, modal_matches)
 
 
 def pointed_pool(max_size=2, vocab=VOCAB_R):

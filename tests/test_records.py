@@ -23,7 +23,7 @@ FIELDS = {
     "game.LawReport": ("ok", "failures"),
     "game.Game": ("name", "root", "children", "depth", "check_plays", "lifted_at", "pointed",
                   "winning", "forth", "position", "refine", "iso_colours", "coextend", "last",
-                  "prefixes", "play_error", "hom_error", "decide", "laws", "exists_kinds",
+                  "parent", "play_error", "hom_error", "decide", "laws", "exists_kinds",
                   "backforth_kinds", "iso_kind", "cover_kind"),
     "game.CoKleisli": ("game", "k", "source", "target", "table", "cap"),
     "game.SpoilerNode": ("side", "step", "branches"),
