@@ -108,7 +108,7 @@ def pointwise_law_failure(game: Game, plays: list, comult: Callable) -> Optional
 
 
 def prefixes(s: tuple) -> list[tuple]:
-    """Nonempty prefixes in increasing length, ending with s itself."""
+    """Nonempty prefixes, ending with s: `Game.lifted_at`'s label at each position."""
     return [s[:i] for i in range(1, len(s) + 1)]
 
 

@@ -36,6 +36,13 @@ def test_check_coalgebra_rejects_non_prefix_closed_image():
     alpha_bad = {"a": ("b", "a"), "b": ("a",)}
     ok, why = par.check_coalgebra(par.CoalgebraMap("ef", 2, a, alpha_bad))
     assert not ok and "comultiplication" in why
+    # Each element's play is checked against its parent prefix only: alpha(a)
+    # passes, its parent prefix being alpha(b), and the wrong prefix (c,) is
+    # named at b, the element whose parent prefix it is.
+    c = S(VOCAB_R, ["a", "b", "c"], {})
+    alpha_deep = {"a": ("c", "b", "a"), "b": ("c", "b"), "c": ("b", "c")}
+    assert par.check_coalgebra(par.CoalgebraMap("ef", 3, c, alpha_deep)) == (
+        False, "comultiplication law fails: alpha('c') != prefix ('c',) of alpha('b')")
 
 
 def test_check_coalgebra_rejects_wrong_counit():
