@@ -30,10 +30,9 @@ and one audit, `pebbling.audit_spoiler_positions`, each told the sides.
 
 from __future__ import annotations
 
-import re
 from itertools import count
 from operator import itemgetter
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import equivalence as eq_mod
 from . import parameters as par_mod
@@ -42,8 +41,6 @@ from .errors import CapExceededError, CertificateError, ToolkitError
 from .game import (DEFAULT_PLAY_CAP, CoKleisli, Game, SpoilerNode, audit_spoiler_tree,
                    audit_won_positions, walk_tree)
 from .structures import Record, Structure, check_hom, gaifman
-
-_PAIR_RE = re.compile(r"\(([^()↦:]+)↦([^()↦:]+)\)")
 
 
 def fmt_play(s: tuple) -> str:
@@ -63,12 +60,19 @@ def fmt_pairs(pairs, a: Structure, b: Structure) -> str:
 
 
 def parse_pairs(tok: str) -> frozenset:
+    """The pairs of a `fmt_pairs` token: `-`, or `(x↦y)` groups with nothing
+    between them, each side non-empty and holding none of `()↦:`."""
     if tok == "-":
         return frozenset()
-    found = _PAIR_RE.findall(tok)
-    if not found:
+    if not (tok.startswith("(") and tok.endswith(")")):
         raise CertificateError(f"malformed pair token {tok!r}")
-    return frozenset(found)
+    pairs = set()
+    for group in tok[1:-1].split(")("):
+        x, _, y = group.partition("↦")
+        if not (x and y) or "↦" in y or "(" in group or ")" in group or ":" in group:
+            raise CertificateError(f"malformed pair token {tok!r}")
+        pairs.add((x, y))
+    return frozenset(pairs)
 
 
 def _int(tok: str) -> int:
@@ -213,7 +217,7 @@ def _pebble_cover_rows(pfc: par_mod.PebbleForestCover) -> list:
 # The node-tree codec shared by the Spoiler-tree kinds
 
 
-class _Tree(NamedTuple):
+class _Tree(Record):
     """How one Spoiler-tree kind writes and reads a node.
 
     `head` gives the tokens after `node <id>`; `edges` the node's
@@ -525,7 +529,7 @@ def _verify_modal_coalgebra(cert: Certificate, a: Structure, b: Optional[Structu
 # The kinds
 
 
-class _Kind(NamedTuple):
+class _Kind(Record):
     """One certificate kind: its claim ("true", "false", or None for a
     coalgebra witness, which claims a kappa instead and is audited against
     one structure, not two), how its body is written from a solver result,

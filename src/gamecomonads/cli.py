@@ -3,11 +3,18 @@
 Verdict lines are `result: true|false` or `kappa: <n>`; exit codes: 0 for
 true/success, 1 for false verdicts, 2 for usage/input errors, 3 for
 cap/resource errors.  Reports are byte-identical for identical argv and seed.
+
+Every command is a fresh process, so the module keeps its fixed cost down:
+it builds the parser of the one subcommand a run names, imports `logic`
+only for `eval` and `sample`, and, once imported, freezes the heap
+(`gc.freeze`), so that no collection walks the long-lived import-time objects
+again.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import stat
 import sys
@@ -16,7 +23,6 @@ from pathlib import Path
 
 from . import certificates as cert_mod
 from . import equivalence as eq_mod
-from . import logic as logic_mod
 from . import parameters as par_mod
 from .errors import CapExceededError, ToolkitError
 from .game import DEFAULT_PLAY_CAP
@@ -170,6 +176,8 @@ def _cmd_laws(args) -> tuple[int, list[str]]:
 
 
 def _cmd_eval(args) -> tuple[int, list[str]]:
+    from . import logic as logic_mod
+
     a = _load(args.a)
     out: list[str] = []
     _report_head(out, args, formula=repr(args.formula), input_a=args.a)
@@ -188,6 +196,8 @@ def _cmd_eval(args) -> tuple[int, list[str]]:
 
 
 def _cmd_sample(args) -> tuple[int, list[str]]:
+    from . import logic as logic_mod
+
     out: list[str] = []
     _report_head(out, args, fragment=args.fragment, k=args.k, count=args.count)
     vocab = _load(args.a).vocab if args.a else logic_mod.Vocabulary((("R", 2),))
@@ -213,29 +223,13 @@ def _cmd_verify(args) -> tuple[int, list[str]]:
     return (EXIT_TRUE if ok else EXIT_FALSE), out
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gamecomonads",
-        description="Model-comparison games as comonads: deciders, parameters, oracles.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="seed for all sampling (default %(default)s)")
-    common.add_argument("--cap-plays", type=int, default=DEFAULT_PLAY_CAP,
-                        help="largest materialized play universe")
-    common.add_argument("--cap-vertices", type=int, default=par_mod.DEFAULT_VERTEX_CAP,
-                        help="largest vertex count for oracles and kappa searches")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
-
-    p = add("hom", help="decide homomorphism existence")
+def _hom_arguments(p) -> None:
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--certificate")
-    p.set_defaults(func=_cmd_hom)
 
-    p = add("equiv", help="decide a comonadic equivalence")
+
+def _equiv_arguments(p) -> None:
     p.add_argument("--game", choices=eq_mod.COMONADS, required=True)
     p.add_argument("--mode", choices=("exists", "both", "backforth", "iso"),
                    required=True)
@@ -246,52 +240,94 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--certificate")
     p.add_argument("a")
     p.add_argument("b")
-    p.set_defaults(func=_cmd_equiv)
 
-    p = add("param", help="coalgebra number with witness")
+
+def _param_arguments(p) -> None:
     p.add_argument("--comonad", choices=eq_mod.COMONADS, required=True)
     p.add_argument("--certificate")
     p.add_argument("a")
-    p.set_defaults(func=_cmd_param)
 
-    p = add("oracle", help="tree-depth by exhaustive forest-order search; tree-width by "
-                           "the elimination-order program of param --comonad pebble")
+
+def _oracle_arguments(p) -> None:
     p.add_argument("parameter", choices=("treedepth", "treewidth"))
     p.add_argument("a")
-    p.set_defaults(func=_cmd_oracle)
 
-    p = add("laws", help="check the comonad laws on one structure")
+
+def _laws_arguments(p) -> None:
     p.add_argument("--comonad", choices=eq_mod.COMONADS, required=True)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--trunc", type=int, default=DEFAULT_TRUNC,
                    help="truncation length for the pebble game (default %(default)s)")
     p.add_argument("a")
-    p.set_defaults(func=_cmd_laws)
 
-    p = add("eval", help="evaluate a formula on a structure")
+
+def _eval_arguments(p) -> None:
     p.add_argument("-f", "--formula", required=True)
     p.add_argument("a")
-    p.set_defaults(func=_cmd_eval)
 
-    p = add("sample", help="deterministically sample formulas")
+
+def _sample_arguments(p) -> None:
+    from . import logic as logic_mod
+
     p.add_argument("--fragment", choices=logic_mod.FRAGMENTS, required=True)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("a", nargs="?", default=None,
                    help="optional structure file supplying the vocabulary")
-    p.set_defaults(func=_cmd_sample)
 
-    p = add("verify", help="re-verify a certificate without solving")
+
+def _verify_arguments(p) -> None:
     p.add_argument("--certificate", required=True)
     p.add_argument("a")
     p.add_argument("b", nargs="?", default=None)
-    p.set_defaults(func=_cmd_verify)
 
+
+# name -> (help line, the function adding its arguments, the function running it)
+COMMANDS = {
+    "hom": ("decide homomorphism existence", _hom_arguments, _cmd_hom),
+    "equiv": ("decide a comonadic equivalence", _equiv_arguments, _cmd_equiv),
+    "param": ("coalgebra number with witness", _param_arguments, _cmd_param),
+    "oracle": ("tree-depth by exhaustive forest-order search; tree-width by the "
+               "elimination-order program of param --comonad pebble", _oracle_arguments,
+               _cmd_oracle),
+    "laws": ("check the comonad laws on one structure", _laws_arguments, _cmd_laws),
+    "eval": ("evaluate a formula on a structure", _eval_arguments, _cmd_eval),
+    "sample": ("deterministically sample formulas", _sample_arguments, _cmd_sample),
+    "verify": ("re-verify a certificate without solving", _verify_arguments, _cmd_verify),
+}
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of `argv`: with only the subparser of the command that
+    `argv[0]` names, or with all of them when it names none, as for help,
+    usage and the unknown-command error, which list every command."""
+    parser = argparse.ArgumentParser(
+        prog="gamecomonads",
+        description="Model-comparison games as comonads: deciders, parameters, oracles.")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                        help="seed for all sampling (default %(default)s)")
+    common.add_argument("--cap-plays", type=int, default=DEFAULT_PLAY_CAP,
+                        help="largest materialized play universe")
+    common.add_argument("--cap-vertices", type=int, default=par_mod.DEFAULT_VERTEX_CAP,
+                        help="largest vertex count for oracles and kappa searches")
+    names = argv[:1] if argv and argv[0] in COMMANDS else tuple(COMMANDS)
+    # the usage line lists the commands added, so with one added it is given
+    # all eight; with all added it lists them itself, and an error about a
+    # missing or unknown command still names the argument `command`
+    metavar = "{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_line, add_arguments, run = COMMANDS[name]
+        p = sub.add_parser(name, parents=[common], help=help_line)
+        add_arguments(p)
+        p.set_defaults(func=run)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -311,6 +347,11 @@ def main(argv=None) -> int:
     print("\n".join(out))
     return code
 
+
+# The modules, functions, classes and `Game` records made so far live until
+# exit; frozen, they are walked by none of the run's full collections nor by
+# the collection at exit.
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

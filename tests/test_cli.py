@@ -297,10 +297,17 @@ def _golden_with(name: str, *rows: str) -> str:
     (_golden_with("equiv-ef-both-k2-edge-twopts", "bwd map [x] -> a"), "twopts"),
     (_golden_with("equiv-ef-both-k2-edge-twopts", "zz junk"), "twopts"),
     (_golden_with("equiv-ef-both-k2-edge-twopts", "direction fwd"), "twopts"),
+    # pair tokens with text around or between their pairs, or an empty side
+    *[(_golden_with("equiv-pebble-backforth-k2-edge-edge", f"part {token}"), "edge")
+      for token in ("(a↦a)junk", "zz(a↦a)", "(a↦a)x(b↦b)", "(a↦)", "()")],
+    # with the text ignored, this family would verify
+    (_golden_with("equiv-pebble-backforth-k2-edge-edge").replace(")", ")junk"), "edge"),
 ], ids=["bare-header", "k-not-integer", "pos-without-token", "node-without-move",
          "child-not-a-later-node", "empty-inner-row", "edge-to-bagless-node",
          "iso-stray-head", "both-true-stray-head", "both-true-direction",
-         "both-false-other-direction", "both-false-stray-head", "both-false-two-directions"])
+         "both-false-other-direction", "both-false-stray-head", "both-false-two-directions",
+         "text-after-pair", "text-before-pair", "text-between-pairs", "pair-side-empty",
+         "pair-empty", "text-after-every-pair"])
 def test_malformed_certificate_is_usage_error(files, capsys, text, target):
     cert = files["dir"] / "bad.cert"
     cert.write_text(text)

@@ -1,18 +1,22 @@
 """The immutable-record base `structures.Record` behind every value type of
 the package, and the start-up cost it keeps off the command line."""
 
+import argparse
 import dataclasses
+import io
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from gamecomonads import certificates, equivalence, game, logic, parameters, pebbling
+from gamecomonads import certificates, cli, equivalence, game, logic, parameters, pebbling
 from gamecomonads.errors import ToolkitError
 from gamecomonads.logic import And, Bottom, Not, Or, Top
 from gamecomonads.structures import Graph, Record, Structure, Vocabulary
 
 from test_cli import child_env
+from test_usage import COMMANDS
 
 # The fields and defaults of every record, as they were when each was a dataclass.
 FIELDS = {
@@ -52,6 +56,8 @@ FIELDS = {
     "logic.CountAtLeast": ("bound", "var", "body"),
     "logic.CountAtMost": ("bound", "var", "body"),
     "certificates.Certificate": ("kind", "game", "k", "claim", "kappa", "body"),
+    "certificates._Tree": ("head", "edges", "build"),
+    "certificates._Kind": ("claim", "emit", "verify"),
 }
 DEFAULTS = {
     "structures.Structure": {"point": None},
@@ -210,3 +216,33 @@ def test_cli_import_loads_no_code_generators():
     proc = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True,
                           text=True, timeout=60)
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_cli_import_loads_no_logic_and_freezes_the_heap():
+    """Only `eval` and `sample` need the formula module, and no collection
+    should walk the objects the import made: they live until exit."""
+    script = ("import gc, sys; import gamecomonads.cli; "
+              "print('gamecomonads.logic' in sys.modules, gc.get_freeze_count() > 0)")
+    proc = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False True\n"), proc.stderr
+
+
+@pytest.mark.parametrize("argv,added", [([cmd, "-h"], [cmd]) for cmd in COMMANDS]
+                         + [(argv, list(COMMANDS)) for argv in ([], ["-h"], ["frobnicate"])],
+                         ids=[*COMMANDS, "no-arguments", "help", "unknown-command"])
+def test_main_builds_the_named_subparser_alone(argv, added, monkeypatch):
+    """A run builds the parser of its one command; help, usage and the
+    unknown-command error list every command, so they build all."""
+    assert list(cli.COMMANDS) == list(COMMANDS)
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        cli.main(argv)
+    assert names == added
