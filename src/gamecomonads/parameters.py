@@ -3,13 +3,14 @@ forest covers / pebbled forest covers / tree decompositions, coalgebra numbers
 (tree-depth, tree-width + 1, synchronization tree depth), and the tree-depth
 and tree-width oracles.
 
-The tree-depth oracle scans every forest order outright (one cached table of
-acyclic parent maps).  Tree-width comes from one pruned elimination-order
-dynamic program, `_treewidth_order`: the tree-width oracle reports its width,
-and the pebble coalgebra number reads a pebbled forest cover straight off its
-order (`_elimination_cover`).  The sequence game's number is a recursive
-minimum-height cover on the same neighbour bitmasks and component split, and
-the modal game's is the unique candidate tree shape.
+The tree-depth oracle builds forest orders one depth at a time, apart from
+the sequence game's search.  Tree-width comes from one pruned
+elimination-order dynamic program, `_treewidth_order`: the tree-width oracle
+reports its width, and the pebble coalgebra number reads a pebbled forest
+cover straight off its order (`_elimination_cover`).  The sequence game's
+number is a recursive minimum-height cover on the same neighbour bitmasks
+and component split, solved under a budget and cut by a path bound, and the
+modal game's is the unique candidate tree shape.
 """
 
 from __future__ import annotations
@@ -284,7 +285,7 @@ def pfc_to_tree_decomposition(pfc: PebbleForestCover) -> TreeDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# Oracles: tree-depth by exhaustive search, tree-width by elimination orders
+# Oracles: tree-depth by a forest search, tree-width by elimination orders
 
 
 @lru_cache(maxsize=None)
@@ -292,6 +293,8 @@ def _forest_table(n: int) -> tuple:
     """Every forest order on vertices 0..n-1 as rows (parent codes, height,
     comparable-pair mask): parent codes are vertex indices or None for a root,
     and bit i*n+j (i < j) of the mask is set when i and j are comparable.
+    No command reads it: the exhaustive test references do, and the
+    benchmark's tracer clears its cache between rounds.
 
     Parents are chosen depth-first with vertex 0 outermost, None first and
     then the other vertices in index order; a choice that closes a cycle is
@@ -328,20 +331,48 @@ def _forest_table(n: int) -> tuple:
     return tuple(rows)
 
 
-def _edge_mask(g: Graph) -> int:
-    n, idx = len(g.vertices), g.index
-    return sum(1 << (idx[u] * n + idx[v]) for u, v in g.edges)
-
-
 def oracle_treedepth(g: Graph, cap: int = DEFAULT_VERTEX_CAP) -> int:
-    """Exact tree-depth by exhaustive search over forest covers."""
+    """Exact tree-depth: the least height of a rooted forest whose closure
+    holds every edge, built one depth at a time.  At each depth every vertex
+    not yet placed, in index order, either takes a parent one depth up
+    (depth 1 hangs off an empty root) whose ancestors include each of its
+    neighbours placed so far, or waits for a deeper one; a neighbour placed
+    at its own depth is no ancestor, so it refuses the place.  A depth that
+    places nothing ends its branch, and so does reaching the best height
+    found, which starts at a chain's n."""
     n = len(g.vertices)
     if n == 0:
         return 0
     if n > cap:
         raise CapExceededError(f"{n} vertices exceeds the oracle cap {cap}")
-    need = _edge_mask(g)
-    return min(h for _, h, mask in _forest_table(n) if mask & need == need)
+    adj = g.adjacency
+    best = n
+
+    def place(todo: int, depth: int, above: tuple[int, ...], placed: int, here: list[int],
+              wait: int) -> None:
+        """Place the lowest vertex of `todo`, then the rest; `above` holds
+        the ancestor masks of the vertices one depth up, `here` those placed
+        at this depth, and `wait` the vertices left for a deeper one."""
+        nonlocal best
+        if depth >= best:
+            return
+        if not todo:
+            if not wait:
+                best = depth
+            elif here:
+                place(wait, depth + 1, tuple(here), placed, [], 0)
+            return
+        bit = todo & -todo
+        need = adj[bit.bit_length() - 1] & placed
+        for ancestors in above:
+            if need & ~ancestors == 0:
+                here.append(ancestors | bit)
+                place(todo ^ bit, depth, above, placed | bit, here, wait)
+                here.pop()
+        place(todo ^ bit, depth, above, placed, here, wait | bit)
+
+    place((1 << n) - 1, 1, (0,), 0, [], 0)
+    return best
 
 
 def oracle_treewidth(g: Graph, cap: int = DEFAULT_VERTEX_CAP) -> int:
@@ -481,36 +512,63 @@ def _elimination_cover(g: Graph, order: tuple[Elem, ...]) -> PebbleForestCover:
 # Coalgebra-number searches (structural characterizations)
 
 
+def _path_bound(adj: list[int], s: int) -> int:
+    """A lower bound on the tree-depth of the connected G[s]: a double-sweep
+    BFS (from the lowest vertex, then from the lowest of the farthest layer)
+    finds a shortest, hence induced, path of l vertices, and a path on l
+    vertices has tree-depth ceil(log2(l + 1))."""
+    far = s
+    for _ in range(2):
+        seen = frontier = far & -far
+        length = 0
+        while frontier:
+            far, length = frontier, length + 1
+            reach = 0
+            for u in _bits(frontier):
+                reach |= adj[u]
+            frontier = reach & s & ~seen
+            seen |= frontier
+    return length.bit_length()
+
+
 def min_height_forest_cover(g: Graph) -> ForestCover:
     """A minimum-height forest cover by the removal recursion on connected
     vertex sets: td(S) = 1 + min over roots v of max td(C), over the
-    components C of S - v.  Roots are tried in index order and the first
-    minimum is kept; a root is dropped as soon as one of its components
-    reaches the best height found so far.  The memo keeps (height, root) per
-    set, and the parent map is read off the roots at the end."""
+    components C of S - v.  `solve(s, ub)` is exact when td(S) < ub and
+    otherwise returns a lower bound of at least ub; a set whose bound
+    (`_path_bound`, or a budget it failed before) reaches ub is cut at once.
+    Roots are tried in index order, each component solved under the budget
+    best - 1, and the first minimum is kept; a root is dropped as soon as
+    one of its components reaches the best height found so far, and the
+    trials stop once the best meets the bound, as no later root beats it.
+    The memo keeps (height, root) per solved set and (bound, -1) per failed
+    one, and the parent map is read off the roots at the end."""
     adj = g.adjacency
     memo: dict[int, tuple[int, int]] = {}
 
-    def solve(s: int) -> int:
-        if s in memo:
-            return memo[s][0]
-        best, root = s.bit_count() + 1, -1  # every root beats |S| + 1
+    def solve(s: int, ub: int) -> int:
+        lb, root = memo.get(s) or (_path_bound(adj, s), -1)
+        if root >= 0 or lb >= ub:
+            return lb
+        best = min(ub, s.bit_count() + 1)  # every root beats |S| + 1
         for v in _bits(s):
             h = 1
             for comp, _ in _components(adj, s & ~(1 << v)):
-                h = max(h, 1 + solve(comp))
+                h = max(h, 1 + solve(comp, best - 1))
                 if h >= best:
                     break
             else:
                 best, root = h, v
-        memo[s] = (best, root)
+                if best == lb:
+                    break
+        memo[s] = (best, root)  # with no root, td(S) >= ub = best
         return best
 
     vs = g.vertices
     parent: dict = {}
     todo = [(comp, None) for comp, _ in _components(adj, (1 << len(vs)) - 1)]
     for s, above in todo:
-        solve(s)
+        solve(s, len(vs) + 1)
         v = memo[s][1]
         parent[vs[v]] = above
         todo.extend((comp, vs[v]) for comp, _ in _components(adj, s & ~(1 << v)))

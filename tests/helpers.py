@@ -18,9 +18,11 @@
   on pebble-indexed placements), and a partition-refinement check of
   depth-k bisimilarity.
 - Exhaustive references for the coalgebra numbers: every forest cover with
-  its minimum pebbling, the unpruned tree-width dynamic program (the
-  independent check of tree-width), a coalgebra's forest cover, and the
-  synchronization tree shape and depth.
+  its minimum pebbling, tree-depth read off the forest table (the check of
+  the tree-depth oracle), the removal recursion without budget or bound
+  (the check of the minimum-height cover), the unpruned tree-width dynamic
+  program (the independent check of tree-width), a coalgebra's forest
+  cover, and the synchronization tree shape and depth.
 - The bijection from tree decompositions of width < k to k-pebble forest
   covers (`tree_decomposition_to_pfc`), and the tree decomposition of an
   elimination order (`_elimination_decomposition`): their round trip is the
@@ -622,14 +624,63 @@ def bisim_oracle(a: Structure, b: Structure, k: int) -> bool:
 # Coalgebra-number references: exhaustive covers and the unpruned width DP
 
 
+def edge_mask(g: Graph) -> int:
+    """The edges of g as pair bits i*n+j (i < j), as in `_forest_table`'s masks."""
+    n, idx = len(g.vertices), g.index
+    return sum(1 << (idx[u] * n + idx[v]) for u, v in g.edges)
+
+
 def all_forest_covers(g: Graph) -> Iterator[par.ForestCover]:
     """Every forest cover of g, in the order of `_forest_table`."""
     vs = g.vertices
-    need = par._edge_mask(g)
+    need = edge_mask(g)
     for codes, _, mask in par._forest_table(len(vs)):
         if mask & need == need:
             yield par.ForestCover(vs, {v: None if p is None else vs[p]
                                        for v, p in zip(vs, codes)})
+
+
+def table_treedepth(g: Graph) -> int:
+    """Tree-depth as the least height of the `_forest_table` rows whose
+    comparable pairs hold every edge: the reference for `oracle_treedepth`."""
+    need = edge_mask(g)
+    return min(h for _, h, mask in par._forest_table(len(g.vertices)) if mask & need == need)
+
+
+def unbounded_forest_cover(g: Graph) -> par.ForestCover:
+    """The reference for `min_height_forest_cover`: the removal recursion
+    td(S) = 1 + min over roots v of max td(C), over the components C of
+    S - v, with no budget and no lower bound.  Roots are tried in index
+    order and the first minimum is kept; a root is dropped as soon as one of
+    its components reaches the best height found so far.  The memo keeps
+    (height, root) per set, and the parent map is read off the roots."""
+    adj = g.adjacency
+    memo: dict[int, tuple[int, int]] = {}
+
+    def solve(s: int) -> int:
+        if s in memo:
+            return memo[s][0]
+        best, root = s.bit_count() + 1, -1  # every root beats |S| + 1
+        for v in _bits(s):
+            h = 1
+            for comp, _ in par._components(adj, s & ~(1 << v)):
+                h = max(h, 1 + solve(comp))
+                if h >= best:
+                    break
+            else:
+                best, root = h, v
+        memo[s] = (best, root)
+        return best
+
+    vs = g.vertices
+    parent: dict = {}
+    todo = [(comp, None) for comp, _ in par._components(adj, (1 << len(vs)) - 1)]
+    for s, above in todo:
+        solve(s)
+        v = memo[s][1]
+        parent[vs[v]] = above
+        todo.extend((comp, vs[v]) for comp, _ in par._components(adj, s & ~(1 << v)))
+    return par.ForestCover(tuple(vs), parent)
 
 
 def _min_coloring(vertices, conflicts: set[tuple], limit: int) -> Optional[dict]:

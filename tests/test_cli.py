@@ -1199,6 +1199,29 @@ def test_param_pebble_runs_to_the_raised_vertex_cap(tmp_path):
         assert code == 3
 
 
+def test_param_ef_on_a_100_vertex_path_ends_within_a_second(tmp_path):
+    """The path bound is exact on a path, so each interval stops at its first
+    optimal root and cuts every set too long for its budget: the tree-depth
+    of P100 is ⌈log2 101⌉ = 7, found in a fraction of a second."""
+    (tmp_path / "p100.str").write_text(_graph_text(100, [(i, i + 1) for i in range(99)]))
+    start = time.perf_counter()
+    code, out = run(["param", "--comonad", "ef", "--cap-vertices", "100",
+                     str(tmp_path / "p100.str")])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and "\nkappa: 7\n" in out
+
+
+def test_oracle_treedepth_on_k7_ends_within_half_a_second(tmp_path):
+    """The oracle builds forests one depth at a time and cuts a branch at the
+    best height found: on K7 every depth holds one vertex, and no forest
+    lower than the first chain exists."""
+    (tmp_path / "k7.str").write_text(_graph_text(7, [(i, j) for i in range(7) for j in range(i + 1, 7)]))
+    start = time.perf_counter()
+    code, out = run(["oracle", "treedepth", str(tmp_path / "k7.str")])
+    assert time.perf_counter() - start < 0.5
+    assert code == 0 and "\ntreedepth: 7\n" in out
+
+
 # ---------------------------------------------------------------------------
 # Fuzzing the bytes the command line reads: the golden certificates with their
 # bytes or lines mutated, and structure files that are mutated, random or

@@ -12,7 +12,8 @@ from gamecomonads.structures import Graph, gaifman
 from helpers import (NAMES, S, VOCAB_R, all_forest_covers, all_graphs, clique_structure,
                      coalgebra_to_forest_cover, graph_structure, is_synchronization_tree,
                      min_pebble_forest_cover, modal_depth, path_structure, random_graph,
-                     random_tree_pointed, reference_treewidth, tree_decomposition_to_pfc,
+                     random_tree_pointed, reference_treewidth, table_treedepth,
+                     tree_decomposition_to_pfc, unbounded_forest_cover,
                      _elimination_decomposition)
 
 
@@ -210,6 +211,52 @@ def test_oracle_treedepth_cliques_and_singleton():
     assert par.oracle_treedepth(Graph.build(["a"], [])) == 1
     for n in (2, 3, 4, 5):
         assert par.oracle_treedepth(gaifman(clique_structure(n))) == n
+
+
+def test_oracle_treedepth_equals_the_forest_table_on_every_small_graph():
+    for n in range(6):
+        for g in all_graphs(n):
+            assert par.oracle_treedepth(g) == table_treedepth(g), g
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_oracle_treedepth_equals_the_forest_table_on_six_and_seven_vertices(data):
+    """The n = 7 table (8^6 rows) is built once per session and cached."""
+    names = [f"v{i}" for i in range(data.draw(st.integers(6, 7)))]
+    edges = data.draw(st.sets(st.sampled_from(list(combinations(names, 2)))))
+    g = Graph.build(names, sorted(edges))
+    assert par.oracle_treedepth(g) == table_treedepth(g)
+
+
+def _cover_inputs():
+    """Seeded graphs of 1-12 vertices declared in a shuffled order: random at
+    edge densities 0.1-0.9, disjoint unions of two of them, and paths,
+    cycles and cliques."""
+    rng = random.Random(28)
+    for n in range(1, 13):
+        names = [f"v{i}" for i in range(n)]
+        for density in (0.1, 0.3, 0.5, 0.7, 0.9):
+            for _ in range(3):
+                rng.shuffle(names)
+                yield Graph.build(names, [e for e in combinations(names, 2)
+                                          if rng.random() < density])
+                cut = rng.randint(1, n)
+                yield Graph.build(names, [(u, v) for u, v in combinations(names, 2)
+                                          if (names.index(u) < cut) == (names.index(v) < cut)
+                                          and rng.random() < density])
+        rng.shuffle(names)
+        yield Graph.build(names, list(zip(names, names[1:])))
+        if n > 2:
+            yield Graph.build(names, list(zip(names, names[1:] + names[:1])))
+        yield Graph.build(names, list(combinations(names, 2)))
+
+
+def test_min_height_cover_equals_the_unbounded_search():
+    """The budget, the path bound and the early stop change only the work:
+    the cover, roots and all, is the unbounded search's."""
+    for g in _cover_inputs():
+        assert par.min_height_forest_cover(g) == unbounded_forest_cover(g), g
 
 
 def _prufer_tree(names, seq):
