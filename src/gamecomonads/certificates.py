@@ -188,11 +188,21 @@ def _table_rows(table, head: str) -> list[list[str]]:
 
 
 def _family_rows(parts: frozenset, a: Structure, b: Structure) -> list:
-    rows = []
-    for p in sorted(parts, key=lambda p: (len(p), fmt_pairs(p, a, b))):
-        items = sorted(p, key=lambda xy: (a.index[xy[0]], b.index[xy[1]]))
-        rows.append(["part"] + [f"({x}↦{y})" for x, y in items])
-    return rows
+    """One `part` row per part, its pairs in declaration order, shorter parts
+    first, then by their `fmt_pairs` token; each pair's token is formatted
+    once per certificate."""
+    ia, ib = a.index, b.index
+    tokens: dict = {}  # pair -> (its declaration-order key, its token)
+    keyed = []
+    for p in parts:
+        for pair in p:
+            if pair not in tokens:
+                x, y = pair
+                tokens[pair] = (ia[x], ib[y]), f"({x}↦{y})"
+        row = [tok for _, tok in sorted(map(tokens.__getitem__, p))]
+        keyed.append(((len(row), "".join(row)), row))
+    keyed.sort(key=itemgetter(0))
+    return [["part", *row] for _, row in keyed]
 
 
 def _cover_rows(cover: par_mod.ForestCover) -> list:
@@ -383,13 +393,14 @@ def _verify_table(cert: Certificate, a: Structure, b: Structure, cap: int) -> tu
 def _verify_family(cert: Certificate, a: Structure, b: Structure,
                    sides: str) -> tuple[bool, str]:
     parts = set()
+    parsed: dict = {}  # token -> its pairs, each distinct token parsed once
     for row in cert.body:
         if row[0] != "part":
             raise CertificateError(f"expected part rows, got {row!r}")
-        pairs = frozenset()
         for tok in row[1:]:
-            pairs |= parse_pairs(tok)
-        parts.add(pairs)
+            if tok not in parsed:
+                parsed[tok] = parse_pairs(tok)
+        parts.add(frozenset().union(*map(parsed.__getitem__, row[1:])))
     fam = pebble_mod.StrategyFamily(cert.k, frozenset(parts))
     return pebble_mod.audit_strategy_family(fam, a, b, sides)
 

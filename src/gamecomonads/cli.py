@@ -337,7 +337,7 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except RecursionError:  # a formula, a cover or a forest table nested too deeply
+    except RecursionError:  # a deep formula, or a cover or forest search a level per vertex
         print("error: input nested too deeply for the interpreter's recursion limit",
               file=sys.stderr)
         return EXIT_CAP

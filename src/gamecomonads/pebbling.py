@@ -30,9 +30,10 @@ maps with a move whose key lost its last answer in the pass before.
 `_refutation` reads Spoiler's strategy off the deletions.  Codes become pair
 sets only in the results: `StrategyFamily.parts` and `SpoilerPosition.pos`.
 A game with more candidate positions than the cap is refused before any
-position is built (`check_candidates`).  `audit_strategy_family` and
-`audit_spoiler_positions` check a win or a loss of either game without the
-solver, on pair sets.
+position is built (`check_candidates`).  `audit_strategy_family` checks a
+win of either game without the solver, on the same codes, each part judged
+on the tuples through one of its pairs, and `audit_spoiler_positions` a
+loss, on pair sets.
 """
 
 from __future__ import annotations
@@ -508,38 +509,106 @@ def audit_strategy_family(fam: StrategyFamily, a: Structure, b: Structure,
     """Independent audit of a family for the game with Spoiler on `sides`:
     partial homomorphisms ("A") or partial isomorphisms ("AB") of at most k
     pairs, closed under restriction, with forth (and, for "AB", back) below k
-    pairs.  Each one-pair extension in the family is collected once as the
-    placement it answers, so forth and back are one lookup per move.  Parts
-    are met in declaration order, so the first fault named does not depend on
-    the hash seed."""
+    pairs.
+
+    It shares with the engine the codes of `_codes` and the step on the
+    tuples through one pair (`_tuples_through`, `_gained`, `_kept`).  A part
+    of at most k pairs drawn from the universes that is a map (for "AB", an
+    injective one) is coded as the sum of its pair codes, so no two parts
+    share a code; its restrictions are looked up by code, and it is judged
+    on the tuples through one of its pairs alone (for "AB", also those
+    through that pair's image).  Each one-pair extension answers one
+    placement key, so forth and back are one lookup per move.
+
+    A part found at fault has one, but the step alone can miss the fault of
+    a part whose restriction has one.  So the parts found are sorted, by
+    size and then by their pairs in declaration order (an element outside
+    its universe after those in it, by its string), and judged whole in
+    that order.  The least part with a fault is among them, since every part
+    before it is a partial map closed under restriction, on which the step
+    is exact, and its first fault is named: too many pairs, a pair outside
+    the universes, not a partial map, or not closed under restriction.
+    Forth and back faults are looked for only when no part has one, in the
+    same order, so the fault named does not depend on the hash seed."""
     parts, k = fam.parts, fam.k
     if not parts:
         return False, "family is empty"
     if frozenset() not in parts:
         return False, "family does not contain the empty map"
-    check, name = _partial_check(sides)
+    back = sides == "AB"
     ia, ib, na, nb = a.index, b.index, len(a.universe), len(b.universe)
-    ordered = sorted(parts, key=lambda p: (len(p), sorted((ia.get(x, na), ib.get(y, nb))
-                                                          for x, y in p)))
-    for part in ordered:
+    _, pairs, place_a, place_b = _codes(na, nb)
+    forth, backs = _tuples_through(a, b), (_tuples_through(b, a) if back else None)
+    records: dict = {}  # pair of elements -> its (i, j, code) record
+    coded: dict = {}  # code -> (part, pair records, (domain bitmask, range bitmask))
+    faulty = []
+    for part in parts:
+        if len(part) <= k:
+            recs, dom, rng, code = [], 0, 0, 0
+            for pair in part:
+                rec = records.get(pair)
+                if rec is None:
+                    x, y = pair
+                    if x not in ia or y not in ib:
+                        break
+                    rec = records[pair] = pairs[ia[x]][ib[y]]
+                recs.append(rec)
+                dom, rng, code = dom | 1 << rec[0], rng | 1 << rec[1], code + rec[2]
+            else:
+                if dom.bit_count() == len(recs) and not (back and rng.bit_count() < len(recs)):
+                    coded[code] = part, recs, (dom, rng)
+                    continue
+        faulty.append(part)
+    for code, (part, recs, (dom, rng)) in coded.items():
+        for _, _, d in recs:
+            if code - d not in coded:
+                faulty.append(part)
+                break
+        else:
+            if recs:
+                i, j, _ = recs[-1]
+                if (not _kept(_gained(forth, i, dom), {p: q for p, q, _ in recs})
+                        or back and not _kept(_gained(backs, j, rng),
+                                              {q: p for p, q, _ in recs})):
+                    faulty.append(part)
+
+    # an element outside its universe goes after those in it, by its string
+    rank = lambda pair: ((ia[pair[0]], "") if pair[0] in ia else (na, str(pair[0])),
+                         (ib[pair[1]], "") if pair[1] in ib else (nb, str(pair[1])))
+    order = lambda part: (len(part), sorted(map(rank, part)))
+    check, name = _partial_check(sides)
+    for part in sorted(faulty, key=order):
         if len(part) > k:
             return False, f"part {sorted(part)!r} exceeds {k} pairs"
+        unknown = [pair for pair in part if pair[0] not in ia or pair[1] not in ib]
+        if unknown:
+            x, y = min(unknown, key=rank)
+            raise ToolkitError(f"pair ({x!r}, {y!r}) not drawn from the two universes")
         if not check(part, a, b):
             return False, f"part {sorted(part)!r} is not a partial {name}"
         for pair in part:
             if part - {pair} not in parts:
                 return False, f"family not closed under restriction at {sorted(part)!r}"
 
-    moves = (("A", a, 0, "forth"), ("B", b, 1, "back"))[:len(sides)]
-    answered = {(part - {pair}, side, pair[j])
-                for part in parts for pair in part for side, _, j, _ in moves}
-    for part in ordered:
-        if len(part) < k:
-            for side, host, j, prop in moves:
-                placed = {pair[j] for pair in part}
-                for e in host.universe:
-                    if e not in placed and (part, side, e) not in answered:
-                        return False, f"{prop} fails at {sorted(part)!r} on {e!r}"
+    answered = {code - d + place_a[i] for code, (_, recs, _) in coded.items()
+                for i, _, d in recs}
+    if back:
+        answered.update(code - d + place_b[j] for code, (_, recs, _) in coded.items()
+                        for _, j, d in recs)
+    # per side: its structure, its placement keys, and the name of its property
+    moves = ((a, place_a, "forth"), (b, place_b, "back"))[:len(sides)]
+    lacking = []  # (part, its first placement without a reply)
+    for code, (part, recs, masks) in coded.items():
+        if len(recs) < k:
+            miss = next(((prop, host.universe[e])
+                         for (host, places, prop), placed in zip(moves, masks)
+                         for e, key in enumerate(places)
+                         if not placed >> e & 1 and code + key not in answered), None)
+            if miss:
+                lacking.append((part, miss))
+    if lacking:
+        part, (prop, e) = min(lacking, key=lambda held: order(held[0]))
+        return False, f"{prop} fails at {sorted(part)!r} on {e!r}"
     return True, "ok"
 
 

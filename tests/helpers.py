@@ -15,8 +15,9 @@
 - An independent set-based formula evaluator, and the quantifier-rank and
   existential-positive checks of the samplers' output.
 - A full-rescan reference for the two pebble games (the back-and-forth one
-  on pebble-indexed placements), and a partition-refinement check of
-  depth-k bisimilarity.
+  on pebble-indexed placements), the audit of a pebble family on pair sets,
+  each part judged whole (the check of the audit on codes), and a
+  partition-refinement check of depth-k bisimilarity.
 - Exhaustive references for the coalgebra numbers: every forest cover with
   its minimum pebbling, tree-depth read off the forest table (the check of
   the tree-depth oracle), the removal recursion without budget or bound
@@ -590,6 +591,45 @@ def reference_pebble_backforth(a: Structure, b: Structure, k: int) -> equivalenc
     if frozenset() in safe:
         return equivalence.BackForthResult(True, safe_positions=frozenset(safe))
     return equivalence.BackForthResult(False)
+
+
+def whole_family_audit(fam: pebbling.StrategyFamily, a: Structure, b: Structure,
+                       sides: str = "A") -> tuple[bool, str]:
+    """The reference for `pebbling.audit_strategy_family`, on pair sets: every
+    part sorted, judged whole by `is_partial_hom`/`is_partial_iso`, its
+    restrictions looked up as sets, and each one-pair extension collected as
+    the placement it answers.  Elements outside the universes share one
+    place in the order, so which of their pairs is named may depend on the
+    hash seed."""
+    parts, k = fam.parts, fam.k
+    if not parts:
+        return False, "family is empty"
+    if frozenset() not in parts:
+        return False, "family does not contain the empty map"
+    check, name = pebbling._partial_check(sides)
+    ia, ib, na, nb = a.index, b.index, len(a.universe), len(b.universe)
+    ordered = sorted(parts, key=lambda p: (len(p), sorted((ia.get(x, na), ib.get(y, nb))
+                                                          for x, y in p)))
+    for part in ordered:
+        if len(part) > k:
+            return False, f"part {sorted(part)!r} exceeds {k} pairs"
+        if not check(part, a, b):
+            return False, f"part {sorted(part)!r} is not a partial {name}"
+        for pair in part:
+            if part - {pair} not in parts:
+                return False, f"family not closed under restriction at {sorted(part)!r}"
+
+    moves = (("A", a, 0, "forth"), ("B", b, 1, "back"))[:len(sides)]
+    answered = {(part - {pair}, side, pair[j])
+                for part in parts for pair in part for side, _, j, _ in moves}
+    for part in ordered:
+        if len(part) < k:
+            for side, host, j, prop in moves:
+                placed = {pair[j] for pair in part}
+                for e in host.universe:
+                    if e not in placed and (part, side, e) not in answered:
+                        return False, f"{prop} fails at {sorted(part)!r} on {e!r}"
+    return True, "ok"
 
 
 def bisim_oracle(a: Structure, b: Structure, k: int) -> bool:

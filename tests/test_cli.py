@@ -547,6 +547,30 @@ def test_verify_names_the_same_fault_under_every_hash_seed(files):
     assert "detail: backward: family not closed under restriction" in outs[0]
 
 
+def test_verify_names_the_least_pair_outside_the_universes_under_every_hash_seed(tmp_path):
+    """The true both-pair of K6 and K5 with three pebbles, checked against
+    two points: every part but the empty one has a pair outside the
+    universes, and the error names the least of them, with an unknown
+    element ordered by its string, under any hash seed."""
+    for name in ("k6", "k5"):
+        (tmp_path / f"{name}.str").write_text(GOLDEN_INPUTS[name])
+    (tmp_path / "two.str").write_text(TWOPTS)
+    cert = str(tmp_path / "k6-k5.cert")
+    code, _ = run(["equiv", "--game", "pebble", "--mode", "both", "-k", "3", "--certificate",
+                   cert, str(tmp_path / "k6.str"), str(tmp_path / "k5.str")])
+    assert code == 0
+    errs = set()
+    for seed in ("1", "2", "3"):
+        proc = subprocess.run([sys.executable, "-m", "gamecomonads.cli", "verify",
+                               "--certificate", cert, str(tmp_path / "k6.str"),
+                               str(tmp_path / "two.str")],
+                              env=child_env(PYTHONHASHSEED=seed), capture_output=True,
+                              text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr[-3000:]
+        errs.add(proc.stderr)
+    assert errs == {"error: pair ('v0', 'v0') not drawn from the two universes\n"}
+
+
 def write_path(tmp_path, n, extra):
     """A directed path v0 -> ... -> v(n-1) written to a structure file."""
     lines = ["vocab R 2"] + [f"elem v{i}" for i in range(n)]
@@ -1107,9 +1131,10 @@ def test_eval_of_a_formula_too_deep_is_a_resource_limit(files, formula):
 @pytest.mark.parametrize("argv", [["param", "--comonad", "ef"], ["oracle", "treedepth"]],
                          ids=["param-ef", "oracle-treedepth"])
 def test_a_graph_too_deep_for_the_recursion_limit_is_a_resource_limit(tmp_path, argv):
-    """The tree-depth recursion and the forest-table search go one level
-    deeper per vertex of a path; on 1,100 vertices both pass the interpreter's
-    recursion limit, and the command exits 3 with a one-line error."""
+    """The tree-depth removal search and the oracle's depth-by-depth placement
+    go one level deeper per vertex of a path; on 1,100 vertices both pass the
+    interpreter's recursion limit, and the command exits 3 with a one-line
+    error."""
     n = 1100
     (tmp_path / "path.str").write_text(
         "vocab R 2\n" + "".join(f"elem p{i}\n" for i in range(n))

@@ -251,7 +251,8 @@ def test_verify_refuses_a_k_header_below_one(tmp_path, monkeypatch, capsys, cert
 # What solves a game or searches for a witness, wherever the package binds it.
 SOLVERS = ("round_values", "refined_values", "refined_colours", "won_positions",
            "first_replies", "read_off", "spoiler_tree", "decide_exist", "decide_exist_ef",
-           "decide_sim_k", "decide_pebble", "decide_exist_pebble", "delete_to_fixpoint",
+           "decide_sim_k", "decide_pebble", "decide_exist_pebble", "_partial_maps",
+           "delete_to_fixpoint",
            "decide_back_forth", "_tuple_colours", "_safe_parts", "solve_back_forth",
            "_solve_pebble_backforth", "decide_cokleisli_iso", "find_hom",
            "min_height_forest_cover", "_treewidth_order", "_elimination_cover",
@@ -285,6 +286,50 @@ def test_verify_reaches_no_solver(tmp_path, monkeypatch):
         assert out.encode("utf-8") == (GOLDEN / f"{job}.verify").read_bytes(), job
         verified += 1
     assert verified == len(list(GOLDEN.glob("*.cert")))
+
+
+def test_verify_judges_each_part_of_a_sound_pebble_family_by_one_step(tmp_path, monkeypatch):
+    """`verify` of every golden pebble family (`pebble-family`, `pebble-safe`
+    and the true pebble `both-pair`s), and of the both-pair of K6 and K5 with
+    three pebbles, judges no part whole: it calls neither `is_partial_hom`
+    nor `is_partial_iso`, and makes at most one step judgement per part, one
+    `_kept` call a side."""
+    from gamecomonads import pebbling
+
+    def whole(*args, **kwargs):
+        raise AssertionError("a part was judged whole")
+
+    kept = pebbling._kept
+    calls = []
+
+    def counted(gained, img):
+        calls.append(None)
+        return kept(gained, img)
+
+    monkeypatch.setattr(pebbling, "is_partial_hom", whole)
+    monkeypatch.setattr(pebbling, "is_partial_iso", whole)
+    monkeypatch.setattr(pebbling, "_kept", counted)
+    monkeypatch.chdir(tmp_path)
+    for name, text in INPUTS.items():
+        Path(f"{name}.str").write_text(text, encoding="utf-8")
+    code, _ = _run(["equiv", "--game", "pebble", "--mode", "both", "-k", "3",
+                    "--certificate", "k6-k5.cert", "k6.str", "k5.str"])
+    assert code == 0
+    cases = [(cert, structures) for _, _, cert, structures in jobs() if cert is not None
+             and re.search(r"^game pebble\nk \d+\nclaim true$",
+                           (GOLDEN / cert).read_text(encoding="utf-8"), re.M)]
+    assert len(cases) == 7
+    for cert, structures in cases + [("k6-k5.cert", ["k6", "k5"])]:
+        path = GOLDEN / cert if cert != "k6-k5.cert" else Path(cert)
+        text = path.read_text(encoding="utf-8")
+        parts = len(re.findall(r"^(?:fwd |bwd )?part\b", text, re.M))
+        sides = 2 if text.startswith("certificate pebble-safe\n") else 1
+        calls.clear()
+        Path("family.cert").write_text(text, encoding="utf-8")
+        code, out = _run(["verify", "--certificate", "family.cert"]
+                         + [f"{s}.str" for s in structures])
+        assert code == 0 and out.endswith("result: true\ndetail: ok\n"), cert
+        assert 0 < len(calls) <= sides * parts, (cert, len(calls), parts)
 
 
 def test_golden_corpus(tmp_path, monkeypatch):

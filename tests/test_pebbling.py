@@ -1,16 +1,19 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gamecomonads import equivalence as eq
 from gamecomonads import pebbling as pb
 from gamecomonads.errors import CapExceededError, ToolkitError, VocabularyMismatchError
 from gamecomonads.game import law_report, lifted_structure
-from gamecomonads.structures import check_hom
+from gamecomonads.structures import check_hom, is_partial_iso
 
 from helpers import (S, VOCAB_R, VOCAB_RS, all_structures_upto, clique_structure,
-                     random_structure, reference_exist_pebble, reference_pebble_backforth)
+                     random_structure, reference_exist_pebble, reference_pebble_backforth,
+                     whole_family_audit)
 
 
 def pebble_structure(a, k, n):
@@ -250,3 +253,69 @@ def test_placement_in_b_replied_inside_the_domain_is_a_dead_end():
     node = dict(res.refutation.branches)["p"]
     assert (node.pos, node.side, node.place) == (frozenset({("x", "p")}), "B", "q")
     assert node.branches == (("x", None),)
+
+
+def _every_map(a, b, size):
+    """Every partial map from `a` to `b` with `size` pairs."""
+    return [frozenset(zip(dom, img)) for dom in combinations(a.universe, size)
+            for img in product(b.universe, repeat=size)]
+
+
+def _audit_outcome(audit, fam, a, b, sides):
+    try:
+        return audit(fam, a, b, sides)
+    except ToolkitError as exc:
+        return str(exc)
+
+
+FAMILY_EDITS = ["engine", "every map", "drop a part", "add a part that is no partial map",
+                "add a part that is no map", "add a part that is not injective",
+                "add a part over k pairs", "drop a forth reply"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_family_audit_equals_the_whole_part_audit(data):
+    """On random structures of at most four elements, k <= 3 and Spoiler on
+    side A or on both sides, the audit on codes gives the verdict and reason
+    of the audit that judges each part whole (or raises the same error): on
+    the engine's family, on every partial map with at most k pairs, and on
+    the engine's family with one edit."""
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    build = data.draw(st.sampled_from([lambda size: random_structure(rng, size, VOCAB_RP),
+                                       lambda size: _random_tpr(rng, size)]))
+    a = build(data.draw(st.integers(0, 4)))
+    b = _relabelled(rng, a) if data.draw(st.booleans()) else build(data.draw(st.integers(0, 4)))
+    k, sides = data.draw(st.integers(1, 3)), data.draw(st.sampled_from(["A", "AB"]))
+    res = pb.decide_pebble(a, b, k, sides)
+    parts = set(res.family.parts) if res.wins else {frozenset()}
+    edit = data.draw(st.sampled_from(FAMILY_EDITS))
+    every = [part for size in range(min(k, len(a.universe)) + 1)
+             for part in _every_map(a, b, size)]
+
+    def pick(options):
+        return rng.choice(sorted(options, key=sorted)) if options else None
+
+    if edit == "every map":
+        parts = set(every)
+    elif edit == "drop a part":
+        parts.discard(pick([part for part in parts if part]))
+    elif edit == "add a part that is no partial map":
+        check = is_partial_iso if sides == "AB" else pb.is_partial_hom
+        parts.add(pick([part for part in every if not check(part, a, b)]) or frozenset())
+    elif edit == "add a part that is no map":
+        forks = [frozenset({(x, y), (x, z)}) for x in a.universe
+                 for y, z in combinations(b.universe, 2)]
+        parts.add(pick(forks) or frozenset())
+    elif edit == "add a part that is not injective":
+        joins = [frozenset({(x, y), (w, y)}) for x, w in combinations(a.universe, 2)
+                 for y in b.universe]
+        parts.add(pick(joins) or frozenset())
+    elif edit == "add a part over k pairs":
+        parts.add(pick(_every_map(a, b, k + 1)) or frozenset())
+    elif edit == "drop a forth reply":
+        parts.discard(pick([part for part in parts if part and not any(
+            part < other for other in parts)]))
+    fam = pb.StrategyFamily(k, frozenset(parts))
+    assert (_audit_outcome(pb.audit_strategy_family, fam, a, b, sides)
+            == _audit_outcome(whole_family_audit, fam, a, b, sides)), (a, b, k, sides, edit)
