@@ -22,7 +22,7 @@ The pebble game has no play tree (its universe is infinite), so its
 back-and-forth decision is positional, with unbounded rounds: the pebble game
 of `pebbling` with Spoiler moving on both sides, whose family is of partial
 isomorphisms with at most k pairs, closed under restriction, forth and back.
-`pebbling.decide_back_forth` decides it by refining the tuples of each side.
+`pebbling.decide_back_forth` decides it, and builds its witness, by tuple refinement.
 `solve_back_forth` refuses a pebble game whose candidate partial maps, or
 whose tuples on either side, exceed its cap.  CoKleisli isomorphism is
 decided for the sequence and modal games only, as their bijective game, by

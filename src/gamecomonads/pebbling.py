@@ -1,47 +1,42 @@
 """The pebble-indexed game construction: its comonad as a Kleisli triple
 (counit and coextension) on plays of (pebble, element) moves, truncated play
-universes with the active-pebble relation lifting, and one positional
-fixpoint decision of the k-pebble games, existential and back-and-forth.
+universes with the active-pebble relation lifting, and the positional
+decisions of the k-pebble games, existential and back-and-forth.
 
 The untruncated play universe is infinite even over a finite structure, so it
 is never materialized.  The laws are checked by `game.law_report` on the
 plays of at most n moves (`pebble_universe`), which the comultiplication
-maps to plays of the same length.  The decision procedure works on
-positional strategies: families of partial homomorphisms (existential game)
-or partial isomorphisms (back-and-forth game, Kolaitis-Vardi) with at most k
-pairs.
+maps to plays of the same length.  The decisions work on positional
+strategies: families of partial homomorphisms (existential game) or partial
+isomorphisms (back-and-forth game, Kolaitis-Vardi) with at most k pairs.
 
-Both pebble games are one game with Spoiler moving on side A or on both
-sides (`decide_pebble`), decided by one deletion engine.  The back-and-forth
-game is decided first by refining the k-tuples of each side alone
-(`decide_back_forth`): on a win its family is read off the colours, and only
-a loss runs the engine, for Spoiler's tree.
-Inside the engine a partial map is an integer code (`_codes`), a mixed-radix
+The existential game is decided by a deletion engine (`decide_exist_pebble`),
+inside which a partial map is an integer code (`_codes`), a mixed-radix
 number with one digit per element of A (0 outside the domain, 1 + the index
 of the image inside it), kept with one shared tuple of its pairs.  The
-initial family grows one pair at a time (`_partial_maps`): partial
-homomorphisms and partial isomorphisms are closed under restriction, so only
-the good maps of one size are extended to the next, and each extension is
-checked on the tuples through its new pair alone, indexed by element for any
-arity.  Each Spoiler move has an integer key, answered by the maps that are
-its replies, and `delete_to_fixpoint` counts the live answers of each
-placement key: its first pass judges every map, and each later pass only the
-maps with a move whose key lost its last answer in the pass before.
-`_refutation` reads Spoiler's strategy off the deletions.  Codes become pair
-sets only in the results: `StrategyFamily.parts` and `SpoilerPosition.pos`.
-A game with more candidate positions than the cap is refused before any
-position is built (`check_candidates`).  `audit_strategy_family` checks a
-win of either game without the solver, on the same codes, each part judged
-on the tuples through one of its pairs, and `audit_spoiler_positions` a
-loss, on pair sets.
+initial family grows one pair at a time (`_partial_maps`), each extension
+checked on the tuples through its new pair alone.  Each Spoiler move has an
+integer key, answered by the maps that are its replies, and
+`delete_to_fixpoint` counts the live answers of each placement key: its
+first pass judges every map, and each later pass only the maps with a move
+whose key lost its last answer in the pass before.  `_refutation` reads
+Spoiler's strategy off the deletions.  The back-and-forth game is decided
+by refining the k-tuples of each side alone (`decide_back_forth`): its
+family is read off the colours on a win, and Spoiler's tree off the passes
+on a loss.  A game with more candidate positions than the cap is refused
+before any position is built (`check_candidates`).  `audit_strategy_family`
+checks a win of either game without the solver, on the engine's codes, each
+part judged on the tuples through one of its pairs, and
+`audit_spoiler_positions` a loss, on pair sets.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 from itertools import product
 from math import comb
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Callable, Optional
 
 from .errors import ToolkitError, VocabularyMismatchError
@@ -123,7 +118,8 @@ class SpoilerPosition(Record):
     `place` of `side`; branches map each Duplicator reply, an element of the
     other side, to a child node or to None when the extended map is not a
     partial homomorphism (isomorphism).  Children were deleted strictly
-    earlier by the fixpoint, so the recursion is well-founded.
+    earlier by `delete_to_fixpoint`, or rank lower in `_spoiler_tree`, so the
+    recursion is well-founded.
     """
 
     pos: PartialMapSet
@@ -194,66 +190,48 @@ def _kept(gained: list, img: list) -> bool:
     return all(get(img) in rel for get, rel in gained)
 
 
-def _partial_maps(a: Structure, b: Structure, k: int, back: bool, pairs: list) -> dict:
-    """Every partial homomorphism (partial isomorphism, when `back`) from `a`
-    to `b` with at most k pairs, as a dict from its code to its pair
-    records in domain order.  The maps grow one domain element at a time, in
-    declaration order: a map passes only if it does without its last pair,
-    so each size extends the good maps of the size below, and an extension
-    is judged on the tuples through its new pair alone: those of `a` through
-    the new element and, when `back`, those of `b` through the new image,
-    which must also be outside the range."""
+def _partial_maps(a: Structure, b: Structure, k: int, pairs: list) -> dict:
+    """Every partial homomorphism from `a` to `b` with at most k pairs, as a
+    dict from its code to its pair records in domain order.  The maps grow
+    one domain element at a time, in declaration order: a map passes only
+    if it does without its last pair, so each size extends the good maps of
+    the size below, and an extension is judged on the tuples of `a` through
+    its new element alone."""
     na, nb = len(a.universe), len(b.universe)
     forth = _tuples_through(a, b)
-    backs = _tuples_through(b, a) if back else None
-    every = [(j, ()) for j in range(nb)]  # each image, with no tuple of b to check
-    parts = {0: ()}
-    level = [0]
+    parts, level = {0: ()}, [0]
     for _ in range(min(k, na)):
         grown = []
         for p in level:
             part = parts[p]
-            img, inv = [-1] * na, [-1] * nb
-            dom = rng = 0
+            img, dom = [-1] * na, 0
             for i, j, _ in part:
-                img[i], inv[j] = j, i
-                dom, rng = dom | 1 << i, rng | 1 << j
-            images = every
-            if back:
-                images = [(j, _gained(backs, j, rng)) for j in range(nb) if inv[j] < 0]
+                img[i], dom = j, dom | 1 << i
             for i in range(part[-1][0] + 1 if part else 0, na):
                 gained = _gained(forth, i, dom)
-                for j, gained_b in images:
+                for j in range(nb):
                     img[i] = j
-                    if not _kept(gained, img):
-                        continue
-                    if gained_b:
-                        inv[j] = i
-                        kept = _kept(gained_b, inv)
-                        inv[j] = -1
-                        if not kept:
-                            continue
-                    q = p + pairs[i][j][2]
-                    parts[q] = part + (pairs[i][j],)
-                    grown.append(q)
+                    if _kept(gained, img):
+                        q = p + pairs[i][j][2]
+                        parts[q] = part + (pairs[i][j],)
+                        grown.append(q)
                 img[i] = -1
         level = grown
     return parts
 
 
-def delete_to_fixpoint(parts: dict, k: int, back: bool, codes: tuple) -> tuple[set, dict]:
+def delete_to_fixpoint(parts: dict, k: int, codes: tuple) -> tuple[set, dict]:
     """The greatest subfamily of `parts` (codes to pair records, as
     `_partial_maps` gives them) in which every Spoiler move has a reply
     leading back into the subfamily.
 
     Spoiler's moves at a map are dropping one of its pairs, in domain order,
     then, below k pairs, placing a pebble on an element of A outside its
-    domain and, when `back`, on an element of B outside its range.  A drop's
-    key is the map without the pair, and a placement's its key in `_codes`.
-    A map answers a drop key by being it, and a placement key by extending
-    the key's map with one pair on the key's element, so a move has a reply
-    in the family exactly when some live map answers its key.  The engine
-    counts, per placement key, the live maps that answer it.
+    domain.  A drop's key is the map without the pair, and a placement's its
+    key in `_codes`.  A map answers a drop key by being it, and a placement
+    key by extending the key's map with one pair on the key's element, so a
+    move has a reply in the family exactly when some live map answers its
+    key.  The engine counts, per placement key, the live maps answering it.
 
     Deletion runs in simultaneous passes.  A pass judges maps against the
     family as it stood at the start of the pass, and deletes each at its
@@ -265,12 +243,10 @@ def delete_to_fixpoint(parts: dict, k: int, back: bool, codes: tuple) -> tuple[s
     in an earlier pass or never was in the family, which keeps the
     refutation well-founded.  Returns the survivors and, per deleted map,
     the key of its first move without a surviving reply."""
-    _, pairs, place_a, place_b = codes
+    _, pairs, place_a, _ = codes
     alive = set(parts)
-    answers = Counter(p - d + place_a[i] for p, part in parts.items() for i, _, d in part)
-    if back:
-        answers.update(p - d + place_b[j] for p, part in parts.items() for _, j, d in part)
-    answers = dict(answers)  # a plain dict deletes faster than a Counter
+    # a plain dict deletes faster than a Counter
+    answers = dict(Counter(p - d + place_a[i] for p, part in parts.items() for i, _, d in part))
 
     def failing(p: int) -> Optional[int]:
         part = parts[p]
@@ -282,10 +258,6 @@ def delete_to_fixpoint(parts: dict, k: int, back: bool, codes: tuple) -> tuple[s
             for i, at in enumerate(place_a):
                 if p + at not in answers and all(x != i for x, _, _ in part):
                     return p + at
-            if back:
-                for j, at in enumerate(place_b):
-                    if p + at not in answers and all(y != j for _, y, _ in part):
-                        return p + at
         return None
 
     trace: dict = {}
@@ -302,16 +274,16 @@ def delete_to_fixpoint(parts: dict, k: int, back: bool, codes: tuple) -> tuple[s
         trace.update(removed)
         judged = set()
         for p in removed:
-            for i, j, d in parts[p]:
+            for i, _, d in parts[p]:
                 rest = p - d
-                for key in (rest + place_a[i], rest + place_b[j]) if back else (rest + place_a[i],):
-                    left = answers[key] - 1
-                    if left:
-                        answers[key] = left
-                    else:
-                        del answers[key]
-                        if rest in alive:
-                            judged.add(rest)
+                key = rest + place_a[i]
+                left = answers[key] - 1
+                if left:
+                    answers[key] = left
+                else:
+                    del answers[key]
+                    if rest in alive:
+                        judged.add(rest)
         for p in removed:
             if len(parts[p]) < k:
                 for i, at in enumerate(place_a):
@@ -329,9 +301,8 @@ def _refutation(parts: dict, trace: dict, codes: tuple, a: Structure,
     """Spoiler's strategy from the empty map, read off the trace of
     `delete_to_fixpoint`: at each map, the recorded move with every reply
     paired with the strategy at its next map, or with None when that map
-    never was in the family.  A reply on a placement in B that is already
-    in the domain makes no map, and so gets None."""
-    na, (top, pairs, _, _) = len(a.universe), codes
+    never was in the family."""
+    top, pairs, _, _ = codes
     ua, ub = a.universe, b.universe
 
     def child(q: int) -> Optional[SpoilerPosition]:
@@ -344,33 +315,23 @@ def _refutation(parts: dict, trace: dict, codes: tuple, a: Structure,
             i, j, _ = next(pair for pair in part if p - pair[2] == key)
             return SpoilerPosition(pos, drop=(ua[i], ub[j]), child=child(key))
         e = key // top - 1
-        if e < na:
-            return SpoilerPosition(pos, place=ua[e], branches=tuple(
-                (ub[j], child(p + d)) for _, j, d in pairs[e]))
-        dom = {i for i, _, _ in part}
-        return SpoilerPosition(pos, place=ub[e - na], side="B", branches=tuple(
-            (ua[i], None if i in dom else child(p + pairs[i][e - na][2])) for i in range(na)))
+        return SpoilerPosition(pos, place=ua[e], branches=tuple(
+            (ub[j], child(p + d)) for _, j, d in pairs[e]))
 
     return refute(0)
 
 
-def decide_pebble(a: Structure, b: Structure, k: int, sides: str) -> PebbleResult:
-    """The k-pebble game from `a` to `b` with Spoiler moving on `sides`: the
-    existential game ("A") or the back-and-forth game ("AB").
-
-    The greatest family of partial homomorphisms ("A") or partial
-    isomorphisms ("AB") with at most k pairs closed under restriction, forth
-    and, for "AB", back; Duplicator wins iff it is nonempty (Kolaitis-Vardi).
-    Maps are integer codes (`_codes`) inside the engine, and pair sets in
-    its results."""
+def decide_exist_pebble(a: Structure, b: Structure, k: int) -> PebbleResult:
+    """The existential k-pebble game from `a` to `b`: the greatest family of
+    partial homomorphisms with at most k pairs closed under restriction and
+    forth; Duplicator wins iff it is nonempty (Kolaitis-Vardi)."""
     if a.vocab != b.vocab:
-        raise VocabularyMismatchError("decide_pebble requires a shared vocabulary")
+        raise VocabularyMismatchError("decide_exist_pebble requires a shared vocabulary")
     if k < 1:
         raise ToolkitError("k must be >= 1")
-    back = sides == "AB"
     codes = _codes(len(a.universe), len(b.universe))
-    parts = _partial_maps(a, b, k, back, codes[1])
-    alive, trace = delete_to_fixpoint(parts, k, back, codes)
+    parts = _partial_maps(a, b, k, codes[1])
+    alive, trace = delete_to_fixpoint(parts, k, codes)
     if alive:
         return PebbleResult(True, family=StrategyFamily(
             k, frozenset(_frozen(parts[p], a, b) for p in alive)))
@@ -400,10 +361,10 @@ def check_tuples(a: Structure, b: Structure, k: int, cap: int) -> None:
                      "pebble refinement has {count} tuples on one side, cap is {cap}")
 
 
-def _tuple_colours(a: Structure, b: Structure, m: int) -> Optional[list]:
-    """The colours of the m-tuples of `a` and of `b` at the fixpoint of
-    k-tuple refinement with sets (Immerman-Lander), or None once the colours
-    of the constant tuples differ between the sides.
+def _tuple_colours(a: Structure, b: Structure, m: int) -> tuple[list, Optional[list]]:
+    """The colours of the m-tuples of `a` and of `b` under k-tuple refinement
+    with sets (Immerman-Lander), and on a loss each pass, as the colour before
+    it of each colour after it (None on a win).
 
     A tuple is coded by the indices of its elements (`_strides`).  Its first
     colour is its atomic type, built along its prefixes; each pass gives it
@@ -414,9 +375,7 @@ def _tuple_colours(a: Structure, b: Structure, m: int) -> Optional[list]:
     she wins from the start iff both sides have the same constant-tuple
     colours; those only split further, so a difference is final."""
     sides = [(len(x.universe), _strides(len(x.universe), m)) for x in (a, b)]
-    types: dict = {}
-    table: dict = {}
-    cols = []
+    types, table, cols, passes = {}, {}, [], []
     for x in (a, b):
         level = [((), None)]  # the tuples of one length, in code order, with their types
         for _ in range(m):
@@ -427,7 +386,7 @@ def _tuple_colours(a: Structure, b: Structure, m: int) -> Optional[list]:
         diagonals = [{col[v * sum(strides)] for v in range(n)}
                      for (n, strides), col in zip(sides, cols)]
         if diagonals[0] != diagonals[1]:
-            return None
+            return cols, passes
         classes, sets, table = len(table), {}, {}
         for side, ((n, strides), col) in enumerate(zip(sides, cols)):
             groups = []
@@ -440,7 +399,8 @@ def _tuple_colours(a: Structure, b: Structure, m: int) -> Optional[list]:
                 groups.append(group)
             cols[side] = [table.setdefault(sig, len(table)) for sig in zip(col, *groups)]
         if len(table) == classes:
-            return cols
+            return cols, None
+        passes.append([sig[0] for sig in table])
 
 
 def _safe_parts(a: Structure, b: Structure, k: int, m: int, cols: list) -> set:
@@ -470,25 +430,75 @@ def _safe_parts(a: Structure, b: Structure, k: int, m: int, cols: list) -> set:
     return family
 
 
+def _spoiler_tree(a: Structure, b: Structure, k: int, m: int, cols: list,
+                  passes: list) -> SpoilerPosition:
+    """Spoiler's tree read off a lost refinement.  A map's rank is the first
+    pass at which its padded m-tuples (as `_safe_parts` pads them) differ: 0
+    for no partial isomorphism, and above the last pass if none, as for the
+    empty map.  At each map Spoiler takes the first move (drops in domain
+    order, then placements on A, then on B) whose every reply lowers the
+    map's (rank, size): a drop to a non-empty map of rank at most its own,
+    or a placement whose replies make maps of lower rank, or no map.  A pass
+    is a round of moving one of m pebbles on the padded tuples, whichever
+    way they are padded, so such a move always exists: a placement, or a
+    drop to a map of the same rank that has one."""
+    ua, ub, top = a.universe, b.universe, len(passes)
+    strides = _strides(len(ua), m), _strides(len(ub), m)
+
+    @cache
+    def rank(part: tuple) -> int:
+        pad = zip(*part, *part[-1:] * (m - len(part)))
+        ca, cb = (col[sum(map(mul, xs, st))] for col, xs, st in zip(cols, pad, strides))
+        if ca == cb:
+            return top + 1
+        p = top
+        while p and passes[p - 1][ca] != passes[p - 1][cb]:
+            p -= 1
+            ca, cb = passes[p][ca], passes[p][cb]
+        return p
+
+    def placements(part: tuple):
+        """Each placement at `part`, with each reply and its pair (None for no map)."""
+        dom, rng = {i for i, _ in part}, {j for _, j in part}
+        yield from (("A", ua[x], ((ub[y], (x, y)) for y in range(len(ub))))
+                    for x in range(len(ua)) if x not in dom)
+        yield from (("B", ub[y], ((ua[x], None if x in dom else (x, y)) for x in range(len(ua))))
+                    for y in range(len(ub)) if y not in rng)
+
+    @cache
+    def tree(part: tuple) -> SpoilerPosition:
+        pos, r = frozenset((ua[i], ub[j]) for i, j in part), rank(part) if part else top + 1
+        for n, (i, j) in enumerate(part):
+            rest = part[:n] + part[n + 1:]
+            if rest and rank(rest) <= r:
+                return SpoilerPosition(pos, drop=(ua[i], ub[j]), child=tree(rest))
+        for side, e, replies in placements(part) if len(part) < k else ():
+            ranked = []
+            for reply, pair in replies:
+                q = pair and tuple(sorted(part + (pair,)))
+                ranked.append((reply, q, rank(q) if q else 0))
+                if ranked[-1][2] >= r:
+                    break
+            else:
+                return SpoilerPosition(pos, place=e, side=side, branches=tuple(
+                    (reply, tree(q) if s else None) for reply, q, s in ranked))
+
+    return tree(())
+
+
 def decide_back_forth(a: Structure, b: Structure, k: int) -> PebbleResult:
     """The k-pebble back-and-forth game by refining the tuples of each side
-    (`_tuple_colours`): on a win, the greatest family of `decide_pebble`,
-    read off the colours (`_safe_parts`); on a loss, `decide_pebble`'s
-    Spoiler tree, read off its deletion trace."""
+    (`_tuple_colours`): on a win, the greatest family of partial isos, read
+    off the colours (`_safe_parts`); on a loss, Spoiler's tree off the passes."""
     if a.vocab != b.vocab:
         raise VocabularyMismatchError("decide_back_forth requires a shared vocabulary")
     if k < 1:
         raise ToolkitError("k must be >= 1")
     m = _tuple_length(a, b, k)
-    cols = _tuple_colours(a, b, m)
-    if cols is None:
-        return decide_pebble(a, b, k, "AB")
+    cols, passes = _tuple_colours(a, b, m)
+    if passes is not None:
+        return PebbleResult(False, refutation=_spoiler_tree(a, b, k, m, cols, passes))
     return PebbleResult(True, family=StrategyFamily(k, frozenset(_safe_parts(a, b, k, m, cols))))
-
-
-def decide_exist_pebble(a: Structure, b: Structure, k: int) -> PebbleResult:
-    """The existential k-pebble game from `a` to `b`."""
-    return decide_pebble(a, b, k, "A")
 
 
 def _decide(a: Structure, b: Structure, k: int, cap: int) -> PebbleResult:

@@ -16,7 +16,9 @@
   existential-positive checks of the samplers' output.
 - A full-rescan reference for the two pebble games (the back-and-forth one
   on pebble-indexed placements), the audit of a pebble family on pair sets,
-  each part judged whole (the check of the audit on codes), and a
+  each part judged whole (the check of the audit on codes), the deletion
+  engine with Spoiler on side A or on both sides (`deletion_engine`, the
+  reference Spoiler tree builder of the back-and-forth game), and a
   partition-refinement check of depth-k bisimilarity.
 - Exhaustive references for the coalgebra numbers: every forest cover with
   its minimum pebbling, tree-depth read off the forest table (the check of
@@ -33,8 +35,9 @@ from __future__ import annotations
 
 import operator
 import random
+from collections import Counter
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, count, product
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -45,6 +48,8 @@ from gamecomonads.errors import (CapExceededError, CycleError, ToolkitError,
 from gamecomonads.game import DEFAULT_PLAY_CAP, CoKleisli, Game, play_universe
 from gamecomonads.parameters import (ForestCover, PebbleForestCover, TreeDecomposition, _bits,
                                      _eliminate, is_pebble_forest_cover, is_tree_decomposition)
+from gamecomonads.pebbling import (PebbleResult, SpoilerPosition, StrategyFamily, _codes,
+                                   _frozen, _gained, _kept, _tuples_through)
 from gamecomonads.structures import (Elem, Graph, Structure, check_hom, is_partial_hom,
                                      is_partial_iso)
 
@@ -125,6 +130,33 @@ def random_graph(rng: random.Random, n: int) -> Graph:
     names = NAMES[:n]
     edges = [p for p in combinations(names, 2) if rng.random() < 0.5]
     return Graph.build(names, edges)
+
+
+def cfi_structure(base: Graph, twisted: bool, rng: random.Random) -> Structure:
+    """The Cai-Fürer-Immerman graph over `base`, or its twist, its elements
+    declared in an order drawn from `rng`.  Per vertex v, one node per even
+    subset S of v's edges; per edge and endpoint v, two ends of bits 0 and 1.
+    The node of S is joined to the end of bit 1 of each edge in S and of
+    bit 0 of v's other edges, and the two endpoints' ends of an edge are
+    joined when their bits are equal, or, on the first edge of the twist,
+    when they differ.  The two are equivalent in the k-pebble counting game
+    when `base` has tree-width at least k, and told apart by more pebbles
+    (Cai-Fürer-Immerman 1992; Dawar-Richerby 2007)."""
+    edges = sorted(base.edges)
+    names, rel = [], []
+    for i, (u, w) in enumerate(edges):
+        for bit in (0, 1):
+            names += [f"t{u}{i}{bit}", f"t{w}{i}{bit}"]
+            rel.append((f"t{u}{i}{bit}", f"t{w}{i}{bit ^ (twisted and i == 0)}"))
+    for v in base.vertices:
+        mine = [i for i, e in enumerate(edges) if v in e]
+        for size in range(0, len(mine) + 1, 2):
+            for subset in combinations(mine, size):
+                node = f"n{v}" + "".join(str(int(i in subset)) for i in mine)
+                names.append(node)
+                rel += [(node, f"t{v}{i}{int(i in subset)}") for i in mine]
+    rng.shuffle(names)
+    return S(VOCAB_R, names, {"R": sym_edges(rel)})
 
 
 def random_structure(rng: random.Random, size: int, vocab=VOCAB_R) -> Structure:
@@ -511,15 +543,16 @@ def is_existential_positive(phi: logic.Formula) -> bool:
 def rescan_to_fixpoint(positions, obligations):
     """`obligations(pos)` yields (move, replies), with replies an iterable of
     (reply, next position); a pass deletes each position whose first move has
-    no next position alive at the start of the pass."""
+    no next position alive at the start of the pass.  Returns the survivors
+    and, per deleted position, its pass (counted from 1) and that move."""
     alive = set(positions)
     trace = {}
-    while True:
+    for n in count(1):
         removed = {}
         for pos in alive:
             for move, replies in obligations(pos):
                 if alive.isdisjoint(nxt for _, nxt in replies):
-                    removed[pos] = move
+                    removed[pos] = n, move
                     break
         if not removed:
             return alive, trace
@@ -529,7 +562,7 @@ def rescan_to_fixpoint(positions, obligations):
 
 def _refute(trace, root, obligations, node):
     def refute(pos):
-        move = trace[pos]
+        _, move = trace[pos]
         replies = next(pairs for m, pairs in obligations(pos) if m == move)
         return node(pos, move, tuple((reply, refute(nxt) if nxt in trace else None)
                                      for reply, nxt in replies))
@@ -570,7 +603,15 @@ def reference_pebble_backforth(a: Structure, b: Structure, k: int) -> equivalenc
     """The back-and-forth pebble game on pebble-indexed placements: a safe
     set of (pebble, x, y) triples whose pairs form partial isomorphisms, with
     Spoiler moving any pebble to any element of either side.  The verdict and,
-    on a win, the safe placements."""
+    on a win, the safe placements.
+
+    On a loss, the Spoiler tree that `pebbling.decide_back_forth` builds,
+    from the ranks of this game instead of the refinement's passes: a map's
+    rank is the pass that deletes its placement on pebbles 1, 2, ... in
+    domain order (0 when it is no partial isomorphism, and infinite when
+    none does), and at each map Spoiler takes the first move, drops in
+    domain order, then placements on A, then on B, whose every reply lowers
+    the map's (rank, size)."""
     good = set()
     for size in range(k + 1):
         for idxs in combinations(range(1, k + 1), size):
@@ -587,10 +628,34 @@ def reference_pebble_backforth(a: Structure, b: Structure, k: int) -> equivalenc
             for e in b.universe:
                 yield (i, "B", e), ((x, rest | {(i, x, e)}) for x in a.universe)
 
-    safe, _ = rescan_to_fixpoint(good, obligations)
+    safe, trace = rescan_to_fixpoint(good, obligations)
     if frozenset() in safe:
         return equivalence.BackForthResult(True, safe_positions=frozenset(safe))
-    return equivalence.BackForthResult(False)
+
+    def in_order(part):
+        return sorted(part, key=lambda xy: a.index[xy[0]])
+
+    def rank(part) -> float:
+        pos = frozenset((i, x, y) for i, (x, y) in enumerate(in_order(part), 1))
+        return trace[pos][0] if pos in trace else float("inf") if pos in safe else 0
+
+    def tree(part, r):
+        for pair in in_order(part):
+            if part - {pair} and rank(part - {pair}) <= r:
+                return SpoilerPosition(part, drop=pair,
+                                       child=tree(part - {pair}, rank(part - {pair})))
+        dom, rng = {x for x, _ in part}, {y for _, y in part}
+        moves = [("A", x, [(y, part | {(x, y)}) for y in b.universe])
+                 for x in a.universe if x not in dom]
+        moves += [("B", y, [(x, None if x in dom else part | {(x, y)}) for x in a.universe])
+                  for y in b.universe if y not in rng]
+        for side, e, replies in moves if len(part) < k else ():
+            ranks = [0 if nxt is None else rank(nxt) for _, nxt in replies]
+            if all(s < r for s in ranks):
+                return SpoilerPosition(part, place=e, side=side, branches=tuple(
+                    (reply, tree(nxt, s) if s else None) for (reply, nxt), s in zip(replies, ranks)))
+
+    return equivalence.BackForthResult(False, spoiler=tree(frozenset(), rank(frozenset())))
 
 
 def whole_family_audit(fam: pebbling.StrategyFamily, a: Structure, b: Structure,
@@ -630,6 +695,197 @@ def whole_family_audit(fam: pebbling.StrategyFamily, a: Structure, b: Structure,
                     if e not in placed and (part, side, e) not in answered:
                         return False, f"{prop} fails at {sorted(part)!r} on {e!r}"
     return True, "ok"
+
+
+# ---------------------------------------------------------------------------
+# The deletion engine with Spoiler on side A or on both sides: the
+# existential engine of `pebbling` with the back-and-forth game's B-side
+# moves, the reference for the verdicts and families of
+# `pebbling.decide_back_forth`, and a second builder of its Spoiler tree,
+# read off deletion passes instead of refinement passes
+
+
+def engine_partial_maps(a: Structure, b: Structure, k: int, back: bool, pairs: list) -> dict:
+    """Every partial homomorphism (partial isomorphism, when `back`) from `a`
+    to `b` with at most k pairs, as a dict from its code to its pair
+    records in domain order.  The maps grow one domain element at a time, in
+    declaration order: a map passes only if it does without its last pair,
+    so each size extends the good maps of the size below, and an extension
+    is judged on the tuples through its new pair alone: those of `a` through
+    the new element and, when `back`, those of `b` through the new image,
+    which must also be outside the range."""
+    na, nb = len(a.universe), len(b.universe)
+    forth = _tuples_through(a, b)
+    backs = _tuples_through(b, a) if back else None
+    every = [(j, ()) for j in range(nb)]  # each image, with no tuple of b to check
+    parts = {0: ()}
+    level = [0]
+    for _ in range(min(k, na)):
+        grown = []
+        for p in level:
+            part = parts[p]
+            img, inv = [-1] * na, [-1] * nb
+            dom = rng = 0
+            for i, j, _ in part:
+                img[i], inv[j] = j, i
+                dom, rng = dom | 1 << i, rng | 1 << j
+            images = every
+            if back:
+                images = [(j, _gained(backs, j, rng)) for j in range(nb) if inv[j] < 0]
+            for i in range(part[-1][0] + 1 if part else 0, na):
+                gained = _gained(forth, i, dom)
+                for j, gained_b in images:
+                    img[i] = j
+                    if not _kept(gained, img):
+                        continue
+                    if gained_b:
+                        inv[j] = i
+                        kept = _kept(gained_b, inv)
+                        inv[j] = -1
+                        if not kept:
+                            continue
+                    q = p + pairs[i][j][2]
+                    parts[q] = part + (pairs[i][j],)
+                    grown.append(q)
+                img[i] = -1
+        level = grown
+    return parts
+
+
+def engine_delete_to_fixpoint(parts: dict, k: int, back: bool, codes: tuple) -> tuple[set, dict]:
+    """The greatest subfamily of `parts` (codes to pair records, as
+    `engine_partial_maps` gives them) in which every Spoiler move has a reply
+    leading back into the subfamily.
+
+    Spoiler's moves at a map are dropping one of its pairs, in domain order,
+    then, below k pairs, placing a pebble on an element of A outside its
+    domain and, when `back`, on an element of B outside its range.  A drop's
+    key is the map without the pair, and a placement's its key in `_codes`.
+    A map answers a drop key by being it, and a placement key by extending
+    the key's map with one pair on the key's element, so a move has a reply
+    in the family exactly when some live map answers its key.  The engine
+    counts, per placement key, the live maps that answer it.
+
+    Deletion runs in simultaneous passes.  A pass judges maps against the
+    family as it stood at the start of the pass, and deletes each at its
+    first move whose key is unanswered.  The first pass judges every map;
+    each later one only the maps with a move whose key lost its last answer
+    in the pass before: the map of a placement key, and the live one-pair
+    extensions of a deleted map.  Every other map keeps the answers with
+    which it survived.  Every reply of a failing move was therefore deleted
+    in an earlier pass or never was in the family, which keeps the
+    refutation well-founded.  Returns the survivors and, per deleted map,
+    the key of its first move without a surviving reply."""
+    _, pairs, place_a, place_b = codes
+    alive = set(parts)
+    answers = Counter(p - d + place_a[i] for p, part in parts.items() for i, _, d in part)
+    if back:
+        answers.update(p - d + place_b[j] for p, part in parts.items() for _, j, d in part)
+    answers = dict(answers)  # a plain dict deletes faster than a Counter
+
+    def failing(p: int) -> Optional[int]:
+        part = parts[p]
+        for _, _, d in part:
+            if p - d not in alive:
+                return p - d
+        if len(part) < k:
+            # a placement key on an element of the domain is never answered
+            for i, at in enumerate(place_a):
+                if p + at not in answers and all(x != i for x, _, _ in part):
+                    return p + at
+            if back:
+                for j, at in enumerate(place_b):
+                    if p + at not in answers and all(y != j for _, y, _ in part):
+                        return p + at
+        return None
+
+    trace: dict = {}
+    judged = alive
+    while True:
+        removed = {}
+        for p in judged:
+            key = failing(p)
+            if key is not None:
+                removed[p] = key
+        if not removed:
+            return alive, trace
+        alive.difference_update(removed)
+        trace.update(removed)
+        judged = set()
+        for p in removed:
+            for i, j, d in parts[p]:
+                rest = p - d
+                for key in (rest + place_a[i], rest + place_b[j]) if back else (rest + place_a[i],):
+                    left = answers[key] - 1
+                    if left:
+                        answers[key] = left
+                    else:
+                        del answers[key]
+                        if rest in alive:
+                            judged.add(rest)
+        for p in removed:
+            if len(parts[p]) < k:
+                for i, at in enumerate(place_a):
+                    if p + at in answers:
+                        judged.update(q for q in (p + d for _, _, d in pairs[i]) if q in alive)
+
+
+def _frozen(part: tuple, a: Structure, b: Structure) -> PartialMapSet:
+    """The pairs of elements behind a map's pair records."""
+    return frozenset((a.universe[i], b.universe[j]) for i, j, _ in part)
+
+
+def engine_refutation(parts: dict, trace: dict, codes: tuple, a: Structure,
+                b: Structure) -> SpoilerPosition:
+    """Spoiler's strategy from the empty map, read off the trace of
+    `engine_delete_to_fixpoint`: at each map, the recorded move with every reply
+    paired with the strategy at its next map, or with None when that map
+    never was in the family.  A reply on a placement in B that is already
+    in the domain makes no map, and so gets None."""
+    na, (top, pairs, _, _) = len(a.universe), codes
+    ua, ub = a.universe, b.universe
+
+    def child(q: int) -> Optional[SpoilerPosition]:
+        return refute(q) if q in trace else None
+
+    def refute(p: int) -> SpoilerPosition:
+        key, part = trace[p], parts[p]
+        pos = _frozen(part, a, b)
+        if key < top:
+            i, j, _ = next(pair for pair in part if p - pair[2] == key)
+            return SpoilerPosition(pos, drop=(ua[i], ub[j]), child=child(key))
+        e = key // top - 1
+        if e < na:
+            return SpoilerPosition(pos, place=ua[e], branches=tuple(
+                (ub[j], child(p + d)) for _, j, d in pairs[e]))
+        dom = {i for i, _, _ in part}
+        return SpoilerPosition(pos, place=ub[e - na], side="B", branches=tuple(
+            (ua[i], None if i in dom else child(p + pairs[i][e - na][2])) for i in range(na)))
+
+    return refute(0)
+
+
+def deletion_engine(a: Structure, b: Structure, k: int, sides: str) -> PebbleResult:
+    """The k-pebble game from `a` to `b` with Spoiler moving on `sides`: the
+    existential game ("A") or the back-and-forth game ("AB").
+
+    The greatest family of partial homomorphisms ("A") or partial
+    isomorphisms ("AB") with at most k pairs closed under restriction, forth
+    and, for "AB", back; Duplicator wins iff it is nonempty (Kolaitis-Vardi).
+    Maps are integer codes (`_codes`) inside the engine, and pair sets in
+    its results."""
+    if a.vocab != b.vocab:
+        raise VocabularyMismatchError("deletion_engine requires a shared vocabulary")
+    if k < 1:
+        raise ToolkitError("k must be >= 1")
+    back = sides == "AB"
+    codes = _codes(len(a.universe), len(b.universe))
+    parts = engine_partial_maps(a, b, k, back, codes[1])
+    alive, trace = engine_delete_to_fixpoint(parts, k, back, codes)
+    if alive:
+        return PebbleResult(True, family=StrategyFamily(
+            k, frozenset(_frozen(parts[p], a, b) for p in alive)))
+    return PebbleResult(False, refutation=engine_refutation(parts, trace, codes, a, b))
 
 
 def bisim_oracle(a: Structure, b: Structure, k: int) -> bool:

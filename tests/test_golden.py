@@ -57,6 +57,9 @@ INPUTS = {
     "spoint": "vocab R 2\nvocab S 1\nelem a\nrel S a\nstart a\n",
     "point": "vocab R 2\nelem x\n",
     "ploop": "vocab R 2\nelem p\nelem q\nrel R q q\n",
+    # an edge and one isolated point, and the same edge with two
+    "edgept": "vocab R 2\nelem a\nelem b\nelem c\nrel R a b\nrel R b a\n",
+    "edgepts": "vocab R 2\nelem a\nelem b\nelem c\nelem d\nrel R a b\nrel R b a\n",
     "c5": _cycle(5),
     "c6": _cycle(6),
     "c7": _cycle(7),
@@ -123,8 +126,8 @@ def jobs():
     # repeated moves, and modal games where the last label decides a position
     later = [("ef", "exists", 3, "edge", "twopts"), ("ef", "backforth", 3, "edge", "edge")]
     later += [("modal", mode, 3, "tcycle", "rtcycle") for mode in ("exists", "both", "backforth")]
-    # pebble refutations that take several deletion passes: 4 for C5 against C6,
-    # 7 for C7 into C6
+    # pebble refutations over several passes: 2 refinement passes for C5
+    # against C6, and 7 deletion passes for C7 into C6
     later += [("pebble", "backforth", 3, "c5", "c6"), ("pebble", "exists", 3, "c7", "c6")]
     # round-bounded Spoiler trees with a stalled root (the points differ on S),
     # and with a move on side B (only `ploop` has a loop)
@@ -137,6 +140,10 @@ def jobs():
     # modal game lost only in the third round
     later += [("ef", "backforth", 4, "k5", "k6"), ("pebble", "backforth", 3, "c6", "c6r"),
               ("modal", "backforth", 3, "chain", "cycle")]
+    # a pebble back-and-forth refutation with drop nodes: once both isolated
+    # points of `edgepts` are pebbled, one reply lies on the edge of `edgept`,
+    # and Spoiler moves the other pebble onto that reply's neighbour
+    later += [("pebble", "backforth", 2, "edgept", "edgepts")]
     return out + [_equiv_job(*job) for job in later]
 
 
@@ -178,6 +185,9 @@ def corpus() -> dict[str, str]:
 # certificate (inside a both-pair, after its `fwd`/`bwd` tag)
 ROUND_TREE_FORMS = {"A move": r"node \d+ A \[", "B move": r"node \d+ B \[",
                     "stall": r"node \d+ stall$", "lose leaf": r"branch \d+ \[[^]]*\] lose$"}
+# the node and leaf forms of a pebble back-and-forth Spoiler tree
+PEBBLE_TREE_FORMS = {"drop": r"node \d+ \S+ drop \S+$", "place A": r"node \d+ \S+ place A \S+$",
+                     "place B": r"node \d+ \S+ place B \S+$", "lose leaf": r"branch \d+ \S+ lose$"}
 
 
 def test_golden_certificates_pin_every_kind_and_round_tree_form():
@@ -186,19 +196,23 @@ def test_golden_certificates_pin_every_kind_and_round_tree_form():
     assert sorted(set(KINDS) - kinds) == []
     rows = [line.removeprefix("fwd ").removeprefix("bwd ")
             for text in texts for line in text.splitlines()]
-    missing = [form for form, pattern in ROUND_TREE_FORMS.items()
-               if not any(re.match(pattern, row) for row in rows)]
+    pebble_rows = [line for text in texts if text.startswith("certificate pebble-bf-spoiler\n")
+                   for line in text.splitlines()]
+    missing = [form for forms, lines in [(ROUND_TREE_FORMS, rows), (PEBBLE_TREE_FORMS, pebble_rows)]
+               for form, pattern in forms.items()
+               if not any(re.match(pattern, row) for row in lines)]
     assert missing == []
 
 
-# a branch row of a round-bounded Spoiler tree: (node, reply step, child or `lose`)
-ROUND_BRANCH = re.compile(r"((?:fwd |bwd )?branch \d+) (\[[^]]*\]) (\S+)$")
+# a branch row of a Spoiler tree: (node, reply, child or `lose`), where the
+# reply is a round-bounded tree's step or a pebble tree's element
+TREE_BRANCH = re.compile(r"((?:fwd |bwd )?branch \d+) (\[[^]]*\]|[^\s\[]\S*) (\S+)$")
 
 
 def _tree_mutants(rows):
     """The rows with one branch row dropped, and with a `lose` leaf swapped
     with a sibling subtree, so that it claims a reply that still holds."""
-    branches = [(i, m) for i, m in enumerate(map(ROUND_BRANCH.match, rows)) if m]
+    branches = [(i, m) for i, m in enumerate(map(TREE_BRANCH.match, rows)) if m]
     for i, _ in branches:
         yield "drop", rows[:i] + rows[i + 1:]
     for i, m in branches:
@@ -211,7 +225,8 @@ def _tree_mutants(rows):
 
 def test_golden_spoiler_trees_fail_when_mutated(tmp_path, monkeypatch):
     """Dropping a branch, or moving a `lose` leaf onto a reply with a subtree,
-    turns every golden round-bounded Spoiler tree into one `verify` rejects."""
+    turns every golden Spoiler tree, round-bounded or pebble, into one
+    `verify` rejects."""
     monkeypatch.chdir(tmp_path)
     for name, text in INPUTS.items():
         Path(f"{name}.str").write_text(text, encoding="utf-8")
@@ -226,6 +241,31 @@ def test_golden_spoiler_trees_fail_when_mutated(tmp_path, monkeypatch):
                              + [f"{s}.str" for s in structures])
             assert (code, "\nresult: false\n" in out) == (1, True), (cert, how, out)
     assert seen == {"drop", "flip"}
+
+
+def test_pebble_backforth_reaches_no_deletion_engine(tmp_path, monkeypatch):
+    """The pebble back-and-forth game runs only the tuple refinement: with
+    the deletion engine's `_partial_maps` and `delete_to_fixpoint` raising,
+    every golden pebble `backforth` job, won or lost, still prints its
+    golden report and certificate."""
+    from gamecomonads import pebbling
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the back-and-forth game reached the deletion engine")
+
+    monkeypatch.setattr(pebbling, "_partial_maps", refuse)
+    monkeypatch.setattr(pebbling, "delete_to_fixpoint", refuse)
+    monkeypatch.chdir(tmp_path)
+    for name, text in INPUTS.items():
+        Path(f"{name}.str").write_text(text, encoding="utf-8")
+    claims = []
+    for name, argv, cert, _ in jobs():
+        if argv[:5] == ["equiv", "--game", "pebble", "--mode", "backforth"]:
+            _, out = _run(argv)
+            assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes(), name
+            assert Path(cert).read_bytes() == (GOLDEN / cert).read_bytes(), name
+            claims.append("result: true\n" in out)
+    assert sorted(claims) == [False] * 3 + [True] * 3
 
 
 # (a certificate not yet in the corpus is skipped, so that the corpus can be rewritten)
@@ -251,9 +291,9 @@ def test_verify_refuses_a_k_header_below_one(tmp_path, monkeypatch, capsys, cert
 # What solves a game or searches for a witness, wherever the package binds it.
 SOLVERS = ("round_values", "refined_values", "refined_colours", "won_positions",
            "first_replies", "read_off", "spoiler_tree", "decide_exist", "decide_exist_ef",
-           "decide_sim_k", "decide_pebble", "decide_exist_pebble", "_partial_maps",
-           "delete_to_fixpoint",
-           "decide_back_forth", "_tuple_colours", "_safe_parts", "solve_back_forth",
+           "decide_sim_k", "decide_exist_pebble", "_partial_maps", "delete_to_fixpoint",
+           "decide_back_forth", "_tuple_colours", "_safe_parts", "_spoiler_tree",
+           "solve_back_forth",
            "_solve_pebble_backforth", "decide_cokleisli_iso", "find_hom",
            "min_height_forest_cover", "_treewidth_order", "_elimination_cover",
            "oracle_treedepth", "oracle_treewidth", "coalgebra_number")

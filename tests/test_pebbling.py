@@ -9,11 +9,11 @@ from gamecomonads import equivalence as eq
 from gamecomonads import pebbling as pb
 from gamecomonads.errors import CapExceededError, ToolkitError, VocabularyMismatchError
 from gamecomonads.game import law_report, lifted_structure
-from gamecomonads.structures import check_hom, is_partial_iso
+from gamecomonads.structures import Graph, check_hom, is_partial_iso
 
-from helpers import (S, VOCAB_R, VOCAB_RS, all_structures_upto, clique_structure,
-                     random_structure, reference_exist_pebble, reference_pebble_backforth,
-                     whole_family_audit)
+from helpers import (S, VOCAB_R, VOCAB_RS, all_structures_upto, cfi_structure,
+                     clique_structure, deletion_engine, random_structure,
+                     reference_exist_pebble, reference_pebble_backforth, whole_family_audit)
 
 
 def pebble_structure(a, k, n):
@@ -202,14 +202,15 @@ def _cycle(n: int):
 
 
 def test_pebble_solvers_equal_the_full_rescan_reference():
-    """Both pebble games, grown families and keyed passes, against the
-    exhaustive references of `helpers`, over a binary and a unary symbol,
-    and over a ternary, a unary and a binary one with reflexive tuples.
-    Existential: equal families and refutation trees.  Back-and-forth,
-    against the game on pebble-indexed placements: equal verdicts from the
-    refinement and from the deletion engine; on a win, both families of
-    partial isomorphisms are the reference's safe set projected to pair sets
-    and pass the audit; on a loss, the audit accepts the Spoiler tree."""
+    """Both pebble games against the exhaustive references of `helpers`, over
+    a binary and a unary symbol, and over a ternary, a unary and a binary
+    one with reflexive tuples.  Existential: equal families and refutation
+    trees.  Back-and-forth, against the game on pebble-indexed placements
+    and the deletion engine with Spoiler on both sides: equal verdicts; on
+    a win, both families of partial isomorphisms are the reference's safe
+    set projected to pair sets and pass the audit; on a loss, the Spoiler
+    tree read off the refinement is the engine's and the one rebuilt from
+    the game's ranks, and passes the audit."""
     rng = random.Random(20261018)
     cases = [(S(VOCAB_RP, []), S(VOCAB_RP, []), 1), (S(VOCAB_RP, []), S(VOCAB_RP, ["x"]), 2),
              (S(VOCAB_RP, ["x"]), S(VOCAB_RP, []), 2)]
@@ -225,7 +226,7 @@ def test_pebble_solvers_equal_the_full_rescan_reference():
     for a, b, k in cases:
         got, want = pb.decide_exist_pebble(a, b, k), reference_exist_pebble(a, b, k)
         assert got == want, (a, b, k)
-        got, engine = eq._solve_pebble_backforth(a, b, k), pb.decide_pebble(a, b, k, "AB")
+        got, engine = eq._solve_pebble_backforth(a, b, k), deletion_engine(a, b, k, "AB")
         want = reference_pebble_backforth(a, b, k)
         assert got.wins == engine.wins == want.wins, (a, b, k)
         if got.wins:
@@ -233,7 +234,7 @@ def test_pebble_solvers_equal_the_full_rescan_reference():
                 frozenset((x, y) for _, x, y in pos) for pos in want.safe_positions}, (a, b, k)
             audit = pb.audit_strategy_family(engine.family, a, b, "AB")
         else:
-            assert got.spoiler == engine.refutation, (a, b, k)
+            assert got.spoiler == engine.refutation == want.spoiler, (a, b, k)
             audit = pb.audit_spoiler_positions(engine.refutation, a, b, k, "AB")
         assert audit == (True, "ok"), (a, b, k, audit)
         outcomes.add((a.vocab.symbols, got.wins))
@@ -242,17 +243,33 @@ def test_pebble_solvers_equal_the_full_rescan_reference():
 
 def test_placement_in_b_replied_inside_the_domain_is_a_dead_end():
     """At {x↦p}, Spoiler places on q in B; the only reply, x, is already in
-    the domain, so the extended pairs are no map and the branch is None.
-    Adding the pair's code to the map's code would instead read {x↦r}, a
-    deleted map: the digits of x↦p and x↦q add up to that of x↦r."""
+    the domain, so the extended pairs are no map and the branch is None,
+    with no rank asked of pairs that send x to both p and q."""
     point = S(VOCAB_R, ["x"], {})
     three = S(VOCAB_R, ["p", "q", "r"], {})
-    res = pb.decide_pebble(point, three, 2, "AB")
+    res = pb.decide_back_forth(point, three, 2)
     assert not res.wins
     assert pb.audit_spoiler_positions(res.refutation, point, three, 2, "AB") == (True, "ok")
     node = dict(res.refutation.branches)["p"]
     assert (node.pos, node.side, node.place) == (frozenset({("x", "p")}), "B", "q")
     assert node.branches == (("x", None),)
+
+
+def test_cfi_pair_over_a_triangle_needs_three_pebbles():
+    """CFI(K3) and its twist, 18 vertices each: the triangle has tree-width 2,
+    so two pebbles cannot tell them apart and three can.  At k=2 the family
+    read off the colours passes the audit; at k=3 the Spoiler tree read off
+    the passes does."""
+    rng = random.Random(1992)
+    k3 = Graph.build(["a", "b", "c"], [("a", "b"), ("a", "c"), ("b", "c")])
+    a, b = cfi_structure(k3, False, rng), cfi_structure(k3, True, rng)
+    assert len(a.universe) == len(b.universe) == 18
+    res = pb.decide_back_forth(a, b, 2)
+    assert res.wins
+    assert pb.audit_strategy_family(res.family, a, b, "AB") == (True, "ok")
+    res = pb.decide_back_forth(a, b, 3)
+    assert not res.wins
+    assert pb.audit_spoiler_positions(res.refutation, a, b, 3, "AB") == (True, "ok")
 
 
 def _every_map(a, b, size):
@@ -287,7 +304,7 @@ def test_family_audit_equals_the_whole_part_audit(data):
     a = build(data.draw(st.integers(0, 4)))
     b = _relabelled(rng, a) if data.draw(st.booleans()) else build(data.draw(st.integers(0, 4)))
     k, sides = data.draw(st.integers(1, 3)), data.draw(st.sampled_from(["A", "AB"]))
-    res = pb.decide_pebble(a, b, k, sides)
+    res = pb.decide_exist_pebble(a, b, k) if sides == "A" else deletion_engine(a, b, k, sides)
     parts = set(res.family.parts) if res.wins else {frozenset()}
     edit = data.draw(st.sampled_from(FAMILY_EDITS))
     every = [part for size in range(min(k, len(a.universe)) + 1)
