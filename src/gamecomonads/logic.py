@@ -104,8 +104,23 @@ def free_vars(phi: Formula) -> frozenset[str]:
     raise ToolkitError(f"unknown formula node {phi!r}")
 
 
+def _atoms(phi: Formula) -> list:
+    if isinstance(phi, Rel):
+        return [phi]
+    if isinstance(phi, (Not, *_QUANT)):
+        return _atoms(phi.body)
+    return _atoms(phi.left) + _atoms(phi.right) if isinstance(phi, _BINARY) else []
+
+
 def evaluate(a: Structure, phi: Formula, env: Optional[Mapping[str, object]] = None) -> bool:
-    """Standard satisfaction; counting quantifiers count distinct witnesses."""
+    """Standard satisfaction; counting quantifiers count distinct witnesses.
+    An atom off the vocabulary of `a`, by its symbol or its arity, is refused."""
+    arity = dict(a.vocab.symbols)
+    for atom in _atoms(phi):
+        if arity.get(atom.name) != len(atom.args):
+            raise ToolkitError(f"atom {format_formula(atom)}: " + (
+                f"{atom.name} has arity {arity[atom.name]}" if atom.name in arity
+                else f"no symbol {atom.name} in the structure's vocabulary"))
     env = dict(env) if env else {}
     missing = free_vars(phi) - set(env)
     if missing:
@@ -309,6 +324,8 @@ def sample_formulas(vocab: Vocabulary, k: int, fragment: str, count: int,
         raise ToolkitError(f"unknown fragment {fragment!r}; choose from {FRAGMENTS}")
     if k < 0:
         raise ToolkitError("k must be >= 0")
+    if count < 0:
+        raise ToolkitError("count must be >= 0")
     rng = random.Random(seed)
     out = []
     for _ in range(count):

@@ -19,11 +19,12 @@ checked on the tuples through its new pair alone.  Each Spoiler move has an
 integer key, answered by the maps that are its replies, and
 `delete_to_fixpoint` counts the live answers of each placement key: its
 first pass judges every map, and each later pass only the maps with a move
-whose key lost its last answer in the pass before.  `_refutation` reads
-Spoiler's strategy off the deletions.  The back-and-forth game is decided
-by refining the k-tuples of each side alone (`decide_back_forth`): its
-family is read off the colours on a win, and Spoiler's tree off the passes
-on a loss.  A game with more candidate positions than the cap is refused
+whose key lost its last answer in the pass before.  The back-and-forth
+game is decided by refining the k-tuples of each side alone
+(`decide_back_forth`), its family read off the colours on a win.  One
+reader (`_spoiler_tree`) gives Spoiler's tree in either lost game, from
+how long each map held out: its deletion pass, or its refinement rank
+(`_rank`).  A game with more candidate positions than the cap is refused
 before any position is built (`check_candidates`).  `audit_strategy_family`
 checks a win of either game without the solver, on the engine's codes, each
 part judged on the tuples through one of its pairs, and
@@ -117,9 +118,9 @@ class SpoilerPosition(Record):
     `drop` (single child, no reply needed) or places a pebble on the element
     `place` of `side`; branches map each Duplicator reply, an element of the
     other side, to a child node or to None when the extended map is not a
-    partial homomorphism (isomorphism).  Children were deleted strictly
-    earlier by `delete_to_fixpoint`, or rank lower in `_spoiler_tree`, so the
-    recursion is well-founded.
+    partial homomorphism (isomorphism).  Every child lost strictly earlier
+    under one order, the value `_spoiler_tree` reads (a deletion pass, or a
+    refinement rank and size), so the recursion is well-founded.
     """
 
     pos: PartialMapSet
@@ -234,44 +235,39 @@ def delete_to_fixpoint(parts: dict, k: int, codes: tuple) -> tuple[set, dict]:
     key.  The engine counts, per placement key, the live maps answering it.
 
     Deletion runs in simultaneous passes.  A pass judges maps against the
-    family as it stood at the start of the pass, and deletes each at its
-    first move whose key is unanswered.  The first pass judges every map;
-    each later one only the maps with a move whose key lost its last answer
-    in the pass before: the map of a placement key, and the live one-pair
+    family as it stood at the start of the pass, and deletes each with a
+    move whose key is unanswered.  The first pass judges every map; each
+    later one only the maps with a move whose key lost its last answer in
+    the pass before: the map of a placement key, and the live one-pair
     extensions of a deleted map.  Every other map keeps the answers with
-    which it survived.  Every reply of a failing move was therefore deleted
-    in an earlier pass or never was in the family, which keeps the
-    refutation well-founded.  Returns the survivors and, per deleted map,
-    the key of its first move without a surviving reply."""
+    which it survived.  Returns the survivors and, per deleted map, its pass
+    (from 1): the first in which a move's every reply was gone."""
     _, pairs, place_a, _ = codes
     alive = set(parts)
     # a plain dict deletes faster than a Counter
     answers = dict(Counter(p - d + place_a[i] for p, part in parts.items() for i, _, d in part))
 
-    def failing(p: int) -> Optional[int]:
+    def failing(p: int) -> bool:
         part = parts[p]
         for _, _, d in part:
             if p - d not in alive:
-                return p - d
+                return True
         if len(part) < k:
             # a placement key on an element of the domain is never answered
             for i, at in enumerate(place_a):
                 if p + at not in answers and all(x != i for x, _, _ in part):
-                    return p + at
-        return None
+                    return True
+        return False
 
-    trace: dict = {}
-    judged = alive
+    deleted: dict = {}
+    judged, n = alive, 0
     while True:
-        removed = {}
-        for p in judged:
-            key = failing(p)
-            if key is not None:
-                removed[p] = key
+        removed = [p for p in judged if failing(p)]
         if not removed:
-            return alive, trace
+            return alive, deleted
+        n += 1
         alive.difference_update(removed)
-        trace.update(removed)
+        deleted.update(dict.fromkeys(removed, n))
         judged = set()
         for p in removed:
             for i, _, d in parts[p]:
@@ -291,51 +287,24 @@ def delete_to_fixpoint(parts: dict, k: int, codes: tuple) -> tuple[set, dict]:
                         judged.update(q for q in (p + d for _, _, d in pairs[i]) if q in alive)
 
 
-def _frozen(part: tuple, a: Structure, b: Structure) -> PartialMapSet:
-    """The pairs of elements behind a map's pair records."""
-    return frozenset((a.universe[i], b.universe[j]) for i, j, _ in part)
-
-
-def _refutation(parts: dict, trace: dict, codes: tuple, a: Structure,
-                b: Structure) -> SpoilerPosition:
-    """Spoiler's strategy from the empty map, read off the trace of
-    `delete_to_fixpoint`: at each map, the recorded move with every reply
-    paired with the strategy at its next map, or with None when that map
-    never was in the family."""
-    top, pairs, _, _ = codes
-    ua, ub = a.universe, b.universe
-
-    def child(q: int) -> Optional[SpoilerPosition]:
-        return refute(q) if q in trace else None
-
-    def refute(p: int) -> SpoilerPosition:
-        key, part = trace[p], parts[p]
-        pos = _frozen(part, a, b)
-        if key < top:
-            i, j, _ = next(pair for pair in part if p - pair[2] == key)
-            return SpoilerPosition(pos, drop=(ua[i], ub[j]), child=child(key))
-        e = key // top - 1
-        return SpoilerPosition(pos, place=ua[e], branches=tuple(
-            (ub[j], child(p + d)) for _, j, d in pairs[e]))
-
-    return refute(0)
-
-
 def decide_exist_pebble(a: Structure, b: Structure, k: int) -> PebbleResult:
     """The existential k-pebble game from `a` to `b`: the greatest family of
     partial homomorphisms with at most k pairs closed under restriction and
-    forth; Duplicator wins iff it is nonempty (Kolaitis-Vardi)."""
+    forth; Duplicator wins iff it is nonempty (Kolaitis-Vardi).  On a loss
+    every map was deleted, and Spoiler's tree reads each map's pass."""
     if a.vocab != b.vocab:
         raise VocabularyMismatchError("decide_exist_pebble requires a shared vocabulary")
     if k < 1:
         raise ToolkitError("k must be >= 1")
     codes = _codes(len(a.universe), len(b.universe))
-    parts = _partial_maps(a, b, k, codes[1])
-    alive, trace = delete_to_fixpoint(parts, k, codes)
+    pairs = codes[1]
+    parts = _partial_maps(a, b, k, pairs)
+    alive, deleted = delete_to_fixpoint(parts, k, codes)
     if alive:
-        return PebbleResult(True, family=StrategyFamily(
-            k, frozenset(_frozen(parts[p], a, b) for p in alive)))
-    return PebbleResult(False, refutation=_refutation(parts, trace, codes, a, b))
+        return PebbleResult(True, family=StrategyFamily(k, frozenset(
+            frozenset((a.universe[i], b.universe[j]) for i, j, _ in parts[p]) for p in alive)))
+    return PebbleResult(False, refutation=_spoiler_tree(
+        a, b, k, "A", lambda part: deleted.get(sum(pairs[i][j][2] for i, j in part))))
 
 
 def _tuple_length(a: Structure, b: Structure, k: int) -> int:
@@ -430,58 +399,70 @@ def _safe_parts(a: Structure, b: Structure, k: int, m: int, cols: list) -> set:
     return family
 
 
-def _spoiler_tree(a: Structure, b: Structure, k: int, m: int, cols: list,
-                  passes: list) -> SpoilerPosition:
-    """Spoiler's tree read off a lost refinement.  A map's rank is the first
-    pass at which its padded m-tuples (as `_safe_parts` pads them) differ: 0
-    for no partial isomorphism, and above the last pass if none, as for the
-    empty map.  At each map Spoiler takes the first move (drops in domain
-    order, then placements on A, then on B) whose every reply lowers the
-    map's (rank, size): a drop to a non-empty map of rank at most its own,
-    or a placement whose replies make maps of lower rank, or no map.  A pass
-    is a round of moving one of m pebbles on the padded tuples, whichever
-    way they are padded, so such a move always exists: a placement, or a
-    drop to a map of the same rank that has one."""
-    ua, ub, top = a.universe, b.universe, len(passes)
-    strides = _strides(len(ua), m), _strides(len(ub), m)
+def _rank(a: Structure, b: Structure, m: int, cols: list, passes: list) -> Callable:
+    """How long each map held out in a lost refinement: the first pass at
+    which its padded m-tuples (as `_safe_parts` pads them) differ, then its
+    size; None for no partial isomorphism, and above the last pass when they
+    never differ, as for the empty map.  A pass is a round of moving one of
+    m pebbles, however the tuples are padded, so below the last pass a map
+    has a placement whose replies rank lower or a drop to a map that has one."""
+    top = len(passes)
+    strides = _strides(len(a.universe), m), _strides(len(b.universe), m)
 
     @cache
-    def rank(part: tuple) -> int:
+    def rank(part: tuple) -> Optional[tuple]:
+        if not part:
+            return top + 1, 0
         pad = zip(*part, *part[-1:] * (m - len(part)))
         ca, cb = (col[sum(map(mul, xs, st))] for col, xs, st in zip(cols, pad, strides))
         if ca == cb:
-            return top + 1
+            return top + 1, len(part)
         p = top
         while p and passes[p - 1][ca] != passes[p - 1][cb]:
             p -= 1
             ca, cb = passes[p][ca], passes[p][cb]
-        return p
+        return (p, len(part)) if p else None
 
-    def placements(part: tuple):
-        """Each placement at `part`, with each reply and its pair (None for no map)."""
+    return rank
+
+
+def _spoiler_tree(a: Structure, b: Structure, k: int, sides: str,
+                  lost: Callable) -> SpoilerPosition:
+    """Spoiler's tree, each subtree built once, in the lost game with
+    Spoiler on `sides`.  `lost(part)`, for a map as index pairs in domain
+    order, is None for no partial map of the game and otherwise grows with
+    how long the map held out.  At each map Spoiler takes the first move
+    (drops in domain order, then placements on A, then, for "AB", on B) all
+    of whose replies lost earlier: a smaller value, or no map, a leaf."""
+    ua, ub = a.universe, b.universe
+
+    def placements(part: tuple):  # (side, element, ((reply, its pair or None), ...))
         dom, rng = {i for i, _ in part}, {j for _, j in part}
         yield from (("A", ua[x], ((ub[y], (x, y)) for y in range(len(ub))))
                     for x in range(len(ua)) if x not in dom)
-        yield from (("B", ub[y], ((ua[x], None if x in dom else (x, y)) for x in range(len(ua))))
-                    for y in range(len(ub)) if y not in rng)
+        if sides == "AB":
+            yield from (("B", ub[y], ((ua[x], None if x in dom else (x, y))
+                                      for x in range(len(ua))))
+                        for y in range(len(ub)) if y not in rng)
 
     @cache
     def tree(part: tuple) -> SpoilerPosition:
-        pos, r = frozenset((ua[i], ub[j]) for i, j in part), rank(part) if part else top + 1
+        pos, held = frozenset((ua[i], ub[j]) for i, j in part), lost(part)
         for n, (i, j) in enumerate(part):
             rest = part[:n] + part[n + 1:]
-            if rest and rank(rest) <= r:
+            if lost(rest) < held:
                 return SpoilerPosition(pos, drop=(ua[i], ub[j]), child=tree(rest))
         for side, e, replies in placements(part) if len(part) < k else ():
-            ranked = []
+            branches = []
             for reply, pair in replies:
                 q = pair and tuple(sorted(part + (pair,)))
-                ranked.append((reply, q, rank(q) if q else 0))
-                if ranked[-1][2] >= r:
+                value = q and lost(q)
+                if value is not None and not value < held:
                     break
+                branches.append((reply, None if value is None else q))
             else:
                 return SpoilerPosition(pos, place=e, side=side, branches=tuple(
-                    (reply, tree(q) if s else None) for reply, q, s in ranked))
+                    (reply, q and tree(q)) for reply, q in branches))
 
     return tree(())
 
@@ -497,7 +478,8 @@ def decide_back_forth(a: Structure, b: Structure, k: int) -> PebbleResult:
     m = _tuple_length(a, b, k)
     cols, passes = _tuple_colours(a, b, m)
     if passes is not None:
-        return PebbleResult(False, refutation=_spoiler_tree(a, b, k, m, cols, passes))
+        return PebbleResult(False, refutation=_spoiler_tree(
+            a, b, k, "AB", _rank(a, b, m, cols, passes)))
     return PebbleResult(True, family=StrategyFamily(k, frozenset(_safe_parts(a, b, k, m, cols))))
 
 

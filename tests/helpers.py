@@ -49,7 +49,7 @@ from gamecomonads.game import DEFAULT_PLAY_CAP, CoKleisli, Game, play_universe
 from gamecomonads.parameters import (ForestCover, PebbleForestCover, TreeDecomposition, _bits,
                                      _eliminate, is_pebble_forest_cover, is_tree_decomposition)
 from gamecomonads.pebbling import (PebbleResult, SpoilerPosition, StrategyFamily, _codes,
-                                   _frozen, _gained, _kept, _tuples_through)
+                                   _gained, _kept, _tuples_through)
 from gamecomonads.structures import (Elem, Graph, Structure, check_hom, is_partial_hom,
                                      is_partial_iso)
 

@@ -173,6 +173,25 @@ def test_eval(files):
     assert code == 0 and "result: true" in out
 
 
+@pytest.mark.parametrize("formula,error", [
+    ("E x . P(x)", "error: atom P(x): no symbol P in the structure's vocabulary\n"),
+    ("E x . R(x)", "error: atom R(x): R has arity 2\n"),
+    ("E x . R(x,x,x)", "error: atom R(x,x,x): R has arity 2\n"),
+], ids=["undeclared", "too-few-arguments", "too-many-arguments"])
+def test_eval_refuses_an_atom_outside_the_vocabulary(files, capsys, formula, error):
+    """An atom that the structure's vocabulary does not declare, or with the
+    wrong number of arguments, is bad input, not a false verdict."""
+    code, out = run(["eval", "-f", formula, files["k3"]])
+    assert (code, out, capsys.readouterr().err) == (2, "", error)
+
+
+def test_sample_refuses_a_negative_count(capsys):
+    code, out = run(["sample", "--fragment", "ep", "-k", "1", "--count", "-1"])
+    assert (code, out, capsys.readouterr().err) == (2, "", "error: count must be >= 0\n")
+    code, out = run(["sample", "--fragment", "ep", "-k", "1", "--count", "0"])
+    assert code == 0 and out.endswith(" count=0\n")
+
+
 def test_sample_deterministic(files):
     args = ["sample", "--fragment", "counting", "-k", "2", "--count", "5",
             "--seed", "33"]

@@ -2,8 +2,9 @@
 
 Every job runs `cli.main` in a fresh working directory with relative file
 names, so the `input.a:` and `certificate:` report lines do not depend on where
-the suite runs.  The jobs are the criterion-9 list, a few more `equiv` runs, and one
-run of each other subcommand; together they emit every certificate kind that
+the suite runs.  The jobs are the criterion-9 list, a few more `equiv` runs, one
+run of each other subcommand, and `verify` runs of two pebble families against
+a structure they do not fit; together they emit every certificate kind that
 `verify` accepts, every Spoiler-tree node form, and `both-pair` certificates
 that hold, fail forward and fail backward.
 After an intended change of output, rewrite the corpus with
@@ -42,6 +43,8 @@ def _clique(n: int) -> str:
 INPUTS = {
     "edge": "vocab R 2\nelem a\nelem b\nrel R a b\nrel R b a\n",
     "twopts": "vocab R 2\nelem x\nelem y\n",
+    # the elements of `edge` without its edge, for families that do not fit it
+    "nonedge": "vocab R 2\nelem a\nelem b\n",
     "k3": ("vocab R 2\nelem u\nelem v\nelem w\nrel R u v\nrel R v u\n"
            "rel R v w\nrel R w v\nrel R u w\nrel R w u\n"),
     "loop": "vocab R 2\nelem a\nrel R a a\n",
@@ -144,7 +147,15 @@ def jobs():
     # points of `edgepts` are pebbled, one reply lies on the edge of `edgept`,
     # and Spoiler moves the other pebble onto that reply's neighbour
     later += [("pebble", "backforth", 2, "edgept", "edgepts")]
-    return out + [_equiv_job(*job) for job in later]
+    out += [_equiv_job(*job) for job in later]
+    # pebble families verified against a structure they do not fit, so that
+    # the audit names the least faulty part; each reads a certificate that a
+    # job above wrote
+    for mode, kind in [("exists", "family"), ("backforth", "safe")]:
+        out.append((f"verify-pebble-{kind}-edge-nonedge",
+                    ["verify", "--certificate", f"equiv-pebble-{mode}-k2-edge-edge.cert",
+                     "edge.str", "nonedge.str"], None, []))
+    return out
 
 
 def _equiv_job(game, mode, k, a, b):
@@ -243,29 +254,47 @@ def test_golden_spoiler_trees_fail_when_mutated(tmp_path, monkeypatch):
     assert seen == {"drop", "flip"}
 
 
-def test_pebble_backforth_reaches_no_deletion_engine(tmp_path, monkeypatch):
-    """The pebble back-and-forth game runs only the tuple refinement: with
-    the deletion engine's `_partial_maps` and `delete_to_fixpoint` raising,
-    every golden pebble `backforth` job, won or lost, still prints its
-    golden report and certificate."""
+def _pebble_claims(tmp_path, monkeypatch, modes, refused) -> list[bool]:
+    """With each function of `pebbling` named in `refused` raising, run every
+    golden pebble `equiv` job of `modes`, check that it prints its golden
+    report and certificate, and return whether each claims true."""
     from gamecomonads import pebbling
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the back-and-forth game reached the deletion engine")
+        raise AssertionError(f"a pebble {'/'.join(modes)} job reached {'/'.join(refused)}")
 
-    monkeypatch.setattr(pebbling, "_partial_maps", refuse)
-    monkeypatch.setattr(pebbling, "delete_to_fixpoint", refuse)
+    for attr in refused:
+        monkeypatch.setattr(pebbling, attr, refuse)
     monkeypatch.chdir(tmp_path)
     for name, text in INPUTS.items():
         Path(f"{name}.str").write_text(text, encoding="utf-8")
     claims = []
     for name, argv, cert, _ in jobs():
-        if argv[:5] == ["equiv", "--game", "pebble", "--mode", "backforth"]:
+        if argv[:4] == ["equiv", "--game", "pebble", "--mode"] and argv[4] in modes:
             _, out = _run(argv)
             assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes(), name
             assert Path(cert).read_bytes() == (GOLDEN / cert).read_bytes(), name
             claims.append("result: true\n" in out)
-    assert sorted(claims) == [False] * 3 + [True] * 3
+    return sorted(claims)
+
+
+def test_pebble_backforth_reaches_no_deletion_engine(tmp_path, monkeypatch):
+    """The pebble back-and-forth game runs only the tuple refinement: with
+    the deletion engine's `_partial_maps` and `delete_to_fixpoint` raising,
+    every golden pebble `backforth` job, won or lost, still prints its
+    golden report and certificate."""
+    claims = _pebble_claims(tmp_path, monkeypatch, ("backforth",),
+                            ("_partial_maps", "delete_to_fixpoint"))
+    assert claims == [False] * 3 + [True] * 3
+
+
+def test_pebble_exists_reaches_no_refinement(tmp_path, monkeypatch):
+    """The existential pebble game, one way or both, runs only the deletion
+    engine: with the refinement's `_tuple_colours` and `_rank` raising, every
+    golden pebble `exists` and `both` job, won or lost, still prints its
+    golden report and certificate."""
+    claims = _pebble_claims(tmp_path, monkeypatch, ("exists", "both"), ("_tuple_colours", "_rank"))
+    assert claims == [False] * 3 + [True] * 4
 
 
 # (a certificate not yet in the corpus is skipped, so that the corpus can be rewritten)
@@ -292,7 +321,7 @@ def test_verify_refuses_a_k_header_below_one(tmp_path, monkeypatch, capsys, cert
 SOLVERS = ("round_values", "refined_values", "refined_colours", "won_positions",
            "first_replies", "read_off", "spoiler_tree", "decide_exist", "decide_exist_ef",
            "decide_sim_k", "decide_exist_pebble", "_partial_maps", "delete_to_fixpoint",
-           "decide_back_forth", "_tuple_colours", "_safe_parts", "_spoiler_tree",
+           "decide_back_forth", "_tuple_colours", "_safe_parts", "_rank", "_spoiler_tree",
            "solve_back_forth",
            "_solve_pebble_backforth", "decide_cokleisli_iso", "find_hom",
            "min_height_forest_cover", "_treewidth_order", "_elimination_cover",
@@ -318,7 +347,11 @@ def test_verify_reaches_no_solver(tmp_path, monkeypatch):
     for name, text in INPUTS.items():
         Path(f"{name}.str").write_text(text, encoding="utf-8")
     verified = 0
-    for job, _, cert, structures in jobs():
+    for job, argv, cert, structures in jobs():
+        if argv[0] == "verify":  # of a certificate written above
+            _, out = _run(argv)
+            assert out.encode("utf-8") == (GOLDEN / f"{job}.out").read_bytes(), job
+            continue
         if cert is None or not (GOLDEN / cert).exists():
             continue
         Path(cert).write_bytes((GOLDEN / cert).read_bytes())

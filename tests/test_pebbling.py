@@ -222,6 +222,10 @@ def test_pebble_solvers_equal_the_full_rescan_reference():
             a = build(rng.randint(0, 4))
             b = _relabelled(rng, a) if rng.random() < 0.3 else build(rng.randint(0, 4))
             cases.append((a, b, rng.randint(1, 3)))
+    # a loss whose tree drops only to maps deleted in an earlier pass, never
+    # to one deleted in the same pass with fewer pairs
+    cases.append((S(VOCAB_RP, "abc", {"R": ["ab", "ac", "bc", "cb"]}),
+                  S(VOCAB_RP, "abcd", {"R": ["ac", "ba", "bc", "cb", "dc"], "P": ["d"]}), 3))
     outcomes = set()
     for a, b, k in cases:
         got, want = pb.decide_exist_pebble(a, b, k), reference_exist_pebble(a, b, k)
